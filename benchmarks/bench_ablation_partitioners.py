@@ -19,13 +19,11 @@ import pytest
 from repro.compiler import compile_source
 from repro.decompile import decompile
 from repro.partition import (
-    NinetyTenPartitioner,
-    annealing_partition,
     build_candidates,
     build_profile,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
+    default_passes,
+    legacy_devices,
+    partition,
 )
 from repro.platform import MIPS_200MHZ
 from repro.programs import get_benchmark
@@ -51,27 +49,36 @@ def candidate_sets():
     return sets
 
 
-def _algorithms():
-    ninety = NinetyTenPartitioner(MIPS_200MHZ)
-    return {
-        "90-10 (paper)": lambda c, t: ninety.partition(c, t),
-        "greedy density": lambda c, t: greedy_partition(MIPS_200MHZ, c, t),
-        "GCLP": lambda c, t: gclp_partition(MIPS_200MHZ, c, t),
-        "annealing": lambda c, t: annealing_partition(MIPS_200MHZ, c, t),
-        "exhaustive": lambda c, t: exhaustive_partition(MIPS_200MHZ, c, t),
-    }
+def _run(algorithm, candidates, total_cycles):
+    """*algorithm* over the paper flow's CPU + monolithic-fabric view."""
+    return partition(
+        candidates,
+        legacy_devices(MIPS_200MHZ),
+        platform=MIPS_200MHZ,
+        total_cycles=total_cycles,
+        passes=default_passes(algorithm, legacy=True),
+    ).result
+
+
+#: table label -> placement algorithm
+_ALGORITHMS = {
+    "90-10 (paper)": "90-10",
+    "greedy density": "greedy",
+    "GCLP": "gclp",
+    "annealing": "annealing",
+    "exhaustive": "exhaustive",
+}
 
 
 def test_ablation_report(candidate_sets):
-    algos = _algorithms()
-    quality: dict[str, float] = {a: 0.0 for a in algos}
-    runtime: dict[str, float] = {a: 0.0 for a in algos}
-    place_runtime: dict[str, float] = {a: 0.0 for a in algos}
-    pass_totals: dict[str, dict[str, float]] = {a: {} for a in algos}
+    quality: dict[str, float] = {a: 0.0 for a in _ALGORITHMS}
+    runtime: dict[str, float] = {a: 0.0 for a in _ALGORITHMS}
+    place_runtime: dict[str, float] = {a: 0.0 for a in _ALGORITHMS}
+    pass_totals: dict[str, dict[str, float]] = {a: {} for a in _ALGORITHMS}
     reference: dict[str, float] = {}
     for name, (profile, candidates) in candidate_sets.items():
-        for algo, run_algo in algos.items():
-            result = run_algo(candidates, profile.total_cycles)
+        for algo, algorithm in _ALGORITHMS.items():
+            result = _run(algorithm, candidates, profile.total_cycles)
             saved = sum(c.saved_seconds for c in result.selected)
             quality[algo] += saved
             # per-pass wall clock from the pipeline: "partitioning runtime"
@@ -88,7 +95,7 @@ def test_ablation_report(candidate_sets):
 
     rows = []
     best = quality["exhaustive"] or 1e-12
-    for algo in algos:
+    for algo in _ALGORITHMS:
         rows.append(
             [
                 algo,
@@ -117,7 +124,7 @@ def test_ablation_report(candidate_sets):
                 f"{1000 * pass_totals[algo].get(p, 0.0):.3f}"
                 for p in pass_names
             ]
-            for algo in algos
+            for algo in _ALGORITHMS
         ],
         note="filter/annotate/legalize/report are shared pipeline passes; "
              "only 'place' differs between algorithms",
@@ -127,7 +134,7 @@ def test_ablation_report(candidate_sets):
     assert quality["90-10 (paper)"] >= 0.90 * quality["exhaustive"]
     assert runtime["90-10 (paper)"] < runtime["annealing"] / 10.0
     assert place_runtime["90-10 (paper)"] < place_runtime["annealing"] / 10.0
-    for algo in algos:
+    for algo in _ALGORITHMS:
         assert set(pass_totals[algo]) == {
             "filter", "annotate", "place", "legalize", "report"
         }, algo
@@ -136,8 +143,8 @@ def test_ablation_report(candidate_sets):
 def test_all_partitioners_feasible(candidate_sets):
     budget = MIPS_200MHZ.device.capacity_gates
     for name, (profile, candidates) in candidate_sets.items():
-        for algo, run_algo in _algorithms().items():
-            result = run_algo(candidates, profile.total_cycles)
+        for algo, algorithm in _ALGORITHMS.items():
+            result = _run(algorithm, candidates, profile.total_cycles)
             assert result.area_used <= budget, (name, algo)
 
 
@@ -145,6 +152,5 @@ def test_bench_ninety_ten_speed(benchmark, candidate_sets):
     """Times one 90-10 partitioning run (must be fast: it is the paper's
     argument for the heuristic)."""
     profile, candidates = candidate_sets["jpegdct"]
-    partitioner = NinetyTenPartitioner(MIPS_200MHZ)
-    result = benchmark(lambda: partitioner.partition(candidates, profile.total_cycles))
+    result = benchmark(lambda: _run("90-10", candidates, profile.total_cycles))
     assert result.selected

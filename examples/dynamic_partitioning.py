@@ -13,7 +13,7 @@ Run:  PYTHONPATH=src python examples/dynamic_partitioning.py
 """
 
 from repro.dynamic.controller import DynamicConfig
-from repro.flow import run_dynamic_flow
+from repro.dynamic.flow import run_dynamic_flow
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 
 # A program with phases: an image is smoothed (hot loop 1), then histogram

@@ -33,15 +33,14 @@ from repro.decompile.decompiler import (
     DecompiledProgram,
     decompile,
 )
+from repro.dynamic.flow import run_dynamic_flow
 from repro.flow import (
     DynamicFlowReport,
     FlowReport,
-    run_dynamic_flow,
     run_flow,
     run_flow_on_executable,
 )
 from repro.partition.api import PartitionOutcome
-from repro.partition.ninety_ten import NinetyTenPartitioner
 from repro.platform.devices import DeviceSpec
 from repro.platform.platform import (
     MIPS_200MHZ,
@@ -67,7 +66,6 @@ __all__ = [
     "MIPS_400MHZ",
     "MIPS_40MHZ",
     "DeviceSpec",
-    "NinetyTenPartitioner",
     "PartitionOutcome",
     "Platform",
     "SOFTCORE_50MHZ",

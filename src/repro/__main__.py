@@ -23,10 +23,6 @@ software binary, after any compiler.  This CLI is that tool:
 
     # online (warp-style) partitioning: static vs dynamic, hard + soft cores
     python -m repro dynamic
-
-    # partitioning as a service: start the async job server, submit to it
-    python -m repro serve --port 8752
-    python -m repro submit brev crc --platform mips200 --tenant alice
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from repro.flow import (
     run_flows,
 )
 from repro.platform.platform import NAMED_PLATFORMS, Platform
-from repro.service.protocol import DEFAULT_PORT
 from repro.sim.cpu import run_executable
 from repro.synth.fpga import VIRTEX2_DEVICES
 from repro.synth.synthesizer import Synthesizer
@@ -393,130 +388,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.service.server import ServiceConfig
-
-    # a service wants its telemetry on: the stats op, per-tenant counters
-    # and cache hit/miss proof all read the obs registry, and pool workers
-    # inherit the env flag so their deltas merge back in
-    os.environ[obs.ENABLE_ENV] = "1"
-    obs.enable(metrics=True, tracing=False)
-    config = ServiceConfig(
-        host=args.host,
-        port=DEFAULT_PORT if args.port is None else args.port,
-        socket_path=args.socket,
-        queue_size=args.queue_size,
-        max_workers=args.jobs,
-        batch_limit=args.batch_limit,
-        use_cache=False if args.no_cache else None,
-    )
-
-    async def _serve() -> None:
-        from repro.service.server import PartitionServer
-
-        server = PartitionServer(config)
-        await server.start()
-        print(f"serving partitioning jobs on {server.where()} "
-              f"(queue {config.queue_size}, "
-              f"pool {config.max_workers or os.cpu_count() or 1} workers); "
-              "Ctrl-C to stop", flush=True)
-        try:
-            await server.wait_shutdown()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("\nservice stopped")
-    return 0
-
-
-def _service_client(args):
-    from repro.service.client import ServiceClient
-
-    port = DEFAULT_PORT if args.port is None else args.port
-    return ServiceClient(host=args.host, port=port,
-                         socket_path=args.socket, timeout=args.net_timeout)
-
-
-def _print_submit_event(event: dict) -> None:
-    kind = event.get("event")
-    job = event.get("job")
-    if kind == "done":
-        row = event.get("result") or {}
-        src = "cache" if event.get("cached") else (
-            "coalesced" if event.get("coalesced") else "worker")
-        if row.get("recovered"):
-            print(f"  job {job}: {row.get('benchmark', '?'):12s} "
-                  f"speedup {row.get('app_speedup', 0):6.2f}x  "
-                  f"energy {row.get('energy_savings_pct', 0):5.1f}%  "
-                  f"[{src}, {event.get('elapsed_ms', 0):.0f} ms]")
-        else:
-            print(f"  job {job}: {row.get('benchmark', '?'):12s} "
-                  f"RECOVERY FAILED ({row.get('failure_reason', '?')}) "
-                  f"[{src}]")
-    elif kind in ("error", "rejected", "cancelled", "timeout"):
-        print(f"  job {job}: {kind.upper()} "
-              f"{event.get('message') or event.get('reason') or ''}".rstrip())
-    elif kind == "batch_done":
-        print(f"batch {event.get('batch')}: {event.get('ok')} ok "
-              f"({event.get('cached')} from cache), "
-              f"{event.get('failed')} failed")
-
-
-def cmd_submit(args) -> int:
-    from repro.service.client import ServiceError
-
-    try:
-        with _service_client(args).connect(wait_ready=args.wait_ready) as client:
-            if args.ping:
-                pong = client.ping()
-                print(f"service at {client.where()} is up "
-                      f"(uptime {pong.get('uptime_s', 0):.1f}s)")
-                return 0
-            if args.stats:
-                payload = client.stats()
-                print(f"service at {client.where()}: "
-                      f"queue depth {payload.get('queue_depth')}, "
-                      f"{payload.get('inflight')} jobs in flight, "
-                      f"uptime {payload.get('uptime_s', 0):.1f}s")
-                print(obs.format_stats({"metrics": payload.get("metrics", {})}))
-                return 0
-            jobs = []
-            for name in args.benchmarks:
-                jobs.append({"bench": name, "platform": args.platform,
-                             "opt_level": args.opt_level})
-            for path in args.file or []:
-                jobs.append({"source": Path(path).read_text(),
-                             "name": Path(path).stem,
-                             "platform": args.platform,
-                             "opt_level": args.opt_level})
-            if not jobs:
-                print("nothing to submit (give benchmark names or --file)",
-                      file=sys.stderr)
-                return 2
-            for job in jobs:
-                if args.timeout:
-                    job["timeout"] = args.timeout
-                if args.priority:
-                    job["priority"] = args.priority
-                if args.no_cache:
-                    job["no_cache"] = True
-            finals = client.submit_batch(
-                jobs, tenant=args.tenant,
-                on_event=_print_submit_event if not args.quiet else None,
-            )
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 1
-    failed = sum(1 for event in finals.values()
-                 if event.get("event") != "done")
-    return 1 if failed else 0
-
-
 def cmd_sweep(args) -> int:
     from repro.programs import ALL_BENCHMARKS, get_benchmark
 
@@ -700,60 +571,6 @@ def main(argv=None) -> int:
                    help="disable the process pool")
     _add_telemetry_flags(p)
     p.set_defaults(fn=cmd_dynamic)
-
-    p = sub.add_parser("serve", help="run the partitioning service "
-                                     "(asyncio front-end over the worker pool)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help=f"TCP port (default {DEFAULT_PORT}; 0 picks a free one)")
-    p.add_argument("--socket", metavar="PATH",
-                   help="serve on a unix socket instead of TCP")
-    p.add_argument("--queue-size", type=int, default=1024,
-                   help="max queued jobs before submissions are rejected")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: CPU count)")
-    p.add_argument("--batch-limit", type=int, default=None,
-                   help="max jobs per pool batch (default: pool width)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="never consult or fill the shared flow store")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("submit", help="submit partitioning jobs to a "
-                                      "running service and stream results")
-    p.add_argument("benchmarks", nargs="*",
-                   help="built-in benchmark names to partition")
-    p.add_argument("--file", nargs="+", metavar="SRC.c",
-                   help="mini-C source files to partition")
-    p.add_argument("--platform", default="mips200",
-                   choices=sorted(NAMED_PLATFORMS))
-    p.add_argument("-O", dest="opt_level", type=int, default=1,
-                   choices=[0, 1, 2, 3])
-    p.add_argument("--tenant", default="cli",
-                   help="tenant name for fairness and per-tenant stats")
-    p.add_argument("--priority", type=int, default=0,
-                   help="lower runs first within a tenant")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-job timeout in seconds (while queued)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="force recomputation for these jobs")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help=f"TCP port of the service (default {DEFAULT_PORT})")
-    p.add_argument("--socket", metavar="PATH",
-                   help="connect to a unix-socket service")
-    p.add_argument("--wait-ready", type=float, default=0.0, metavar="SECONDS",
-                   help="retry the connection this long (lets scripts race "
-                        "a just-started server)")
-    p.add_argument("--net-timeout", type=float, default=300.0,
-                   help="socket timeout in seconds")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-event progress lines")
-    p.add_argument("--stats", action="store_true",
-                   help="print the live service stats (telemetry registry "
-                        "included) instead of submitting")
-    p.add_argument("--ping", action="store_true",
-                   help="check the service is up, then exit")
-    p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("stats", help="pretty-print the telemetry registry "
                                      "saved by the last --metrics run")

@@ -56,7 +56,7 @@ from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig
 from repro.errors import SynthesisError
 from repro.partition.costmodels import cost_model_for
 from repro.partition.estimator import kernel_fpga_cycles
-from repro.partition.profiles import LoopProfile, _block_ranges
+from repro.partition.profiles import LoopProfile, block_ranges
 from repro.platform.platform import Platform
 from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
 
@@ -401,7 +401,7 @@ class DynamicPartitionController:
         branch_edges = self.cpu.branch_edges
         jump_edges = self.cpu.jump_edges
         for func in program.functions.values():
-            ranges = _block_ranges(func, self.exe)
+            ranges = block_ranges(func, self.exe)
             for loop in func.loops:
                 header_address = func.cfg.blocks[loop.header].start
                 body_ranges = [ranges[index] for index in sorted(loop.body)]

@@ -37,8 +37,8 @@ from repro.decompile.decompiler import (
 )
 from repro.partition.api import default_passes, legacy_devices, partition as run_partition
 from repro.partition.estimator import build_candidates
-from repro.partition.ninety_ten import PartitionResult
 from repro.partition.profiles import ProgramProfile, build_profile
+from repro.partition.result import PartitionResult
 from repro.platform.metrics import ApplicationMetrics, evaluate_partition
 from repro.platform.platform import MIPS_200MHZ, Platform
 from repro.sim.cpu import RunResult, run_executable
@@ -141,8 +141,8 @@ class FlowJob:
 
 
 def execute_flow_job(job: FlowJob) -> FlowReport:
-    """Run one :class:`FlowJob` to completion (picklable pool worker; the
-    sweep runner and the partitioning service both fan out over it)."""
+    """Run one :class:`FlowJob` to completion (the picklable pool worker
+    :func:`run_flows` fans out over)."""
     return run_flow(
         job.source,
         job.name,
@@ -150,10 +150,6 @@ def execute_flow_job(job: FlowJob) -> FlowReport:
         platform=job.platform,
         max_steps=job.max_steps,
     )
-
-
-#: backwards-compatible alias (the pool pickles workers by reference)
-_execute_job = execute_flow_job
 
 
 class _JobFailure(Exception):
@@ -354,7 +350,7 @@ def run_flows(
 def _run_flows_uncached(
     job_list: Sequence[FlowJob], max_workers: int | None
 ) -> list[FlowReport]:
-    return run_jobs(_execute_job, job_list, max_workers)
+    return run_jobs(execute_flow_job, job_list, max_workers)
 
 
 def run_flow_on_executable(
@@ -503,10 +499,3 @@ class DynamicFlowReport:
             "kernels": len(self.timeline.final_resident),
             "repartitions": len(self.timeline.events),
         }
-
-
-def run_dynamic_flow(*args, **kwargs) -> DynamicFlowReport:
-    """Online-partitioning flow; see :func:`repro.dynamic.flow.run_dynamic_flow`."""
-    from repro.dynamic.flow import run_dynamic_flow as _impl
-
-    return _impl(*args, **kwargs)

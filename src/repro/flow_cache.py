@@ -7,10 +7,10 @@ reloaded by any later session -- repeated sweeps (``python -m repro sweep``,
 compile -> simulate -> decompile -> synthesize pipeline entirely.
 
 Storage is the sharded concurrency-safe store from
-:mod:`repro.service.store`: entries live under 256 two-hex-char shard
+:mod:`repro.store`: entries live under 256 two-hex-char shard
 subdirectories of ``~/.cache/repro/flow/`` (override the root with
 ``REPRO_CACHE_DIR``), file name = SHA-256 of the canonical key, published
-with atomic renames so many service workers can read and write the same
+with atomic renames so many pool workers can read and write the same
 store at once, and LRU-evicted under ``REPRO_CACHE_BUDGET`` (e.g. ``64M``).
 The key includes the package version *and* a fingerprint of the package's
 own source files (path, size, mtime), so editing any ``repro`` module
@@ -28,14 +28,7 @@ import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.service.store import (
-    BUDGET_ENV,
-    STALE_TMP_SECONDS,
-    ShardedStore,
-    get_store,
-    parse_budget,
-    sweep_stale_tmp as _sweep_stale_tmp,  # noqa: F401  (re-export for tests)
-)
+from repro.store import BUDGET_ENV, ShardedStore, get_store, parse_budget
 
 if TYPE_CHECKING:
     from repro.flow import FlowJob, FlowReport

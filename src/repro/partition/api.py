@@ -1,10 +1,10 @@
 """The one partitioning entry point: ``partition(graph, devices, passes=...)``.
 
 ``flow.py``, the dynamic controller's static baseline, the CLI and the
-benchmarks all come through here; the legacy two-device helpers
-(``greedy_partition`` and friends, ``NinetyTenPartitioner``) are thin shims
-over this function and reproduce their pre-refactor results bit-identically
-(see ``tests/partition/test_legacy_shim.py``).
+benchmarks all come through here.  On the two-device view
+(:func:`legacy_devices` with ``default_passes(..., legacy=True)``) it
+reproduces the pre-pipeline partitioners bit-identically (see
+``tests/partition/test_legacy_shim.py``).
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ def _per_address_cycles(
     return cycles
 
 
-def _block_ranges(func: DecompiledFunction, exe: Executable) -> dict[int, tuple[int, int]]:
+def block_ranges(func: DecompiledFunction, exe: Executable) -> dict[int, tuple[int, int]]:
     """Original [start, end) address range of each block, by block index."""
     starts = sorted(block.start for block in func.cfg.blocks)
     _, func_end = exe.function_bounds(func.name)
@@ -98,7 +98,7 @@ def build_profile(
     )
 
     for func in program.functions.values():
-        ranges = _block_ranges(func, exe)
+        ranges = block_ranges(func, exe)
         for loop in func.loops:
             header = func.cfg.blocks[loop.header]
             body_ranges = [ranges[index] for index in loop.body]

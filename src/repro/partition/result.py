@@ -1,8 +1,7 @@
-"""The partitioning result type, shared by every algorithm and the shims.
+"""The partitioning result type, shared by every placement algorithm.
 
-Historically defined in :mod:`repro.partition.ninety_ten` (which still
-re-exports it); it moved here so the pass pipeline, the baselines and the
-90-10 shim can all build one without import cycles.
+It lives in its own module so the pass pipeline and the flow can both
+build one without import cycles.
 """
 
 from __future__ import annotations

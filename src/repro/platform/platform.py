@@ -137,8 +137,8 @@ SOFTCORE_50MHZ = Platform(
 
 SOFT_CORES = [SOFTCORE_85MHZ, SOFTCORE_50MHZ]
 
-#: CLI/service platform registry: the short names `python -m repro sweep`,
-#: `python -m repro dynamic` and the partitioning service accept on the wire
+#: CLI platform registry: the short names `python -m repro dynamic --platform`
+#: accepts
 NAMED_PLATFORMS: dict[str, Platform] = {
     "mips40": MIPS_40MHZ,
     "mips200": MIPS_200MHZ,

@@ -11,7 +11,7 @@ hazard of the old per-object cache and lets two distinct ``Executable``
 instances of the same program share one set of builds.
 
 The on-disk side persists that artifact list through a
-:class:`~repro.service.store.ShardedStore` under
+:class:`~repro.store.ShardedStore` under
 ``REPRO_TRACE_CACHE_DIR`` (``marshal``-encoded: artifacts are plain
 containers plus compiled code objects, which ``marshal`` round-trips
 and ``pickle`` cannot).  A second *process* then starts trace-warm via
@@ -31,7 +31,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.flow_cache import _source_fingerprint, cache_enabled
-from repro.service.store import BUDGET_ENV, ShardedStore, get_store, parse_budget
+from repro.store import BUDGET_ENV, ShardedStore, get_store, parse_budget
 
 __all__ = [
     "PERSIST_FORMAT",

@@ -1,8 +1,8 @@
-"""Sharded, concurrency-safe on-disk byte store -- the service-grade
-successor of the flat ``~/.cache/repro/flow`` directory.
+"""Sharded, concurrency-safe on-disk byte store -- the backing store of the
+flow-report cache and the persistent trace cache.
 
-Many worker processes and many tenants hammer one cache at once, so the
-store is designed around three properties:
+Many pool worker processes may hit one cache at once, so the store is
+designed around three properties:
 
 * **lock-free reads** -- entries are published with ``mkstemp`` +
   ``os.replace``, so a reader either sees a complete entry or no entry;
@@ -118,7 +118,7 @@ class StoreEntry(NamedTuple):
 
 
 #: shard directories this process has already reaped stale ``*.tmp`` files
-#: from -- high-throughput service writes must not pay a directory scan on
+#: from -- high-throughput cache writes must not pay a directory scan on
 #: every store, so the reap runs once per process per shard
 _SWEPT_SHARDS: set[str] = set()
 

@@ -10,7 +10,7 @@ from repro.dynamic.controller import (
     PlannedPlacement,
     RepartitionEvent,
 )
-from repro.flow import run_dynamic_flow
+from repro.dynamic.flow import run_dynamic_flow
 from repro.platform import MIPS_200MHZ
 from repro.synth.synthesizer import HwKernel
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dynamic.controller import DynamicConfig
-from repro.flow import run_dynamic_flow
+from repro.dynamic.flow import run_dynamic_flow
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 
 _TWO_KERNELS = """

@@ -15,8 +15,8 @@ resident kernel.
 import pytest
 
 from repro.dynamic.controller import DynamicConfig
+from repro.dynamic.flow import run_dynamic_flow
 from repro.dynamic.profiler import ProfilerConfig
-from repro.flow import run_dynamic_flow
 from repro.platform import MIPS_200MHZ
 
 #: five live loops (small + three heavy + the phase-2 driver): more than

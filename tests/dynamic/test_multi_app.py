@@ -3,13 +3,13 @@
 import pytest
 
 from repro.dynamic.controller import DynamicConfig
+from repro.dynamic.flow import run_dynamic_flow
 from repro.dynamic.multi import (
     AppSpec,
     MultiAppJob,
     run_multi_app_flow,
     run_multi_app_flows,
 )
-from repro.flow import run_dynamic_flow
 from repro.platform import MIPS_200MHZ
 from repro.programs import get_benchmark
 

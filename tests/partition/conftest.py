@@ -3,6 +3,7 @@
 import pytest
 
 from repro import obs
+from repro.partition import default_passes, legacy_devices, partition
 
 
 @pytest.fixture()
@@ -18,3 +19,15 @@ def telemetry(tmp_path, monkeypatch):
     obs.disable()
     obs.clear_metrics()
     obs.clear_trace()
+
+
+def legacy_partition(platform, candidates, total_cycles, algorithm="90-10"):
+    """*algorithm* over the two-device view (CPU + one monolithic fabric
+    carrying the whole budget) -- the paper flow's default partition call."""
+    return partition(
+        candidates,
+        legacy_devices(platform),
+        platform=platform,
+        total_cycles=total_cycles,
+        passes=default_passes(algorithm, legacy=True),
+    ).result

@@ -13,20 +13,15 @@ import random
 
 import pytest
 
-from repro.partition.baselines import (
-    annealing_partition,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
-)
-from repro.partition.ninety_ten import NinetyTenPartitioner
 from repro.partition.estimator import Candidate
 from repro.partition.profiles import LoopProfile
 from repro.platform.platform import Platform
 from repro.synth.fpga import FpgaDevice
 from repro.synth.synthesizer import HwKernel
 
-ALGORITHMS = [greedy_partition, gclp_partition, annealing_partition]
+from tests.partition.conftest import legacy_partition
+
+ALGORITHMS = ["greedy", "gclp", "annealing"]
 
 
 class _StubFunction:
@@ -95,12 +90,10 @@ class TestBaselineProperties:
         candidates = _random_candidates(seed, n=rng_size(seed))
         platform = _platform(seed)
         total_cycles = sum(c.profile.sw_cycles for c in candidates) or 1
-        algorithms = ALGORITHMS + [
-            lambda p, c, t: exhaustive_partition(p, c, t),
-            lambda p, c, t: NinetyTenPartitioner(p).partition(c, t),
-        ]
-        for algorithm in algorithms:
-            result = algorithm(platform, candidates, total_cycles)
+        for algorithm in ALGORITHMS + ["exhaustive", "90-10"]:
+            result = legacy_partition(
+                platform, candidates, total_cycles, algorithm
+            )
             assert result.area_used <= platform.capacity_gates + 1e-9
             assert result.area_used == pytest.approx(
                 sum(c.area for c in result.selected)
@@ -110,20 +103,18 @@ class TestBaselineProperties:
                     assert not a.overlaps(b)
 
     def test_exhaustive_is_never_beaten(self, seed):
-        # small sets only: exhaustive_partition is exact up to 14 candidates
+        # small sets only: exhaustive placement is exact up to 14 candidates
         candidates = _random_candidates(seed, n=min(rng_size(seed), 10))
         platform = _platform(seed)
         total_cycles = sum(c.profile.sw_cycles for c in candidates) or 1
         best = _total_saved(
-            exhaustive_partition(platform, candidates, total_cycles)
+            legacy_partition(platform, candidates, total_cycles, "exhaustive")
         )
-        for algorithm in ALGORITHMS:
-            saved = _total_saved(algorithm(platform, candidates, total_cycles))
-            assert saved <= best * (1 + 1e-9) + 1e-12, algorithm.__name__
-        ninety = _total_saved(
-            NinetyTenPartitioner(platform).partition(candidates, total_cycles)
-        )
-        assert ninety <= best * (1 + 1e-9) + 1e-12
+        for algorithm in ALGORITHMS + ["90-10"]:
+            saved = _total_saved(
+                legacy_partition(platform, candidates, total_cycles, algorithm)
+            )
+            assert saved <= best * (1 + 1e-9) + 1e-12, algorithm
 
 
 def rng_size(seed: int) -> int:
@@ -132,8 +123,8 @@ def rng_size(seed: int) -> int:
 
 def test_empty_candidate_list():
     platform = _platform(0)
-    for algorithm in ALGORITHMS + [exhaustive_partition]:
-        result = algorithm(platform, [], 1000)
+    for algorithm in ALGORITHMS + ["exhaustive"]:
+        result = legacy_partition(platform, [], 1000, algorithm)
         assert result.selected == []
         assert result.area_used == 0.0
 
@@ -147,6 +138,6 @@ def test_all_unprofitable_candidates():
         candidate.hw_seconds = candidate.sw_seconds * 2.0  # always a loss
         candidates.append(candidate)
     platform = _platform(3)
-    for algorithm in (greedy_partition, exhaustive_partition):
-        result = algorithm(platform, candidates, 100_000)
+    for algorithm in ("greedy", "exhaustive"):
+        result = legacy_partition(platform, candidates, 100_000, algorithm)
         assert _total_saved(result) <= 0.0 or not result.selected

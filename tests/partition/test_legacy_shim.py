@@ -1,14 +1,16 @@
-"""Differential suite: the pipeline-backed shims vs the frozen legacy code.
+"""Differential suite: the partition pipeline vs the frozen legacy code.
 
-The refactor's hard contract (ISSUE 10): the legacy two-device API --
-``NinetyTenPartitioner`` and the four baseline entry points -- must
-reproduce the pre-refactor :class:`PartitionResult` **bit-identically**:
-same kernels in the same selection order, same per-step attribution, and
-float-equal area accounting.  This holds over every benchmark in the suite
-on both the hard-core and soft-core platforms, for all five algorithms.
+The pipeline's hard contract: on the two-device view
+(:func:`~repro.partition.api.legacy_devices` with
+``default_passes(algorithm, legacy=True)``), :func:`repro.partition.partition`
+must reproduce the pre-pipeline :class:`PartitionResult` of the frozen
+reference in ``_legacy_reference.py`` **bit-identically**: same kernels in
+the same selection order, same per-step attribution, and float-equal area
+accounting.  This holds over every benchmark in the suite on both the
+hard-core and soft-core platforms, for all five algorithms.
 
 ``partitioning_seconds`` is wall clock and excluded; ``placements`` and
-``pass_seconds`` are new fields the legacy code never filled.
+``pass_seconds`` are fields the legacy code never filled.
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.decompile import decompile
-from repro.partition import (
-    NinetyTenPartitioner,
-    annealing_partition,
-    build_candidates,
-    build_profile,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
-)
+from repro.partition import build_candidates, build_profile
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import ALL_BENCHMARKS
 from repro.sim import run_executable
@@ -37,21 +31,20 @@ from tests.partition._legacy_reference import (
     legacy_gclp_partition,
     legacy_greedy_partition,
 )
+from tests.partition.conftest import legacy_partition
 
 #: tblook/ttsprk fail CDFG recovery by design -- nothing to partition
 _BENCHMARKS = [b for b in ALL_BENCHMARKS if not b.expect_recovery_failure]
 
 _PLATFORMS = {"mips200": MIPS_200MHZ, "softcore85": SOFTCORE_85MHZ}
 
+#: pipeline placement name -> frozen pre-pipeline implementation
 _ALGORITHMS = {
-    "90-10": (
-        lambda p, c, t: LegacyNinetyTenPartitioner(p).partition(c, t),
-        lambda p, c, t: NinetyTenPartitioner(p).partition(c, t),
-    ),
-    "greedy": (legacy_greedy_partition, greedy_partition),
-    "exhaustive": (legacy_exhaustive_partition, exhaustive_partition),
-    "gclp": (legacy_gclp_partition, gclp_partition),
-    "annealing": (legacy_annealing_partition, annealing_partition),
+    "90-10": lambda p, c, t: LegacyNinetyTenPartitioner(p).partition(c, t),
+    "greedy": legacy_greedy_partition,
+    "exhaustive": legacy_exhaustive_partition,
+    "gclp": legacy_gclp_partition,
+    "annealing": legacy_annealing_partition,
 }
 
 _cache: dict[str, tuple] = {}
@@ -78,16 +71,16 @@ def _candidates_for(name: str, platform_key: str):
     return _cache[cand_key], profile.total_cycles
 
 
-def _assert_bit_identical(legacy, shim, context: str) -> None:
-    assert shim.names == legacy.names, context
-    assert shim.step_of == legacy.step_of, context
-    assert shim.area_used == legacy.area_used, context  # float bits
-    assert shim.area_budget == legacy.area_budget, context
-    assert shim.algorithm == legacy.algorithm, context
-    # the shim additionally reports a total placement map
-    assert set(shim.placements.values()) <= {"cpu", "fabric0"}, context
-    placed = {n for n, d in shim.placements.items() if d != "cpu"}
-    assert placed == set(shim.names), context
+def _assert_bit_identical(legacy, pipeline, context: str) -> None:
+    assert pipeline.names == legacy.names, context
+    assert pipeline.step_of == legacy.step_of, context
+    assert pipeline.area_used == legacy.area_used, context  # float bits
+    assert pipeline.area_budget == legacy.area_budget, context
+    assert pipeline.algorithm == legacy.algorithm, context
+    # the pipeline additionally reports a total placement map
+    assert set(pipeline.placements.values()) <= {"cpu", "fabric0"}, context
+    placed = {n for n, d in pipeline.placements.items() if d != "cpu"}
+    assert placed == set(pipeline.names), context
 
 
 @pytest.mark.parametrize("platform_key", sorted(_PLATFORMS))
@@ -95,17 +88,17 @@ def _assert_bit_identical(legacy, shim, context: str) -> None:
 def test_shims_bit_identical(bench: str, platform_key: str):
     candidates, total_cycles = _candidates_for(bench, platform_key)
     platform = _PLATFORMS[platform_key]
-    for algo, (legacy_fn, shim_fn) in _ALGORITHMS.items():
+    for algo, legacy_fn in _ALGORITHMS.items():
         legacy = legacy_fn(platform, candidates, total_cycles)
-        shim = shim_fn(platform, candidates, total_cycles)
+        pipeline = legacy_partition(platform, candidates, total_cycles, algo)
         _assert_bit_identical(
-            legacy, shim, f"{bench}/{platform_key}/{algo}"
+            legacy, pipeline, f"{bench}/{platform_key}/{algo}"
         )
 
 
 def test_shim_reports_pass_timings():
     candidates, total_cycles = _candidates_for(_BENCHMARKS[0].name, "mips200")
-    result = greedy_partition(MIPS_200MHZ, candidates, total_cycles)
+    result = legacy_partition(MIPS_200MHZ, candidates, total_cycles, "greedy")
     assert list(result.pass_seconds) == [
         "filter", "annotate", "place", "legalize", "report"
     ]

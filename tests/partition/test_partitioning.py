@@ -5,18 +5,12 @@ import pytest
 from repro.compiler import compile_source
 from repro.decompile import decompile
 from repro.flow import run_flow
-from repro.partition import (
-    NinetyTenPartitioner,
-    annealing_partition,
-    build_candidates,
-    build_profile,
-    exhaustive_partition,
-    gclp_partition,
-    greedy_partition,
-)
+from repro.partition import build_candidates, build_profile
 from repro.platform import MIPS_200MHZ, Platform
 from repro.sim import run_executable
 from repro.synth.fpga import FpgaDevice
+
+from tests.partition.conftest import legacy_partition
 
 _TWO_KERNELS = """
 int a[128];
@@ -97,31 +91,31 @@ class TestNinetyTen:
         _, _, profile, candidates = setup
         tiny_device = FpgaDevice("tiny", 9_000, 8 * 1024, 210.0)
         platform = Platform(name="tiny", cpu_clock_mhz=200.0, device=tiny_device)
-        result = NinetyTenPartitioner(platform).partition(candidates, profile.total_cycles)
+        result = legacy_partition(platform, candidates, profile.total_cycles)
         assert result.area_used <= tiny_device.capacity_gates
 
     def test_hot_loop_selected_in_step_one(self, setup):
         _, _, profile, candidates = setup
-        result = NinetyTenPartitioner(MIPS_200MHZ).partition(candidates, profile.total_cycles)
+        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
         step1 = [n for n, s in result.step_of.items() if s == 1]
         assert any("hot" in n for n in step1)
 
     def test_no_overlapping_selection(self, setup):
         _, _, profile, candidates = setup
-        result = NinetyTenPartitioner(MIPS_200MHZ).partition(candidates, profile.total_cycles)
+        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
         for i, a in enumerate(result.selected):
             for b in result.selected[i + 1:]:
                 assert not a.overlaps(b)
 
     def test_alias_step_pulls_shared_array_region(self, setup):
         _, _, profile, candidates = setup
-        result = NinetyTenPartitioner(MIPS_200MHZ).partition(candidates, profile.total_cycles)
+        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
         # warm() reads a[] which hot() writes: step 2 (or 1/3) must take it
         assert any("warm" in n for n in result.names)
 
     def test_runtime_recorded(self, setup):
         _, _, profile, candidates = setup
-        result = NinetyTenPartitioner(MIPS_200MHZ).partition(candidates, profile.total_cycles)
+        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
         assert result.partitioning_seconds > 0
 
 
@@ -129,25 +123,33 @@ class TestBaselines:
     def test_all_feasible(self, setup):
         _, _, profile, candidates = setup
         budget = MIPS_200MHZ.device.capacity_gates
-        for algo in (greedy_partition, exhaustive_partition, gclp_partition, annealing_partition):
-            result = algo(MIPS_200MHZ, candidates, profile.total_cycles)
-            assert result.area_used <= budget, algo.__name__
+        for algo in ("greedy", "exhaustive", "gclp", "annealing"):
+            result = legacy_partition(
+                MIPS_200MHZ, candidates, profile.total_cycles, algo
+            )
+            assert result.area_used <= budget, algo
             for i, a in enumerate(result.selected):
                 for b in result.selected[i + 1:]:
-                    assert not a.overlaps(b), algo.__name__
+                    assert not a.overlaps(b), algo
 
     def test_exhaustive_at_least_as_good(self, setup):
         _, _, profile, candidates = setup
-        best = exhaustive_partition(MIPS_200MHZ, candidates, profile.total_cycles)
-        ninety = NinetyTenPartitioner(MIPS_200MHZ).partition(candidates, profile.total_cycles)
+        best = legacy_partition(
+            MIPS_200MHZ, candidates, profile.total_cycles, "exhaustive"
+        )
+        ninety = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
         saved_best = sum(c.saved_seconds for c in best.selected)
         saved_ninety = sum(c.saved_seconds for c in ninety.selected)
         assert saved_best >= saved_ninety * 0.999
 
     def test_annealing_deterministic(self, setup):
         _, _, profile, candidates = setup
-        one = annealing_partition(MIPS_200MHZ, candidates, profile.total_cycles)
-        two = annealing_partition(MIPS_200MHZ, candidates, profile.total_cycles)
+        one = legacy_partition(
+            MIPS_200MHZ, candidates, profile.total_cycles, "annealing"
+        )
+        two = legacy_partition(
+            MIPS_200MHZ, candidates, profile.total_cycles, "annealing"
+        )
         assert one.names == two.names
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.service.store import (
+from repro.store import (
     ShardedStore,
     get_store,
     parse_budget,
@@ -153,7 +153,7 @@ class TestLru:
         store = ShardedStore(tmp_path / "s", budget_bytes=budget)
         for i in range(60):
             store.store(_key(f"{seed}-{i}"), b"q" * rng.randint(1, 2048))
-        # the invariant the service relies on: after any write burst the
+        # the invariant the flow cache relies on: after any write burst the
         # store converges to at most the configured budget
         store.evict_to_budget()
         assert store.bytes_on_disk(refresh=True) <= budget

@@ -2,8 +2,8 @@
 
 N writer processes and M reader processes pound the same root with
 overlapping keys while a small budget forces continuous LRU eviction.
-The properties under test are the ones the partitioning service stakes
-its correctness on:
+The properties under test are the ones pooled sweeps sharing one flow
+cache stake their correctness on:
 
 * **no torn reads** -- every successful ``load`` returns a payload whose
   embedded checksum verifies (atomic ``os.replace`` publication);
@@ -23,7 +23,7 @@ import sys
 
 import pytest
 
-from repro.service.store import ShardedStore
+from repro.store import ShardedStore
 
 KEYSPACE = 24          # overlapping keys: writers constantly replace
 BUDGET = 48 * 1024     # small enough that eviction runs throughout

@@ -101,3 +101,57 @@ int main(void) { checksum = pick(3); return 0; }
     assert "recovery failed" in capsys.readouterr().out.lower()
     # the extension flag recovers it
     assert main(["partition", str(out), "--jump-tables"]) == 0
+
+
+def test_sweep_prints_one_row_per_benchmark(capsys):
+    assert main(["sweep", "brev", "--serial", "--no-cache"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "===== MIPS-200MHz + xc2v250 (-O1) ====="
+    row = lines[1].split()
+    assert row[:2] == ["brev", "speedup"]
+    assert float(row[2].rstrip("x")) > 1.0
+    assert row[-1] == "gates"
+    assert lines[2].startswith("  AVERAGE")
+    assert lines[2].endswith("(1/1 recovered)")
+
+
+def test_sweep_prints_one_section_per_cpu_clock(capsys):
+    assert main(["sweep", "brev", "--cpu-mhz", "40", "400",
+                 "--serial", "--no-cache"]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("=====")]
+    assert headers == [
+        "===== MIPS-40MHz + xc2v250 (-O1) =====",
+        "===== MIPS-400MHz + xc2v250 (-O1) =====",
+    ]
+
+
+@pytest.mark.parametrize("command", ["serve", "submit"])
+def test_retired_service_commands_are_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_stats_without_saved_telemetry_fails(tmp_path, capsys):
+    missing = tmp_path / "last_stats.json"
+    assert main(["stats", "--file", str(missing)]) == 1
+    assert "no saved telemetry" in capsys.readouterr().err
+
+
+def test_dynamic_prints_static_and_dynamic_columns(capsys):
+    assert main(["dynamic", "brev", "--platform", "mips200", "--serial"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("===== MIPS-200MHz")
+    assert lines[1].split() == [
+        "benchmark", "static", "dynamic", "warm", "gap", "%", "energy", "%",
+        "kernels", "events",
+    ]
+    row = lines[3].split()
+    assert row[0] == "brev"
+    static, dynamic, warm = (float(v) for v in row[1:4])
+    assert static > 1.0 and dynamic > 1.0 and warm > 1.0
+    assert int(row[6]) >= 1  # resident kernels at the end of the run
+    assert lines[4].split()[0] == "AVERAGE"
+    assert lines[-1].startswith("worst warm gap vs static partition:")

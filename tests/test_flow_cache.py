@@ -1,9 +1,9 @@
 """On-disk flow-report cache: hits, misses, keys, and the kill switch.
 
-Since the cache graduated onto the sharded store (``repro.service.store``),
+Since the cache graduated onto the sharded store (``repro.store``),
 entries live under two-hex-char shard subdirectories of ``<root>/flow/``
 and are LRU-evicted under ``REPRO_CACHE_BUDGET``; these tests cover the
-flow-cache-facing behaviour, ``tests/service/test_store.py`` covers the
+flow-cache-facing behaviour, ``tests/store/test_store.py`` covers the
 store itself.
 """
 
@@ -17,6 +17,7 @@ from repro import flow_cache, obs
 from repro.flow import FlowJob, run_flows
 from repro.platform import MIPS_200MHZ, MIPS_40MHZ
 from repro.programs import get_benchmark
+from repro.store import sweep_stale_tmp
 
 
 @pytest.fixture()
@@ -121,7 +122,7 @@ class TestTmpSweep:
         assert fresh.exists()
 
     def test_reap_is_rate_limited_per_shard(self, cache_dir):
-        # high-throughput service writes must not pay a directory scan on
+        # high-throughput cache writes must not pay a directory scan on
         # every store: after the first store swept a shard, later stores
         # to the same shard skip the scan -- a stale orphan planted in
         # between survives until the next process
@@ -137,11 +138,11 @@ class TestTmpSweep:
         self._plant_tmp(flow, "old-1.tmp", age_seconds=4000)
         self._plant_tmp(flow, "old-2.tmp", age_seconds=3700)
         self._plant_tmp(flow, "young.tmp", age_seconds=60)
-        assert flow_cache._sweep_stale_tmp(flow) == 2
+        assert sweep_stale_tmp(flow) == 2
         assert [p.name for p in flow.glob("*.tmp")] == ["young.tmp"]
 
     def test_sweep_missing_directory_is_noop(self, cache_dir):
-        assert flow_cache._sweep_stale_tmp(cache_dir / "flow") == 0
+        assert sweep_stale_tmp(cache_dir / "flow") == 0
 
 
 class TestCacheKeys:
