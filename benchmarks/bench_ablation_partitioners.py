@@ -18,13 +18,7 @@ import pytest
 
 from repro.compiler import compile_source
 from repro.decompile import decompile
-from repro.partition import (
-    build_candidates,
-    build_profile,
-    default_passes,
-    legacy_devices,
-    partition,
-)
+from repro.partition import build_candidates, build_profile, partition
 from repro.platform import MIPS_200MHZ
 from repro.programs import get_benchmark
 from repro.sim import run_executable
@@ -50,14 +44,11 @@ def candidate_sets():
 
 
 def _run(algorithm, candidates, total_cycles):
-    """*algorithm* over the paper flow's CPU + monolithic-fabric view."""
+    """*algorithm* over the platform's CPU + fabric device list."""
     return partition(
-        candidates,
-        legacy_devices(MIPS_200MHZ),
-        platform=MIPS_200MHZ,
-        total_cycles=total_cycles,
-        passes=default_passes(algorithm, legacy=True),
-    ).result
+        candidates, platform=MIPS_200MHZ, total_cycles=total_cycles,
+        passes=algorithm,
+    )
 
 
 #: table label -> placement algorithm
@@ -78,13 +69,18 @@ def test_ablation_report(candidate_sets):
     reference: dict[str, float] = {}
     for name, (profile, candidates) in candidate_sets.items():
         for algo, algorithm in _ALGORITHMS.items():
-            result = _run(algorithm, candidates, profile.total_cycles)
-            saved = sum(c.saved_seconds for c in result.selected)
-            quality[algo] += saved
+            outcome = _run(algorithm, candidates, profile.total_cycles)
+            result, graph = outcome.result, outcome.graph
+            # time saved as the graph's cost models estimate it, summed in
+            # placement order
+            quality[algo] += sum(
+                graph.nodes[i].saved_on(graph.nodes[i].device)
+                for i in graph.placement_order
+            )
             # per-pass wall clock from the pipeline: "partitioning runtime"
             # is the sum of every pass, and the placement pass is broken
             # out so algorithm cost is not conflated with shared
-            # annotate/legalize work
+            # filter/legalize work
             runtime[algo] += result.partitioning_seconds
             place_runtime[algo] += result.pass_seconds.get("place", 0.0)
             for pass_name, seconds in result.pass_seconds.items():
@@ -126,7 +122,7 @@ def test_ablation_report(candidate_sets):
             ]
             for algo in _ALGORITHMS
         ],
-        note="filter/annotate/legalize/report are shared pipeline passes; "
+        note="filter/legalize/report are shared pipeline passes; "
              "only 'place' differs between algorithms",
     ))
 
@@ -136,7 +132,7 @@ def test_ablation_report(candidate_sets):
     assert place_runtime["90-10 (paper)"] < place_runtime["annealing"] / 10.0
     for algo in _ALGORITHMS:
         assert set(pass_totals[algo]) == {
-            "filter", "annotate", "place", "legalize", "report"
+            "filter", "place", "legalize", "report"
         }, algo
 
 
@@ -144,7 +140,7 @@ def test_all_partitioners_feasible(candidate_sets):
     budget = MIPS_200MHZ.device.capacity_gates
     for name, (profile, candidates) in candidate_sets.items():
         for algo, algorithm in _ALGORITHMS.items():
-            result = _run(algorithm, candidates, profile.total_cycles)
+            result = _run(algorithm, candidates, profile.total_cycles).result
             assert result.area_used <= budget, (name, algo)
 
 
@@ -152,5 +148,5 @@ def test_bench_ninety_ten_speed(benchmark, candidate_sets):
     """Times one 90-10 partitioning run (must be fast: it is the paper's
     argument for the heuristic)."""
     profile, candidates = candidate_sets["jpegdct"]
-    result = benchmark(lambda: _run("90-10", candidates, profile.total_cycles))
-    assert result.selected
+    outcome = benchmark(lambda: _run("90-10", candidates, profile.total_cycles))
+    assert outcome.result.selected

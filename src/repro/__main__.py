@@ -28,6 +28,7 @@ software binary, after any compiler.  This CLI is that tool:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -136,6 +137,12 @@ def _parse_devices(tokens, platform):
             clock = float(clock_s) if clock_s else None
         except ValueError:
             raise SystemExit(f"bad device spec {token!r}: non-numeric field")
+        for value in (gates, clock):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise SystemExit(
+                    f"bad device spec {token!r}: gates and MHz must be "
+                    "finite and positive"
+                )
         if kind == "fabric":
             device = fabric_device(
                 index[kind], gates, clock or platform.device.max_clock_mhz,
@@ -143,7 +150,7 @@ def _parse_devices(tokens, platform):
             )
         else:
             device = cgra_device(index[kind], gates, *(
-                [clock] if clock else []
+                [clock] if clock is not None else []
             ))
         index[kind] += 1
         devices.append(device)
@@ -151,18 +158,15 @@ def _parse_devices(tokens, platform):
 
 
 def _parse_passes(spec, algorithm):
-    """A ``--passes`` list like ``filter,annotate,place,legalize,report``
+    """A ``--passes`` list like ``filter,place,legalize,report``
     (``place`` resolves to --algorithm's placement pass)."""
     from repro.partition.api import default_passes, make_placement
-    from repro.partition.passes import (
-        AnnotatePass, FilterPass, LegalizePass, ReportPass,
-    )
+    from repro.partition.passes import FilterPass, LegalizePass, ReportPass
 
     if not spec:
         return default_passes(algorithm)
     known = {
         "filter": FilterPass,
-        "annotate": AnnotatePass,
         "place": lambda: make_placement(algorithm),
         "legalize": LegalizePass,
         "report": ReportPass,
@@ -187,9 +191,7 @@ def cmd_partition(args) -> int:
     )
     options = DecompilationOptions(recover_jump_tables=args.jump_tables)
     devices = _parse_devices(args.devices, platform) if args.devices else None
-    passes = None
-    if args.devices or args.passes or args.algorithm != "90-10":
-        passes = _parse_passes(args.passes, args.algorithm)
+    passes = _parse_passes(args.passes, args.algorithm)
     report = run_flow_on_executable(
         exe, Path(args.binary).stem, platform=platform,
         decompile_options=options, devices=devices, partition_passes=passes,
@@ -505,7 +507,7 @@ def main(argv=None) -> int:
                         "(default: one monolithic fabric)")
     p.add_argument("--passes", metavar="NAME[,NAME...]",
                    help="ordered pipeline passes (default: "
-                        "filter,annotate,place,legalize,report)")
+                        "filter,place,legalize,report)")
     _add_telemetry_flags(p)
     p.set_defaults(fn=cmd_partition)
 

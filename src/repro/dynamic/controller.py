@@ -703,7 +703,6 @@ class DynamicPartitionController:
         its inner loop's invocation overheads usually beats the inner loop
         alone.  Returns (best site, saved seconds) or ``None``."""
         config = self.config
-        cpu_hz = self.platform.cpu_clock_mhz * 1e6
         family = [
             candidate for candidate in self._sites.values()
             if candidate is site or candidate.overlaps(site)
@@ -715,13 +714,10 @@ class DynamicPartitionController:
             kernel = self._ensure_kernel(member)
             if kernel is None:
                 continue
-            cumulative, loop_cycles = self._site_profile(member, counts, taken)
-            if cumulative.iterations <= 0 or loop_cycles <= 0:
+            seconds = self._site_seconds(member, kernel, counts, taken)
+            if seconds is None:
                 continue
-            sw_seconds = loop_cycles / cpu_hz
-            hw_seconds = self._fabric_cost_model.kernel_seconds(
-                self.platform, kernel, cumulative
-            )
+            sw_seconds, hw_seconds = seconds
             if hw_seconds <= 0 or sw_seconds / hw_seconds <= config.min_speedup:
                 continue
             saved = sw_seconds - hw_seconds
@@ -736,14 +732,26 @@ class DynamicPartitionController:
         hardware (cumulative counters; 0.0 when unknown)."""
         if site.kernel is None:
             return 0.0
+        seconds = self._site_seconds(site, site.kernel, counts, taken)
+        if seconds is None:
+            return 0.0
+        sw_seconds, hw_seconds = seconds
+        return sw_seconds - hw_seconds
+
+    def _site_seconds(
+        self, site: LoopSite, kernel: HwKernel, counts: list[int],
+        taken: list[int],
+    ) -> tuple[float, float] | None:
+        """(software, hardware) seconds for the work *site* has done so far
+        (cumulative counters), or ``None`` while it has not iterated."""
         cumulative, loop_cycles = self._site_profile(site, counts, taken)
         if cumulative.iterations <= 0 or loop_cycles <= 0:
-            return 0.0
+            return None
         sw_seconds = loop_cycles / (self.platform.cpu_clock_mhz * 1e6)
         hw_seconds = self._fabric_cost_model.kernel_seconds(
-            self.platform, site.kernel, cumulative
+            self.platform, kernel, cumulative
         )
-        return sw_seconds - hw_seconds
+        return sw_seconds, hw_seconds
 
     def _evict(self, address: int, event: RepartitionEvent) -> None:
         """Remove one resident kernel everywhere it is tracked."""

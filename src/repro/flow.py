@@ -35,7 +35,7 @@ from repro.decompile.decompiler import (
     PassStats,
     decompile,
 )
-from repro.partition.api import default_passes, legacy_devices, partition as run_partition
+from repro.partition.api import partition as run_partition
 from repro.partition.estimator import build_candidates
 from repro.partition.profiles import ProgramProfile, build_profile
 from repro.partition.result import PartitionResult
@@ -375,7 +375,7 @@ def run_flow_on_executable(
     *devices* (a :class:`~repro.platform.devices.DeviceSpec` sequence) and
     *partition_passes* (a pass list or algorithm name) select the
     partitioning pipeline; the defaults reproduce the paper's flow -- the
-    90-10 heuristic over the two-device CPU + monolithic-fabric view.
+    90-10 heuristic over ``platform.devices`` (the CPU + one fabric).
     """
     if run is None:
         with obs.span("flow.simulate", benchmark=name):
@@ -404,11 +404,6 @@ def run_flow_on_executable(
     synthesis = synthesis_options or SynthesisOptions(device=platform.device)
     with obs.span("flow.partition", benchmark=name):
         candidates = build_candidates(exe, program, profile, platform, synthesis)
-        if devices is None and partition_passes is None:
-            # the paper's flow: 90-10 over CPU + monolithic fabric,
-            # bit-identical to the pre-pipeline partitioner
-            devices = legacy_devices(platform)
-            partition_passes = default_passes("90-10", legacy=True)
         outcome = run_partition(
             candidates,
             devices,

@@ -5,11 +5,11 @@
 * :mod:`estimator` -- builds candidate hardware regions by synthesizing
   every profiled loop,
 * :mod:`graph` -- the partitioning IR: candidates as nodes with per-device
-  cost annotations, overlap/alias edges,
+  costs from the cost-model registry, overlap/alias edges,
 * :mod:`costmodels` -- the per-device cost-model registry (CPU, fabric,
   CGRA; extensible by kind),
 * :mod:`passes` -- the pass-manager and the standard passes (filter,
-  annotate, legalize, report), each timed and traced,
+  legalize, report), each timed and traced,
 * :mod:`placement` -- placement algorithms as interchangeable passes: the
   paper's three-step 90-10 heuristic plus greedy, GCLP, annealing and the
   exhaustive reference,
@@ -20,7 +20,6 @@
 from repro.partition.api import (
     PartitionOutcome,
     default_passes,
-    legacy_devices,
     partition,
 )
 from repro.partition.costmodels import (
@@ -38,7 +37,6 @@ from repro.partition.graph import (
     build_graph,
 )
 from repro.partition.passes import (
-    AnnotatePass,
     FilterPass,
     LegalizePass,
     PartitionPass,
@@ -60,7 +58,6 @@ from repro.partition.result import PartitionResult, result_from_graph
 
 __all__ = [
     "AnnealingPlacement",
-    "AnnotatePass",
     "Candidate",
     "CostModel",
     "DeviceCost",
@@ -88,7 +85,6 @@ __all__ = [
     "cost_model_for",
     "default_passes",
     "device_cost",
-    "legacy_devices",
     "partition",
     "register_cost_model",
     "result_from_graph",

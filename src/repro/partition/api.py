@@ -1,20 +1,16 @@
 """The one partitioning entry point: ``partition(graph, devices, passes=...)``.
 
 ``flow.py``, the dynamic controller's static baseline, the CLI and the
-benchmarks all come through here.  On the two-device view
-(:func:`legacy_devices` with ``default_passes(..., legacy=True)``) it
-reproduces the pre-pipeline partitioners bit-identically (see
-``tests/partition/test_legacy_shim.py``).
+benchmarks all come through here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.partition.graph import PartitionGraph, build_graph
 from repro.partition.passes import (
-    AnnotatePass,
     FilterPass,
     LegalizePass,
     PartitionPass,
@@ -24,7 +20,7 @@ from repro.partition.passes import (
 )
 from repro.partition.placement import PLACEMENTS, PlacementPass
 from repro.partition.result import PartitionResult, result_from_graph
-from repro.platform.devices import DeviceSpec, cpu_device, fabric_device
+from repro.platform.devices import DeviceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.partition.estimator import Candidate
@@ -57,18 +53,6 @@ class PartitionOutcome:
         return out
 
 
-def legacy_devices(platform: "Platform") -> tuple[DeviceSpec, ...]:
-    """The pre-refactor two-device view: CPU + one monolithic fabric
-    carrying the whole kernel budget, regardless of ``fabric_regions``
-    (the legacy partitioners never saw regions)."""
-    return (
-        cpu_device(platform.cpu_clock_mhz),
-        fabric_device(0, platform.capacity_gates,
-                      platform.device.max_clock_mhz,
-                      platform.device.bram_bytes),
-    )
-
-
 def make_placement(algorithm: str | PlacementPass, **kwargs) -> PlacementPass:
     if isinstance(algorithm, PlacementPass):
         return algorithm
@@ -82,23 +66,9 @@ def make_placement(algorithm: str | PlacementPass, **kwargs) -> PlacementPass:
     return factory(**kwargs)
 
 
-def default_passes(
-    algorithm: str | PlacementPass = "90-10",
-    legacy: bool = False,
-) -> list[PartitionPass]:
-    """The standard pipeline: filter -> annotate -> place -> legalize ->
-    report.  ``legacy=True`` keeps every candidate through the filter stage
-    (the pre-refactor algorithms carried infeasible candidates and rejected
-    them at selection time; pruning would perturb e.g. the exhaustive
-    pool)."""
-    placement = make_placement(algorithm)
-    return [
-        FilterPass(FilterPass.KEEP_ALL) if legacy else FilterPass(),
-        AnnotatePass(),
-        placement,
-        LegalizePass(),
-        ReportPass(),
-    ]
+def default_passes(algorithm: str | PlacementPass = "90-10") -> list[PartitionPass]:
+    """The standard pipeline: filter -> place -> legalize -> report."""
+    return [FilterPass(), make_placement(algorithm), LegalizePass(), ReportPass()]
 
 
 def _placement_algorithm(passes: Sequence[PartitionPass]) -> str:

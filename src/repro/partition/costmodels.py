@@ -1,9 +1,9 @@
 """Per-device cost models: one registry, looked up by device kind.
 
-The estimator used to hard-code a single CPU-vs-FPGA cost comparison; the
-pipeline instead asks the registry "what does this candidate cost on that
-device?" so new device kinds (CGRA grids, soft-core slots) plug in without
-touching any placement algorithm.  The dynamic controller's online
+This registry is the only source of a candidate's cost: building the
+partition graph asks it "what does this candidate cost on that device?"
+for every device, so new device kinds (CGRA grids, soft-core slots) plug
+in without touching any placement algorithm.  The dynamic controller's online
 accounting goes through the same registry (see
 :func:`repro.dynamic.controller`), so static placement and timeline
 arithmetic can never drift apart.
@@ -61,12 +61,9 @@ class CpuCostModel(CostModel):
 
 
 class FabricCostModel(CostModel):
-    """Fine-grained FPGA fabric: the synthesized kernel as-is.
-
-    Identical arithmetic to the legacy estimator
-    (:func:`repro.partition.estimator.kernel_hw_seconds`), so the two-device
-    shim reproduces pre-refactor results bit-for-bit.
-    """
+    """Fine-grained FPGA fabric: the synthesized kernel as-is, timed by
+    :func:`repro.partition.estimator.kernel_hw_seconds` (the arithmetic
+    the application metrics use too)."""
 
     kind = FABRIC
 

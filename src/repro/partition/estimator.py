@@ -1,8 +1,10 @@
-"""Candidate hardware regions: every profiled loop, synthesized and costed.
+"""Candidate hardware regions: every profiled loop, synthesized.
 
 A candidate bundles the loop's software profile with its synthesized
-hardware implementation and the resulting time estimates on a given
-platform.  Partitioners then just pick subsets.
+hardware implementation.  What it costs on each device (time, area) is
+the cost-model registry's answer (:mod:`repro.partition.costmodels`),
+filled into the partition graph when it is built; placement passes then
+just pick assignments.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ class Candidate:
     function: DecompiledFunction
     profile: LoopProfile
     kernel: HwKernel
-    hw_seconds: float   # time per program run if moved to hardware
-    sw_seconds: float   # time per program run in software
 
     @property
     def name(self) -> str:
@@ -34,14 +34,6 @@ class Candidate:
     @property
     def area(self) -> float:
         return self.kernel.area_gates
-
-    @property
-    def saved_seconds(self) -> float:
-        return self.sw_seconds - self.hw_seconds
-
-    @property
-    def local_speedup(self) -> float:
-        return self.sw_seconds / self.hw_seconds if self.hw_seconds > 0 else 0.0
 
     def overlaps(self, other: "Candidate") -> bool:
         """Two candidates conflict if their block sets intersect (nesting)."""
@@ -55,7 +47,7 @@ class Candidate:
 def kernel_fpga_cycles(kernel: HwKernel, profile: LoopProfile) -> float:
     """FPGA cycles for *kernel* to perform the profiled work (no CPU side).
 
-    Shared by the static estimate below and the dynamic controller's
+    Shared by the fabric and CGRA cost models and the dynamic controller's
     interval accounting, so placement decisions and timeline arithmetic can
     never drift apart.
     """
@@ -110,16 +102,8 @@ def build_candidates(
                 kernel = synthesizer.synthesize_loop(func, loop, exe)
             except SynthesisError:
                 continue
-            hw_seconds = kernel_hw_seconds(platform, kernel, loop_profile)
-            sw_seconds = platform.cpu_seconds(loop_profile.sw_cycles)
             candidates.append(
-                Candidate(
-                    function=func,
-                    profile=loop_profile,
-                    kernel=kernel,
-                    hw_seconds=hw_seconds,
-                    sw_seconds=sw_seconds,
-                )
+                Candidate(function=func, profile=loop_profile, kernel=kernel)
             )
     candidates.sort(key=lambda c: -c.profile.sw_cycles)
     return candidates

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.partition.costmodels import DeviceCost
+from repro.partition.costmodels import DeviceCost, device_cost
 from repro.platform.devices import DeviceSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -37,7 +37,8 @@ class PartitionNode:
     """One candidate kernel in the partition graph."""
 
     candidate: "Candidate"
-    #: device name -> implementation cost (filled by the annotate pass)
+    #: device name -> implementation cost, one entry per graph device
+    #: (filled from the cost-model registry by :func:`build_graph`)
     costs: dict[str, DeviceCost] = field(default_factory=dict)
     #: where placement put this node (None until a placement pass ran;
     #: "cpu" means stay in software)
@@ -56,23 +57,11 @@ class PartitionNode:
         return self.costs[name]
 
     def saved_on(self, device: DeviceSpec | str) -> float:
-        """Seconds saved by implementing this node on *device* vs the CPU.
-
-        Falls back to the candidate's build-time estimate when annotations
-        are absent (the estimator computed the same arithmetic)."""
-        name = device if isinstance(device, str) else device.name
-        cost = self.costs.get(name)
-        cpu = self.costs.get("cpu")
-        if cost is None or cpu is None:
-            return self.candidate.saved_seconds
-        return cpu.seconds - cost.seconds
+        """Seconds saved by implementing this node on *device* vs the CPU."""
+        return self.costs["cpu"].seconds - self.cost_on(device).seconds
 
     def area_on(self, device: DeviceSpec | str) -> float:
-        name = device if isinstance(device, str) else device.name
-        cost = self.costs.get(name)
-        if cost is None:
-            return self.candidate.area
-        return cost.area_gates
+        return self.cost_on(device).area_gates
 
 
 @dataclass(frozen=True)
@@ -95,9 +84,8 @@ class PartitionGraph:
     total_cycles: int
     nodes: list[PartitionNode] = field(default_factory=list)
     edges: list[PartitionEdge] = field(default_factory=list)
-    #: node indices in the order placement chose them -- the legacy
-    #: partitioners' selection order, preserved so the two-device shim's
-    #: ``PartitionResult.selected`` matches bit-for-bit
+    #: node indices in the order placement chose them; this is the order of
+    #: ``PartitionResult.selected`` and of its ``area_used`` float sum
     placement_order: list[int] = field(default_factory=list)
 
     def place(self, index: int, device: DeviceSpec | str, step: int = 0) -> None:
@@ -179,14 +167,21 @@ def build_graph(
     """Lower a candidate list onto the partition graph.
 
     Nodes keep the candidates' hotness order (the estimator sorts by
-    software cycles); overlap and alias edges are derived from the
-    candidates' block sets and memory footprints.  Costs stay empty until
-    the annotate pass runs.
+    software cycles) and carry every device's cost from the cost-model
+    registry -- the one place a candidate's time and area are computed.
+    Overlap and alias edges are derived from the candidates' block sets
+    and memory footprints.
     """
     devices = tuple(devices) if devices is not None else platform.devices
     graph = PartitionGraph(
         platform=platform, devices=devices, total_cycles=total_cycles,
-        nodes=[PartitionNode(candidate=c) for c in candidates],
+        nodes=[
+            PartitionNode(candidate=c, costs={
+                device.name: device_cost(platform, device, c)
+                for device in devices
+            })
+            for c in candidates
+        ],
     )
     symbols = [_footprint_symbols(n.candidate) for n in graph.nodes]
     for i, node in enumerate(graph.nodes):

@@ -1,70 +1,18 @@
 """Capacity and overlap legality: the one shared implementation.
 
-Budget/overlap validation used to live in three copies -- ``_feasible`` in
-``baselines.py``, the annealing repair loop, and the 90-10 partitioner's
-``fits``/``conflicts`` closures.  This module is the single source now:
-
-* the candidate-list helpers (:func:`conflicts_any`,
-  :func:`selection_feasible`, :func:`repair_selection`) keep the legacy
-  single-budget arithmetic bit-for-bit (the two-device shim depends on it),
-* the graph helpers (:func:`graph_feasible`, :func:`repair_graph`) are the
-  N-device generalization the legalize pass runs after every placement
-  algorithm.
-
-Repair policy (same as the legacy annealing repair): keep placements in
+:func:`graph_feasible` and :func:`repair_graph` are what the legalize pass
+runs after every placement algorithm.  Repair policy: keep placements in
 descending saved-seconds order, dropping to software anything that no
 longer fits its device or overlaps a kept node.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.partition.estimator import Candidate
     from repro.partition.graph import PartitionGraph
 
-
-# -- candidate-list (legacy single-budget) form ----------------------------
-
-def conflicts_any(candidate: "Candidate", chosen: Iterable["Candidate"]) -> bool:
-    """True if *candidate* overlaps any already-chosen candidate."""
-    return any(candidate.overlaps(other) for other in chosen)
-
-
-def selection_feasible(selection: Sequence["Candidate"], budget: float) -> bool:
-    """The legacy feasibility test: total area within budget, no overlaps."""
-    area = sum(c.area for c in selection)
-    if area > budget:
-        return False
-    for i, a in enumerate(selection):
-        for b in selection[i + 1:]:
-            if a.overlaps(b):
-                return False
-    return True
-
-
-def repair_selection(
-    selection: list["Candidate"], budget: float
-) -> list["Candidate"]:
-    """Drop worst offenders until feasible (legacy annealing repair).
-
-    Sorts by descending saved seconds (stable), then greedily keeps what
-    fits the budget without overlapping anything already kept.
-    """
-    selection.sort(key=lambda c: -c.saved_seconds)
-    repaired: list["Candidate"] = []
-    area = 0.0
-    for candidate in selection:
-        if area + candidate.area <= budget and not conflicts_any(
-            candidate, repaired
-        ):
-            repaired.append(candidate)
-            area += candidate.area
-    return repaired
-
-
-# -- graph (N-device) form --------------------------------------------------
 
 def graph_feasible(graph: "PartitionGraph") -> bool:
     """Every device within capacity, no two placed nodes overlapping."""
@@ -85,11 +33,9 @@ def repair_graph(graph: "PartitionGraph") -> int:
     """Re-legalize a placed graph in place; returns how many placements
     were dropped back to software.
 
-    The same policy as :func:`repair_selection`, generalized per device:
-    placements are revisited in descending saved-seconds order (each node
+    Placements are revisited in descending saved-seconds order (each node
     judged on its assigned device) and kept only while their device stays
-    within capacity and no kept node overlaps them.  With one fabric
-    device this is the legacy repair operation-for-operation.
+    within capacity and no kept node overlaps them.
     """
     order = list(graph.placement_order)
     order.sort(key=lambda i: -graph.nodes[i].saved_on(graph.nodes[i].device))

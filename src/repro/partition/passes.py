@@ -3,27 +3,23 @@
 A partitioning run is a compiler-style pipeline over the
 :class:`~repro.partition.graph.PartitionGraph`:
 
-    filter -> annotate -> <placement> -> legalize -> report
+    filter -> <placement> -> legalize -> report
 
 Each pass is timed individually (``partition.pass_seconds`` histogram plus
-the per-pipeline ``pass_seconds`` dict on the report -- the legacy code
-recorded one ``perf_counter()`` delta for the whole partitioner, invisible
-to obs), wrapped in an obs span, and counted on
-``partition.pass_runs_total``.  Placement algorithms are just passes too
-(:mod:`repro.partition.placement`); anything that mutates the graph can be
-inserted into the list.
+the per-pipeline ``pass_seconds`` dict on the report), wrapped in an obs
+span, and counted on ``partition.pass_runs_total``.  Placement algorithms
+are just passes too (:mod:`repro.partition.placement`); anything that
+mutates the graph can be inserted into the list.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro import obs
 from repro.partition import legalize as _legalize
-from repro.partition.costmodels import device_cost
-from repro.partition.graph import PartitionGraph, PartitionNode
+from repro.partition.graph import PartitionGraph
 
 
 class PartitionPass:
@@ -42,62 +38,33 @@ class PartitionPass:
 class FilterPass(PartitionPass):
     """Prune candidates no hardware device could ever hold.
 
-    The default predicate keeps a node if its raw kernel area fits at
-    least one non-CPU device; pass ``predicate=None`` (keep everything)
-    to reproduce the legacy algorithms, which carried infeasible
-    candidates through and rejected them at selection time.
+    A node survives if its cost-model area fits at least one non-CPU
+    device: a kernel too big for any fabric may still pack onto a CGRA
+    slot.
     """
 
     name = "filter"
 
-    KEEP_ALL = staticmethod(lambda graph, node: True)
-
-    def __init__(
-        self,
-        predicate: Callable[[PartitionGraph, PartitionNode], bool] | None = None,
-    ):
-        self.predicate = predicate or self._fits_somewhere
-
-    @staticmethod
-    def _fits_somewhere(graph: PartitionGraph, node: PartitionNode) -> bool:
-        # asks the cost-model registry, not the raw kernel area: a kernel
-        # too big for any fabric region may still pack onto a CGRA slot
-        return any(
-            device_cost(graph.platform, device, node.candidate).area_gates
-            <= device.capacity_gates
-            for device in graph.hw_devices
-        )
-
     def run(self, graph: PartitionGraph) -> None:
         pruned = 0
         for node in graph.nodes:
-            if not self.predicate(graph, node):
+            if not any(
+                node.area_on(device) <= device.capacity_gates
+                for device in graph.hw_devices
+            ):
                 node.pruned = True
                 pruned += 1
         if pruned:
             obs.counter("partition.nodes_pruned_total").inc(pruned)
 
 
-class AnnotatePass(PartitionPass):
-    """Fill per-device cost annotations from the cost-model registry."""
-
-    name = "annotate"
-
-    def run(self, graph: PartitionGraph) -> None:
-        for node in graph.nodes:
-            for device in graph.devices:
-                node.costs[device.name] = device_cost(
-                    graph.platform, device, node.candidate
-                )
-
-
 class LegalizePass(PartitionPass):
     """Validate per-device capacity and overlaps; repair if violated.
 
     The one shared budget/overlap check every placement algorithm runs
-    through (previously three divergent copies).  Feasible placements pass
-    through untouched; infeasible ones are repaired by the legacy policy
-    (keep by descending saved seconds, drop the rest to software).
+    through.  Feasible placements pass through untouched; infeasible ones
+    are repaired (keep by descending saved seconds, drop the rest to
+    software).
     """
 
     name = "legalize"

@@ -1,18 +1,13 @@
 """Placement algorithms as interchangeable pipeline passes.
 
-Every algorithm the repo ever had -- the paper's 90-10 heuristic, greedy
-value-density, GCLP, simulated annealing, and the exhaustive reference --
-is a :class:`PlacementPass` now, parameterized by the graph's device list
-instead of one hard-coded FPGA budget.  Placement targets are tried in
-device-declaration order; a node goes to the hardware device that saves
-the most time and still has room, or stays on the CPU.
-
-Bit-identity contract: with a single fabric device (the legacy two-device
-platform), each pass reproduces its pre-refactor partitioner's decisions
-exactly -- same selection order, same float arithmetic, and for annealing
-the same random stream.  The differential suite in
-``tests/partition/test_legacy_shim.py`` holds every algorithm to this over
-all 20 benchmarks on hard and soft platforms.
+The paper's 90-10 heuristic, greedy value-density, GCLP, simulated
+annealing and the exhaustive reference are each one
+:class:`PlacementPass`, parameterized by the graph's device list and
+reading every time and area from the graph's cost annotations.  Placement
+targets are tried in device-declaration order; a node goes to the
+hardware device that saves the most time and still has room, or stays on
+the CPU.  ``tests/partition/golden_placements.json`` pins every
+algorithm's decisions over the benchmark suite on hard and soft platforms.
 """
 
 from __future__ import annotations
@@ -79,17 +74,11 @@ class PlacementPass(PartitionPass):
     @staticmethod
     def _best_speedup(graph: PartitionGraph, node: PartitionNode) -> float:
         """Local speedup on the best device (sw seconds / hw seconds)."""
+        cpu = node.costs["cpu"].seconds
         best = 0.0
         for device in graph.hw_devices:
-            cost = node.costs.get(device.name)
-            cpu = node.costs.get("cpu")
-            if cost is None or cpu is None:
-                speedup = node.candidate.local_speedup
-            else:
-                speedup = (
-                    cpu.seconds / cost.seconds if cost.seconds > 0 else 0.0
-                )
-            best = max(best, speedup)
+            seconds = node.cost_on(device).seconds
+            best = max(best, cpu / seconds if seconds > 0 else 0.0)
         return best
 
     @staticmethod
@@ -137,9 +126,10 @@ class GreedyPlacement(PlacementPass):
 class ExhaustivePlacement(PlacementPass):
     """Optimal assignment by estimated time saved (reference, small n).
 
-    With one hardware device this is the legacy subset enumeration over the
-    top ``max_candidates`` savers; with D devices the pool shrinks so the
-    (D+1)^n assignment space stays within the same ~2^16 evaluations.
+    Enumerates every assignment of the top ``max_candidates`` savers to
+    {CPU, device 1..D}; with D > 1 devices the pool shrinks so the
+    (D+1)^n assignment space stays within ~2^16 evaluations.  Ties between
+    equal-saved assignments resolve to the first one enumerated.
     """
 
     algorithm = "exhaustive"
@@ -159,41 +149,6 @@ class ExhaustivePlacement(PlacementPass):
     def run(self, graph: PartitionGraph) -> None:
         devices = graph.hw_devices
         pool = self._pool(graph, len(devices) + 1)
-        if not pool:
-            return
-        if len(devices) == 1:
-            self._run_single(graph, pool, devices[0])
-            return
-        self._run_multi(graph, pool, devices)
-
-    def _run_single(
-        self, graph: PartitionGraph, pool: list[int], device: DeviceSpec
-    ) -> None:
-        """The legacy subset enumeration, bit-for-bit (mask order included:
-        ties between equal-saved subsets resolve to the first mask found)."""
-        from repro.partition.legalize import selection_feasible
-
-        budget = device.capacity_gates
-        nodes = [graph.nodes[i] for i in pool]
-        best_slots: list[int] = []
-        best_saved = 0.0
-        for mask in range(1 << len(pool)):
-            slots = [i for i in range(len(pool)) if mask >> i & 1]
-            selection = [nodes[i].candidate for i in slots]
-            if not selection_feasible(selection, budget):
-                continue
-            saved = sum(c.saved_seconds for c in selection)
-            if saved > best_saved:
-                best_saved = saved
-                best_slots = slots
-        used = self._fresh_usage(graph)
-        for slot in best_slots:
-            self._place(graph, pool[slot], device, used)
-
-    def _run_multi(
-        self, graph: PartitionGraph, pool: list[int],
-        devices: tuple[DeviceSpec, ...],
-    ) -> None:
         best_assign: tuple[int, ...] | None = None
         best_saved = 0.0
         capacity = [d.capacity_gates for d in devices]
@@ -376,9 +331,8 @@ class AnnealingPlacement(PlacementPass):
     """Simulated annealing after Henkel (1999), minimizing execution time
     with capacity-violation penalties.  Deterministic via a fixed seed.
 
-    May end infeasible -- the legalize pass repairs it (the repair policy
-    that used to live inside this algorithm, now shared by all of them).
-    The single-device path replays the legacy random stream exactly.
+    Each move reassigns one pool node to the CPU or a random device.  May
+    end infeasible -- the legalize pass repairs it.
     """
 
     algorithm = "annealing"
@@ -394,58 +348,6 @@ class AnnealingPlacement(PlacementPass):
         ]
         if not pool:
             return
-        if len(graph.hw_devices) == 1:
-            self._run_single(graph, pool)
-        else:
-            self._run_multi(graph, pool)
-
-    def _run_single(self, graph: PartitionGraph, pool: list[int]) -> None:
-        """The legacy single-budget loop, bit-for-bit (same rng stream)."""
-        rng = random.Random(self.seed)
-        device = graph.hw_devices[0]
-        budget = device.capacity_gates
-        nodes = [graph.nodes[i] for i in pool]
-        baseline = graph.platform.cpu_seconds(graph.total_cycles)
-
-        def cost(bits: list[bool]) -> float:
-            selection = [n.candidate for n, bit in zip(nodes, bits) if bit]
-            area = sum(c.area for c in selection)
-            saved = sum(c.saved_seconds for c in selection)
-            penalty = 0.0
-            if area > budget:
-                penalty += (area - budget) / budget
-            for a, b in itertools.combinations(selection, 2):
-                if a.overlaps(b):
-                    penalty += 1.0
-            return (baseline - saved) / baseline + penalty
-
-        bits = [False] * len(pool)
-        best_bits = list(bits)
-        current = cost(bits)
-        best = current
-        temperature = 1.0
-        for _step in range(self.iterations):
-            index = rng.randrange(len(pool))
-            bits[index] = not bits[index]
-            candidate_cost = cost(bits)
-            delta = candidate_cost - current
-            if delta <= 0 or rng.random() < pow(
-                2.718281828, -delta / max(temperature, 1e-9)
-            ):
-                current = candidate_cost
-                if current < best:
-                    best = current
-                    best_bits = list(bits)
-            else:
-                bits[index] = not bits[index]
-            temperature *= 0.999
-
-        used = self._fresh_usage(graph)
-        for slot, bit in enumerate(best_bits):
-            if bit:
-                self._place(graph, pool[slot], device, used)
-
-    def _run_multi(self, graph: PartitionGraph, pool: list[int]) -> None:
         rng = random.Random(self.seed)
         devices = graph.hw_devices
         nodes = [graph.nodes[i] for i in pool]

@@ -24,11 +24,9 @@ class PartitionResult:
     #: which step chose each kernel (1 = hot loops, 2 = alias coupling,
     #: 3 = greedy fill), by candidate name
     step_of: dict[str, int] = field(default_factory=dict)
-    #: node -> device-name map covering *every* candidate ("cpu" = software);
-    #: empty when produced by a pre-pipeline code path
+    #: node -> device-name map covering *every* candidate ("cpu" = software)
     placements: dict[str, str] = field(default_factory=dict)
-    #: wall-clock seconds of each pipeline pass, in run order (the legacy
-    #: one-delta-per-partitioner timing split out per pass)
+    #: wall-clock seconds of each pipeline pass, in run order
     pass_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -40,11 +38,11 @@ def result_from_graph(
     graph: "PartitionGraph", algorithm: str, seconds: float,
     pass_seconds: dict[str, float] | None = None,
 ) -> PartitionResult:
-    """Fold a placed graph into the legacy result shape.
+    """Fold a placed graph into a :class:`PartitionResult`.
 
-    ``selected`` keeps the placement order the algorithm chose (the legacy
-    partitioners' selection order), and ``area_used`` is summed in that
-    order so the float bits match the legacy accumulation exactly.
+    ``selected`` keeps the order the placement algorithm chose, and
+    ``area_used`` is summed in that order (its float bits are pinned by
+    ``tests/partition/golden_placements.json``).
     """
     placed = [graph.nodes[i] for i in graph.placement_order]
     result = PartitionResult(

@@ -1,13 +1,13 @@
 """Device inventory of a platform: the units placement can target.
 
 The paper's platform is a binary CPU/FPGA pair, but the partitioning
-pipeline places kernels over an explicit *device list*: the CPU plus
-one-or-more fabric regions today, CGRA datapaths or extra soft-core slots
-tomorrow -- they are just more entries.  :class:`DeviceSpec` is the
-placement-facing view of one such unit; :attr:`repro.platform.platform.
-Platform.devices` derives the list from the platform's fabric
-configuration, and the per-device cost models in
-:mod:`repro.partition.costmodels` are looked up by :attr:`DeviceSpec.kind`.
+pipeline places kernels over an explicit *device list*: the CPU plus one
+or more fabric regions, CGRA datapaths or extra soft-core slots -- they
+are just more entries.  :class:`DeviceSpec` is the placement-facing view
+of one such unit; :attr:`repro.platform.platform.Platform.devices` is the
+paper's pair (the CPU plus one fabric carrying the whole kernel budget),
+and the per-device cost models in :mod:`repro.partition.costmodels` are
+looked up by :attr:`DeviceSpec.kind`.
 """
 
 from __future__ import annotations

@@ -68,25 +68,19 @@ class Platform:
 
     @property
     def devices(self) -> tuple[DeviceSpec, ...]:
-        """Placement-facing device list: the CPU plus the fabric region(s).
+        """Placement-facing device list: the CPU plus one fabric carrying
+        the whole kernel budget (:attr:`capacity_gates`).
 
-        A monolithic fabric (``fabric_regions == 0``) is one fabric device
-        carrying the whole kernel budget; N partial-reconfiguration regions
-        are N fabric devices of :attr:`region_gates` each.  CGRA grids and
-        extra soft-core slots become additional entries here -- the
-        partitioning pipeline never hard-codes a device count.
+        Partial-reconfiguration regions are a run-time residency concept
+        (:class:`repro.dynamic.fabric.FabricState`), not separate placement
+        targets, so ``fabric_regions`` does not change this list.  Callers
+        that want more targets (CGRA grids, split fabrics) pass their own
+        device list to :func:`repro.partition.partition`.
         """
-        cpu = cpu_device(self.cpu_clock_mhz)
-        if self.fabric_regions <= 0:
-            return (cpu, fabric_device(
-                0, self.capacity_gates, self.device.max_clock_mhz,
-                self.device.bram_bytes,
-            ))
-        gates = self.region_gates
-        return (cpu,) + tuple(
-            fabric_device(i, gates, self.device.max_clock_mhz,
-                          self.device.bram_bytes)
-            for i in range(self.fabric_regions)
+        return (
+            cpu_device(self.cpu_clock_mhz),
+            fabric_device(0, self.capacity_gates, self.device.max_clock_mhz,
+                          self.device.bram_bytes),
         )
 
     def with_regions(self, regions: int) -> "Platform":

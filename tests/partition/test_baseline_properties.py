@@ -4,7 +4,8 @@ Random (seeded) candidate sets drive every algorithm through many shapes --
 tight/loose area budgets, overlapping nests, useless kernels -- asserting
 the two invariants every partitioner must hold: never exceed the FPGA
 capacity, and never beat the exhaustive reference on candidate sets small
-enough for it to be exact.
+enough for it to be exact.  Savings are measured from the partition
+graph's costs, the numbers placement optimizes.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import random
 
 import pytest
 
+from repro.partition import PLACEMENTS, build_graph, partition
 from repro.partition.estimator import Candidate
 from repro.partition.profiles import LoopProfile
 from repro.platform.platform import Platform
 from repro.synth.fpga import FpgaDevice
 from repro.synth.synthesizer import HwKernel
-
-from tests.partition.conftest import legacy_partition
 
 ALGORITHMS = ["greedy", "gclp", "annealing"]
 
@@ -32,13 +32,18 @@ class _StubFunction:
         self.loop_footprints: dict = {}
 
 
-def _candidate(rng: random.Random, index: int, functions: list[_StubFunction]) -> Candidate:
+def _candidate(
+    rng: random.Random, index: int, functions: list[_StubFunction],
+    clock_mhz: float | None = None,
+) -> Candidate:
     func = rng.choice(functions)
     # overlapping nests: block starts drawn from a tiny per-function pool
     starts = rng.sample(range(0x400000, 0x400040, 4), rng.randint(1, 3))
     sw = rng.uniform(1e-5, 1e-2)
-    # some kernels lose time (hw slower than sw), some win big
-    hw = sw * rng.uniform(0.05, 1.6)
+    # the kernel clock spans 10 kHz..100 MHz, so some kernels lose time
+    # (hardware slower than software) and some win big
+    if clock_mhz is None:
+        clock_mhz = 10 ** rng.uniform(-2.0, 2.0)
     area = rng.uniform(500.0, 40_000.0)
     profile = LoopProfile(
         function=func.name,
@@ -53,7 +58,7 @@ def _candidate(rng: random.Random, index: int, functions: list[_StubFunction]) -
         name=f"cand{index}_{func.name}",
         header_address=starts[0],
         area_gates=area,
-        clock_mhz=100.0,
+        clock_mhz=clock_mhz,
         schedule_length=rng.randint(1, 12),
         ii=1,
         localized=False,
@@ -61,10 +66,7 @@ def _candidate(rng: random.Random, index: int, functions: list[_StubFunction]) -
         iterations_multiplier=1,
         pipelined=True,
     )
-    return Candidate(
-        function=func, profile=profile, kernel=kernel,
-        hw_seconds=hw, sw_seconds=sw,
-    )
+    return Candidate(function=func, profile=profile, kernel=kernel)
 
 
 def _random_candidates(seed: int, n: int) -> list[Candidate]:
@@ -80,8 +82,15 @@ def _platform(seed: int) -> Platform:
     return Platform(name=f"prop-{capacity}", cpu_clock_mhz=200.0, device=device)
 
 
-def _total_saved(result) -> float:
-    return sum(c.saved_seconds for c in result.selected)
+def _run(platform, candidates, total_cycles, algorithm):
+    return partition(
+        candidates, platform=platform, total_cycles=total_cycles,
+        passes=algorithm,
+    )
+
+
+def _total_saved(outcome) -> float:
+    return sum(node.saved_on(node.device) for node in outcome.graph.placed())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -91,9 +100,7 @@ class TestBaselineProperties:
         platform = _platform(seed)
         total_cycles = sum(c.profile.sw_cycles for c in candidates) or 1
         for algorithm in ALGORITHMS + ["exhaustive", "90-10"]:
-            result = legacy_partition(
-                platform, candidates, total_cycles, algorithm
-            )
+            result = _run(platform, candidates, total_cycles, algorithm).result
             assert result.area_used <= platform.capacity_gates + 1e-9
             assert result.area_used == pytest.approx(
                 sum(c.area for c in result.selected)
@@ -108,11 +115,11 @@ class TestBaselineProperties:
         platform = _platform(seed)
         total_cycles = sum(c.profile.sw_cycles for c in candidates) or 1
         best = _total_saved(
-            legacy_partition(platform, candidates, total_cycles, "exhaustive")
+            _run(platform, candidates, total_cycles, "exhaustive")
         )
         for algorithm in ALGORITHMS + ["90-10"]:
             saved = _total_saved(
-                legacy_partition(platform, candidates, total_cycles, algorithm)
+                _run(platform, candidates, total_cycles, algorithm)
             )
             assert saved <= best * (1 + 1e-9) + 1e-12, algorithm
 
@@ -124,7 +131,7 @@ def rng_size(seed: int) -> int:
 def test_empty_candidate_list():
     platform = _platform(0)
     for algorithm in ALGORITHMS + ["exhaustive"]:
-        result = legacy_partition(platform, [], 1000, algorithm)
+        result = _run(platform, [], 1000, algorithm).result
         assert result.selected == []
         assert result.area_used == 0.0
 
@@ -132,12 +139,15 @@ def test_empty_candidate_list():
 def test_all_unprofitable_candidates():
     rng = random.Random(99)
     functions = [_StubFunction("f")]
-    candidates = []
-    for i in range(6):
-        candidate = _candidate(rng, i, functions)
-        candidate.hw_seconds = candidate.sw_seconds * 2.0  # always a loss
-        candidates.append(candidate)
+    # a 1 Hz kernel clock: at least one second of hardware time for at
+    # most 10 ms of software work, so every kernel is a loss
+    candidates = [
+        _candidate(rng, i, functions, clock_mhz=1e-6) for i in range(6)
+    ]
     platform = _platform(3)
-    for algorithm in ("greedy", "exhaustive"):
-        result = legacy_partition(platform, candidates, 100_000, algorithm)
-        assert _total_saved(result) <= 0.0 or not result.selected
+    graph = build_graph(candidates, platform, total_cycles=100_000)
+    assert all(node.saved_on("fabric0") < 0.0 for node in graph.nodes)
+    for algorithm in PLACEMENTS:
+        outcome = _run(platform, candidates, 100_000, algorithm)
+        assert not outcome.result.selected, algorithm
+        assert _total_saved(outcome) == 0.0

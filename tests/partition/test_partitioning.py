@@ -5,12 +5,10 @@ import pytest
 from repro.compiler import compile_source
 from repro.decompile import decompile
 from repro.flow import run_flow
-from repro.partition import build_candidates, build_profile
+from repro.partition import build_candidates, build_graph, build_profile, partition
 from repro.platform import MIPS_200MHZ, Platform
 from repro.sim import run_executable
 from repro.synth.fpga import FpgaDevice
-
-from tests.partition.conftest import legacy_partition
 
 _TWO_KERNELS = """
 int a[128];
@@ -80,10 +78,12 @@ class TestCandidates:
 
     def test_costs_positive(self, setup):
         *_, candidates = setup
-        for c in candidates:
-            assert c.area > 0
-            assert c.hw_seconds > 0
-            assert c.sw_seconds > 0
+        graph = build_graph(candidates, MIPS_200MHZ)
+        for node in graph.nodes:
+            assert node.candidate.area > 0
+            assert node.area_on("fabric0") == node.candidate.area
+            assert node.cost_on("cpu").seconds > 0
+            assert node.cost_on("fabric0").seconds > 0
 
 
 class TestNinetyTen:
@@ -91,31 +91,41 @@ class TestNinetyTen:
         _, _, profile, candidates = setup
         tiny_device = FpgaDevice("tiny", 9_000, 8 * 1024, 210.0)
         platform = Platform(name="tiny", cpu_clock_mhz=200.0, device=tiny_device)
-        result = legacy_partition(platform, candidates, profile.total_cycles)
+        result = partition(
+            candidates, platform=platform, total_cycles=profile.total_cycles
+        ).result
         assert result.area_used <= tiny_device.capacity_gates
 
     def test_hot_loop_selected_in_step_one(self, setup):
         _, _, profile, candidates = setup
-        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
+        result = partition(
+            candidates, platform=MIPS_200MHZ, total_cycles=profile.total_cycles
+        ).result
         step1 = [n for n, s in result.step_of.items() if s == 1]
         assert any("hot" in n for n in step1)
 
     def test_no_overlapping_selection(self, setup):
         _, _, profile, candidates = setup
-        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
+        result = partition(
+            candidates, platform=MIPS_200MHZ, total_cycles=profile.total_cycles
+        ).result
         for i, a in enumerate(result.selected):
             for b in result.selected[i + 1:]:
                 assert not a.overlaps(b)
 
     def test_alias_step_pulls_shared_array_region(self, setup):
         _, _, profile, candidates = setup
-        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
+        result = partition(
+            candidates, platform=MIPS_200MHZ, total_cycles=profile.total_cycles
+        ).result
         # warm() reads a[] which hot() writes: step 2 (or 1/3) must take it
         assert any("warm" in n for n in result.names)
 
     def test_runtime_recorded(self, setup):
         _, _, profile, candidates = setup
-        result = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
+        result = partition(
+            candidates, platform=MIPS_200MHZ, total_cycles=profile.total_cycles
+        ).result
         assert result.partitioning_seconds > 0
 
 
@@ -124,9 +134,10 @@ class TestBaselines:
         _, _, profile, candidates = setup
         budget = MIPS_200MHZ.device.capacity_gates
         for algo in ("greedy", "exhaustive", "gclp", "annealing"):
-            result = legacy_partition(
-                MIPS_200MHZ, candidates, profile.total_cycles, algo
-            )
+            result = partition(
+                candidates, platform=MIPS_200MHZ,
+                total_cycles=profile.total_cycles, passes=algo,
+            ).result
             assert result.area_used <= budget, algo
             for i, a in enumerate(result.selected):
                 for b in result.selected[i + 1:]:
@@ -134,21 +145,23 @@ class TestBaselines:
 
     def test_exhaustive_at_least_as_good(self, setup):
         _, _, profile, candidates = setup
-        best = legacy_partition(
-            MIPS_200MHZ, candidates, profile.total_cycles, "exhaustive"
-        )
-        ninety = legacy_partition(MIPS_200MHZ, candidates, profile.total_cycles)
-        saved_best = sum(c.saved_seconds for c in best.selected)
-        saved_ninety = sum(c.saved_seconds for c in ninety.selected)
-        assert saved_best >= saved_ninety * 0.999
+        saved = {}
+        for algo in ("exhaustive", "90-10"):
+            graph = partition(
+                candidates, platform=MIPS_200MHZ,
+                total_cycles=profile.total_cycles, passes=algo,
+            ).graph
+            saved[algo] = sum(n.saved_on(n.device) for n in graph.placed())
+        assert saved["exhaustive"] >= saved["90-10"] * 0.999
 
     def test_annealing_deterministic(self, setup):
         _, _, profile, candidates = setup
-        one = legacy_partition(
-            MIPS_200MHZ, candidates, profile.total_cycles, "annealing"
-        )
-        two = legacy_partition(
-            MIPS_200MHZ, candidates, profile.total_cycles, "annealing"
+        one, two = (
+            partition(
+                candidates, platform=MIPS_200MHZ,
+                total_cycles=profile.total_cycles, passes="annealing",
+            ).result
+            for _ in range(2)
         )
         assert one.names == two.names
 

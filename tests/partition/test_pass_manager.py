@@ -5,20 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.partition.api import (
-    PartitionOutcome,
-    default_passes,
-    legacy_devices,
-    partition,
-)
+from repro.partition.api import PartitionOutcome, partition
 from repro.partition.costmodels import cost_model_for
 from repro.partition.graph import ALIAS, OVERLAP, build_graph
-from repro.partition.passes import (
-    AnnotatePass,
-    FilterPass,
-    PartitionPass,
-    PassManager,
-)
+from repro.partition.passes import FilterPass, PartitionPass, PassManager
 from repro.platform.devices import cgra_device, cpu_device, fabric_device
 from repro.platform.platform import MIPS_200MHZ
 
@@ -63,8 +53,14 @@ class TestGraphBuilding:
         assert (OVERLAP, 0, 1) in kinds
         assert any(k == ALIAS and {a, b} == {0, 2} for k, a, b in kinds)
 
-    def test_default_devices_from_platform(self):
-        graph = build_graph(_random_candidates(1, 4), MIPS_200MHZ)
+    @pytest.mark.parametrize("platform", [
+        MIPS_200MHZ,
+        # partial-reconfiguration regions are run-time residency, not
+        # placement targets: placement still sees one monolithic fabric
+        MIPS_200MHZ.with_regions(8),
+    ], ids=["monolithic", "8-regions"])
+    def test_default_devices_from_platform(self, platform):
+        graph = build_graph(_random_candidates(1, 4), platform)
         assert [d.name for d in graph.devices] == ["cpu", "fabric0"]
         assert graph.cpu.is_cpu
         assert graph.hw_devices[0].capacity_gates == MIPS_200MHZ.capacity_gates
@@ -77,7 +73,7 @@ class TestGraphBuilding:
         assert set(assignment.values()) == {"cpu"}
 
 
-class TestAnnotation:
+class TestCosts:
     def test_costs_filled_for_every_device(self):
         candidates = _random_candidates(3, 4)
         devices = (
@@ -86,7 +82,6 @@ class TestAnnotation:
             cgra_device(0, 30_000.0),
         )
         graph = build_graph(candidates, MIPS_200MHZ, devices=devices)
-        AnnotatePass().run(graph)
         for node in graph.nodes:
             assert set(node.costs) == {"cpu", "fabric0", "cgra0"}
             assert node.costs["cpu"].area_gates == 0.0
@@ -134,14 +129,20 @@ class TestPassManager:
     def test_obs_counters_and_histogram(self, telemetry):
         candidates = _random_candidates(5, 6)
         outcome = partition(
-            candidates, legacy_devices(MIPS_200MHZ),
-            platform=MIPS_200MHZ, total_cycles=1_000_000, passes="greedy",
+            candidates, platform=MIPS_200MHZ, total_cycles=1_000_000,
+            passes="greedy",
         )
         assert isinstance(outcome, PartitionOutcome)
+        assert list(outcome.pass_seconds) == [
+            "filter", "place", "legalize", "report"
+        ]
+        assert outcome.result.partitioning_seconds == sum(
+            outcome.pass_seconds.values()
+        )
         snap = obs.snapshot()
-        assert snap["partition.pass_runs_total"]["value"] == 5
-        assert snap["partition.pass_seconds"]["count"] == 5
-        for name in ("filter", "annotate", "place", "legalize", "report"):
+        assert snap["partition.pass_runs_total"]["value"] == 4
+        assert snap["partition.pass_seconds"]["count"] == 4
+        for name in ("filter", "place", "legalize", "report"):
             assert snap[f"partition.pass.{name}.runs_total"]["value"] == 1
         assert snap["partition.nodes_total"]["value"] == len(candidates)
         assert "partition.area_used.fabric0" in snap
@@ -152,7 +153,6 @@ class TestPassManager:
         graph = build_graph(candidates, MIPS_200MHZ, devices=devices)
         FilterPass().run(graph)
         assert all(node.pruned for node in graph.nodes)
-        FilterPass(FilterPass.KEEP_ALL)  # legacy predicate stays available
 
 
 class TestApi:

@@ -4,12 +4,13 @@ Two guarantees are pinned here.  First, the module-level names that
 ``perfbench/tracer.py`` rebinds must stay module-level globals that the flow
 actually calls through -- rebinding one has to be seen by the next run.
 Second, the retired APIs (the network service tier, the two-device
-partitioner shims and their aliases) stay gone, so ``repro.partition()`` is
-the one way in.
+partitioner shims, the two-device partition mode and their aliases) stay
+gone, so ``repro.partition()`` is the one way in.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import pytest
@@ -109,6 +110,19 @@ def test_two_device_shims_are_not_exported(name):
     ("repro.flow", "run_dynamic_flow"),
     ("repro.flow_cache", "_sweep_stale_tmp"),
     ("repro.partition.profiles", "_block_ranges"),
+    ("repro.partition", "legacy_devices"),
+    ("repro.partition.api", "legacy_devices"),
+    ("repro.partition", "AnnotatePass"),
+    ("repro.partition.passes", "AnnotatePass"),
 ])
 def test_retired_aliases_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_candidate_costs_come_only_from_the_cost_models():
+    from repro.partition.estimator import Candidate
+    from repro.partition.passes import FilterPass
+
+    assert not hasattr(FilterPass, "KEEP_ALL")
+    fields = {f.name for f in dataclasses.fields(Candidate)}
+    assert not fields & {"hw_seconds", "sw_seconds"}

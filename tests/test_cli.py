@@ -57,16 +57,27 @@ def test_partition_multi_device(binary, capsys):
 def test_partition_explicit_passes(binary, capsys):
     assert main([
         "partition", str(binary),
-        "--passes", "filter,annotate,place,legalize,report",
+        "--passes", "filter,place,legalize,report",
         "--algorithm", "gclp",
     ]) == 0
     output = capsys.readouterr().out
     assert "legalize" in output
 
 
-def test_partition_rejects_bad_device_spec(binary):
-    with pytest.raises(SystemExit):
-        main(["partition", str(binary), "--devices", "quantum:100"])
+@pytest.mark.parametrize("spec", [
+    "quantum:100",       # unknown kind
+    "fabric:lots",       # non-numeric gates
+    "fabric:nan",        # non-finite gates
+    "fabric:inf",
+    "fabric:-5",         # non-positive gates
+    "fabric:0",
+    "fabric:1000@-3",    # non-positive clock
+    "cgra:1000@0",       # a zero clock must not fall back to the default
+    "cgra:1000@nan",
+])
+def test_partition_rejects_bad_device_spec(binary, spec):
+    with pytest.raises(SystemExit, match="bad device spec"):
+        main(["partition", str(binary), "--devices", spec])
 
 
 def test_decompile(binary, capsys):
