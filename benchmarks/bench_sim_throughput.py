@@ -54,6 +54,7 @@ from pathlib import Path
 import math
 
 import repro
+from repro import stages
 from repro.compiler.driver import compile_source
 from repro.flow import FlowJob, run_flows
 from repro.programs import ALL_BENCHMARKS, get_benchmark
@@ -296,6 +297,9 @@ def time_phase_flip(repeats: int = 3) -> dict:
 
 def time_sweep(max_workers: int | None) -> float:
     jobs = [FlowJob(source=bench.source, name=bench.name) for bench in ALL_BENCHMARKS]
+    # cold: an earlier sweep in this process would otherwise serve every
+    # stage from the in-process stage memo (pool workers fork it too)
+    stages.clear()
     start = time.perf_counter()
     run_flows(jobs, max_workers=max_workers, cache=False)
     return round(time.perf_counter() - start, 3)
@@ -308,6 +312,7 @@ def time_dynamic_sweep(max_workers: int | None) -> float:
 
     jobs = [DynamicFlowJob(source=bench.source, name=bench.name)
             for bench in ALL_BENCHMARKS]
+    stages.clear()
     start = time.perf_counter()
     run_dynamic_flows(jobs, max_workers=max_workers)
     return round(time.perf_counter() - start, 3)

@@ -82,12 +82,15 @@ def test_every_recovered_benchmark_gets_hardware(flows):
 
 
 def test_bench_single_flow(benchmark):
-    """Times one complete flow run (compile->simulate->decompile->partition)."""
+    """Times one complete flow run (compile->simulate->decompile->partition),
+    cold: each round starts from an empty stage memo."""
+    from repro import stages
     from repro.flow import run_flow
 
     bench = get_benchmark("fir")
     result = benchmark.pedantic(
         lambda: run_flow(bench.source, "fir", opt_level=1),
+        setup=stages.clear,
         iterations=1,
         rounds=3,
     )

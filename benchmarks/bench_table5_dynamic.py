@@ -325,12 +325,16 @@ class TestParallelDynamicSweep:
 
 
 def test_bench_dynamic_flow(benchmark):
-    """Times one complete dynamic flow (simulate + online CAD + account)."""
+    """Times one complete dynamic flow (simulate + online CAD + account),
+    cold: each round starts from an empty stage memo."""
+    from repro import stages
     from repro.programs import get_benchmark
 
     bench = get_benchmark("brev")
-    result = benchmark(
-        lambda: run_dynamic_flow(bench.source, "brev", platform=MIPS_200MHZ)
+    result = benchmark.pedantic(
+        lambda: run_dynamic_flow(bench.source, "brev", platform=MIPS_200MHZ),
+        setup=stages.clear,
+        rounds=5,
     )
     assert result.dynamic_speedup > 0
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro import obs
+from repro import obs, stages
 from repro.binary.image import Executable
 from repro.decompile.decompiler import (
     DecompilationOptions,
@@ -53,7 +53,6 @@ from repro.decompile.decompiler import (
 )
 from repro.dynamic.fabric import FabricState
 from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig
-from repro.errors import SynthesisError
 from repro.partition.costmodels import cost_model_for
 from repro.partition.estimator import kernel_fpga_cycles
 from repro.partition.profiles import LoopProfile, block_ranges
@@ -375,7 +374,9 @@ class DynamicPartitionController:
         self._interval = self.config.sample_interval
         self._stable_samples = 0
         self._sites: dict[int, LoopSite] | None = None   # lazy on-chip CAD
-        self._synthesizer = Synthesizer(self.synthesis_options)
+        self._synthesize = stages.kernels(
+            exe, decompile_options, Synthesizer(self.synthesis_options)
+        )
         self._unrecoverable = False
         #: online hardware-time estimates go through the same per-device
         #: cost-model registry as static placement, so the controller's
@@ -386,12 +387,14 @@ class DynamicPartitionController:
 
     def _ensure_sites(self) -> dict[int, LoopSite]:
         """Decompile the running binary once (the on-chip CAD's first job)
-        and index every natural loop by its header address."""
+        and index every natural loop by its header address.  The program
+        comes from the stage memo, so the static half of the dynamic flow
+        reuses it instead of decompiling again."""
         if self._sites is not None:
             return self._sites
         self._sites = {}
         with obs.span("cad.decompile", app=self.name):
-            program = decompile(self.exe, self.decompile_options)
+            program = stages.decompiled(self.exe, self.decompile_options, decompile)
         if program.failures:
             # same policy as the static flow: indirect jumps defeat CDFG
             # recovery, the application stays all-software
@@ -442,13 +445,9 @@ class DynamicPartitionController:
     def _ensure_kernel(self, site: LoopSite) -> HwKernel | None:
         if site.kernel is not None or site.synth_failed:
             return site.kernel
-        try:
-            with obs.span("cad.synthesize", app=self.name, site=site.name):
-                site.kernel = self._synthesizer.synthesize_loop(
-                    site.function, site.loop, self.exe
-                )
-        except SynthesisError:
-            site.synth_failed = True
+        with obs.span("cad.synthesize", app=self.name, site=site.name):
+            site.kernel = self._synthesize(site.function, site.loop)
+        site.synth_failed = site.kernel is None
         return site.kernel
 
     # -- online profile arithmetic ------------------------------------------

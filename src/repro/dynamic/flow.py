@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import stages
 from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.decompile.decompiler import DecompilationOptions
@@ -40,7 +41,7 @@ def run_dynamic_flow(
     """Compile *source* and run the online-partitioning flow on *platform*."""
     if compiler_options is None:
         compiler_options = CompilerOptions.from_level(opt_level)
-    exe = compile_source(source, compiler_options)
+    exe = stages.compiled(source, compiler_options, compile_source)
     return run_dynamic_flow_on_executable(
         exe,
         name=name,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
-from repro import obs
+from repro import obs, stages
 
 from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions, compile_source
@@ -41,7 +41,7 @@ from repro.partition.profiles import ProgramProfile, build_profile
 from repro.partition.result import PartitionResult
 from repro.platform.metrics import ApplicationMetrics, evaluate_partition
 from repro.platform.platform import MIPS_200MHZ, Platform
-from repro.sim.cpu import RunResult, run_executable
+from repro.sim.cpu import RunResult
 from repro.synth.synthesizer import SynthesisOptions
 
 if TYPE_CHECKING:  # only for annotations; repro.dynamic imports this module
@@ -117,7 +117,7 @@ def run_flow(
     if compiler_options is None:
         compiler_options = CompilerOptions.from_level(opt_level)
     with obs.span("flow.compile", benchmark=name, opt=compiler_options.opt_level):
-        exe = compile_source(source, compiler_options)
+        exe = stages.compiled(source, compiler_options, compile_source)
     return run_flow_on_executable(
         exe,
         name=name,
@@ -370,7 +370,9 @@ def run_flow_on_executable(
     Pass *run* to reuse an existing profiled simulation of *exe* (it must
     have been produced with ``profile=True`` and this platform's CPI model);
     the dynamic flow uses this to evaluate static and dynamic partitioning
-    from one simulation.
+    from one simulation.  Otherwise the profiled run, like the decompiled
+    program and the synthesized kernels, comes from the stage memo
+    (:mod:`repro.stages`), so platforms that share a binary share them.
 
     *devices* (a :class:`~repro.platform.devices.DeviceSpec` sequence) and
     *partition_passes* (a pass list or algorithm name) select the
@@ -379,12 +381,10 @@ def run_flow_on_executable(
     """
     if run is None:
         with obs.span("flow.simulate", benchmark=name):
-            _, run = run_executable(
-                exe, profile=True, max_steps=max_steps, cpi=platform.cpi
-            )
+            run = stages.profiled_run(exe, platform.cpi, max_steps)
 
     with obs.span("flow.decompile", benchmark=name):
-        program = decompile(exe, decompile_options)
+        program = stages.decompiled(exe, decompile_options, decompile)
     if program.failures:
         reasons = "; ".join(
             f"{f.function}@{f.address:#x}: {f.reason}" for f in program.failures
@@ -403,7 +403,10 @@ def run_flow_on_executable(
     profile = build_profile(exe, program, run, platform.cpi)
     synthesis = synthesis_options or SynthesisOptions(device=platform.device)
     with obs.span("flow.partition", benchmark=name):
-        candidates = build_candidates(exe, program, profile, platform, synthesis)
+        candidates = build_candidates(
+            exe, program, profile, platform, synthesis,
+            decompile_options=decompile_options,
+        )
         outcome = run_partition(
             candidates,
             devices,

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import stages
 from repro.binary.image import Executable
-from repro.decompile.decompiler import DecompiledFunction, DecompiledProgram
-from repro.errors import SynthesisError
+from repro.decompile.decompiler import (
+    DecompilationOptions,
+    DecompiledFunction,
+    DecompiledProgram,
+)
 from repro.partition.profiles import LoopProfile, ProgramProfile
 from repro.platform.platform import Platform
 from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
@@ -84,10 +88,19 @@ def build_candidates(
     platform: Platform,
     synthesis: SynthesisOptions | None = None,
     min_cycles_fraction: float = 0.005,
+    decompile_options: DecompilationOptions | None = None,
 ) -> list[Candidate]:
-    """Synthesize every loop worth considering (>0.5 % of execution)."""
-    synthesis = synthesis or SynthesisOptions(device=platform.device)
-    synthesizer = Synthesizer(synthesis)
+    """Synthesize every loop worth considering (>0.5 % of execution).
+
+    *program* is *exe* decompiled with *decompile_options*; its kernels
+    come from the stage memo (:func:`repro.stages.kernels`), so each loop
+    is synthesized once per binary and option set.
+    """
+    synthesize = stages.kernels(
+        exe,
+        decompile_options,
+        Synthesizer(synthesis or SynthesisOptions(device=platform.device)),
+    )
     threshold = profile.total_cycles * min_cycles_fraction
     candidates: list[Candidate] = []
     for func in program.functions.values():
@@ -98,9 +111,8 @@ def build_candidates(
                 continue
             if loop_profile.iterations <= 0:
                 continue
-            try:
-                kernel = synthesizer.synthesize_loop(func, loop, exe)
-            except SynthesisError:
+            kernel = synthesize(func, loop)
+            if kernel is None:
                 continue
             candidates.append(
                 Candidate(function=func, profile=loop_profile, kernel=kernel)

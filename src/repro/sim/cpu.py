@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 from repro import obs
@@ -149,6 +149,8 @@ class RunResult:
     cycles: int
     halted: bool
     exit_pc: int
+    #: taken conditional branches (each costs ``CpiModel.taken_penalty``)
+    taken: int = 0
     mix: Counter = field(default_factory=Counter)
     pc_counts: dict[int, int] = field(default_factory=dict)
     edge_counts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -156,6 +158,19 @@ class RunResult:
     @property
     def cpi(self) -> float:
         return self.cycles / self.steps if self.steps else 0.0
+
+    def recost(self, cpi: CpiModel) -> "RunResult":
+        """This run's statistics under another CPI model, without re-running.
+
+        Cycles depend on the CPI model only through the per-class counts in
+        ``mix`` and the ``taken`` total, so the result is exact: field for
+        field what a fresh profiled run under *cpi* returns.  The count
+        dictionaries are shared with this run, not copied.
+        """
+        if self.steps and not self.mix:
+            raise ValueError("re-costing needs a profiled run (mix is empty)")
+        cycles = sum(count * cpi.cycles_for(klass) for klass, count in self.mix.items())
+        return replace(self, cycles=cycles + cpi.taken_penalty * self.taken)
 
 
 class Cpu:
@@ -1081,7 +1096,8 @@ class Cpu:
                 if c:
                     steps += c
                     cycles += c * costs[i]
-        cycles += self.cpi.taken_penalty * sum(taken)
+        taken_total = sum(taken)
+        cycles += self.cpi.taken_penalty * taken_total
 
         edge_counts: dict[tuple[int, int], int] = {}
         if profile:
@@ -1100,6 +1116,7 @@ class Cpu:
             cycles=cycles,
             halted=True,
             exit_pc=self.pc,
+            taken=taken_total,
             mix=mix,
             pc_counts=pc_counts,
             edge_counts=edge_counts,

@@ -52,6 +52,7 @@ def run_reference(
     hi = lo = 0
     steps = 0
     cycles = 0
+    taken = 0
     halted = False
     mask = 0xFFFF_FFFF
 
@@ -160,6 +161,7 @@ def run_reference(
             if cond:
                 next_pc = pc + 4 + (instr.imm << 2)
                 cycles += cpi.taken_penalty
+                taken += 1
                 if profile:
                     key = (pc, next_pc)
                     edge_counts[key] = edge_counts.get(key, 0) + 1
@@ -241,6 +243,7 @@ def run_reference(
         cycles=cycles,
         halted=halted,
         exit_pc=pc,
+        taken=taken,
         mix=mix,
         pc_counts=pc_counts,
         edge_counts=edge_counts,

@@ -34,6 +34,7 @@ from repro.flow_cache import _source_fingerprint, cache_enabled
 from repro.store import BUDGET_ENV, ShardedStore, get_store, parse_budget
 
 __all__ = [
+    "MEMORY_CAP",
     "PERSIST_FORMAT",
     "TRACE_CACHE_DIR_ENV",
     "TRACE_PERSIST_ENV",
@@ -55,8 +56,9 @@ TRACE_PERSIST_ENV = "REPRO_TRACE_PERSIST"
 
 #: in-process artifact lists, content-keyed.  Bounded: fuzzers create
 #: hundreds of distinct programs per process, and each entry pins
-#: compiled code objects
-_MEMORY_CAP = 32
+#: compiled code objects.  The flow's stage memo (:mod:`repro.stages`)
+#: shares this bound
+MEMORY_CAP = 32
 _MEMORY: "OrderedDict[str, list]" = OrderedDict()
 
 
@@ -131,7 +133,7 @@ def artifacts_for(key: str, persist: bool) -> list:
     if artifacts is None:
         artifacts = []
     _MEMORY[key] = artifacts
-    while len(_MEMORY) > _MEMORY_CAP:
+    while len(_MEMORY) > MEMORY_CAP:
         _MEMORY.popitem(last=False)
     return artifacts
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro import stages
 from repro.compiler import CompilerOptions, compile_source
 from repro.decompile import decompile
 from repro.decompile.interp import CdfgInterpreter
@@ -49,6 +50,16 @@ def _isolate_flow_cache():
         os.environ.pop("REPRO_CACHE", None)
     else:
         os.environ["REPRO_CACHE"] = previous
+
+
+@pytest.fixture(autouse=True)
+def _isolate_stage_memo():
+    """Start every test with a cold in-process stage memo, so a test that
+    counts (or rebinds) a stage's entry point sees the real call rather
+    than an artifact an earlier test left behind."""
+    stages.clear()
+    yield
+    stages.clear()
 
 
 @pytest.fixture(scope="session")

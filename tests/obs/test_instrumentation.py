@@ -16,6 +16,7 @@ from repro import obs
 from repro.__main__ import main
 from repro.compiler.driver import compile_source
 from repro.flow import FlowJob, clear_pool_fallbacks, pool_fallbacks, run_flows
+from repro.platform import MIPS_40MHZ, MIPS_200MHZ
 from repro.programs import get_benchmark
 from repro.sim.cpu import Cpu
 
@@ -139,6 +140,25 @@ class TestFlowSpans:
         names = {e["name"] for e in obs.trace_events()}
         assert {"flow.compile", "flow.simulate",
                 "flow.decompile", "flow.partition"} <= names
+
+
+class TestStageMemoMetrics:
+    def test_platforms_of_one_binary_hit_the_stage_memo(self, telemetry):
+        source = get_benchmark("brev").source
+        for platform in (MIPS_40MHZ, MIPS_200MHZ):
+            repro.flow.run_flow(source, "brev", platform=platform)
+        for stage in ("compile", "simulate", "decompile"):
+            assert _counter_value(f"flow.stage.{stage}.misses_total") == 1
+            assert _counter_value(f"flow.stage.{stage}.hits_total") == 1
+        misses = _counter_value("flow.stage.synth.misses_total")
+        assert misses > 0
+        assert _counter_value("flow.stage.synth.hits_total") == misses
+
+    def test_disabled_flow_registers_no_stage_counters(self):
+        obs.disable()
+        obs.clear_metrics()
+        repro.flow.run_flow(get_benchmark("brev").source, "brev")
+        assert len(obs.registry()) == 0
 
 
 class TestDynamicMetrics:

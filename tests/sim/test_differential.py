@@ -53,6 +53,7 @@ def assert_identical(new, ref, context=""):
     assert new.cycles == ref.cycles, context
     assert new.halted == ref.halted, context
     assert new.exit_pc == ref.exit_pc, context
+    assert new.taken == ref.taken, context
     assert new.mix == ref.mix, context
     assert new.pc_counts == ref.pc_counts, context
     assert new.edge_counts == ref.edge_counts, context

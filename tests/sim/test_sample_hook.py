@@ -66,6 +66,7 @@ class TestSampleHook:
         hooked = hooked_cpu.run(sample_interval=777, on_sample=lambda c, t: None)
         assert plain.steps == hooked.steps
         assert plain.cycles == hooked.cycles
+        assert plain.taken == hooked.taken
         assert plain.pc_counts == hooked.pc_counts
         assert plain.edge_counts == hooked.edge_counts
         assert plain.mix == hooked.mix
@@ -191,6 +192,7 @@ class TestRunSampledGenerator:
         assert expected_trace == got_trace
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
+        assert expected.taken == got.taken
         assert expected.pc_counts == got.pc_counts
         assert expected.edge_counts == got.edge_counts
 
@@ -201,6 +203,7 @@ class TestRunSampledGenerator:
         assert expected_trace == got_trace
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
+        assert expected.taken == got.taken
 
     def test_rejects_nonpositive_interval(self, engine):
         from repro.errors import SimulationError
@@ -324,6 +327,7 @@ class TestSpillAndTraceSampling:
         got_samples, got = self._trace(interval, **self.CONFIGS[config])
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
+        assert expected.taken == got.taken
         assert expected.pc_counts == got.pc_counts
         assert len(expected_samples) == len(got_samples)
         for position, (want, have) in enumerate(

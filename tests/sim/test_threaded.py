@@ -34,6 +34,7 @@ def assert_identical(new, ref):
     assert new.cycles == ref.cycles
     assert new.halted == ref.halted
     assert new.exit_pc == ref.exit_pc
+    assert new.taken == ref.taken
     assert new.mix == ref.mix
     assert new.pc_counts == ref.pc_counts
     assert new.edge_counts == ref.edge_counts

@@ -64,6 +64,7 @@ def _identical(got, ref):
     assert got.cycles == ref.cycles
     assert got.halted == ref.halted
     assert got.exit_pc == ref.exit_pc
+    assert got.taken == ref.taken
     assert got.mix == ref.mix
     assert got.pc_counts == ref.pc_counts
     assert got.edge_counts == ref.edge_counts
