@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Simulator throughput benchmark: raw instr/s and whole-suite sweep time.
+"""Simulator throughput benchmark: raw instr/s of each dispatch tier.
 
 Writes ``BENCH_sim.json`` next to the repo root so perf changes leave a
 trajectory future PRs can regress against:
@@ -20,10 +20,9 @@ Reported numbers:
   across the whole 20-benchmark suite, best of N each, with the geomean
   ratio.  This is the trace tier's same-machine contribution on top of
   whole-module block compilation.
-* ``sweep`` -- wall-clock seconds for the full 20-benchmark single-platform
-  flow sweep (compile + simulate + decompile + partition + synthesize),
-  serial and through the parallel runner.  The on-disk flow cache is
-  bypassed so the numbers measure computation, not pickle loading.
+
+Whole-suite sweep wall-clock is not timed here: ``perfbench/`` measures
+the cold static and dynamic sweeps end to end and per stage.
 
 ``--smoke`` runs a fast host-independent regression gate instead: it
 compares the trace tier against threaded dispatch on the same machine
@@ -54,9 +53,7 @@ from pathlib import Path
 import math
 
 import repro
-from repro import stages
 from repro.compiler.driver import compile_source
-from repro.flow import FlowJob, run_flows
 from repro.programs import ALL_BENCHMARKS, get_benchmark
 from repro.sim.cpu import Cpu
 
@@ -295,29 +292,6 @@ def time_phase_flip(repeats: int = 3) -> dict:
     return rows
 
 
-def time_sweep(max_workers: int | None) -> float:
-    jobs = [FlowJob(source=bench.source, name=bench.name) for bench in ALL_BENCHMARKS]
-    # cold: an earlier sweep in this process would otherwise serve every
-    # stage from the in-process stage memo (pool workers fork it too)
-    stages.clear()
-    start = time.perf_counter()
-    run_flows(jobs, max_workers=max_workers, cache=False)
-    return round(time.perf_counter() - start, 3)
-
-
-def time_dynamic_sweep(max_workers: int | None) -> float:
-    """Whole-suite *dynamic* (online-partitioning) sweep; uncached by
-    nature, so serial-vs-parallel measures pure computation."""
-    from repro.dynamic.flow import DynamicFlowJob, run_dynamic_flows
-
-    jobs = [DynamicFlowJob(source=bench.source, name=bench.name)
-            for bench in ALL_BENCHMARKS]
-    stages.clear()
-    start = time.perf_counter()
-    run_dynamic_flows(jobs, max_workers=max_workers)
-    return round(time.perf_counter() - start, 3)
-
-
 def run_smoke() -> int:
     """Fast engine-vs-engine regression gate for CI; returns an exit code."""
     failures = []
@@ -424,20 +398,9 @@ def main() -> None:
           f" with re-planning vs {phase_flip['no_replan']['coverage']:.1%} "
           f"without ({phase_flip['replan']['replans']} replans)")
 
-    serial = time_sweep(max_workers=1)
-    print(f"sweep    {serial:7.2f}s serial (20 benchmarks, 200 MHz platform)")
-    parallel = time_sweep(max_workers=None)
-    workers = os.cpu_count() or 1
-    print(f"sweep    {parallel:7.2f}s parallel ({workers} workers)")
-    dyn_serial = time_dynamic_sweep(max_workers=1)
-    print(f"dynamic  {dyn_serial:7.2f}s serial "
-          f"({len(ALL_BENCHMARKS)} online-partitioning runs)")
-    dyn_parallel = time_dynamic_sweep(max_workers=None)
-    print(f"dynamic  {dyn_parallel:7.2f}s parallel ({workers} workers)")
-
     payload = {
         "benchmark": "sim_throughput",
-        "cpu_count": workers,
+        "cpu_count": os.cpu_count() or 1,
         "host": host_fingerprint(),
         "engine": "superblock+traces",
         "reps": REPEATS,
@@ -445,18 +408,6 @@ def main() -> None:
         "tier_sweep": tier_sweep,
         "warm_start": warm_start,
         "phase_flip": phase_flip,
-        "sweep": {
-            "benchmarks": len(ALL_BENCHMARKS),
-            "serial_seconds": serial,
-            "parallel_seconds": parallel,
-            "parallel_workers": workers,
-        },
-        "dynamic_sweep": {
-            "benchmarks": len(ALL_BENCHMARKS),
-            "serial_seconds": dyn_serial,
-            "parallel_seconds": dyn_parallel,
-            "parallel_workers": workers,
-        },
     }
     if args.label:
         payload["label"] = args.label

@@ -257,6 +257,22 @@ def cmd_vhdl(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fabric_share(text: str) -> float:
+    """argparse type: a share of the fabric in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def _dynamic_config(args):
     from repro.dynamic.controller import DynamicConfig
 
@@ -542,15 +558,15 @@ def main(argv=None) -> int:
                    choices=sorted(NAMED_PLATFORMS),
                    help="platforms to evaluate (default: mips200 softcore85)")
     p.add_argument("-O", dest="opt_level", type=int, default=1, choices=[0, 1, 2, 3])
-    p.add_argument("--interval", type=int, default=4_000,
+    p.add_argument("--interval", type=_positive_int, default=4_000,
                    help="instructions between profiler samples")
-    p.add_argument("--repartition-samples", type=int, default=2,
+    p.add_argument("--repartition-samples", type=_positive_int, default=2,
                    help="profiler samples between re-partition decisions")
     p.add_argument("--concurrent-cad", action="store_true",
                    help="model a CAD co-processor: lift results arrive "
                         "--cad-latency samples after the decision and CAD "
                         "cycles are never billed to application time")
-    p.add_argument("--cad-latency", type=int, default=2,
+    p.add_argument("--cad-latency", type=_positive_int, default=2,
                    help="sampling intervals between a re-partition decision "
                         "and its kernels arriving (with --concurrent-cad)")
     p.add_argument("--regions", type=int, default=0,
@@ -560,7 +576,7 @@ def main(argv=None) -> int:
     p.add_argument("--adaptive", action="store_true",
                    help="phase-adaptive sampling: coarsen the sample "
                         "interval once placement is stable")
-    p.add_argument("--max-share", type=float, default=1.0,
+    p.add_argument("--max-share", type=_fabric_share, default=1.0,
                    help="cap on one application's share of the fabric "
                         "(multi-application arbitration, 0 < share <= 1)")
     p.add_argument("--apps", nargs="+", metavar="BENCH",

@@ -15,9 +15,10 @@ flow end to end on top of the threaded simulator:
   time/energy accounting, re-partition decisions from online profile data
   only, FPGA capacity management with eviction of cooled kernels, and
   explicit charging of CAD and reconfiguration overheads,
-* :mod:`flow` -- :func:`run_dynamic_flow`, which runs one benchmark once and
-  reports the dynamic timeline next to the static (oracle-profile) partition
-  the original paper computes.
+* :mod:`flow` -- :func:`run_dynamic_flow`, which simulates each binary
+  once (later platforms replay its recorded samples) and reports the dynamic
+  timeline next to the static (oracle-profile) partition the original paper
+  computes.
 """
 
 from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig

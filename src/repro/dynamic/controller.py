@@ -328,11 +328,18 @@ class PlannedPlacement:
 
 
 class DynamicPartitionController:
-    """Consumes simulator samples; produces a :class:`DynamicTimeline`."""
+    """Consumes simulator samples; produces a :class:`DynamicTimeline`.
+
+    *sites* supplies the binary's static site tables under the platform's
+    CPI model -- ``branch_edges``, ``jump_edges`` and ``site_costs``, the
+    only things the controller and its profiler read: the running
+    :class:`~repro.sim.cpu.Cpu`, or a :class:`~repro.stages.SiteView` when
+    the samples are replayed from a recorded run.
+    """
 
     def __init__(
         self,
-        cpu,
+        sites,
         exe: Executable,
         platform: Platform,
         config: DynamicConfig | None = None,
@@ -341,7 +348,6 @@ class DynamicPartitionController:
         fabric: FabricState | None = None,
         name: str = "app",
     ):
-        self.cpu = cpu
         self.exe = exe
         self.platform = platform
         self.config = config or DynamicConfig()
@@ -350,13 +356,15 @@ class DynamicPartitionController:
             device=platform.device
         )
         self.decompile_options = decompile_options
-        self.profiler = OnlineProfiler(cpu, self.config.profiler)
+        self.profiler = OnlineProfiler(sites, self.config.profiler)
         self.timeline = DynamicTimeline()
         #: the fabric ledger; pass one FabricState to several controllers to
         #: model applications time-sharing a single FPGA
         self.fabric = fabric if fabric is not None else FabricState(platform)
 
-        self._costs = cpu.site_costs
+        self._costs = sites.site_costs
+        self._branch_edges = sites.branch_edges
+        self._jump_edges = sites.jump_edges
         self._text_len = len(self._costs)
         self._taken_penalty = platform.cpi.taken_penalty
         self._prev_counts = [0] * self._text_len
@@ -401,8 +409,8 @@ class DynamicPartitionController:
             self._unrecoverable = True
             return self._sites
         text_base = self.exe.text_base
-        branch_edges = self.cpu.branch_edges
-        jump_edges = self.cpu.jump_edges
+        branch_edges = self._branch_edges
+        jump_edges = self._jump_edges
         for func in program.functions.values():
             ranges = block_ranges(func, self.exe)
             for loop in func.loops:

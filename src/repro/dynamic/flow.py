@@ -1,15 +1,21 @@
 """End-to-end dynamic (run-time) partitioning flow.
 
-One simulation serves both sides of the comparison: the application runs
-once on the simulator (superblock dispatch; the sampling hook fires at
-identical instruction counts on every engine) with the hook driving the
-online profiler and dynamic partition controller, and the very same
-profiled :class:`~repro.sim.cpu.RunResult` then feeds the ordinary static
-flow.  The
-resulting :class:`~repro.flow.DynamicFlowReport` holds the static (oracle
-profile, no overheads) partition next to the dynamic timeline (online
-profile, CAD/reconfiguration charged), which is exactly the comparison the
-Lysecky & Vahid soft-core study reports.
+One simulation per binary serves every platform and both sides of the
+comparison.  The first fixed-interval flow of a binary runs it on the
+simulator (superblock dispatch; the sampling hook fires at identical
+instruction counts on every engine) with the hook driving the online
+profiler and dynamic partition controller, and records the samples in the
+stage memo (:func:`repro.stages.recorded_sampled_run`).  Every later
+platform replays that stream into its own controller, priced under its own
+CPI model, without simulating again.  The same profiled
+:class:`~repro.sim.cpu.RunResult`, re-costed per platform, then feeds the
+ordinary static flow.  Phase-adaptive sampling always runs live: there the
+controller sizes each chunk, so the samples depend on the platform.
+
+The resulting :class:`~repro.flow.DynamicFlowReport` holds the static
+(oracle profile, no overheads) partition next to the dynamic timeline
+(online profile, CAD/reconfiguration charged), which is exactly the
+comparison the Lysecky & Vahid soft-core study reports.
 """
 
 from __future__ import annotations
@@ -66,20 +72,39 @@ def run_dynamic_flow_on_executable(
 ) -> DynamicFlowReport:
     """Online-partitioning flow starting from an already-built binary."""
     config = config or DynamicConfig()
-    cpu = Cpu(exe, cpi=platform.cpi, profile=True)
-    controller = DynamicPartitionController(
-        cpu,
-        exe,
-        platform,
-        config,
-        synthesis_options=synthesis_options,
-        decompile_options=decompile_options,
-    )
-    result = cpu.run(
-        max_steps=max_steps,
-        sample_interval=config.sample_interval,
-        on_sample=controller.on_sample,
-    )
+
+    def controller_for(sites) -> DynamicPartitionController:
+        return DynamicPartitionController(
+            sites,
+            exe,
+            platform,
+            config,
+            synthesis_options=synthesis_options,
+            decompile_options=decompile_options,
+        )
+
+    interval = config.sample_interval
+    # adaptive sampling sizes each chunk from on_sample's answer, so its
+    # samples depend on the platform: it always runs live
+    fixed = not config.adaptive_sampling
+    stream = stages.sample_stream(exe, max_steps, interval) if fixed else None
+    if stream is not None:
+        controller = controller_for(stream.sites(platform.cpi))
+        stream.replay(controller.on_sample)
+        result = stream.run.recost(platform.cpi)
+    else:
+        cpu = Cpu(exe, cpi=platform.cpi, profile=True)
+        controller = controller_for(cpu)
+        if fixed:
+            result = stages.recorded_sampled_run(
+                cpu, max_steps, interval, controller.on_sample
+            )
+        else:
+            result = cpu.run(
+                max_steps=max_steps,
+                sample_interval=interval,
+                on_sample=controller.on_sample,
+            )
     timeline = controller.finish()
     static = run_flow_on_executable(
         exe,

@@ -36,19 +36,22 @@ class ProfilerConfig:
 class OnlineProfiler:
     """Decayed backward-branch frequency table fed from simulator samples."""
 
-    def __init__(self, cpu, config: ProfilerConfig | None = None):
+    def __init__(self, sites, config: ProfilerConfig | None = None):
+        """*sites* supplies the static ``branch_edges`` and ``jump_edges``
+        maps: a :class:`~repro.sim.cpu.Cpu` or a recorded
+        :class:`~repro.stages.SiteView`."""
         self.config = config or ProfilerConfig()
         # static backward control transfers: loop back-edges.  Branch sites
         # count via the per-site taken array, jump sites (j/jal back-edges)
         # via the execution counters.
         self._branch_sites = [
             (index, dst)
-            for index, (src, dst) in cpu.branch_edges.items()
+            for index, (src, dst) in sites.branch_edges.items()
             if dst <= src
         ]
         self._jump_sites = [
             (index, dst)
-            for index, (src, dst) in cpu.jump_edges.items()
+            for index, (src, dst) in sites.jump_edges.items()
             if dst <= src
         ]
         self._prev_taken = {index: 0 for index, _ in self._branch_sites}

@@ -304,6 +304,12 @@ class Cpu:
         """Per-instruction-index cycle cost (without taken penalties)."""
         return self._costs
 
+    @property
+    def site_classes(self) -> list[str]:
+        """Per-instruction-index timing class: the :class:`CpiModel` field
+        that prices it, so ``site_costs[i] == cpi.cycles_for(site_classes[i])``."""
+        return self._klasses
+
     # -- helpers -----------------------------------------------------------
 
     def read_word_global(self, symbol: str, index: int = 0) -> int:

@@ -14,8 +14,25 @@ the same on every platform.  This memo computes each of them once:
   synthesis failed -- per (decompile options, ``SynthesisOptions``, loop).
 
 A profiled run serves every CPI model through
-:meth:`~repro.sim.cpu.RunResult.recost`, which is exact.  Both memos are
-LRUs bounded by the trace memo's :data:`~repro.sim.superblock.persist.MEMORY_CAP`.
+:meth:`~repro.sim.cpu.RunResult.recost`, which is exact.
+
+The dynamic flow's sampled run is memoised too, as a :class:`SampleStream`
+per ``(max_steps, sample_interval)``: the counters that changed at each
+sample, the binary's static site tables (branch and jump edges, each
+site's instruction class) and the run's result, which also becomes the
+binary's profiled run.  Replaying the stream into a controller on another
+platform is exact, because fixed-interval chunk boundaries are counted in
+instructions -- independent of the platform and of the controller -- and
+the controller reads nothing of the simulator but the counters, the edge
+maps and the per-site costs, which the recorded classes give under any CPI
+model.  Two paths stay live: phase-adaptive sampling, where ``on_sample``
+sizes the next chunk, and the multi-application round-robin of
+:mod:`repro.dynamic.multi`, which drives each application's
+:meth:`~repro.sim.cpu.Cpu.run_sampled` generator itself.  A run that
+raises records nothing.
+
+Both memos are LRUs bounded by the trace memo's
+:data:`~repro.sim.superblock.persist.MEMORY_CAP`.
 The memo is always on and per process; ``REPRO_CACHE`` governs only the
 on-disk report cache (:mod:`repro.flow_cache`).  Memoised artifacts are
 shared between flows, so nothing downstream may mutate them.
@@ -24,15 +41,18 @@ A miss calls through the stage function its caller hands in -- the
 caller's module-level name, resolved at call time -- so rebinding that
 name (as the per-layer tracer does) still sees every real computation.
 With telemetry on, each lookup counts on
-``flow.stage.<compile|simulate|decompile|synth>.hits_total`` or
+``flow.stage.<compile|simulate|sample|decompile|synth>.hits_total`` or
 ``.misses_total``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import ne
 from typing import Callable
 
 from repro import obs
@@ -40,11 +60,89 @@ from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions
 from repro.decompile.decompiler import DecompilationOptions, DecompiledProgram
 from repro.errors import SynthesisError
-from repro.sim.cpu import CpiModel, RunResult, run_executable
+from repro.sim.cpu import CpiModel, Cpu, RunResult, run_executable
 from repro.sim.superblock.persist import MEMORY_CAP
 from repro.synth.synthesizer import HwKernel, Synthesizer
 
-__all__ = ["clear", "compiled", "decompiled", "kernels", "profiled_run", "size"]
+__all__ = [
+    "SampleStream", "SiteView", "clear", "compiled", "decompiled", "kernels",
+    "profiled_run", "recorded_sampled_run", "sample_stream", "size",
+]
+
+
+@dataclass(frozen=True)
+class SiteView:
+    """A binary's static site tables under one CPI model: the part of a
+    :class:`~repro.sim.cpu.Cpu` that an ``on_sample`` consumer reads."""
+
+    branch_edges: dict[int, tuple[int, int]]
+    jump_edges: dict[int, tuple[int, int]]
+    site_costs: list[int]
+
+
+@dataclass
+class SampleStream:
+    """One fixed-interval sampled run of a binary, recorded for replay.
+
+    ``samples`` holds one entry per ``on_sample`` call: the ``counts`` and
+    ``taken`` counters that changed since the call before, as
+    ``(count indices, count values, taken indices, taken values)`` arrays.
+    """
+
+    branch_edges: dict[int, tuple[int, int]]
+    jump_edges: dict[int, tuple[int, int]]
+    site_classes: tuple[str, ...]
+    counters: int                  # len(counts) handed to on_sample
+    samples: list[tuple[array, array, array, array]]
+    run: RunResult                 # the recorded run; re-cost it per platform
+
+    def site_costs(self, cpi: CpiModel) -> list[int]:
+        return [cpi.cycles_for(klass) for klass in self.site_classes]
+
+    def sites(self, cpi: CpiModel) -> SiteView:
+        return SiteView(self.branch_edges, self.jump_edges, self.site_costs(cpi))
+
+    def replay(self, on_sample: Callable[[list[int], list[int]], object]) -> None:
+        """Call *on_sample* with the same live counter lists, holding the
+        same values, as the recorded run did at each of its samples."""
+        counts = [0] * self.counters
+        taken = [0] * len(self.site_classes)
+        for count_index, count_value, taken_index, taken_value in self.samples:
+            for i, value in zip(count_index, count_value):
+                counts[i] = value
+            for i, value in zip(taken_index, taken_value):
+                taken[i] = value
+            on_sample(counts, taken)
+
+
+def _changes(now: list[int], before: list[int]) -> tuple[array, array]:
+    """Indices where *now* differs from *before*, and *now*'s values there."""
+    index = array("I", compress(count(), map(ne, now, before)))
+    return index, array("q", map(now.__getitem__, index))
+
+
+class _Recorder:
+    """An ``on_sample`` wrapper that records each sample's changed counters
+    and keeps the sample interval fixed."""
+
+    def __init__(self, on_sample: Callable):
+        self._on_sample = on_sample
+        self._counts: list[int] = []
+        self._taken: list[int] = []
+        self.samples: list[tuple[array, array, array, array]] = []
+        self.counters = 0
+
+    def __call__(self, counts: list[int], taken: list[int]) -> None:
+        if not self.samples:
+            self.counters = len(counts)
+            self._counts = [0] * len(counts)
+            self._taken = [0] * len(taken)
+        self.samples.append(
+            _changes(counts, self._counts) + _changes(taken, self._taken)
+        )
+        self._counts = counts[:]
+        self._taken = taken[:]
+        self._on_sample(counts, taken)
 
 
 @dataclass
@@ -54,6 +152,7 @@ class _Binary:
     runs: dict = field(default_factory=dict)      # max_steps -> RunResult
     programs: dict = field(default_factory=dict)  # options -> DecompiledProgram
     kernels: dict = field(default_factory=dict)   # (..., loop) -> HwKernel | None
+    streams: dict = field(default_factory=dict)   # (max_steps, interval) -> SampleStream
 
 
 _COMPILED: "OrderedDict[tuple, Executable]" = OrderedDict()
@@ -114,6 +213,47 @@ def profiled_run(exe: Executable, cpi: CpiModel, max_steps: int) -> RunResult:
         return run.recost(cpi)
     _, run = run_executable(exe, profile=True, max_steps=max_steps, cpi=cpi)
     runs[max_steps] = run
+    return run
+
+
+def sample_stream(
+    exe: Executable, max_steps: int, sample_interval: int
+) -> SampleStream | None:
+    """The recorded fixed-interval sampled run of *exe*, if there is one."""
+    stream = _binary(exe).streams.get((max_steps, sample_interval))
+    _count("sample", stream is not None)
+    return stream
+
+
+def recorded_sampled_run(
+    cpu: Cpu,
+    max_steps: int,
+    sample_interval: int,
+    on_sample: Callable[[list[int], list[int]], object],
+) -> RunResult:
+    """Run *cpu* -- built with ``profile=True`` -- in fixed chunks of
+    *sample_interval* instructions, feeding *on_sample*, and record the run
+    for :func:`sample_stream` of ``cpu.exe``.
+
+    *on_sample*'s return value is ignored: the chunks stay fixed, so the
+    samples do not depend on the consumer.  The run also becomes the
+    binary's profiled run for *max_steps*, since chunking changes no
+    statistic.  Nothing is recorded if the run raises.
+    """
+    recorder = _Recorder(on_sample)
+    run = cpu.run(
+        max_steps=max_steps, sample_interval=sample_interval, on_sample=recorder
+    )
+    binary = _binary(cpu.exe)
+    binary.streams[(max_steps, sample_interval)] = SampleStream(
+        branch_edges=cpu.branch_edges,
+        jump_edges=cpu.jump_edges,
+        site_classes=tuple(cpu.site_classes),
+        counters=recorder.counters,
+        samples=recorder.samples,
+        run=run,
+    )
+    binary.runs.setdefault(max_steps, run)
     return run
 
 

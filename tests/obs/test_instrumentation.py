@@ -16,7 +16,7 @@ from repro import obs
 from repro.__main__ import main
 from repro.compiler.driver import compile_source
 from repro.flow import FlowJob, clear_pool_fallbacks, pool_fallbacks, run_flows
-from repro.platform import MIPS_40MHZ, MIPS_200MHZ
+from repro.platform import MIPS_40MHZ, MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import get_benchmark
 from repro.sim.cpu import Cpu
 
@@ -153,6 +153,16 @@ class TestStageMemoMetrics:
         misses = _counter_value("flow.stage.synth.misses_total")
         assert misses > 0
         assert _counter_value("flow.stage.synth.hits_total") == misses
+
+    def test_platforms_of_one_binary_replay_its_sample_stream(self, telemetry):
+        from repro.dynamic.flow import run_dynamic_flow
+
+        source = get_benchmark("brev").source
+        for platform in (MIPS_200MHZ, SOFTCORE_85MHZ):
+            run_dynamic_flow(source, "brev", platform=platform)
+        assert _counter_value("flow.stage.sample.misses_total") == 1
+        assert _counter_value("flow.stage.sample.hits_total") == 1
+        assert _counter_value("engine.runs_total") == 1
 
     def test_disabled_flow_registers_no_stage_counters(self):
         obs.disable()

@@ -166,3 +166,16 @@ def test_dynamic_prints_static_and_dynamic_columns(capsys):
     assert int(row[6]) >= 1  # resident kernels at the end of the run
     assert lines[4].split()[0] == "AVERAGE"
     assert lines[-1].startswith("worst warm gap vs static partition:")
+
+
+@pytest.mark.parametrize("flag", [
+    "--interval", "--repartition-samples", "--cad-latency", "--max-share",
+])
+def test_dynamic_rejects_non_positive_knobs(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamic", "brev", flag, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"error: argument {flag}: must be" in err
+    assert "Traceback" not in err
