@@ -38,6 +38,7 @@ from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.decompile.decompiler import DecompilationOptions, decompile
 from repro.decompile.structure import render_pseudocode
+from repro.errors import ReproError
 from repro.flow import (
     FlowJob,
     pool_fallbacks,
@@ -67,25 +68,9 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     exe = _load(args.binary)
-    cpu, result = run_executable(
-        exe, profile=args.profile, engine=args.engine,
-        trace_threshold=args.trace_threshold,
-        replan_threshold=args.replan_threshold,
-        trace_persist=False if args.no_trace_persist else None,
-    )
+    cpu, result = run_executable(exe, profile=args.profile, engine=args.engine)
     print(f"halted: {result.halted}  instructions: {result.steps:,}  "
           f"cycles: {result.cycles:,}  CPI: {result.cpi:.2f}")
-    if args.trace_threshold and args.engine == "superblock":
-        sb = cpu._sb
-        traces = cpu.traces
-        covered = sum(t.instructions for t in traces)
-        source = "warm start (replayed)" if traces and not sb.trace_builds \
-            else f"built this run: {sb.trace_builds}"
-        print(f"traces: {len(traces)}  in-trace instructions: {covered:,} "
-              f"({100 * covered // max(1, result.steps)}%)  {source}")
-        if sb.replans_total:
-            print(f"replans: {sb.replans_total}  "
-                  f"links: {sb.trace_links}  retired: {len(sb.retired)}")
     if args.read:
         for symbol in args.read:
             print(f"  {symbol} = {cpu.read_word_global_signed(symbol)}")
@@ -262,6 +247,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number greater than 0 (a clock frequency)."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
     return value
 
 
@@ -486,17 +479,6 @@ def main(argv=None) -> int:
                    help="dispatch engine (superblock is ~2-3x faster; "
                         "both are differentially tested against the "
                         "reference interpreter)")
-    p.add_argument("--trace-threshold", type=int, default=1, metavar="SPREES",
-                   help="dispatch sprees before the trace tier compiles hot "
-                        "paths (superblock engine only; 0 disables traces)")
-    p.add_argument("--replan-threshold", type=float, default=0.25,
-                   metavar="SHARE",
-                   help="retire and rebuild traces when their share of "
-                        "executed instructions decays below SHARE for "
-                        "consecutive checkpoints (0 disables re-planning)")
-    p.add_argument("--no-trace-persist", action="store_true",
-                   help="do not read or write the on-disk trace cache "
-                        "(REPRO_TRACE_CACHE_DIR) for this run")
     p.add_argument("--read", nargs="*", help="data symbols to print after the run")
     _add_telemetry_flags(p)
     p.set_defaults(fn=cmd_run)
@@ -510,7 +492,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("partition", help="partition a binary onto the platform")
     p.add_argument("binary")
-    p.add_argument("--cpu-mhz", type=float, default=200.0)
+    p.add_argument("--cpu-mhz", type=_positive_float, default=200.0)
     p.add_argument("--device", default="xc2v250", choices=sorted(VIRTEX2_DEVICES))
     p.add_argument("--jump-tables", action="store_true")
     p.add_argument("--algorithm", default="90-10",
@@ -537,7 +519,8 @@ def main(argv=None) -> int:
                                      "using all cores")
     p.add_argument("benchmarks", nargs="*",
                    help="benchmark names (default: the full 20-benchmark suite)")
-    p.add_argument("--cpu-mhz", type=float, nargs="+", default=[200.0])
+    p.add_argument("--cpu-mhz", type=_positive_float, nargs="+",
+                   default=[200.0])
     p.add_argument("-O", dest="opt_level", type=int, default=1, choices=[0, 1, 2, 3])
     p.add_argument("--device", default="xc2v250", choices=sorted(VIRTEX2_DEVICES))
     p.add_argument("--jobs", type=int, default=None,
@@ -605,7 +588,11 @@ def main(argv=None) -> int:
         # run_jobs)
         os.environ[obs.ENABLE_ENV] = "1"
         obs.enable(metrics=want_metrics, tracing=bool(trace_out))
-    rc = args.fn(args)
+    try:
+        rc = args.fn(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command != "stats" and obs.metrics_enabled():
         saved = obs.save_stats(obs.snapshot())
         if saved is not None:

@@ -9,7 +9,7 @@ contract with the hot paths:
   call sites bind once at setup and never branch per event.
 * The simulator's dispatch loops carry **no** telemetry at all -- engine
   metrics are derived from existing introspection state (superblock
-  counters, trace tables) at run end, so the 2.0x perf-smoke gate is
+  unit counters and codegen totals) at run end, so the 2.0x perf-smoke gate is
   structurally unaffected, not merely branch-predicted away.
 * ``obs.span(...)``/``obs.instant(...)`` are no-ops (a shared
   ``nullcontext``) unless tracing is enabled.

@@ -18,16 +18,12 @@ Design notes:
   generated Python module -- one function per basic block (with
   unconditional ``j``/``jal`` chains fused into their targets) -- so the
   dispatch loop pays one call per block or chain instead of per
-  instruction.  After ``trace_threshold`` dispatch sprees it adds a
-  **trace tier**: the hottest taken-branch paths become multi-block
-  generated traces with guarded side exits, and hot loops run many
-  iterations inside a single call; counters proven cold are spilled out
-  of the fold scan (``spill_after``) and reheat transparently.  The
-  threaded table stays fully built either way: the superblock loop
-  falls back to it to single-step chunk tails (exact sampling
-  boundaries) and dynamic mid-block jump targets.  Select with
-  ``Cpu(exe, engine="threaded"|"superblock")``; ``trace_threshold=0``
-  keeps the block tier only.
+  instruction.  Counters proven cold are spilled out of the fold scan
+  (``spill_after``) and reheat transparently.  The threaded table stays
+  fully built either way: the superblock loop falls back to it to
+  single-step chunk tails (exact sampling boundaries) and the last few
+  instructions of a *max_steps* budget.  Select with
+  ``Cpu(exe, engine="threaded"|"superblock")``.
 * Statistics are *derived*, not collected: the loop maintains one
   per-instruction execution counter; branch executors bump a per-site
   taken counter.  ``steps``, ``cycles``, ``pc_counts``, ``mix`` and the
@@ -92,16 +88,6 @@ __all__ = [
 
 #: mnemonic -> timing class, derived from the ISA spec table.
 _MNEMONIC_CLASS = {mnem: spec.klass for mnem, spec in SPECS.items()}
-
-#: trace-tier warmup runs at most this many incremental build rounds
-#: (checkpoints past ``trace_threshold``) before sprees go unbounded
-_WARMUP_BUILDS = 8
-
-#: post-warmup monitoring sprees (the re-planning watermark) are capped
-#: at this multiple of ``spree_size`` instructions -- coarse enough that
-#: steady state pays a handful of extra folds, fine enough that a phase
-#: shift is noticed within a few multiples of the warmup budget
-_MONITOR_SPREES = 4
 
 
 class _Halt(Exception):
@@ -183,26 +169,11 @@ class Cpu:
         cpi: CpiModel | None = None,
         profile: bool = False,
         engine: str = "superblock",
-        trace_threshold: int = 1,
-        spree_size: int = 32768,
         spill_after: int = 8,
-        replan_threshold: float = 0.25,
-        trace_persist: bool | None = None,
     ):
         if engine not in ("superblock", "threaded"):
             raise ValueError(
                 f"unknown engine {engine!r}; expected 'superblock' or 'threaded'"
-            )
-        if not isinstance(trace_threshold, int) or isinstance(trace_threshold, bool) \
-                or trace_threshold < 0:
-            raise ValueError(
-                f"trace_threshold must be a non-negative integer (0 disables "
-                f"the trace tier), got {trace_threshold!r}"
-            )
-        if not isinstance(spree_size, int) or isinstance(spree_size, bool) \
-                or spree_size < 1:
-            raise ValueError(
-                f"spree_size must be a positive integer, got {spree_size!r}"
             )
         if not isinstance(spill_after, int) or isinstance(spill_after, bool) \
                 or spill_after < 0:
@@ -210,23 +181,12 @@ class Cpu:
                 f"spill_after must be a non-negative integer (0 disables the "
                 f"cold-counter spill), got {spill_after!r}"
             )
-        if not isinstance(replan_threshold, (int, float)) \
-                or isinstance(replan_threshold, bool) \
-                or not 0.0 <= replan_threshold < 1.0:
-            raise ValueError(
-                f"replan_threshold must be a float in [0, 1) (0 disables "
-                f"trace re-planning), got {replan_threshold!r}"
-            )
         self.exe = exe
         self.memory = memory if memory is not None else Memory()
         self._cpi = cpi if cpi is not None else CpiModel()
         self._profile = profile
         self._engine = engine
-        self._trace_threshold = trace_threshold
-        self._spree_size = spree_size
         self._spill_after = spill_after
-        self._replan_threshold = float(replan_threshold)
-        self._trace_persist = trace_persist
         load_into_memory(exe, self.memory)
         self._decoded = [decode(word) for word in exe.text_words]
         self.regs = [0] * 32
@@ -275,18 +235,6 @@ class Cpu:
         if self._sb is None:
             raise SimulationError("superblocks require engine='superblock'")
         return self._sb.blocks
-
-    @property
-    def traces(self) -> tuple:
-        """Installed hot-path traces, as :class:`TraceInfo` handles.
-
-        Empty until the dispatch loop has run ``trace_threshold`` sprees
-        on a program hot enough to plan traces from (and always empty
-        with ``trace_threshold=0``, which disables the tier).
-        """
-        if self._sb is None:
-            raise SimulationError("traces require engine='superblock'")
-        return tuple(self._sb.traces)
 
     # Static control-transfer sites, exposed for online profilers: maps of
     # instruction index -> (source pc, target pc).  Branch edges count via
@@ -841,7 +789,8 @@ class Cpu:
         sb = self._sb
         if sb is not None:
             sb.reset()
-            entries = sb.entries
+            fns = sb.fns
+            sizes = sb.sizes
             materialize = sb.materialize
         halted = False
         run_started = time.monotonic()
@@ -856,15 +805,16 @@ class Cpu:
                         index = handlers[index]()
                 else:
                     while budget > 0:
-                        n, fn = entries[index]
+                        n = sizes[index]
                         if n > budget:
                             for _ in repeat(None, budget):
                                 counts[index] += 1
                                 index = handlers[index]()
                             budget = 0
                             break
+                        fn = fns[index]
                         if fn is None:
-                            n, fn = materialize(index)
+                            fn = materialize(index)
                         index = fn()
                         budget -= n
                     sb.fold_into(counts)
@@ -917,26 +867,14 @@ class Cpu:
         sb = self._sb
         if sb is None:
             return
-        unit_instr, trace_instr = sb.tier_breakdown()
-        obs.counter("engine.instructions_in_blocks").inc(unit_instr)
-        obs.counter("engine.instructions_in_traces").inc(trace_instr)
+        in_blocks = sb.instructions_in_blocks()
+        obs.counter("engine.instructions_in_blocks").inc(in_blocks)
         obs.counter("engine.instructions_stepped").inc(
-            max(0, result.steps - unit_instr - trace_instr)
-        )
-        obs.gauge("engine.traces_installed").set_max(len(sb.traces))
-        obs.gauge("engine.trace_links").set_max(sb.trace_links)
-        obs.counter("engine.trace_guard_exits_total").inc(
-            sum(info.guard_exits for info in sb.traces)
+            max(0, result.steps - in_blocks)
         )
         delta = sb.consume_stats()
         obs.counter("engine.counter_spills_total").inc(delta["spills"])
         obs.counter("engine.counter_reheats_total").inc(delta["reheats"])
-        obs.counter("engine.trace_builds_total").inc(delta["trace_builds"])
-        obs.counter("engine.trace_replans_total").inc(delta["replans"])
-        obs.counter("engine.trace_links_made_total").inc(delta["links_made"])
-        obs.counter("engine.trace_links_severed_total").inc(
-            delta["links_severed"]
-        )
         obs.counter("engine.codegen_units_total").inc(delta["codegen_units"])
         obs.counter("engine.codegen_lines_total").inc(delta["codegen_lines"])
         seconds = delta["codegen_seconds"]
@@ -963,7 +901,7 @@ class Cpu:
     def _run_superblock(
         self, index: int, counts: list[int], max_steps: int,
     ) -> tuple[int, bool]:
-        """One generated-function call per unit (block, chain, or trace).
+        """One generated-function call per unit (block or fused j-chain).
 
         Unchunked only (sampling runs go through :meth:`run_sampled`,
         which single-steps chunk tails through the threaded handlers so
@@ -974,95 +912,27 @@ class Cpu:
         Budget-free dispatch sprees: a run of ``remaining // call_bound``
         calls cannot overshoot *max_steps* (no call executes more than
         ``call_bound`` instructions), so the hot loop carries no budget
-        arithmetic at all.  While the trace tier is warming up, sprees
-        are capped at ``spree_size // call_bound`` calls -- an
-        *instruction* budget, so checkpoints come quickly for big-block
-        and small-block programs alike:
-        each one folds the counters, re-derives the executed count, and
-        -- from ``trace_threshold`` sprees on -- runs an incremental
-        trace build from the folded profile.  Warmup ends once the trace
-        table is full or after a few build rounds; sprees then grow back
-        to the full remaining budget, so steady state pays one fold per
-        run just like the blocks-only tier (and exactly that when
-        ``trace_threshold=0`` disables warmup outright).  Halting
-        programs rarely exhaust warmup; a runaway one finishes with an
-        exact single-stepped tail, so *max_steps* semantics stay
-        bit-identical with the threaded loop.
+        arithmetic at all.  A halting program finishes inside the first
+        spree, so a run pays one fold.  A runaway one folds, re-derives
+        the executed count and sprees again until less than one call's
+        worth of budget is left, then finishes with an exact
+        single-stepped tail, so *max_steps* semantics stay bit-identical
+        with the threaded loop.
         """
         sb = self._sb
         sb.reset()
+        fns = sb.fns
         materialize = sb.materialize
+        bound = sb.call_bound
         handlers = self._handlers
         halted = False
-        trace_after = self._trace_threshold
-        spree_cap = self._spree_size
-        monitor_cap = spree_cap * _MONITOR_SPREES
-        sprees = 0
-        builds = 0
-        disp_total = 0
-        executed = 0
-        exec_base = 0
-        # cache-warm tables (traces replayed at construction from an
-        # earlier run on the same executable) skip warmup outright
-        warmup = trace_after > 0 and not sb.traces_built
         try:
-            fns = sb.fns
             remaining = max_steps
-            while remaining >= sb.call_bound:
-                dispatches = remaining // sb.call_bound
-                monitoring = not warmup and sb.monitor_enabled
-                if warmup or monitoring:
-                    # spree_size is an *instruction* budget.  The first
-                    # spree sizes against the worst case (call_bound);
-                    # later ones use the measured per-dispatch average,
-                    # so checkpoints pace evenly whether dispatches run
-                    # 3 instructions or 300.  Monitoring checkpoints
-                    # (the re-planning watermark) run a few times
-                    # coarser than warmup ones
-                    budget = monitor_cap if monitoring else spree_cap
-                    if disp_total:
-                        cap = budget * disp_total // (executed - exec_base) \
-                            or 1
-                    else:
-                        cap = budget // sb.call_bound or 1
-                    if dispatches > cap:
-                        dispatches = cap
-                for _ in repeat(None, dispatches):
+            while remaining >= bound:
+                for _ in repeat(None, remaining // bound):
                     fn = fns[index]
                     if fn is None:
-                        fn = materialize(index)[1]
-                    index = fn()
-                sb.fold_into(counts)
-                sprees += 1
-                disp_total += dispatches
-                executed = sum(counts)
-                if warmup and sprees >= trace_after:
-                    builds += 1
-                    if not sb.build_traces(counts) or builds >= _WARMUP_BUILDS:
-                        warmup = False
-                elif monitoring and sb.check_replan(counts, executed):
-                    # stale traces retired: re-enter warmup so the next
-                    # checkpoints profile and rebuild against the new
-                    # phase.  The pacing estimator restarts too -- the
-                    # retired traces' huge instructions-per-dispatch
-                    # average would otherwise shrink post-replan sprees
-                    # to a handful of unit calls
-                    warmup = True
-                    sprees = 0
-                    builds = 0
-                    disp_total = 0
-                    exec_base = executed
-                remaining = max_steps - executed
-            # wind-down: traces raise call_bound to ~TRACE_CAP, which
-            # would leave a long single-stepped tail; dispatch the gap
-            # through the unit tier (``entries`` never holds traces)
-            entries = sb.entries
-            while remaining >= sb.unit_bound:
-                for _ in repeat(None, remaining // sb.unit_bound):
-                    entry = entries[index]
-                    fn = entry[1]
-                    if fn is None:
-                        fn = materialize(index)[1]
+                        fn = materialize(index)
                     index = fn()
                 sb.fold_into(counts)
                 remaining = max_steps - sum(counts)
@@ -1135,18 +1005,10 @@ def run_executable(
     max_steps: int = 100_000_000,
     cpi: CpiModel | None = None,
     engine: str = "superblock",
-    trace_threshold: int = 1,
-    spree_size: int = 32768,
     spill_after: int = 8,
-    replan_threshold: float = 0.25,
-    trace_persist: bool | None = None,
 ) -> tuple[Cpu, RunResult]:
     """Convenience: build a CPU for *exe*, run to halt, return (cpu, result)."""
-    cpu = Cpu(
-        exe, cpi=cpi, profile=profile, engine=engine,
-        trace_threshold=trace_threshold, spree_size=spree_size,
-        spill_after=spill_after, replan_threshold=replan_threshold,
-        trace_persist=trace_persist,
-    )
+    cpu = Cpu(exe, cpi=cpi, profile=profile, engine=engine,
+              spill_after=spill_after)
     result = cpu.run(max_steps=max_steps)
     return cpu, result

@@ -1,34 +1,30 @@
-"""Superblock dispatch: the simulator's compiled execution tiers.
+"""Superblock dispatch: the simulator's compiled execution tier.
 
 The threaded-code interpreter in :mod:`repro.sim.cpu` pays one closure
-call per *instruction*.  This package compiles the program into
-progressively larger generated-Python units so the dispatch loop pays
-one call per basic block, per fused j-chain, or per hot-path trace:
+call per *instruction*.  This package compiles the program into one
+generated Python module so the dispatch loop pays one call per basic
+block or fused j-chain:
 
 * :mod:`~repro.sim.superblock.leaders` -- block formation (leader
   discovery over decoded text + data-section jump tables);
-* :mod:`~repro.sim.superblock.codegen` -- the shared code generator:
+* :mod:`~repro.sim.superblock.codegen` -- the code generator:
   block-local register JIT, literal propagation, multi-segment units;
 * :mod:`~repro.sim.superblock.dispatch` -- :class:`SuperblockTable`,
-  the whole-module compile, cold-counter spill, and the table the
-  dispatch loops index;
-* :mod:`~repro.sim.superblock.traces` -- the trace tier: hot
-  taken-branch paths chained into guarded multi-block functions.
+  the whole-module compile, cold-counter spill, and the slot table the
+  dispatch loops index.
 
 Exact statistics are the invariant throughout: per-unit entry counters
-fold into the per-instruction ``counts``/``taken`` arrays at every
-observation point, so all tiers are bit-identical to the reference
-interpreter -- :mod:`tests.sim.test_differential` enforces it.
+fold into the per-instruction ``counts`` array at every observation
+point, so the block tier is bit-identical to the reference interpreter
+-- :mod:`tests.sim.test_differential` enforces it.
 """
 
 from repro.sim.superblock.dispatch import SuperblockTable
 from repro.sim.superblock.leaders import BRANCHES, CONTROL_TRANSFERS, find_leaders
-from repro.sim.superblock.traces import TraceInfo
 
 __all__ = [
     "BRANCHES",
     "CONTROL_TRANSFERS",
     "SuperblockTable",
-    "TraceInfo",
     "find_leaders",
 ]

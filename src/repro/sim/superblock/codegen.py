@@ -1,4 +1,4 @@
-"""Code generation for superblock units: blocks, j-chains, and traces.
+"""Code generation for superblock units: blocks and j-chains.
 
 Every generated function mirrors the threaded executor closures exactly
 -- same masking, same "writes to $zero are dropped but their memory
@@ -29,12 +29,6 @@ Key pieces:
   static target starts the next segment (j-chain fusion), so the fused
   jump costs a link write at most -- no dispatch, no flush.  The
   register JIT spans the whole chain.
-* **Side-exit support for traces** (:meth:`Codegen.branch_condition`,
-  :meth:`_BlockEnv.peek_flush`).  Traces guard mid-path branches and
-  must leave the register file architecturally exact on the exit path
-  *without* disturbing the deferred-write state of the hot
-  continuation; ``peek_flush`` emits the write-backs but keeps the
-  dirty set.
 
 Generated code uses short names bound once per ``Cpu``: ``R`` registers,
 ``T`` per-site branch-taken counters, ``BC`` per-unit entry counters,
@@ -49,16 +43,12 @@ from collections import Counter
 from repro.errors import SimulationError
 from repro.sim.superblock.leaders import BRANCHES, CONTROL_TRANSFERS
 
-__all__ = ["FACTORY", "Codegen", "_BlockEnv", "_MAY_FAULT", "_read_regs",
-           "_written_reg"]
+__all__ = ["FACTORY", "Codegen"]
 
 #: the shared factory header every generated module starts with; binds
-#: the per-Cpu namespace (``SuperblockTable._ns``) once per compile.
-#: ``LK`` is the cross-trace link table: guard exits indirect through it
-#: so a hot side exit can call the trace anchored at its target directly
-#: instead of bouncing through the dispatch loop
+#: the per-Cpu namespace (``SuperblockTable._ns``) once per compile
 FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
-           "w8, w16, w32, Halt, Err, LK):")
+           "w8, w16, w32, Halt, Err):")
 
 #: memory accessors can raise MemoryFault, so the register file must be
 #: architecturally exact before each of these executes
@@ -174,28 +164,17 @@ class _BlockEnv:
 
     def flush(self) -> list[str]:
         """Deferred write-backs, making ``R`` architecturally exact."""
-        lines = self.peek_flush()
-        self.dirty.clear()
-        return lines
-
-    def peek_flush(self) -> list[str]:
-        """Like :meth:`flush` but keeps the dirty set.
-
-        Used on trace side exits: the exit path must write ``R`` back
-        before returning to the dispatch loop, while the hot
-        continuation -- a *different* runtime path through the same
-        generated text -- still owes the same write-backs later.
-        """
         lines = []
         for reg in sorted(self.dirty):
             value = self.known.get(reg)
             source = str(value) if value is not None else f"x{reg}"
             lines.append(f"R[{reg}] = {source}")
+        self.dirty.clear()
         return lines
 
 
 class Codegen:
-    """Stateless-per-unit emitter shared by blocks, chains, and traces."""
+    """Stateless-per-unit emitter shared by blocks and chains."""
 
     def __init__(self, decoded, text_base: int, text_len: int,
                  profile: bool, escape_slots: dict[int, int]) -> None:
@@ -286,39 +265,34 @@ class Codegen:
             return base
         return f"({base} + {imm}) & {_M}"
 
-    def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str, str]:
-        """(prelude lines, taken condition, not-taken condition) for a branch.
+    def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str]:
+        """(prelude lines, taken condition) for a branch.
 
         Constant operands fold to literal ``True``/``False`` conditions;
-        the ``blez``/``bgtz`` forms share a ``_v`` prelude because both
-        polarities need the value twice.
+        the ``blez``/``bgtz`` forms bind a ``_v`` prelude because their
+        condition reads the value twice.
         """
         m = instr.mnemonic
         a, av = env.read(instr.rs)
         if m == "beq" or m == "bne":
             b, bv = env.read(instr.rt)
             if av is not None and bv is not None:
-                taken = av == bv if m == "beq" else av != bv
-                return [], str(taken), str(not taken)
-            eq, ne = f"{a} == {b}", f"{a} != {b}"
-            return ([], eq, ne) if m == "beq" else ([], ne, eq)
+                return [], str(av == bv if m == "beq" else av != bv)
+            return [], f"{a} == {b}" if m == "beq" else f"{a} != {b}"
         if av is not None:
             signed = _s32(av)
-            taken = {
+            return [], str({
                 "blez": signed <= 0, "bgtz": signed > 0,
                 "bltz": signed < 0, "bgez": signed >= 0,
-            }[m]
-            return [], str(taken), str(not taken)
+            }[m])
         if m == "blez":
-            return ([f"_v = {a}"], "_v == 0 or _v & 0x80000000",
-                    "_v != 0 and not _v & 0x80000000")
+            return [f"_v = {a}"], "_v == 0 or _v & 0x80000000"
         if m == "bgtz":
-            return ([f"_v = {a}"], "_v != 0 and not _v & 0x80000000",
-                    "_v == 0 or _v & 0x80000000")
+            return [f"_v = {a}"], "_v != 0 and not _v & 0x80000000"
         if m == "bltz":
-            return [], f"{a} & 0x80000000", f"not {a} & 0x80000000"
+            return [], f"{a} & 0x80000000"
         # bgez
-        return [], f"not {a} & 0x80000000", f"{a} & 0x80000000"
+        return [], f"not {a} & 0x80000000"
 
     def straightline(self, instr, env: _BlockEnv) -> list[str]:
         """Statements for one non-control-transfer instruction.
@@ -596,7 +570,7 @@ class Codegen:
                 # raises, and if the step budget runs out first the caller
                 # sees the same "exceeded max_steps" the threaded loop does
                 t_idx = self.escape_slots[t_pc]
-            prelude, taken_cond, _ = self.branch_condition(instr, env)
+            prelude, taken_cond = self.branch_condition(instr, env)
             return env.take_pending() + env.flush() + prelude + [
                 f"if {taken_cond}:",
                 f"    T[{idx}] += 1",

@@ -1,39 +1,31 @@
 """The superblock dispatch table: one whole-module compile per program.
 
 All leader blocks are emitted into a *single* generated source and
-``compile()``d once (ROADMAP item d) -- one code object per program
-instead of one closure chain per block, so the dispatch loop's
-``fns[index]()`` calls land on functions that share a module and its
-constant pool.  Three performance layers sit on that substrate:
+``compile()``d once -- one code object per program instead of one
+closure chain per block, so the dispatch loop's ``fns[index]()`` calls
+land on functions that share a module and its constant pool.  Two
+layers sit on that substrate:
 
-* **j-chain fusion** (item a): a leader whose block ends in an
-  unconditional ``j``/``jal`` with a static in-text target *inlines* the
-  target block (and so on, bounded), so the fused jump costs at most a
-  deferred link write instead of a dispatch round-trip.  The unit's
-  entry counter covers every member segment; :meth:`fold_into` expands
-  it exactly.
-* **trace tier** (item b): after the dispatch loop has run a few
-  sprees, :meth:`build_traces` chains the hottest taken-branch paths
-  into multi-block traces with guarded side exits (see
-  :mod:`repro.sim.superblock.traces`).  Traces install into :attr:`fns`
-  only -- :attr:`entries` always keeps the per-unit counting functions,
-  so the budget-exact sampled path (:meth:`Cpu.run_sampled`) never sees
-  a trace and stays bit-identical by construction.
-* **cold-counter spill** (item c): a unit whose counter shows no delta
-  for ``spill_after`` consecutive folds is dropped from the fold scan
-  (its counter increment is "spilled" out of the observation path) and
-  its slots are replaced by a reheat stub; if the block runs again the
-  stub re-installs the counting function *first* and tail-calls it, so
+* **j-chain fusion**: a leader whose block ends in an unconditional
+  ``j``/``jal`` with a static in-text target *inlines* the target block
+  (and so on, bounded), so the fused jump costs at most a deferred link
+  write instead of a dispatch round-trip.  The unit's entry counter
+  covers every member segment; :meth:`fold_into` expands it exactly.
+* **cold-counter spill**: a unit whose counter shows no delta for
+  ``spill_after`` consecutive folds is dropped from the fold scan (its
+  counter increment is "spilled" out of the observation path) and its
+  slot is replaced by a reheat stub; if the block runs again the stub
+  re-installs the counting function *first* and tail-calls it, so
   per-instruction counts stay exact even under sampling hooks.  The win
-  is fold cost: long-running sampled workloads (the
-  :mod:`repro.dynamic` drivers fold every few thousand instructions)
-  scan only the live hot set instead of every unit ever created.
+  is fold cost: long-running sampled workloads (the :mod:`repro.dynamic`
+  drivers fold every few thousand instructions) scan only the live hot
+  set instead of every unit ever created.
 
-Exactness contract (unchanged from the monolithic version): a unit
-either runs to its end or raises at a terminator, every generated
-function starts by bumping its ``BC`` counter, and at every observation
-point the deltas fold into the per-instruction ``counts``/``taken``
-arrays the rest of the simulator derives statistics from.
+Exactness contract: a unit either runs to its end or raises at a
+terminator, every generated function starts by bumping its ``BC``
+counter, and at every observation point the deltas fold into the
+per-instruction ``counts`` array the rest of the simulator derives
+statistics from.
 """
 
 from __future__ import annotations
@@ -42,13 +34,11 @@ from time import perf_counter
 
 from repro.errors import SimulationError
 from repro.sim.cpu import _Halt
-from repro.sim.superblock import persist
 from repro.sim.superblock.codegen import FACTORY as _FACTORY
 from repro.sim.superblock.codegen import Codegen
 from repro.sim.superblock.leaders import CONTROL_TRANSFERS, find_leaders
-from repro.sim.superblock.traces import MAX_TRACES, TraceInfo, install_traces
 
-__all__ = ["SuperblockTable", "REPLAN_CAP", "REPLAN_STREAK"]
+__all__ = ["SuperblockTable"]
 
 #: j-chain fusion bounds: chains stop after this many fused blocks or
 #: this many total instructions, keeping generated units (and the
@@ -56,49 +46,33 @@ __all__ = ["SuperblockTable", "REPLAN_CAP", "REPLAN_STREAK"]
 _CHAIN_MAX_BLOCKS = 8
 _CHAIN_MAX_INSTRS = 192
 
-#: re-planning bounds (ROADMAP item e): retire-and-rebuild fires after
-#: the installed traces' share of executed instructions stays below the
-#: cpu's ``replan_threshold`` for this many consecutive monitoring
-#: folds, and at most this many times per table -- a workload that
-#: oscillates faster than the cap settles into whatever set the last
-#: replan built instead of thrashing the compiler
-REPLAN_STREAK = 3
-REPLAN_CAP = 4
-
 
 class SuperblockTable:
     """Block structure + generated unit functions for one :class:`Cpu`.
 
-    Public surface used by the dispatch loop:
+    Public surface used by the dispatch loops:
 
-    * ``entries[index] -> (n, fn | None)`` -- instruction count and
-      *counting* generated function for every handler slot (escape slots
-      reuse the threaded escape handlers with length 1); ``fn is None``
-      marks a mid-block index nobody has jumped to yet.  Traces are
-      never installed here.
-    * ``fns[index]`` -- the fast-path view used by unchunked dispatch
-      sprees: same functions, except hot anchors may hold a trace.
+    * ``fns[index]`` -- the generated function for every handler slot
+      (escape slots reuse the threaded escape handlers); ``None`` marks a
+      mid-block index nobody has jumped to yet.
+    * ``sizes[index]`` -- instructions one ``fns[index]`` call executes:
+      the fused chain at a leader, the rest of the block mid-block, 1 at
+      an escape slot.  Fixed at construction.
+    * :attr:`call_bound` -- ``max(sizes)``; budget-free dispatch sprees
+      divide by it.
     * :meth:`materialize` -- build the suffix unit for a dynamic jump to
       a mid-block index.
     * :meth:`reset` / :meth:`fold_into` -- zero the per-unit counters at
-      run start / fold their deltas into the per-instruction arrays.
-    * :meth:`build_traces` -- incremental trace-tier construction,
-      called by the dispatch loop at warmup checkpoints.
+      run start / fold their deltas into the per-instruction array.
     * :attr:`blocks` -- the leader partition, for introspection and the
-      formation property tests; :attr:`chains` / :attr:`traces` /
-      :attr:`spilled` -- introspection for the fusion and trace tiers.
-    * :attr:`call_bound` -- max instructions any single ``fns`` call may
-      execute; the unchunked spree sizing divides by this.
+      formation property tests.
     """
 
     def __init__(self, cpu) -> None:
-        self._cpu = cpu
         self._decoded = cpu._decoded
         self._text_base = cpu.exe.text_base
         self._text_len = len(cpu._decoded)
-        self._profile = cpu.profile
-        self._taken_arr = cpu._taken
-        self._spill_after = getattr(cpu, "_spill_after", 0)
+        self._spill_after = cpu._spill_after
         self.leaders = find_leaders(
             self._decoded, self._text_base, self._text_len, cpu.exe.data
         )
@@ -114,66 +88,33 @@ class SuperblockTable:
                 suffix[i] = suffix[i + 1] + 1
         self.suffix_len = suffix
 
-        #: per-unit entry counters / fold watermarks / member segments /
-        #: deferred branch-taken sites (traces pass hot-taken guards
-        #: without a per-iteration T bump; the fold adds delta per site)
+        #: per-unit entry counters / fold watermarks / member segments
         self.bcounts: list[int] = []
         self._folded: list[int] = []
         self.members: list[tuple[tuple[int, int], ...]] = []
-        self.tsites: list[tuple[int, ...]] = []
         #: bids the fold scan visits; cold units are removed (spilled)
         self.live: list[int] = []
         self._cold: list[int] = []
-        #: spill bookkeeping: unit -> its entries/fns slot + counting fn
-        self._home: dict[int, int] = {}
-        self._counting: dict[int, object] = {}
+        #: per unit: its dispatch slot and its counting function
+        self._home: list[int] = []
+        self._counting: list = []
         self.spilled = 0
         self.reheats = 0
 
-        #: cumulative generated-code cost (leader build, materialize,
-        #: trace builds/replays); always-on -- a couple of perf_counter
-        #: calls around each rare compile, nothing in dispatch
+        #: cumulative generated-code cost (leader build, materialize);
+        #: always-on -- a couple of perf_counter calls around each rare
+        #: compile, nothing in dispatch
         self.codegen_seconds = 0.0
-        self.trace_builds = 0
         #: watermark for :meth:`consume_stats`
         self._obs_seen: dict[str, float] = {}
 
-        #: trace tier state (populated by :meth:`build_traces`)
-        self.traces: list = []
-        self._traced: set[int] = set()
-        self.traces_built = False
-
-        #: cross-trace link table (item f): generated guard exits read
-        #: ``LK[slot]`` and call the linked trace directly when the slot
-        #: holds a function.  The list object is baked into every
-        #: generated module's namespace, so it must never be reassigned
-        #: -- only grown and mutated in place
-        self._links: list = []
-        self.trace_links = 0
-        self.links_made = 0
-        self.links_severed = 0
-
-        #: re-planning state (item e): traces retired by a replan keep
-        #: their TraceInfo handles here so tier accounting stays exact
-        self.replans_total = 0
-        self.retired: list = []
-        self.replan_threshold = float(getattr(cpu, "_replan_threshold", 0.0))
-        self._mon_trace: int | None = None
-        self._mon_total = 0
-        self._mon_streak = 0
-        #: planning baselines: a replan snapshots the cumulative profile
-        #: so the rebuild plans from post-replan deltas only, without
-        #: disturbing the counters the exactness contract folds into
-        self._base_counts: list[int] | None = None
-        self._base_taken: list[int] | None = None
-        self._base_bcounts: list[int] | None = None
-
-        handlers = cpu._handlers
-        entries: list[tuple] = [(1, handlers[slot]) for slot in range(len(handlers))]
+        fns = list(cpu._handlers)
+        sizes = [1] * len(fns)
         for i in range(self._text_len):
-            entries[i] = (suffix[i], None)
-        self.entries = entries
-        self.fns: list = [entry[1] for entry in entries]
+            fns[i] = None
+            sizes[i] = suffix[i]
+        self.fns = fns
+        self.sizes = sizes
 
         memory = cpu.memory
         self._ns = {
@@ -190,45 +131,13 @@ class SuperblockTable:
             "w32": memory.write_u32,
             "Halt": _Halt,
             "Err": SimulationError,
-            "LK": self._links,
         }
         self._cg = Codegen(
-            decoded, self._text_base, self._text_len, self._profile,
+            decoded, self._text_base, self._text_len, cpu.profile,
             cpu._escape_slots,
         )
-        #: leader -> fused segment tuple, for chains longer than one block
-        self.chains: dict[int, tuple[tuple[int, int], ...]] = {}
         self._build_leader_units()
-        self.call_bound = max((entry[0] for entry in self.entries), default=1)
-        #: unit-tier dispatch bound: installing traces raises
-        #: :attr:`call_bound` (to the largest trace cap) but not this,
-        #: so the dispatch loop can wind down through ``entries`` once
-        #: the remaining budget is below a trace call
-        self.unit_bound = self.call_bound
-
-        #: this program's trace builds, shared across tables (and, when
-        #: persistence is on, across processes) through the content-hash
-        #: keyed cache in :mod:`~repro.sim.superblock.persist`; ``None``
-        #: when the trace tier is disabled for this cpu
-        self._cache: list | None = None
-        self._cache_key = ""
-        self._persist = False
-        if getattr(cpu, "_trace_threshold", 0):
-            flag = getattr(cpu, "_trace_persist", None)
-            self._persist = persist.persist_enabled() if flag is None else bool(flag)
-            self._cache_key = persist.trace_key(cpu.exe, self._profile)
-            self._cache = persist.artifacts_for(self._cache_key, self._persist)
-            try:
-                for artifact in self._cache:
-                    self._replay(artifact)
-            except Exception:
-                # a poisoned artifact costs one cold build, never a
-                # crash on every future run: drop the entry everywhere
-                # and carry on with whatever replayed cleanly
-                del self._cache[:]
-                persist.invalidate(self._cache_key, self._persist)
-            if self.traces:
-                self._relink()
+        self.call_bound = max(sizes, default=1)
 
     # -- public surface ----------------------------------------------------
 
@@ -236,15 +145,10 @@ class SuperblockTable:
     def blocks(self) -> list[tuple[int, int]]:
         """The leader partition as (start index, length), sorted.
 
-        Chain fusion and traces never change the partition -- they only
-        change how many partition blocks one generated call executes.
+        Chain fusion never changes the partition -- it only changes how
+        many partition blocks one generated call executes.
         """
         return [(leader, self.suffix_len[leader]) for leader in sorted(self.leaders)]
-
-    @property
-    def max_block_len(self) -> int:
-        """Longest single partition block (pre-fusion), for introspection."""
-        return max(self.suffix_len, default=1)
 
     def reset(self) -> None:
         bcounts = self.bcounts
@@ -254,14 +158,6 @@ class SuperblockTable:
             bcounts[i] = 0
             folded[i] = 0
             cold[i] = 0
-        # monitoring watermarks and planning baselines index into the
-        # per-run counter arrays, so they never survive a reset
-        self._mon_trace = None
-        self._mon_total = 0
-        self._mon_streak = 0
-        self._base_counts = None
-        self._base_taken = None
-        self._base_bcounts = None
 
     def fold_into(self, counts: list[int]) -> None:
         """Fold per-unit entry deltas into the per-instruction counters.
@@ -273,8 +169,6 @@ class SuperblockTable:
         bcounts = self.bcounts
         folded = self._folded
         members = self.members
-        tsites = self.tsites
-        taken = self._taken_arr
         cold = self._cold
         spill_after = self._spill_after
         spills = None
@@ -285,13 +179,11 @@ class SuperblockTable:
                 for start, length in members[bid]:
                     for i in range(start, start + length):
                         counts[i] += delta
-                for site in tsites[bid]:
-                    taken[site] += delta
                 cold[bid] = 0
             elif spill_after:
                 streak = cold[bid] + 1
                 cold[bid] = streak
-                if streak >= spill_after and self._spillable(bid):
+                if streak >= spill_after:
                     if spills is None:
                         spills = []
                     spills.append(bid)
@@ -299,18 +191,17 @@ class SuperblockTable:
             for bid in spills:
                 self._spill(bid)
 
-    def materialize(self, index: int) -> tuple:
+    def materialize(self, index: int):
         """Generate the suffix unit for a dynamic jump to mid-block *index*.
 
-        Only ever called for indices whose entry is ``(n, None)`` --
-        anchors and leaders are populated at build time, so a trace
-        installed in :attr:`fns` can never be overwritten here.  Suffix
-        units are never chain-fused: the sampled dispatch loop budget-
-        checks the ``(n, None)`` placeholder *before* materializing, so
-        the generated unit must execute exactly ``suffix_len`` steps.
+        Only ever called for indices whose slot is still ``None`` --
+        leaders are populated at build time.  Suffix units are never
+        chain-fused: the sampled dispatch loop budget-checks
+        ``sizes[index]`` *before* materializing, so the generated unit
+        must execute exactly ``suffix_len`` steps.
         """
         segments = ((index, self.suffix_len[index]),)
-        bid = self._new_bid(segments)
+        bid = self._new_bid(segments, index)
         started = perf_counter()
         source = _FACTORY + "\n"
         source += "\n".join(self._cg.emit_unit("_b", segments, bid, "    ")) + "\n"
@@ -319,223 +210,25 @@ class SuperblockTable:
         exec(compile(source, f"<superblock@{index}>", "exec"), namespace)
         fn = namespace["_factory"](**self._ns)
         self.codegen_seconds += perf_counter() - started
-        total = sum(length for _, length in segments)
-        entry = (total, fn)
-        self.entries[index] = entry
         self.fns[index] = fn
-        self._home[bid] = index
         self._counting[bid] = fn
-        if total > self.call_bound:
-            self.call_bound = total
-        return entry
-
-    def build_traces(self, counts: list[int]) -> bool:
-        """One incremental trace build from the folded profile.
-
-        The dispatch loop calls this at every warmup checkpoint, so a
-        loop whose hot phase starts after a cold init still gets traced.
-        Returns whether trace capacity remains (``False`` ends warmup).
-        """
-        self.traces_built = True
-        self.trace_builds += 1
-        started = perf_counter()
-        install_traces(self, counts, self._taken_arr)
-        self._relink()
-        self.codegen_seconds += perf_counter() - started
-        return len(self.traces) < MAX_TRACES
-
-    # -- re-planning (item e) and cross-trace linking (item f) ---------------
-
-    @property
-    def monitor_enabled(self) -> bool:
-        """Whether post-warmup sprees should stay capped for monitoring.
-
-        True while traces are installed, re-planning is on, and the
-        replan cap has headroom; once any of those stops holding, the
-        dispatch loop reverts to full-budget sprees (one fold per run).
-        """
-        return (bool(self.traces) and self.replan_threshold > 0.0
-                and self.replans_total < REPLAN_CAP)
-
-    def check_replan(self, counts: list[int], executed: int) -> bool:
-        """One monitoring checkpoint; returns whether a replan fired.
-
-        The dispatch loop calls this at post-warmup folds while traces
-        are installed.  The watermark is the installed traces' share of
-        the instructions executed since the previous checkpoint (both
-        already maintained by the fold -- the check is a handful of
-        reads, no new counters).  A share below ``replan_threshold``
-        for :data:`REPLAN_STREAK` consecutive checkpoints means the hot
-        set moved: retire the stale traces and re-enter warmup.
-        """
-        trace_instr = sum(info.instructions for info in self.traces)
-        prev_trace = self._mon_trace
-        prev_total = self._mon_total
-        self._mon_trace = trace_instr
-        self._mon_total = executed
-        if prev_trace is None:
-            return False  # first checkpoint: establish the watermark
-        delta_total = executed - prev_total
-        if delta_total <= 0:
-            return False
-        share = (trace_instr - prev_trace) / delta_total
-        if share >= self.replan_threshold:
-            self._mon_streak = 0
-            return False
-        self._mon_streak += 1
-        if self._mon_streak < REPLAN_STREAK:
-            return False
-        self._replan(counts)
-        return True
-
-    def _replan(self, counts: list[int]) -> None:
-        """Retire every installed trace and arm a fresh build round.
-
-        Counters are never reset -- the exactness contract folds them at
-        the next observation point exactly as if the traces were still
-        installed.  Instead the cumulative profile is *snapshotted*, so
-        the rebuild plans from post-replan deltas: the new hot set, not
-        the whole run's history dominated by the dead phase.
-        """
-        self.replans_total += 1
-        self._mon_streak = 0
-        self._mon_trace = None
-        self._base_counts = counts[:]
-        self._base_taken = self._taken_arr[:]
-        self._base_bcounts = self.bcounts[:]
-        links = self._links
-        for info in self.traces:
-            # entries always kept the counting unit (or a reheat stub,
-            # which re-registers the counting fn on its first call)
-            self.fns[info.anchor] = self.entries[info.anchor][1]
-            for slot, _exit in info._sites:
-                if links[slot] is not None:
-                    self.links_severed += 1
-                links[slot] = None
-        self.retired.extend(self.traces)
-        self.traces = []
-        self._traced.clear()
-        self._relink()
-        # stale builds must not replay into future tables on this program
-        if self._cache:
-            del self._cache[:]
-            persist.invalidate(self._cache_key, self._persist)
-
-    def _new_link(self) -> int:
-        """Allocate one cross-trace link slot (emission-time helper)."""
-        self._links.append(None)
-        return len(self._links) - 1
-
-    def _record_build(self, artifact: dict) -> None:
-        """Record one trace build for replay by later tables; when
-        persistence is on, republish the program's whole artifact list."""
-        cache = self._cache
-        if cache is None:
-            return
-        cache.append(artifact)
-        if self._persist:
-            persist.publish(self._cache_key, cache)
-
-    def _relink(self) -> None:
-        """Rebuild the cross-trace link table from the active trace set.
-
-        A guard exit whose target index is another installed trace's
-        anchor gets that trace's function patched into its ``LK`` slot,
-        so the exit tail-calls the successor trace directly instead of
-        returning to the dispatch loop.  Admission is DAG-only: a link
-        cycle would nest Python frames without bound (A exits into B,
-        B exits into A, ...), so edges that would close a cycle are
-        refused and those exits keep returning to dispatch.  Retired or
-        unlinkable targets leave their slot ``None``.  ``call_bound``
-        is raised to the longest linked chain's instruction total, so
-        the dispatch loop's spree sizing stays overshoot-free.
-        """
-        links = self._links
-        traces = self.traces
-        by_anchor = {info.anchor: info for info in traces}
-        edges: dict[int, set[int]] = {info.anchor: set() for info in traces}
-
-        def reaches(src: int, dst: int) -> bool:
-            stack = [src]
-            seen: set[int] = set()
-            while stack:
-                node = stack.pop()
-                if node == dst:
-                    return True
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(edges[node])
-            return False
-
-        active = 0
-        for info in traces:
-            for slot, exit_index in info._sites:
-                target = by_anchor.get(exit_index)
-                if (target is not None and exit_index != info.anchor
-                        and not reaches(exit_index, info.anchor)):
-                    if links[slot] is None:
-                        self.links_made += 1
-                    links[slot] = self.fns[exit_index]
-                    edges[info.anchor].add(exit_index)
-                    active += 1
-                else:
-                    if links[slot] is not None:
-                        self.links_severed += 1
-                    links[slot] = None
-        self.trace_links = active
-
-        # longest instruction chain one fns call can now execute
-        memo: dict[int, int] = {}
-
-        def chain_cap(info) -> int:
-            cached = memo.get(info.anchor)
-            if cached is not None:
-                return cached
-            best = 0
-            for slot, exit_index in info._sites:
-                if links[slot] is not None:
-                    succ = by_anchor.get(exit_index)
-                    if succ is not None:
-                        depth = chain_cap(succ)
-                        if depth > best:
-                            best = depth
-            memo[info.anchor] = total = info.cap + best
-            return total
-
-        bound = self.unit_bound
-        for info in traces:
-            cap = chain_cap(info)
-            if cap > bound:
-                bound = cap
-        self.call_bound = bound
+        return fn
 
     # -- telemetry (run-end introspection; nothing here runs in dispatch) ----
 
-    def tier_breakdown(self) -> tuple[int, int]:
-        """(unit-tier, trace-tier) instructions in this run's counters.
+    def instructions_in_blocks(self) -> int:
+        """Instructions the generated units executed in this run.
 
-        Unit-tier instructions come from the units with a dispatch slot
-        (leader chains and materialized suffixes, via ``_home``); trace
-        instructions from the installed traces' own counters.  The two
-        bid sets are disjoint, and whatever remains of ``RunResult.steps``
-        was single-stepped through the threaded handlers.  ``bcounts``
-        reset at run start and survive folds (the fold uses watermarks),
-        so this is exact per run.
+        Whatever remains of ``RunResult.steps`` was single-stepped
+        through the threaded handlers.  ``bcounts`` reset at run start
+        and survive folds (the fold uses watermarks), so this is exact
+        per run.
         """
-        bcounts = self.bcounts
         members = self.members
-        unit = 0
-        for bid, _home in self._home.items():
-            c = bcounts[bid]
-            if c:
-                unit += c * sum(length for _, length in members[bid])
-        # retired traces' counters still hold whatever they executed this
-        # run before their replan retired them (bcounts reset at run
-        # start, so prior-run retirees contribute nothing)
-        trace = sum(info.instructions for info in self.traces)
-        trace += sum(info.instructions for info in self.retired)
-        return unit, trace
+        return sum(
+            count * sum(length for _, length in members[bid])
+            for bid, count in enumerate(self.bcounts) if count
+        )
 
     def consume_stats(self) -> dict:
         """Telemetry deltas since the previous call.
@@ -548,10 +241,6 @@ class SuperblockTable:
         stats = {
             "spills": self.spilled,
             "reheats": self.reheats,
-            "trace_builds": self.trace_builds,
-            "replans": self.replans_total,
-            "links_made": self.links_made,
-            "links_severed": self.links_severed,
             "codegen_seconds": self.codegen_seconds,
             "codegen_units": self._cg.units_emitted,
             "codegen_lines": self._cg.lines_emitted,
@@ -561,54 +250,6 @@ class SuperblockTable:
         return {key: value - seen.get(key, 0) for key, value in stats.items()}
 
     # -- construction ------------------------------------------------------
-
-    def _replay(self, artifact: dict) -> None:
-        """Install one cached trace build (recorded by a previous table's
-        :func:`install_traces` on the same executable).
-
-        Counter layout must line up with the bid indices baked into the
-        cached code object.  Leader-unit bids are deterministic per
-        executable, but the recording run may have interleaved
-        ``materialize`` bids before its trace bids; those gaps become
-        dead placeholders here -- memberless, never bumped, never
-        scanned (not in :attr:`live`).
-        """
-        started = perf_counter()
-        for bid, members, tsites in artifact["bids"]:
-            while len(self.members) < bid:
-                self.members.append(())
-                self.tsites.append(())
-                self.bcounts.append(0)
-                self._folded.append(0)
-                self._cold.append(0)
-            self._new_bid(members, tsites)
-        # link slots are baked into the cached code as absolute LK
-        # indices: grow the table past the highest slot any trace uses
-        # (slots of builds not replayed stay None forever, which is the
-        # unlinked behavior)
-        links = self._links
-        for info_fields in artifact["infos"]:
-            for slot, _exit in info_fields[7]:
-                while len(links) <= slot:
-                    links.append(None)
-        namespace: dict = {}
-        exec(artifact["code"], namespace)
-        fns = namespace["_factory"](**self._ns)
-        bound = self.call_bound
-        for (anchor, blocks, loop, guards, cap, bids, call_bids,
-             sites) in artifact["infos"]:
-            self.fns[anchor] = fns[anchor]
-            self._traced.add(anchor)
-            self.traces.append(TraceInfo(
-                anchor=anchor, blocks=blocks, loop=loop, guards=guards,
-                cap=cap, _table=self, _bids=bids, _call_bids=call_bids,
-                _sites=tuple(sites),
-            ))
-            if cap > bound:
-                bound = cap
-        self.call_bound = bound
-        self.traces_built = True
-        self.codegen_seconds += perf_counter() - started
 
     def _chain_segments(self, start: int) -> list[tuple[int, int]]:
         """The fused j-chain starting at *start*, as (start, length) runs.
@@ -640,13 +281,14 @@ class SuperblockTable:
             current = t_idx
         return segments
 
-    def _new_bid(self, segments, tsites: tuple[int, ...] = ()) -> int:
+    def _new_bid(self, segments, home: int) -> int:
         bid = len(self.members)
         self.members.append(tuple(segments))
-        self.tsites.append(tuple(tsites))
         self.bcounts.append(0)
         self._folded.append(0)
         self._cold.append(0)
+        self._home.append(home)
+        self._counting.append(None)
         self.live.append(bid)
         return bid
 
@@ -657,12 +299,10 @@ class SuperblockTable:
         registry: list[tuple[int, int, int]] = []  # (start, bid, total)
         for start in sorted(self.leaders):
             segments = self._chain_segments(start)
-            bid = self._new_bid(segments)
+            bid = self._new_bid(segments, start)
             lines.extend(self._cg.emit_unit(f"_b{start}", segments, bid, "    "))
             lines.append(f"    fns[{start}] = _b{start}")
             registry.append((start, bid, sum(n for _, n in segments)))
-            if len(segments) > 1:
-                self.chains[start] = tuple(segments)
         lines.append("    return fns")
         source = "\n".join(lines) + "\n"
         namespace: dict = {}
@@ -670,49 +310,30 @@ class SuperblockTable:
         fns = namespace["_factory"](**self._ns)
         for start, bid, total in registry:
             fn = fns[start]
-            self.entries[start] = (total, fn)
             self.fns[start] = fn
-            self._home[bid] = start
+            self.sizes[start] = total
             self._counting[bid] = fn
         self.codegen_seconds += perf_counter() - started
 
     # -- cold-counter spill --------------------------------------------------
 
-    def _spillable(self, bid: int) -> bool:
-        """Only units still holding their counting fn in *both* views may
-        spill -- an installed trace (fns) or an earlier stub must never be
-        clobbered."""
-        home = self._home.get(bid)
-        if home is None:
-            return False  # trace bids have no home slot
-        counting = self._counting[bid]
-        return self.fns[home] is counting and self.entries[home][1] is counting
-
     def _spill(self, bid: int) -> None:
         home = self._home[bid]
         counting = self._counting[bid]
-        n = self.entries[home][0]
-        entries = self.entries
         fns = self.fns
         cold = self._cold
         live = self.live
-
         table = self
 
         def reheat():
             # re-install the counting fn *before* executing, so the unit
             # is counted from this very call and rejoins the fold scan
-            entries[home] = (n, counting)
-            if fns[home] is reheat:
-                # a trace may have been installed over the stub since the
-                # spill; the trace keeps its slot
-                fns[home] = counting
+            fns[home] = counting
             cold[bid] = 0
             live.append(bid)
             table.reheats += 1
             return counting()
 
-        entries[home] = (n, reheat)
         fns[home] = reheat
         live.remove(bid)
         self.spilled += 1

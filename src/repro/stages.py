@@ -6,8 +6,7 @@ compile, profiled simulation, decompilation and per-loop synthesis are
 the same on every platform.  This memo computes each of them once:
 
 * compile is keyed by ``(source, CompilerOptions)``;
-* everything downstream is keyed by a digest of ``exe.to_bytes()`` (the
-  content :func:`repro.sim.superblock.persist.trace_key` hashes too) and
+* everything downstream is keyed by a digest of ``exe.to_bytes()`` and
   lives in one per-binary entry: the profiled run per ``max_steps``, the
   :class:`~repro.decompile.decompiler.DecompiledProgram` per
   ``DecompilationOptions``, and each loop's kernel -- or ``None`` where
@@ -31,8 +30,7 @@ sizes the next chunk, and the multi-application round-robin of
 :meth:`~repro.sim.cpu.Cpu.run_sampled` generator itself.  A run that
 raises records nothing.
 
-Both memos are LRUs bounded by the trace memo's
-:data:`~repro.sim.superblock.persist.MEMORY_CAP`.
+Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each.
 The memo is always on and per process; ``REPRO_CACHE`` governs only the
 on-disk report cache (:mod:`repro.flow_cache`).  Memoised artifacts are
 shared between flows, so nothing downstream may mutate them.
@@ -61,12 +59,11 @@ from repro.compiler.driver import CompilerOptions
 from repro.decompile.decompiler import DecompilationOptions, DecompiledProgram
 from repro.errors import SynthesisError
 from repro.sim.cpu import CpiModel, Cpu, RunResult, run_executable
-from repro.sim.superblock.persist import MEMORY_CAP
 from repro.synth.synthesizer import HwKernel, Synthesizer
 
 __all__ = [
-    "SampleStream", "SiteView", "clear", "compiled", "decompiled", "kernels",
-    "profiled_run", "recorded_sampled_run", "sample_stream", "size",
+    "MEMORY_CAP", "SampleStream", "SiteView", "clear", "compiled", "decompiled",
+    "kernels", "profiled_run", "recorded_sampled_run", "sample_stream", "size",
 ]
 
 
@@ -155,6 +152,9 @@ class _Binary:
     streams: dict = field(default_factory=dict)   # (max_steps, interval) -> SampleStream
 
 
+#: entries each memo keeps.  Bounded: fuzzers create hundreds of distinct
+#: programs per process, and each binary's entry pins its artifacts
+MEMORY_CAP = 32
 _COMPILED: "OrderedDict[tuple, Executable]" = OrderedDict()
 _BINARIES: "OrderedDict[str, _Binary]" = OrderedDict()
 

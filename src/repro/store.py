@@ -1,5 +1,5 @@
 """Sharded, concurrency-safe on-disk byte store -- the backing store of the
-flow-report cache and the persistent trace cache.
+flow-report cache.
 
 Many pool worker processes may hit one cache at once, so the store is
 designed around three properties:
@@ -127,13 +127,12 @@ _SWEPT_SHARDS: set[str] = set()
 _STORES: dict[tuple[str, int | None], "ShardedStore"] = {}
 
 
-def get_store(root: Path | str, budget_bytes: int | None = None,
-              suffix: str = ".pkl") -> "ShardedStore":
+def get_store(root: Path | str, budget_bytes: int | None = None) -> "ShardedStore":
     """The process-wide store for *root* (created on first use)."""
     key = (str(Path(root)), budget_bytes)
     store = _STORES.get(key)
     if store is None:
-        store = _STORES[key] = ShardedStore(root, budget_bytes, suffix=suffix)
+        store = _STORES[key] = ShardedStore(root, budget_bytes)
     return store
 
 
@@ -151,11 +150,12 @@ class ShardedStore:
     #: shard scan (classic high/low-water hysteresis)
     LOW_WATER = 0.9
 
-    def __init__(self, root: Path | str, budget_bytes: int | None = None,
-                 suffix: str = ".pkl"):
+    #: file extension of published entries
+    suffix = ".pkl"
+
+    def __init__(self, root: Path | str, budget_bytes: int | None = None):
         self.root = Path(root)
         self.budget_bytes = budget_bytes
-        self.suffix = suffix
         #: running total of published bytes; ``None`` until the first
         #: authoritative shard scan
         self._bytes: int | None = None

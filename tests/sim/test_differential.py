@@ -31,17 +31,27 @@ from repro.compiler import compile_source
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import ALL_BENCHMARKS, get_benchmark
 from repro.sim import run_executable, run_reference
+from repro.sim.cpu import Cpu
 
-# label -> Cpu kwargs.  "traces" forces the trace tier on hard: a tiny
-# spree budget makes warmup checkpoints fire almost immediately and an
-# aggressive spill threshold keeps the cold-counter machinery engaged,
-# so every fuzz seed exercises build, guard exits, spill and reheat.
+# (label, Cpu kwargs, sample interval; 0 runs unsampled).  "spill" is
+# the block tier with an aggressive spill threshold, run sampled: an
+# unsampled run that halts folds its counters only once, at the end, so
+# the spill would never engage.  Folding every 997 instructions keeps
+# the cold-counter machinery engaged, so every program exercises spill
+# and reheat.
 ENGINES = (
-    ("threaded", {"engine": "threaded"}),
-    ("superblock", {"engine": "superblock", "trace_threshold": 0}),
-    ("traces", {"engine": "superblock", "trace_threshold": 1,
-                "spree_size": 4096, "spill_after": 2}),
+    ("threaded", {"engine": "threaded"}, 0),
+    ("superblock", {"engine": "superblock"}, 0),
+    ("spill", {"engine": "superblock", "spill_after": 2}, 997),
 )
+
+
+def run_engine(exe, kwargs, interval, max_steps=100_000_000, cpi=None):
+    """Run *exe* profiled under one ENGINES entry; return (cpu, result)."""
+    cpu = Cpu(exe, profile=True, cpi=cpi, **kwargs)
+    if interval:
+        return cpu, cpu.run(max_steps, interval, lambda counts, taken: None)
+    return cpu, cpu.run(max_steps)
 
 #: the acceptance bar: the whole suite, on hard- and soft-core platforms
 CORES = {"hard": MIPS_200MHZ, "soft": SOFTCORE_85MHZ}
@@ -81,8 +91,8 @@ class TestBenchmarkSuite:
         exe = compiled(name)
         cpi = CORES[core].cpi
         ref = run_reference(exe, profile=True, cpi=cpi)
-        for label, kwargs in ENGINES:
-            _, got = run_executable(exe, profile=True, cpi=cpi, **kwargs)
+        for label, kwargs, interval in ENGINES:
+            _, got = run_engine(exe, kwargs, interval, cpi=cpi)
             assert_identical(got, ref, f"{name} on {core} core, {label} engine")
 
 
@@ -267,10 +277,8 @@ class TestRandomPrograms:
         exe = compile_source(source, opt_level=opt_level)
         ref = run_reference(exe, profile=True, max_steps=20_000_000)
         checksums = set()
-        for label, kwargs in ENGINES:
-            cpu, got = run_executable(
-                exe, profile=True, max_steps=20_000_000, **kwargs
-            )
+        for label, kwargs, interval in ENGINES:
+            cpu, got = run_engine(exe, kwargs, interval, max_steps=20_000_000)
             assert_identical(got, ref, f"seed={seed} -O{opt_level} {label}\n{source}")
             checksums.add(cpu.read_word_global_signed("checksum"))
         assert len(checksums) == 1, f"seed={seed}: engines disagree on memory"
@@ -285,13 +293,13 @@ class TestRandomPrograms:
         assert any("switch" in random_program(seed) for seed in range(24))
 
 
-# -- trace-tier hazard programs ---------------------------------------------
+# -- dispatch hazard programs -----------------------------------------------
 #
-# Deterministic sources aimed at the spots where the trace tier could
-# drift from the block tier: long fused j-chains, loops whose hot
-# direction flips after the trace is already installed (guard exits on
-# every remaining iteration), and jump-table dispatch landing mid-trace
-# on lazily materialized suffix blocks.
+# Deterministic sources aimed at the spots where the block tier could
+# drift from the reference: long fused j-chains, a loop whose hot branch
+# direction flips halfway through the run (the cold arm spills, then
+# reheats), and jump-table dispatch landing on lazily materialized
+# suffix blocks.
 
 
 def _j_chain_ladder(rungs: int) -> str:
@@ -317,9 +325,9 @@ def _j_chain_ladder(rungs: int) -> str:
 
 
 def _phase_flip(iters: int) -> str:
-    """A loop whose hot arm flips halfway through the run: the trace
-    built during the first phase keeps its guard, which must fail (and
-    exit exactly) on every iteration of the second phase."""
+    """A loop whose hot arm flips halfway through the run: the arm that
+    was hot in the first phase goes cold (and, under an aggressive
+    ``spill_after``, spills) while the other one heats up."""
     half = iters // 2
     return (
         "int acc; int alt;\n"
@@ -341,8 +349,8 @@ def _phase_flip(iters: int) -> str:
 def _jr_into_hot_loop(iters: int) -> str:
     """A dense switch inside a hot loop: the jump table dispatches by
     ``jr`` into case bodies that sit on the loop's hot fall-through
-    path, so dynamic entries land mid-block next to installed traces
-    and hit lazily materialized suffix units."""
+    path, so dynamic entries land mid-block and hit lazily materialized
+    suffix units."""
     cases = "\n".join(
         f"        case {k}: acc += (acc >> {k + 1}) ^ {k * 7 + 1}; break;"
         for k in range(8)
@@ -370,60 +378,25 @@ HAZARDS = {
 }
 
 
-class TestTraceHazards:
+class TestDispatchHazards:
     @pytest.mark.parametrize("name", sorted(HAZARDS))
     @pytest.mark.parametrize("opt_level", [0, 2])
     def test_engines_bit_identical(self, name, opt_level):
         exe = compile_source(HAZARDS[name], opt_level=opt_level)
         ref = run_reference(exe, profile=True)
-        for label, kwargs in ENGINES:
-            _, got = run_executable(exe, profile=True, **kwargs)
+        for label, kwargs, interval in ENGINES:
+            _, got = run_engine(exe, kwargs, interval)
             assert_identical(got, ref, f"{name} -O{opt_level} {label}")
 
-    def test_phase_flip_exercises_guard_exits(self):
-        # the hazard is only a hazard if the first-phase trace survives
-        # into the second phase; assert the tier actually built traces
-        exe = compile_source(HAZARDS["phase_flip"], opt_level=1)
-        cpu, _ = run_executable(
-            exe, trace_threshold=1, spree_size=4096, spill_after=2,
-            replan_threshold=0.0,  # keep the stale trace installed
-        )
-        assert cpu.traces, "phase-flip program built no traces"
-
-    def test_phase_flip_triggers_replan(self):
-        # with re-planning on, the decaying call rate of the first-phase
-        # trace must trip a replan, and the rebuilt trace set must cover
-        # the second phase -- all while staying bit-identical
+    def test_phase_flip_spill_reheat_matches_threaded_memory(self):
+        # the first phase's arm goes cold and spills; the second phase's
+        # arm, cold until the flip, reheats through its stub
         exe = compile_source(_phase_flip(40_000), opt_level=1)
-        ref = run_reference(exe, profile=True)
-        cpu, got = run_executable(
-            exe, profile=True, trace_threshold=1, spree_size=4096,
-            spill_after=2,
-        )
-        assert_identical(got, ref, "phase_flip replan")
-        sb = cpu._sb
-        assert sb.replans_total >= 1, "phase flip did not trigger a replan"
-        assert sb.retired, "replan retired no traces"
-        # recovery: the active (post-replan) traces must carry a healthy
-        # share of the run again, not just exist
-        active = sum(t.instructions for t in cpu.traces)
-        assert active > got.steps * 0.3, (
-            f"post-replan traces cover {active}/{got.steps} instructions"
-        )
-        # the retired first-phase traces did real work before decaying
-        assert sum(t.instructions for t in sb.retired) > 0
-        # and the second phase traced *new* code, not the stale anchors
-        assert {t.anchor for t in cpu.traces} != {
-            t.anchor for t in sb.retired
-        }
-
-    def test_phase_flip_replan_matches_threaded_memory(self):
-        exe = compile_source(_phase_flip(40_000), opt_level=1)
-        traced, _ = run_executable(
-            exe, trace_threshold=1, spree_size=4096
-        )
-        assert traced._sb.replans_total >= 1
+        block = Cpu(exe, profile=True, spill_after=1)
+        block.run(sample_interval=997, on_sample=lambda counts, taken: None)
+        assert block._sb.spilled >= 1
+        assert block._sb.reheats >= 1
         plain, _ = run_executable(exe, engine="threaded")
         for symbol in ("acc", "alt"):
-            assert traced.read_word_global_signed(symbol) \
+            assert block.read_word_global_signed(symbol) \
                 == plain.read_word_global_signed(symbol)

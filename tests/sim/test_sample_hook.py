@@ -287,25 +287,21 @@ class TestCrossEngineSampling:
 
 
 class TestSpillAndTraceSampling:
-    """Cold-counter spill and the trace tier must not move a single
-    sample boundary or counter value.
+    """Cold-counter spill must not move a single sample boundary or
+    counter value.
 
-    The spill machinery rewrites live counter bookkeeping mid-run and
-    the trace tier installs multi-block functions over the same table;
-    sampled runs must stay bit-identical to the threaded engine at every
+    The spill machinery rewrites live counter bookkeeping mid-run; sampled
+    runs must stay bit-identical to the threaded engine at every
     observation point regardless.  Interval 1 forces a single-stepped
     tail on every chunk, 7 and 97 land boundaries mid-block and
     mid-chain.
     """
 
-    #: superblock configurations that exercise spill, traces, and both
+    #: superblock configurations: spill after a single cold fold, and
+    #: the spill switched off so every unit stays in the fold scan
     CONFIGS = {
-        "spill": {"engine": "superblock", "trace_threshold": 0,
-                  "spill_after": 1},
-        "traces": {"engine": "superblock", "trace_threshold": 1,
-                   "spree_size": 4096, "spill_after": 0},
-        "spill+traces": {"engine": "superblock", "trace_threshold": 1,
-                         "spree_size": 4096, "spill_after": 1},
+        "spill": {"engine": "superblock", "spill_after": 1},
+        "no-spill": {"engine": "superblock", "spill_after": 0},
     }
 
     @staticmethod

@@ -12,12 +12,15 @@ The invariants the dispatch rewrite stands on:
   switch dispatch always lands on a block start;
 * a dynamic jump into the *middle* of a block (hand-written assembly can
   do what the compiler never does) falls back to lazily-materialized
-  suffix blocks and still produces bit-identical statistics.
+  suffix blocks and still produces bit-identical statistics;
+* a run that exhausts *max_steps* stops on the same step and pc as the
+  reference, and the cold-counter spill keeps every counter exact.
 """
 
 import pytest
 
 from repro.compiler import compile_source
+from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.isa.encoding import decode
 from repro.programs import get_benchmark
@@ -176,11 +179,114 @@ total: .word 0
         leaders = {start for start, _ in cpu.superblocks}
         entry_index = (exe.symbols["spot"].address - exe.text_base) // 4 + 1
         assert entry_index not in leaders, "test requires a true mid-block target"
-        assert cpu._sb.entries[entry_index][1] is None
+        assert cpu._sb.fns[entry_index] is None
         cpu.run()
-        materialized = cpu._sb.entries[entry_index][1]
+        materialized = cpu._sb.fns[entry_index]
         assert materialized is not None, "dynamic entry must materialize a suffix"
         # the suffix overlays the tail of the original block: counters for
         # the overlapping instructions came out exact (checked vs reference
         # in the test above), and the suffix is reused on the next run
-        assert cpu._sb.entries[entry_index][1] is materialized
+        assert cpu._sb.fns[entry_index] is materialized
+
+
+#: a hot counted loop with a biased branch and a trailing cold phase
+_LOOP_SOURCE = """
+int data[32];
+int checksum;
+int main(void) {
+    int i; int r; int acc;
+    acc = 7;
+    for (r = 0; r < 400; r++) {
+        for (i = 0; i < 32; i++) {
+            if (data[i] < 1000)
+                data[i] = data[i] * 3 + r;
+            else
+                data[i] = data[i] >> 1;
+            acc = acc + data[i];
+        }
+    }
+    checksum = acc + data[5];
+    return 0;
+}
+"""
+
+
+class TestExactness:
+    @pytest.mark.parametrize("budget", [1, 97, 5000, 50_001])
+    def test_max_steps_budget_is_exact(self, budget):
+        # a run that exceeds its budget must stop on the same step with
+        # the same pc whether a chain dispatches many instructions per
+        # call or the reference single-steps
+        exe = compile_source(_LOOP_SOURCE, opt_level=1)
+        with pytest.raises(SimulationError) as ref_err:
+            run_reference(exe, profile=True, max_steps=budget)
+        with pytest.raises(SimulationError) as got_err:
+            Cpu(exe, profile=True).run(max_steps=budget)
+        assert str(got_err.value) == str(ref_err.value)
+
+    def test_spill_after_one_is_exact(self):
+        exe = compile_source(_LOOP_SOURCE, opt_level=1)
+        ref = run_reference(exe, profile=True)
+        got = Cpu(exe, profile=True, spill_after=1).run()
+        assert_identical(got, ref)
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2, 3])
+    def test_loop_exit_every_iteration_is_exact(self, opt_level):
+        # the inner loop runs once or twice per outer iteration, so its
+        # backward branch exits almost every time it is tested
+        exe = compile_source(_SHORT_INNER_LOOP, opt_level=opt_level)
+        ref = run_reference(exe, profile=True)
+        got = Cpu(exe, profile=True).run()
+        assert_identical(got, ref, f"-O{opt_level}")
+
+    def test_memory_matches_threaded(self):
+        exe = compile_source(_LOOP_SOURCE, opt_level=1)
+        block, _ = run_executable(exe)
+        plain, _ = run_executable(exe, engine="threaded")
+        assert block.read_word_global_signed("checksum") \
+            == plain.read_word_global_signed("checksum")
+
+
+#: an inner loop whose trip count alternates between one and two
+_SHORT_INNER_LOOP = """
+int data[16];
+int checksum;
+int main(void) {
+    int i; int r; int n;
+    for (r = 0; r < 3000; r++) {
+        n = (r & 1) + 1;
+        for (i = 0; i < n; i++)
+            data[i & 15] = data[i & 15] + r - i;
+    }
+    checksum = data[0] + data[1];
+    return 0;
+}
+"""
+
+
+class TestColdCounterSpill:
+    @pytest.mark.parametrize("bad", [-1, 0.5, "hot", [1], True])
+    def test_rejects_bad_spill_after(self, bad):
+        exe = compile_source(_LOOP_SOURCE, opt_level=1)
+        with pytest.raises(ValueError, match="spill_after"):
+            Cpu(exe, spill_after=bad)
+
+    @staticmethod
+    def _sampled(spill_after):
+        exe = compile_source(_LOOP_SOURCE, opt_level=1)
+        cpu = Cpu(exe, profile=True, spill_after=spill_after)
+        result = cpu.run(sample_interval=997, on_sample=lambda c, t: None)
+        return cpu, result
+
+    def test_zero_disables_spill(self):
+        cpu, result = self._sampled(0)
+        assert cpu._sb.spilled == 0
+        assert_identical(result, run_reference(cpu.exe, profile=True))
+
+    @pytest.mark.parametrize("spill_after", [1, 2, 8])
+    def test_cold_units_spill_under_sampling(self, spill_after):
+        # the loop's prologue and outer-loop units go cold after the
+        # first chunks, so the spill must drop them from the scan
+        cpu, result = self._sampled(spill_after)
+        assert cpu._sb.spilled > 0
+        assert_identical(result, run_reference(cpu.exe, profile=True))

@@ -4,14 +4,17 @@ Two guarantees are pinned here.  First, the module-level names that
 ``perfbench/tracer.py`` rebinds must stay module-level globals that the flow
 actually calls through -- rebinding one has to be seen by the next run.
 Second, the retired APIs (the network service tier, the two-device
-partitioner shims, the two-device partition mode and their aliases) stay
-gone, so ``repro.partition()`` is the one way in.
+partitioner shims, the two-device partition mode and their aliases, the
+simulator's trace tier and its persistent cache) stay gone, so
+``repro.partition()`` is the one way in and the block tier is the one
+compiled dispatch path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -20,7 +23,6 @@ import repro.dynamic.controller
 import repro.dynamic.flow
 import repro.flow
 import repro.flow_cache
-import repro.sim.superblock.persist
 import repro.store
 from repro.programs import get_benchmark
 
@@ -67,15 +69,11 @@ def test_rebinding_a_layer_entry_point_is_seen_by_the_flow(
     assert calls, f"{module.__name__}.{attr} was rebound but never called"
 
 
-def test_flow_cache_and_trace_persistence_share_the_store(tmp_path, monkeypatch):
+def test_flow_cache_lives_in_the_sharded_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
     flow_store = repro.flow_cache.store()
-    trace_store = repro.sim.superblock.persist.trace_store()
     assert isinstance(flow_store, repro.store.ShardedStore)
-    assert isinstance(trace_store, repro.store.ShardedStore)
     assert flow_store.root == tmp_path / "flow"
-    assert trace_store.root == tmp_path / "traces"
 
 
 def test_package_exports_the_dynamic_flow_entry_point():
@@ -85,6 +83,29 @@ def test_package_exports_the_dynamic_flow_entry_point():
 def test_service_package_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.service")
+
+
+@pytest.mark.parametrize("module", [
+    "repro.sim.superblock.traces",
+    "repro.sim.superblock.persist",
+])
+def test_trace_tier_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("entry, params", [
+    ("Cpu", ["exe", "memory", "cpi", "profile", "engine", "spill_after"]),
+    ("run_executable",
+     ["exe", "profile", "max_steps", "cpi", "engine", "spill_after"]),
+])
+def test_simulator_entry_points_take_only_block_tier_knobs(entry, params):
+    # the trace tier's four tuning parameters went with it; the block
+    # tier adds none of its own beyond spill_after
+    from repro.sim import cpu
+
+    signature = inspect.signature(getattr(cpu, entry))
+    assert list(signature.parameters) == params
 
 
 _LEGACY_PARTITIONERS = [

@@ -137,6 +137,19 @@ def test_sweep_prints_one_section_per_cpu_clock(capsys):
     ]
 
 
+@pytest.mark.parametrize("flag", [
+    ["--trace-threshold", "1"],
+    ["--replan-threshold", "1"],
+    ["--no-trace-persist"],
+])
+def test_retired_trace_flags_are_rejected(binary, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(binary), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["serve", "submit"])
 def test_retired_service_commands_are_rejected(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -179,3 +192,29 @@ def test_dynamic_rejects_non_positive_knobs(flag, capsys):
     assert err.startswith("usage:")
     assert f"error: argument {flag}: must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "brev", "--cpu-mhz", "0", "--serial", "--no-cache"],
+    ["sweep", "brev", "--cpu-mhz", "200", "-5", "--serial", "--no-cache"],
+    ["partition", "kernel.sxe", "--cpu-mhz", "0"],
+    ["partition", "kernel.sxe", "--cpu-mhz", "nan"],
+])
+def test_non_positive_cpu_clock_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "error: argument --cpu-mhz: must be" in err
+    assert "Traceback" not in err
+
+
+def test_truncated_binary_reports_a_typed_error(binary, capsys):
+    truncated = binary.with_name("truncated.sxe")
+    truncated.write_bytes(binary.read_bytes()[:10])
+    assert main(["partition", str(truncated)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "truncated" in captured.err
+    assert "Traceback" not in captured.err

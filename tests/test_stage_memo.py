@@ -23,7 +23,6 @@ from repro.dynamic.flow import run_dynamic_flow
 from repro.flow import run_flow
 from repro.platform.platform import NAMED_PLATFORMS
 from repro.programs import get_benchmark
-from repro.sim.superblock.persist import MEMORY_CAP
 from repro.synth.synthesizer import SynthesisOptions
 
 #: two benchmarks that recover and one whose jump tables defeat recovery
@@ -129,11 +128,11 @@ def test_memo_holds_at_most_the_shared_bound():
         return f"int checksum;\nint main() {{ checksum = {value}; return 0; }}\n"
 
     options = CompilerOptions.from_level(1)
-    for value in range(MEMORY_CAP + 8):
+    for value in range(stages.MEMORY_CAP + 8):
         exe = stages.compiled(program(value), options, repro.flow.compile_source)
         stages.decompiled(exe, None, decompile)
-        assert stages.size() <= MEMORY_CAP
-    assert stages.size() == MEMORY_CAP
+        assert stages.size() <= stages.MEMORY_CAP
+    assert stages.size() == stages.MEMORY_CAP
 
 
 def test_shared_artifacts_are_not_mutated_downstream():
