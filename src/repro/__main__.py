@@ -250,6 +250,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a finite number greater than 0 (a clock frequency)."""
     value = float(text)
@@ -523,7 +531,7 @@ def main(argv=None) -> int:
                    default=[200.0])
     p.add_argument("-O", dest="opt_level", type=int, default=1, choices=[0, 1, 2, 3])
     p.add_argument("--device", default="xc2v250", choices=sorted(VIRTEX2_DEVICES))
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="disable the process pool")
@@ -552,7 +560,7 @@ def main(argv=None) -> int:
     p.add_argument("--cad-latency", type=_positive_int, default=2,
                    help="sampling intervals between a re-partition decision "
                         "and its kernels arriving (with --concurrent-cad)")
-    p.add_argument("--regions", type=int, default=0,
+    p.add_argument("--regions", type=_non_negative_int, default=0,
                    help="split the fabric into N partial-reconfiguration "
                         "regions; reconfiguration is charged per changed "
                         "region instead of per kernel (0 = monolithic)")
@@ -566,7 +574,7 @@ def main(argv=None) -> int:
                    help="multi-application mode: these benchmarks time-share "
                         "one fabric per platform (positional benchmark "
                         "arguments are ignored)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes for the sweep (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="disable the process pool")

@@ -69,13 +69,6 @@ class Executable:
             raise LinkError(f"text address out of range: 0x{address:08x}")
         return self.text_words[index]
 
-    def symbol_at(self, address: int) -> Symbol | None:
-        """Return the symbol defined exactly at *address*, if any."""
-        for sym in self.symbols.values():
-            if sym.address == address:
-                return sym
-        return None
-
     def function_symbols(self) -> list[Symbol]:
         """Text symbols sorted by address (function entry points)."""
         return sorted(

@@ -17,9 +17,6 @@ class CType:
     def is_integer(self) -> bool:
         return isinstance(self, IntType)
 
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
     def is_array(self) -> bool:
         return isinstance(self, ArrayType)
 

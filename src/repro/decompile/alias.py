@@ -69,14 +69,6 @@ class Footprint:
             return True
         return bool(self.symbols & other.symbols)
 
-    def sequential_fraction(self) -> float:
-        """Fraction of accesses with small constant stride (BRAM-friendly)."""
-        strided = [a for a in self.accesses if a.stride is not None]
-        if not self.accesses:
-            return 0.0
-        good = [a for a in strided if 0 <= abs(a.stride) <= 8]
-        return len(good) / len(self.accesses)
-
 
 def _resolve_symbol(exe: Executable, address: int) -> tuple[str | None, int]:
     """Map an absolute address to (symbol, offset-within-symbol)."""
@@ -326,32 +318,3 @@ def _induction_step(ops: list[MicroOp], induction: set[str]) -> int:
             value = op.b.value & 0xFFFF_FFFF
             return value - 0x1_0000_0000 if value & 0x8000_0000 else value
     return 0
-
-
-def function_footprint(exe: Executable, cfg: ControlFlowGraph) -> Footprint:
-    """Whole-function footprint (used for non-loop regions)."""
-    footprint = Footprint()
-    for block in cfg.blocks:
-        for op in block.ops:
-            if op.opcode not in (Opcode.LOAD, Opcode.STORE):
-                continue
-            base = op.a if op.opcode is Opcode.LOAD else op.b
-            if isinstance(base, Imm):
-                address = (base.value + op.offset) & 0xFFFF_FFFF
-                symbol, sym_offset = _resolve_symbol(exe, address)
-                region = f"global:{symbol}" if symbol else "dynamic"
-                footprint.accesses.append(
-                    MemoryAccess(region, symbol, sym_offset, op.size,
-                                 op.opcode is Opcode.STORE)
-                )
-            elif base == SP:
-                footprint.accesses.append(
-                    MemoryAccess("stack", None, op.offset, op.size,
-                                 op.opcode is Opcode.STORE)
-                )
-            else:
-                footprint.accesses.append(
-                    MemoryAccess("dynamic", None, 0, op.size,
-                                 op.opcode is Opcode.STORE)
-                )
-    return footprint

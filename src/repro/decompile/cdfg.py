@@ -41,9 +41,6 @@ class Dfg:
     def succs(self, node: int) -> list[int]:
         return [e.dst for e in self.edges if e.src == node]
 
-    def pred_edges(self, node: int) -> list[DfgEdge]:
-        return [e for e in self.edges if e.dst == node]
-
 
 def _mem_range(op: MicroOp) -> tuple[int, int] | None:
     """(start, end) byte range for an absolute-addressed access, else None."""

@@ -1,7 +1,7 @@
 """Data-flow analyses over micro-op CFGs.
 
 Provides the machinery every later stage leans on: block-level liveness,
-dominator sets, natural-loop detection, and definition-use chains.  These are
+dominator sets and natural-loop detection.  These are
 the standard algorithms from the decompilation literature the paper builds
 on (Cifuentes et al.), implemented over the ISA-independent micro-ops.
 """
@@ -169,54 +169,3 @@ def _assign_nesting(loops: list[NaturalLoop]) -> None:
                 if child.depth <= outer.depth:
                     child.depth = outer.depth + 1
                     changed = True
-
-
-# ---------------------------------------------------------------------------
-# def-use chains
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpRef:
-    """Position of one micro-op inside a CFG (block index, op index)."""
-
-    block: int
-    pos: int
-
-
-def def_use_chains(cfg: ControlFlowGraph) -> dict[OpRef, list[OpRef]]:
-    """Map each defining op to the ops using its value (block-local exact,
-    cross-block conservative via liveness).
-
-    Exact chains inside blocks are enough for the pattern-driven passes
-    (strength promotion, rerolling) which all operate within loop bodies;
-    cross-block uses only matter for "is this value consumed elsewhere",
-    answered conservatively through live-out sets.
-    """
-    _, live_out = liveness(cfg)
-    chains: dict[OpRef, list[OpRef]] = {}
-    for block in cfg.blocks:
-        last_def: dict[Loc, OpRef] = {}
-        for pos, op in enumerate(block.ops):
-            for loc in op.uses():
-                ref = last_def.get(loc)
-                if ref is not None:
-                    chains.setdefault(ref, []).append(OpRef(block.index, pos))
-            for loc in op.defs():
-                last_def[loc] = OpRef(block.index, pos)
-    return chains
-
-
-def escaping_defs(cfg: ControlFlowGraph) -> set[OpRef]:
-    """Defs whose value may be consumed outside their own block."""
-    _, live_out = liveness(cfg)
-    escaping: set[OpRef] = set()
-    for block in cfg.blocks:
-        last_def: dict[Loc, OpRef] = {}
-        for pos, op in enumerate(block.ops):
-            for loc in op.defs():
-                last_def[loc] = OpRef(block.index, pos)
-        for loc, ref in last_def.items():
-            if loc in live_out[block.index]:
-                escaping.add(ref)
-    return escaping

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from repro.binary.image import Executable
 from repro.errors import DecompilationError, IndirectJumpError
 from repro.decompile.alias import Footprint, loop_footprint
-from repro.decompile.cdfg import Cdfg
 from repro.decompile.cfg import ControlFlowGraph, build_cfg, prune_unreachable
-from repro.decompile.dataflow import NaturalLoop, liveness, natural_loops
+from repro.decompile.dataflow import NaturalLoop, natural_loops
 from repro.decompile.lift import lift_function
 from repro.decompile.passes import (
     eliminate_dead_code,
@@ -100,16 +99,6 @@ class DecompiledFunction:
     loops: list[NaturalLoop]
     loop_footprints: dict[int, Footprint]  # loop header address -> footprint
     stats: PassStats
-
-    def build_cdfg(self) -> Cdfg:
-        _, live_out = liveness(self.cfg)
-        return Cdfg.from_cfg(self.cfg, live_out)
-
-    def loop_by_header_address(self, address: int) -> NaturalLoop | None:
-        for loop in self.loops:
-            if self.cfg.blocks[loop.header].start == address:
-                return loop
-        return None
 
 
 @dataclass

@@ -6,19 +6,20 @@ Hardware/Software Partitioning") runs the same decompile -> synthesize
 machinery *at run time*: a small on-chip profiler watches backward branches,
 on-chip CAD lifts the currently-hot loops to hardware, and the FPGA is
 reconfigured while the application keeps running.  This package models that
-flow end to end on top of the threaded simulator:
+flow end to end on one recorded sampled run per binary
+(:func:`repro.stages.sample_stream`), which every consumer replays:
 
 * :mod:`profiler` -- the on-chip profiler: an exponentially-decayed
-  hot-target table fed from the simulator's per-site counters through the
-  periodic sampling hook (:meth:`repro.sim.cpu.Cpu.run`),
+  hot-target table fed from the simulator's per-site counters,
 * :mod:`controller` -- the dynamic partition controller: interval-by-interval
   time/energy accounting, re-partition decisions from online profile data
   only, FPGA capacity management with eviction of cooled kernels, and
   explicit charging of CAD and reconfiguration overheads,
-* :mod:`flow` -- :func:`run_dynamic_flow`, which simulates each binary
-  once (later platforms replay its recorded samples) and reports the dynamic
-  timeline next to the static (oracle-profile) partition the original paper
-  computes.
+* :mod:`flow` -- :func:`run_dynamic_flow`, which replays the binary's
+  recorded samples into a controller and reports the dynamic timeline next
+  to the static (oracle-profile) partition the original paper computes,
+* :mod:`multi` -- several applications, each replaying its own stream
+  round-robin, sharing one fabric.
 """
 
 from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig

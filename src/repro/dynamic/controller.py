@@ -1,7 +1,8 @@
 """The dynamic partition controller: online decisions, honest accounting.
 
 The controller is the "warp CAD" of the modeled system.  It consumes the
-simulator's periodic samples (cumulative per-site counters), and
+periodic samples of a binary's recorded sampled run (cumulative per-site
+counters, replayed by :meth:`repro.stages.SampleStream.play`), and
 
 * **accounts** each sampling interval's wall-clock time and energy under the
   hardware configuration that was active *during* that interval: cycles of
@@ -328,18 +329,17 @@ class PlannedPlacement:
 
 
 class DynamicPartitionController:
-    """Consumes simulator samples; produces a :class:`DynamicTimeline`.
+    """Consumes sampled counters; produces a :class:`DynamicTimeline`.
 
-    *sites* supplies the binary's static site tables under the platform's
-    CPI model -- ``branch_edges``, ``jump_edges`` and ``site_costs``, the
-    only things the controller and its profiler read: the running
-    :class:`~repro.sim.cpu.Cpu`, or a :class:`~repro.stages.SiteView` when
-    the samples are replayed from a recorded run.
+    *sites* is the binary's :class:`~repro.stages.SiteView` under the
+    platform's CPI model -- ``branch_edges``, ``jump_edges`` and
+    ``site_costs``, the only things the controller and its profiler read
+    of the binary besides the samples.
     """
 
     def __init__(
         self,
-        sites,
+        sites: stages.SiteView,
         exe: Executable,
         platform: Platform,
         config: DynamicConfig | None = None,
@@ -555,8 +555,8 @@ class DynamicPartitionController:
         """Account the interval just finished, then maybe re-partition.
 
         Returns the next sample interval when phase-adaptive sampling is
-        enabled (the simulator's chunked dispatch honours the return
-        value), ``None`` otherwise.
+        enabled (:meth:`repro.stages.SampleStream.replay` spaces the next
+        sample by it), ``None`` otherwise.
         """
         platform = self.platform
         cpu_hz = platform.cpu_clock_mhz * 1e6

@@ -1,16 +1,14 @@
 """End-to-end dynamic (run-time) partitioning flow.
 
 One simulation per binary serves every platform and both sides of the
-comparison.  The first fixed-interval flow of a binary runs it on the
-simulator (superblock dispatch; the sampling hook fires at identical
-instruction counts on every engine) with the hook driving the online
-profiler and dynamic partition controller, and records the samples in the
-stage memo (:func:`repro.stages.recorded_sampled_run`).  Every later
-platform replays that stream into its own controller, priced under its own
-CPI model, without simulating again.  The same profiled
-:class:`~repro.sim.cpu.RunResult`, re-costed per platform, then feeds the
-ordinary static flow.  Phase-adaptive sampling always runs live: there the
-controller sizes each chunk, so the samples depend on the platform.
+comparison.  The flow takes the binary's recorded fixed-interval sampled
+run from the stage memo (:func:`repro.stages.sample_stream`, which
+simulates on first use) and replays it into an online profiler and
+dynamic partition controller priced under the platform's CPI model.  With
+phase-adaptive sampling the controller's answers set the spacing of the
+samples it is handed; the replay skips the recorded samples in between.
+The same profiled :class:`~repro.sim.cpu.RunResult`, re-costed per
+platform, then feeds the ordinary static flow.
 
 The resulting :class:`~repro.flow.DynamicFlowReport` holds the static
 (oracle profile, no overheads) partition next to the dynamic timeline
@@ -29,7 +27,6 @@ from repro.decompile.decompiler import DecompilationOptions
 from repro.dynamic.controller import DynamicConfig, DynamicPartitionController
 from repro.flow import DynamicFlowReport, run_flow_on_executable, run_jobs
 from repro.platform.platform import MIPS_200MHZ, Platform
-from repro.sim.cpu import Cpu
 from repro.synth.synthesizer import SynthesisOptions
 
 
@@ -72,39 +69,16 @@ def run_dynamic_flow_on_executable(
 ) -> DynamicFlowReport:
     """Online-partitioning flow starting from an already-built binary."""
     config = config or DynamicConfig()
-
-    def controller_for(sites) -> DynamicPartitionController:
-        return DynamicPartitionController(
-            sites,
-            exe,
-            platform,
-            config,
-            synthesis_options=synthesis_options,
-            decompile_options=decompile_options,
-        )
-
-    interval = config.sample_interval
-    # adaptive sampling sizes each chunk from on_sample's answer, so its
-    # samples depend on the platform: it always runs live
-    fixed = not config.adaptive_sampling
-    stream = stages.sample_stream(exe, max_steps, interval) if fixed else None
-    if stream is not None:
-        controller = controller_for(stream.sites(platform.cpi))
-        stream.replay(controller.on_sample)
-        result = stream.run.recost(platform.cpi)
-    else:
-        cpu = Cpu(exe, cpi=platform.cpi, profile=True)
-        controller = controller_for(cpu)
-        if fixed:
-            result = stages.recorded_sampled_run(
-                cpu, max_steps, interval, controller.on_sample
-            )
-        else:
-            result = cpu.run(
-                max_steps=max_steps,
-                sample_interval=interval,
-                on_sample=controller.on_sample,
-            )
+    stream = stages.sample_stream(exe, max_steps, config.sample_interval)
+    controller = DynamicPartitionController(
+        stream.sites(platform.cpi),
+        exe,
+        platform,
+        config,
+        synthesis_options=synthesis_options,
+        decompile_options=decompile_options,
+    )
+    result = stream.replay(controller.on_sample).recost(platform.cpi)
     timeline = controller.finish()
     static = run_flow_on_executable(
         exe,

@@ -13,12 +13,12 @@ This module models that scenario:
   partial-reconfiguration regions) is what arbitrates between them, and
   ``DynamicConfig.max_fabric_share`` caps any single application's slice,
 * execution interleaves **round-robin at sampling-interval granularity**:
-  a driver advances each application's :meth:`~repro.sim.cpu.Cpu.run_sampled`
-  generator one interval at a time, so controller decisions see the fabric
-  exactly as their neighbours left it one interval ago.  The interleave is
-  a deterministic approximation of concurrent execution (sample index
-  stands in for wall time); each application's own timeline accounting is
-  exact for its own processor.
+  the round-robin loop advances each application's replay of its recorded
+  sampled run (:meth:`repro.stages.SampleStream.play`) one sample at a
+  time, so controller decisions see the fabric exactly as their neighbours
+  left it one interval ago.  The interleave is a deterministic approximation of
+  concurrent execution (sample index stands in for wall time); each
+  application's own timeline accounting is exact for its own processor.
 
 Per-application results reuse :class:`~repro.flow.DynamicFlowReport`: the
 static (oracle-profile, whole-fabric-to-itself) partition is the natural
@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import obs
+from repro import obs, stages
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.decompile.decompiler import DecompilationOptions
 from repro.dynamic.controller import DynamicConfig, DynamicPartitionController
 from repro.dynamic.fabric import FabricState
 from repro.flow import DynamicFlowReport, run_flow_on_executable, run_jobs
 from repro.platform.platform import MIPS_200MHZ, Platform
-from repro.sim.cpu import Cpu
 from repro.synth.synthesizer import SynthesisOptions
 
 
@@ -90,10 +89,12 @@ def run_multi_app_flow(
         def __init__(self, spec: AppSpec):
             self.spec = spec
             options = CompilerOptions.from_level(spec.opt_level)
-            self.exe = compile_source(spec.source, options)
-            self.cpu = Cpu(self.exe, cpi=platform.cpi, profile=True)
+            self.exe = stages.compiled(spec.source, options, compile_source)
+            stream = stages.sample_stream(
+                self.exe, max_steps, config.sample_interval
+            )
             self.controller = DynamicPartitionController(
-                self.cpu,
+                stream.sites(platform.cpi),
                 self.exe,
                 platform,
                 config,
@@ -102,12 +103,8 @@ def run_multi_app_flow(
                 fabric=fabric,
                 name=spec.name,
             )
-            self.generator = self.cpu.run_sampled(
-                max_steps=max_steps,
-                sample_interval=config.sample_interval,
-            )
-            self.next_interval: int | None = None
-            self.started = False
+            self.player = stream.play()
+            self.next_interval: int | None = None   # None starts the replay
             self.result = None
             self.timeline = None
 
@@ -119,13 +116,9 @@ def run_multi_app_flow(
         still_running: list[_App] = []
         for app in active:
             try:
-                if not app.started:
-                    app.started = True
-                    payload = next(app.generator)
-                else:
-                    payload = app.generator.send(app.next_interval)
+                sample = app.player.send(app.next_interval)
             except StopIteration as stop:
-                app.result = stop.value
+                app.result = stop.value.recost(platform.cpi)
                 # seal the timeline while the fabric still shows this
                 # application's kernels, then hand their gates/regions back
                 # to the survivors -- an exited application must not block
@@ -134,7 +127,7 @@ def run_multi_app_flow(
                 app.timeline = app.controller.finish()
                 fabric.release(app.controller)
                 continue
-            app.next_interval = app.controller.on_sample(*payload)
+            app.next_interval = app.controller.on_sample(*sample)
             still_running.append(app)
         active = still_running
 

@@ -6,10 +6,10 @@ back-edges), keeps a small table of the most frequent targets, and ages
 entries so the table tracks the application's current phase rather than its
 whole history.
 
-This model piggybacks on the threaded simulator's per-site counters: every
-*sample_interval* executed instructions the simulator calls back with the
-live cumulative ``counts``/``taken`` arrays (see :meth:`repro.sim.cpu.Cpu.run`);
-the profiler folds the per-site deltas since the previous sample into an
+This model reads the simulator's per-site counters as a recorded sampled
+run replays them (:meth:`repro.stages.SampleStream.play`): at each sample
+it gets the cumulative ``counts``/``taken`` arrays, and it folds the
+per-site deltas since the previous sample into an
 exponentially-decayed hotness score per branch-target address.  Only the
 static backward-edge sites are touched per sample -- a few dozen integers --
 so sampling cost is independent of the text size and invisible next to the
@@ -19,6 +19,8 @@ interval itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.stages import SiteView
 
 
 @dataclass(frozen=True)
@@ -34,12 +36,11 @@ class ProfilerConfig:
 
 
 class OnlineProfiler:
-    """Decayed backward-branch frequency table fed from simulator samples."""
+    """Decayed backward-branch frequency table fed from sampled counters."""
 
-    def __init__(self, sites, config: ProfilerConfig | None = None):
-        """*sites* supplies the static ``branch_edges`` and ``jump_edges``
-        maps: a :class:`~repro.sim.cpu.Cpu` or a recorded
-        :class:`~repro.stages.SiteView`."""
+    def __init__(self, sites: SiteView, config: ProfilerConfig | None = None):
+        """*sites* is the binary's :class:`~repro.stages.SiteView`; the
+        profiler reads its static ``branch_edges`` and ``jump_edges``."""
         self.config = config or ProfilerConfig()
         # static backward control transfers: loop back-edges.  Branch sites
         # count via the per-site taken array, jump sites (j/jal back-edges)
@@ -107,6 +108,3 @@ class OnlineProfiler:
         threshold = self.config.hot_fraction * total
         ranked = sorted(self.hotness.items(), key=lambda kv: -kv[1])
         return [(address, score) for address, score in ranked if score >= threshold]
-
-    def hotness_of(self, address: int) -> float:
-        return self.hotness.get(address, 0.0)

@@ -5,7 +5,7 @@
 * :mod:`estimator` -- builds candidate hardware regions by synthesizing
   every profiled loop,
 * :mod:`graph` -- the partitioning IR: candidates as nodes with per-device
-  costs from the cost-model registry, overlap/alias edges,
+  costs from the cost-model registry,
 * :mod:`costmodels` -- the per-device cost-model registry (CPU, fabric,
   CGRA; extensible by kind),
 * :mod:`passes` -- the pass-manager and the standard passes (filter,
@@ -31,7 +31,6 @@ from repro.partition.costmodels import (
 )
 from repro.partition.estimator import Candidate, build_candidates
 from repro.partition.graph import (
-    PartitionEdge,
     PartitionGraph,
     PartitionNode,
     build_graph,
@@ -70,7 +69,6 @@ __all__ = [
     "NinetyTenOptions",
     "NinetyTenPlacement",
     "PLACEMENTS",
-    "PartitionEdge",
     "PartitionGraph",
     "PartitionNode",
     "PartitionOutcome",

@@ -33,9 +33,6 @@ class DeviceCost:
     seconds: float     # wall-clock per program run on this device
     area_gates: float  # device area the implementation occupies
 
-    def saved_vs(self, software: "DeviceCost") -> float:
-        return software.seconds - self.seconds
-
 
 class CostModel:
     """Base: cost of implementing a candidate on one device kind."""

@@ -1,15 +1,11 @@
-"""The partitioning IR: candidate kernels as nodes, structure as edges.
+"""The partitioning IR: candidate kernels as nodes.
 
 The pass-manager operates on this graph, never on raw candidate lists:
-
-* **nodes** -- one per candidate hardware region, annotated with per-device
-  :class:`~repro.partition.costmodels.DeviceCost` entries and (after
-  placement) the chosen device name,
-* **overlap edges** -- two candidates share blocks (nested loops); they can
-  never both be implemented,
-* **alias edges** -- two candidates touch the same memory symbols (from the
-  decompiler's loop footprints); the 90-10 algorithm's step 2 pulls
-  alias-coupled regions into hardware together.
+one node per candidate hardware region, annotated with per-device
+:class:`~repro.partition.costmodels.DeviceCost` entries and (after
+placement) the chosen device name.  Overlap between candidates (nested
+loops) is read from the candidates themselves where placement and
+legalization need it.
 
 ``graph.assignment()`` is the product: a *total* node -> device map (every
 node lands somewhere; the CPU is the fallback), which the legalize pass
@@ -27,9 +23,6 @@ from repro.platform.devices import DeviceSpec
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.partition.estimator import Candidate
     from repro.platform.platform import Platform
-
-OVERLAP = "overlap"
-ALIAS = "alias"
 
 
 @dataclass
@@ -64,17 +57,6 @@ class PartitionNode:
         return self.cost_on(device).area_gates
 
 
-@dataclass(frozen=True)
-class PartitionEdge:
-    """An undirected relation between two nodes (by node index)."""
-
-    kind: str   # OVERLAP | ALIAS
-    a: int
-    b: int
-    #: shared memory symbols (alias edges only)
-    symbols: frozenset[str] = frozenset()
-
-
 @dataclass
 class PartitionGraph:
     """Everything one partitioning decision needs, in one place."""
@@ -83,7 +65,6 @@ class PartitionGraph:
     devices: tuple[DeviceSpec, ...]
     total_cycles: int
     nodes: list[PartitionNode] = field(default_factory=list)
-    edges: list[PartitionEdge] = field(default_factory=list)
     #: node indices in the order placement chose them; this is the order of
     #: ``PartitionResult.selected`` and of its ``area_used`` float sum
     placement_order: list[int] = field(default_factory=list)
@@ -115,18 +96,6 @@ class PartitionGraph:
         """Placement targets other than the CPU, in declaration order."""
         return tuple(d for d in self.devices if not d.is_cpu)
 
-    def device_named(self, name: str) -> DeviceSpec:
-        for device in self.devices:
-            if device.name == name:
-                return device
-        raise KeyError(name)
-
-    def edges_of(self, index: int, kind: str | None = None) -> list[PartitionEdge]:
-        return [
-            e for e in self.edges
-            if index in (e.a, e.b) and (kind is None or e.kind == kind)
-        ]
-
     def assignment(self) -> dict[str, str]:
         """Total node -> device-name map; unplaced nodes are software."""
         return {
@@ -149,15 +118,6 @@ class PartitionGraph:
         return sum(n.area_on(name) for n in self.placed(name))
 
 
-def _footprint_symbols(candidate: "Candidate") -> frozenset[str]:
-    footprint = candidate.function.loop_footprints.get(
-        candidate.profile.header_address
-    )
-    if footprint is None:
-        return frozenset()
-    return frozenset(footprint.symbols)
-
-
 def build_graph(
     candidates: Iterable["Candidate"],
     platform: "Platform",
@@ -169,11 +129,9 @@ def build_graph(
     Nodes keep the candidates' hotness order (the estimator sorts by
     software cycles) and carry every device's cost from the cost-model
     registry -- the one place a candidate's time and area are computed.
-    Overlap and alias edges are derived from the candidates' block sets
-    and memory footprints.
     """
     devices = tuple(devices) if devices is not None else platform.devices
-    graph = PartitionGraph(
+    return PartitionGraph(
         platform=platform, devices=devices, total_cycles=total_cycles,
         nodes=[
             PartitionNode(candidate=c, costs={
@@ -183,16 +141,3 @@ def build_graph(
             for c in candidates
         ],
     )
-    symbols = [_footprint_symbols(n.candidate) for n in graph.nodes]
-    for i, node in enumerate(graph.nodes):
-        for j in range(i + 1, len(graph.nodes)):
-            other = graph.nodes[j]
-            if node.candidate.overlaps(other.candidate):
-                graph.edges.append(PartitionEdge(kind=OVERLAP, a=i, b=j))
-                continue
-            shared = symbols[i] & symbols[j]
-            if shared:
-                graph.edges.append(
-                    PartitionEdge(kind=ALIAS, a=i, b=j, symbols=shared)
-                )
-    return graph

@@ -39,11 +39,11 @@ Design notes:
 * A **periodic sampling hook** supports online (run-time) profiling: pass
   ``on_sample``/``sample_interval`` to :meth:`Cpu.run` and the dispatch loop
   executes in chunks of *sample_interval* instructions, invoking the callback
-  between chunks with the live per-site counter arrays.  The chunking happens
-  *outside* the dispatch loop, so a run without a callback executes the exact
-  same single ``repeat`` loop as before -- zero hot-path cost -- and a run
-  with one pays only the callback itself every N instructions.  This is what
-  the warp-style dynamic partitioner (:mod:`repro.dynamic`) piggybacks on.
+  between chunks with the live per-site counter arrays.  The chunked loop
+  is a dispatch loop of its own, so a run without a callback pays nothing
+  for it.  The stage memo records one such run per binary
+  (:func:`repro.stages.sample_stream`), and the warp-style dynamic
+  partitioner (:mod:`repro.dynamic`) replays that recording.
 * When *profile* is enabled the simulator records per-address execution
   counts and taken-edge counts.  These are exactly the "profiling results"
   the paper's partitioner consumes.
@@ -690,34 +690,16 @@ class Cpu:
     ) -> RunResult:
         """Run until ``break`` or *max_steps*; return statistics.
 
-        When *on_sample* is given, the dispatch loop runs in chunks of
-        *sample_interval* instructions and ``on_sample(counts, taken)`` is
-        called between chunks (and once more when the program halts) with
-        the **live** cumulative counter arrays -- callbacks must copy
-        anything they want to keep.  ``counts[i]``/``taken[i]`` are the
-        execution/branch-taken counters of instruction index ``i``
-        (address ``text_base + 4*i``).  Chunk boundaries land on exactly
-        the same instruction counts on both dispatch engines: the
-        superblock loop only runs a whole block when it fits in the
-        remaining chunk budget and single-steps the tail otherwise.
-
-        A callback may return a positive integer to set the *next* chunk's
-        sample interval (phase-adaptive sampling); any falsy return keeps
-        the current interval.
+        When *on_sample* is given and *sample_interval* is positive, the
+        dispatch loop runs in chunks of *sample_interval* instructions and
+        ``on_sample(counts, taken)`` is called between chunks (and once more
+        when the program halts) with the **live** cumulative counter arrays
+        -- callbacks must copy anything they want to keep.
+        ``counts[i]``/``taken[i]`` are the execution/branch-taken counters
+        of instruction index ``i`` (address ``text_base + 4*i``).  Chunk
+        boundaries land on exactly the same instruction counts on both
+        dispatch engines.  The callback's return value is ignored.
         """
-        if on_sample is not None and sample_interval > 0:
-            # the chunked dispatch lives in exactly one place -- the
-            # run_sampled generator; this path just feeds its yields to the
-            # callback (cost: one generator resume per chunk, invisible
-            # next to the callback itself)
-            generator = self.run_sampled(max_steps, sample_interval)
-            try:
-                payload = next(generator)
-                while True:
-                    payload = generator.send(on_sample(*payload))
-            except StopIteration as stop:
-                return stop.value
-
         text_base = self.exe.text_base
         text_len = len(self._decoded)
         taken = self._taken
@@ -732,7 +714,11 @@ class Cpu:
             raise SimulationError(f"pc outside text section: 0x{pc:08x}")
 
         run_started = time.monotonic()
-        if self._sb is not None:
+        if on_sample is not None and sample_interval > 0:
+            index, halted = self._run_chunked(
+                index, counts, max_steps, sample_interval, on_sample
+            )
+        elif self._sb is not None:
             index, halted = self._run_superblock(index, counts, max_steps)
         else:
             index, halted = self._run_threaded(index, counts, max_steps)
@@ -743,108 +729,6 @@ class Cpu:
         if not halted:
             raise SimulationError(f"exceeded max_steps={max_steps} (pc=0x{pc:08x})")
 
-        result = self._gather(counts)
-        if obs.metrics_enabled():
-            self._observe_run(result, time.monotonic() - run_started)
-        return result
-
-    def run_sampled(self, max_steps: int = 100_000_000,
-                    sample_interval: int = 4_000):
-        """Generator twin of :meth:`run` for externally-driven sampling.
-
-        Yields ``(counts, taken)`` -- the live cumulative counter arrays --
-        at every *sample_interval*-instruction boundary and once more when
-        the program halts, exactly where :meth:`run` would invoke
-        ``on_sample``.  ``send()`` a positive integer into the generator to
-        set the next chunk's interval (same contract as an ``on_sample``
-        return value).  The :class:`RunResult` is the generator's return
-        value (``StopIteration.value``).
-
-        This inversion of control is what lets several applications
-        time-share one modeled fabric: a round-robin driver advances each
-        application's generator one sampling interval at a time, giving
-        their dynamic-partition controllers an interleaved view of a
-        shared :class:`~repro.dynamic.fabric.FabricState` (see
-        :mod:`repro.dynamic.multi`).
-        """
-        if sample_interval < 1:
-            raise SimulationError(
-                f"run_sampled needs a positive sample_interval, "
-                f"got {sample_interval}"
-            )
-        text_base = self.exe.text_base
-        text_len = len(self._decoded)
-        taken = self._taken
-        taken[:] = [0] * text_len
-        self._dyn_edges.clear()
-        self._hilo[0], self._hilo[1] = self.hi, self.lo
-        counts = [0] * len(self._handlers)
-
-        pc = self.pc
-        index = (pc - text_base) >> 2
-        if pc & 3 or not 0 <= index < text_len:
-            raise SimulationError(f"pc outside text section: 0x{pc:08x}")
-
-        handlers = self._handlers
-        sb = self._sb
-        if sb is not None:
-            sb.reset()
-            fns = sb.fns
-            sizes = sb.sizes
-            materialize = sb.materialize
-        halted = False
-        run_started = time.monotonic()
-        remaining = max_steps
-        try:
-            while remaining > 0:
-                budget = min(sample_interval, remaining)
-                remaining -= budget
-                if sb is None:
-                    for _ in repeat(None, budget):
-                        counts[index] += 1
-                        index = handlers[index]()
-                else:
-                    while budget > 0:
-                        n = sizes[index]
-                        if n > budget:
-                            for _ in repeat(None, budget):
-                                counts[index] += 1
-                                index = handlers[index]()
-                            budget = 0
-                            break
-                        fn = fns[index]
-                        if fn is None:
-                            fn = materialize(index)
-                        index = fn()
-                        budget -= n
-                    sb.fold_into(counts)
-                sent = yield (counts, taken)
-                if sent:
-                    # same guard as the initial argument: a negative or
-                    # non-integer override would hang the dispatch loop
-                    # (zero-instruction chunks forever) or crash mid-run
-                    if not isinstance(sent, int) or isinstance(sent, bool) \
-                            or sent < 1:
-                        raise SimulationError(
-                            "sample-interval override must be a positive "
-                            f"integer, got {sent!r}"
-                        )
-                    sample_interval = sent
-        except _Halt as halt:
-            halted = True
-            if halt.args:
-                index = halt.args[0]
-            if sb is not None:
-                sb.fold_into(counts)
-            yield (counts, taken)
-        if sb is not None:
-            sb.fold_into(counts)
-        self.pc = text_base + (index << 2)
-        self.hi, self.lo = self._hilo[0], self._hilo[1]
-        if not halted:
-            raise SimulationError(
-                f"exceeded max_steps={max_steps} (pc=0x{self.pc:08x})"
-            )
         result = self._gather(counts)
         if obs.metrics_enabled():
             self._observe_run(result, time.monotonic() - run_started)
@@ -884,10 +768,8 @@ class Cpu:
     def _run_threaded(
         self, index: int, counts: list[int], max_steps: int,
     ) -> tuple[int, bool]:
-        """One closure call per instruction; the PR 1 dispatch loop.
-
-        Unchunked only: sampling runs go through :meth:`run_sampled`.
-        """
+        """One closure call per instruction; unchunked (sampling runs go
+        through :meth:`_run_chunked`)."""
         handlers = self._handlers
         halted = False
         try:
@@ -903,7 +785,7 @@ class Cpu:
     ) -> tuple[int, bool]:
         """One generated-function call per unit (block or fused j-chain).
 
-        Unchunked only (sampling runs go through :meth:`run_sampled`,
+        Unchunked only (sampling runs go through :meth:`_run_chunked`,
         which single-steps chunk tails through the threaded handlers so
         boundaries land on the exact instruction).  Per-unit entry
         counters are folded into *counts* at every observation point,
@@ -944,6 +826,60 @@ class Cpu:
             if halt.args:
                 index = halt.args[0]
         sb.fold_into(counts)
+        return index, halted
+
+    def _run_chunked(
+        self, index: int, counts: list[int], max_steps: int,
+        interval: int, on_sample,
+    ) -> tuple[int, bool]:
+        """Fixed chunks of *interval* instructions, calling *on_sample*
+        after each and once more at the halt.
+
+        The superblock loop runs a unit only when it fits in the chunk's
+        remaining budget and single-steps the tail through the threaded
+        handlers, so a boundary lands on the exact instruction; the unit
+        entry counters are folded into *counts* before every sample.
+        """
+        handlers = self._handlers
+        taken = self._taken
+        sb = self._sb
+        if sb is not None:
+            sb.reset()
+            fns = sb.fns
+            sizes = sb.sizes
+            materialize = sb.materialize
+        halted = False
+        remaining = max_steps
+        try:
+            while remaining > 0:
+                budget = min(interval, remaining)
+                remaining -= budget
+                if sb is None:
+                    for _ in repeat(None, budget):
+                        counts[index] += 1
+                        index = handlers[index]()
+                else:
+                    while budget > 0:
+                        n = sizes[index]
+                        if n > budget:
+                            for _ in repeat(None, budget):
+                                counts[index] += 1
+                                index = handlers[index]()
+                            break
+                        fn = fns[index]
+                        if fn is None:
+                            fn = materialize(index)
+                        index = fn()
+                        budget -= n
+                    sb.fold_into(counts)
+                on_sample(counts, taken)
+        except _Halt as halt:
+            halted = True
+            if halt.args:
+                index = halt.args[0]
+            if sb is not None:
+                sb.fold_into(counts)
+            on_sample(counts, taken)
         return index, halted
 
     def _gather(self, counts: list[int]) -> RunResult:

@@ -17,18 +17,16 @@ A profiled run serves every CPI model through
 
 The dynamic flow's sampled run is memoised too, as a :class:`SampleStream`
 per ``(max_steps, sample_interval)``: the counters that changed at each
-sample, the binary's static site tables (branch and jump edges, each
-site's instruction class) and the run's result, which also becomes the
-binary's profiled run.  Replaying the stream into a controller on another
-platform is exact, because fixed-interval chunk boundaries are counted in
-instructions -- independent of the platform and of the controller -- and
-the controller reads nothing of the simulator but the counters, the edge
-maps and the per-site costs, which the recorded classes give under any CPI
-model.  Two paths stay live: phase-adaptive sampling, where ``on_sample``
-sizes the next chunk, and the multi-application round-robin of
-:mod:`repro.dynamic.multi`, which drives each application's
-:meth:`~repro.sim.cpu.Cpu.run_sampled` generator itself.  A run that
-raises records nothing.
+fixed-interval sample, the binary's static site tables (branch and jump
+edges, each site's instruction class) and the run's result, which also
+becomes the binary's profiled run.  Every dynamic consumer replays that
+stream instead of simulating: a controller reads nothing of the simulator
+but the counters, the edge maps and the per-site costs, which the
+recorded classes give under any CPI model; fixed chunk boundaries are
+counted in instructions, independent of the platform and the consumer;
+and phase-adaptive chunks are multiples of the base interval, so they end
+on recorded boundaries too -- an adaptive consumer just skips samples.
+A run that raises records nothing.
 
 Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each.
 The memo is always on and per process; ``REPRO_CACHE`` governs only the
@@ -51,26 +49,27 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
-from typing import Callable
+from typing import Callable, Generator
 
 from repro import obs
 from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions
 from repro.decompile.decompiler import DecompilationOptions, DecompiledProgram
-from repro.errors import SynthesisError
+from repro.errors import SimulationError, SynthesisError
 from repro.sim.cpu import CpiModel, Cpu, RunResult, run_executable
 from repro.synth.synthesizer import HwKernel, Synthesizer
 
 __all__ = [
     "MEMORY_CAP", "SampleStream", "SiteView", "clear", "compiled", "decompiled",
-    "kernels", "profiled_run", "recorded_sampled_run", "sample_stream", "size",
+    "kernels", "profiled_run", "sample_stream", "size",
 ]
 
 
 @dataclass(frozen=True)
 class SiteView:
-    """A binary's static site tables under one CPI model: the part of a
-    :class:`~repro.sim.cpu.Cpu` that an ``on_sample`` consumer reads."""
+    """A binary's static site tables under one CPI model: all that the
+    online profiler and the dynamic controller read of the binary besides
+    the sampled counters."""
 
     branch_edges: dict[int, tuple[int, int]]
     jump_edges: dict[int, tuple[int, int]]
@@ -81,15 +80,17 @@ class SiteView:
 class SampleStream:
     """One fixed-interval sampled run of a binary, recorded for replay.
 
-    ``samples`` holds one entry per ``on_sample`` call: the ``counts`` and
-    ``taken`` counters that changed since the call before, as
-    ``(count indices, count values, taken indices, taken values)`` arrays.
+    ``samples`` holds one entry per sample of the recorded run: the
+    ``counts`` and ``taken`` counters that changed since the sample before,
+    as ``(count indices, count values, taken indices, taken values)``
+    arrays.  The last entry is the sample taken when the program halted.
     """
 
     branch_edges: dict[int, tuple[int, int]]
     jump_edges: dict[int, tuple[int, int]]
     site_classes: tuple[str, ...]
-    counters: int                  # len(counts) handed to on_sample
+    counters: int                  # len(counts) of each sample
+    interval: int                  # instructions between samples
     samples: list[tuple[array, array, array, array]]
     run: RunResult                 # the recorded run; re-cost it per platform
 
@@ -99,17 +100,59 @@ class SampleStream:
     def sites(self, cpi: CpiModel) -> SiteView:
         return SiteView(self.branch_edges, self.jump_edges, self.site_costs(cpi))
 
-    def replay(self, on_sample: Callable[[list[int], list[int]], object]) -> None:
-        """Call *on_sample* with the same live counter lists, holding the
-        same values, as the recorded run did at each of its samples."""
+    def play(self) -> Generator[tuple[list[int], list[int]], int | None, RunResult]:
+        """The sampled run, replayed: a generator of ``(counts, taken)``.
+
+        Yields the live cumulative counter lists -- the same lists each
+        time, so a consumer must copy what it keeps -- holding the values
+        the simulator held at each sample.  ``send()`` a positive multiple
+        of :attr:`interval` to set how many instructions later the next
+        sample falls; a falsy value keeps the current spacing.  The halt
+        sample is always delivered, so a chunk cut short by the halt ends
+        there as on the simulator.  Returns the recorded run.
+        """
         counts = [0] * self.counters
         taken = [0] * len(self.site_classes)
-        for count_index, count_value, taken_index, taken_value in self.samples:
+        last = len(self.samples) - 1
+        stride = 1
+        skip = 0
+        for position, (count_index, count_value, taken_index, taken_value) \
+                in enumerate(self.samples):
             for i, value in zip(count_index, count_value):
                 counts[i] = value
             for i, value in zip(taken_index, taken_value):
                 taken[i] = value
-            on_sample(counts, taken)
+            if skip and position < last:
+                skip -= 1
+                continue
+            sent = yield counts, taken
+            if sent:
+                stride = self._stride(sent)
+            skip = stride - 1
+        return self.run
+
+    def _stride(self, interval) -> int:
+        """Recorded samples per chunk of *interval* instructions."""
+        if not isinstance(interval, int) or isinstance(interval, bool) \
+                or interval < 1 or interval % self.interval:
+            raise SimulationError(
+                "sample-interval override must be a positive multiple of "
+                f"{self.interval}, got {interval!r}"
+            )
+        return interval // self.interval
+
+    def replay(
+        self, on_sample: Callable[[list[int], list[int]], int | None]
+    ) -> RunResult:
+        """Drive :meth:`play` with *on_sample*: each return value sets the
+        next sample's spacing.  Returns the recorded run."""
+        player = self.play()
+        try:
+            sample = next(player)
+            while True:
+                sample = player.send(on_sample(*sample))
+        except StopIteration as stop:
+            return stop.value
 
 
 def _changes(now: list[int], before: list[int]) -> tuple[array, array]:
@@ -118,28 +161,33 @@ def _changes(now: list[int], before: list[int]) -> tuple[array, array]:
     return index, array("q", map(now.__getitem__, index))
 
 
-class _Recorder:
-    """An ``on_sample`` wrapper that records each sample's changed counters
-    and keeps the sample interval fixed."""
-
-    def __init__(self, on_sample: Callable):
-        self._on_sample = on_sample
-        self._counts: list[int] = []
-        self._taken: list[int] = []
-        self.samples: list[tuple[array, array, array, array]] = []
-        self.counters = 0
-
-    def __call__(self, counts: list[int], taken: list[int]) -> None:
-        if not self.samples:
-            self.counters = len(counts)
-            self._counts = [0] * len(counts)
-            self._taken = [0] * len(taken)
-        self.samples.append(
-            _changes(counts, self._counts) + _changes(taken, self._taken)
+def _record(exe: Executable, max_steps: int, interval: int) -> SampleStream:
+    """Simulate *exe* in fixed chunks of *interval* instructions and record
+    each sample's changed counters."""
+    if interval < 1:
+        raise SimulationError(
+            f"a sampled run needs a positive sample_interval, got {interval}"
         )
-        self._counts = counts[:]
-        self._taken = taken[:]
-        self._on_sample(counts, taken)
+    samples: list[tuple[array, array, array, array]] = []
+    before = None   # the previous sample's (counts, taken)
+
+    def record(counts: list[int], taken: list[int]) -> None:
+        nonlocal before
+        base = before or ([0] * len(counts), [0] * len(taken))
+        samples.append(_changes(counts, base[0]) + _changes(taken, base[1]))
+        before = counts[:], taken[:]
+
+    cpu = Cpu(exe, profile=True)
+    run = cpu.run(max_steps=max_steps, sample_interval=interval, on_sample=record)
+    return SampleStream(
+        branch_edges=cpu.branch_edges,
+        jump_edges=cpu.jump_edges,
+        site_classes=tuple(cpu.site_classes),
+        counters=len(before[0]),
+        interval=interval,
+        samples=samples,
+        run=run,
+    )
 
 
 @dataclass
@@ -216,45 +264,21 @@ def profiled_run(exe: Executable, cpi: CpiModel, max_steps: int) -> RunResult:
     return run
 
 
-def sample_stream(
-    exe: Executable, max_steps: int, sample_interval: int
-) -> SampleStream | None:
-    """The recorded fixed-interval sampled run of *exe*, if there is one."""
-    stream = _binary(exe).streams.get((max_steps, sample_interval))
-    _count("sample", stream is not None)
-    return stream
+def sample_stream(exe: Executable, max_steps: int, sample_interval: int) -> SampleStream:
+    """The fixed-interval sampled run of *exe*, recorded on first use.
 
-
-def recorded_sampled_run(
-    cpu: Cpu,
-    max_steps: int,
-    sample_interval: int,
-    on_sample: Callable[[list[int], list[int]], object],
-) -> RunResult:
-    """Run *cpu* -- built with ``profile=True`` -- in fixed chunks of
-    *sample_interval* instructions, feeding *on_sample*, and record the run
-    for :func:`sample_stream` of ``cpu.exe``.
-
-    *on_sample*'s return value is ignored: the chunks stay fixed, so the
-    samples do not depend on the consumer.  The run also becomes the
-    binary's profiled run for *max_steps*, since chunking changes no
-    statistic.  Nothing is recorded if the run raises.
+    Recording also seeds the binary's profiled run for *max_steps*, since
+    chunking changes no statistic.  A run that raises (e.g. past
+    *max_steps*) stores nothing.
     """
-    recorder = _Recorder(on_sample)
-    run = cpu.run(
-        max_steps=max_steps, sample_interval=sample_interval, on_sample=recorder
-    )
-    binary = _binary(cpu.exe)
-    binary.streams[(max_steps, sample_interval)] = SampleStream(
-        branch_edges=cpu.branch_edges,
-        jump_edges=cpu.jump_edges,
-        site_classes=tuple(cpu.site_classes),
-        counters=recorder.counters,
-        samples=recorder.samples,
-        run=run,
-    )
-    binary.runs.setdefault(max_steps, run)
-    return run
+    binary = _binary(exe)
+    key = (max_steps, sample_interval)
+    stream = binary.streams.get(key)
+    _count("sample", stream is not None)
+    if stream is None:
+        stream = binary.streams[key] = _record(exe, max_steps, sample_interval)
+        binary.runs.setdefault(max_steps, stream.run)
+    return stream
 
 
 def decompiled(

@@ -48,9 +48,6 @@ class Schedule:
     latency: dict[int, int] = field(default_factory=dict)      # node -> cycles
     length: int = 0  # total schedule length in cycles
 
-    def finish_cycle(self, node: int) -> int:
-        return self.start_cycle[node] + self.latency[node]
-
 
 def _latencies(dfg: Dfg, tech: TechnologyModel, localized: bool) -> dict[int, int]:
     return {

@@ -69,9 +69,6 @@ class HwKernel:
             return iterations * self.ii + max(0, self.schedule_length - self.ii)
         return iterations * self.schedule_length
 
-    def time_seconds(self, iterations: float) -> float:
-        return self.cycles_for(iterations) / (self.clock_mhz * 1e6)
-
 
 class Synthesizer:
     def __init__(self, options: SynthesisOptions | None = None):

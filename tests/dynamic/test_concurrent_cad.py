@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import stages
 from repro.dynamic.controller import (
     DynamicConfig,
     DynamicPartitionController,
@@ -130,13 +131,14 @@ class TestStalePlans:
     @staticmethod
     def _controller():
         from repro.compiler.driver import CompilerOptions, compile_source
-        from repro.sim.cpu import Cpu
 
         exe = compile_source(
             "int main(void) { return 0; }", CompilerOptions.from_level(1)
         )
-        cpu = Cpu(exe, cpi=MIPS_200MHZ.cpi, profile=True)
-        return DynamicPartitionController(cpu, exe, MIPS_200MHZ)
+        stream = stages.sample_stream(exe, 1_000_000, 4_000)
+        return DynamicPartitionController(
+            stream.sites(MIPS_200MHZ.cpi), exe, MIPS_200MHZ
+        )
 
     @staticmethod
     def _kernel(area, name="k"):

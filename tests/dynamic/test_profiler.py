@@ -1,9 +1,10 @@
 """Online profiler: hot-loop detection from sampled per-site counters."""
 
+from repro import stages
 from repro.compiler import compile_source
 from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig
 from repro.flow import run_flow
-from repro.sim.cpu import Cpu
+from repro.sim.cpu import CpiModel
 
 _PHASED = """
 int a[128];
@@ -23,15 +24,15 @@ int main(void) {
 
 def _run_with_profiler(source, interval=1000, config=None):
     exe = compile_source(source, opt_level=1)
-    cpu = Cpu(exe, profile=True)
-    profiler = OnlineProfiler(cpu, config)
+    stream = stages.sample_stream(exe, 100_000_000, interval)
+    profiler = OnlineProfiler(stream.sites(CpiModel()), config)
     history = []
 
     def on_sample(counts, taken):
         profiler.sample(counts, taken)
         history.append(dict(profiler.hotness))
 
-    cpu.run(sample_interval=interval, on_sample=on_sample)
+    stream.replay(on_sample)
     return exe, profiler, history
 
 

@@ -1,10 +1,11 @@
-"""Record once, replay per platform (:mod:`repro.stages` sample streams).
+"""Record once, replay everywhere (:mod:`repro.stages` sample streams).
 
-The first fixed-interval dynamic flow of a binary runs the simulator and
-records its samples; every later platform replays them into its own
-controller.  Replay must be exact: each ``on_sample`` call sees the same
-counters as a live run, and the reports are equal.  Adaptive sampling and
-failed runs stay live and record nothing.
+The first dynamic flow of a binary runs the simulator and records its
+fixed-interval samples; every flow, on every platform, replays them into
+its own controller.  Replay must be exact: each ``on_sample`` call sees the
+same counters as a controller fed live by :meth:`Cpu.run`, and the
+timelines and runs are equal.  Adaptive and multi-application flows replay
+the same stream; a failed run records nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.compiler import CompilerOptions
 from repro.compiler.driver import compile_source
 from repro.dynamic.controller import DynamicConfig, DynamicPartitionController
 from repro.dynamic.flow import run_dynamic_flow
+from repro.dynamic.multi import AppSpec, run_multi_app_flow
 from repro.errors import SimulationError
 from repro.platform.platform import NAMED_PLATFORMS
 from repro.programs import ALL_BENCHMARKS, get_benchmark
@@ -40,19 +42,6 @@ def _platform(name: str, regions: int):
 def _exe(name: str):
     options = CompilerOptions.from_level(1)
     return stages.compiled(get_benchmark(name).source, options, compile_source)
-
-
-def _static_record(report) -> tuple:
-    return (
-        report.run,
-        report.recovered,
-        report.failure_reason,
-        report.summary_row(),
-        report.app_speedup,
-        report.energy_savings,
-        report.area_gates,
-        [kernel.name for kernel in report.metrics.kernels] if report.metrics else [],
-    )
 
 
 @pytest.fixture()
@@ -88,6 +77,16 @@ def cpu_calls(monkeypatch):
     return calls
 
 
+def _live(exe, platform, config):
+    """A controller fed by the simulator itself: ``(timeline, run)``."""
+    cpu = Cpu(exe, cpi=platform.cpi, profile=True)
+    sites = stages.SiteView(cpu.branch_edges, cpu.jump_edges, cpu.site_costs)
+    controller = DynamicPartitionController(sites, exe, platform, config)
+    run = cpu.run(max_steps=MAX_STEPS, sample_interval=config.sample_interval,
+                  on_sample=controller.on_sample)
+    return controller.finish(), run
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("platform", DYNAMIC)
 @pytest.mark.parametrize("name", NAMES)
@@ -97,10 +96,8 @@ def test_replay_equals_live_run(name, platform, mode, samples, cpu_calls):
     target = _platform(platform, regions)
     other = _platform(next(p for p in DYNAMIC if p != platform), regions)
 
-    stages.clear()
-    live = run_dynamic_flow(source, name, platform=target, config=config)
+    live_timeline, live_run = _live(_exe(name), target, config)
     live_samples = samples[:]
-    assert cpu_calls == {"init": 1, "run": 1}
 
     stages.clear()
     run_dynamic_flow(source, name, platform=other, config=config)
@@ -112,20 +109,21 @@ def test_replay_equals_live_run(name, platform, mode, samples, cpu_calls):
     assert len(samples) == len(live_samples) > 1
     for index, (live_sample, replayed_sample) in enumerate(zip(live_samples, samples)):
         assert replayed_sample == live_sample, f"sample {index} differs"
-    assert replayed.timeline == live.timeline
-    assert replayed.summary_row() == live.summary_row()
-    assert _static_record(replayed.static) == _static_record(live.static)
+    assert replayed.timeline == live_timeline
+    assert replayed.static.run == live_run
 
 
-def test_adaptive_sampling_always_runs_live(cpu_calls):
-    source = get_benchmark("brev").source
-    config = DynamicConfig(adaptive_sampling=True)
+def test_adaptive_and_multi_app_flows_simulate_each_binary_once(cpu_calls):
+    adaptive = DynamicConfig(adaptive_sampling=True)
+    apps = [AppSpec(get_benchmark(name).source, name) for name in ("brev", "crc")]
     for platform in DYNAMIC:
-        run_dynamic_flow(source, "brev", platform=NAMED_PLATFORMS[platform],
-                         config=config)
-    assert cpu_calls["run"] == 2
-    assert stages.sample_stream(_exe("brev"), MAX_STEPS,
-                                config.sample_interval) is None
+        run_dynamic_flow(get_benchmark("brev").source, "brev",
+                         platform=NAMED_PLATFORMS[platform], config=adaptive)
+        run_multi_app_flow(apps, platform=NAMED_PLATFORMS[platform])
+        run_multi_app_flow(apps, platform=NAMED_PLATFORMS[platform],
+                           config=adaptive)
+    # one recorded run per binary serves every flow on both platforms
+    assert cpu_calls == {"init": 2, "run": 2}
 
 
 def test_a_run_past_max_steps_fails_everywhere_and_stores_nothing(cpu_calls):
@@ -137,18 +135,22 @@ def test_a_run_past_max_steps_fails_everywhere_and_stores_nothing(cpu_calls):
     assert cpu_calls["run"] == 2
     exe = _exe("crc")
     interval = DynamicConfig().sample_interval
-    assert stages.sample_stream(exe, 10_000, interval) is None
+    with pytest.raises(SimulationError, match="exceeded max_steps"):
+        stages.sample_stream(exe, 10_000, interval)
+    assert cpu_calls["run"] == 3
     with pytest.raises(SimulationError, match="exceeded max_steps"):
         stages.profiled_run(exe, NAMED_PLATFORMS["mips200"].cpi, 10_000)
-    assert cpu_calls["run"] == 3
+    assert cpu_calls["run"] == 4
 
 
-def test_clear_drops_streams():
+def test_clear_drops_streams(cpu_calls):
     run_dynamic_flow(get_benchmark("brev").source, "brev")
     exe, interval = _exe("brev"), DynamicConfig().sample_interval
-    assert stages.sample_stream(exe, MAX_STEPS, interval) is not None
+    stream = stages.sample_stream(exe, MAX_STEPS, interval)
+    assert cpu_calls["run"] == 1
     stages.clear()
-    assert stages.sample_stream(exe, MAX_STEPS, interval) is None
+    assert stages.sample_stream(exe, MAX_STEPS, interval) is not stream
+    assert cpu_calls["run"] == 2
 
 
 def test_recorded_site_costs_equal_the_simulators():
@@ -157,9 +159,6 @@ def test_recorded_site_costs_equal_the_simulators():
     interval = DynamicConfig().sample_interval
     for bench in ALL_BENCHMARKS:
         exe = _exe(bench.name)
-        cpu = Cpu(exe, profile=True)
-        stages.recorded_sampled_run(cpu, MAX_STEPS, interval,
-                                    lambda counts, taken: None)
         stream = stages.sample_stream(exe, MAX_STEPS, interval)
         for cpi in cpis:
             expected = Cpu(exe, cpi=cpi, engine="threaded").site_costs

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import stages
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.dynamic.controller import (
     DynamicPartitionController,
@@ -18,7 +19,6 @@ from repro.dynamic.controller import (
     IntervalStats,
 )
 from repro.platform import MIPS_200MHZ, SOFTCORE_85MHZ
-from repro.sim.cpu import Cpu
 from repro.synth.synthesizer import HwKernel
 
 _TINY = """
@@ -108,8 +108,8 @@ class TestOverheadSeconds:
 
 def _controller(platform):
     exe = compile_source(_TINY, CompilerOptions.from_level(1))
-    cpu = Cpu(exe, cpi=platform.cpi, profile=True)
-    return DynamicPartitionController(cpu, exe, platform)
+    stream = stages.sample_stream(exe, 1_000_000, 4_000)
+    return DynamicPartitionController(stream.sites(platform.cpi), exe, platform)
 
 
 def _kernel(area=5_000.0):

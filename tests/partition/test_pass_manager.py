@@ -7,52 +7,15 @@ import pytest
 from repro import obs
 from repro.partition.api import PartitionOutcome, partition
 from repro.partition.costmodels import cost_model_for
-from repro.partition.graph import ALIAS, OVERLAP, build_graph
+from repro.partition.graph import build_graph
 from repro.partition.passes import FilterPass, PartitionPass, PassManager
 from repro.platform.devices import cgra_device, cpu_device, fabric_device
 from repro.platform.platform import MIPS_200MHZ
 
-from tests.partition.test_baseline_properties import (
-    _StubFunction,
-    _candidate,
-    _random_candidates,
-)
-
-
-class _Footprint:
-    def __init__(self, symbols):
-        self.symbols = set(symbols)
-
-
-def _aliased_candidates():
-    """Three candidates in one function: two overlapping (nested), the
-    third sharing a memory symbol with the first."""
-    import random
-
-    rng = random.Random(42)
-    func = _StubFunction("f")
-    a = _candidate(rng, 0, [func])
-    b = _candidate(rng, 1, [func])
-    c = _candidate(rng, 2, [func])
-    # force overlap between a and b, disjoint c
-    b.profile.block_starts = list(a.profile.block_starts)
-    c.profile.block_starts = [0x500000]
-    c.profile.header_address = 0x500000
-    func.loop_footprints = {
-        a.profile.header_address: _Footprint({"buf"}),
-        c.profile.header_address: _Footprint({"buf", "other"}),
-    }
-    return [a, b, c]
+from tests.partition.test_baseline_properties import _random_candidates
 
 
 class TestGraphBuilding:
-    def test_edges(self):
-        candidates = _aliased_candidates()
-        graph = build_graph(candidates, MIPS_200MHZ, total_cycles=1000)
-        kinds = {(e.kind, e.a, e.b) for e in graph.edges}
-        assert (OVERLAP, 0, 1) in kinds
-        assert any(k == ALIAS and {a, b} == {0, 2} for k, a, b in kinds)
-
     @pytest.mark.parametrize("platform", [
         MIPS_200MHZ,
         # partial-reconfiguration regions are run-time residency, not

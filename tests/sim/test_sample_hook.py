@@ -11,7 +11,9 @@ against each other sample by sample.
 
 import pytest
 
+from repro import stages
 from repro.compiler import compile_source
+from repro.errors import SimulationError
 from repro.sim.cpu import Cpu
 
 _SOURCE = """
@@ -110,26 +112,7 @@ class TestSampleHook:
             assert src == exe.text_base + 4 * index
 
 
-class TestAdaptiveInterval:
-    """A callback's return value sets the next chunk's sample interval
-    (phase-adaptive profiling), on both engines and on the generator twin."""
-
-    def test_return_value_resizes_next_chunk(self, engine):
-        exe = _exe()
-        cpu = Cpu(exe, profile=True, engine=engine)
-        boundaries = []
-
-        def on_sample(counts, taken):
-            boundaries.append(sum(counts))
-            return 2_000   # coarsen after the first sample
-
-        result = cpu.run(sample_interval=500, on_sample=on_sample)
-        assert boundaries[0] == 500
-        # every later boundary is 2000 instructions after the previous one
-        for before, after in zip(boundaries[:-1], boundaries[1:-1]):
-            assert after - before == 2_000
-        assert boundaries[-1] == result.steps
-
+class TestIntervalStaysFixed:
     def test_none_keeps_interval(self, engine):
         exe = _exe()
         cpu = Cpu(exe, profile=True, engine=engine)
@@ -138,98 +121,131 @@ class TestAdaptiveInterval:
         for before, after in zip(boundaries[:-1], boundaries[1:-1]):
             assert after - before == 750
 
-    def test_adaptive_run_preserves_results(self, engine):
+    def test_return_value_is_ignored(self, engine):
         exe = _exe()
-        plain = Cpu(exe, profile=True, engine=engine).run()
-        adaptive_cpu = Cpu(exe, profile=True, engine=engine)
-        intervals = iter([100, 400, 1600, 6400] * 1000)
-        adaptive = adaptive_cpu.run(
-            sample_interval=50, on_sample=lambda c, t: next(intervals)
-        )
-        assert plain.steps == adaptive.steps
-        assert plain.cycles == adaptive.cycles
-        assert plain.pc_counts == adaptive.pc_counts
-
-
-class TestRunSampledGenerator:
-    """``run_sampled`` is the generator twin of ``run`` + ``on_sample``:
-    same boundaries, same counters, same final result -- it exists so an
-    external driver (the multi-application round-robin) can interleave
-    several CPUs at sampling granularity."""
-
-    def _callback_trace(self, engine, interval, feed=None):
-        exe = _exe()
-        cpu = Cpu(exe, profile=True, engine=engine)
-        trace = []
-        supply = iter(feed) if feed is not None else None
+        boundaries = []
 
         def on_sample(counts, taken):
-            trace.append((tuple(counts), tuple(taken)))
-            return next(supply) if supply is not None else None
+            boundaries.append(sum(counts))
+            return 2_000
 
-        result = cpu.run(sample_interval=interval, on_sample=on_sample)
+        result = Cpu(exe, profile=True, engine=engine).run(
+            sample_interval=500, on_sample=on_sample
+        )
+        assert len(boundaries) == result.steps // 500 + 1
+        for position, total in enumerate(boundaries[:-1], start=1):
+            assert total == position * 500
+
+
+MAX_STEPS = 100_000_000
+
+
+class TestSampleStream:
+    """A recorded stream replays the simulator's sampled run: the same
+    counters at the same boundaries, and a ``send()`` override spaces the
+    samples like a chunked run at that interval would (phase-adaptive
+    profiling).  The reference is :meth:`Cpu.run` on either engine."""
+
+    @staticmethod
+    def _cpu_trace(engine, interval):
+        cpu = Cpu(_exe(), profile=True, engine=engine)
+        trace = []
+        result = cpu.run(
+            sample_interval=interval,
+            on_sample=lambda c, t: trace.append((tuple(c), tuple(t))),
+        )
         return trace, result
 
-    def _generator_trace(self, engine, interval, feed=None):
-        exe = _exe()
-        cpu = Cpu(exe, profile=True, engine=engine)
-        generator = cpu.run_sampled(sample_interval=interval)
+    @staticmethod
+    def _played(interval, feed=None):
+        stream = stages.sample_stream(_exe(), MAX_STEPS, interval)
+        player = stream.play()
         supply = iter(feed) if feed is not None else None
         trace = []
         try:
-            payload = next(generator)
+            sample = next(player)
             while True:
-                trace.append((tuple(payload[0]), tuple(payload[1])))
-                sent = next(supply) if supply is not None else None
-                payload = generator.send(sent)
+                trace.append((tuple(sample[0]), tuple(sample[1])))
+                sample = player.send(next(supply) if supply is not None else None)
         except StopIteration as stop:
             return trace, stop.value
 
-    @pytest.mark.parametrize("interval", [97, 1000])
-    def test_matches_callback_run_exactly(self, engine, interval):
-        expected_trace, expected = self._callback_trace(engine, interval)
-        got_trace, got = self._generator_trace(engine, interval)
-        assert expected_trace == got_trace
+    @staticmethod
+    def _same_run(expected, got):
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
         assert expected.taken == got.taken
         assert expected.pc_counts == got.pc_counts
         assert expected.edge_counts == got.edge_counts
 
-    def test_send_resizes_like_return_value(self, engine):
-        feed = [500, 1000, 2000, 4000, 8000] * 100
-        expected_trace, expected = self._callback_trace(engine, 250, feed)
-        got_trace, got = self._generator_trace(engine, 250, feed)
+    @pytest.mark.parametrize("interval", [97, 1000])
+    def test_matches_the_simulators_run_exactly(self, engine, interval):
+        expected_trace, expected = self._cpu_trace(engine, interval)
+        got_trace, got = self._played(interval)
         assert expected_trace == got_trace
-        assert expected.steps == got.steps
-        assert expected.cycles == got.cycles
-        assert expected.taken == got.taken
+        self._same_run(expected, got)
 
-    def test_rejects_nonpositive_interval(self, engine):
-        from repro.errors import SimulationError
+    @pytest.mark.parametrize("factor", [1, 3, 8])
+    def test_constant_override_takes_every_kth_sample(self, engine, factor):
+        # the first sample falls one base interval in, before any override;
+        # from there on every chunk spans *factor* base intervals, and the
+        # halt sample ends the last one
+        fixed_trace, fixed = self._cpu_trace(engine, 250)
+        _, coarse = self._cpu_trace(engine, 250 * factor)
+        got_trace, got = self._played(250, [250 * factor] * 10_000)
+        last = len(fixed_trace) - 1
+        expected = fixed_trace[0:last:factor] + [fixed_trace[last]]
+        assert got_trace == expected
+        self._same_run(fixed, got)
+        self._same_run(coarse, got)
 
-        exe = _exe()
-        cpu = Cpu(exe, engine=engine)
+    def test_varying_overrides_pick_the_predicted_samples(self, engine):
+        fixed_trace, _ = self._cpu_trace(engine, 250)
+        feed = [500, 1000, 2000, 4000, 8000] * 100
+        got_trace, _ = self._played(250, feed)
+        last = len(fixed_trace) - 1
+        predicted, position = [0], 0
+        for interval in feed:
+            if position == last:
+                break
+            position = min(position + interval // 250, last)
+            predicted.append(position)
+        assert got_trace == [fixed_trace[i] for i in predicted]
+
+    def test_replay_feeds_return_values_back(self, engine):
+        fixed_trace, expected = self._cpu_trace(engine, 500)
+        stream = stages.sample_stream(_exe(), MAX_STEPS, 500)
+        boundaries = []
+
+        def on_sample(counts, taken):
+            boundaries.append(sum(counts))
+            return 2_000   # coarsen after the first sample
+
+        run = stream.replay(on_sample)
+        assert boundaries[0] == 500
+        for before, after in zip(boundaries[:-1], boundaries[1:-1]):
+            assert after - before == 2_000
+        assert boundaries[-1] == expected.steps
+        self._same_run(expected, run)
+
+    def test_rejects_nonpositive_interval(self):
         with pytest.raises(SimulationError):
-            next(cpu.run_sampled(sample_interval=0))
+            stages.sample_stream(_exe(), MAX_STEPS, 0)
 
-    @pytest.mark.parametrize("bad", [-1, 0.5, True, "soon", [1]],
-                             ids=["negative", "float", "bool", "str", "list"])
-    def test_rejects_bad_interval_overrides(self, engine, bad):
-        # a negative override would spin the dispatch loop forever on
-        # zero-instruction chunks; non-integers would crash mid-run --
-        # both are rejected at the boundary with a clear error, via
-        # send() and via an on_sample return value alike
-        from repro.errors import SimulationError
-
-        generator = Cpu(_exe(), engine=engine).run_sampled(sample_interval=500)
-        next(generator)
+    @pytest.mark.parametrize("bad", [-1, 0.5, True, "soon", [1], 750],
+                             ids=["negative", "float", "bool", "str", "list",
+                                  "non-multiple"])
+    def test_rejects_bad_interval_overrides(self, bad):
+        # a negative override would skip backwards, a non-multiple would
+        # need a boundary the recorded run never sampled: both are rejected
+        # with a clear error, via send() and via an on_sample return alike
+        stream = stages.sample_stream(_exe(), MAX_STEPS, 500)
+        player = stream.play()
+        next(player)
         with pytest.raises(SimulationError, match="override"):
-            generator.send(bad)
+            player.send(bad)
         with pytest.raises(SimulationError, match="override"):
-            Cpu(_exe(), engine=engine).run(
-                sample_interval=500, on_sample=lambda c, t: bad
-            )
+            stream.replay(lambda c, t: bad)
 
 
 class TestCrossEngineSampling:

@@ -194,6 +194,26 @@ def test_dynamic_rejects_non_positive_knobs(flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["dynamic", "brev", "--regions", "-1"], "--regions"),
+    (["dynamic", "brev", "--jobs", "0"], "--jobs"),
+    (["dynamic", "brev", "--jobs", "-3"], "--jobs"),
+    (["sweep", "brev", "--jobs", "0", "--no-cache"], "--jobs"),
+    (["sweep", "brev", "--jobs", "-3", "--no-cache"], "--jobs"),
+], ids=["dynamic-regions-negative", "dynamic-jobs-zero", "dynamic-jobs-negative",
+        "sweep-jobs-zero", "sweep-jobs-negative"])
+def test_bad_counts_are_usage_errors(argv, flag, capsys):
+    # a negative region count must not reach Platform.with_regions, and a
+    # non-positive worker count must not quietly run serially
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"error: argument {flag}: must be" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "brev", "--cpu-mhz", "0", "--serial", "--no-cache"],
     ["sweep", "brev", "--cpu-mhz", "200", "-5", "--serial", "--no-cache"],
