@@ -31,29 +31,43 @@ def block_use_def(block: MicroBlock) -> tuple[set[Loc], set[Loc]]:
     return uses, defs
 
 
-def liveness(cfg: ControlFlowGraph) -> tuple[list[set[Loc]], list[set[Loc]]]:
-    """Iterative backward liveness; returns (live_in, live_out) per block."""
-    count = len(cfg.blocks)
-    gen: list[set[Loc]] = []
-    kill: list[set[Loc]] = []
-    for block in cfg.blocks:
-        uses, defs = block_use_def(block)
-        gen.append(uses)
-        kill.append(defs)
+def liveness(
+    cfg: ControlFlowGraph,
+    use_def: list[tuple[set[Loc], set[Loc]]] | None = None,
+) -> tuple[list[set[Loc]], list[set[Loc]]]:
+    """Backward liveness; returns (live_in, live_out) per block.
+
+    *use_def* is each block's :func:`block_use_def`, for a caller that
+    keeps it current itself.  The result is the least fixpoint, which is
+    unique, so the worklist order does not matter.
+    """
+    blocks = cfg.blocks
+    count = len(blocks)
+    if use_def is None:
+        use_def = [block_use_def(block) for block in blocks]
+    preds: list[list[int]] = [[] for _ in range(count)]
+    for block in blocks:
+        for succ in block.succs:
+            preds[succ].append(block.index)
     live_in: list[set[Loc]] = [set() for _ in range(count)]
     live_out: list[set[Loc]] = [set() for _ in range(count)]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(count - 1, -1, -1):
-            out: set[Loc] = set()
-            for succ in cfg.blocks[index].succs:
-                out |= live_in[succ]
-            new_in = gen[index] | (out - kill[index])
-            if out != live_out[index] or new_in != live_in[index]:
-                live_out[index] = out
-                live_in[index] = new_in
-                changed = True
+    work = list(range(count))  # popped from the end: backward order first
+    queued = [True] * count
+    while work:
+        index = work.pop()
+        queued[index] = False
+        out: set[Loc] = set()
+        for succ in blocks[index].succs:
+            out |= live_in[succ]
+        live_out[index] = out
+        gen, kill = use_def[index]
+        new_in = gen | (out - kill)
+        if new_in != live_in[index]:
+            live_in[index] = new_in
+            for pred in preds[index]:
+                if not queued[pred]:
+                    queued[pred] = True
+                    work.append(pred)
     return live_in, live_out
 
 

@@ -46,7 +46,12 @@ class DecompilationOptions:
     #: resolve switch jump tables instead of failing (extension; off by
     #: default so the baseline reproduces the paper's two EEMBC failures)
     recover_jump_tables: bool = False
+    #: cap on constant/copy propagation + DCE iterations per cleanup round
     rounds: int = 3
+
+    def __post_init__(self) -> None:
+        if self.rounds < 1:
+            raise DecompilationError(f"rounds must be >= 1, got {self.rounds}")
 
     @classmethod
     def none(cls) -> "DecompilationOptions":
@@ -171,7 +176,9 @@ class Decompiler:
         prune_unreachable(cfg)
         options = self.options
 
-        def cleanup_round() -> None:
+        def cleanup_round() -> bool:
+            """Propagate and clean up; True if the last iteration changed
+            nothing, i.e. the CFG is a fixpoint of the cleanup passes."""
             for _ in range(options.rounds):
                 changed = 0
                 if options.constant_propagation:
@@ -187,30 +194,37 @@ class Decompiler:
                     changed += removed
                 prune_unreachable(cfg)
                 if not changed:
-                    break
+                    return True
+            return False
 
-        cleanup_round()
+        # A cleanup round started at a fixpoint changes nothing (constant
+        # propagation's uncounted MOVE #imm -> CONST rewrites are already
+        # done by then), so after a pass that changed nothing it is skipped.
+        at_fixpoint = cleanup_round()
         if options.stack_removal:
             sr = remove_stack_operations(cfg)
             stats.stack_ops_removed += sr.total
-            cleanup_round()
+            if sr.total or not at_fixpoint:
+                at_fixpoint = cleanup_round()
         if options.strength_promotion:
             promo = promote_strength(cfg)
             stats.muls_promoted += promo.muls_recovered
-            cleanup_round()
+            if promo.muls_recovered or not at_fixpoint:
+                at_fixpoint = cleanup_round()
         if options.loop_rerolling:
             rr = reroll_loops(cfg)
             stats.loops_rerolled += rr.loops_rerolled
             stats.reroll_ops_removed += rr.ops_removed
-            cleanup_round()
+            if rr.loops_rerolled or rr.rewrites or not at_fixpoint:
+                cleanup_round()
         if options.size_reduction:
             sz = reduce_operator_sizes(cfg)
             stats.ops_narrowed += sz.ops_narrowed
             stats.bits_saved += sz.bits_saved
 
         stats.final_ops = cfg.op_count()
-        structure = recover_structure(cfg)
         loops = natural_loops(cfg)
+        structure = recover_structure(cfg, loops)
         footprints = {
             cfg.blocks[loop.header].start: loop_footprint(self.exe, cfg, loop)
             for loop in loops

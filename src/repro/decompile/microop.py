@@ -16,7 +16,7 @@ nothing downstream of :mod:`lift` knows it was MIPS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -25,11 +25,34 @@ from enum import Enum
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Loc:
-    """A storage location (register, HI/LO, or virtual slot)."""
+    """A storage location (register, HI/LO, or virtual slot).
 
-    name: str
+    Locations are interned: ``Loc(name)`` returns the one instance for
+    *name*, so equality and hashing are by identity (the default object
+    slots, no Python-level ``__eq__``/``__hash__``).  Unpickling and
+    copying go back through ``Loc(name)`` and re-intern.
+    """
+
+    __slots__ = ("name",)
+    _interned: dict[str, "Loc"] = {}
+
+    def __new__(cls, name: str) -> "Loc":
+        loc = cls._interned.get(name)
+        if loc is None:
+            loc = object.__new__(cls)
+            object.__setattr__(loc, "name", name)
+            cls._interned[name] = loc
+        return loc
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __reduce__(self):
+        return (Loc, (self.name,))
+
+    def __repr__(self) -> str:
+        return f"Loc(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -114,6 +137,22 @@ class Opcode(Enum):
     HALT = "halt"        # break
 
 
+# identity hashing: members are singletons, so the default slot is exact and
+# avoids Enum's Python-level ``hash(self._name_)`` on every set/dict probe
+Opcode.__hash__ = object.__hash__
+
+#: locations a call reads (arguments + stack pointer) and a return reads
+#: (results, stack and return address, everything the caller relies on)
+_IMPLICIT_USES: dict[Opcode, tuple[Loc, ...]] = {
+    Opcode.CALL: ARG_LOCS + (SP,),
+    Opcode.RETURN: (V0, V1, SP, RA) + CALL_PRESERVED,
+}
+
+_TERMINATORS = frozenset(
+    {Opcode.BRANCH, Opcode.JUMP, Opcode.IJUMP, Opcode.RETURN, Opcode.HALT}
+)
+
+
 #: pure two-operand ALU opcodes (everything the DFG treats as a data node)
 ALU_OPS = frozenset(
     {
@@ -182,33 +221,24 @@ class MicroOp:
 
     # -- dataflow interface ------------------------------------------------
 
-    def defs(self) -> list[Loc]:
+    def defs(self) -> tuple[Loc, ...]:
         if self.dst is not None:
-            return [self.dst]
+            return (self.dst,)
         if self.opcode is Opcode.CALL:
-            return list(CALL_CLOBBERED)
-        return []
+            return CALL_CLOBBERED
+        return ()
 
-    def uses(self) -> list[Loc]:
-        out: list[Loc] = []
-        if isinstance(self.a, Loc):
-            out.append(self.a)
-        if isinstance(self.b, Loc):
-            out.append(self.b)
-        if self.opcode is Opcode.CALL:
-            out.extend(ARG_LOCS)
-            out.append(SP)
-        elif self.opcode is Opcode.RETURN:
-            out.extend((V0, V1, SP, RA))
-            out.extend(CALL_PRESERVED)
-        elif self.opcode is Opcode.IJUMP:
-            pass  # a already included
-        return out
+    def uses(self) -> tuple[Loc, ...]:
+        a, b = self.a, self.b
+        if a.__class__ is Loc:
+            out = (a, b) if b.__class__ is Loc else (a,)
+        else:
+            out = (b,) if b.__class__ is Loc else ()
+        implicit = _IMPLICIT_USES.get(self.opcode)
+        return out + implicit if implicit else out
 
     def is_terminator(self) -> bool:
-        return self.opcode in (
-            Opcode.BRANCH, Opcode.JUMP, Opcode.IJUMP, Opcode.RETURN, Opcode.HALT
-        )
+        return self.opcode in _TERMINATORS
 
     def clone(self, **changes) -> "MicroOp":
         return replace(self, **changes)

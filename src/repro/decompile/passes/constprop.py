@@ -12,14 +12,27 @@ propagation recognizes and removes the overhead.  Concretely this pass:
 * folds fully-constant ALU ops into CONST,
 * simplifies identities (``add x, #0`` -> MOVE and friends),
 * folds always/never-taken branches, updating CFG edges.
+
+Visit-order contract.  The solver's meet reads a location missing from
+the incoming state as NAC (an unknown entry value), not as UNDEF, so it is
+not a pure lattice meet and the fixpoint it reaches depends on the order in
+which blocks are visited.  That order is part of the pass's output: a FIFO
+worklist seeded with every block index in ascending order, where a
+successor whose entry state changed is appended (in ``succs`` order) unless
+it is already queued.  A sparse or SSA formulation would reach a different
+fixpoint and move the recovered CDFGs.  A solve that needs more than
+``_VISIT_CAP`` visits per block raises :class:`DecompilationError` rather
+than rewriting from non-fixpoint states; the function then fails recovery.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.compiler.passes.constfold import fold_ir_binop
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
+from repro.errors import DecompilationError
 from repro.decompile.microop import (
     ALU_OPS,
     Imm,
@@ -67,134 +80,173 @@ class ConstPropStats:
         )
 
 
-def _meet(a, b):
-    if a is _UNDEF:
-        return b
-    if b is _UNDEF:
-        return a
-    if a is _NAC or b is _NAC or a != b:
-        return _NAC if a != b else a
-    return a
+# one transfer step per op: (kind, dst, a, b, fold).  Operands are
+# pre-read: an int is a known constant (an immediate, or R0), anything else
+# a location looked up in the state, where a missing entry reads as NAC --
+# entry values are unknown (states never hold UNDEF).
+_COPY, _ALU, _CLOBBER = range(3)
 
 
-def _transfer_op(op: MicroOp, state: dict[Loc, object]) -> None:
-    """Update *state* for one op (states default to UNDEF -> treated as NAC
-    for reads, because entry values are unknown)."""
+def _operand(operand) -> object:
+    if operand.__class__ is Imm:
+        return to_signed32(operand.value)
+    if operand is ZERO:
+        return 0
+    return operand
 
-    def read(operand) -> object:
-        if isinstance(operand, Imm):
-            return to_signed32(operand.value)
-        if operand == ZERO:
-            return 0
-        value = state.get(operand, _NAC)
-        return _NAC if value is _UNDEF else value
 
-    if op.opcode is Opcode.CONST:
-        state[op.dst] = to_signed32(op.a.value)
-    elif op.opcode is Opcode.MOVE:
-        state[op.dst] = read(op.a)
-    elif op.opcode in ALU_OPS:
-        a, b = read(op.a), read(op.b)
-        if isinstance(a, int) and isinstance(b, int) and op.opcode in _FOLD_NAME:
-            folded = fold_ir_binop(_FOLD_NAME[op.opcode], a, b)
-            state[op.dst] = folded if folded is not None else _NAC
-        elif op.opcode is Opcode.NOR and isinstance(a, int) and isinstance(b, int):
-            state[op.dst] = to_signed32(~(a | b))
+def _steps(ops: list[MicroOp]) -> list[tuple]:
+    """The transfer steps of *ops*."""
+    steps = []
+    for op in ops:
+        code = op.opcode
+        if code is Opcode.CONST:
+            steps.append((_COPY, op.dst, to_signed32(op.a.value), None, None))
+        elif code is Opcode.MOVE:
+            steps.append((_COPY, op.dst, _operand(op.a), None, None))
+        elif code in ALU_OPS:
+            steps.append((_ALU, op.dst, _operand(op.a), _operand(op.b),
+                          _FOLD_NAME.get(code, code)))
         else:
-            state[op.dst] = _NAC
-    else:
-        for loc in op.defs():
-            state[loc] = _NAC
+            steps.append((_CLOBBER, op.defs(), None, None, None))
+    return steps
 
 
-def _block_out_state(block: MicroBlock, in_state: dict[Loc, object]) -> dict[Loc, object]:
-    state = dict(in_state)
-    for op in block.ops:
-        _transfer_op(op, state)
-    return state
+def _transfer(steps, state: dict[Loc, object]) -> None:
+    """Advance *state* over *steps*."""
+    get = state.get
+    for kind, dst, a, b, fold in steps:
+        if kind == _CLOBBER:
+            for loc in dst:
+                state[loc] = _NAC
+            continue
+        if a.__class__ is not int:
+            a = get(a, _NAC)
+        if kind == _COPY:
+            state[dst] = a
+            continue
+        if b.__class__ is not int:
+            b = get(b, _NAC)
+        if a is _NAC or b is _NAC:
+            state[dst] = _NAC
+        elif fold.__class__ is str:
+            folded = fold_ir_binop(fold, a, b)
+            state[dst] = folded if folded is not None else _NAC
+        elif fold is Opcode.NOR:
+            state[dst] = to_signed32(~(a | b))
+        else:
+            state[dst] = _NAC
 
 
-def _solve(cfg: ControlFlowGraph) -> list[dict[Loc, object]]:
-    """Fixpoint constant states at block entry."""
-    entry_index = cfg.block_by_start[cfg.entry]
-    in_states: list[dict[Loc, object]] = [{} for _ in cfg.blocks]
+#: a solve may visit each block at most this many times on average; the
+#: benchmark suite at -O0..-O3 and the fuzz programs need at most 3.7
+_VISIT_CAP = 50
+
+
+def _solve(cfg: ControlFlowGraph) -> tuple[list[dict[Loc, object]], list[list[tuple]]]:
+    """Fixpoint constant states at block entry, and each block's steps.
+
+    Visits blocks in the order the module docstring fixes.
+    """
+    blocks = cfg.blocks
+    steps = [_steps(block.ops) for block in blocks]
+    in_states: list[dict[Loc, object]] = [{} for _ in blocks]
     # entry: everything unknown (NAC) except the hardwired zero register
-    in_states[entry_index] = {ZERO: 0}
-    work = list(range(len(cfg.blocks)))
+    in_states[cfg.block_by_start[cfg.entry]] = {ZERO: 0}
+    work = deque(range(len(blocks)))
+    queued = set(work)
     visits = 0
-    limit = 50 * max(1, len(cfg.blocks))
-    while work and visits < limit:
+    limit = _VISIT_CAP * max(1, len(blocks))
+    while work:
+        if visits >= limit:
+            raise DecompilationError(
+                f"constant propagation in {cfg.name!r} did not converge "
+                f"within {limit} block visits"
+            )
         visits += 1
-        index = work.pop(0)
-        out = _block_out_state(cfg.blocks[index], in_states[index])
-        for succ in cfg.blocks[index].succs:
-            merged = dict(in_states[succ])
-            changed = False
-            keys = set(merged) | set(out)
-            for key in keys:
-                a = merged.get(key, _UNDEF)
-                b = out.get(key, _NAC)
-                m = _meet(a, b)
-                if m is not a:
-                    merged[key] = m
-                    changed = True
-            if changed:
-                in_states[succ] = merged
-                if succ not in work:
+        index = work.popleft()
+        queued.discard(index)
+        out = dict(in_states[index])
+        _transfer(steps[index], out)
+        out_items = out.items()
+        for succ in blocks[index].succs:
+            # meet only where the states differ: a key new to the
+            # successor takes the incoming value, any other difference
+            # (including a key the incoming state lacks) lowers to NAC
+            state = in_states[succ]
+            changes = {}
+            for key, value in out_items - state.items():
+                old = state.get(key, _UNDEF)
+                if old is _UNDEF:
+                    changes[key] = value
+                elif old is not _NAC:
+                    changes[key] = _NAC
+            for key in state.keys() - out.keys():
+                if state[key] is not _NAC:
+                    changes[key] = _NAC
+            if changes:
+                state.update(changes)
+                if succ not in queued:
+                    queued.add(succ)
                     work.append(succ)
-    return in_states
+    return in_states, steps
+
+
+def _const_of(operand, state: dict[Loc, object]) -> int | None:
+    operand = _operand(operand)
+    if operand.__class__ is int:
+        return operand
+    value = state.get(operand, _NAC)
+    return None if value is _NAC else value
 
 
 def propagate_constants(cfg: ControlFlowGraph) -> ConstPropStats:
     """Run constant propagation and rewrite *cfg* in place."""
     stats = ConstPropStats()
-    in_states = _solve(cfg)
+    in_states, steps = _solve(cfg)
 
     for block in cfg.blocks:
-        state = dict(in_states[block.index])
+        state = in_states[block.index]
         new_ops: list[MicroOp] = []
-        for op in block.ops:
-
-            def const_of(operand):
-                if isinstance(operand, Imm):
-                    return to_signed32(operand.value)
-                if operand == ZERO:
-                    return 0
-                value = state.get(operand, _NAC)
-                return value if isinstance(value, int) else None
-
+        for op, step in zip(block.ops, steps[block.index]):
+            code = op.opcode
             rewritten = op
-            if op.opcode in ALU_OPS or op.opcode is Opcode.MOVE:
+            if code in ALU_OPS or code is Opcode.MOVE:
                 # substitute constant register operands with immediates
                 changed = False
                 a, b = op.a, op.b
-                if isinstance(a, Loc) and a != ZERO and const_of(a) is not None:
-                    a = Imm(const_of(op.a) & 0xFFFF_FFFF)
-                    changed = True
-                if isinstance(b, Loc) and b != ZERO and const_of(b) is not None:
-                    b = Imm(const_of(op.b) & 0xFFFF_FFFF)
-                    changed = True
+                if a.__class__ is Loc and a is not ZERO:
+                    value = _const_of(a, state)
+                    if value is not None:
+                        a = Imm(value & 0xFFFF_FFFF)
+                        changed = True
+                if b.__class__ is Loc and b is not ZERO:
+                    value = _const_of(b, state)
+                    if value is not None:
+                        b = Imm(value & 0xFFFF_FFFF)
+                        changed = True
                 if changed:
                     rewritten = op.clone(a=a, b=b)
                     stats.operands_immediated += 1
-                rewritten = self_simplify(rewritten, const_of, stats)
-            elif op.opcode is Opcode.LOAD and isinstance(op.a, Loc):
-                base_const = const_of(op.a)
-                if base_const is not None and op.a != ZERO:
+                rewritten = self_simplify(rewritten, stats)
+            elif code is Opcode.LOAD and op.a.__class__ is Loc:
+                base_const = _const_of(op.a, state)
+                if base_const is not None and op.a is not ZERO:
                     # absolute-address load: keep base as immediate 0 + offset
                     rewritten = op.clone(a=Imm(0), offset=op.offset + base_const)
                     stats.operands_immediated += 1
-            elif op.opcode is Opcode.STORE:
-                base_const = const_of(op.b)
-                if base_const is not None and isinstance(op.b, Loc) and op.b != ZERO:
+            elif code is Opcode.STORE:
+                base_const = _const_of(op.b, state)
+                if base_const is not None and op.b.__class__ is Loc and op.b is not ZERO:
                     rewritten = op.clone(b=Imm(0), offset=op.offset + base_const)
                     stats.operands_immediated += 1
-                value_const = const_of(rewritten.a)
-                if value_const is not None and isinstance(rewritten.a, Loc) and rewritten.a != ZERO:
+                value_const = _const_of(rewritten.a, state)
+                if (value_const is not None and rewritten.a.__class__ is Loc
+                        and rewritten.a is not ZERO):
                     rewritten = rewritten.clone(a=Imm(value_const & 0xFFFF_FFFF))
                     stats.operands_immediated += 1
-            elif op.opcode is Opcode.BRANCH:
-                a, b = const_of(op.a), const_of(op.b)
+            elif code is Opcode.BRANCH:
+                a, b = _const_of(op.a, state), _const_of(op.b, state)
                 if a is not None and b is not None:
                     taken = fold_ir_binop(_COND_FOLD[op.cond], a, b)
                     stats.branches_folded += 1
@@ -205,26 +257,26 @@ def propagate_constants(cfg: ControlFlowGraph) -> ConstPropStats:
                         rewritten = None
                         fall = [s for s in block.succs if cfg.blocks[s].start != op.target]
                         _retarget(cfg, block, fall[:1] or block.succs[:1])
-            _transfer_op(op, state)  # advance on the ORIGINAL op (same effect)
+            _transfer((step,), state)  # advance on the ORIGINAL op (same effect)
             if rewritten is not None:
                 new_ops.append(rewritten)
         block.ops = new_ops
     return stats
 
 
-def self_simplify(op: MicroOp, const_of, stats: ConstPropStats) -> MicroOp:
+def self_simplify(op: MicroOp, stats: ConstPropStats) -> MicroOp:
     """Identity simplification on one (possibly immediated) ALU op."""
     if op.opcode is Opcode.MOVE:
         if isinstance(op.a, Imm):
             return MicroOp(Opcode.CONST, dst=op.dst, a=op.a, pc=op.pc)
-        if op.a == ZERO:
+        if op.a is ZERO:
             return MicroOp(Opcode.CONST, dst=op.dst, a=Imm(0), pc=op.pc)
         return op
     a_imm = op.a.value if isinstance(op.a, Imm) else None
     b_imm = op.b.value if isinstance(op.b, Imm) else None
-    if op.a == ZERO:
+    if op.a is ZERO:
         a_imm = 0
-    if op.b == ZERO:
+    if op.b is ZERO:
         b_imm = 0
 
     # fully constant -> CONST

@@ -8,7 +8,7 @@ Block-local operation keeps it trivially sound.
 from __future__ import annotations
 
 from repro.decompile.cfg import ControlFlowGraph
-from repro.decompile.microop import Imm, Loc, MicroOp, Opcode, ZERO
+from repro.decompile.microop import Loc, Opcode, ZERO
 
 
 def propagate_copies(cfg: ControlFlowGraph) -> int:
@@ -17,30 +17,27 @@ def propagate_copies(cfg: ControlFlowGraph) -> int:
     for block in cfg.blocks:
         available: dict[Loc, Loc] = {}
         for op in block.ops:
-            # substitute uses
-            new_a = op.a
-            new_b = op.b
-            if isinstance(op.a, Loc) and op.a in available:
-                new_a = available[op.a]
-                substitutions += 1
-            if isinstance(op.b, Loc) and op.b in available:
-                new_b = available[op.b]
-                substitutions += 1
-            op.a, op.b = new_a, new_b
-
-            # kill mappings invalidated by this op's defs
-            defs = op.defs()
-            for loc in defs:
-                available.pop(loc, None)
-                stale = [dst for dst, src in available.items() if src == loc]
-                for dst in stale:
-                    del available[dst]
+            if available:
+                # substitute uses
+                if op.a.__class__ is Loc and op.a in available:
+                    op.a = available[op.a]
+                    substitutions += 1
+                if op.b.__class__ is Loc and op.b in available:
+                    op.b = available[op.b]
+                    substitutions += 1
+                # kill mappings invalidated by this op's defs
+                for loc in op.defs():
+                    available.pop(loc, None)
+                    if loc in available.values():
+                        stale = [dst for dst, src in available.items() if src is loc]
+                        for dst in stale:
+                            del available[dst]
 
             if (
                 op.opcode is Opcode.MOVE
-                and isinstance(op.a, Loc)
-                and op.dst != op.a
-                and op.a != ZERO
+                and op.a.__class__ is Loc
+                and op.dst is not op.a
+                and op.a is not ZERO
             ):
                 available[op.dst] = op.a
     return substitutions

@@ -8,35 +8,44 @@ dead address materializations).  Iterates with fresh liveness until stable.
 from __future__ import annotations
 
 from repro.decompile.cfg import ControlFlowGraph
-from repro.decompile.dataflow import liveness
+from repro.decompile.dataflow import block_use_def, liveness
 from repro.decompile.microop import ALU_OPS, Loc, MicroOp, Opcode
 
 _PURE = frozenset({Opcode.CONST, Opcode.MOVE, Opcode.LOAD}) | ALU_OPS
 
 
 def eliminate_dead_code(cfg: ControlFlowGraph) -> int:
-    """Remove dead pure ops; returns the number of ops deleted."""
+    """Remove dead pure ops; returns the number of ops deleted.
+
+    Each round sweeps only the blocks whose live-out set moved since their
+    last sweep (a block's sweep is idempotent for a fixed live-out), and
+    recomputes use/def sets only for the blocks a sweep shrank.
+    """
+    blocks = cfg.blocks
+    use_def = [block_use_def(block) for block in blocks]
+    swept_with: list[set[Loc] | None] = [None] * len(blocks)
     removed_total = 0
     while True:
-        _, live_out = liveness(cfg)
+        _, live_out = liveness(cfg, use_def)
         removed = 0
-        for block in cfg.blocks:
-            live: set[Loc] = set(live_out[block.index])
+        for block in blocks:
+            index = block.index
+            if live_out[index] == swept_with[index]:
+                continue
+            swept_with[index] = live_out[index]
+            live: set[Loc] = set(live_out[index])
             kept_reversed: list[MicroOp] = []
             for op in reversed(block.ops):
-                is_dead = (
-                    op.opcode in _PURE
-                    and op.dst is not None
-                    and op.dst not in live
-                )
-                if is_dead:
-                    removed += 1
+                if op.opcode in _PURE and op.dst is not None and op.dst not in live:
                     continue
-                for loc in op.defs():
-                    live.discard(loc)
+                live.difference_update(op.defs())
                 live.update(op.uses())
                 kept_reversed.append(op)
-            block.ops = list(reversed(kept_reversed))
+            if len(kept_reversed) != len(block.ops):
+                removed += len(block.ops) - len(kept_reversed)
+                kept_reversed.reverse()
+                block.ops = kept_reversed
+                use_def[index] = block_use_def(block)
         removed_total += removed
         if removed == 0:
             return removed_total

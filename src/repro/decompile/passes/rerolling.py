@@ -30,6 +30,7 @@ main+remainder (checked end-to-end by the CDFG interpreter tests).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
@@ -177,36 +178,36 @@ def _symbolic_exec(ops: list[MicroOp]) -> _Transfer:
 # induction variable becomes a single name.
 
 
-def _canonicalize_rotations(ops: list[MicroOp], live_out_names: set[str]) -> list[MicroOp]:
-    ops = list(ops)
+def _canonicalize_rotations(
+    ops: list[MicroOp], live_out: set[Loc]
+) -> tuple[list[MicroOp], int]:
+    """The rewritten op list and the number of renames applied."""
+    index = _Positions(list(ops))
+    ops = index.ops
+    rewrites = 0
     budget = 4 * len(ops) + 16
     changed = True
     while changed and budget > 0:
         changed = False
         budget -= 1
-        defs, uses = _positions(ops)
         # rule 1: copy collapse (scan from the end)
         for p in range(len(ops) - 1, -1, -1):
             op = ops[p]
-            if op.opcode is not Opcode.MOVE or not isinstance(op.a, Loc):
+            if op is None or op.opcode is not Opcode.MOVE or op.a.__class__ is not Loc:
                 continue
             dst, src = op.dst, op.a
-            if dst == src or src == ZERO:
+            if dst is src or src is ZERO:
                 continue
-            if not _value_dead_after(src.name, p, defs, uses, live_out_names):
+            if not index.dead_after(src, p, live_out):
                 continue
-            src_defs = [d for d in defs.get(src.name, []) if d < p]
-            if not src_defs:
+            q = index.last_def_before(src, p)
+            if q is None or ops[q].dst is not src:
+                continue  # no def, or an implicit one (a CALL clobber)
+            if index.accessed_between(dst, q + 1, p):
                 continue
-            q = max(src_defs)
-            if ops[q].dst != src:
-                continue  # implicit def (e.g. a CALL clobber): not renamable
-            if _accessed_between(ops, dst, q + 1, p):
-                continue
-            if any(d > q and d < p for d in defs.get(src.name, [])):
-                continue
-            _rename(ops, src, dst, q, p)
-            del ops[p]
+            index.rename(src, dst, q, p)
+            index.delete(p)
+            rewrites += 1
             changed = True
             break
         if changed:
@@ -214,100 +215,113 @@ def _canonicalize_rotations(ops: list[MicroOp], live_out_names: set[str]) -> lis
         # rule 2: operand threading
         for q in range(len(ops) - 1, -1, -1):
             op = ops[q]
-            if op.opcode not in ALU_OPS or op.dst is None:
+            if op is None or op.opcode not in ALU_OPS or op.dst is None:
                 continue
             dst = op.dst
-            if dst in (op.a, op.b):
+            if dst is op.a or dst is op.b:
                 # the op reads its own destination: renaming any other
                 # operand to dst would clobber that read
                 continue
             for operand in (op.a, op.b):
-                if not isinstance(operand, Loc) or operand in (dst, ZERO):
+                if operand.__class__ is not Loc or operand is dst or operand is ZERO:
                     continue
-                if operand.name.startswith("S") != dst.name.startswith("S"):
-                    pass  # mixing frames is fine; names are just locations
-                if not _value_dead_after(operand.name, q, defs, uses, live_out_names):
+                if not index.dead_after(operand, q, live_out):
                     continue
-                op_defs = [d for d in defs.get(operand.name, []) if d < q]
-                if not op_defs:
+                qd = index.last_def_before(operand, q)
+                if qd is None or ops[qd].dst is not operand:
+                    continue  # no def, or an implicit one (a CALL clobber)
+                if index.accessed_between(dst, qd + 1, q):
                     continue
-                qd = max(op_defs)
-                if ops[qd].dst != operand:
-                    continue  # implicit def (e.g. a CALL clobber): not renamable
-                if _accessed_between(ops, dst, qd + 1, q):
-                    continue
-                if any(d > qd and d < q for d in defs.get(operand.name, [])):
-                    continue
-                _rename(ops, operand, dst, qd, q + 1)
+                index.rename(operand, dst, qd, q + 1)
+                rewrites += 1
                 changed = True
                 break
             if changed:
                 break
-    return ops
+    return [op for op in ops if op is not None], rewrites
 
 
-def _value_dead_after(
-    name: str,
-    pos: int,
-    defs: dict[str, list[int]],
-    uses: dict[str, list[int]],
-    live_out_names: set[str],
-) -> bool:
-    """Is the value of *name* defined at/before *pos* dead after *pos*?
+class _Positions:
+    """Sorted def and use positions per location over an op list, kept
+    exact through renames and deletions.  A deleted op leaves a ``None``
+    hole, so the positions of the others never shift; a use list holds a
+    position twice when the op reads the location through both operands."""
 
-    The value dies at the next redefinition; uses up to and including the
-    redefining op (which may read the old value) count as consumers.
-    """
-    later_defs = [d for d in defs.get(name, []) if d > pos]
-    horizon = min(later_defs) if later_defs else None
-    for use in uses.get(name, []):
-        if use <= pos:
-            continue
-        if horizon is None or use <= horizon:
+    def __init__(self, ops: list[MicroOp]):
+        self.ops: list[MicroOp | None] = ops
+        self.defs: dict[Loc, list[int]] = {}
+        self.uses: dict[Loc, list[int]] = {}
+        for pos, op in enumerate(ops):
+            for loc in op.uses():
+                self.uses.setdefault(loc, []).append(pos)
+            for loc in op.defs():
+                self.defs.setdefault(loc, []).append(pos)
+
+    def last_def_before(self, loc: Loc, pos: int) -> int | None:
+        defs = self.defs.get(loc, ())
+        i = bisect_left(defs, pos)
+        return defs[i - 1] if i else None
+
+    def dead_after(self, loc: Loc, pos: int, live_out: set[Loc]) -> bool:
+        """Is the value of *loc* defined at/before *pos* dead after *pos*?
+
+        The value dies at the next redefinition; uses up to and including
+        the redefining op (which may read the old value) count as consumers.
+        """
+        defs = self.defs.get(loc, ())
+        i = bisect_right(defs, pos)
+        horizon = defs[i] if i < len(defs) else None
+        uses = self.uses.get(loc, ())
+        j = bisect_right(uses, pos)
+        if j < len(uses) and (horizon is None or uses[j] <= horizon):
             return False
-    if horizon is None and name in live_out_names:
+        return not (horizon is None and loc in live_out)
+
+    def accessed_between(self, loc: Loc, start: int, end: int) -> bool:
+        for positions in (self.uses.get(loc, ()), self.defs.get(loc, ())):
+            i = bisect_left(positions, start)
+            if i < len(positions) and positions[i] < end:
+                return True
         return False
-    return True
 
+    def rename(self, old: Loc, new: Loc, start: int, end: int) -> None:
+        """Rename the value defined at *start* from *old* to *new*.
 
-def _positions(ops: list[MicroOp]) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    defs: dict[str, list[int]] = {}
-    uses: dict[str, list[int]] = {}
-    for pos, op in enumerate(ops):
-        for loc in op.uses():
-            uses.setdefault(loc.name, []).append(pos)
-        for loc in op.defs():
-            defs.setdefault(loc.name, []).append(pos)
-    return defs, uses
-
-
-def _accessed_between(ops: list[MicroOp], loc: Loc, start: int, end: int) -> bool:
-    for pos in range(start, end):
-        op = ops[pos]
-        if loc in op.uses() or loc in op.defs():
-            return True
-    return False
-
-
-def _rename(ops: list[MicroOp], old: Loc, new: Loc, start: int, end: int) -> None:
-    """Rename the value defined at *start* from *old* to *new*.
-
-    At the defining position only the destination is renamed -- source
-    operands there still refer to the *previous* value of ``old`` (consider
-    ``r = load [r]``: the base is the old value).  Later positions rename
-    uses, whose reaching definition is the renamed one.
-    """
-    op = ops[start]
-    if op.dst == old:
-        op.dst = new
-    for pos in range(start + 1, end):
-        op = ops[pos]
-        if op.dst == old:
+        At the defining position only the destination is renamed -- source
+        operands there still refer to the *previous* value of ``old``
+        (consider ``r = load [r]``: the base is the old value).  Later
+        positions rename uses, whose reaching definition is the renamed one.
+        """
+        op = self.ops[start]
+        if op.dst is old:
             op.dst = new
-        if op.a == old:
-            op.a = new
-        if op.b == old:
-            op.b = new
+            self._move(self.defs, old, new, start)
+        for pos in range(start + 1, end):
+            op = self.ops[pos]
+            if op is None:
+                continue
+            if op.dst is old:
+                op.dst = new
+                self._move(self.defs, old, new, pos)
+            if op.a is old:
+                op.a = new
+                self._move(self.uses, old, new, pos)
+            if op.b is old:
+                op.b = new
+                self._move(self.uses, old, new, pos)
+
+    def delete(self, pos: int) -> None:
+        op = self.ops[pos]
+        for loc in op.uses():
+            self.uses[loc].remove(pos)
+        for loc in op.defs():
+            self.defs[loc].remove(pos)
+        self.ops[pos] = None
+
+    @staticmethod
+    def _move(table: dict[Loc, list[int]], old: Loc, new: Loc, pos: int) -> None:
+        table[old].remove(pos)
+        insort(table.setdefault(new, []), pos)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +335,8 @@ class RerollStats:
     ops_removed: int = 0
     #: header address -> unroll factor recovered
     factors: dict[int, int] = field(default_factory=dict)
+    #: rotation-chain renames, applied even where rerolling then fails
+    rewrites: int = 0
 
 
 def reroll_loops(cfg: ControlFlowGraph) -> RerollStats:
@@ -337,7 +353,7 @@ def reroll_loops(cfg: ControlFlowGraph) -> RerollStats:
         header = cfg.blocks[loop.header]
         latch_index = next(iter(loop.body - {loop.header}))
         latch = cfg.blocks[latch_index]
-        result = _try_reroll(cfg, loop.header, header, latch, live_out, headers, loops)
+        result = _try_reroll(cfg, loop.header, header, latch, live_out, headers, loops, stats)
         if result is not None:
             removed, factor = result
             stats.loops_rerolled += 1
@@ -355,6 +371,7 @@ def _try_reroll(
     live_out,
     headers: set[int],
     loops,
+    stats: RerollStats,
 ) -> tuple[int, int] | None:
     term = latch.terminator
     if term is None or term.opcode is not Opcode.JUMP or term.target != header.start:
@@ -363,8 +380,8 @@ def _try_reroll(
     if head_term is None or head_term.opcode is not Opcode.BRANCH:
         return None
     # normalize rotating register chains so increments become self-updates
-    live_out_names = {loc.name for loc in live_out[latch.index]}
-    body_ops = _canonicalize_rotations(latch.ops[:-1], live_out_names)
+    body_ops, rewrites = _canonicalize_rotations(latch.ops[:-1], live_out[latch.index])
+    stats.rewrites += rewrites
     latch.ops = body_ops + [term]
 
     # 1. find the induction increments and split into segments
@@ -399,8 +416,8 @@ def _try_reroll(
     rem_term = rem_latch.terminator
     if rem_term is None or rem_term.opcode is not Opcode.JUMP:
         return None
-    rem_live_names = {loc.name for loc in live_out[rem_latch.index]}
-    rem_ops = _canonicalize_rotations(rem_latch.ops[:-1], rem_live_names)
+    rem_ops, rewrites = _canonicalize_rotations(rem_latch.ops[:-1], live_out[rem_latch.index])
+    stats.rewrites += rewrites
     rem_latch.ops = rem_ops + [rem_term]
     rem_transfer = _symbolic_exec(rem_latch.ops[:-1])
     if not rem_transfer.ok:

@@ -61,7 +61,9 @@ def promote_strength(cfg: ControlFlowGraph) -> PromotionStats:
 
 def _promote_block(ops: list[MicroOp], stats: PromotionStats) -> None:
     affine: dict[Loc, _Affine] = {}
-    homes: dict[int, set[Loc]] = {}  # term -> locs currently holding 1*term+0
+    # term -> locs currently holding 1*term+0, in insertion order so the
+    # holder chosen below never depends on hash order
+    homes: dict[int, dict[Loc, None]] = {}
     next_term = [0]
 
     def fresh_term(loc: Loc) -> _Affine:
@@ -69,7 +71,7 @@ def _promote_block(ops: list[MicroOp], stats: PromotionStats) -> None:
         next_term[0] += 1
         value = _Affine(term, 1, 0)
         affine[loc] = value
-        homes.setdefault(term, set()).add(loc)
+        homes.setdefault(term, {})[loc] = None
         return value
 
     def value_of(operand) -> _Affine:
@@ -85,13 +87,13 @@ def _promote_block(ops: list[MicroOp], stats: PromotionStats) -> None:
     def set_def(loc: Loc, value: _Affine | None) -> None:
         old = affine.pop(loc, None)
         if old is not None and old.term is not None and old.coeff == 1 and old.const == 0:
-            homes.get(old.term, set()).discard(loc)
+            homes.get(old.term, {}).pop(loc, None)
         if value is None:
             value = fresh_term(loc)
             return
         affine[loc] = value
         if value.term is not None and value.coeff == 1 and value.const == 0:
-            homes.setdefault(value.term, set()).add(loc)
+            homes.setdefault(value.term, {})[loc] = None
 
     for index, op in enumerate(ops):
         code = op.opcode
@@ -156,7 +158,7 @@ def _promote_block(ops: list[MicroOp], stats: PromotionStats) -> None:
 
 def _find_multiplicand(
     affine: dict[Loc, _Affine],
-    homes: dict[int, set[Loc]],
+    homes: dict[int, dict[Loc, None]],
     value: _Affine,
     dst: Loc,
 ) -> tuple[Loc, int] | None:
@@ -169,7 +171,7 @@ def _find_multiplicand(
     best hardware).
     """
     if value.const == 0 and not _is_trivial_coeff(value.coeff):
-        holders = homes.get(value.term, set())
+        holders = homes.get(value.term, {})
         if holders:
             source = dst if dst in holders else next(iter(holders))
             return source, value.coeff

@@ -102,9 +102,14 @@ class StructureReport:
         )
 
 
-def recover_structure(cfg: ControlFlowGraph) -> StructureReport:
+def recover_structure(
+    cfg: ControlFlowGraph, loops: list[NaturalLoop] | None = None
+) -> StructureReport:
+    """Classify *cfg*'s loops and branches; *loops* is
+    ``natural_loops(cfg)``, computed here when not given."""
     report = StructureReport()
-    loops = natural_loops(cfg)
+    if loops is None:
+        loops = natural_loops(cfg)
     loop_headers = {loop.header for loop in loops}
     loop_control_blocks: set[int] = set()
     for loop in loops:

@@ -5,7 +5,28 @@ import pytest
 from repro.errors import DecompilationError
 from repro.isa import Instruction
 from repro.decompile.lift import lift_instruction
-from repro.decompile.microop import HI, Imm, LO, Opcode, REGS
+from repro.decompile.microop import HI, Imm, LO, Loc, Opcode, REGS
+
+
+class TestLocations:
+    def test_locations_are_interned(self):
+        assert Loc("R5") is REGS[5]
+        assert Loc("S16") is Loc("S16")
+        assert Loc("HI") is HI and Loc("HI") != LO
+
+    def test_pickle_and_copy_reintern(self):
+        import copy
+        import pickle
+
+        op = lift_instruction(Instruction("addu", rd=3, rs=4, rt=5), pc=0)[0]
+        clone = pickle.loads(pickle.dumps(op))
+        assert clone.dst is REGS[3] and clone.a is REGS[4]
+        assert copy.deepcopy(REGS[7]) is REGS[7]
+
+    def test_locations_are_immutable(self):
+        with pytest.raises(AttributeError):
+            REGS[8].name = "R9"
+        assert repr(REGS[8]) == "Loc(name='R8')"
 
 
 class TestAluLift:

@@ -1,13 +1,21 @@
 """Decompilation pass tests: each pass removes what the paper says it
 removes, and the CDFG interpreter confirms semantics after every pass."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.compiler import compile_source, CompilerOptions
 from repro.decompile import decompile
 from repro.decompile.decompiler import DecompilationOptions
 from repro.decompile.interp import CdfgInterpreter
 from repro.decompile.microop import Imm, Opcode
+from repro.decompile.passes import constprop
+from repro.errors import DecompilationError
 from repro.sim import run_executable
 
 
@@ -68,6 +76,33 @@ class TestConstantPropagation:
         """
         exe, program = _decompiled(source, opt_level=0)  # keep the branch in the binary
         _equivalent(exe, program)
+
+    def test_visit_cap_hit_is_a_recovery_failure(self, monkeypatch):
+        # a solve stopped at its visit cap holds non-fixpoint states;
+        # rewriting from them would be unsound, so the function fails
+        # recovery instead
+        source = """
+        int checksum;
+        int main(void) { int i; for (i = 0; i < 9; i++) checksum += i; return 0; }
+        """
+        exe = compile_source(source, opt_level=1)
+        monkeypatch.setattr(constprop, "_VISIT_CAP", 0)
+        program = decompile(exe)
+        assert not program.recovered
+        failure = next(f for f in program.failures if f.function == "main")
+        assert "did not converge" in failure.reason
+        assert failure.address == exe.symbols["main"].address
+        assert "main" not in program.functions
+
+
+class TestOptions:
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_rejected(self, rounds):
+        with pytest.raises(DecompilationError, match="rounds"):
+            DecompilationOptions(rounds=rounds)
+
+    def test_one_round_accepted(self):
+        assert DecompilationOptions(rounds=1).rounds == 1
 
 
 class TestStackRemoval:
@@ -136,6 +171,30 @@ class TestStrengthPromotion:
         ]
         assert any((op.b.value & 0xFFFFFFFF) == 58 for op in muls)
         _equivalent(exe, program)
+
+    def test_multiplicand_choice_ignores_hash_order(self):
+        # without copy propagation, fir -O3 leaves several locations holding
+        # the same multiplicand; which one the MUL reads must not depend on
+        # set iteration order (it once followed the string-hash seed)
+        probe = (
+            "from repro.compiler import compile_source\n"
+            "from repro.decompile import DecompilationOptions, decompile\n"
+            "from repro.programs import get_benchmark\n"
+            "exe = compile_source(get_benchmark('fir').source, opt_level=3)\n"
+            "options = DecompilationOptions(copy_propagation=False)\n"
+            "for func in decompile(exe, options).functions.values():\n"
+            "    print(func.cfg.dump())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        dumps = {
+            subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True,
+                check=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(dumps) == 1
 
     def test_no_promotion_without_pass(self):
         options = DecompilationOptions(strength_promotion=False)
