@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro import obs, stages
 from repro.binary.image import Executable
@@ -53,12 +54,30 @@ from repro.decompile.decompiler import (
     decompile,
 )
 from repro.dynamic.fabric import FabricState
-from repro.dynamic.profiler import OnlineProfiler, ProfilerConfig
+from repro.dynamic.profiler import DECAY, OnlineProfiler, ProfilerConfig
 from repro.partition.costmodels import cost_model_for
 from repro.partition.estimator import kernel_fpga_cycles
 from repro.partition.profiles import LoopProfile, block_ranges
 from repro.platform.platform import Platform
 from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
+
+#: CPU cycles charged per lifted kernel for on-chip decompile+CAD.
+#: Real warp CAD takes on the order of seconds; the benchmark traces
+#: here run for milliseconds, so the defaults are scaled to the trace
+#: length -- the *shape* (warm-up cost, then convergence) is what the
+#: study reproduces, not the absolute CAD seconds.
+CAD_CYCLES_BASE = 8_000
+#: additional CAD cycles per 1000 gates of synthesized hardware
+CAD_CYCLES_PER_KGATE = 250.0
+#: placed kernels whose hotness share drops below this are evicted
+EVICT_FRACTION = 0.002
+#: minimum online-estimated local speedup to place a kernel
+MIN_SPEEDUP = 1.0
+#: at most this many kernels resident at once
+MAX_KERNELS = 12
+#: replace resident kernels of a nest when a different granularity now
+#: saves at least this factor more (hysteresis against churn)
+UPGRADE_MARGIN = 1.15
 
 
 @dataclass(frozen=True)
@@ -69,25 +88,8 @@ class DynamicConfig:
     sample_interval: int = 4_000
     #: samples between re-partition decisions
     repartition_samples: int = 2
-    #: CPU cycles charged per lifted kernel for on-chip decompile+CAD.
-    #: Real warp CAD takes on the order of seconds; the benchmark traces
-    #: here run for milliseconds, so the defaults are scaled to the trace
-    #: length -- the *shape* (warm-up cost, then convergence) is what the
-    #: study reproduces, not the absolute CAD seconds.
-    cad_cycles_base: int = 8_000
-    #: additional CAD cycles per 1000 gates of synthesized hardware
-    cad_cycles_per_kgate: float = 250.0
     #: CPU stall cycles to (re)configure one kernel region onto the fabric
     reconfig_cycles: int = 3_000
-    #: placed kernels whose hotness share drops below this are evicted
-    evict_fraction: float = 0.002
-    #: minimum online-estimated local speedup to place a kernel
-    min_speedup: float = 1.0
-    #: at most this many kernels resident at once
-    max_kernels: int = 12
-    #: replace resident kernels of a nest when a different granularity now
-    #: saves at least this factor more (hysteresis against churn)
-    upgrade_margin: float = 1.15
     #: model a CAD co-processor (warp's separate lean processor): lift and
     #: synthesis results arrive ``cad_latency_samples`` sampling intervals
     #: after the decision and the application never stalls for CAD cycles.
@@ -110,35 +112,23 @@ class DynamicConfig:
     profiler: ProfilerConfig = field(default_factory=ProfilerConfig)
 
     def __post_init__(self):
-        if self.sample_interval < 1:
-            raise ValueError(
-                f"sample_interval must be >= 1, got {self.sample_interval} "
-                "(a non-positive interval would disable online profiling "
-                "entirely)"
-            )
-        if self.repartition_samples < 1:
-            raise ValueError(
-                f"repartition_samples must be >= 1, got "
-                f"{self.repartition_samples}"
-            )
-        if self.cad_latency_samples < 1:
-            raise ValueError(
-                f"cad_latency_samples must be >= 1, got "
-                f"{self.cad_latency_samples}"
-            )
+        for name, low, why in (
+            ("sample_interval", 1, " (a non-positive interval would disable"
+                                   " online profiling entirely)"),
+            ("repartition_samples", 1, ""),
+            ("reconfig_cycles", 0, " (a negative stall would give cycles"
+                                   " back on every placement)"),
+            ("cad_latency_samples", 1, ""),
+            ("settle_samples", 1, ""),
+            ("max_interval_factor", 1, ""),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}{why}")
         if not 0.0 < self.max_fabric_share <= 1.0:
             raise ValueError(
                 f"max_fabric_share must be in (0, 1], got "
                 f"{self.max_fabric_share}"
-            )
-        if self.settle_samples < 1:
-            raise ValueError(
-                f"settle_samples must be >= 1, got {self.settle_samples}"
-            )
-        if self.max_interval_factor < 1:
-            raise ValueError(
-                f"max_interval_factor must be >= 1, got "
-                f"{self.max_interval_factor}"
             )
 
 
@@ -301,11 +291,9 @@ class LoopSite:
             return self.kernel.name
         return f"{self.function.name}@{self.header_address:#x}"
 
-    @property
+    @cached_property
     def body_index_set(self) -> set[int]:
-        if not hasattr(self, "_body_index_set"):
-            self._body_index_set = set(self.body_indices)
-        return self._body_index_set
+        return set(self.body_indices)
 
     def overlaps(self, other: "LoopSite") -> bool:
         if self.function.name != other.function.name:
@@ -367,8 +355,10 @@ class DynamicPartitionController:
         self._jump_edges = sites.jump_edges
         self._text_len = len(self._costs)
         self._taken_penalty = platform.cpi.taken_penalty
-        self._prev_counts = [0] * self._text_len
-        self._prev_taken = [0] * self._text_len
+        #: the base of cumulative windows (the whole run so far), and of
+        #: the first interval's
+        self._zeros = [0] * self._text_len
+        self._prev_counts = self._prev_taken = self._zeros
         self._samples = 0
         self._carry_overhead = 0          # cycles charged to the next interval
         self._resident: dict[int, LoopSite] = {}   # header address -> site
@@ -409,8 +399,6 @@ class DynamicPartitionController:
             self._unrecoverable = True
             return self._sites
         text_base = self.exe.text_base
-        branch_edges = self._branch_edges
-        jump_edges = self._jump_edges
         for func in program.functions.values():
             ranges = block_ranges(func, self.exe)
             for loop in func.loops:
@@ -423,17 +411,13 @@ class DynamicPartitionController:
                     body_indices.extend(range((start - text_base) >> 2,
                                               (end - text_base) >> 2))
 
-                def _in_body(pc: int) -> bool:
-                    return any(s <= pc < e for s, e in body_ranges)
+                def _back_edges(edges) -> list[int]:
+                    return [
+                        index for index, (src, dst) in edges.items()
+                        if dst == header_address
+                        and any(s <= src < e for s, e in body_ranges)
+                    ]
 
-                back_branch = [
-                    index for index, (src, dst) in branch_edges.items()
-                    if dst == header_address and _in_body(src)
-                ]
-                back_jump = [
-                    index for index, (src, dst) in jump_edges.items()
-                    if dst == header_address and _in_body(src)
-                ]
                 site = LoopSite(
                     function=func,
                     loop=loop,
@@ -441,8 +425,8 @@ class DynamicPartitionController:
                     header_index=(header_address - text_base) >> 2,
                     body_indices=body_indices,
                     block_start_indices=block_start_indices,
-                    back_branch_sites=back_branch,
-                    back_jump_sites=back_jump,
+                    back_branch_sites=_back_edges(self._branch_edges),
+                    back_jump_sites=_back_edges(self._jump_edges),
                 )
                 # innermost definition wins on header collisions (rare)
                 existing = self._sites.get(header_address)
@@ -462,44 +446,31 @@ class DynamicPartitionController:
 
     def _site_profile(
         self, site: LoopSite, counts: list[int], taken: list[int],
-        base_counts: list[int] | None = None, base_taken: list[int] | None = None,
+        base_counts: list[int], base_taken: list[int],
     ) -> tuple[LoopProfile, int]:
-        """Loop profile over a counter window, plus its software cycles.
-
-        With *base* arrays this is the interval delta; without, cumulative.
-        """
+        """Loop profile over the counter window since *base*, plus its
+        software cycles: the previous sample's counters give the interval
+        delta, zeros the whole run so far."""
         costs = self._costs
         cycles = 0
-        if base_counts is None:
-            for i in site.body_indices:
-                c = counts[i]
-                if c:
-                    cycles += c * costs[i] + self._taken_penalty * taken[i]
-            iterations = sum(taken[i] for i in site.back_branch_sites)
-            iterations += sum(counts[i] for i in site.back_jump_sites)
-            header_count = counts[site.header_index]
-            block_counts = {
-                start: counts[i] for start, i in site.block_start_indices.items()
-            }
-        else:
-            for i in site.body_indices:
-                c = counts[i] - base_counts[i]
-                if c:
-                    cycles += c * costs[i]
-                t = taken[i] - base_taken[i]
-                if t:
-                    cycles += self._taken_penalty * t
-            iterations = sum(
-                taken[i] - base_taken[i] for i in site.back_branch_sites
-            )
-            iterations += sum(
-                counts[i] - base_counts[i] for i in site.back_jump_sites
-            )
-            header_count = counts[site.header_index] - base_counts[site.header_index]
-            block_counts = {
-                start: counts[i] - base_counts[i]
-                for start, i in site.block_start_indices.items()
-            }
+        for i in site.body_indices:
+            c = counts[i] - base_counts[i]
+            if c:
+                cycles += c * costs[i]
+            t = taken[i] - base_taken[i]
+            if t:
+                cycles += self._taken_penalty * t
+        iterations = sum(
+            taken[i] - base_taken[i] for i in site.back_branch_sites
+        )
+        iterations += sum(
+            counts[i] - base_counts[i] for i in site.back_jump_sites
+        )
+        header_count = counts[site.header_index] - base_counts[site.header_index]
+        block_counts = {
+            start: counts[i] - base_counts[i]
+            for start, i in site.block_start_indices.items()
+        }
         profile = LoopProfile(
             function=site.function.name,
             header_address=site.header_address,
@@ -582,7 +553,7 @@ class DynamicPartitionController:
         # partial -- deriving periods from the interval's own step count
         # keeps aging a function of executed instructions there too
         periods = max(1, steps // self._base_interval)
-        recent_decay = self.config.profiler.decay ** periods
+        recent_decay = DECAY ** periods
 
         moved_cycles = 0
         fpga_seconds = 0.0
@@ -649,15 +620,13 @@ class DynamicPartitionController:
             self._pending is None
             and self._samples % self.config.repartition_samples == 0
         ):
+            started = time.monotonic()
+            changed = self._repartition(counts, taken) or changed
             if obs.metrics_enabled():
-                started = time.monotonic()
-                changed = self._repartition(counts, taken) or changed
                 obs.histogram("dynamic.repartition_seconds").observe(
                     max(time.monotonic() - started, 1e-9)
                 )
                 obs.counter("dynamic.repartitions_total").inc()
-            else:
-                changed = self._repartition(counts, taken) or changed
         return self._adapt_interval(changed)
 
     def _adapt_interval(self, changed: bool) -> int | None:
@@ -696,7 +665,7 @@ class DynamicPartitionController:
         entries, so a resident kernel can be crowded out by hotter loops
         and read as stone-cold (heat 0.0) while its loop is still
         iterating every interval -- evicting on table hotness alone threw
-        away profitable kernels.  Residents are few (``max_kernels``), so
+        away profitable kernels.  Residents are few (``MAX_KERNELS``), so
         tracking their own interval deltas is hardware-plausible."""
         return max(self._site_heat(site), self._recent_heat.get(address, 0.0))
 
@@ -709,54 +678,38 @@ class DynamicPartitionController:
         90-10 partitioner's family step -- e.g. an outer loop that absorbs
         its inner loop's invocation overheads usually beats the inner loop
         alone.  Returns (best site, saved seconds) or ``None``."""
-        config = self.config
         family = [
             candidate for candidate in self._sites.values()
             if candidate is site or candidate.overlaps(site)
         ]
         best: tuple[LoopSite, float] | None = None
         for member in family:
-            if member.synth_failed:
+            if self._ensure_kernel(member) is None:
                 continue
-            kernel = self._ensure_kernel(member)
-            if kernel is None:
-                continue
-            seconds = self._site_seconds(member, kernel, counts, taken)
-            if seconds is None:
-                continue
-            sw_seconds, hw_seconds = seconds
-            if hw_seconds <= 0 or sw_seconds / hw_seconds <= config.min_speedup:
+            sw_seconds, hw_seconds = self._site_seconds(member, counts, taken)
+            if hw_seconds <= 0 or sw_seconds / hw_seconds <= MIN_SPEEDUP:
                 continue
             saved = sw_seconds - hw_seconds
             if best is None or saved > best[1]:
                 best = (member, saved)
         return best
 
-    def _site_saved(
-        self, site: LoopSite, counts: list[int], taken: list[int]
-    ) -> float:
-        """Online-estimated seconds saved so far by having *site* in
-        hardware (cumulative counters; 0.0 when unknown)."""
-        if site.kernel is None:
-            return 0.0
-        seconds = self._site_seconds(site, site.kernel, counts, taken)
-        if seconds is None:
-            return 0.0
-        sw_seconds, hw_seconds = seconds
-        return sw_seconds - hw_seconds
-
     def _site_seconds(
-        self, site: LoopSite, kernel: HwKernel, counts: list[int],
-        taken: list[int],
-    ) -> tuple[float, float] | None:
+        self, site: LoopSite, counts: list[int], taken: list[int]
+    ) -> tuple[float, float]:
         """(software, hardware) seconds for the work *site* has done so far
-        (cumulative counters), or ``None`` while it has not iterated."""
-        cumulative, loop_cycles = self._site_profile(site, counts, taken)
+        (cumulative counters); ``(0.0, 0.0)`` while it has no kernel or has
+        not iterated, so it saves nothing."""
+        if site.kernel is None:
+            return 0.0, 0.0
+        cumulative, loop_cycles = self._site_profile(
+            site, counts, taken, self._zeros, self._zeros
+        )
         if cumulative.iterations <= 0 or loop_cycles <= 0:
-            return None
+            return 0.0, 0.0
         sw_seconds = loop_cycles / (self.platform.cpu_clock_mhz * 1e6)
         hw_seconds = self._fabric_cost_model.kernel_seconds(
-            self.platform, kernel, cumulative
+            self.platform, site.kernel, cumulative
         )
         return sw_seconds, hw_seconds
 
@@ -767,6 +720,16 @@ class DynamicPartitionController:
         self._recent_heat.pop(address, None)
         event.evicted.append(site.name)
         obs.counter("dynamic.evictions_total").inc()
+        self._count_fabric("fabric.evictions_total")
+
+    def _count_fabric(self, counter: str) -> None:
+        """The ``fabric.*`` metrics of one change to the live fabric."""
+        if obs.metrics_enabled():
+            obs.counter(counter).inc()
+            obs.gauge("fabric.area_gates").set(self.fabric.area_used())
+            obs.gauge("fabric.peak_area_gates").set_max(
+                self.fabric.peak_area_gates
+            )
 
     def _repartition(self, counts: list[int], taken: list[int]) -> bool:
         config = self.config
@@ -782,7 +745,7 @@ class DynamicPartitionController:
         #    Applied immediately even with a CAD co-processor: turning a
         #    kernel off needs no CAD.
         total_weight = self.profiler.total_weight()
-        evict_below = config.evict_fraction * total_weight
+        evict_below = EVICT_FRACTION * total_weight
         for address in list(self._resident):
             site = self._resident[address]
             table_heat = self._site_heat(site)
@@ -802,109 +765,104 @@ class DynamicPartitionController:
         #    inner loops were first placed)
         plan = self._plan(hot, counts, taken)
 
-        changed = False
-        if config.concurrent_cad:
-            if event.evicted:
-                event.area_used = self.fabric.area_used(self)
-                self.timeline.events.append(event)
-                changed = True
-            if plan:
-                # the co-processor starts lifting now; results land later
-                self._pending = (
-                    self._samples + config.cad_latency_samples, plan
-                )
-                changed = True
-        else:
+        if not config.concurrent_cad:
             self._apply_plan(plan, event)
-            if event.placed or event.evicted:
-                event.area_used = self.fabric.area_used(self)
-                self.timeline.events.append(event)
-                self._carry_overhead += event.charged_cycles
-                changed = True
+            return self._commit(event)
+        changed = self._commit(event)   # the evictions, which cost no stall
+        if plan:
+            # the co-processor starts lifting now; results land later
+            self._pending = (self._samples + config.cad_latency_samples, plan)
+            changed = True
         return changed
+
+    def _admits(self, fabric: FabricState, resident: dict[int, LoopSite],
+                kernel: HwKernel, evict: list[int]) -> bool:
+        """The admission rule, one for planning and applying alike: once
+        *evict* leaves *resident* (this application's kernels on
+        *fabric*), *kernel* must keep the count under ``MAX_KERNELS``, fit
+        the free units, and keep this application within its
+        ``max_fabric_share``."""
+        if len(resident) - len(evict) >= MAX_KERNELS:
+            return False
+        need = fabric.units_for(kernel)
+        freed = sum(fabric.units_of(self, address) for address in evict)
+        if need > fabric.free_units() + freed:
+            return False
+        share_cap = self.config.max_fabric_share * fabric.total_units
+        return fabric.owner_units(self) - freed + need <= share_cap
 
     def _plan(
         self, hot: list[tuple[int, float]], counts: list[int], taken: list[int]
     ) -> list[PlannedPlacement]:
-        """Decide placements against a shadow of the fabric.
+        """Decide placements against a private copy of the fabric ledger.
 
-        The shadow makes the decision logic identical whether the plan is
+        The copy makes the decision logic identical whether the plan is
         applied in the same sample (inline CAD) or ``cad_latency_samples``
-        later (concurrent CAD): each accepted placement updates the shadow
-        so later candidates see its effect, exactly as the PR 3 in-place
-        mutation did.
+        later (concurrent CAD): each accepted placement lands on the copy
+        so later candidates see its effect, while the live fabric changes
+        only in :meth:`_apply_plan`.
         """
-        config = self.config
-        fabric = self.fabric
-        sites = self._sites
-        shadow: dict[int, LoopSite] = dict(self._resident)
-        shadow_units: dict[int, float] = {
-            address: fabric.units_of(self, address) for address in shadow
-        }
-        free = fabric.free_units()
-        own = fabric.owner_units(self)
-        share_cap = config.max_fabric_share * fabric.total_units
+        ledger = self.fabric.copy()
+        planned: dict[int, LoopSite] = dict(self._resident)
         plan: list[PlannedPlacement] = []
         for address, _score in hot:
-            if len(shadow) >= config.max_kernels:
+            if len(planned) >= MAX_KERNELS:
                 break
-            hot_site = sites.get(address)
+            hot_site = self._sites.get(address)
             if hot_site is None:
                 continue
             choice = self._family_best(hot_site, counts, taken)
             if choice is None:
                 continue
             site, saved = choice
-            if site.header_address in shadow:
+            if site.header_address in planned:
                 continue
             kernel = site.kernel
-            displaced = [
+            to_evict = [
                 resident_address
-                for resident_address, resident in shadow.items()
+                for resident_address, resident in planned.items()
                 if site.overlaps(resident)
             ]
-            if displaced:
+            if to_evict:
                 # granularity upgrade: only replace the nest's resident
                 # kernels when the new choice clearly saves more
                 resident_saved = sum(
-                    self._site_saved(shadow[a], counts, taken)
-                    for a in displaced
+                    sw - hw for sw, hw in (
+                        self._site_seconds(planned[a], counts, taken)
+                        for a in to_evict
+                    )
                 )
-                if saved <= resident_saved * config.upgrade_margin:
+                if saved <= resident_saved * UPGRADE_MARGIN:
                     continue
-            need = fabric.units_for(kernel)
-            freed = sum(shadow_units[a] for a in displaced)
-            to_evict = list(displaced)
-            if free + freed < need or own - freed + need > share_cap:
+            fits = self._admits(ledger, planned, kernel, to_evict)
+            if not fits:
                 # try evicting colder unrelated nests to make room
                 heat = self._effective_heat(site.header_address, site)
                 by_heat = sorted(
-                    (item for item in shadow.items()
-                     if item[0] not in displaced),
+                    (item for item in planned.items()
+                     if item[0] not in to_evict),
                     key=lambda kv: self._effective_heat(kv[0], kv[1]),
                 )
                 for resident_address, resident in by_heat:
                     if self._effective_heat(resident_address, resident) >= heat:
                         break
                     to_evict.append(resident_address)
-                    freed += shadow_units[resident_address]
-                    if free + freed >= need and own - freed + need <= share_cap:
+                    fits = self._admits(ledger, planned, kernel, to_evict)
+                    if fits:
                         break
-                if free + freed < need or own - freed + need > share_cap:
+                if not fits:
                     continue   # no fit even after evictions: leave as-is
             cad_cycles = 0
             if not site.cad_charged:
                 site.cad_charged = True
-                cad_cycles = config.cad_cycles_base + int(
-                    config.cad_cycles_per_kgate * kernel.area_gates / 1000.0
+                cad_cycles = CAD_CYCLES_BASE + int(
+                    CAD_CYCLES_PER_KGATE * kernel.area_gates / 1000.0
                 )
             for resident_address in to_evict:
-                shadow.pop(resident_address)
-                shadow_units.pop(resident_address)
-            free = free + freed - need
-            own = own - freed + need
-            shadow[site.header_address] = site
-            shadow_units[site.header_address] = need
+                del planned[resident_address]
+                ledger.evict(self, resident_address)
+            ledger.place(self, site.header_address, kernel)
+            planned[site.header_address] = site
             plan.append(PlannedPlacement(
                 site=site, evict=to_evict, cad_cycles=cad_cycles
             ))
@@ -918,23 +876,15 @@ class DynamicPartitionController:
         stale entries are dropped *whole*: their displacement evictions
         must not run either, or a result that no longer fits would destroy
         the working kernels it meant to replace)."""
-        config = self.config
         fabric = self.fabric
-        share_cap = config.max_fabric_share * fabric.total_units
         for placement in plan:
             site = placement.site
             if site.header_address in self._resident:
                 continue
             evict = [address for address in placement.evict
                      if address in self._resident]
-            if len(self._resident) - len(evict) >= config.max_kernels:
-                continue
             kernel = site.kernel
-            need = fabric.units_for(kernel)
-            freed = sum(fabric.units_of(self, address) for address in evict)
-            if need > fabric.free_units() + freed:
-                continue
-            if fabric.owner_units(self) - freed + need > share_cap:
+            if not self._admits(fabric, self._resident, kernel, evict):
                 continue
             for address in evict:
                 self._evict(address, event)
@@ -942,10 +892,11 @@ class DynamicPartitionController:
             self._resident[site.header_address] = site
             event.placed.append(site.name)
             obs.counter("dynamic.lifts_total").inc()
+            self._count_fabric("fabric.placements_total")
             event.regions_changed += regions
             # charge the overheads the static flow never pays
             event.cad_cycles += placement.cad_cycles
-            event.reconfig_cycles += config.reconfig_cycles * regions
+            event.reconfig_cycles += self.config.reconfig_cycles * regions
             if kernel.localized and kernel.bram_bytes:
                 event.migration_cycles += int(
                     2 * (kernel.bram_bytes / 4)
@@ -962,12 +913,17 @@ class DynamicPartitionController:
         self._pending = None
         event = RepartitionEvent(sample=self._samples, concurrent=True)
         self._apply_plan(plan, event)
-        if event.placed or event.evicted:
-            event.area_used = self.fabric.area_used(self)
-            self.timeline.events.append(event)
-            self._carry_overhead += event.charged_cycles
-            return True
-        return False
+        return self._commit(event)
+
+    def _commit(self, event: RepartitionEvent) -> bool:
+        """Record *event* if it placed or evicted anything and carry its
+        billed stall into the next interval; returns whether it did."""
+        if not (event.placed or event.evicted):
+            return False
+        event.area_used = self.fabric.area_used(self)
+        self.timeline.events.append(event)
+        self._carry_overhead += event.charged_cycles
+        return True
 
     # -- wrap-up ------------------------------------------------------------
 

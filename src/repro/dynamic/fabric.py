@@ -23,9 +23,9 @@ placement loop is identical in both modes.
 
 from __future__ import annotations
 
+from copy import copy
 from math import ceil
 
-from repro import obs
 from repro.platform.platform import Platform
 
 
@@ -68,20 +68,11 @@ class FabricState:
             return max(1, ceil(kernel.area_gates / self.region_gates))
         return kernel.area_gates
 
-    def used_units(self) -> float:
-        if self.region_count > 0:
-            return sum(regions for _, regions in self._placements.values())
-        return sum(area for area, _ in self._placements.values())
-
     def free_units(self) -> float:
-        return self.total_units - self.used_units()
+        return self.total_units - self._sum(self.region_count > 0)
 
     def owner_units(self, owner) -> float:
-        if self.region_count > 0:
-            return sum(regions for (o, _), (_, regions)
-                       in self._placements.items() if o is owner)
-        return sum(area for (o, _), (area, _)
-                   in self._placements.items() if o is owner)
+        return self._sum(self.region_count > 0, owner)
 
     def units_of(self, owner, header_address: int) -> float:
         """Units held by one resident placement (0 when absent)."""
@@ -95,15 +86,17 @@ class FabricState:
 
     def area_used(self, owner=None) -> float:
         """Gates occupied by *owner*'s kernels (everyone's when ``None``)."""
-        if owner is None:
-            return sum(area for area, _ in self._placements.values())
-        return sum(area for (o, _), (area, _)
-                   in self._placements.items() if o is owner)
+        return self._sum(False, owner)
 
     def regions_used(self, owner=None) -> int:
+        return self._sum(True, owner)
+
+    def _sum(self, regions: bool, owner=None) -> float:
+        """Regions (else gates) held by *owner*, everyone's when ``None``."""
+        column = 1 if regions else 0
         if owner is None:
-            return sum(regions for _, regions in self._placements.values())
-        return sum(regions for (o, _), (_, regions)
+            return sum(entry[column] for entry in self._placements.values())
+        return sum(entry[column] for (o, _), entry
                    in self._placements.items() if o is owner)
 
     def static_share(self, owner) -> float:
@@ -129,28 +122,26 @@ class FabricState:
         arithmetic above.  Monolithic fabrics report one changed region per
         kernel, reproducing PR 3's per-kernel reconfiguration charge.
         """
-        if self.region_count > 0:
-            regions = int(self.units_for(kernel))
-        else:
-            regions = 1
+        regions = int(self.units_for(kernel)) if self.region_count > 0 else 1
         self._placements[(owner, header_address)] = (
             kernel.area_gates, regions
         )
         self.peak_area_gates = max(self.peak_area_gates, self.area_used())
         self.peak_regions = max(self.peak_regions, self.regions_used())
-        if obs.metrics_enabled():
-            obs.counter("fabric.placements_total").inc()
-            obs.gauge("fabric.area_gates").set(self.area_used())
-            obs.gauge("fabric.peak_area_gates").set_max(self.peak_area_gates)
         return regions
 
     def evict(self, owner, header_address: int) -> None:
-        if self._placements.pop((owner, header_address), None) is not None:
-            if obs.metrics_enabled():
-                obs.counter("fabric.evictions_total").inc()
-                obs.gauge("fabric.area_gates").set(self.area_used())
+        self._placements.pop((owner, header_address), None)
 
     def release(self, owner) -> None:
         """Evict everything *owner* holds (e.g. its application exited)."""
         for key in [k for k in self._placements if k[0] is owner]:
             del self._placements[key]
+
+    def copy(self) -> "FabricState":
+        """A private ledger holding the same placements: what a re-partition
+        plans against, so the live fabric changes only when a plan is
+        applied."""
+        twin = copy(self)
+        twin._placements = dict(self._placements)
+        return twin

@@ -24,8 +24,9 @@ from repro import stages
 from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.decompile.decompiler import DecompilationOptions
-from repro.dynamic.controller import DynamicConfig, DynamicPartitionController
-from repro.flow import DynamicFlowReport, run_flow_on_executable, run_jobs
+from repro.dynamic.controller import DynamicConfig
+from repro.dynamic.multi import replay_round_robin
+from repro.flow import DynamicFlowReport, run_jobs
 from repro.platform.platform import MIPS_200MHZ, Platform
 from repro.synth.synthesizer import SynthesisOptions
 
@@ -67,36 +68,13 @@ def run_dynamic_flow_on_executable(
     synthesis_options: SynthesisOptions | None = None,
     max_steps: int = 200_000_000,
 ) -> DynamicFlowReport:
-    """Online-partitioning flow starting from an already-built binary."""
-    config = config or DynamicConfig()
-    stream = stages.sample_stream(exe, max_steps, config.sample_interval)
-    controller = DynamicPartitionController(
-        stream.sites(platform.cpi),
-        exe,
-        platform,
-        config,
-        synthesis_options=synthesis_options,
-        decompile_options=decompile_options,
+    """Online-partitioning flow starting from an already-built binary: the
+    one-application case of :func:`repro.dynamic.multi.replay_round_robin`."""
+    reports, _fabric = replay_round_robin(
+        [(name, opt_level, exe)], platform, config or DynamicConfig(),
+        decompile_options, synthesis_options, max_steps,
     )
-    result = stream.replay(controller.on_sample).recost(platform.cpi)
-    timeline = controller.finish()
-    static = run_flow_on_executable(
-        exe,
-        name=name,
-        opt_level=opt_level,
-        platform=platform,
-        decompile_options=decompile_options,
-        synthesis_options=synthesis_options,
-        max_steps=max_steps,
-        run=result,
-    )
-    return DynamicFlowReport(
-        name=name,
-        platform=platform,
-        static=static,
-        timeline=timeline,
-        config=config,
-    )
+    return reports[0]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs, stages
+from repro.binary.image import Executable
 from repro.compiler.driver import CompilerOptions, compile_source
 from repro.decompile.decompiler import DecompilationOptions
 from repro.dynamic.controller import DynamicConfig, DynamicPartitionController
@@ -83,34 +84,60 @@ def run_multi_app_flow(
     if not apps:
         raise ValueError("run_multi_app_flow needs at least one application")
     config = config or DynamicConfig()
+    obs.counter("dynamic.multi_app_scenarios_total").inc()
+    obs.counter("dynamic.multi_app_apps_total").inc(len(apps))
+    binaries = [
+        (spec.name, spec.opt_level, stages.compiled(
+            spec.source, CompilerOptions.from_level(spec.opt_level),
+            compile_source,
+        ))
+        for spec in apps
+    ]
+    reports, fabric = replay_round_robin(
+        binaries, platform, config, decompile_options, synthesis_options,
+        max_steps,
+    )
+    return MultiAppReport(
+        platform=platform,
+        config=config,
+        reports=reports,
+        peak_area_gates=fabric.peak_area_gates,
+        peak_regions=fabric.peak_regions,
+    )
+
+
+def replay_round_robin(
+    binaries: list[tuple[str, int, Executable]],
+    platform: Platform,
+    config: DynamicConfig,
+    decompile_options: DecompilationOptions | None,
+    synthesis_options: SynthesisOptions | None,
+    max_steps: int,
+) -> tuple[list[DynamicFlowReport], FabricState]:
+    """Replay each ``(name, opt level, binary)``'s recorded sampled run into
+    its own controller, one sample per application per round, all on one
+    fresh fabric.  The one place controllers are built and streams are
+    replayed: a single-application flow is the one-binary case.  Returns
+    one report per binary, in order, and the fabric."""
     fabric = FabricState(platform)
 
     class _App:
-        def __init__(self, spec: AppSpec):
-            self.spec = spec
-            options = CompilerOptions.from_level(spec.opt_level)
-            self.exe = stages.compiled(spec.source, options, compile_source)
-            stream = stages.sample_stream(
-                self.exe, max_steps, config.sample_interval
-            )
+        def __init__(self, name: str, opt_level: int, exe: Executable):
+            self.name = name
+            self.opt_level = opt_level
+            self.exe = exe
+            stream = stages.sample_stream(exe, max_steps, config.sample_interval)
             self.controller = DynamicPartitionController(
-                stream.sites(platform.cpi),
-                self.exe,
-                platform,
-                config,
+                stream.sites(platform.cpi), exe, platform, config,
                 synthesis_options=synthesis_options,
-                decompile_options=decompile_options,
-                fabric=fabric,
-                name=spec.name,
+                decompile_options=decompile_options, fabric=fabric, name=name,
             )
             self.player = stream.play()
             self.next_interval: int | None = None   # None starts the replay
             self.result = None
             self.timeline = None
 
-    obs.counter("dynamic.multi_app_scenarios_total").inc()
-    obs.counter("dynamic.multi_app_apps_total").inc(len(apps))
-    runners = [_App(spec) for spec in apps]
+    runners = [_App(*binary) for binary in binaries]
     active = list(runners)
     while active:
         still_running: list[_App] = []
@@ -131,33 +158,19 @@ def run_multi_app_flow(
             still_running.append(app)
         active = still_running
 
-    reports: list[DynamicFlowReport] = []
-    for app in runners:
-        timeline = app.timeline
-        static = run_flow_on_executable(
-            app.exe,
-            name=app.spec.name,
-            opt_level=app.spec.opt_level,
-            platform=platform,
-            decompile_options=decompile_options,
-            synthesis_options=synthesis_options,
-            max_steps=max_steps,
-            run=app.result,
+    reports = [
+        DynamicFlowReport(
+            name=app.name, platform=platform, timeline=app.timeline,
+            config=config, static=run_flow_on_executable(
+                app.exe, name=app.name, opt_level=app.opt_level,
+                platform=platform, decompile_options=decompile_options,
+                synthesis_options=synthesis_options, max_steps=max_steps,
+                run=app.result,
+            ),
         )
-        reports.append(DynamicFlowReport(
-            name=app.spec.name,
-            platform=platform,
-            static=static,
-            timeline=timeline,
-            config=config,
-        ))
-    return MultiAppReport(
-        platform=platform,
-        config=config,
-        reports=reports,
-        peak_area_gates=fabric.peak_area_gates,
-        peak_regions=fabric.peak_regions,
-    )
+        for app in runners
+    ]
+    return reports, fabric
 
 
 @dataclass(frozen=True)

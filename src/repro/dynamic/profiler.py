@@ -23,16 +23,29 @@ from dataclasses import dataclass
 from repro.stages import SiteView
 
 
+#: per-sample exponential aging of hotness scores
+DECAY = 0.5
+
+
 @dataclass(frozen=True)
 class ProfilerConfig:
     """Knobs of the modeled on-chip profiler."""
 
-    #: per-sample exponential aging of hotness scores
-    decay: float = 0.5
     #: entries kept in the hot-target table (the real profiler's cache size)
     table_size: int = 32
     #: minimum share of the table's total weight to be reported as hot
     hot_fraction: float = 0.01
+
+    def __post_init__(self):
+        if self.table_size < 1:
+            raise ValueError(
+                f"table_size must be >= 1, got {self.table_size} (an empty "
+                "table forgets every target, so nothing is ever placed)"
+            )
+        if not 0.0 <= self.hot_fraction <= 1.0:
+            raise ValueError(
+                f"hot_fraction must be in [0, 1], got {self.hot_fraction}"
+            )
 
 
 class OnlineProfiler:
@@ -75,7 +88,7 @@ class OnlineProfiler:
         config = self.config
         hotness = self.hotness
         if hotness:
-            decay = config.decay ** decay_periods
+            decay = DECAY ** decay_periods
             for address in hotness:
                 hotness[address] *= decay
         for index, target in self._branch_sites:

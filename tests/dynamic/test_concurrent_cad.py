@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import stages
+from repro import obs, stages
 from repro.dynamic.controller import (
     DynamicConfig,
     DynamicPartitionController,
@@ -193,6 +193,79 @@ class TestStalePlans:
         assert event.evicted == ["old"]
         assert 0x400040 in controller._resident
         assert 0x400000 not in controller._resident
+
+
+class TestPlanningLeavesTheLiveFabric:
+    """Planning admits candidates on a private copy of the fabric ledger:
+    with concurrent CAD the live fabric -- its placements, high-water marks
+    and ``fabric.*`` counters -- changes only when the pending plan
+    activates (decisions may still evict, which needs no CAD)."""
+
+    @pytest.fixture()
+    def metrics(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
+        monkeypatch.delenv(obs.ENABLE_ENV, raising=False)
+        obs.clear_metrics()
+        obs.enable(metrics=True, tracing=False)
+        yield
+        obs.disable()
+        obs.clear_metrics()
+
+    @staticmethod
+    def _live(fabric):
+        registry = obs.registry()
+        placed = registry.get("fabric.placements_total")
+        return (
+            dict(fabric._placements), fabric.peak_area_gates,
+            fabric.peak_regions, placed.value if placed is not None else 0,
+        )
+
+    @pytest.mark.parametrize("regions", [0, 4])
+    def test_only_activation_places(self, metrics, monkeypatch, regions):
+        seen = {"plans": 0, "activations": 0}
+        cls = DynamicPartitionController
+        plan, repartition, activate = (
+            cls._plan, cls._repartition, cls._activate_pending
+        )
+
+        def live(controller):
+            return self._live(controller.fabric)
+
+        def checked_plan(controller, *args):
+            before = live(controller)
+            result = plan(controller, *args)
+            assert live(controller) == before
+            seen["plans"] += bool(result)
+            return result
+
+        def checked_repartition(controller, *args):
+            placements, peak_area, peak_regions, placed = live(controller)
+            changed = repartition(controller, *args)
+            after = live(controller)
+            # evictions only: no new placement, no new high-water mark
+            assert after[0].items() <= placements.items()
+            assert after[1:] == (peak_area, peak_regions, placed)
+            return changed
+
+        def checked_activate(controller):
+            placed = live(controller)[3]
+            changed = activate(controller)
+            if changed and controller.timeline.events[-1].placed:
+                assert live(controller)[3] > placed
+                seen["activations"] += 1
+            return changed
+
+        monkeypatch.setattr(cls, "_plan", checked_plan)
+        monkeypatch.setattr(cls, "_repartition", checked_repartition)
+        monkeypatch.setattr(cls, "_activate_pending", checked_activate)
+        config = DynamicConfig(sample_interval=2_000, repartition_samples=2,
+                               concurrent_cad=True)
+        platform = (MIPS_200MHZ.with_regions(regions) if regions
+                    else MIPS_200MHZ)
+        report = run_dynamic_flow(_TWO_KERNELS, "two_kernels", opt_level=1,
+                                  platform=platform, config=config)
+        assert report.timeline.final_resident
+        assert seen["plans"] > 0 and seen["activations"] > 0
 
 
 class TestDeterminism:
