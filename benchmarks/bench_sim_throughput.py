@@ -11,10 +11,15 @@ Reported numbers:
 * ``single_run`` -- raw simulation throughput (million instr/s) on a few
   representative benchmarks, profiled and unprofiled, best of N runs
   (``reps`` records N; the engines under comparison are interleaved
-  rep-by-rep so host drift cancels out of the speedup ratios).  The
+  rep-by-rep so host drift cancels out of the speedup ratios).  Each
+  benchmark runs at the compiler's default level (key ``brev``) and at
+  O0 (stack-heavy, key ``brev/O0``) and O3 (unrolled, ``brev/O3``).  The
   headline numbers are the default engine -- superblock dispatch; each
   entry also carries the threaded throughput and the resulting speedup,
   so dispatch regressions are visible without digging through history.
+* ``sampled_recording`` -- one fixed-interval sampled recording
+  (:func:`repro.stages.sample_stream` at the dynamic flows' interval),
+  ``Cpu`` construction included, on both engines.
 
 Whole-suite sweep wall-clock is not timed here: ``perfbench/`` measures
 the cold static and dynamic sweeps end to end and per stage.
@@ -22,8 +27,10 @@ the cold static and dynamic sweeps end to end and per stage.
 ``--smoke`` runs a fast host-independent regression gate instead: it
 compares superblock against threaded dispatch on the same machine and
 fails (exit 1) below a 2x margin, then checks that the two engines agree
-on steps and cycles.  CI runs this on every push; absolute instr/s vary
-wildly across shared runners, the engine-vs-engine ratio does not.
+on steps, cycles and the post-run data-section words, and on every
+sample of one sampled recording.  CI runs this on every push; absolute
+instr/s vary wildly across shared runners, the engine-vs-engine ratio
+does not.
 
 Earlier entries are preserved under ``history`` so the file carries the
 whole perf trajectory: seed (~0.96M instr/s on ``brev``, ~5.8 s serial
@@ -41,11 +48,17 @@ import sys
 import time
 from pathlib import Path
 
+from repro import stages
 from repro.compiler.driver import compile_source
+from repro.dynamic.controller import DynamicConfig
 from repro.programs import get_benchmark
 from repro.sim.cpu import Cpu
 
 SINGLE_RUN_BENCHMARKS = ["brev", "crc", "fir", "adpcm"]
+#: opt levels besides the default each single-run benchmark runs at
+EXTRA_OPT_LEVELS = (0, 3)
+#: the sampled recording timed (and, under --smoke, compared across engines)
+RECORDING = ("crc", 1)
 REPEATS = 9  # best-of-N; raised from 5 to damp shared-host noise
 
 #: --smoke fails below this superblock/threaded ratio; the real margin is
@@ -60,7 +73,8 @@ TIERS = {
 
 
 def time_configs(name: str, configs: dict[str, dict],
-                 repeats: int = REPEATS) -> dict[str, dict]:
+                 repeats: int = REPEATS,
+                 opt_level: int | None = None) -> dict[str, dict]:
     """Interleaved best-of-N wall clock for one benchmark across configs.
 
     Each round runs every config back-to-back (fresh Cpu per run, timing
@@ -69,7 +83,7 @@ def time_configs(name: str, configs: dict[str, dict],
     instr/s drift -- consecutive same-config reps would let drift land
     on one side of a ratio.
     """
-    exe = compile_source(get_benchmark(name).source)
+    exe = compile_source(get_benchmark(name).source, opt_level=opt_level)
     best = {key: float("inf") for key in configs}
     steps = {key: 0 for key in configs}
     for _ in range(repeats):
@@ -97,6 +111,54 @@ def time_single_run(name: str, profile: bool = False,
     return time_configs(name, {"run": kwargs}, repeats=repeats)["run"]
 
 
+def sampled_trace(exe, engine: str):
+    """(per-sample counter copies, RunResult, data words) of one sampled
+    run of *exe* at the dynamic flows' interval."""
+    cpu = Cpu(exe, profile=True, engine=engine)
+    trace = []
+    result = cpu.run(
+        sample_interval=DynamicConfig().sample_interval,
+        on_sample=lambda counts, taken: trace.append((counts[:], taken[:])),
+    )
+    return trace, result, data_words(cpu)
+
+
+def data_words(cpu: Cpu) -> list[int]:
+    """The data section's words after a run."""
+    exe = cpu.exe
+    return cpu.memory.read_words(exe.data_base, len(exe.data) // 4)
+
+
+def time_recording(name: str, opt_level: int, repeats: int = REPEATS) -> dict:
+    """Best-of-N wall clock of one sampled recording per engine.
+
+    The superblock row is the stage memo's own recording
+    (:func:`repro.stages.sample_stream`, construction included); the
+    threaded row runs the same sampled run on the threaded engine.
+    """
+    exe = compile_source(get_benchmark(name).source, opt_level=opt_level)
+    interval = DynamicConfig().sample_interval
+    best = {"superblock": float("inf"), "threaded": float("inf")}
+    steps = samples = 0
+    for _ in range(repeats):
+        stages.clear()
+        start = time.perf_counter()
+        stream = stages.sample_stream(exe, 100_000_000, interval)
+        best["superblock"] = min(best["superblock"], time.perf_counter() - start)
+        start = time.perf_counter()
+        sampled_trace(exe, "threaded")
+        best["threaded"] = min(best["threaded"], time.perf_counter() - start)
+        steps, samples = stream.run.steps, len(stream.samples)
+    stages.clear()
+    row = {
+        engine: {"seconds": round(seconds, 6),
+                 "mips": round(steps / seconds / 1e6, 3)}
+        for engine, seconds in best.items()
+    }
+    row.update(steps=steps, samples=samples, interval=interval, reps=repeats)
+    return row
+
+
 def host_fingerprint() -> dict:
     """Where these numbers came from: absolute instr/s are meaningless
     without the host, and the trajectory file outlives any one machine."""
@@ -122,13 +184,25 @@ def run_smoke() -> int:
               f"{slow['mips']:7.2f}M  ({speedup:.2f}x) {status}")
         if speedup < SMOKE_MIN_SPEEDUP:
             failures.append(name)
-    # the two engines must agree on the run they just raced
+    # the two engines must agree on the run they just raced, memory included
     exe = compile_source(get_benchmark("brev").source)
-    blocks = Cpu(exe, **TIERS["superblock"]).run()
-    threaded = Cpu(exe, **TIERS["threaded"]).run()
-    if blocks.steps != threaded.steps or blocks.cycles != threaded.cycles:
+    blocks_cpu = Cpu(exe, **TIERS["superblock"])
+    threaded_cpu = Cpu(exe, **TIERS["threaded"])
+    blocks, threaded = blocks_cpu.run(), threaded_cpu.run()
+    if (blocks.steps, blocks.cycles, data_words(blocks_cpu)) \
+            != (threaded.steps, threaded.cycles, data_words(threaded_cpu)):
         print("smoke FAILED: superblock disagrees with threaded on brev")
         failures.append("brev-exactness")
+    # ... and on every sample of a sampled recording
+    name, level = RECORDING
+    exe = compile_source(get_benchmark(name).source, opt_level=level)
+    blocks_trace, blocks, blocks_words = sampled_trace(exe, "superblock")
+    threaded_trace, threaded, threaded_words = sampled_trace(exe, "threaded")
+    if blocks_trace != threaded_trace or blocks_words != threaded_words \
+            or blocks.pc_counts != threaded.pc_counts \
+            or blocks.edge_counts != threaded.edge_counts:
+        print(f"smoke FAILED: sampled {name}/O{level} differs between engines")
+        failures.append(f"{name}-sampled-exactness")
     if failures:
         print(f"smoke FAILED ({', '.join(failures)}); gate is "
               f"{SMOKE_MIN_SPEEDUP}x over threaded")
@@ -155,18 +229,27 @@ def main() -> None:
 
     single = {}
     for name in SINGLE_RUN_BENCHMARKS:
-        row = time_configs(name, {
-            "no_profile": TIERS["superblock"],
-            "profile": dict(TIERS["superblock"], profile=True),
-            "threaded_no_profile": TIERS["threaded"],
-        })
-        row["speedup_vs_threaded"] = round(
-            row["no_profile"]["mips"] / row["threaded_no_profile"]["mips"], 2
-        )
-        single[name] = row
-        print(f"{name:8s} {row['no_profile']['mips']:7.2f}M instr/s "
-              f"({row['profile']['mips']:.2f}M profiled, "
-              f"{row['speedup_vs_threaded']:.2f}x over threaded)")
+        for level in (None, *EXTRA_OPT_LEVELS):
+            key = name if level is None else f"{name}/O{level}"
+            row = time_configs(name, {
+                "no_profile": TIERS["superblock"],
+                "profile": dict(TIERS["superblock"], profile=True),
+                "threaded_no_profile": TIERS["threaded"],
+            }, opt_level=level)
+            row["speedup_vs_threaded"] = round(
+                row["no_profile"]["mips"] / row["threaded_no_profile"]["mips"], 2
+            )
+            single[key] = row
+            print(f"{key:8s} {row['no_profile']['mips']:7.2f}M instr/s "
+                  f"({row['profile']['mips']:.2f}M profiled, "
+                  f"{row['speedup_vs_threaded']:.2f}x over threaded)")
+
+    name, level = RECORDING
+    recording = {f"{name}/O{level}": time_recording(name, level)}
+    for key, row in recording.items():
+        print(f"{key:8s} sampled recording {row['superblock']['mips']:.2f}M "
+              f"instr/s ({row['threaded']['mips']:.2f}M threaded, "
+              f"{row['samples']} samples)")
 
     payload = {
         "benchmark": "sim_throughput",
@@ -175,6 +258,7 @@ def main() -> None:
         "engine": "superblock",
         "reps": REPEATS,
         "single_run": single,
+        "sampled_recording": recording,
     }
     if args.label:
         payload["label"] = args.label

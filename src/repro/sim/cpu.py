@@ -14,16 +14,26 @@ Design notes:
   This is the classic threaded-code trade-off for an ISS written in pure
   Python and is worth ~5x over the old mnemonic-string dispatch chain.
 * On top of that table the default **superblock** engine
-  (:mod:`repro.sim.superblock`) compiles the whole program into one
-  generated Python module -- one function per basic block (with
-  unconditional ``j``/``jal`` chains fused into their targets) -- so the
-  dispatch loop pays one call per block or chain instead of per
-  instruction.  Counters proven cold are spilled out of the fold scan
-  (``spill_after``) and reheat transparently.  The threaded table stays
-  fully built either way: the superblock loop falls back to it to
-  single-step chunk tails (exact sampling boundaries) and the last few
-  instructions of a *max_steps* budget.  Select with
-  ``Cpu(exe, engine="threaded"|"superblock")``.
+  (:mod:`repro.sim.superblock`) compiles the program into generated
+  Python -- one function per basic block (with unconditional ``j``/``jal``
+  chains fused into their targets), ``compile()``d in a few batches of
+  bounded source size -- so the dispatch loop pays one call per block or
+  chain instead of per instruction.  Counters proven cold are spilled
+  out of the fold scan (``spill_after``) and reheat transparently.  The
+  threaded table stays fully built either way: the superblock loop falls
+  back to it for the last few instructions of a *max_steps* budget, and
+  the sampled loop single-steps chunk tails and mid-block entries
+  through it.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
+* **Flat memory windows.**  Construction installs two flat windows in
+  :class:`~repro.sim.memory.Memory`: a 64 KiB stack window ending at
+  ``0x8000_0000`` and a power-of-two data window starting at the
+  page-aligned ``data_base`` and covering the data section.  Generated
+  code serves ``lw``/``sw``/``lbu``/``sb`` from those buffers inline and
+  falls back to the ``Memory`` methods outside them.  The buffers'
+  pages are the ``Memory`` pages, so ``Cpu.memory``,
+  :meth:`Cpu.read_word_global` and the threaded handlers see every inline
+  write.  Word views use native byte order, so construction requires a
+  little-endian host.
 * Statistics are *derived*, not collected: the loop maintains one
   per-instruction execution counter; branch executors bump a per-site
   taken counter.  ``steps``, ``cycles``, ``pc_counts``, ``mix`` and the
@@ -54,6 +64,7 @@ the straight-line reference interpreter in :mod:`repro.sim.reference`.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -80,14 +91,41 @@ from repro.sim.memory import Memory
 
 STACK_TOP = 0x7FFF_FFF0
 
+#: the flat stack window: the 64 KiB ending at 0x8000_0000, which holds
+#: every frame the benchmark programs build (deeper stacks spill over to
+#: the sparse pages below it)
+STACK_WINDOW_BYTES = 1 << 16
+_STACK_WINDOW_BASE = 0x8000_0000 - STACK_WINDOW_BYTES
+
 __all__ = [
     "CLASS_ALU", "CLASS_SHIFT", "CLASS_LOAD", "CLASS_STORE", "CLASS_BRANCH",
     "CLASS_JUMP", "CLASS_MULT", "CLASS_DIV", "CLASS_HILO",
     "CpiModel", "Cpu", "RunResult", "run_executable", "STACK_TOP",
+    "STACK_WINDOW_BYTES",
 ]
 
 #: mnemonic -> timing class, derived from the ISA spec table.
 _MNEMONIC_CLASS = {mnem: spec.klass for mnem, spec in SPECS.items()}
+
+
+def _install_windows(exe: Executable, memory: Memory):
+    """Install the stack and data windows in *memory*.
+
+    Returns ``(stack, data)``, each a ``(base, buffer)`` pair.  ``data``
+    is ``None`` when the data section's window would overlap the stack
+    window or leave the 32-bit space; its accesses then all take the
+    ``Memory`` path.
+    """
+    stack = (_STACK_WINDOW_BASE,
+             memory.install_window(_STACK_WINDOW_BASE, STACK_WINDOW_BYTES))
+    start = exe.data_base & ~0xFFF
+    size = 0x1000
+    while start + size < exe.data_end:
+        size <<= 1
+    if start + size <= _STACK_WINDOW_BASE or (
+            start >= 0x8000_0000 and start + size <= 0x1_0000_0000):
+        return stack, (start, memory.install_window(start, size))
+    return stack, None
 
 
 class _Halt(Exception):
@@ -181,8 +219,14 @@ class Cpu:
                 f"spill_after must be a non-negative integer (0 disables the "
                 f"cold-counter spill), got {spill_after!r}"
             )
+        if sys.byteorder != "little":
+            raise SimulationError(
+                "the simulator needs a little-endian host: generated code "
+                "reads memory through native-order word views"
+            )
         self.exe = exe
         self.memory = memory if memory is not None else Memory()
+        self._windows = _install_windows(exe, self.memory)
         self._cpi = cpi if cpi is not None else CpiModel()
         self._profile = profile
         self._engine = engine
@@ -839,6 +883,9 @@ class Cpu:
         remaining budget and single-steps the tail through the threaded
         handlers, so a boundary lands on the exact instruction; the unit
         entry counters are folded into *counts* before every sample.
+        Resuming mid-block after a boundary also single-steps, until a
+        leader comes up, so a sampled run generates no code after
+        construction.
         """
         handlers = self._handlers
         taken = self._taken
@@ -847,7 +894,6 @@ class Cpu:
             sb.reset()
             fns = sb.fns
             sizes = sb.sizes
-            materialize = sb.materialize
         halted = False
         remaining = max_steps
         try:
@@ -860,15 +906,18 @@ class Cpu:
                         index = handlers[index]()
                 else:
                     while budget > 0:
+                        fn = fns[index]
+                        if fn is None:
+                            counts[index] += 1
+                            index = handlers[index]()
+                            budget -= 1
+                            continue
                         n = sizes[index]
                         if n > budget:
                             for _ in repeat(None, budget):
                                 counts[index] += 1
                                 index = handlers[index]()
                             break
-                        fn = fns[index]
-                        if fn is None:
-                            fn = materialize(index)
                         index = fn()
                         budget -= n
                     sb.fold_into(counts)

@@ -1,12 +1,25 @@
 """Sparse byte-addressable memory with MIPS alignment rules.
 
-The scalar accessors are on the simulator's hottest path (every load/store
-executor calls straight into them), so they are written for CPython speed:
-the page dictionary lookup is inlined (no ``_page`` helper call per access)
-and the last-touched page is cached in two slots, which turns the common
-streaming access patterns (stack frames, array walks) into a single integer
-compare instead of a dict probe.  Bulk operations copy whole page slices and
-are used by the loader to install text/data sections in one pass.
+The scalar accessors serve the threaded executors, the reference
+interpreter and the generated code's slow path, so they are written for
+CPython speed: the page dictionary lookup is inlined (no ``_page`` helper
+call per access) and the last-touched page is cached in two slots, which
+turns the common streaming access patterns (stack frames, array walks)
+into a single integer compare instead of a dict probe.  Bulk operations
+copy whole page slices and are used by the loader to install text/data
+sections in one pass.
+
+**Flat windows.**  :meth:`Memory.install_window` backs a page-aligned,
+power-of-two-sized address range with one ``bytearray`` whose 4 KiB pages *are*
+``memoryview`` slices of that buffer, so there is exactly one copy of the
+storage.  The simulator installs a stack window and a data window per
+:class:`~repro.sim.cpu.Cpu`; superblock-generated code indexes ``'I'``
+(word) and byte views of those buffers inline, and every access outside a
+window -- or misaligned inside one -- falls back to the methods here,
+which keep the sparse semantics (unmapped memory reads as zero, addresses
+wrap at 32 bits) and raise :class:`MemoryFault`.  Word views use the
+host's byte order, which the simulator requires to be little-endian, the
+same order these methods use.
 """
 
 from __future__ import annotations
@@ -27,14 +40,55 @@ class Memory:
     indicates a compiler bug and is tested for.
     """
 
-    __slots__ = ("_pages", "_cached_index", "_cached_page")
+    __slots__ = ("_pages", "_cached_index", "_cached_page", "_windows")
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
+        #: page index -> page; a window's pages are views of its buffer
+        self._pages: dict[int, bytearray | memoryview] = {}
         self._cached_index = -1
-        self._cached_page: bytearray | None = None
+        self._cached_page: bytearray | memoryview | None = None
+        #: installed windows: base -> (size, buffer)
+        self._windows: dict[int, tuple[int, bytearray]] = {}
 
-    def _page(self, address: int) -> bytearray:
+    def install_window(self, base: int, size: int) -> bytearray:
+        """Back ``[base, base + size)`` with one flat buffer and return it.
+
+        *size* must be a power of two of at least one page, *base* must be
+        page-aligned, and the window must lie inside the 32-bit space.  The
+        window's pages become ``memoryview`` slices of the buffer, so a
+        write through either the buffer or this object's accessors is seen
+        by both.  Contents already on those pages are copied in.
+        Installing the same window again returns the existing buffer; a
+        window that overlaps a different one takes over the shared pages.
+        """
+        if (size < _PAGE_SIZE or size & (size - 1) or base & _PAGE_MASK
+                or base < 0 or base + size > _ADDR_MASK + 1):
+            raise ValueError(
+                f"window of 0x{size:x} bytes at 0x{base:x}: need a page-aligned "
+                f"base and a power-of-two size of at least one page"
+            )
+        window = self._windows.get(base)
+        if window is not None and window[0] == size:
+            return window[1]
+        for other, (other_size, _) in list(self._windows.items()):
+            if other < base + size and base < other + other_size:
+                del self._windows[other]
+        buffer = bytearray(size)
+        view = memoryview(buffer)
+        pages = self._pages
+        first = base >> _PAGE_BITS
+        for number in range(size >> _PAGE_BITS):
+            page = view[number << _PAGE_BITS:(number + 1) << _PAGE_BITS]
+            old = pages.get(first + number)
+            if old is not None:
+                page[:] = old
+            pages[first + number] = page
+        self._windows[base] = (size, buffer)
+        self._cached_index = -1
+        self._cached_page = None
+        return buffer
+
+    def _page(self, address: int) -> bytearray | memoryview:
         """Page containing *address*, created on demand and cached."""
         index = address >> _PAGE_BITS
         page = self._pages.get(index)

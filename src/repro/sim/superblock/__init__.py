@@ -1,17 +1,18 @@
 """Superblock dispatch: the simulator's compiled execution tier.
 
 The threaded-code interpreter in :mod:`repro.sim.cpu` pays one closure
-call per *instruction*.  This package compiles the program into one
-generated Python module so the dispatch loop pays one call per basic
-block or fused j-chain:
+call per *instruction*.  This package compiles the program into
+generated Python, one function per basic block or fused j-chain, so the
+dispatch loop pays one call per unit:
 
 * :mod:`~repro.sim.superblock.leaders` -- block formation (leader
   discovery over decoded text + data-section jump tables);
 * :mod:`~repro.sim.superblock.codegen` -- the code generator:
-  block-local register JIT, literal propagation, multi-segment units;
+  block-local register JIT, literal propagation, multi-segment units,
+  inline loads and stores on the flat memory windows;
 * :mod:`~repro.sim.superblock.dispatch` -- :class:`SuperblockTable`,
-  the whole-module compile, cold-counter spill, and the slot table the
-  dispatch loops index.
+  the size-bounded compile batches, cold-counter spill, and the slot
+  table the dispatch loops index.
 
 Exact statistics are the invariant throughout: per-unit entry counters
 fold into the per-instruction ``counts`` array at every observation

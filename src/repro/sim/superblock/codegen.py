@@ -30,10 +30,29 @@ Key pieces:
   jump costs a link write at most -- no dispatch, no flush.  The
   register JIT spans the whole chain.
 
+* **Inline memory windows** (:meth:`Codegen.load`, :meth:`Codegen.store`).
+  ``lw``/``sw``/``lbu``/``sb`` index the ``Cpu``'s flat windows (see
+  :mod:`repro.sim.memory`) instead of calling ``Memory``.  The window is
+  picked at generation time from the base register: ``$sp``/``$fp`` use
+  the stack window, every other register the data window.  One masked
+  test per access rejects negative, out-of-range and (for words)
+  misaligned offsets at once; for a window of ``L`` bytes at ``base``::
+
+      x = W[_o >> 2] if not (_o := reg + (imm - base)) & (-L | 3) else r32(_o + base)
+
+  The fallback is the ``Memory`` accessor, which masks the address to 32
+  bits, keeps the sparse semantics and raises ``MemoryFault``.  An
+  in-window hit never needs the mask, because each window lies inside
+  the 32-bit space.  A literal address folds to a direct index, or to
+  the plain call when it lies outside the window.  The word views use
+  native byte order, which ``Cpu`` checks is little-endian.
+  ``lb``/``lh``/``lhu``/``sh`` keep their calls.
+
 Generated code uses short names bound once per ``Cpu``: ``R`` registers,
 ``T`` per-site branch-taken counters, ``BC`` per-unit entry counters,
 ``HL`` hi/lo, ``DE`` dynamic-edge dict, ``r8``..``w32`` memory
-accessors, ``Halt``/``Err`` the exception types.
+accessors, ``SW``/``SB`` and ``DW``/``DB`` the word and byte views of the
+stack and data windows, ``Halt``/``Err`` the exception types.
 """
 
 from __future__ import annotations
@@ -48,11 +67,14 @@ __all__ = ["FACTORY", "Codegen"]
 #: the shared factory header every generated module starts with; binds
 #: the per-Cpu namespace (``SuperblockTable._ns``) once per compile
 FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
-           "w8, w16, w32, Halt, Err):")
+           "w8, w16, w32, SW, SB, DW, DB, Halt, Err):")
 
-#: memory accessors can raise MemoryFault, so the register file must be
-#: architecturally exact before each of these executes
-_MAY_FAULT = frozenset(("lw", "lb", "lbu", "lh", "lhu", "sw", "sb", "sh"))
+#: halfword accessors raise MemoryFault on a misaligned address, so the
+#: register file must be architecturally exact before each of these
+#: executes.  Byte accesses cannot fault and need no flush; words flush in
+#: :meth:`Codegen.load`/:meth:`Codegen.store` unless their address is a
+#: literal inside a window
+_FLUSH_FIRST = frozenset(("lh", "lhu", "sh"))
 
 _MASK = 0xFFFF_FFFF
 _M = "4294967295"  # 0xFFFF_FFFF as a source literal
@@ -177,12 +199,16 @@ class Codegen:
     """Stateless-per-unit emitter shared by blocks and chains."""
 
     def __init__(self, decoded, text_base: int, text_len: int,
-                 profile: bool, escape_slots: dict[int, int]) -> None:
+                 profile: bool, escape_slots: dict[int, int],
+                 stack: tuple[int, int], data: tuple[int, int] | None) -> None:
         self.decoded = decoded
         self.text_base = text_base
         self.text_len = text_len
         self.profile = profile
         self.escape_slots = escape_slots
+        #: (base, size, word view name, byte view name) of each window
+        self.stack = (*stack, "SW", "SB")
+        self.data = (*data, "DW", "DB") if data is not None else None
         #: emission volume, read by the telemetry layer at run end
         self.units_emitted = 0
         self.lines_emitted = 0
@@ -242,7 +268,7 @@ class Codegen:
                     # the write-backs cover only the instructions already
                     # executed (this instruction's own write must not be
                     # flushed yet)
-                    flush = env.flush() if m in _MAY_FAULT else []
+                    flush = env.flush() if m in _FLUSH_FIRST else []
                     emitted = self.straightline(instr, env)
                     stmts = env.take_pending() + flush + emitted
                 lines.extend(body + stmt for stmt in stmts)
@@ -264,6 +290,60 @@ class Codegen:
         if imm == 0:
             return base
         return f"({base} + {imm}) & {_M}"
+
+    def load(self, instr, env: _BlockEnv, word: bool) -> list[str]:
+        """Statements for an ``lw`` (*word*) or ``lbu``."""
+        rs, rt, imm = instr.rs, instr.rt, instr.imm
+        call = "r32" if word else "r8"
+        window = self.stack if rs in (29, 30) else self.data
+        reg, value = env.read(rs)
+        if window is None:
+            loaded = f"{call}({self.addr(env, rs, imm)})"
+        elif value is None:
+            base, size, words, bytes_ = window
+            view = f"{words}[_o >> 2]" if word else f"{bytes_}[_o]"
+            loaded = (f"{view} if not (_o := {reg} + {imm - base}) & "
+                      f"{-size | 3 if word else -size} else {call}(_o + {base})")
+        else:
+            base, size, words, bytes_ = window
+            address = (value + imm) & _MASK
+            offset = address - base
+            if 0 <= offset < size and not (word and offset & 3):
+                # a literal address inside the window cannot fault: no flush
+                view = f"{words}[{offset >> 2}]" if word else f"{bytes_}[{offset}]"
+                return env.write(rt, view) if rt else []
+            loaded = f"{call}({address})"
+        flush = env.flush() if word else []
+        return flush + (env.write(rt, loaded) if rt else [loaded])
+
+    def store(self, instr, env: _BlockEnv, word: bool) -> list[str]:
+        """Statements for an ``sw`` (*word*) or ``sb``."""
+        rs, imm = instr.rs, instr.imm
+        call = "w32" if word else "w8"
+        window = self.stack if rs in (29, 30) else self.data
+        reg, address = env.read(rs)
+        source, value = env.read(instr.rt)
+        if window is not None:
+            base, size, words, bytes_ = window
+            if word:
+                stored = source
+            else:
+                stored = str(value & 255) if value is not None else f"{source} & 255"
+            if address is None:
+                view = f"{words}[_o >> 2]" if word else f"{bytes_}[_o]"
+                return (env.flush() if word else []) + [
+                    f"if not (_o := {reg} + {imm - base}) & "
+                    f"{-size | 3 if word else -size}:",
+                    f"    {view} = {stored}",
+                    "else:",
+                    f"    {call}(_o + {base}, {source})",
+                ]
+            offset = ((address + imm) & _MASK) - base
+            if 0 <= offset < size and not (word and offset & 3):
+                view = f"{words}[{offset >> 2}]" if word else f"{bytes_}[{offset}]"
+                return [f"{view} = {stored}"]
+        flush = env.flush() if word else []
+        return flush + [f"{call}({self.addr(env, rs, imm)}, {source})"]
 
     def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str]:
         """(prelude lines, taken condition) for a branch.
@@ -313,14 +393,10 @@ class Codegen:
             if imm == 0:
                 return env.write(rt, a)
             return env.write(rt, f"({a} + {imm}) & {_M}")
-        if m == "lw":
-            address = self.addr(env, rs, imm)
-            if rt:
-                return env.write(rt, f"r32({address})")
-            return [f"r32({address})"]
-        if m == "sw":
-            address = self.addr(env, rs, imm)
-            return [f"w32({address}, {env.read(rt)[0]})"]
+        if m == "lw" or m == "lbu":
+            return self.load(instr, env, m == "lw")
+        if m == "sw" or m == "sb":
+            return self.store(instr, env, m == "sw")
         if m in ("addu", "add", "subu", "sub", "and", "or", "xor", "nor",
                  "slt", "sltu"):
             if not rd:
@@ -473,8 +549,8 @@ class Codegen:
             if av is not None:
                 return env.write(rt, None, av ^ imm)
             return env.write(rt, f"{a} ^ {imm}")
-        if m in ("lb", "lbu", "lh", "lhu"):
-            reader = "r8" if m in ("lb", "lbu") else "r16"
+        if m in ("lb", "lh", "lhu"):
+            reader = "r8" if m == "lb" else "r16"
             address = self.addr(env, rs, imm)
             if not rt:
                 return [f"{reader}({address})"]
@@ -482,15 +558,11 @@ class Codegen:
                 return [f"_v = r8({address})"] + env.write(
                     rt, f"(_v - 0x100 if _v & 0x80 else _v) & {_M}"
                 )
-            if m == "lbu":
-                return env.write(rt, f"r8({address})")
             if m == "lh":
                 return [f"_v = r16({address})"] + env.write(
                     rt, f"(_v - 0x10000 if _v & 0x8000 else _v) & {_M}"
                 )
             return env.write(rt, f"r16({address})")  # lhu
-        if m == "sb":
-            return [f"w8({self.addr(env, rs, imm)}, {env.read(rt)[0]})"]
         if m == "sh":
             return [f"w16({self.addr(env, rs, imm)}, {env.read(rt)[0]})"]
         if m == "mult":

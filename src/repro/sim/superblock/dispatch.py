@@ -1,9 +1,14 @@
-"""The superblock dispatch table: one whole-module compile per program.
+"""The superblock dispatch table: leader units compiled in bounded batches.
 
-All leader blocks are emitted into a *single* generated source and
-``compile()``d once -- one code object per program instead of one
-closure chain per block, so the dispatch loop's ``fns[index]()`` calls
-land on functions that share a module and its constant pool.  Two
+All leader blocks are emitted as generated Python source and
+``compile()``d in a few batches, each capped at ``_BATCH_MAX_CHARS``
+characters of source: one code object per batch instead of one closure
+chain per block, so the dispatch loop's ``fns[index]()`` calls land on
+functions that share a module and its constant pool, while the
+compiler's transient memory stays bounded by the batch, not the
+program.  Generation is eager: the suite's programs execute almost all
+of their text (95.6% of ``static_suite``'s), so lazy generation would
+save little and pay ~1 ms of fixed ``compile()`` cost per module.  Two
 layers sit on that substrate:
 
 * **j-chain fusion**: a leader whose block ends in an unconditional
@@ -46,6 +51,12 @@ __all__ = ["SuperblockTable"]
 _CHAIN_MAX_BLOCKS = 8
 _CHAIN_MAX_INSTRS = 192
 
+#: leader units are compiled in batches of at most about this many
+#: source characters: ``compile()``'s transient memory grows with the
+#: module, and at this size it stays a few MB even for the largest
+#: program (one 200 k-character module peaks near 20 MB)
+_BATCH_MAX_CHARS = 16_000
+
 
 class SuperblockTable:
     """Block structure + generated unit functions for one :class:`Cpu`.
@@ -61,7 +72,7 @@ class SuperblockTable:
     * :attr:`call_bound` -- ``max(sizes)``; budget-free dispatch sprees
       divide by it.
     * :meth:`materialize` -- build the suffix unit for a dynamic jump to
-      a mid-block index.
+      a mid-block index (unsampled runs only).
     * :meth:`reset` / :meth:`fold_into` -- zero the per-unit counters at
       run start / fold their deltas into the per-instruction array.
     * :attr:`blocks` -- the leader partition, for introspection and the
@@ -117,6 +128,7 @@ class SuperblockTable:
         self.sizes = sizes
 
         memory = cpu.memory
+        stack, data = cpu._windows
         self._ns = {
             "R": cpu.regs,
             "T": cpu._taken,
@@ -129,12 +141,17 @@ class SuperblockTable:
             "w8": memory.write_u8,
             "w16": memory.write_u16,
             "w32": memory.write_u32,
+            "SW": memoryview(stack[1]).cast("I"),
+            "SB": stack[1],
+            "DW": memoryview(data[1]).cast("I") if data else None,
+            "DB": data[1] if data else None,
             "Halt": _Halt,
             "Err": SimulationError,
         }
         self._cg = Codegen(
             decoded, self._text_base, self._text_len, cpu.profile,
-            cpu._escape_slots,
+            cpu._escape_slots, (stack[0], len(stack[1])),
+            (data[0], len(data[1])) if data else None,
         )
         self._build_leader_units()
         self.call_bound = max(sizes, default=1)
@@ -194,11 +211,12 @@ class SuperblockTable:
     def materialize(self, index: int):
         """Generate the suffix unit for a dynamic jump to mid-block *index*.
 
-        Only ever called for indices whose slot is still ``None`` --
-        leaders are populated at build time.  Suffix units are never
-        chain-fused: the sampled dispatch loop budget-checks
-        ``sizes[index]`` *before* materializing, so the generated unit
-        must execute exactly ``suffix_len`` steps.
+        Only ever called by the unsampled loop, for indices whose slot
+        is still ``None`` -- leaders are populated at build time, and the
+        sampled loop single-steps to the next leader instead.  Suffix
+        units are never chain-fused: a later sampled run on the same
+        ``Cpu`` budget-checks ``sizes[index]`` before calling one, so the
+        generated unit must execute exactly ``suffix_len`` steps.
         """
         segments = ((index, self.suffix_len[index]),)
         bid = self._new_bid(segments, index)
@@ -293,27 +311,36 @@ class SuperblockTable:
         return bid
 
     def _build_leader_units(self) -> None:
-        """Generate one module containing a function per leader chain."""
+        """Generate a function per leader chain, compiled in batches."""
         started = perf_counter()
-        lines = [_FACTORY, "    fns = {}"]
-        registry: list[tuple[int, int, int]] = []  # (start, bid, total)
+        lines: list[str] = []
+        units: list[tuple[int, int]] = []  # (start, bid) in this batch
+        chars = 0
         for start in sorted(self.leaders):
             segments = self._chain_segments(start)
             bid = self._new_bid(segments, start)
-            lines.extend(self._cg.emit_unit(f"_b{start}", segments, bid, "    "))
-            lines.append(f"    fns[{start}] = _b{start}")
-            registry.append((start, bid, sum(n for _, n in segments)))
-        lines.append("    return fns")
-        source = "\n".join(lines) + "\n"
+            unit = self._cg.emit_unit(f"_b{start}", segments, bid, "    ")
+            unit.append(f"    fns[{start}] = _b{start}")
+            lines.extend(unit)
+            units.append((start, bid))
+            self.sizes[start] = sum(n for _, n in segments)
+            chars += sum(map(len, unit)) + len(unit)
+            if chars >= _BATCH_MAX_CHARS:
+                self._compile_batch(lines, units)
+                lines, units, chars = [], [], 0
+        if units:
+            self._compile_batch(lines, units)
+        self.codegen_seconds += perf_counter() - started
+
+    def _compile_batch(self, lines: list[str], units) -> None:
+        """Compile one batch of leader units and install their functions."""
+        source = "\n".join([_FACTORY, "    fns = {}", *lines, "    return fns\n"])
         namespace: dict = {}
         exec(compile(source, "<superblocks>", "exec"), namespace)
         fns = namespace["_factory"](**self._ns)
-        for start, bid, total in registry:
-            fn = fns[start]
-            self.fns[start] = fn
-            self.sizes[start] = total
-            self._counting[bid] = fn
-        self.codegen_seconds += perf_counter() - started
+        for start, bid in units:
+            self.fns[start] = fns[start]
+            self._counting[bid] = fns[start]
 
     # -- cold-counter spill --------------------------------------------------
 

@@ -9,11 +9,15 @@ mid-block).  The cross-engine class at the bottom pins the two traces
 against each other sample by sample.
 """
 
+import hashlib
+
 import pytest
 
 from repro import stages
 from repro.compiler import compile_source
+from repro.dynamic.controller import DynamicConfig
 from repro.errors import SimulationError
+from repro.programs import get_benchmark
 from repro.sim.cpu import Cpu
 
 _SOURCE = """
@@ -349,3 +353,62 @@ class TestSpillAndTraceSampling:
                 f"{config} at interval {interval}: sample {position} diverged"
             )
 
+
+
+def stream_digest(stream) -> str:
+    """sha256 over everything a recorded :class:`~repro.stages.SampleStream`
+    holds: static edges, site classes, every sample's arrays, the run."""
+    digest = hashlib.sha256()
+    digest.update(repr((
+        sorted(stream.branch_edges.items()), sorted(stream.jump_edges.items()),
+        stream.site_classes, stream.counters, stream.interval,
+    )).encode())
+    for sample in stream.samples:
+        digest.update(repr([array.tolist() for array in sample]).encode())
+    run = stream.run
+    digest.update(repr((
+        run.steps, run.cycles, run.halted, run.exit_pc, run.taken,
+        sorted(run.mix.items()), sorted(run.pc_counts.items()),
+        sorted(run.edge_counts.items()),
+    )).encode())
+    return digest.hexdigest()
+
+
+#: stream digests at the dynamic flows' sample interval, recorded before
+#: sampled runs stopped generating code for mid-block resumes
+STREAM_GOLDEN = {
+    "brev/O0": "080f0213e902a02e102782d25f351909a3a734d0570d3a6fbcd6a8d1189d3cef",
+    "brev/O1": "e4c12d05a76a7bbcecec979ec594fc984a0d87932071d850aeee18635263f485",
+    "brev/O3": "058a5dc2aa3e48f443f40d2648ac4bcab3d4b24ce88551a05e69028056bf3d1b",
+    "crc/O0": "964c7ceed3851663b01256e33bb9be499eb09dde325a3bb53a2fb83a140118b3",
+    "crc/O1": "11fa079e6113cc4355de26c31b0760db92600b705e2006ca45764b28979a0df5",
+    "crc/O3": "6eaca0aee8a6ec109dd32517843f24ae52a4b1b6dc8c753402349fb72733a27f",
+    "fir/O0": "46846f414e0228945c3c24e9d52fabe626518ccc41ff7731413c36ef4c67d8ae",
+    "fir/O1": "24090b0567f4d122c4e4728b8d072b95d5078d0e196c1d9f72245e54df9e0e30",
+    "fir/O3": "6ed450b902d4ec9151339793ff022c11bdffe9bfedc3a754dd3bc63f0fcf4cfc",
+}
+
+
+class TestRecordingGeneratesNoCode:
+    """Recording a sample stream resumes mid-block after most boundaries;
+    the sampled loop single-steps to the next leader instead of generating
+    a suffix unit, so no code is generated after construction, and the
+    recorded stream is unchanged."""
+
+    @pytest.mark.parametrize("key", sorted(STREAM_GOLDEN))
+    def test_recording(self, key, monkeypatch):
+        name, level = key.split("/O")
+        built = []
+
+        class Recorder(Cpu):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self._sb.consume_stats()   # construction's units
+                built.append(self)
+
+        monkeypatch.setattr(stages, "Cpu", Recorder)
+        exe = compile_source(get_benchmark(name).source, opt_level=int(level))
+        stream = stages.sample_stream(exe, MAX_STEPS, DynamicConfig().sample_interval)
+        assert len(built) == 1
+        assert built[0]._sb.consume_stats()["codegen_units"] == 0
+        assert stream_digest(stream) == STREAM_GOLDEN[key]

@@ -26,7 +26,7 @@ from repro.isa.encoding import decode
 from repro.programs import get_benchmark
 from repro.sim import run_executable, run_reference
 from repro.sim.cpu import Cpu
-from repro.sim.superblock import CONTROL_TRANSFERS
+from repro.sim.superblock import CONTROL_TRANSFERS, dispatch
 
 from tests.sim.test_differential import assert_identical, random_program
 
@@ -245,6 +245,35 @@ class TestExactness:
         plain, _ = run_executable(exe, engine="threaded")
         assert block.read_word_global_signed("checksum") \
             == plain.read_word_global_signed("checksum")
+
+
+class TestBatchedCompile:
+    """Leader units compile in batches of bounded source size."""
+
+    def test_large_program_compiles_in_bounded_batches(self, monkeypatch):
+        batches = []
+        compile_batch = dispatch.SuperblockTable._compile_batch
+
+        def spy(table, lines, units):
+            batches.append(sum(map(len, lines)) + len(lines))
+            compile_batch(table, lines, units)
+
+        monkeypatch.setattr(dispatch.SuperblockTable, "_compile_batch", spy)
+        exe = compile_source(get_benchmark("sobel").source, opt_level=3)
+        ref = run_reference(exe, profile=True)
+        got = Cpu(exe, profile=True).run()
+        assert_identical(got, ref)
+        assert len(batches) > 1
+        # a batch closes at the first unit that takes it past the bound
+        assert all(size < 2 * dispatch._BATCH_MAX_CHARS for size in batches)
+
+    def test_one_unit_per_batch_is_exact(self, monkeypatch):
+        monkeypatch.setattr(dispatch, "_BATCH_MAX_CHARS", 1)
+        exe = compile_source(get_benchmark("adpcm").source, opt_level=3)
+        ref = run_reference(exe, profile=True)
+        cpu = Cpu(exe, profile=True)
+        assert cpu._sb.consume_stats()["codegen_units"] == len(cpu.superblocks)
+        assert_identical(cpu.run(), ref)
 
 
 #: an inner loop whose trip count alternates between one and two
