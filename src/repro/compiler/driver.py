@@ -74,36 +74,62 @@ class CompilerOptions:
         return options
 
 
-def _run_fixpoint(func: ir.Function) -> None:
+_CLEANUP_PASSES = (
+    fold_constants,
+    propagate_copies,
+    eliminate_dead_code,
+    simplify_control_flow,
+)
+
+
+def _run_fixpoint(func: ir.Function, clean: set) -> None:
+    """Iterate the cleanup passes to a fixed point.
+
+    *clean* holds the passes whose last run returned False; none of them
+    can change the function again until some pass does, so they are
+    skipped, and a skipped call counts as a round without change.
+    """
     for _ in range(_MAX_FIXPOINT_ROUNDS):
         changed = False
-        changed |= fold_constants(func)
-        changed |= propagate_copies(func)
-        changed |= eliminate_dead_code(func)
-        changed |= simplify_control_flow(func)
+        for cleanup in _CLEANUP_PASSES:
+            if cleanup in clean:
+                continue
+            if cleanup(func):
+                clean.clear()
+                changed = True
+            else:
+                clean.add(cleanup)
         if not changed:
             break
+
+
+def _run(transform, func: ir.Function, clean: set) -> None:
+    """Run a non-cleanup pass; if it changes the function, no pass is clean."""
+    if transform(func):
+        clean.clear()
 
 
 def optimize_module(module: ir.Module, options: CompilerOptions) -> None:
     """Run the configured pass pipeline over every function in place."""
     for func in module.functions.values():
+        clean: set = set()
         if options.mem2reg:
             promote_slots(func)
         if options.fold:
-            _run_fixpoint(func)
+            _run_fixpoint(func, clean)
         if options.licm:
-            hoist_loop_invariants(func)
-            _run_fixpoint(func)
+            _run(hoist_loop_invariants, func, clean)
+            _run_fixpoint(func, clean)
         if options.cse:
-            local_cse(func)
-            _run_fixpoint(func)
+            _run(local_cse, func, clean)
+            _run_fixpoint(func, clean)
         if options.strength_reduce:
-            reduce_strength(func)
-            _run_fixpoint(func)
+            _run(reduce_strength, func, clean)
+            _run_fixpoint(func, clean)
         if options.fold:
-            fold_immediates(func)
-            eliminate_dead_code(func)
+            _run(fold_immediates, func, clean)
+            if eliminate_dead_code not in clean:
+                eliminate_dead_code(func)
 
 
 def compile_to_asm(source: str, options: CompilerOptions | None = None) -> str:

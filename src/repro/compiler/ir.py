@@ -12,7 +12,6 @@ values that the code generator maps onto MIPS I-format immediates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 # ---------------------------------------------------------------------------
@@ -20,12 +19,20 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VReg:
-    """A virtual register.  ``hint`` is a debug name (variable it came from)."""
+    """A virtual register.  ``hint`` is a debug name (variable it came from).
+
+    :meth:`Function.new_vreg` makes exactly one object per id, so equality
+    is identity and the hash is the id: cheap, and set order does not
+    depend on the hash seed or on object addresses.
+    """
 
     id: int
     hint: str = ""
+
+    def __hash__(self) -> int:
+        return self.id
 
     def __str__(self) -> str:
         return f"%{self.id}" + (f"({self.hint})" if self.hint else "")
@@ -396,6 +403,14 @@ class Return(Instr):
 
 TERMINATORS = (Jump, Branch, SwitchJump, Return)
 
+#: the same classes as a set, for ``type(instr) in TERMINATOR_TYPES`` in hot
+#: loops (no IR class is subclassed, so this matches ``isinstance``)
+TERMINATOR_TYPES = frozenset(TERMINATORS)
+
+#: instruction types whose one definition is ``dst`` and which have no
+#: other effect (a ``Call`` also has a ``dst``, but it may be None)
+PURE_DEF_TYPES = frozenset({Const, Copy, UnOp, BinOp, Load, LoadAddr, SlotAddr, LoadSlot})
+
 
 # ---------------------------------------------------------------------------
 # containers
@@ -475,54 +490,45 @@ class Block:
     index: int = 0
 
 
-_block_counter = itertools.count()
-
-
 def build_cfg(func: Function) -> list[Block]:
     """Partition *func* into basic blocks and connect the edges."""
     blocks: list[Block] = []
     current: list[Instr] = []
     current_label: str | None = None
-
-    def flush() -> None:
-        nonlocal current, current_label
-        if current or current_label is not None:
-            blocks.append(Block(label=current_label, instrs=current))
-            current = []
-            current_label = None
-
     for instr in func.instrs:
-        if isinstance(instr, Label):
-            flush()
+        cls = type(instr)
+        if cls is Label:
+            if current:
+                blocks.append(Block(current_label, current))
+            current = [instr]
             current_label = instr.name
-            current.append(instr)
         else:
             current.append(instr)
-            if isinstance(instr, TERMINATORS):
-                flush()
-    flush()
+            if cls in TERMINATOR_TYPES:
+                blocks.append(Block(current_label, current))
+                current = []
+                current_label = None
+    if current:
+        blocks.append(Block(current_label, current))
 
     label_to_block = {
         block.label: index for index, block in enumerate(blocks) if block.label
     }
+    last_index = len(blocks) - 1
     for index, block in enumerate(blocks):
         block.index = index
-        last = block.instrs[-1] if block.instrs else None
-        succs: list[int] = []
-        if isinstance(last, Jump):
-            succs.append(label_to_block[last.target])
-        elif isinstance(last, Branch):
-            succs.append(label_to_block[last.target])
-            if index + 1 < len(blocks):
-                succs.append(index + 1)
-        elif isinstance(last, SwitchJump):
-            succs.extend(label_to_block[name] for name in last.labels)
-        elif isinstance(last, Return):
-            pass
-        else:
-            if index + 1 < len(blocks):
-                succs.append(index + 1)
-        block.succs = succs
+        last = block.instrs[-1]
+        cls = type(last)
+        if cls is Jump:
+            block.succs = [label_to_block[last.target]]
+        elif cls is Branch:
+            block.succs = [label_to_block[last.target]]
+            if index < last_index:
+                block.succs.append(index + 1)
+        elif cls is SwitchJump:
+            block.succs = [label_to_block[name] for name in last.labels]
+        elif cls is not Return and index < last_index:
+            block.succs = [index + 1]
     for index, block in enumerate(blocks):
         for succ in block.succs:
             blocks[succ].preds.append(index)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import CompileError
 
@@ -33,8 +34,7 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -45,126 +45,90 @@ class Token:
         return f"{self.kind.name}({self.text!r})@{self.line}"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+_KEYWORD, _IDENT, _NUMBER, _CHAR, _PUNCT = (
+    TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.NUMBER, TokenKind.CHAR, TokenKind.PUNCT
+)
 
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+#: one alternative per token shape, tried in order at each position; the
+#: comment groups precede ``punct`` so "/" never shadows "//" or "/*", and
+#: ``punct`` lists operators longest first (maximal munch).  ``\d`` and
+#: ``\w`` are the Unicode classes that ``int()`` and ``str.isalnum`` use.
+_TOKEN_RE = re.compile(
+    "|".join(
+        (
+            r"(?P<ws>[ \t\r]+)",
+            r"(?P<nl>\n[ \t\r]*)",
+            r"(?P<ident>[^\W\d]\w*)",
+            r"(?P<line_comment>//[^\n]*)",
+            r"(?P<block_comment>/\*[\s\S]*?\*/)",
+            r"(?P<open_comment>/\*)",
+            "(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")",
+            r"(?P<hex>0[xX][0-9a-fA-F]*[uUlL]*)",
+            r"(?P<dec>\d+[uUlL]*)",
+            r"(?P<char>'(?:[^'\\]|\\[\s\S])*')",
+            r"(?P<other>[\s\S])",
+        )
+    )
+)
 
 
 def tokenize(source: str) -> list[Token]:
     """Convert *source* into a token list terminated by an EOF token."""
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
     col = 1
-    index = 0
-    length = len(source)
-
-    def error(message: str) -> CompileError:
-        return CompileError(message, line, col)
-
-    while index < length:
-        ch = source[index]
-
-        # whitespace
-        if ch == "\n":
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "ident":
+            if not (text[0].isalpha() or text[0] == "_"):  # e.g. a superscript digit
+                raise CompileError(f"unexpected character {text[0]!r}", line, col)
+            append(Token(_KEYWORD if text in KEYWORDS else _IDENT, text, line, col))
+            col += len(text)
+        elif kind == "punct":
+            append(Token(_PUNCT, text, line, col))
+            col += len(text)
+        elif kind == "ws":
+            col += len(text)
+        elif kind == "nl":
             line += 1
-            col = 1
-            index += 1
-            continue
-        if ch in " \t\r":
-            index += 1
-            col += 1
-            continue
-
-        # comments
-        if source.startswith("//", index):
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if source.startswith("/*", index):
-            end = source.find("*/", index + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[index : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
+            col = len(text)
+        elif kind == "dec":
+            append(Token(_NUMBER, text, line, col, int(text.rstrip("uUlL"), 10)))
+            col += len(text)
+        elif kind == "hex":
+            digits = text.rstrip("uUlL")
+            if len(digits) == 2:
+                raise CompileError(f"bad hex literal {text!r}", line, col)
+            append(Token(_NUMBER, text, line, col, int(digits, 16)))
+            col += len(text)
+        elif kind == "line_comment":
+            pass  # the newline that ends it resets the column
+        elif kind == "block_comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rfind("\n")
             else:
-                col += len(skipped)
-            index = end + 2
-            continue
-
-        start_line, start_col = line, col
-
-        # numbers
-        if ch.isdigit():
-            end = index
-            if source.startswith(("0x", "0X"), index):
-                end = index + 2
-                while end < length and source[end] in "0123456789abcdefABCDEF":
-                    end += 1
-                text = source[index:end]
-                value = int(text, 16)
-            else:
-                while end < length and source[end].isdigit():
-                    end += 1
-                text = source[index:end]
-                value = int(text, 10)
-            # accept (and ignore) C suffixes so kernels can say 1UL etc.
-            while end < length and source[end] in "uUlL":
-                end += 1
-            text = source[index:end]
-            tokens.append(Token(TokenKind.NUMBER, text, start_line, start_col, value))
-            col += end - index
-            index = end
-            continue
-
-        # character literals
-        if ch == "'":
-            end = index + 1
-            body = ""
-            while end < length and source[end] != "'":
-                if source[end] == "\\":
-                    body += source[end : end + 2]
-                    end += 2
-                else:
-                    body += source[end]
-                    end += 1
-            if end >= length:
-                raise error("unterminated character literal")
-            decoded = body.encode().decode("unicode_escape")
+                col += len(text)
+        elif kind == "char":
+            body = text[1:-1]
+            try:
+                decoded = body.encode().decode("unicode_escape")
+            except UnicodeDecodeError:  # e.g. a truncated '\x' escape
+                decoded = ""
             if len(decoded) != 1:
-                raise error(f"bad character literal '{body}'")
-            tokens.append(
-                Token(TokenKind.CHAR, source[index : end + 1], start_line, start_col, ord(decoded))
-            )
-            col += end + 1 - index
-            index = end + 1
-            continue
-
-        # identifiers / keywords
-        if _is_ident_start(ch):
-            end = index
-            while end < length and _is_ident_char(source[end]):
-                end += 1
-            text = source[index:end]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += end - index
-            index = end
-            continue
-
-        # punctuation (maximal munch)
-        for punct in PUNCTUATION:
-            if source.startswith(punct, index):
-                tokens.append(Token(TokenKind.PUNCT, punct, start_line, start_col))
-                index += len(punct)
-                col += len(punct)
-                break
+                raise CompileError(f"bad character literal '{body}'", line, col)
+            # a raw newline inside the quotes advances only the column
+            append(Token(_CHAR, text, line, col, ord(decoded)))
+            col += len(text)
+        elif kind == "open_comment":
+            raise CompileError("unterminated block comment", line, col)
+        elif text == "'":
+            raise CompileError("unterminated character literal", line, col)
         else:
-            raise error(f"unexpected character {ch!r}")
+            raise CompileError(f"unexpected character {text!r}", line, col)
 
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    append(Token(TokenKind.EOF, "", line, col))
     return tokens

@@ -19,8 +19,6 @@ rerolling** pass must detect and roll back.
 
 from __future__ import annotations
 
-import copy
-
 from repro.compiler import ast_nodes as ast
 
 DEFAULT_FACTOR = 4
@@ -149,11 +147,11 @@ def _try_unroll(
         right=ast.NumberExpr(line=line, value=(factor - 1) * step_value),
     )
     main_cond = ast.BinaryExpr(
-        line=line, op=cmp_op, left=lookahead, right=copy.deepcopy(bound_expr)
+        line=line, op=cmp_op, left=lookahead, right=_clone(bound_expr)
     )
     main_body: list[ast.Stmt] = []
     for _ in range(factor):
-        main_body.extend(copy.deepcopy(body_stmts))
+        main_body.extend(_clone(body_stmts))
         main_body.append(make_step())
     main_loop = ast.ForStmt(
         line=line,
@@ -169,7 +167,7 @@ def _try_unroll(
             line=line,
             op=cmp_op,
             left=ast.NameExpr(line=line, name=var_name),
-            right=copy.deepcopy(bound_expr),
+            right=_clone(bound_expr),
         ),
         step=ast.AssignExpr(
             line=line,
@@ -177,9 +175,29 @@ def _try_unroll(
             target=ast.NameExpr(line=line, name=var_name),
             value=ast.NumberExpr(line=line, value=step_value),
         ),
-        body=ast.BlockStmt(line=line, body=copy.deepcopy(body_stmts)),
+        body=ast.BlockStmt(line=line, body=_clone(body_stmts)),
     )
     return ast.BlockStmt(line=line, body=[main_loop, remainder])
+
+
+def _clone(node):
+    """Copy an AST subtree: fresh nodes and lists, shared leaves.
+
+    Leaves are ints, strings and frozen :class:`CType` values, so sharing
+    them is safe, and the parser never gives a node two parents, so the
+    copy has the shape ``copy.deepcopy`` would give it at a fraction of
+    the cost.
+    """
+    if isinstance(node, list):
+        return [_clone(item) for item in node]
+    if isinstance(node, _NODE_TYPES):
+        new = object.__new__(type(node))
+        new.__dict__ = {name: _clone(value) for name, value in node.__dict__.items()}
+        return new
+    return node
+
+
+_NODE_TYPES = (ast.Expr, ast.Stmt, ast.SwitchCase)
 
 
 def _match_counted_loop(loop: ast.ForStmt):

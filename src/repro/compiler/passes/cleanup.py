@@ -44,35 +44,35 @@ def _remove_unreachable(func: ir.Function) -> bool:
 
 
 def _remove_jump_to_next(func: ir.Function) -> bool:
-    changed = False
-    new_instrs: list[ir.Instr] = []
     instrs = func.instrs
-    for index, instr in enumerate(instrs):
-        if isinstance(instr, ir.Jump):
-            # find the next label, skipping nothing (jump must be block end)
-            next_index = index + 1
-            if next_index < len(instrs) and isinstance(instrs[next_index], ir.Label):
-                if instrs[next_index].name == instr.target:
-                    changed = True
-                    continue
-        new_instrs.append(instr)
-    func.instrs = new_instrs
-    return changed
+    # a jump straight to the label that follows it (the jump ends its block)
+    kept = [
+        instr
+        for instr, follower in zip(instrs, instrs[1:] + [None])
+        if not (
+            type(instr) is ir.Jump
+            and type(follower) is ir.Label
+            and follower.name == instr.target
+        )
+    ]
+    if len(kept) == len(instrs):
+        return False
+    func.instrs = kept
+    return True
 
 
 def _remove_unused_labels(func: ir.Function) -> bool:
     targets: set[str] = set()
     for instr in func.instrs:
-        if isinstance(instr, ir.Jump):
+        cls = type(instr)
+        if cls is ir.Jump or cls is ir.Branch:
             targets.add(instr.target)
-        elif isinstance(instr, ir.Branch):
-            targets.add(instr.target)
-        elif isinstance(instr, ir.SwitchJump):
+        elif cls is ir.SwitchJump:
             targets.update(instr.labels)
     new_instrs = [
         instr
         for instr in func.instrs
-        if not (isinstance(instr, ir.Label) and instr.name not in targets)
+        if not (type(instr) is ir.Label and instr.name not in targets)
     ]
     if len(new_instrs) == len(func.instrs):
         return False
@@ -85,11 +85,15 @@ def _thread_jump_chains(func: ir.Function) -> bool:
     an unconditional jump (empty forwarding blocks)."""
     forward: dict[str, str] = {}
     instrs = func.instrs
-    for index, instr in enumerate(instrs):
-        if isinstance(instr, ir.Label) and index + 1 < len(instrs):
-            follower = instrs[index + 1]
-            if isinstance(follower, ir.Jump) and follower.target != instr.name:
-                forward[instr.name] = follower.target
+    for instr, follower in zip(instrs, instrs[1:]):
+        if (
+            type(instr) is ir.Label
+            and type(follower) is ir.Jump
+            and follower.target != instr.name
+        ):
+            forward[instr.name] = follower.target
+    if not forward:
+        return False
 
     def resolve(name: str) -> str:
         seen = set()
@@ -100,17 +104,13 @@ def _thread_jump_chains(func: ir.Function) -> bool:
 
     changed = False
     for instr in instrs:
-        if isinstance(instr, ir.Jump):
+        cls = type(instr)
+        if cls is ir.Jump or cls is ir.Branch:
             target = resolve(instr.target)
             if target != instr.target:
                 instr.target = target
                 changed = True
-        elif isinstance(instr, ir.Branch):
-            target = resolve(instr.target)
-            if target != instr.target:
-                instr.target = target
-                changed = True
-        elif isinstance(instr, ir.SwitchJump):
+        elif cls is ir.SwitchJump:
             new_labels = [resolve(name) for name in instr.labels]
             if new_labels != instr.labels:
                 instr.labels = new_labels

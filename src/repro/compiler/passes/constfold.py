@@ -15,6 +15,9 @@ from repro.compiler.consteval import fold_binary, fold_binary_unsigned
 from repro.errors import CompileError
 from repro.utils import to_signed32
 
+_PURE_DEF_TYPES = ir.PURE_DEF_TYPES
+_TERMINATOR_TYPES = ir.TERMINATOR_TYPES
+
 #: IR ops that fold with signed semantics via consteval.fold_binary
 _SIGNED_FOLD = {
     "add": "+", "sub": "-", "mul": "*", "div": "/", "rem": "%",
@@ -42,20 +45,28 @@ def fold_ir_binop(op: str, left: int, right: int) -> int | None:
 
 def _single_def_consts(func: ir.Function) -> dict[ir.VReg, int]:
     """vregs defined exactly once, by a Const instruction."""
-    def_counts: dict[ir.VReg, int] = {}
+    defined: set[ir.VReg] = set()
+    redefined: set[ir.VReg] = set()
     const_defs: dict[ir.VReg, int] = {}
     for instr in func.instrs:
-        for reg in instr.defs():
-            def_counts[reg] = def_counts.get(reg, 0) + 1
-            if isinstance(instr, ir.Const):
+        cls = type(instr)
+        if cls in _PURE_DEF_TYPES or cls is ir.Call:
+            reg = instr.dst
+            if reg is None:
+                continue
+            if reg in defined:
+                redefined.add(reg)
+            else:
+                defined.add(reg)
+            if cls is ir.Const:
                 const_defs[reg] = instr.value
-    return {
-        reg: value for reg, value in const_defs.items() if def_counts.get(reg) == 1
-    }
+    if not redefined:
+        return const_defs
+    return {reg: value for reg, value in const_defs.items() if reg not in redefined}
 
 
 def _value_of(operand: ir.Operand, consts: dict[ir.VReg, int]) -> int | None:
-    if isinstance(operand, ir.Imm):
+    if type(operand) is ir.Imm:
         return to_signed32(operand.value)
     const = consts.get(operand)
     return to_signed32(const) if const is not None else None
@@ -68,36 +79,36 @@ def fold_constants(func: ir.Function) -> bool:
     new_instrs: list[ir.Instr] = []
 
     for instr in func.instrs:
+        cls = type(instr)
         replacement: ir.Instr | None = None
-        if isinstance(instr, ir.BinOp):
+        if cls is ir.BinOp:
             a_val = _value_of(instr.a, consts)
             b_val = _value_of(instr.b, consts)
             if a_val is not None and b_val is not None:
                 folded = fold_ir_binop(instr.op, a_val, b_val)
                 if folded is not None:
                     replacement = ir.Const(instr.dst, folded & 0xFFFF_FFFF)
-            if replacement is None:
+            if replacement is None and (a_val is not None or b_val is not None):
                 replacement = _algebraic(instr, a_val, b_val)
-        elif isinstance(instr, ir.UnOp):
+        elif cls is ir.UnOp:
             src_val = _value_of(instr.src, consts)
             if src_val is not None:
                 value = -src_val if instr.op == "neg" else ~src_val
                 replacement = ir.Const(instr.dst, value & 0xFFFF_FFFF)
-        elif isinstance(instr, ir.Branch):
+        elif cls is ir.Branch:
             a_val = _value_of(instr.a, consts)
             b_val = _value_of(instr.b, consts)
             if a_val is not None and b_val is not None:
                 taken = fold_ir_binop(instr.op, a_val, b_val)
                 replacement = ir.Jump(instr.target) if taken else _NOP
-        if replacement is _NOP:
-            changed = True
-            continue
-        if replacement is not None:
-            new_instrs.append(replacement)
-            changed = True
-        else:
+        if replacement is None:
             new_instrs.append(instr)
-    func.instrs = new_instrs
+            continue
+        changed = True
+        if replacement is not _NOP:
+            new_instrs.append(replacement)
+    if changed:
+        func.instrs = new_instrs
     return changed
 
 
@@ -131,29 +142,41 @@ def propagate_copies(func: ir.Function) -> bool:
 
     Within a block, after ``dst = src``, uses of ``dst`` become ``src`` until
     either register is redefined.  Block-local operation keeps it sound for
-    multi-definition registers.
+    multi-definition registers.  Blocks are the runs of the linear list that
+    :func:`ir.build_cfg` would cut: a new one starts at every label and
+    after every terminator.
     """
     changed = False
-    blocks = ir.build_cfg(func)
-    for block in blocks:
-        available: dict[ir.VReg, ir.VReg] = {}
-        for instr in block.instrs:
+    available: dict[ir.VReg, ir.VReg] = {}
+    #: src -> the dsts currently available as copies of it
+    copies_of: dict[ir.VReg, list[ir.VReg]] = {}
+    for instr in func.instrs:
+        cls = type(instr)
+        if cls is ir.Label:
+            available.clear()
+            copies_of.clear()
+            continue
+        if available:
             mapping = {
-                reg: available[reg]
-                for reg in instr.uses()
-                if reg in available
+                reg: available[reg] for reg in instr.uses() if reg in available
             }
             if mapping:
-                instr.replace_uses(dict(mapping))
+                instr.replace_uses(mapping)
                 changed = True
-            defs = instr.defs()
-            for reg in defs:
-                available.pop(reg, None)
+        if cls in _TERMINATOR_TYPES:
+            available.clear()
+            copies_of.clear()
+            continue
+        if cls in _PURE_DEF_TYPES or cls is ir.Call:
+            reg = instr.dst
+            if reg is not None and available:
+                src = available.pop(reg, None)
+                if src is not None:
+                    copies_of[src].remove(reg)
                 # invalidate copies whose source was overwritten
-                stale = [dst for dst, src in available.items() if src == reg]
-                for dst in stale:
+                for dst in copies_of.pop(reg, ()):
                     del available[dst]
-            if isinstance(instr, ir.Copy) and instr.dst != instr.src:
-                available[instr.dst] = instr.src
-    func.instrs = ir.flatten_cfg(blocks)
+            if cls is ir.Copy and reg is not instr.src:
+                available[reg] = instr.src
+                copies_of.setdefault(instr.src, []).append(reg)
     return changed

@@ -1,61 +1,88 @@
-"""Dead-code elimination: unused pure instructions and dead slot stores."""
+"""Dead-code elimination: unused pure instructions and dead slot stores.
+
+One pass over use counts with a worklist.  A pure instruction dies once
+its destination has no uses left; a ``StoreSlot`` dies once its slot has
+no ``LoadSlot`` left (and is neither an array nor address-taken).  Each
+death releases the uses it held, which can kill further definitions --
+the same fixed point as rescanning the function until nothing changes,
+since removing instructions only ever removes uses.
+"""
 
 from __future__ import annotations
 
 from repro.compiler import ir
 
 #: instruction types with no side effects beyond defining their destination
-_PURE = (
-    ir.Const,
-    ir.Copy,
-    ir.UnOp,
-    ir.BinOp,
-    ir.LoadAddr,
-    ir.SlotAddr,
-    ir.LoadSlot,
-    ir.Load,  # no volatile semantics in mini-C
-)
+#: (Const, Copy, UnOp, BinOp, LoadAddr, SlotAddr, LoadSlot and Load, which
+#: has no volatile semantics in mini-C)
+_PURE = ir.PURE_DEF_TYPES
+_SLOT_REFS = frozenset({ir.LoadSlot, ir.StoreSlot, ir.SlotAddr})
 
 
 def eliminate_dead_code(func: ir.Function) -> bool:
-    changed = False
-    while True:
-        used: set[ir.VReg] = set()
-        for instr in func.instrs:
-            used.update(instr.uses())
-        loaded_slots = {
-            instr.slot.index
-            for instr in func.instrs
-            if isinstance(instr, ir.LoadSlot)
-        }
-        address_taken_slots = {
-            slot.index for slot in func.slots if slot.address_taken or slot.is_array
-        }
-        new_instrs: list[ir.Instr] = []
-        removed = False
-        for instr in func.instrs:
-            if isinstance(instr, _PURE) and instr.defs() and not any(
-                reg in used for reg in instr.defs()
-            ):
-                removed = True
-                continue
-            if (
-                isinstance(instr, ir.StoreSlot)
-                and instr.slot.index not in loaded_slots
-                and instr.slot.index not in address_taken_slots
-            ):
-                removed = True
-                continue
-            new_instrs.append(instr)
-        func.instrs = new_instrs
-        if not removed:
-            break
-        changed = True
+    instrs = func.instrs
+    pinned_slots = {
+        slot.index for slot in func.slots if slot.address_taken or slot.is_array
+    }
+    use_count: dict[ir.VReg, int] = {}
+    pure_defs: dict[ir.VReg, list[int]] = {}
+    loads: dict[int, int] = {}
+    stores: dict[int, list[int]] = {}
+    for position, instr in enumerate(instrs):
+        for reg in instr.uses():
+            if reg in use_count:
+                use_count[reg] += 1
+            else:
+                use_count[reg] = 1
+        cls = type(instr)
+        if cls in _PURE:
+            if instr.dst in pure_defs:
+                pure_defs[instr.dst].append(position)
+            else:
+                pure_defs[instr.dst] = [position]
+            if cls is ir.LoadSlot:
+                index = instr.slot.index
+                loads[index] = loads.get(index, 0) + 1
+        elif cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
+            stores.setdefault(instr.slot.index, []).append(position)
+
+    worklist: list[int] = []
+    for reg, positions in pure_defs.items():
+        if reg not in use_count:
+            worklist.extend(positions)
+    for index, positions in stores.items():
+        if index not in loads:
+            worklist.extend(positions)
+    dead = set(worklist)
+
+    while worklist:
+        instr = instrs[worklist.pop()]
+        for reg in instr.uses():
+            use_count[reg] -= 1
+            if not use_count[reg]:
+                for position in pure_defs.get(reg, ()):
+                    if position not in dead:
+                        dead.add(position)
+                        worklist.append(position)
+        if type(instr) is ir.LoadSlot:
+            index = instr.slot.index
+            loads[index] -= 1
+            if not loads[index]:
+                for position in stores.get(index, ()):
+                    if position not in dead:
+                        dead.add(position)
+                        worklist.append(position)
+
+    if dead:
+        func.instrs = instrs = [
+            instr for position, instr in enumerate(instrs) if position not in dead
+        ]
     # drop slots that are no longer referenced at all
-    referenced: set[int] = set()
-    for instr in func.instrs:
-        if isinstance(instr, (ir.LoadSlot, ir.StoreSlot, ir.SlotAddr)):
-            referenced.add(instr.slot.index)
+    if not func.slots:
+        return bool(dead)
+    referenced = {
+        instr.slot.index for instr in instrs if type(instr) in _SLOT_REFS
+    }
     before = len(func.slots)
     func.slots = [slot for slot in func.slots if slot.index in referenced]
-    return changed or len(func.slots) != before
+    return bool(dead) or len(func.slots) != before

@@ -10,6 +10,7 @@ scratch, so the allocator never touches them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.compiler import ir
@@ -84,41 +85,47 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
     blocks = ir.build_cfg(func)
     live_in, live_out = compute_block_liveness(blocks)
 
+    # indices are visited in nondecreasing order, so an interval starts at
+    # its register's first touch and ends at its last
     starts: dict[ir.VReg, int] = {}
     ends: dict[ir.VReg, int] = {}
     call_sites: list[int] = []
 
-    def touch(reg: ir.VReg, index: int) -> None:
-        if reg not in starts or index < starts[reg]:
-            starts[reg] = index
-        if reg not in ends or index > ends[reg]:
-            ends[reg] = index
-
     # parameters are defined by the prologue: pin their interval to entry
     for param in func.params:
-        touch(param, 0)
+        starts.setdefault(param, 0)
+        ends[param] = 0
 
     index = 0
     for block_index, block in enumerate(blocks):
-        block_start = index
-        block_end = index + max(0, len(block.instrs) - 1)
         for reg in live_in[block_index]:
-            touch(reg, block_start)
+            if reg not in starts:
+                starts[reg] = index
+            ends[reg] = index
         for instr in block.instrs:
-            if isinstance(instr, ir.Call):
+            if type(instr) is ir.Call:
                 call_sites.append(index)
             for reg in instr.uses():
-                touch(reg, index)
+                if reg not in starts:
+                    starts[reg] = index
+                ends[reg] = index
             for reg in instr.defs():
-                touch(reg, index)
+                if reg not in starts:
+                    starts[reg] = index
+                ends[reg] = index
             index += 1
+        block_end = index - 1
         for reg in live_out[block_index]:
-            touch(reg, block_end)
+            if reg not in starts:
+                starts[reg] = block_end
+            ends[reg] = block_end
 
     intervals = []
     for reg, start in starts.items():
         end = ends[reg]
-        crosses = any(start < site < end for site in call_sites)
+        # the first call site after the start decides whether one lies inside
+        first_after = bisect_right(call_sites, start)
+        crosses = first_after < len(call_sites) and call_sites[first_after] < end
         intervals.append(Interval(reg, start, end, crosses))
     intervals.sort(key=lambda iv: (iv.start, iv.end))
     return intervals, call_sites

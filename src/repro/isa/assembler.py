@@ -24,9 +24,11 @@ from repro.errors import AssemblerError
 from repro.binary.image import Executable, Symbol
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPECS, Instruction, Syntax
-from repro.isa.registers import Reg, reg_num
+from repro.isa.registers import REG_NUMBERS, Reg, reg_num
 
-_LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
+#: a stripped code line: an optional ``label:``, then the mnemonic or
+#: directive, then its operands
+_LINE_RE = re.compile(r"(?:([A-Za-z_.$][\w.$]*)\s*:)?\s*(\S*)\s*(.*)", re.S)
 
 TEXT_BASE = 0x0040_0000
 DATA_BASE = 0x1001_0000
@@ -66,23 +68,29 @@ def _parse_int(text: str, line: int) -> int:
         raise AssemblerError(f"line {line}: bad integer literal {text!r}") from None
 
 
+#: a quoted literal ('c' or "text", backslash escapes allowed)
+_QUOTED = r"'(?:[^'\\]|\\.)*'" + "|" + r'"(?:[^"\\]|\\.)*"'
+#: the code part of a line: everything up to the first ``#`` outside a
+#: quoted literal (an unterminated quote runs to the end of the line)
+_CODE_RE = re.compile(r"(?:[^\"'#]|" + _QUOTED + r"|[\"'].*)*")
+#: an operand separator: a comma outside quotes and parentheses (the
+#: protected spans are matched, and so skipped, first; an unclosed
+#: parenthesis runs to the end)
+_SEPARATOR_RE = re.compile(_QUOTED + r"|\([^)]*\)?|(,)")
+_SYMBOL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$")
+_MEMORY_RE = re.compile(r"^(-?\w*)\s*\(\s*(\$\w+)\s*\)$")
+
+
 def _split_args(rest: str) -> list[str]:
-    """Split an operand string on commas that are outside parentheses."""
-    args: list[str] = []
-    depth = 0
-    current = ""
-    for ch in rest:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            args.append(current.strip())
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        args.append(current.strip())
+    """Split an operand string on commas outside parentheses and quotes."""
+    if "(" in rest or "'" in rest or '"' in rest:
+        cuts = [m.start() for m in _SEPARATOR_RE.finditer(rest) if m.group(1)]
+        bounds = zip([-1] + cuts, cuts + [len(rest)])
+        args = [rest[start + 1 : end].strip() for start, end in bounds]
+    else:
+        args = [arg.strip() for arg in rest.split(",")]
+    if not args[-1]:
+        args.pop()
     return args
 
 
@@ -126,37 +134,20 @@ class Assembler:
             code = self._strip_comment(raw).strip()
             if not code:
                 continue
-            label = None
-            if ":" in code:
-                head, _, tail = code.partition(":")
-                head = head.strip()
-                if _LABEL_RE.match(head):
-                    label = head
-                    code = tail.strip()
-            if not code:
+            label, op, rest = _LINE_RE.match(code).groups()
+            if not op:
                 lines.append(_Line(number, label, None, []))
                 continue
-            parts = code.split(None, 1)
-            op = parts[0].lower()
-            rest = parts[1] if len(parts) > 1 else ""
-            if op == ".asciiz":
-                args = [rest.strip()]
-            else:
-                args = _split_args(rest)
+            op = op.lower()
+            args = [rest] if op == ".asciiz" else _split_args(rest)
             lines.append(_Line(number, label, op, args))
         return lines
 
     @staticmethod
     def _strip_comment(line: str) -> str:
-        out = []
-        in_str = False
-        for ch in line:
-            if ch == '"':
-                in_str = not in_str
-            if ch == "#" and not in_str:
-                break
-            out.append(ch)
-        return "".join(out)
+        if "#" not in line:
+            return line
+        return line[: _CODE_RE.match(line).end()]
 
     # ------------------------------------------------------------------
     # pass 1: layout -- assign addresses, expand pseudo sizes, gather data
@@ -206,7 +197,12 @@ class Assembler:
         op = line.op
         if op == ".word":
             for arg in line.args:
-                self._emit_word_arg(arg, data, line.number)
+                try:  # the common case: a plain integer
+                    value = int(arg, 0)
+                except ValueError:
+                    self._emit_word_arg(arg, data, line.number)
+                else:
+                    data += (value & 0xFFFF_FFFF).to_bytes(4, "little")
         elif op == ".half":
             for arg in line.args:
                 value = _parse_int(arg, line.number)
@@ -238,7 +234,7 @@ class Assembler:
             value = _parse_int(arg, line_no)
         except AssemblerError:
             # symbol or symbol+offset / symbol-offset
-            match = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", arg)
+            match = _SYMBOL_RE.match(arg)
             if not match:
                 raise AssemblerError(f"line {line_no}: bad .word operand {arg!r}") from None
             addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
@@ -351,7 +347,7 @@ class Assembler:
             if line.op in self._PSEUDOS:
                 instrs = self._expand_pseudo(line, symbols, addr)
             else:
-                instrs = [self._parse_instruction(line, symbols, addr)]
+                instrs = (self._parse_instruction(line, symbols, addr),)
             for instr in instrs:
                 try:
                     words.append(encode(instr))
@@ -361,7 +357,7 @@ class Assembler:
 
     def _resolve_label(self, text: str, symbols: dict[str, int], line_no: int) -> int:
         text = text.strip()
-        match = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$", text)
+        match = _SYMBOL_RE.match(text)
         if match and match.group(1) in symbols:
             addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
             return symbols[match.group(1)] + addend
@@ -385,81 +381,97 @@ class Assembler:
     def _parse_instruction(
         self, line: _Line, symbols: dict[str, int], addr: int
     ) -> Instruction:
-        spec = SPECS.get(line.op)
+        op = line.op
+        spec = SPECS.get(op)
         if spec is None:
-            raise AssemblerError(f"line {line.number}: unknown mnemonic {line.op!r}")
+            raise AssemblerError(f"line {line.number}: unknown mnemonic {op!r}")
         args = line.args
         n = line.number
         syn = spec.syntax
-
-        def need(count: int) -> None:
-            if len(args) != count:
-                raise AssemblerError(
-                    f"line {n}: {line.op} expects {count} operands, got {len(args)}"
-                )
-
-        if syn is Syntax.RD_RS_RT:
-            need(3)
-            return Instruction(line.op, rd=reg_num(args[0]), rs=reg_num(args[1]), rt=reg_num(args[2]))
-        if syn is Syntax.RD_RT_SHAMT:
-            need(3)
-            return Instruction(
-                line.op, rd=reg_num(args[0]), rt=reg_num(args[1]), shamt=_parse_int(args[2], n)
+        count = _OPERAND_COUNT[op]
+        if count is not None and len(args) != count and not (
+            syn is Syntax.RD_RS and len(args) == 1  # jalr $rs  (rd defaults to $ra)
+        ):
+            raise AssemblerError(
+                f"line {n}: {op} expects {count} operands, got {len(args)}"
             )
-        if syn is Syntax.RD_RT_RS:
-            need(3)
-            return Instruction(line.op, rd=reg_num(args[0]), rt=reg_num(args[1]), rs=reg_num(args[2]))
-        if syn is Syntax.RS:
-            need(1)
-            return Instruction(line.op, rs=reg_num(args[0]))
-        if syn is Syntax.RD_RS:
-            if len(args) == 1:  # jalr $rs  (rd defaults to $ra)
-                return Instruction(line.op, rd=int(Reg.RA), rs=reg_num(args[0]))
-            need(2)
-            return Instruction(line.op, rd=reg_num(args[0]), rs=reg_num(args[1]))
-        if syn is Syntax.RD:
-            need(1)
-            return Instruction(line.op, rd=reg_num(args[0]))
-        if syn is Syntax.RS_RT:
-            need(2)
-            return Instruction(line.op, rs=reg_num(args[0]), rt=reg_num(args[1]))
+
+        # most frequent forms first
         if syn is Syntax.RT_RS_IMM:
-            need(3)
             return Instruction(
-                line.op, rt=reg_num(args[0]), rs=reg_num(args[1]), imm=_parse_int(args[2], n)
+                op, rt=_reg(args[0]), rs=_reg(args[1]), imm=_parse_int(args[2], n)
             )
-        if syn is Syntax.RT_IMM:
-            need(2)
-            return Instruction(line.op, rt=reg_num(args[0]), imm=_parse_int(args[1], n))
         if syn is Syntax.RT_OFF_BASE:
-            need(2)
-            match = re.match(r"^(-?\w*)\s*\(\s*(\$\w+)\s*\)$", args[1])
+            match = _MEMORY_RE.match(args[1])
             if not match:
                 raise AssemblerError(f"line {n}: bad memory operand {args[1]!r}")
             offset = _parse_int(match.group(1), n) if match.group(1) else 0
-            return Instruction(line.op, rt=reg_num(args[0]), rs=reg_num(match.group(2)), imm=offset)
+            return Instruction(op, rt=_reg(args[0]), rs=_reg(match.group(2)), imm=offset)
+        if syn is Syntax.RD_RS_RT:
+            return Instruction(op, rd=_reg(args[0]), rs=_reg(args[1]), rt=_reg(args[2]))
         if syn is Syntax.RS_RT_LABEL:
-            need(3)
             return Instruction(
-                line.op,
-                rs=reg_num(args[0]),
-                rt=reg_num(args[1]),
+                op,
+                rs=_reg(args[0]),
+                rt=_reg(args[1]),
                 imm=self._branch_offset(args[2], symbols, addr, n),
             )
-        if syn is Syntax.RS_LABEL:
-            need(2)
-            return Instruction(
-                line.op, rs=reg_num(args[0]), imm=self._branch_offset(args[1], symbols, addr, n)
-            )
         if syn is Syntax.TARGET:
-            need(1)
             target = self._resolve_label(args[0], symbols, n)
             if target % 4:
                 raise AssemblerError(f"line {n}: jump target not word aligned")
-            return Instruction(line.op, target=(target >> 2) & 0x03FF_FFFF)
+            return Instruction(op, target=(target >> 2) & 0x03FF_FFFF)
+        if syn is Syntax.RD_RT_SHAMT:
+            return Instruction(
+                op, rd=_reg(args[0]), rt=_reg(args[1]), shamt=_parse_int(args[2], n)
+            )
+        if syn is Syntax.RD_RT_RS:
+            return Instruction(op, rd=_reg(args[0]), rt=_reg(args[1]), rs=_reg(args[2]))
+        if syn is Syntax.RS:
+            return Instruction(op, rs=_reg(args[0]))
+        if syn is Syntax.RD_RS:
+            if len(args) == 1:
+                return Instruction(op, rd=int(Reg.RA), rs=_reg(args[0]))
+            return Instruction(op, rd=_reg(args[0]), rs=_reg(args[1]))
+        if syn is Syntax.RD:
+            return Instruction(op, rd=_reg(args[0]))
+        if syn is Syntax.RS_RT:
+            return Instruction(op, rs=_reg(args[0]), rt=_reg(args[1]))
+        if syn is Syntax.RT_IMM:
+            return Instruction(op, rt=_reg(args[0]), imm=_parse_int(args[1], n))
+        if syn is Syntax.RS_LABEL:
+            return Instruction(
+                op, rs=_reg(args[0]), imm=self._branch_offset(args[1], symbols, addr, n)
+            )
         if syn is Syntax.NONE:
-            return Instruction(line.op)
-        raise AssemblerError(f"line {n}: unhandled syntax for {line.op}")
+            return Instruction(op)
+        raise AssemblerError(f"line {n}: unhandled syntax for {op}")
+
+
+#: operands each syntax takes (None: not checked)
+_SYNTAX_OPERANDS = {
+    Syntax.RD_RS_RT: 3,
+    Syntax.RD_RT_SHAMT: 3,
+    Syntax.RD_RT_RS: 3,
+    Syntax.RS: 1,
+    Syntax.RD_RS: 2,
+    Syntax.RD: 1,
+    Syntax.RS_RT: 2,
+    Syntax.RT_RS_IMM: 3,
+    Syntax.RT_IMM: 2,
+    Syntax.RT_OFF_BASE: 2,
+    Syntax.RS_RT_LABEL: 3,
+    Syntax.RS_LABEL: 2,
+    Syntax.TARGET: 1,
+    Syntax.NONE: None,
+}
+#: the same per mnemonic (enum members hash in Python; strings do not)
+_OPERAND_COUNT = {op: _SYNTAX_OPERANDS[spec.syntax] for op, spec in SPECS.items()}
+
+
+def _reg(name: str) -> int:
+    number = REG_NUMBERS.get(name)
+    return number if number is not None else reg_num(name)
 
 
 def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Executable:
