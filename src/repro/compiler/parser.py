@@ -30,6 +30,10 @@ _BIN_PREC = {
 }
 
 
+#: token kinds that :meth:`Parser.check` matches by text
+_OPERATOR_KINDS = (TokenKind.PUNCT, TokenKind.KEYWORD)
+
+
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
@@ -52,14 +56,13 @@ class Parser:
         return token
 
     def check(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind in (
-            TokenKind.PUNCT,
-            TokenKind.KEYWORD,
-        )
+        token = self.tokens[self.pos]
+        return token.text == text and token.kind in _OPERATOR_KINDS
 
     def accept(self, text: str) -> bool:
-        if self.check(text):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.text == text and token.kind in _OPERATOR_KINDS:
+            self.pos += 1  # never the EOF token
             return True
         return False
 

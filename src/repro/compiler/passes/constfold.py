@@ -10,6 +10,8 @@ copy propagation and DCE still converges to clean code in practice.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compiler import ir
 from repro.compiler.consteval import fold_binary, fold_binary_unsigned
 from repro.errors import CompileError
@@ -45,24 +47,21 @@ def fold_ir_binop(op: str, left: int, right: int) -> int | None:
 
 def _single_def_consts(func: ir.Function) -> dict[ir.VReg, int]:
     """vregs defined exactly once, by a Const instruction."""
-    defined: set[ir.VReg] = set()
-    redefined: set[ir.VReg] = set()
+    dsts: list[ir.VReg] = []
     const_defs: dict[ir.VReg, int] = {}
     for instr in func.instrs:
         cls = type(instr)
-        if cls in _PURE_DEF_TYPES or cls is ir.Call:
-            reg = instr.dst
-            if reg is None:
-                continue
-            if reg in defined:
-                redefined.add(reg)
-            else:
-                defined.add(reg)
+        if cls in _PURE_DEF_TYPES:
+            dsts.append(instr.dst)
             if cls is ir.Const:
-                const_defs[reg] = instr.value
-    if not redefined:
-        return const_defs
-    return {reg: value for reg, value in const_defs.items() if reg not in redefined}
+                const_defs[instr.dst] = instr.value
+        elif cls is ir.Call and instr.dst is not None:
+            dsts.append(instr.dst)
+    if const_defs:
+        redefined = {reg for reg, count in Counter(dsts).items() if count > 1}
+        for reg in const_defs.keys() & redefined:
+            del const_defs[reg]
+    return const_defs
 
 
 def _value_of(operand: ir.Operand, consts: dict[ir.VReg, int]) -> int | None:
@@ -158,7 +157,8 @@ def propagate_copies(func: ir.Function) -> bool:
             continue
         if available:
             mapping = {
-                reg: available[reg] for reg in instr.uses() if reg in available
+                reg: src for reg in instr.uses()
+                if (src := available.get(reg)) is not None
             }
             if mapping:
                 instr.replace_uses(mapping)

@@ -10,7 +10,7 @@ from repro.compiler import ir
 
 
 def _operand_key(operand: ir.Operand) -> tuple:
-    if isinstance(operand, ir.Imm):
+    if type(operand) is ir.Imm:
         return ("imm", operand.value)
     return ("reg", operand.id)
 
@@ -21,56 +21,62 @@ def local_cse(func: ir.Function) -> bool:
     for block in blocks:
         available: dict[tuple, ir.VReg] = {}
         loads: dict[tuple, ir.VReg] = {}
+        # reg -> (table, key) of the entries whose key reads reg, and of the
+        # entries whose value is reg: a redefinition of reg drops them all
+        readers: dict[ir.VReg, list[tuple[dict, tuple]]] = {}
+        holders: dict[ir.VReg, list[tuple[dict, tuple]]] = {}
         new_instrs: list[ir.Instr] = []
         for instr in block.instrs:
+            cls = type(instr)
             key = None
             table = available
-            if isinstance(instr, ir.BinOp):
-                key = ("bin", instr.op, _operand_key(instr.a), _operand_key(instr.b))
+            operands: tuple = ()
+            if cls is ir.BinOp:
+                operands = (instr.a, instr.b)
+                a_key, b_key = _operand_key(instr.a), _operand_key(instr.b)
                 if instr.op in ir.COMMUTATIVE_OPS:
-                    a_key, b_key = _operand_key(instr.a), _operand_key(instr.b)
                     key = ("bin", instr.op) + tuple(sorted((a_key, b_key)))
-            elif isinstance(instr, ir.UnOp):
+                else:
+                    key = ("bin", instr.op, a_key, b_key)
+            elif cls is ir.UnOp:
+                operands = (instr.src,)
                 key = ("un", instr.op, _operand_key(instr.src))
-            elif isinstance(instr, ir.Const):
+            elif cls is ir.Const:
                 key = ("const", instr.value)
-            elif isinstance(instr, ir.LoadAddr):
+            elif cls is ir.LoadAddr:
                 key = ("addr", instr.symbol, instr.offset)
-            elif isinstance(instr, ir.SlotAddr):
+            elif cls is ir.SlotAddr:
                 key = ("slotaddr", instr.slot.index)
-            elif isinstance(instr, ir.Load):
+            elif cls is ir.Load:
+                operands = (instr.base,)
                 key = ("load", _operand_key(instr.base), instr.offset, instr.size, instr.signed)
                 table = loads
-            elif isinstance(instr, (ir.Store, ir.Call)):
+            elif cls is ir.Store or cls is ir.Call:
                 loads.clear()  # memory may have changed
 
             if key is not None:
                 existing = table.get(key)
                 if existing is not None:
-                    new_instrs.append(ir.Copy(instr.defs()[0], existing))
+                    new_instrs.append(ir.Copy(instr.dst, existing))
                     changed = True
                     continue
-                table[key] = instr.defs()[0]
+                table[key] = instr.dst
+                entry = (table, key)
+                holders.setdefault(instr.dst, []).append(entry)
+                for reg in operands:
+                    if type(reg) is ir.VReg:
+                        readers.setdefault(reg, []).append(entry)
 
             # any redefinition invalidates value-numbering entries using it
+            # (a key can come back after a clear: its readers stay the same,
+            # but it may now hold another value)
             for reg in instr.defs():
-                for mapping in (available, loads):
-                    stale = [
-                        k for k, v in mapping.items()
-                        if v == reg or _uses_reg(k, reg.id)
-                    ]
-                    for k in stale:
-                        del mapping[k]
+                for stale_table, stale_key in readers.pop(reg, ()):
+                    stale_table.pop(stale_key, None)
+                for stale_table, stale_key in holders.pop(reg, ()):
+                    if stale_table.get(stale_key) is reg:
+                        del stale_table[stale_key]
             new_instrs.append(instr)
         block.instrs = new_instrs
     func.instrs = ir.flatten_cfg(blocks)
     return changed
-
-
-def _uses_reg(key, reg_id: int) -> bool:
-    """True if the value-number key mentions operand ("reg", reg_id)."""
-    if isinstance(key, tuple):
-        if len(key) == 2 and key[0] == "reg" and key[1] == reg_id:
-            return True
-        return any(_uses_reg(part, reg_id) for part in key)
-    return False

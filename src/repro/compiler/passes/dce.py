@@ -10,6 +10,8 @@ since removing instructions only ever removes uses.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compiler import ir
 
 #: instruction types with no side effects beyond defining their destination
@@ -24,35 +26,28 @@ def eliminate_dead_code(func: ir.Function) -> bool:
     pinned_slots = {
         slot.index for slot in func.slots if slot.address_taken or slot.is_array
     }
-    use_count: dict[ir.VReg, int] = {}
+    uses: list[ir.VReg] = []
     pure_defs: dict[ir.VReg, list[int]] = {}
     loads: dict[int, int] = {}
     stores: dict[int, list[int]] = {}
     for position, instr in enumerate(instrs):
-        for reg in instr.uses():
-            if reg in use_count:
-                use_count[reg] += 1
-            else:
-                use_count[reg] = 1
+        uses += instr.uses()
         cls = type(instr)
         if cls in _PURE:
-            if instr.dst in pure_defs:
-                pure_defs[instr.dst].append(position)
-            else:
-                pure_defs[instr.dst] = [position]
+            pure_defs.setdefault(instr.dst, []).append(position)
             if cls is ir.LoadSlot:
                 index = instr.slot.index
                 loads[index] = loads.get(index, 0) + 1
         elif cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
             stores.setdefault(instr.slot.index, []).append(position)
+    use_count = Counter(uses)
 
+    # (key-view set algebra reuses the stored hashes)
     worklist: list[int] = []
-    for reg, positions in pure_defs.items():
-        if reg not in use_count:
-            worklist.extend(positions)
-    for index, positions in stores.items():
-        if index not in loads:
-            worklist.extend(positions)
+    for reg in pure_defs.keys() - use_count.keys():
+        worklist += pure_defs[reg]
+    for index in stores.keys() - loads.keys():
+        worklist += stores[index]
     dead = set(worklist)
 
     while worklist:

@@ -96,12 +96,14 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
         starts.setdefault(param, 0)
         ends[param] = 0
 
+    # a live-in register is used in its block or live out of it, so only
+    # its start can come from the block's first index; every live-out
+    # register is defined in the block or live in, so already started
     index = 0
     for block_index, block in enumerate(blocks):
         for reg in live_in[block_index]:
             if reg not in starts:
                 starts[reg] = index
-            ends[reg] = index
         for instr in block.instrs:
             if type(instr) is ir.Call:
                 call_sites.append(index)
@@ -114,11 +116,8 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
                     starts[reg] = index
                 ends[reg] = index
             index += 1
-        block_end = index - 1
-        for reg in live_out[block_index]:
-            if reg not in starts:
-                starts[reg] = block_end
-            ends[reg] = block_end
+        # (fromkeys over a set reuses the stored hashes)
+        ends.update(dict.fromkeys(live_out[block_index], index - 1))
 
     intervals = []
     for reg, start in starts.items():

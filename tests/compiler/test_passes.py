@@ -1,10 +1,27 @@
 """Compiler optimization pass tests: each pass does its job and levels
 produce progressively better (or characteristically different) code."""
 
+from dataclasses import astuple
+
+import pytest
+
 from repro.compiler import CompilerOptions, compile_source, compile_to_asm
+from repro.compiler.irgen import generate_ir
 from repro.compiler.parser import parse
+from repro.compiler.passes import (
+    eliminate_dead_code,
+    fold_constants,
+    fold_immediates,
+    hoist_loop_invariants,
+    local_cse,
+    promote_slots,
+    propagate_copies,
+    reduce_strength,
+    simplify_control_flow,
+)
 from repro.compiler.passes.ast_unroll import unroll_loops
 from repro.compiler.passes.strength import decompose_multiplier
+from repro.programs import ALL_BENCHMARKS
 from repro.sim import run_executable
 
 
@@ -180,3 +197,63 @@ class TestAstUnroll:
         exe = compile_source(source, opt_level=3)
         cpu, _ = run_executable(exe)
         assert cpu.read_word_global_signed("checksum") == 45
+
+
+class TestChangedFlagIsTruthful:
+    """A pass that returns False must leave the function exactly as it was.
+
+    The driver skips a cleanup pass whose last run returned False until
+    some pass changes the function, which is sound only if this holds.
+    Every IR pass runs here on every function of the 80 ``static_suite``
+    builds in pipeline order, with no call skipped.
+    """
+
+    _CLEANUP = (fold_constants, propagate_copies, eliminate_dead_code,
+                simplify_control_flow)
+
+    @staticmethod
+    def _state(func):
+        return func.dump(), [astuple(slot) for slot in func.slots]
+
+    def _run(self, transform, func, calls) -> bool:
+        before = self._state(func)
+        changed = transform(func)
+        if not changed:
+            assert self._state(func) == before, (
+                f"{transform.__name__} changed {func.name} but returned False")
+        calls.add(transform.__name__)
+        return changed
+
+    def _fixpoint(self, func, calls):
+        for _ in range(12):
+            changed = False
+            for cleanup in self._CLEANUP:
+                changed |= self._run(cleanup, func, calls)
+            if not changed:
+                break
+
+    @pytest.mark.parametrize("name", [bench.name for bench in ALL_BENCHMARKS])
+    def test_false_means_unchanged(self, name):
+        source = next(b for b in ALL_BENCHMARKS if b.name == name).source
+        calls: set[str] = set()
+        for level in (0, 1, 2, 3):
+            options = CompilerOptions.from_level(level)
+            unit = parse(source)
+            if options.unroll:
+                unroll_loops(unit, options.unroll_factor)
+            module, _ = generate_ir(unit)
+            for func in module.functions.values():
+                if options.mem2reg:
+                    self._run(promote_slots, func, calls)
+                if options.fold:
+                    self._fixpoint(func, calls)
+                for enabled, transform in ((options.licm, hoist_loop_invariants),
+                                           (options.cse, local_cse),
+                                           (options.strength_reduce, reduce_strength)):
+                    if enabled:
+                        self._run(transform, func, calls)
+                        self._fixpoint(func, calls)
+                if options.fold:
+                    self._run(fold_immediates, func, calls)
+                    self._run(eliminate_dead_code, func, calls)
+        assert len(calls) == 9

@@ -85,6 +85,39 @@ class TestDataDirectives:
         assert words == [exe.symbols["f"].address, exe.symbols["g"].address]
 
 
+class TestCharacterLiterals:
+    """A single-quoted literal is one operand: a ``#`` in it starts no
+    comment and a ``,`` in it separates no operands."""
+
+    def test_li_hash_literal(self):
+        exe = assemble(".text\nf: li $t0, '#'  # a real comment\n")
+        instr = _decode_all(exe)[0]
+        assert (instr.mnemonic, instr.rt, instr.imm) == ("addiu", 8, ord("#"))
+
+    def test_addiu_hash_literal(self):
+        exe = assemble(".text\nf: addiu $t0, $zero, '#'\n")
+        instr = _decode_all(exe)[0]
+        assert (instr.mnemonic, instr.rs, instr.imm) == ("addiu", 0, ord("#"))
+
+    def test_byte_comma_literal(self):
+        exe = assemble(".data\nb: .byte ',', 1\n")
+        assert exe.data[:2] == bytes([ord(","), 1])
+
+    def test_escaped_quote_literal(self):
+        exe = assemble(".data\nb: .byte '\\'', '#', 2 # trailing\n")
+        assert exe.data[:3] == bytes([ord("'"), ord("#"), 2])
+
+    def test_hash_inside_string(self):
+        exe = assemble('.data\ns: .asciiz "a#b" # comment\n')
+        assert exe.data[:4] == b"a#b\x00"
+
+    def test_memory_operand_next_to_literal(self):
+        exe = assemble(".text\nf: li $t1, ','\nsw $t1, 4($sp)\n")
+        li, sw = _decode_all(exe)
+        assert li.imm == ord(",")
+        assert (sw.mnemonic, sw.rt, sw.rs, sw.imm) == ("sw", 9, 29, 4)
+
+
 class TestPseudoInstructions:
     def test_li_small(self):
         exe = assemble(".text\nf: li $t0, 42\n")
