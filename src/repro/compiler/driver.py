@@ -16,6 +16,17 @@ Level  Passes
 
 Individual passes can be toggled through :class:`CompilerOptions` for the
 ablation experiments.
+
+The cleanup passes (folding, copy propagation, DCE, control-flow cleanup)
+iterate to a fixed point after each transforming pass.  The fixpoint is
+change-driven: per function, across all of its fixpoints, the driver
+remembers which cleanup passes last returned "no change" and skips them
+until some pass -- a cleanup pass, or LICM, CSE, strength reduction or
+immediate folding reporting a change -- changes the function.  A pass that
+returns False leaves the function untouched (``tests/compiler/
+test_passes.py`` checks this on every function of the benchmark suite), so
+a skipped call is exactly a call that would have returned False, and the
+output is the same as running every pass in every round.
 """
 
 from __future__ import annotations
