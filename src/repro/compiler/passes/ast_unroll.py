@@ -180,6 +180,9 @@ def _try_unroll(
     return ast.BlockStmt(line=line, body=[main_loop, remainder])
 
 
+_NODE_TYPES = (ast.Expr, ast.Stmt, ast.SwitchCase)
+
+
 def _clone(node):
     """Copy an AST subtree: fresh nodes and lists, shared leaves.
 
@@ -195,9 +198,6 @@ def _clone(node):
         new.__dict__ = {name: _clone(value) for name, value in node.__dict__.items()}
         return new
     return node
-
-
-_NODE_TYPES = (ast.Expr, ast.Stmt, ast.SwitchCase)
 
 
 def _match_counted_loop(loop: ast.ForStmt):

@@ -17,9 +17,6 @@ from repro.compiler.consteval import fold_binary, fold_binary_unsigned
 from repro.errors import CompileError
 from repro.utils import to_signed32
 
-_PURE_DEF_TYPES = ir.PURE_DEF_TYPES
-_TERMINATOR_TYPES = ir.TERMINATOR_TYPES
-
 #: IR ops that fold with signed semantics via consteval.fold_binary
 _SIGNED_FOLD = {
     "add": "+", "sub": "-", "mul": "*", "div": "/", "rem": "%",
@@ -51,7 +48,7 @@ def _single_def_consts(func: ir.Function) -> dict[ir.VReg, int]:
     const_defs: dict[ir.VReg, int] = {}
     for instr in func.instrs:
         cls = type(instr)
-        if cls in _PURE_DEF_TYPES:
+        if cls in ir.PURE_DEF_TYPES:
             dsts.append(instr.dst)
             if cls is ir.Const:
                 const_defs[instr.dst] = instr.value
@@ -163,11 +160,11 @@ def propagate_copies(func: ir.Function) -> bool:
             if mapping:
                 instr.replace_uses(mapping)
                 changed = True
-        if cls in _TERMINATOR_TYPES:
+        if cls in ir.TERMINATOR_TYPES:
             available.clear()
             copies_of.clear()
             continue
-        if cls in _PURE_DEF_TYPES or cls is ir.Call:
+        if cls in ir.PURE_DEF_TYPES or cls is ir.Call:
             reg = instr.dst
             if reg is not None and available:
                 src = available.pop(reg, None)

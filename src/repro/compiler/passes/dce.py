@@ -14,10 +14,6 @@ from collections import Counter
 
 from repro.compiler import ir
 
-#: instruction types with no side effects beyond defining their destination
-#: (Const, Copy, UnOp, BinOp, LoadAddr, SlotAddr, LoadSlot and Load, which
-#: has no volatile semantics in mini-C)
-_PURE = ir.PURE_DEF_TYPES
 _SLOT_REFS = frozenset({ir.LoadSlot, ir.StoreSlot, ir.SlotAddr})
 
 
@@ -33,7 +29,7 @@ def eliminate_dead_code(func: ir.Function) -> bool:
     for position, instr in enumerate(instrs):
         uses += instr.uses()
         cls = type(instr)
-        if cls in _PURE:
+        if cls in ir.PURE_DEF_TYPES:  # Load too: no volatile semantics in mini-C
             pure_defs.setdefault(instr.dst, []).append(position)
             if cls is ir.LoadSlot:
                 index = instr.slot.index

@@ -347,7 +347,7 @@ class Assembler:
             if line.op in self._PSEUDOS:
                 instrs = self._expand_pseudo(line, symbols, addr)
             else:
-                instrs = (self._parse_instruction(line, symbols, addr),)
+                instrs = [self._parse_instruction(line, symbols, addr)]
             for instr in instrs:
                 try:
                     words.append(encode(instr))
