@@ -98,7 +98,7 @@ def _run_fixpoint(func: ir.Function, clean: set) -> None:
 
     *clean* holds the passes whose last run returned False; none of them
     can change the function again until some pass does, so they are
-    skipped, and a skipped call counts as a round without change.
+    skipped as if they had returned False again.
     """
     for _ in range(_MAX_FIXPOINT_ROUNDS):
         changed = False

@@ -24,7 +24,7 @@ from repro.errors import AssemblerError
 from repro.binary.image import Executable, Symbol
 from repro.isa.encoding import encode
 from repro.isa.instructions import SPECS, Instruction, Syntax
-from repro.isa.registers import REG_NUMBERS, Reg, reg_num
+from repro.isa.registers import Reg, reg_num
 
 #: a stripped code line: an optional ``label:``, then the mnemonic or
 #: directive, then its operands
@@ -399,21 +399,21 @@ class Assembler:
         # most frequent forms first
         if syn is Syntax.RT_RS_IMM:
             return Instruction(
-                op, rt=_reg(args[0]), rs=_reg(args[1]), imm=_parse_int(args[2], n)
+                op, rt=reg_num(args[0]), rs=reg_num(args[1]), imm=_parse_int(args[2], n)
             )
         if syn is Syntax.RT_OFF_BASE:
             match = _MEMORY_RE.match(args[1])
             if not match:
                 raise AssemblerError(f"line {n}: bad memory operand {args[1]!r}")
             offset = _parse_int(match.group(1), n) if match.group(1) else 0
-            return Instruction(op, rt=_reg(args[0]), rs=_reg(match.group(2)), imm=offset)
+            return Instruction(op, rt=reg_num(args[0]), rs=reg_num(match.group(2)), imm=offset)
         if syn is Syntax.RD_RS_RT:
-            return Instruction(op, rd=_reg(args[0]), rs=_reg(args[1]), rt=_reg(args[2]))
+            return Instruction(op, rd=reg_num(args[0]), rs=reg_num(args[1]), rt=reg_num(args[2]))
         if syn is Syntax.RS_RT_LABEL:
             return Instruction(
                 op,
-                rs=_reg(args[0]),
-                rt=_reg(args[1]),
+                rs=reg_num(args[0]),
+                rt=reg_num(args[1]),
                 imm=self._branch_offset(args[2], symbols, addr, n),
             )
         if syn is Syntax.TARGET:
@@ -423,25 +423,25 @@ class Assembler:
             return Instruction(op, target=(target >> 2) & 0x03FF_FFFF)
         if syn is Syntax.RD_RT_SHAMT:
             return Instruction(
-                op, rd=_reg(args[0]), rt=_reg(args[1]), shamt=_parse_int(args[2], n)
+                op, rd=reg_num(args[0]), rt=reg_num(args[1]), shamt=_parse_int(args[2], n)
             )
         if syn is Syntax.RD_RT_RS:
-            return Instruction(op, rd=_reg(args[0]), rt=_reg(args[1]), rs=_reg(args[2]))
+            return Instruction(op, rd=reg_num(args[0]), rt=reg_num(args[1]), rs=reg_num(args[2]))
         if syn is Syntax.RS:
-            return Instruction(op, rs=_reg(args[0]))
+            return Instruction(op, rs=reg_num(args[0]))
         if syn is Syntax.RD_RS:
             if len(args) == 1:
-                return Instruction(op, rd=int(Reg.RA), rs=_reg(args[0]))
-            return Instruction(op, rd=_reg(args[0]), rs=_reg(args[1]))
+                return Instruction(op, rd=int(Reg.RA), rs=reg_num(args[0]))
+            return Instruction(op, rd=reg_num(args[0]), rs=reg_num(args[1]))
         if syn is Syntax.RD:
-            return Instruction(op, rd=_reg(args[0]))
+            return Instruction(op, rd=reg_num(args[0]))
         if syn is Syntax.RS_RT:
-            return Instruction(op, rs=_reg(args[0]), rt=_reg(args[1]))
+            return Instruction(op, rs=reg_num(args[0]), rt=reg_num(args[1]))
         if syn is Syntax.RT_IMM:
-            return Instruction(op, rt=_reg(args[0]), imm=_parse_int(args[1], n))
+            return Instruction(op, rt=reg_num(args[0]), imm=_parse_int(args[1], n))
         if syn is Syntax.RS_LABEL:
             return Instruction(
-                op, rs=_reg(args[0]), imm=self._branch_offset(args[1], symbols, addr, n)
+                op, rs=reg_num(args[0]), imm=self._branch_offset(args[1], symbols, addr, n)
             )
         if syn is Syntax.NONE:
             return Instruction(op)
@@ -467,11 +467,6 @@ _SYNTAX_OPERANDS = {
 }
 #: the same per mnemonic (enum members hash in Python; strings do not)
 _OPERAND_COUNT = {op: _SYNTAX_OPERANDS[spec.syntax] for op, spec in SPECS.items()}
-
-
-def _reg(name: str) -> int:
-    number = REG_NUMBERS.get(name)
-    return number if number is not None else reg_num(name)
 
 
 def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Executable:
