@@ -20,6 +20,10 @@ Reported numbers:
 * ``sampled_recording`` -- one fixed-interval sampled recording
   (:func:`repro.stages.sample_stream` at the dynamic flows' interval),
   ``Cpu`` construction included, on both engines.
+* ``construction`` -- best-of-N wall clock of constructing a profiled
+  superblock ``Cpu`` (decode, threaded table, code generation and
+  ``compile()``) for each of the 80 ``static_suite`` binaries (20
+  programs x O0-O3), with the generated units, lines and characters.
 
 Whole-suite sweep wall-clock is not timed here: ``perfbench/`` measures
 the cold static and dynamic sweeps end to end and per stage.
@@ -51,7 +55,7 @@ from pathlib import Path
 from repro import stages
 from repro.compiler.driver import compile_source
 from repro.dynamic.controller import DynamicConfig
-from repro.programs import get_benchmark
+from repro.programs import ALL_BENCHMARKS, get_benchmark
 from repro.sim.cpu import Cpu
 
 SINGLE_RUN_BENCHMARKS = ["brev", "crc", "fir", "adpcm"]
@@ -60,6 +64,8 @@ EXTRA_OPT_LEVELS = (0, 3)
 #: the sampled recording timed (and, under --smoke, compared across engines)
 RECORDING = ("crc", 1)
 REPEATS = 9  # best-of-N; raised from 5 to damp shared-host noise
+#: best-of-N for the construction row (each rep builds 80 Cpus)
+CONSTRUCTION_REPEATS = 3
 
 #: --smoke fails below this superblock/threaded ratio; the real margin is
 #: ~2.4-3.6x, so 2.0 only trips on a genuine regression
@@ -159,6 +165,28 @@ def time_recording(name: str, opt_level: int, repeats: int = REPEATS) -> dict:
     return row
 
 
+def time_construction(repeats: int = CONSTRUCTION_REPEATS) -> dict:
+    """Best-of-N wall clock of building one profiled ``Cpu`` per
+    ``static_suite`` binary, with the volume of generated source."""
+    exes = [compile_source(benchmark.source, opt_level=level)
+            for benchmark in ALL_BENCHMARKS for level in range(4)]
+    best = float("inf")
+    volume = {"units": 0, "lines": 0, "chars": 0}
+    for _ in range(repeats):
+        seconds = 0.0
+        volume = dict.fromkeys(volume, 0)
+        for exe in exes:
+            start = time.perf_counter()
+            cpu = Cpu(exe, profile=True)
+            seconds += time.perf_counter() - start
+            stats = cpu._sb.consume_stats()
+            for key in volume:
+                volume[key] += stats[f"codegen_{key}"]
+        best = min(best, seconds)
+    return {"binaries": len(exes), **volume, "seconds": round(best, 4),
+            "reps": repeats}
+
+
 def host_fingerprint() -> dict:
     """Where these numbers came from: absolute instr/s are meaningless
     without the host, and the trajectory file outlives any one machine."""
@@ -251,6 +279,12 @@ def main() -> None:
               f"instr/s ({row['threaded']['mips']:.2f}M threaded, "
               f"{row['samples']} samples)")
 
+    construction = time_construction()
+    print(f"construction {construction['seconds']:.3f} s for "
+          f"{construction['binaries']} binaries ({construction['units']} "
+          f"units, {construction['lines']} lines, "
+          f"{construction['chars']} characters)")
+
     payload = {
         "benchmark": "sim_throughput",
         "cpu_count": os.cpu_count() or 1,
@@ -259,6 +293,7 @@ def main() -> None:
         "reps": REPEATS,
         "single_run": single,
         "sampled_recording": recording,
+        "construction": construction,
     }
     if args.label:
         payload["label"] = args.label

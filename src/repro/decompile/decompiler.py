@@ -30,6 +30,7 @@ from repro.decompile.passes import (
     reroll_loops,
 )
 from repro.decompile.structure import StructureReport, recover_structure
+from repro.isa.encoding import decode_text
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,8 @@ class Decompiler:
         start, end = self.exe.function_bounds(name)
         word_lo = (start - self.exe.text_base) // 4
         word_hi = (end - self.exe.text_base) // 4
-        words = self.exe.text_words[word_lo:word_hi]
-        ops = lift_function(words, start)
+        instrs = decode_text(self.exe.text_words)[word_lo:word_hi]
+        ops = lift_function(instrs, start)
         stats = PassStats(lifted_ops=len(ops))
 
         cfg = build_cfg(

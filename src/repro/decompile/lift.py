@@ -9,8 +9,9 @@ constant propagation (paper section 2), not of the parser.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import DecompilationError
-from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction
 from repro.decompile.microop import (
     HI,
@@ -146,11 +147,12 @@ def lift_instruction(instr: Instruction, pc: int) -> list[MicroOp]:
     raise DecompilationError(f"cannot lift mnemonic {mnem!r} at {pc:#x}")
 
 
-def lift_function(words: list[int], base: int) -> list[MicroOp]:
-    """Lift a contiguous range of machine words starting at address *base*."""
+def lift_function(instrs: Sequence[Instruction], base: int) -> list[MicroOp]:
+    """Lift a contiguous range of decoded instructions starting at address
+    *base* (see :func:`repro.isa.encoding.decode_text`)."""
     out: list[MicroOp] = []
-    for index, word in enumerate(words):
+    for index, instr in enumerate(instrs):
         pc = base + 4 * index
-        for op in lift_instruction(decode(word), pc):
+        for op in lift_instruction(instr, pc):
             out.append(op)
     return out

@@ -26,7 +26,7 @@ from repro.isa.instructions import (
     SPECS,
     nop,
 )
-from repro.isa.encoding import decode, encode
+from repro.isa.encoding import decode, decode_text, encode
 from repro.isa.assembler import Assembler, assemble
 from repro.isa.disassembler import disassemble, disassemble_one
 
@@ -42,6 +42,7 @@ __all__ = [
     "SPECS",
     "assemble",
     "decode",
+    "decode_text",
     "disassemble",
     "disassemble_one",
     "encode",

@@ -5,13 +5,16 @@ set (property-tested in tests/isa/test_encoding.py).  Decoding an unsupported
 word raises :class:`~repro.errors.EncodingError` -- the decompiler treats that
 as an unparseable binary, which never happens for binaries produced by this
 repository's compiler.
+
+:func:`decode_text` decodes a whole text section and keeps the last one:
+the simulator, the decompiler's lifter and the profile mapper each need
+the same binary's text in turn, so each binary is decoded once.
 """
 
 from __future__ import annotations
 
 from repro.errors import EncodingError
 from repro.isa.instructions import SPECS, Format, Instruction
-from repro.utils import bits, sign_extend
 
 _OPCODE_SPECIAL = 0
 _OPCODE_REGIMM = 1
@@ -26,6 +29,9 @@ _BY_OPCODE = {
 _BY_REGIMM_RT = {
     spec.regimm_rt: spec for spec in SPECS.values() if spec.regimm_rt is not None
 }
+
+#: (words, instructions) of the text section :func:`decode_text` decoded last
+_last_text: tuple[tuple[int, ...], tuple[Instruction, ...]] = ((), ())
 
 
 def _check_reg(value: int, what: str) -> None:
@@ -78,48 +84,54 @@ def encode(instr: Instruction) -> int:
     return (spec.opcode << 26) | (instr.rs << 21) | (rt << 16) | imm16
 
 
+def decode_text(words) -> tuple[Instruction, ...]:
+    """Every word of a text section, decoded, in order.
+
+    Returns the previous call's tuple when *words* holds the same words, so
+    the simulator, the lifter and the profile mapper of one binary share one
+    decoding (:class:`Instruction` is frozen).  Only the last section is
+    kept, one binary's worth of memory; a word that fails to decode raises
+    :class:`EncodingError` and replaces nothing.
+    """
+    global _last_text
+    key = tuple(words)
+    if key != _last_text[0]:
+        _last_text = (key, tuple(map(decode, key)))
+    return _last_text[1]
+
+
 def decode(word: int) -> Instruction:
     """Decode a 32-bit machine *word* into an :class:`Instruction`."""
     if not 0 <= word <= 0xFFFF_FFFF:
         raise EncodingError(f"word out of 32-bit range: {word:#x}")
-    opcode = bits(word, 31, 26)
+    # fields extracted inline: this runs once per text word of every binary
+    opcode = word >> 26
+    rs = (word >> 21) & 31
+    rt = (word >> 16) & 31
 
     if opcode == _OPCODE_SPECIAL:
-        funct = bits(word, 5, 0)
+        funct = word & 63
         spec = _BY_FUNCT.get(funct)
         if spec is None:
             raise EncodingError(f"unsupported R-type funct {funct} in word {word:#010x}")
         return Instruction(
-            spec.mnemonic,
-            rs=bits(word, 25, 21),
-            rt=bits(word, 20, 16),
-            rd=bits(word, 15, 11),
-            shamt=bits(word, 10, 6),
+            spec.mnemonic, rs=rs, rt=rt, rd=(word >> 11) & 31, shamt=(word >> 6) & 31
         )
 
+    imm = word & 0xFFFF
     if opcode == _OPCODE_REGIMM:
-        rt_sel = bits(word, 20, 16)
-        spec = _BY_REGIMM_RT.get(rt_sel)
+        spec = _BY_REGIMM_RT.get(rt)
         if spec is None:
-            raise EncodingError(f"unsupported REGIMM selector {rt_sel} in word {word:#010x}")
-        return Instruction(
-            spec.mnemonic,
-            rs=bits(word, 25, 21),
-            imm=sign_extend(bits(word, 15, 0), 16),
-        )
+            raise EncodingError(f"unsupported REGIMM selector {rt} in word {word:#010x}")
+        return Instruction(spec.mnemonic, rs=rs, imm=imm - 0x10000 if imm & 0x8000 else imm)
 
     spec = _BY_OPCODE.get(opcode)
     if spec is None:
         raise EncodingError(f"unsupported opcode {opcode} in word {word:#010x}")
 
     if spec.fmt is Format.J:
-        return Instruction(spec.mnemonic, target=bits(word, 25, 0))
+        return Instruction(spec.mnemonic, target=word & 0x3FF_FFFF)
 
-    raw_imm = bits(word, 15, 0)
-    imm = raw_imm if spec.zero_extend_imm else sign_extend(raw_imm, 16)
-    return Instruction(
-        spec.mnemonic,
-        rs=bits(word, 25, 21),
-        rt=bits(word, 20, 16),
-        imm=imm,
-    )
+    if imm & 0x8000 and not spec.zero_extend_imm:
+        imm -= 0x10000
+    return Instruction(spec.mnemonic, rs=rs, rt=rt, imm=imm)

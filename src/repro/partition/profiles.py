@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.binary.image import Executable
 from repro.decompile.decompiler import DecompiledFunction, DecompiledProgram
-from repro.isa.encoding import decode
+from repro.isa.encoding import decode_text
 from repro.sim.cpu import CpiModel, RunResult, _MNEMONIC_CLASS
 
 
@@ -58,12 +58,12 @@ def _per_address_cycles(
     for (src, _dst), count in result.edge_counts.items():
         taken_from[src] = taken_from.get(src, 0) + count
     cycles: dict[int, int] = {}
-    for index, word in enumerate(exe.text_words):
+    for index, instr in enumerate(decode_text(exe.text_words)):
         pc = exe.text_base + 4 * index
         count = result.pc_counts.get(pc, 0)
         if count == 0:
             continue
-        mnemonic = decode(word).mnemonic
+        mnemonic = instr.mnemonic
         klass = _MNEMONIC_CLASS[mnemonic]
         total = count * cpi.cycles_for(klass)
         if klass == "branch":

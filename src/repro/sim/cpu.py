@@ -15,11 +15,12 @@ Design notes:
   Python and is worth ~5x over the old mnemonic-string dispatch chain.
 * On top of that table the default **superblock** engine
   (:mod:`repro.sim.superblock`) compiles the program into generated
-  Python -- one function per basic block (with unconditional ``j``/``jal``
-  chains fused into their targets), ``compile()``d in a few batches of
-  bounded source size -- so the dispatch loop pays one call per block or
-  chain instead of per instruction.  Counters proven cold are spilled
-  out of the fold scan (``spill_after``) and reheat transparently.  The
+  Python -- one function per basic block the dispatch loop can be handed
+  (with unconditional ``j``/``jal`` chains fused into their targets),
+  ``compile()``d in a few batches of bounded source size -- so the
+  dispatch loop pays one call per block or chain instead of per
+  instruction.  Counters proven cold are spilled out of the fold scan
+  (``spill_after``) and reheat transparently.  The
   threaded table stays fully built either way: the superblock loop falls
   back to it for the last few instructions of a *max_steps* budget, and
   the sampled loop single-steps chunk tails and mid-block entries
@@ -28,9 +29,10 @@ Design notes:
   :class:`~repro.sim.memory.Memory`: a 64 KiB stack window ending at
   ``0x8000_0000`` and a power-of-two data window starting at the
   page-aligned ``data_base`` and covering the data section.  Generated
-  code serves ``lw``/``sw``/``lbu``/``sb`` from those buffers inline and
-  falls back to the ``Memory`` methods outside them.  The buffers'
-  pages are the ``Memory`` pages, so ``Cpu.memory``,
+  code serves ``lw``/``sw``/``lbu``/``sb`` from those buffers inline
+  (behind one entry guard per base register where it can) and falls back
+  to the ``Memory`` methods, or to the threaded handlers, outside them.
+  The buffers' pages are the ``Memory`` pages, so ``Cpu.memory``,
   :meth:`Cpu.read_word_global` and the threaded handlers see every inline
   write.  Word views use native byte order, so construction requires a
   little-endian host.
@@ -74,7 +76,7 @@ from repro import obs
 from repro.binary.image import Executable
 from repro.binary.loader import load_into_memory
 from repro.errors import SimulationError
-from repro.isa.encoding import decode
+from repro.isa.encoding import decode_text
 from repro.isa.instructions import (
     CLASS_ALU,
     CLASS_BRANCH,
@@ -232,7 +234,7 @@ class Cpu:
         self._engine = engine
         self._spill_after = spill_after
         load_into_memory(exe, self.memory)
-        self._decoded = [decode(word) for word in exe.text_words]
+        self._decoded = decode_text(exe.text_words)
         self.regs = [0] * 32
         self.hi = 0
         self.lo = 0
@@ -743,7 +745,14 @@ class Cpu:
         of instruction index ``i`` (address ``text_base + 4*i``).  Chunk
         boundaries land on exactly the same instruction counts on both
         dispatch engines.  The callback's return value is ignored.
+        A *sample_interval* of 0 means no callback.  A negative or
+        non-integer *max_steps* or *sample_interval* raises ``ValueError``.
         """
+        for name, value in (("max_steps", max_steps),
+                            ("sample_interval", sample_interval)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}")
         text_base = self.exe.text_base
         text_len = len(self._decoded)
         taken = self._taken
@@ -805,6 +814,7 @@ class Cpu:
         obs.counter("engine.counter_reheats_total").inc(delta["reheats"])
         obs.counter("engine.codegen_units_total").inc(delta["codegen_units"])
         obs.counter("engine.codegen_lines_total").inc(delta["codegen_lines"])
+        obs.counter("engine.unit_guard_misses_total").inc(delta["guard_misses"])
         seconds = delta["codegen_seconds"]
         if seconds > 0:
             obs.histogram("engine.codegen_seconds").observe(seconds)

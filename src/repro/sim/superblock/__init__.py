@@ -6,13 +6,16 @@ generated Python, one function per basic block or fused j-chain, so the
 dispatch loop pays one call per unit:
 
 * :mod:`~repro.sim.superblock.leaders` -- block formation (leader
-  discovery over decoded text + data-section jump tables);
+  discovery over decoded text + data-section jump tables) and the
+  dispatch roots;
 * :mod:`~repro.sim.superblock.codegen` -- the code generator:
   block-local register JIT, literal propagation, multi-segment units,
-  inline loads and stores on the flat memory windows;
+  inline loads and stores on the flat memory windows behind one entry
+  guard per base register;
 * :mod:`~repro.sim.superblock.dispatch` -- :class:`SuperblockTable`,
-  the size-bounded compile batches, cold-counter spill, and the slot
-  table the dispatch loops index.
+  units for the dispatch entries only, the size-bounded compile
+  batches, cold-counter spill, and the slot table the dispatch loops
+  index.
 
 Exact statistics are the invariant throughout: per-unit entry counters
 fold into the per-instruction ``counts`` array at every observation

@@ -30,19 +30,45 @@ Key pieces:
   jump costs a link write at most -- no dispatch, no flush.  The
   register JIT spans the whole chain.
 
-* **Inline memory windows** (:meth:`Codegen.load`, :meth:`Codegen.store`).
-  ``lw``/``sw``/``lbu``/``sb`` index the ``Cpu``'s flat windows (see
-  :mod:`repro.sim.memory`) instead of calling ``Memory``.  The window is
-  picked at generation time from the base register: ``$sp``/``$fp`` use
-  the stack window, every other register the data window.  One masked
-  test per access rejects negative, out-of-range and (for words)
-  misaligned offsets at once; for a window of ``L`` bytes at ``base``::
+* **Inline memory windows** (:meth:`Codegen.guarded`, :meth:`Codegen.load`,
+  :meth:`Codegen.store`).  ``lw``/``sw``/``lbu``/``sb`` index the
+  ``Cpu``'s flat windows (see :mod:`repro.sim.memory`) instead of calling
+  ``Memory``.
+* **Entry guards** (:meth:`Codegen.cache_env`).  Most accesses use a base
+  that is some register's *unit-entry* value plus a constant: ``$sp`` and
+  ``$fp`` frames, ``$fp = $sp`` at O0, ``addiu $a0, $sp, k``.  The pass
+  that counts register touches also tracks that linear form, and the unit
+  opens, before its ``BC`` bump, with one chained range-and-alignment test
+  per entry register.  The window is picked from the entry register:
+  ``$sp``/``$fp`` use the stack window, every other register the data
+  window.  When the register's accesses cover the bytes from its entry
+  value plus ``lo`` up to (not including) plus ``hi``, in a window of
+  ``L`` bytes at ``base``, a register with a word access is tested on its
+  word index (the bounds rounded inward), so the same line binds the
+  index the accesses use::
+
+      if not -lo/4 <= (_z29 := ((_e29 := R[29]) - base) >> 2) <= (L - hi)/4 or _e29 & 3: return G(bid, home)
+      ...
+      SW[_z29 + 3] = x4
+
+  A register with only byte accesses needs no alignment term:
+  ``if not base - lo <= (_e4 := R[4]) <= base + L - hi: return G(...)``,
+  then ``SB[_e4 - k]``.  A word access is guarded only when its offset is
+  a multiple of 4.  A guarded access cannot fault, so it is a plain index
+  with no flush.  When a guard fails, ``G`` (see
+  :meth:`SuperblockTable._guard_miss_handler`) runs the whole unit through
+  the threaded handlers, which are the reference semantics: faults,
+  registers, ``T`` and ``DE`` stay exact.
+* **Unguarded accesses** (:meth:`Codegen.load`, :meth:`Codegen.store`)
+  keep one masked test per access, which rejects negative, out-of-range
+  and (for words) misaligned offsets at once::
 
       x = W[_o >> 2] if not (_o := reg + (imm - base)) & (-L | 3) else r32(_o + base)
 
   The fallback is the ``Memory`` accessor, which masks the address to 32
-  bits, keeps the sparse semantics and raises ``MemoryFault``.  An
-  in-window hit never needs the mask, because each window lies inside
+  bits, keeps the sparse semantics and raises ``MemoryFault``; a word
+  access is therefore still preceded by a flush of the dirty registers.
+  An in-window hit never needs the mask, because each window lies inside
   the 32-bit space.  A literal address folds to a direct index, or to
   the plain call when it lies outside the window.  The word views use
   native byte order, which ``Cpu`` checks is little-endian.
@@ -52,14 +78,14 @@ Generated code uses short names bound once per ``Cpu``: ``R`` registers,
 ``T`` per-site branch-taken counters, ``BC`` per-unit entry counters,
 ``HL`` hi/lo, ``DE`` dynamic-edge dict, ``r8``..``w32`` memory
 accessors, ``SW``/``SB`` and ``DW``/``DB`` the word and byte views of the
-stack and data windows, ``Halt``/``Err`` the exception types.
+stack and data windows, ``Halt``/``Err`` the exception types, ``G`` the
+guard-miss helper.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.errors import SimulationError
+from repro.isa.instructions import SPECS
 from repro.sim.superblock.leaders import BRANCHES, CONTROL_TRANSFERS
 
 __all__ = ["FACTORY", "Codegen"]
@@ -67,7 +93,7 @@ __all__ = ["FACTORY", "Codegen"]
 #: the shared factory header every generated module starts with; binds
 #: the per-Cpu namespace (``SuperblockTable._ns``) once per compile
 FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
-           "w8, w16, w32, SW, SB, DW, DB, Halt, Err):")
+           "w8, w16, w32, SW, SB, DW, DB, Halt, Err, G):")
 
 #: halfword accessors raise MemoryFault on a misaligned address, so the
 #: register file must be architecturally exact before each of these
@@ -78,6 +104,9 @@ _FLUSH_FIRST = frozenset(("lh", "lhu", "sh"))
 
 _MASK = 0xFFFF_FFFF
 _M = "4294967295"  # 0xFFFF_FFFF as a source literal
+
+#: the accesses served from the flat windows, by access width
+_WINDOWED = {"lw": 4, "sw": 4, "lbu": 1, "sb": 1}
 
 
 def _s32(value: int) -> int:
@@ -109,27 +138,48 @@ _WRITES_RD = frozenset((
 ))
 
 
-def _read_regs(instr) -> list[int]:
-    """Registers *instr* reads, ``$zero`` excluded (it folds to literal 0)."""
-    m = instr.mnemonic
-    regs = []
-    if m in _READS_RS and instr.rs:
-        regs.append(instr.rs)
-    if m in _READS_RT and instr.rt:
-        regs.append(instr.rt)
-    return regs
+#: mnemonic -> (reads rs, reads rt, the field naming the register it
+#: writes: ``"rt"``, ``"rd"``, ``"ra"`` for ``jal``'s ``$31``, or None)
+_USES = {
+    m: (m in _READS_RS, m in _READS_RT,
+        "rt" if m in _WRITES_RT else "rd" if m in _WRITES_RD
+        else "ra" if m == "jal" else None)
+    for m in SPECS
+}
 
 
-def _written_reg(instr) -> int:
-    """Register *instr* writes, or 0 for none (writes to $zero are dropped)."""
+def _linear_form(instr, linear: dict):
+    """``(entry register, offset)`` when the value *instr* writes is some
+    register's unit-entry value plus a constant, else ``None``.
+
+    *linear* maps the registers written so far in the unit to their form
+    (``None`` when not linear); an unwritten register holds its own entry
+    value.  Moves (``move`` is ``addiu rd, rs, 0``) and ``addiu`` keep the
+    form, every other write ends it.
+    """
     m = instr.mnemonic
-    if m in _WRITES_RT:
-        return instr.rt
-    if m in _WRITES_RD:
-        return instr.rd
-    if m == "jal":
-        return 31
-    return 0
+    imm = 0
+    if m == "addiu" or m == "addi":
+        src, imm = instr.rs, instr.imm
+    elif m in ("addu", "add", "or", "xor") and not (instr.rs and instr.rt):
+        src = instr.rs or instr.rt
+    elif (m == "subu" or m == "sub") and not instr.rt:
+        src = instr.rs
+    elif m in ("sll", "srl", "sra") and not instr.shamt:
+        src = instr.rt
+    else:
+        return None
+    if not src:
+        return None
+    form = linear.get(src, (src, 0))
+    return None if form is None else (form[0], form[1] + imm)
+
+
+def _plus(name: str, k: int) -> str:
+    """Source for ``name + k``."""
+    if k > 0:
+        return f"{name} + {k}"
+    return f"{name} - {-k}" if k else name
 
 
 class _BlockEnv:
@@ -139,10 +189,17 @@ class _BlockEnv:
     local, whether its value is a known literal, and whether ``R`` is
     stale (a deferred write-back is pending).  ``read``/``write`` return
     and consume source fragments; ``flush`` emits the deferred stores.
+    It also carries the unit's entry guards, fixed before emission.
     """
 
-    def __init__(self, cached: set[int]) -> None:
+    def __init__(self, cached: set[int], guarded: dict, guards: dict) -> None:
         self.cached = cached
+        #: instruction index -> (entry register, offset) of guarded accesses
+        self.guarded = guarded
+        #: entry register -> (lowest offset, highest access end, any word)
+        self.guards = guards
+        #: unwritten guarded registers, read from the guard's ``_e`` local
+        self.entry_values = {reg: f"_e{reg}" for reg in guards}
         self.known: dict[int, int] = {}  # reg -> literal value when known
         self.loaded: set[int] = set()    # cached regs live as x{reg} locals
         self.dirty: set[int] = set()     # cached regs with R[] write-back pending
@@ -155,6 +212,9 @@ class _BlockEnv:
         value = self.known.get(reg)
         if value is not None:
             return str(value), value
+        entry_value = self.entry_values.get(reg)
+        if entry_value is not None:
+            return entry_value, None
         if reg in self.cached:
             if reg not in self.loaded:
                 self.pending.append(f"x{reg} = R[{reg}]")
@@ -164,6 +224,7 @@ class _BlockEnv:
 
     def write(self, reg: int, expr: str | None, value: int | None = None) -> list[str]:
         """Statements realizing a write of *expr* (or literal *value*)."""
+        self.entry_values.pop(reg, None)
         if reg in self.cached:
             self.dirty.add(reg)
             if value is not None:
@@ -212,26 +273,75 @@ class Codegen:
         #: emission volume, read by the telemetry layer at run end
         self.units_emitted = 0
         self.lines_emitted = 0
+        self.chars_emitted = 0
 
     # -- whole units ---------------------------------------------------------
 
+    def window(self, reg: int):
+        """The window accesses based on *reg* use: stack for ``$sp``/``$fp``."""
+        return self.stack if reg in (29, 30) else self.data
+
     def cache_env(self, segments) -> _BlockEnv:
-        """A :class:`_BlockEnv` caching registers the unit touches twice.
+        """A :class:`_BlockEnv` caching registers the unit touches twice,
+        with the unit's entry guards.
 
         Single-touch registers go straight to ``R`` (same cost); the
         touch count spans *all* segments, so chain fusion widens the
-        caching window across the fused blocks.
+        caching window across the fused blocks.  The same walk tracks
+        which registers hold an entry value plus a constant and guards
+        each window access based on one.  A guarded access does not read
+        its base register (the guard does), so that read is not a touch.
+        A unit runs all its instructions unless one faults, so the guard
+        covers exactly the accesses the unit makes.
         """
         decoded = self.decoded
-        touches: Counter = Counter()
+        touches: dict[int, int] = {}
+        linear: dict = {}
+        guarded: dict[int, tuple[int, int]] = {}
+        spans: dict[int, list] = {}
         for start, length in segments:
-            for instr in decoded[start:start + length]:
-                for reg in _read_regs(instr):
-                    touches[reg] += 1
-                target = _written_reg(instr)
-                if target:
-                    touches[target] += 1
-        return _BlockEnv({reg for reg, n in touches.items() if n >= 2})
+            for index in range(start, start + length):
+                instr = decoded[index]
+                m = instr.mnemonic
+                reads_rs, reads_rt, writes = _USES[m]
+                rs = instr.rs
+                if reads_rs and rs:
+                    width = _WINDOWED.get(m)
+                    form = linear.get(rs, (rs, 0)) if width else None
+                    offset = form[1] + instr.imm if form else 0
+                    if form and (width == 1 or not offset & 3) \
+                            and self.window(form[0]) is not None:
+                        entry = form[0]
+                        guarded[index] = (entry, offset)
+                        span = spans.get(entry)
+                        if span is None:
+                            spans[entry] = [offset, offset + width, width == 4]
+                        else:
+                            span[0] = min(span[0], offset)
+                            span[1] = max(span[1], offset + width)
+                            span[2] = span[2] or width == 4
+                    else:
+                        touches[rs] = touches.get(rs, 0) + 1
+                if reads_rt and instr.rt:
+                    touches[instr.rt] = touches.get(instr.rt, 0) + 1
+                if writes:
+                    target = (instr.rt if writes == "rt" else
+                              instr.rd if writes == "rd" else 31)
+                    if target:
+                        touches[target] = touches.get(target, 0) + 1
+                        linear[target] = _linear_form(instr, linear)
+        guards = {}
+        for entry, (low, high, word) in spans.items():
+            if high - low <= self.window(entry)[1]:
+                guards[entry] = (low, high, word)
+                continue
+            # no entry value can satisfy a span wider than the window
+            for index in [i for i, (e, _) in guarded.items() if e == entry]:
+                del guarded[index]
+                rs = decoded[index].rs
+                touches[rs] = touches.get(rs, 0) + 1
+        return _BlockEnv({reg for reg, n in touches.items() if n >= 2},
+                         guarded, guards)
 
     def emit_unit(self, name: str, segments, bid: int, indent: str) -> list[str]:
         """One generated function covering *segments* back to back.
@@ -241,28 +351,42 @@ class Codegen:
         unconditional ``j``/``jal`` to the next segment's start (the
         jump is fused away, ``jal`` keeps its link write).  One ``BC``
         bump covers the whole unit; the fold expands it over every
-        member instruction.
+        member instruction.  The entry guards precede the bump: a failed
+        guard hands the unit's slot to ``G``, which bumps it itself.
         """
         decoded = self.decoded
         env = self.cache_env(segments)
-        lines = [f"{indent}def {name}():", f"{indent}    BC[{bid}] += 1"]
-        body = indent + "    "
+        stmts = []
+        for entry, (low, high, word) in sorted(env.guards.items()):
+            base, size = self.window(entry)[:2]
+            if word:
+                # for an aligned entry value, e - base == 4 * _z exactly
+                test = (f"not {-(low // 4)} <= (_z{entry} := ((_e{entry} := "
+                        f"R[{entry}]) - {base}) >> 2) <= {(size - high) // 4} "
+                        f"or _e{entry} & 3")
+            else:
+                test = (f"not {base - low} <= (_e{entry} := R[{entry}]) "
+                        f"<= {base + size - high}")
+            stmts.append(f"if {test}: return G({bid}, {segments[0][0]})")
+        stmts.append(f"BC[{bid}] += 1")
+        guarded = env.guarded
         last_seg = len(segments) - 1
         for seg_no, (start, length) in enumerate(segments):
-            for offset in range(length):
-                index = start + offset
+            for index in range(start, start + length):
                 instr = decoded[index]
                 m = instr.mnemonic
                 if m in CONTROL_TRANSFERS:
                     if seg_no == last_seg:
-                        stmts = self.terminator(instr, index, env)
-                    else:
+                        stmts += self.terminator(instr, index, env)
+                    elif m == "jal":
                         # fused unconditional jump: no dispatch, no flush;
                         # jal still owes its (deferrable) link write
-                        stmts = []
-                        if m == "jal":
-                            pc = self.text_base + (index << 2)
-                            stmts = env.write(31, None, pc + 4)
+                        pc = self.text_base + (index << 2)
+                        stmts += env.write(31, None, pc + 4)
+                elif index in guarded:
+                    emitted = self.guarded(instr, env, *guarded[index])
+                    stmts += env.take_pending()
+                    stmts += emitted
                 else:
                     # flush *before* emitting a faulting instruction, so
                     # the write-backs cover only the instructions already
@@ -270,14 +394,18 @@ class Codegen:
                     # flushed yet)
                     flush = env.flush() if m in _FLUSH_FIRST else []
                     emitted = self.straightline(instr, env)
-                    stmts = env.take_pending() + flush + emitted
-                lines.extend(body + stmt for stmt in stmts)
+                    stmts += env.take_pending()
+                    stmts += flush
+                    stmts += emitted
         final_start, final_len = segments[-1]
         if decoded[final_start + final_len - 1].mnemonic not in CONTROL_TRANSFERS:
-            lines.extend(body + stmt for stmt in env.flush())
-            lines.append(f"{body}return {final_start + final_len}")
+            stmts += env.flush()
+            stmts.append(f"return {final_start + final_len}")
+        body = indent + "    "
+        lines = [f"{indent}def {name}():", *[body + stmt for stmt in stmts]]
         self.units_emitted += 1
         self.lines_emitted += len(lines)
+        self.chars_emitted += sum(map(len, lines)) + len(lines)
         return lines
 
     # -- pieces --------------------------------------------------------------
@@ -291,11 +419,28 @@ class Codegen:
             return base
         return f"({base} + {imm}) & {_M}"
 
+    def guarded(self, instr, env: _BlockEnv, entry: int, offset: int) -> list[str]:
+        """Statements for a window access at *entry*'s entry value plus
+        *offset*, which the unit's guard proved in the window: a plain
+        index, no test, no flush."""
+        m = instr.mnemonic
+        base, _, words, bytes_ = self.window(entry)
+        if m == "lw" or m == "sw":
+            view = f"{words}[{_plus(f'_z{entry}', offset >> 2)}]"
+        else:
+            view = f"{bytes_}[{_plus(f'_e{entry}', offset - base)}]"
+        if m == "lw" or m == "lbu":
+            return env.write(instr.rt, view) if instr.rt else []
+        source, value = env.read(instr.rt)
+        if m == "sb":
+            source = str(value & 255) if value is not None else f"{source} & 255"
+        return [f"{view} = {source}"]
+
     def load(self, instr, env: _BlockEnv, word: bool) -> list[str]:
-        """Statements for an ``lw`` (*word*) or ``lbu``."""
+        """Statements for an unguarded ``lw`` (*word*) or ``lbu``."""
         rs, rt, imm = instr.rs, instr.rt, instr.imm
         call = "r32" if word else "r8"
-        window = self.stack if rs in (29, 30) else self.data
+        window = self.window(rs)
         reg, value = env.read(rs)
         if window is None:
             loaded = f"{call}({self.addr(env, rs, imm)})"
@@ -317,10 +462,10 @@ class Codegen:
         return flush + (env.write(rt, loaded) if rt else [loaded])
 
     def store(self, instr, env: _BlockEnv, word: bool) -> list[str]:
-        """Statements for an ``sw`` (*word*) or ``sb``."""
+        """Statements for an unguarded ``sw`` (*word*) or ``sb``."""
         rs, imm = instr.rs, instr.imm
         call = "w32" if word else "w8"
-        window = self.stack if rs in (29, 30) else self.data
+        window = self.window(rs)
         reg, address = env.read(rs)
         source, value = env.read(instr.rt)
         if window is not None:

@@ -1,21 +1,35 @@
-"""The superblock dispatch table: leader units compiled in bounded batches.
+"""The superblock dispatch table: units for the dispatch entries, compiled
+in bounded batches.
 
-All leader blocks are emitted as generated Python source and
-``compile()``d in a few batches, each capped at ``_BATCH_MAX_CHARS``
-characters of source: one code object per batch instead of one closure
-chain per block, so the dispatch loop's ``fns[index]()`` calls land on
-functions that share a module and its constant pool, while the
-compiler's transient memory stays bounded by the batch, not the
-program.  Generation is eager: the suite's programs execute almost all
-of their text (95.6% of ``static_suite``'s), so lazy generation would
-save little and pay ~1 ms of fixed ``compile()`` cost per module.  Two
-layers sit on that substrate:
+Units are emitted as generated Python source and ``compile()``d in a few
+batches, each capped at ``_BATCH_MAX_CHARS`` characters of source: one
+code object per batch instead of one closure chain per block, so the
+dispatch loop's ``fns[index]()`` calls land on functions that share a
+module and its constant pool, while the compiler's transient memory stays
+bounded by the batch, not the program.
 
-* **j-chain fusion**: a leader whose block ends in an unconditional
+Generation is eager but limited to the **dispatch entries**: the closure,
+over each unit's static exits (branch target and fall-through, an unfused
+``j``/``jal`` target, the fall-through at the end of a unit), of the
+entry point, every return address (the successor of a ``jal``/``jalr``)
+and every text address in ``.data`` (jump-table cases).  A leader reached
+only through a fused ``j``/``jal`` -- every callee's first block, most
+``j`` targets -- is never handed to the dispatch loop, so it gets no unit
+of its own.  Correctness does not depend on the set: an index whose slot
+is ``None`` is materialized by the unsampled loop and single-stepped by
+the sampled one.  Eager generation pays off because the suite's programs
+execute almost all of their text (95.6% of ``static_suite``'s), and each
+extra module costs ~1 ms of fixed ``compile()`` time.  Three layers sit
+on that substrate:
+
+* **j-chain fusion**: a unit whose block ends in an unconditional
   ``j``/``jal`` with a static in-text target *inlines* the target block
   (and so on, bounded), so the fused jump costs at most a deferred link
   write instead of a dispatch round-trip.  The unit's entry counter
   covers every member segment; :meth:`fold_into` expands it exactly.
+* **entry guards**: a unit's window accesses are proved in range once,
+  at entry (see :mod:`repro.sim.superblock.codegen`); when a guard fails,
+  :meth:`_guard_miss_handler` runs the unit through the threaded handlers.
 * **cold-counter spill**: a unit whose counter shows no delta for
   ``spill_after`` consecutive folds is dropped from the fold scan (its
   counter increment is "spilled" out of the observation path) and its
@@ -27,21 +41,27 @@ layers sit on that substrate:
   set instead of every unit ever created.
 
 Exactness contract: a unit either runs to its end or raises at a
-terminator, every generated function starts by bumping its ``BC``
-counter, and at every observation point the deltas fold into the
-per-instruction ``counts`` array the rest of the simulator derives
-statistics from.
+terminator, every generated function bumps its ``BC`` counter once (the
+guard-miss path bumps it for the unit), and at every observation point
+the deltas fold into the per-instruction ``counts`` array the rest of the
+simulator derives statistics from.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from time import perf_counter
 
 from repro.errors import SimulationError
 from repro.sim.cpu import _Halt
 from repro.sim.superblock.codegen import FACTORY as _FACTORY
 from repro.sim.superblock.codegen import Codegen
-from repro.sim.superblock.leaders import CONTROL_TRANSFERS, find_leaders
+from repro.sim.superblock.leaders import (
+    BRANCHES,
+    CONTROL_TRANSFERS,
+    dispatch_roots,
+    find_leaders,
+)
 
 __all__ = ["SuperblockTable"]
 
@@ -51,7 +71,7 @@ __all__ = ["SuperblockTable"]
 _CHAIN_MAX_BLOCKS = 8
 _CHAIN_MAX_INSTRS = 192
 
-#: leader units are compiled in batches of at most about this many
+#: units are compiled in batches of at most about this many
 #: source characters: ``compile()``'s transient memory grows with the
 #: module, and at this size it stays a few MB even for the largest
 #: program (one 200 k-character module peaks near 20 MB)
@@ -64,11 +84,12 @@ class SuperblockTable:
     Public surface used by the dispatch loops:
 
     * ``fns[index]`` -- the generated function for every handler slot
-      (escape slots reuse the threaded escape handlers); ``None`` marks a
-      mid-block index nobody has jumped to yet.
+      (escape slots reuse the threaded escape handlers); ``None`` marks an
+      index that is not a dispatch entry and that nobody has jumped to
+      yet.
     * ``sizes[index]`` -- instructions one ``fns[index]`` call executes:
-      the fused chain at a leader, the rest of the block mid-block, 1 at
-      an escape slot.  Fixed at construction.
+      the fused chain at a dispatch entry, the rest of the block
+      elsewhere, 1 at an escape slot.  Fixed at construction.
     * :attr:`call_bound` -- ``max(sizes)``; budget-free dispatch sprees
       divide by it.
     * :meth:`materialize` -- build the suffix unit for a dynamic jump to
@@ -76,7 +97,8 @@ class SuperblockTable:
     * :meth:`reset` / :meth:`fold_into` -- zero the per-unit counters at
       run start / fold their deltas into the per-instruction array.
     * :attr:`blocks` -- the leader partition, for introspection and the
-      formation property tests.
+      formation property tests; :attr:`entries` -- the dispatch entries,
+      sorted, one generated unit each.
     """
 
     def __init__(self, cpu) -> None:
@@ -84,6 +106,7 @@ class SuperblockTable:
         self._text_base = cpu.exe.text_base
         self._text_len = len(cpu._decoded)
         self._spill_after = cpu._spill_after
+        self._handlers = cpu._handlers
         self.leaders = find_leaders(
             self._decoded, self._text_base, self._text_len, cpu.exe.data
         )
@@ -111,8 +134,10 @@ class SuperblockTable:
         self._counting: list = []
         self.spilled = 0
         self.reheats = 0
+        #: [units run through the threaded handlers because a guard failed]
+        self._misses = [0]
 
-        #: cumulative generated-code cost (leader build, materialize);
+        #: cumulative generated-code cost (unit build, materialize);
         #: always-on -- a couple of perf_counter calls around each rare
         #: compile, nothing in dispatch
         self.codegen_seconds = 0.0
@@ -147,13 +172,16 @@ class SuperblockTable:
             "DB": data[1] if data else None,
             "Halt": _Halt,
             "Err": SimulationError,
+            "G": self._guard_miss_handler(),
         }
         self._cg = Codegen(
             decoded, self._text_base, self._text_len, cpu.profile,
             cpu._escape_slots, (stack[0], len(stack[1])),
             (data[0], len(data[1])) if data else None,
         )
-        self._build_leader_units()
+        self._build_units(dispatch_roots(
+            decoded, cpu.exe.entry, self._text_base, self._text_len, cpu.exe.data
+        ))
         self.call_bound = max(sizes, default=1)
 
     # -- public surface ----------------------------------------------------
@@ -212,8 +240,10 @@ class SuperblockTable:
         """Generate the suffix unit for a dynamic jump to mid-block *index*.
 
         Only ever called by the unsampled loop, for indices whose slot
-        is still ``None`` -- leaders are populated at build time, and the
-        sampled loop single-steps to the next leader instead.  Suffix
+        is still ``None`` -- dispatch entries are populated at build time,
+        and the sampled loop single-steps to the next entry instead.  A
+        dynamic jump to a leader that is no dispatch entry lands here too
+        and gets its block's unit.  Suffix
         units are never chain-fused: a later sampled run on the same
         ``Cpu`` budget-checks ``sizes[index]`` before calling one, so the
         generated unit must execute exactly ``suffix_len`` steps.
@@ -231,6 +261,39 @@ class SuperblockTable:
         self.fns[index] = fn
         self._counting[bid] = fn
         return fn
+
+    @property
+    def guard_misses(self) -> int:
+        """Units run through the threaded handlers because a guard failed."""
+        return self._misses[0]
+
+    def _guard_miss_handler(self):
+        """The ``G`` of generated code: run the unit in slot *index*
+        through the threaded handlers after an entry guard failed.
+
+        It bumps the unit's counter as the unit would have, so the fold
+        stays exact, and steps ``sizes[index]`` instructions: exactly the
+        unit.  A ``break`` re-raises ``_Halt`` with its index, as the
+        generated ``break`` does.  A closure over the tables it needs, not
+        a bound method: generated code must not reference the table, or
+        every ``Cpu`` would wait for the cycle collector to be freed.
+        """
+        bcounts = self.bcounts
+        sizes = self.sizes
+        handlers = self._handlers
+        misses = self._misses
+
+        def miss(bid: int, index: int) -> int:
+            bcounts[bid] += 1
+            misses[0] += 1
+            try:
+                for _ in repeat(None, sizes[index]):
+                    index = handlers[index]()
+            except _Halt:
+                raise _Halt(index) from None
+            return index
+
+        return miss
 
     # -- telemetry (run-end introspection; nothing here runs in dispatch) ----
 
@@ -262,6 +325,8 @@ class SuperblockTable:
             "codegen_seconds": self.codegen_seconds,
             "codegen_units": self._cg.units_emitted,
             "codegen_lines": self._cg.lines_emitted,
+            "codegen_chars": self._cg.chars_emitted,
+            "guard_misses": self.guard_misses,
         }
         seen = self._obs_seen
         self._obs_seen = stats
@@ -291,13 +356,18 @@ class SuperblockTable:
                     or len(segments) >= _CHAIN_MAX_BLOCKS
                     or total >= _CHAIN_MAX_INSTRS):
                 break
-            pc = self._text_base + ((current + length - 1) << 2)
-            t_pc = ((pc + 4) & 0xF000_0000) | (last.target << 2)
-            t_idx = (t_pc - self._text_base) >> 2
+            t_idx = self._jump_target(current + length - 1)
             if not 0 <= t_idx < self._text_len or t_idx in seen:
                 break
             current = t_idx
         return segments
+
+    def _jump_target(self, index: int) -> int:
+        """Target index of the ``j``/``jal`` at *index* (may lie outside
+        the text)."""
+        pc = self._text_base + (index << 2)
+        t_pc = ((pc + 4) & 0xF000_0000) | (self._decoded[index].target << 2)
+        return (t_pc - self._text_base) >> 2
 
     def _new_bid(self, segments, home: int) -> int:
         bid = len(self.members)
@@ -310,37 +380,68 @@ class SuperblockTable:
         self.live.append(bid)
         return bid
 
-    def _build_leader_units(self) -> None:
-        """Generate a function per leader chain, compiled in batches."""
+    def _dispatch_entries(self, roots) -> dict[int, list[tuple[int, int]]]:
+        """The dispatch entries reachable from *roots*, with their chains.
+
+        Closes *roots* over each unit's static exits: the successors of
+        its last instruction, within the text.  ``jr``/``jalr`` have none
+        (their targets are roots), ``break``/``syscall`` neither.
+        """
+        decoded = self._decoded
+        text_len = self._text_len
+        chains: dict[int, list[tuple[int, int]]] = {}
+        work = list(roots)
+        while work:
+            start = work.pop()
+            if start in chains:
+                continue
+            segments = chains[start] = self._chain_segments(start)
+            last = segments[-1][0] + segments[-1][1] - 1
+            instr = decoded[last]
+            m = instr.mnemonic
+            exits = []
+            if m in BRANCHES:
+                exits = [last + 1 + instr.imm, last + 1]
+            elif m == "j" or m == "jal":
+                exits = [self._jump_target(last)]
+            elif m not in CONTROL_TRANSFERS:
+                exits = [last + 1]
+            work.extend(t for t in exits if 0 <= t < text_len and t not in chains)
+        return chains
+
+    def _build_units(self, roots) -> None:
+        """Generate a function per dispatch entry, compiled in batches."""
         started = perf_counter()
+        chains = self._dispatch_entries(roots)
+        #: the dispatch entries, sorted: one generated unit each
+        self.entries = sorted(chains)
+        cg = self._cg
         lines: list[str] = []
         units: list[tuple[int, int]] = []  # (start, bid) in this batch
-        chars = 0
-        for start in sorted(self.leaders):
-            segments = self._chain_segments(start)
+        batch_start = cg.chars_emitted
+        for start in self.entries:
+            segments = chains[start]
             bid = self._new_bid(segments, start)
-            unit = self._cg.emit_unit(f"_b{start}", segments, bid, "    ")
-            unit.append(f"    fns[{start}] = _b{start}")
-            lines.extend(unit)
+            lines += cg.emit_unit(f"_b{start}", segments, bid, "    ")
             units.append((start, bid))
             self.sizes[start] = sum(n for _, n in segments)
-            chars += sum(map(len, unit)) + len(unit)
-            if chars >= _BATCH_MAX_CHARS:
+            if cg.chars_emitted - batch_start >= _BATCH_MAX_CHARS:
                 self._compile_batch(lines, units)
-                lines, units, chars = [], [], 0
+                lines, units, batch_start = [], [], cg.chars_emitted
         if units:
             self._compile_batch(lines, units)
         self.codegen_seconds += perf_counter() - started
 
     def _compile_batch(self, lines: list[str], units) -> None:
-        """Compile one batch of leader units and install their functions."""
-        source = "\n".join([_FACTORY, "    fns = {}", *lines, "    return fns\n"])
+        """Compile one batch of units and install their functions."""
+        names = ", ".join(f"_b{start}" for start, _ in units)
+        source = "\n".join([_FACTORY, *lines, f"    return ({names},)\n"])
         namespace: dict = {}
         exec(compile(source, "<superblocks>", "exec"), namespace)
         fns = namespace["_factory"](**self._ns)
-        for start, bid in units:
-            self.fns[start] = fns[start]
-            self._counting[bid] = fns[start]
+        for (start, bid), fn in zip(units, fns):
+            self.fns[start] = fn
+            self._counting[bid] = fn
 
     # -- cold-counter spill --------------------------------------------------
 

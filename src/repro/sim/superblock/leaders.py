@@ -1,4 +1,4 @@
-"""Superblock formation: leaders and the block partition.
+"""Superblock formation: leaders, the block partition and dispatch roots.
 
 Leaders are the entry index, every instruction after a control transfer,
 every static branch/jump target, and every data word that looks like a
@@ -9,11 +9,18 @@ affects *performance*: a register-indirect jump into the middle of a
 block -- possible in principle for hand-written assembly -- lazily
 materializes a suffix block starting at that index, so correctness never
 depends on the discovery heuristics.
+
+:func:`dispatch_roots` names the indices a dispatch loop can be handed
+from outside any unit's static exits: the entry point, return addresses
+and jump-table targets.  The dispatch table closes them over the units'
+static exits and generates code only for that set.
 """
 
 from __future__ import annotations
 
-__all__ = ["BRANCHES", "CONTROL_TRANSFERS", "find_leaders"]
+from struct import unpack_from
+
+__all__ = ["BRANCHES", "CONTROL_TRANSFERS", "dispatch_roots", "find_leaders"]
 
 #: a superblock never continues past one of these
 CONTROL_TRANSFERS = frozenset((
@@ -22,6 +29,14 @@ CONTROL_TRANSFERS = frozenset((
 ))
 
 BRANCHES = frozenset(("beq", "bne", "blez", "bgtz", "bltz", "bgez"))
+
+
+def _data_text_targets(data: bytes, text_base: int, text_len: int) -> set[int]:
+    """Indices of the word-aligned text addresses found in *data*."""
+    text_end = text_base + (text_len << 2)
+    words = unpack_from(f"<{len(data) >> 2}I", data)
+    return {(word - text_base) >> 2 for word in words
+            if not word & 3 and text_base <= word < text_end}
 
 
 def find_leaders(decoded, text_base: int, text_len: int, data: bytes) -> set[int]:
@@ -49,9 +64,23 @@ def find_leaders(decoded, text_base: int, text_len: int, data: bytes) -> set[int
             target = (t_pc - text_base) >> 2
             if 0 <= target < text_len:
                 leaders.add(target)
-    text_end = text_base + (text_len << 2)
-    for offset in range(0, len(data) - 3, 4):
-        word = int.from_bytes(data[offset:offset + 4], "little")
-        if not word & 3 and text_base <= word < text_end:
-            leaders.add((word - text_base) >> 2)
-    return leaders
+    return leaders | _data_text_targets(data, text_base, text_len)
+
+
+def dispatch_roots(decoded, entry: int, text_base: int, text_len: int,
+                   data: bytes) -> set[int]:
+    """Indices a dispatch loop reaches other than through a static exit.
+
+    The entry point's index, the successor of every ``jal``/``jalr``
+    (where a ``jr $ra`` returns) and every text address in the data
+    section (jump-table case targets).
+    """
+    roots = _data_text_targets(data, text_base, text_len)
+    index = (entry - text_base) >> 2
+    if not entry & 3 and 0 <= index < text_len:
+        roots.add(index)
+    for index in range(text_len - 1):
+        m = decoded[index].mnemonic
+        if m == "jal" or m == "jalr":
+            roots.add(index + 1)
+    return roots

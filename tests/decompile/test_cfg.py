@@ -7,6 +7,7 @@ from repro.errors import IndirectJumpError
 from repro.decompile import decompile
 from repro.decompile.cfg import build_cfg, prune_unreachable
 from repro.decompile.lift import lift_function
+from repro.isa import decode_text
 
 
 def _cfg_for(source: str, func: str = "main", opt_level: int = 1):
@@ -14,7 +15,7 @@ def _cfg_for(source: str, func: str = "main", opt_level: int = 1):
     start, end = exe.function_bounds(func)
     lo = (start - exe.text_base) // 4
     hi = (end - exe.text_base) // 4
-    ops = lift_function(exe.text_words[lo:hi], start)
+    ops = lift_function(decode_text(exe.text_words)[lo:hi], start)
     cfg = build_cfg(ops, start, func)
     prune_unreachable(cfg)
     return cfg

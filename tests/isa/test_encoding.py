@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
-from repro.isa import Instruction, decode, encode
+from repro.isa import Instruction, decode, decode_text, encode
 from repro.isa.instructions import SPECS, Format, Syntax
 
 
@@ -140,3 +140,27 @@ def test_branch_target_arithmetic():
 def test_jump_target_arithmetic():
     instr = Instruction("j", target=0x100)
     assert instr.jump_target(pc=0x0040_0000) == 0x400
+
+
+
+class TestDecodeText:
+    """``decode_text`` decodes a section once for all its consumers."""
+
+    WORDS = [encode(Instruction("addiu", rt=8, rs=29, imm=-4)),
+             encode(Instruction("jr", rs=31)), 0]
+
+    def test_matches_decode_and_is_shared(self):
+        decoded = decode_text(self.WORDS)
+        assert decoded == tuple(decode(word) for word in self.WORDS)
+        # another list with the same words (a second consumer of the same
+        # binary) gets the same tuple; different words get their own
+        assert decode_text(list(self.WORDS)) is decoded
+        assert decode_text(self.WORDS[:2]) == decoded[:2]
+        assert decode_text(self.WORDS) is not decoded
+
+    def test_errors_are_not_kept(self):
+        decoded = decode_text(self.WORDS)
+        for _ in range(2):
+            with pytest.raises(EncodingError):
+                decode_text([*self.WORDS, 0xFC00_0000])
+        assert decode_text(self.WORDS) is decoded

@@ -16,6 +16,7 @@ from repro import obs
 from repro.__main__ import main
 from repro.compiler.driver import compile_source
 from repro.flow import FlowJob, clear_pool_fallbacks, pool_fallbacks, run_flows
+from repro.isa import assemble
 from repro.platform import MIPS_40MHZ, MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import get_benchmark
 from repro.sim.cpu import Cpu
@@ -66,6 +67,20 @@ class TestEngineMetrics:
         assert _counter_value("engine.instructions_total") \
             == first.steps + second.steps
         assert _counter_value("engine.runs_total") == 2
+
+    def test_guard_misses_are_counted_per_run(self, telemetry):
+        # $sp starts below the stack window, so the entry guard of the
+        # unit holding the stores fails once per run
+        exe = assemble(".text\n_start:\n    li $sp, 0x7FFEFF00\n    b unit\n"
+                       "unit:\n    sw $t0, 0($sp)\n    sw $t0, 4($sp)\n"
+                       "    break\n")
+        Cpu(exe).run()
+        assert _counter_value("engine.unit_guard_misses_total") == 1
+        Cpu(exe).run()
+        assert _counter_value("engine.unit_guard_misses_total") == 2
+        Cpu(compile_source(get_benchmark("brev").source)).run()
+        assert _counter_value("engine.unit_guard_misses_total") == 2
+        assert obs.registry().get("engine.unit_guard_misses_total") is not None
 
     def test_disabled_run_registers_nothing(self):
         obs.disable()

@@ -197,6 +197,28 @@ class TestExecutionControl:
         _, costly = run_asm(body, cpi=CpiModel(load=10, store=10))
         assert costly.cycles > cheap.cycles
 
+    @pytest.mark.parametrize("engine", ["superblock", "threaded"])
+    @pytest.mark.parametrize("option, bad", [
+        ("max_steps", -5), ("max_steps", 2.5), ("max_steps", True),
+        ("sample_interval", -1), ("sample_interval", 0.5),
+        ("sample_interval", None),
+    ])
+    def test_run_rejects_bad_options(self, engine, option, bad):
+        # a negative interval used to run unsampled without ever calling
+        # back, and a negative budget to report "exceeded max_steps"
+        calls = []
+        cpu = Cpu(assemble(".text\n_start:\n    nop\n    break\n"), engine=engine)
+        with pytest.raises(ValueError, match=option):
+            cpu.run(**{option: bad}, on_sample=lambda c, t: calls.append(1))
+        assert calls == []
+        assert cpu.run().halted, "a rejected call must leave the Cpu usable"
+
+    @pytest.mark.parametrize("engine", ["superblock", "threaded"])
+    def test_zero_budget_is_exceeded_not_rejected(self, engine):
+        cpu = Cpu(assemble(".text\n_start:\n    break\n"), engine=engine)
+        with pytest.raises(SimulationError, match="exceeded max_steps=0"):
+            cpu.run(max_steps=0)
+
 
 class TestProfiling:
     def test_pc_counts_loop(self):

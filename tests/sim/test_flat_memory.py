@@ -10,10 +10,13 @@ interpreter: the run statistics, or the fault, must match the reference,
 and the register file, HI/LO and every non-zero memory page must match
 the threaded engine.
 
-Each access is emitted in two modes: ``literal``, where the base
-register holds a constant the code generator folds into a direct index,
-and ``dynamic``, where a block boundary hides the base value so the
-generated code carries the masked window test.
+Each access is emitted in three modes: ``literal``, where the base
+register holds a constant the code generator folds into a direct index;
+``dynamic``, where a block boundary hides the base value, so the base is
+the register's unit-entry value and the unit's entry guard covers the
+access; and ``computed``, where the base is the sum of two entry values,
+so the generated code carries the per-access masked window test.
+:class:`TestEntryGuards` covers the guards' edges and their miss path.
 """
 
 from __future__ import annotations
@@ -35,16 +38,16 @@ from tests.sim.test_differential import assert_identical
 STACK_BASE = 0x8000_0000 - STACK_WINDOW_BYTES
 #: the data window of a program whose data section fits in one page
 DATA_WINDOW = 0x1000
-MODES = ("literal", "dynamic")
+MODES = ("literal", "dynamic", "computed")
 M = 0xFFFF_FFFF
 
 
 class CountingMemory(Memory):
-    """A ``Memory`` that counts calls of its word accessors."""
+    """A ``Memory`` that counts calls of its word and byte accessors."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.calls = {"read_u32": 0, "write_u32": 0}
+        self.calls = {"read_u32": 0, "write_u32": 0, "read_u8": 0, "write_u8": 0}
 
     def read_u32(self, address: int) -> int:
         self.calls["read_u32"] += 1
@@ -53,6 +56,14 @@ class CountingMemory(Memory):
     def write_u32(self, address: int, value: int) -> None:
         self.calls["write_u32"] += 1
         super().write_u32(address, value)
+
+    def read_u8(self, address: int) -> int:
+        self.calls["read_u8"] += 1
+        return super().read_u8(address)
+
+    def write_u8(self, address: int, value: int) -> None:
+        self.calls["write_u8"] += 1
+        super().write_u8(address, value)
 
 
 def _pages(cpu: Cpu) -> dict[int, bytes]:
@@ -107,15 +118,20 @@ class _Program:
         self.lines.extend(f"    {line}" for line in lines)
 
     def split(self) -> None:
-        """In ``dynamic`` mode, end the block so later code cannot know
-        the registers' values at generation time."""
-        if self.mode == "dynamic":
+        """Outside ``literal`` mode, end the block so later code cannot
+        know the registers' values at generation time."""
+        if self.mode != "literal":
             self.labels += 1
             self.lines += [f"    b split{self.labels}", f"split{self.labels}:"]
 
     def base(self, reg: str, value: int) -> None:
-        self(f"li {reg}, {value & M}")
-        self.split()
+        if self.mode == "computed":
+            self(f"li $t8, {value & M}", "li $t9, 0")
+            self.split()
+            self(f"addu {reg}, $t8, $t9")
+        else:
+            self(f"li {reg}, {value & M}")
+            self.split()
 
     @property
     def body(self) -> str:
@@ -322,7 +338,8 @@ next:
         first_block = (exe.symbols["next"].address - exe.text_base) // 4
         assert first_block == 12
         cpu.run(sample_interval=4, on_sample=lambda counts, taken: None)
-        assert memory.calls == {"read_u32": 0, "write_u32": 2}
+        assert memory.calls == {"read_u32": 0, "write_u32": 2,
+                                "read_u8": 0, "write_u8": 0}
         assert cpu.regs[10] == cpu.regs[11] == 0x1234_5678
 
     def test_generated_store_is_seen_through_memory(self):
@@ -330,7 +347,7 @@ next:
         memory = CountingMemory()
         cpu = Cpu(exe, memory=memory)
         cpu.run()
-        assert memory.calls == {"read_u32": 0, "write_u32": 0}
+        assert not any(memory.calls.values())
         assert cpu.read_word_global("cell") == 0x1234_5678
         assert cpu.memory.read_u32(STACK_TOP - 4) == 0x1234_5678
         run_engines(exe)
@@ -400,3 +417,121 @@ class TestInstallWindow:
         memory.write_u32(0x4010, 7)
         assert second[0x10] == 7
         assert memory.install_window(0x4000, 0x2000) is second
+
+
+def _unit_program(*lines: str):
+    """A program of *lines*, one instruction or label each."""
+    return assemble_program("\n".join(f"    {line}" for line in lines))
+
+
+class TestEntryGuards:
+    """A unit's window accesses whose base is a register's unit-entry
+    value plus a constant sit behind one range-and-alignment test per
+    entry register.  A failed test runs the unit through the threaded
+    handlers, which must leave faults, registers and counters exact."""
+
+    #: cached registers written before the access, checked after a fault
+    _BUSY = ("li $s1, 77", "addiu $s1, $s1, 1", "addiu $s4, $s4, 5",
+             "addiu $s4, $s4, 6")
+
+    def test_misaligned_sp_faults_with_exact_registers(self):
+        cpu = run_engines(_unit_program(
+            f"li $sp, {STACK_TOP + 2}", "b unit", "unit:", *self._BUSY,
+            "sw $s1, 8($sp)", "sll $s5, $s1, 3", "sw $s5, 4($sp)",
+            "li $s6, 9"))
+        assert cpu._sb.guard_misses == 1
+        assert cpu.regs[17] == 78 and cpu.regs[20] == 11
+        assert cpu.regs[21] == 0 and cpu.regs[22] == 0, "ran past the fault"
+
+    @pytest.mark.parametrize("sp, offsets", [
+        (STACK_BASE + 8, (4, 0, 8, -12)),         # last one below the window
+        (0x7FFF_FFF0, (0, 12, 8, 16)),            # last one above it
+    ])
+    def test_only_the_last_access_leaves_the_window(self, sp, offsets):
+        stores = [f"sw $s1, {offset}($sp)" for offset in offsets[:-1]]
+        cpu = run_engines(_unit_program(
+            f"li $sp, {sp}", "b unit", "unit:", *self._BUSY, *stores,
+            "lw $s2, 0($sp)", "addiu $s4, $s4, 1", f"sb $s4, {offsets[-1]}($sp)"))
+        assert cpu._sb.guard_misses == 1
+        for offset in offsets[:-1]:
+            assert cpu.memory.read_u32(sp + offset) == 78
+        assert cpu.memory.read_u8(sp + offsets[-1]) == 12
+        assert cpu.regs[18] == 78 and cpu.regs[20] == 12
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_break_in_a_unit_whose_guard_failed(self, sampled):
+        # the unit ends in the program's break, with $sp below the window
+        kwargs = {"sample_interval": 1000, "on_sample": lambda c, t: None} \
+            if sampled else {}
+        cpu = run_engines(_unit_program(
+            f"li $sp, {STACK_BASE - 64}", "b unit", "unit:", *self._BUSY,
+            "sw $s1, 0($sp)", "sb $s4, 3($sp)", "lw $s2, 0($sp)"), **kwargs)
+        assert cpu._sb.guard_misses == 1
+        assert cpu.pc == cpu.exe.text_base + 4 * (len(cpu.exe.text_words) - 1)
+        assert cpu.regs[18] == cpu.memory.read_u32(STACK_BASE - 64) == 78 | 11 << 24
+
+    @pytest.mark.parametrize("sp", [STACK_TOP, STACK_BASE])
+    def test_access_through_addiu_from_sp_uses_the_stack_guard(self, sp):
+        exe = _unit_program(
+            f"li $sp, {sp}", "b unit", "unit:", "li $s1, 0x1234",
+            "addiu $a0, $sp, -24", "move $a1, $a0", "sw $s1, 20($a0)",
+            "sw $s1, 24($a1)", "lw $s2, 20($a0)", "lbu $s3, 25($a1)")
+        memory = CountingMemory()
+        cpu = Cpu(exe, memory=memory)
+        cpu.run()
+        missed = sp - 4 < STACK_BASE
+        assert cpu._sb.guard_misses == missed
+        # in the window, nothing reaches the Memory accessors: the data
+        # window's guard would have missed on every call
+        assert any(memory.calls.values()) == missed
+        assert cpu.regs[18] == 0x1234 and cpu.regs[19] == 0x12
+        run_engines(exe)
+
+    #: (base register, address, access width) of each window's first and
+    #: last word and byte
+    _EDGES = [
+        ("$sp", STACK_BASE, 4), ("$sp", STACK_BASE, 1),
+        ("$fp", 0x8000_0000 - 4, 4), ("$fp", 0x8000_0000 - 1, 1),
+        ("$t0", DATA_BASE, 4), ("$t0", DATA_BASE, 1),
+        ("$a0", DATA_BASE + DATA_WINDOW - 4, 4),
+        ("$a0", DATA_BASE + DATA_WINDOW - 1, 1),
+    ]
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["edge", "beyond"])
+    @pytest.mark.parametrize("reg, address, width", _EDGES)
+    def test_window_edges(self, reg, address, width, inside):
+        if not inside:
+            # one access width past the edge, outward
+            first = address in (STACK_BASE, DATA_BASE)
+            address += -width if first else width
+        store, load = ("sw", "lw") if width == 4 else ("sb", "lbu")
+        # the register is an entry value; the unit reaches the address at
+        # an offset from it, as frame code does
+        exe = _unit_program(
+            "li $s1, 0xA5C3E1F7", f"li {reg}, {address - 16}", "b unit",
+            "unit:", f"{store} $s1, 16({reg})", f"{load} $s2, 16({reg})")
+        memory = CountingMemory()
+        cpu = Cpu(exe, memory=memory)
+        cpu.run()
+        assert cpu._sb.guard_misses == (not inside)
+        assert any(memory.calls.values()) == (not inside)
+        assert cpu.regs[18] == (0xA5C3E1F7 if width == 4 else 0xF7)
+        run_engines(exe)
+
+
+def test_static_suite_has_no_guard_miss_and_generates_no_unit():
+    """Every unit the suite's binaries call is a dispatch entry, and
+    every guard holds.  Profiling changes only the ``jr`` edge lines, so
+    alternating it across opt levels covers both kinds of run."""
+    from repro.programs import ALL_BENCHMARKS
+
+    for benchmark in ALL_BENCHMARKS:
+        for level in range(4):
+            exe = compile_source(benchmark.source, opt_level=level)
+            cpu = Cpu(exe, profile=bool(level & 1))
+            cpu._sb.consume_stats()
+            cpu.run()
+            stats = cpu._sb.consume_stats()
+            key = f"{benchmark.name}/O{level}"
+            assert stats["guard_misses"] == 0, key
+            assert stats["codegen_units"] == 0, key

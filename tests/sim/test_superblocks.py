@@ -17,6 +17,9 @@ The invariants the dispatch rewrite stands on:
   reference, and the cold-counter spill keeps every counter exact.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.compiler import compile_source
@@ -248,7 +251,7 @@ class TestExactness:
 
 
 class TestBatchedCompile:
-    """Leader units compile in batches of bounded source size."""
+    """Dispatch-entry units compile in batches of bounded source size."""
 
     def test_large_program_compiles_in_bounded_batches(self, monkeypatch):
         batches = []
@@ -272,8 +275,26 @@ class TestBatchedCompile:
         exe = compile_source(get_benchmark("adpcm").source, opt_level=3)
         ref = run_reference(exe, profile=True)
         cpu = Cpu(exe, profile=True)
-        assert cpu._sb.consume_stats()["codegen_units"] == len(cpu.superblocks)
+        # one unit per dispatch entry, not per leader: callee entries are
+        # fused into their callers' chains
+        assert cpu._sb.consume_stats()["codegen_units"] == len(cpu._sb.entries)
+        assert len(cpu._sb.entries) < len(cpu.superblocks)
         assert_identical(cpu.run(), ref)
+
+
+def test_a_dropped_cpu_is_freed_without_the_cycle_collector():
+    # generated code must not reference its table: a cycle would keep
+    # every Cpu's code and windows alive until the collector runs
+    exe = compile_source(get_benchmark("crc").source, opt_level=1)
+    gc.disable()
+    try:
+        cpu = Cpu(exe, profile=True)
+        cpu.run()
+        table = weakref.ref(cpu._sb)
+        del cpu
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 #: an inner loop whose trip count alternates between one and two
