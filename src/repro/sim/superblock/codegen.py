@@ -99,7 +99,7 @@ FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
 #: register file must be architecturally exact before each of these
 #: executes.  Byte accesses cannot fault and need no flush; words flush in
 #: :meth:`Codegen.load`/:meth:`Codegen.store` unless their address is a
-#: literal inside a window
+#: literal inside a window, and guarded words never do
 _FLUSH_FIRST = frozenset(("lh", "lhu", "sh"))
 
 _MASK = 0xFFFF_FFFF
