@@ -112,7 +112,7 @@ class Executable:
             len(self.data),
             len(self.symbols),
         )
-        text_blob = b"".join(struct.pack("<I", w) for w in self.text_words)
+        text_blob = struct.pack(f"<{len(self.text_words)}I", *self.text_words)
         return header + text_blob + self.data + bytes(sym_blob)
 
     @classmethod

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.binary.image import Executable
 from repro.decompile.cfg import ControlFlowGraph
-from repro.decompile.dataflow import NaturalLoop
+from repro.decompile.dataflow import NaturalLoop, immediate_dominators
 from repro.decompile.microop import ALU_OPS, Imm, Loc, MicroOp, Opcode, SP, ZERO
 
 
@@ -84,7 +84,25 @@ def _resolve_symbol(exe: Executable, address: int) -> tuple[str | None, int]:
     return best[0], address - best[1]
 
 
-def _entry_env(cfg: ControlFlowGraph, loop: NaturalLoop) -> dict[str, dict]:
+class _Dominance:
+    """What :func:`_entry_env` needs of one function for every loop: the
+    immediate dominators, and how many blocks define each location."""
+
+    def __init__(self, cfg: ControlFlowGraph, dom: list[set[int]] | None = None):
+        self.idom = immediate_dominators(cfg, dom)
+        self.entry = cfg.block_by_start[cfg.entry]
+        self.block_defs: list[set[str]] = []
+        self.defining_blocks: dict[str, int] = {}
+        for block in cfg.blocks:
+            names = {loc.name for op in block.ops for loc in op.defs()}
+            self.block_defs.append(names)
+            for name in names:
+                self.defining_blocks[name] = self.defining_blocks.get(name, 0) + 1
+
+
+def _entry_env(
+    cfg: ControlFlowGraph, loop: NaturalLoop, dominance: _Dominance
+) -> dict[str, dict]:
     """Symbolic affine environment at the loop header, built by executing
     the blocks on the dominator chain from the function entry.
 
@@ -95,10 +113,7 @@ def _entry_env(cfg: ControlFlowGraph, loop: NaturalLoop) -> dict[str, dict]:
     a loop-invariant base computed in the preheader (``r = &data + 4*i``)
     and still attribute body accesses to ``data``.
     """
-    from repro.decompile.dataflow import immediate_dominators
-
-    idom = immediate_dominators(cfg)
-    entry_index = cfg.block_by_start[cfg.entry]
+    idom = dominance.idom
     chain: list[int] = []
     node: int | None = loop.header
     guard = 0
@@ -106,19 +121,21 @@ def _entry_env(cfg: ControlFlowGraph, loop: NaturalLoop) -> dict[str, dict]:
         guard += 1
         if node != loop.header:
             chain.append(node)
-        if node == entry_index:
+        if node == dominance.entry:
             break
         node = idom.get(node)
     chain.reverse()
-    chain_set = set(chain)
 
-    invalidated: set[str] = set()
-    for block in cfg.blocks:
-        if block.index in chain_set:
-            continue
-        for op in block.ops:
-            for loc in op.defs():
-                invalidated.add(loc.name)
+    # a location is defined outside the chain when more blocks define it
+    # than chain blocks do
+    on_chain: dict[str, int] = {}
+    for index in set(chain):
+        for name in dominance.block_defs[index]:
+            on_chain[name] = on_chain.get(name, 0) + 1
+    invalidated = {
+        name for name, blocks in dominance.defining_blocks.items()
+        if blocks > on_chain.get(name, 0)
+    }
 
     env: dict[str, dict] = {}
     for index in chain:
@@ -261,12 +278,30 @@ def _induction_names(cfg: ControlFlowGraph, loop: NaturalLoop) -> set[str]:
     return names
 
 
-def loop_footprint(exe: Executable, cfg: ControlFlowGraph, loop: NaturalLoop) -> Footprint:
+def loop_footprints(
+    exe: Executable,
+    cfg: ControlFlowGraph,
+    loops: list[NaturalLoop],
+    dom: list[set[int]] | None = None,
+) -> dict[int, Footprint]:
+    """Memory footprint of each of one function's natural *loops*, by
+    header address.  *dom* is ``dominators(cfg)`` when the caller has it;
+    dominance is worked out once for all the loops."""
+    dominance = _Dominance(cfg, dom)
+    return {
+        cfg.blocks[loop.header].start: _footprint(exe, cfg, loop, dominance)
+        for loop in loops
+    }
+
+
+def _footprint(
+    exe: Executable, cfg: ControlFlowGraph, loop: NaturalLoop, dominance: _Dominance
+) -> Footprint:
     """Memory footprint of one natural loop."""
     footprint = Footprint()
     induction = _induction_names(cfg, loop)
     data_lo, data_hi = exe.data_base, exe.data_end
-    seed_env = _entry_env(cfg, loop)
+    seed_env = _entry_env(cfg, loop, dominance)
     for index in sorted(loop.body):
         block = cfg.blocks[index]
         ops = block.ops

@@ -35,11 +35,32 @@ class Dfg:
     inputs: set[Loc] = field(default_factory=set)
     outputs: set[Loc] = field(default_factory=set)
 
+    _adjacency: tuple = field(default=(None, 0, [], []), init=False, repr=False,
+                              compare=False)
+
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(predecessors, successors) of every node, in edge order.
+
+        Built once, and again only when :attr:`edges` was replaced or
+        appended to since, so a caller that asks per node pays one pass over
+        the edges in all.  The lists are shared: read them, never edit them.
+        """
+        edges, count, preds, succs = self._adjacency
+        if edges is not self.edges or count != len(edges):
+            edges = self.edges
+            preds = [[] for _ in self.ops]
+            succs = [[] for _ in self.ops]
+            for edge in edges:
+                preds[edge.dst].append(edge.src)
+                succs[edge.src].append(edge.dst)
+            self._adjacency = (edges, len(edges), preds, succs)
+        return preds, succs
+
     def preds(self, node: int) -> list[int]:
-        return [e.src for e in self.edges if e.dst == node]
+        return self.adjacency()[0][node]
 
     def succs(self, node: int) -> list[int]:
-        return [e.dst for e in self.edges if e.src == node]
+        return self.adjacency()[1][node]
 
 
 def _mem_range(op: MicroOp) -> tuple[int, int] | None:
@@ -63,28 +84,31 @@ def build_dfg(block: MicroBlock, live_out: set[Loc] | None = None) -> Dfg:
     next-state logic, not a datapath node)."""
     ops = [op for op in block.ops if not op.is_terminator()]
     dfg = Dfg(ops=ops)
+    edges, inputs = dfg.edges, dfg.inputs
     last_def: dict[Loc, int] = {}
     stores: list[int] = []
     loads_since: list[int] = []
 
     for index, op in enumerate(ops):
         for loc in op.uses():
-            if loc in last_def:
-                dfg.edges.append(DfgEdge(last_def[loc], index, "data"))
+            src = last_def.get(loc)
+            if src is None:
+                inputs.add(loc)
             else:
-                dfg.inputs.add(loc)
-        if op.opcode is Opcode.LOAD:
+                edges.append(DfgEdge(src, index, "data"))
+        code = op.opcode
+        if code is Opcode.LOAD:
             for store_index in stores:
                 if _may_alias(ops[store_index], op):
-                    dfg.edges.append(DfgEdge(store_index, index, "mem"))
+                    edges.append(DfgEdge(store_index, index, "mem"))
             loads_since.append(index)
-        elif op.opcode is Opcode.STORE:
+        elif code is Opcode.STORE:
             for other in stores:
                 if _may_alias(ops[other], op):
-                    dfg.edges.append(DfgEdge(other, index, "mem"))
+                    edges.append(DfgEdge(other, index, "mem"))
             for load_index in loads_since:
                 if _may_alias(ops[load_index], op):
-                    dfg.edges.append(DfgEdge(load_index, index, "mem"))
+                    edges.append(DfgEdge(load_index, index, "mem"))
             stores.append(index)
         for loc in op.defs():
             last_def[loc] = index

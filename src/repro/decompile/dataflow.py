@@ -100,9 +100,15 @@ def dominators(cfg: ControlFlowGraph) -> list[set[int]]:
     return dom
 
 
-def immediate_dominators(cfg: ControlFlowGraph) -> dict[int, int | None]:
-    """idom[i] = the unique closest strict dominator of block i."""
-    dom = dominators(cfg)
+def immediate_dominators(
+    cfg: ControlFlowGraph, dom: list[set[int]] | None = None
+) -> dict[int, int | None]:
+    """idom[i] = the unique closest strict dominator of block i.
+
+    *dom* is ``dominators(cfg)``, for a caller that already has it.
+    """
+    if dom is None:
+        dom = dominators(cfg)
     idom: dict[int, int | None] = {}
     for index, dom_set in enumerate(dom):
         strict = dom_set - {index}
@@ -132,9 +138,15 @@ class NaturalLoop:
         return block_index in self.body
 
 
-def natural_loops(cfg: ControlFlowGraph) -> list[NaturalLoop]:
-    """Find natural loops via back edges; merges loops sharing a header."""
-    dom = dominators(cfg)
+def natural_loops(
+    cfg: ControlFlowGraph, dom: list[set[int]] | None = None
+) -> list[NaturalLoop]:
+    """Find natural loops via back edges; merges loops sharing a header.
+
+    *dom* is ``dominators(cfg)``, for a caller that already has it.
+    """
+    if dom is None:
+        dom = dominators(cfg)
     by_header: dict[int, NaturalLoop] = {}
     for block in cfg.blocks:
         for succ in block.succs:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from repro.binary.image import Executable
 from repro.errors import DecompilationError, IndirectJumpError
-from repro.decompile.alias import Footprint, loop_footprint
+from repro.decompile.alias import Footprint, loop_footprints
 from repro.decompile.cfg import ControlFlowGraph, build_cfg, prune_unreachable
-from repro.decompile.dataflow import NaturalLoop, natural_loops
+from repro.decompile.dataflow import NaturalLoop, dominators, natural_loops
 from repro.decompile.lift import lift_function
 from repro.decompile.passes import (
     eliminate_dead_code,
@@ -224,12 +224,10 @@ class Decompiler:
             stats.bits_saved += sz.bits_saved
 
         stats.final_ops = cfg.op_count()
-        loops = natural_loops(cfg)
+        dom = dominators(cfg)
+        loops = natural_loops(cfg, dom)
         structure = recover_structure(cfg, loops)
-        footprints = {
-            cfg.blocks[loop.header].start: loop_footprint(self.exe, cfg, loop)
-            for loop in loops
-        }
+        footprints = loop_footprints(self.exe, cfg, loops, dom)
         return DecompiledFunction(
             name=name,
             entry=start,

@@ -9,11 +9,15 @@ the same on every platform.  This memo computes each of them once:
 * everything downstream is keyed by a digest of ``exe.to_bytes()`` and
   lives in one per-binary entry: the profiled run per ``max_steps``, the
   :class:`~repro.decompile.decompiler.DecompiledProgram` per
-  ``DecompilationOptions``, and each loop's kernel -- or ``None`` where
-  synthesis failed -- per (decompile options, ``SynthesisOptions``, loop).
+  ``DecompilationOptions``, the loop profile summaries
+  (:func:`repro.partition.profiles.summarize_loops`) per (program, run)
+  pair, and each loop's kernel -- or ``None`` where synthesis failed --
+  per (decompile options, ``SynthesisOptions``, loop).
 
 A profiled run serves every CPI model through
-:meth:`~repro.sim.cpu.RunResult.recost`, which is exact.
+:meth:`~repro.sim.cpu.RunResult.recost`, which is exact, and its loop
+summaries serve every CPI model through
+:meth:`~repro.partition.profiles.LoopSummary.price`, which is exact too.
 
 The dynamic flow's sampled run is memoised too, as a :class:`SampleStream`
 per ``(max_steps, sample_interval)``: the counters that changed at each
@@ -28,7 +32,8 @@ and phase-adaptive chunks are multiples of the base interval, so they end
 on recorded boundaries too -- an adaptive consumer just skips samples.
 A run that raises records nothing.
 
-Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each.
+Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each, and so
+is each binary's set of loop summaries.
 The memo is always on and per process; ``REPRO_CACHE`` governs only the
 on-disk report cache (:mod:`repro.flow_cache`).  Memoised artifacts are
 shared between flows, so nothing downstream may mutate them.
@@ -37,7 +42,7 @@ A miss calls through the stage function its caller hands in -- the
 caller's module-level name, resolved at call time -- so rebinding that
 name (as the per-layer tracer does) still sees every real computation.
 With telemetry on, each lookup counts on
-``flow.stage.<compile|simulate|sample|decompile|synth>.hits_total`` or
+``flow.stage.<compile|simulate|sample|decompile|profile|synth>.hits_total`` or
 ``.misses_total``.
 """
 
@@ -61,7 +66,7 @@ from repro.synth.synthesizer import HwKernel, Synthesizer
 
 __all__ = [
     "MEMORY_CAP", "SampleStream", "SiteView", "clear", "compiled", "decompiled",
-    "kernels", "profiled_run", "sample_stream", "size",
+    "kernels", "loop_summaries", "profiled_run", "sample_stream", "size",
 ]
 
 
@@ -198,6 +203,8 @@ class _Binary:
     programs: dict = field(default_factory=dict)  # options -> DecompiledProgram
     kernels: dict = field(default_factory=dict)   # (..., loop) -> HwKernel | None
     streams: dict = field(default_factory=dict)   # (max_steps, interval) -> SampleStream
+    #: (program, run counts) ids -> (program, pc_counts, edge_counts, summaries)
+    summaries: OrderedDict = field(default_factory=OrderedDict)
 
 
 #: entries each memo keeps.  Bounded: fuzzers create hundreds of distinct
@@ -294,6 +301,29 @@ def decompiled(
     if program is None:
         program = programs[key] = decompile(exe, options)
     return program
+
+
+def loop_summaries(
+    exe: Executable,
+    program: DecompiledProgram,
+    run: RunResult,
+    summarize: Callable[[Executable, DecompiledProgram, RunResult], tuple],
+) -> tuple:
+    """``summarize(exe, program, run)``: the CPU-model-free loop summaries
+    of *program* under the profiled *run*, computed once per pair.
+
+    The pair is keyed by identity -- the program object and the run's count
+    dictionaries, which :meth:`~repro.sim.cpu.RunResult.recost` shares
+    between the platforms of one run.  The entry holds those objects, so
+    no other program or run can take over their ids while it lives, and a
+    program or run built outside the memo gets its own entry.
+    """
+    key = (id(program), id(run.pc_counts), id(run.edge_counts))
+    memo = _binary(exe).summaries
+    _count("profile", key in memo)
+    return _touch(memo, key, lambda: (
+        program, run.pc_counts, run.edge_counts, summarize(exe, program, run)
+    ))[3]
 
 
 def kernels(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.decompile.cdfg import Dfg
 from repro.decompile.microop import Opcode
-from repro.synth.fpga import TechnologyModel
+from repro.synth.fpga import OpCost, TechnologyModel
 from repro.synth.scheduling import Schedule
 
 
@@ -49,6 +49,13 @@ def bind(
     localized: bool = True,
 ) -> BindingResult:
     tech = tech or TechnologyModel()
+    return bind_priced(dfg, schedule, tech.op_costs(dfg.ops, localized), tech)
+
+
+def bind_priced(
+    dfg: Dfg, schedule: Schedule, costs: list[OpCost], tech: TechnologyModel
+) -> BindingResult:
+    """:func:`bind` of *dfg*, whose ops cost *costs*."""
     result = BindingResult()
     if not dfg.ops:
         result.controller_gates = tech.controller_gates(1)
@@ -58,8 +65,7 @@ def bind(
     # 'logic' ops are deliberately unshared: a 2:1 mux costs more than the
     # gate it would save, so each instance is its own "unit" with no mux
     by_class: dict[str, list[int]] = {}
-    costs = {i: tech.op_cost(op, localized) for i, op in enumerate(dfg.ops)}
-    for index, cost in costs.items():
+    for index, cost in enumerate(costs):
         if cost.unit_class == "wire":
             continue
         if cost.unit_class == "logic":
@@ -70,12 +76,13 @@ def bind(
             continue
         by_class.setdefault(cost.unit_class, []).append(index)
 
+    start_cycle, latency = schedule.start_cycle, schedule.latency
     for unit_class, nodes in sorted(by_class.items()):
-        nodes.sort(key=lambda n: schedule.start_cycle[n])
+        nodes.sort(key=start_cycle.__getitem__)
         units: list[tuple[FunctionalUnit, int]] = []  # (unit, busy_until)
         for node in nodes:
-            start = schedule.start_cycle[node]
-            finish = start + schedule.latency[node]
+            start = start_cycle[node]
+            finish = start + latency[node]
             width = max(1, min(32, dfg.ops[node].width))
             placed = False
             for slot, (unit, busy_until) in enumerate(units):
@@ -103,12 +110,13 @@ def bind(
 
     # --- registers: values alive across a cycle boundary ------------------
     register_bits = 0
+    succs = dfg.adjacency()[1]
     for index, op in enumerate(dfg.ops):
         if op.dst is None:
             continue
-        finish = schedule.start_cycle[index] + schedule.latency[index]
-        consumers = dfg.succs(index)
-        crosses = any(schedule.start_cycle[c] >= finish for c in consumers)
+        finish = start_cycle[index] + latency[index]
+        consumers = succs[index]
+        crosses = any(start_cycle[c] >= finish for c in consumers)
         live_out = not consumers  # block outputs stay in registers
         if crosses or live_out:
             register_bits += max(1, min(32, op.width))

@@ -17,8 +17,11 @@ reported as "equivalent logic gates" exactly like the paper's Table data
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.decompile.microop import MicroOp, Opcode
+from repro.decompile.microop import Imm, MicroOp, Opcode
+
+_SHIFTS = (Opcode.SHL, Opcode.SHR, Opcode.SAR)
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,18 @@ class TechnologyModel:
     BRAM_ACCESS_NS = 3.0
     BUS_ACCESS_CYCLES = 4  # non-localized access through the system bus
 
+    def __init__(self) -> None:
+        #: priced costs by (opcode, width, shift by immediate, localized):
+        #: all that :meth:`op_cost` reads of an op
+        self._costs: dict[tuple, OpCost] = {}
+
     def op_cost(self, op: MicroOp, localized_memory: bool = True) -> OpCost:
-        width = max(1, min(32, op.width))
-        code = op.opcode
+        return self.op_costs((op,), localized_memory)[0]
+
+    def _price(
+        self, code: Opcode, width: int, constant_shift: bool, localized_memory: bool
+    ) -> OpCost:
+        width = max(1, min(32, width))
         if code in (Opcode.CONST, Opcode.MOVE):
             return OpCost(0.0, 0.15, 1, "wire")
         if code in (Opcode.ADD, Opcode.SUB):
@@ -83,10 +95,8 @@ class TechnologyModel:
             return OpCost(2.5 * width, 0.9, 1, "logic")
         if code in (Opcode.LT, Opcode.LTU):
             return OpCost(6.0 * width, 1.4 + 0.05 * width, 1, "alu")
-        if code in (Opcode.SHL, Opcode.SHR, Opcode.SAR):
-            from repro.decompile.microop import Imm
-
-            if isinstance(op.b, Imm):
+        if code in _SHIFTS:
+            if constant_shift:
                 return OpCost(0.0, 0.15, 1, "wire")  # constant shift = wiring
             return OpCost(11.0 * width, 2.6, 1, "alu")  # barrel shifter
         if code is Opcode.MUL:
@@ -108,13 +118,23 @@ class TechnologyModel:
         # control ops have no datapath cost
         return OpCost(0.0, 0.0, 1, "wire")
 
+    def op_costs(self, ops: list[MicroOp], localized_memory: bool = True) -> list[OpCost]:
+        """:meth:`op_cost` of each op of *ops*, in order."""
+        known = self._costs
+        costs = []
+        for op in ops:
+            code = op.opcode
+            key = (code, op.width, code in _SHIFTS and isinstance(op.b, Imm),
+                   localized_memory)
+            cost = known.get(key)
+            if cost is None:
+                cost = known[key] = self._price(*key)
+            costs.append(cost)
+        return costs
+
     def clock_period_ns(self, ops: list[MicroOp], localized_memory: bool = True) -> float:
         """Achievable clock period: slowest single-cycle stage + overhead."""
-        worst = 1.0
-        for op in ops:
-            cost = self.op_cost(op, localized_memory)
-            worst = max(worst, cost.delay_ns)
-        return worst + self.CLOCK_OVERHEAD_NS
+        return self.period_of(self.op_costs(ops, localized_memory))
 
     def clock_mhz(
         self,
@@ -122,8 +142,7 @@ class TechnologyModel:
         device: FpgaDevice = DEFAULT_DEVICE,
         localized_memory: bool = True,
     ) -> float:
-        period = self.clock_period_ns(ops, localized_memory)
-        return min(1000.0 / period, device.max_clock_mhz)
+        return self.clock_mhz_of(self.op_costs(ops, localized_memory), device)
 
     def chain_budget_ns(
         self,
@@ -135,7 +154,26 @@ class TechnologyModel:
         chaining: the achievable clock period minus register overhead.
         When every op is fast the device clock ceiling sets the period, so
         several LUT levels fit in a cycle."""
-        period = 1000.0 / self.clock_mhz(ops, device, localized_memory)
+        return self.chain_budget_of(self.op_costs(ops, localized_memory), device)
+
+    # the same three figures from already-priced ops (:meth:`op_costs`)
+
+    def period_of(self, costs: Iterable[OpCost]) -> float:
+        worst = 1.0
+        for cost in costs:
+            if cost.delay_ns > worst:
+                worst = cost.delay_ns
+        return worst + self.CLOCK_OVERHEAD_NS
+
+    def clock_mhz_of(
+        self, costs: Iterable[OpCost], device: FpgaDevice = DEFAULT_DEVICE
+    ) -> float:
+        return min(1000.0 / self.period_of(costs), device.max_clock_mhz)
+
+    def chain_budget_of(
+        self, costs: Iterable[OpCost], device: FpgaDevice = DEFAULT_DEVICE
+    ) -> float:
+        period = 1000.0 / self.clock_mhz_of(costs, device)
         return max(period - self.CLOCK_OVERHEAD_NS, 0.1)
 
     def register_gates(self, bits: int) -> float:

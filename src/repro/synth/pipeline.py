@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.decompile.cdfg import Dfg
-from repro.synth.fpga import TechnologyModel
+from repro.errors import ResourceConstraintError
+from repro.synth.fpga import OpCost, TechnologyModel
 from repro.synth.scheduling import ResourceConstraints
 
 
@@ -28,17 +29,18 @@ class IiEstimate:
     recurrence_bound: int
 
 
-def _longest_paths_to(dfg: Dfg, target: int, latency: dict[int, int]) -> dict[int, int]:
+def _longest_paths_to(
+    succs: list[list[int]], target: int, latency: list[int]
+) -> dict[int, int]:
     """Longest latency path from each node to *target* (latency of path
     includes the source node's latency, excludes the target's)."""
     memo: dict[int, int] = {target: 0}
-    order = range(len(dfg.ops) - 1, -1, -1)
     # nodes are topologically ordered by construction (program order)
-    for node in order:
+    for node in range(len(succs) - 1, -1, -1):
         if node == target:
             continue
         best = None
-        for succ in dfg.succs(node):
+        for succ in succs[node]:
             if succ in memo:
                 candidate = latency[node] + memo[succ]
                 if best is None or candidate > best:
@@ -54,24 +56,40 @@ def initiation_interval(
     tech: TechnologyModel | None = None,
     localized: bool = True,
 ) -> IiEstimate:
+    """The II bounds of *dfg* as a loop body.
+
+    Raises :class:`~repro.errors.ResourceConstraintError` when an op needs a
+    unit class that *constraints* gives no units, as
+    :func:`~repro.synth.scheduling.list_schedule` does.
+    """
     tech = tech or TechnologyModel()
-    constraints = constraints or ResourceConstraints()
+    return initiation_interval_priced(
+        dfg, tech.op_costs(dfg.ops, localized), constraints or ResourceConstraints()
+    )
+
+
+def initiation_interval_priced(
+    dfg: Dfg, costs: list[OpCost], constraints: ResourceConstraints
+) -> IiEstimate:
+    """:func:`initiation_interval` of *dfg*, whose ops cost *costs*."""
     if not dfg.ops:
         return IiEstimate(1, 1, 1)
 
-    latency = {
-        index: tech.op_cost(op, localized).cycles for index, op in enumerate(dfg.ops)
-    }
+    latency = [cost.cycles for cost in costs]
 
     # resource bound: pipelined units (ALUs, multipliers, memory ports)
     # accept one new operation per cycle regardless of latency, so they are
     # charged issue slots; the serial divider is not pipelined and blocks
     # its unit for its full latency
     counts: dict[str, int] = {}
-    for index, op in enumerate(dfg.ops):
-        klass = tech.op_cost(op, localized).unit_class
+    for index, cost in enumerate(costs):
+        klass = cost.unit_class
         if klass in ("wire", "logic"):
             continue  # unconstrained classes never bound the II
+        if constraints.limit(klass) <= 0:
+            raise ResourceConstraintError(
+                f"no units of class {klass!r} available for {dfg.ops[index]}"
+            )
         slots = latency[index] if klass == "div" else 1
         counts[klass] = counts.get(klass, 0) + slots
     resource_bound = 1
@@ -86,9 +104,10 @@ def initiation_interval(
         if op.dst is not None:
             last_def[op.dst] = index
     carried = [loc for loc in dfg.inputs if loc in last_def]
+    succs = dfg.adjacency()[1]
     for loc in carried:
         def_node = last_def[loc]
-        paths = _longest_paths_to(dfg, def_node, latency)
+        paths = _longest_paths_to(succs, def_node, latency)
         # consumers of the carried value: nodes that read loc before its redef
         for index, op in enumerate(dfg.ops):
             if index > def_node:

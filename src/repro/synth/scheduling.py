@@ -10,6 +10,14 @@ Implements the classic trio over a basic block's DFG:
 Latencies are multi-cycle (divider = width cycles, multiplier = 2, BRAM
 load = 2), so the schedule is in *cycles* and directly becomes the FSM's
 states in the VHDL backend.
+
+Each op is priced once per schedule (:meth:`TechnologyModel.op_costs`,
+memoised on the technology model by everything a price depends on), and
+the DFG's predecessor and successor lists are built once
+(:meth:`Dfg.adjacency`).  List scheduling then runs over per-op arrays --
+latency, unit class, delay, whether the op needs a register boundary --
+with a running count of busy units per class, so a cycle costs the ops
+that become ready in it rather than a scan of the whole DFG.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.decompile.cdfg import Dfg
 from repro.errors import ResourceConstraintError
-from repro.synth.fpga import TechnologyModel
+from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, OpCost, TechnologyModel
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,14 @@ class ResourceConstraints:
     mul: int = 2
     mem: int = 2   # BRAM is dual-ported
     div: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("alu", "mul", "mem", "div"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(
+                    f"{name} units must be a non-negative int, got {value!r}"
+                )
 
     def limit(self, unit_class: str) -> int:
         if unit_class in ("wire", "logic"):
@@ -49,37 +65,47 @@ class Schedule:
     length: int = 0  # total schedule length in cycles
 
 
-def _latencies(dfg: Dfg, tech: TechnologyModel, localized: bool) -> dict[int, int]:
-    return {
-        index: tech.op_cost(op, localized).cycles
-        for index, op in enumerate(dfg.ops)
-    }
+def _latencies(costs: list[OpCost]) -> dict[int, int]:
+    return {index: cost.cycles for index, cost in enumerate(costs)}
 
 
-def _predecessors(dfg: Dfg) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {index: [] for index in range(len(dfg.ops))}
-    for edge in dfg.edges:
-        preds[edge.dst].append(edge.src)
-    return preds
+def _asap(latency: dict[int, int], preds: list[list[int]]) -> tuple[list[int], int]:
+    """ASAP start of each op, and the schedule length."""
+    starts: list[int] = []
+    length = 0
+    for index, node_preds in enumerate(preds):  # ops are in dependency order
+        earliest = 0
+        for pred in node_preds:
+            end = starts[pred] + latency[pred]
+            if end > earliest:
+                earliest = end
+        starts.append(earliest)
+        if earliest + latency[index] > length:
+            length = earliest + latency[index]
+    return starts, length
+
+
+def _alap_starts(
+    length: int, latency: dict[int, int], succs: list[list[int]]
+) -> list[int]:
+    starts = [0] * len(succs)
+    for index in range(len(succs) - 1, -1, -1):
+        own = latency[index]
+        latest = length - own
+        for succ in succs[index]:
+            if starts[succ] - own < latest:
+                latest = starts[succ] - own
+        starts[index] = latest if latest > 0 else 0
+    return starts
 
 
 def asap_schedule(
     dfg: Dfg, tech: TechnologyModel | None = None, localized: bool = True
 ) -> Schedule:
     tech = tech or TechnologyModel()
-    latency = _latencies(dfg, tech, localized)
-    preds = _predecessors(dfg)
-    schedule = Schedule(latency=latency)
-    for index in range(len(dfg.ops)):  # ops are in dependency order
-        earliest = 0
-        for pred in preds[index]:
-            earliest = max(earliest, schedule.start_cycle[pred] + latency[pred])
-        schedule.start_cycle[index] = earliest
-    schedule.length = max(
-        (schedule.start_cycle[i] + latency[i] for i in range(len(dfg.ops))),
-        default=0,
-    )
-    return schedule
+    latency = _latencies(tech.op_costs(dfg.ops, localized))
+    starts, length = _asap(latency, dfg.adjacency()[0])
+    return Schedule(dict(enumerate(starts)), latency, length)
 
 
 def alap_schedule(
@@ -89,19 +115,14 @@ def alap_schedule(
     localized: bool = True,
 ) -> Schedule:
     tech = tech or TechnologyModel()
-    latency = _latencies(dfg, tech, localized)
+    latency = _latencies(tech.op_costs(dfg.ops, localized))
+    preds, succs = dfg.adjacency()
     if length is None:
-        length = asap_schedule(dfg, tech, localized).length
-    succs: dict[int, list[int]] = {index: [] for index in range(len(dfg.ops))}
-    for edge in dfg.edges:
-        succs[edge.src].append(edge.dst)
-    schedule = Schedule(latency=latency, length=length)
-    for index in range(len(dfg.ops) - 1, -1, -1):
-        latest = length - latency[index]
-        for succ in succs[index]:
-            latest = min(latest, schedule.start_cycle[succ] - latency[index])
-        schedule.start_cycle[index] = max(0, latest)
-    return schedule
+        length = _asap(latency, preds)[1]
+    starts = _alap_starts(length, latency, succs)
+    return Schedule(
+        {i: starts[i] for i in range(len(starts) - 1, -1, -1)}, latency, length
+    )
 
 
 def list_schedule(
@@ -109,103 +130,135 @@ def list_schedule(
     constraints: ResourceConstraints | None = None,
     tech: TechnologyModel | None = None,
     localized: bool = True,
+    device: FpgaDevice = DEFAULT_DEVICE,
 ) -> Schedule:
     """Mobility-prioritized, chaining-aware list scheduling.
 
     Operator *chaining* packs dependent single-cycle operations into the
     same cycle as long as their accumulated combinational delay fits the
-    clock period (set by the slowest single-cycle stage).  This is what
-    real behavioral synthesis does -- a shift feeding an AND feeding an OR
-    is one cycle of wiring and LUTs, not three FSM states.  Multi-cycle
-    units (multiplier, divider, BRAM) always start at a register boundary.
+    clock period on *device* (set by the slowest single-cycle stage or the
+    device's clock ceiling) minus register overhead.  This is what real
+    behavioral synthesis does -- a shift feeding an AND feeding an OR is one
+    cycle of wiring and LUTs, not three FSM states.  Multi-cycle units
+    (multiplier, divider, BRAM) always start at a register boundary.
+
+    Each cycle fills in rounds: a round takes the ops that became ready
+    (every predecessor placed; a multi-cycle predecessor finished, a
+    single-cycle one at most chained) in ``(mobility, index)`` order and
+    places each one that has a free unit and fits the chain budget.  An op
+    a round passes over stays unplaceable for the rest of the cycle --
+    units only fill up and its chain arrival is fixed -- so the next round
+    looks only at the ops the round just enabled.
     """
     tech = tech or TechnologyModel()
-    constraints = constraints or ResourceConstraints()
+    costs = tech.op_costs(dfg.ops, localized)
+    return list_schedule_priced(
+        dfg, costs, constraints or ResourceConstraints(),
+        tech.chain_budget_of(costs, device),
+    )
+
+
+def list_schedule_priced(
+    dfg: Dfg,
+    costs: list[OpCost],
+    constraints: ResourceConstraints,
+    chain_budget: float,
+) -> Schedule:
+    """:func:`list_schedule` of *dfg*, whose ops cost *costs*, chaining
+    under *chain_budget* nanoseconds per cycle."""
     count = len(dfg.ops)
     if count == 0:
         return Schedule()
-    latency = _latencies(dfg, tech, localized)
-    costs = {index: tech.op_cost(op, localized) for index, op in enumerate(dfg.ops)}
-    unit_class = {index: cost.unit_class for index, cost in costs.items()}
-    for index, klass in unit_class.items():
-        if constraints.limit(klass) <= 0:
+    latency: dict[int, int] = {}
+    klass: list[str] = []
+    delay: list[float] = []
+    # a multi-cycle unit (or any multiplier, divider, memory port) starts at
+    # a register boundary: it takes no chained inputs
+    registered: list[bool] = []
+    limit: dict[str, int] = {}
+    for index, cost in enumerate(costs):
+        name = cost.unit_class
+        if name not in limit:
+            limit[name] = constraints.limit(name)
+        if limit[name] <= 0:
             raise ResourceConstraintError(
-                f"no units of class {klass!r} available for {dfg.ops[index]}"
+                f"no units of class {name!r} available for {dfg.ops[index]}"
             )
+        latency[index] = cost.cycles
+        klass.append(name)
+        delay.append(cost.delay_ns)
+        registered.append(cost.cycles > 1 or name in ("mem", "mul", "div"))
 
-    # chain budget: the achievable clock period (slowest stage or device
-    # ceiling) minus register overhead; dependent chains fitting under it
-    # share a cycle
-    chain_budget = tech.chain_budget_ns(dfg.ops, localized_memory=localized)
-
-    asap = asap_schedule(dfg, tech, localized)
-    alap = alap_schedule(dfg, asap.length, tech, localized)
-    mobility = {
-        index: alap.start_cycle[index] - asap.start_cycle[index]
-        for index in range(count)
-    }
-    preds = _predecessors(dfg)
+    preds, succs = dfg.adjacency()
+    asap, length = _asap(latency, preds)
+    alap = _alap_starts(length, latency, succs)
+    # ready ops go in (mobility, index) order, which is the order of
+    # mobility * count + index, as 0 <= index < count
+    priority = [
+        (alap[index] - asap[index]) * count + index for index in range(count)
+    ]
+    # a class with at least as many units as ops can never run out
+    scarce = [limit[name] < count for name in klass]
 
     schedule = Schedule(latency=latency)
-    finish_ns: dict[int, float] = {}  # combinational completion within cycle
-    unscheduled = set(range(count))
+    start = schedule.start_cycle
+    finish_ns = [0.0] * count        # combinational completion within cycle
+    waiting = [len(p) for p in preds]  # predecessors not yet placed
+    earliest = [0] * count           # first cycle every multi-cycle pred is done
+    pending = [index for index in range(count) if not waiting[index]]
+    busy = dict.fromkeys(limit, 0)   # units occupied in the current cycle
+    releases: dict[int, list[str]] = {}  # cycle -> classes freed then
+    placed = 0
     cycle = 0
-    guard = 0
-    while unscheduled:
-        guard += 1
-        if guard > 100_000:  # pragma: no cover - defensive
+    while placed < count:
+        if cycle > 100_000:  # pragma: no cover - defensive
             raise ResourceConstraintError("list scheduler failed to converge")
-        busy: dict[str, int] = {}
-        for index, start in schedule.start_cycle.items():
-            if start <= cycle < start + latency[index]:
-                busy[unit_class[index]] = busy.get(unit_class[index], 0) + 1
-
-        progress = True
-        while progress:
-            progress = False
-            ready: list[tuple[int, float]] = []
-            for index in unscheduled:
-                arrival = 0.0
-                ok = True
-                for pred in preds[index]:
-                    if pred not in schedule.start_cycle:
-                        ok = False
-                        break
-                    pred_end = schedule.start_cycle[pred] + latency[pred]
-                    if pred_end > cycle + 1:
-                        ok = False  # pred still computing in a later cycle
-                        break
-                    if pred_end == cycle + 1:
-                        # pred completes during *this* cycle: chaining needed
-                        if schedule.start_cycle[pred] == cycle and latency[pred] == 1:
-                            arrival = max(arrival, finish_ns.get(pred, 0.0))
-                        else:
-                            ok = False  # multi-cycle pred ends at next boundary
-                            break
-                if ok:
-                    ready.append((index, arrival))
-            ready.sort(key=lambda item: (mobility[item[0]], item[0]))
-            for index, arrival in ready:
-                cost = costs[index]
-                klass = unit_class[index]
-                if busy.get(klass, 0) >= constraints.limit(klass):
+        for name in releases.pop(cycle, ()):
+            busy[name] -= 1
+        later = []
+        ready = []
+        for index in pending:
+            (ready if earliest[index] <= cycle else later).append(index)
+        pending = later
+        while ready:
+            ready.sort(key=priority.__getitem__)
+            enabled = []
+            for index in ready:
+                name = klass[index]
+                if scarce[index] and busy[name] >= limit[name]:
+                    pending.append(index)
                     continue
-                if latency[index] > 1 or klass in ("mem", "mul", "div"):
-                    # register boundary required: no chained inputs
+                arrival = 0.0
+                for pred in preds[index]:
+                    if start[pred] == cycle and latency[pred] == 1 \
+                            and finish_ns[pred] > arrival:
+                        arrival = finish_ns[pred]
+                if registered[index]:
                     if arrival > 0.0:
+                        pending.append(index)
                         continue
-                    finish = cost.delay_ns
-                elif arrival + cost.delay_ns > chain_budget:
-                    continue  # would exceed the clock period; wait a cycle
+                    finish = delay[index]
+                elif arrival + delay[index] > chain_budget:
+                    pending.append(index)  # past the clock period; wait a cycle
+                    continue
                 else:
-                    finish = arrival + cost.delay_ns
-                schedule.start_cycle[index] = cycle
+                    finish = arrival + delay[index]
+                start[index] = cycle
                 finish_ns[index] = finish
-                busy[klass] = busy.get(klass, 0) + 1
-                unscheduled.discard(index)
-                progress = True
+                placed += 1
+                end = cycle + latency[index]
+                if scarce[index]:
+                    busy[name] += 1
+                    releases.setdefault(end, []).append(name)
+                multi_cycle = end > cycle + 1
+                for succ in succs[index]:
+                    if multi_cycle and end > earliest[succ]:
+                        earliest[succ] = end
+                    waiting[succ] -= 1
+                    if not waiting[succ]:
+                        # ready now only if chained to this cycle's ops
+                        (enabled if earliest[succ] <= cycle else pending).append(succ)
+            ready = enabled
         cycle += 1
-    schedule.length = max(
-        schedule.start_cycle[i] + latency[i] for i in range(count)
-    )
+    schedule.length = max(start[i] + latency[i] for i in range(count))
     return schedule

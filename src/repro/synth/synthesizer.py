@@ -13,11 +13,17 @@ Ties the pieces together for one hardware region:
 Memory localization (the paper's partitioning step 2) is decided by the
 caller from the alias footprints: localized regions use dual-ported BRAM at
 2-cycle latency, everything else pays the shared-bus penalty.
+
+A :class:`Synthesizer` works out a function's liveness once for all its
+loops, and each body block's DFG, op costs, schedule and binding once per
+memory and resource setting, so nested loops share their inner blocks.
+The function's CFG must not change while its loops are synthesized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from repro.binary.image import Executable
 from repro.decompile.cdfg import Dfg, build_dfg
@@ -25,10 +31,14 @@ from repro.decompile.dataflow import NaturalLoop, liveness
 from repro.decompile.decompiler import DecompiledFunction
 from repro.decompile.microop import Imm, MicroOp, Opcode
 from repro.errors import SynthesisError
-from repro.synth.binding import bind
-from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, TechnologyModel
-from repro.synth.pipeline import initiation_interval
-from repro.synth.scheduling import ResourceConstraints, Schedule, list_schedule
+from repro.synth.binding import BindingResult, bind_priced
+from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, OpCost, TechnologyModel
+from repro.synth.pipeline import initiation_interval_priced
+from repro.synth.scheduling import (
+    ResourceConstraints,
+    Schedule,
+    list_schedule_priced,
+)
 from repro.synth.vhdl import emit_vhdl
 
 
@@ -74,6 +84,39 @@ class Synthesizer:
     def __init__(self, options: SynthesisOptions | None = None):
         self.options = options or SynthesisOptions()
         self.tech = TechnologyModel()
+        #: (cfg, live_out, blocks) of the function last synthesized from.
+        #: A function's loops are synthesized one after another; they share
+        #: its liveness, and nested loops share their inner blocks
+        self._function: tuple = (None, [], {})
+
+    def _blocks(
+        self, cfg, indices: list[int], localized: bool, constraints: ResourceConstraints
+    ) -> list[tuple[Dfg, list[OpCost], Schedule, BindingResult]]:
+        """The strength-adapted DFG, op costs, schedule and binding of each
+        block of *indices*, built once per block, memory localization and
+        number of memory ports (*constraints* are the options' constraints
+        with at most ``mem`` changed).  They are shared between the
+        function's kernels, which only read them."""
+        if self._function[0] is not cfg:
+            self._function = (cfg, liveness(cfg)[1], {})
+        _, live_out, built = self._function
+        tech = self.tech
+        blocks = []
+        for index in indices:
+            # kernels vary only the memory ports of the options' constraints
+            key = (index, localized, constraints.mem)
+            block = built.get(key)
+            if block is None:
+                dfg = self._adapt_strength(build_dfg(cfg.blocks[index], live_out[index]))
+                costs = tech.op_costs(dfg.ops, localized)
+                schedule = list_schedule_priced(
+                    dfg, costs, constraints,
+                    tech.chain_budget_of(costs, self.options.device),
+                )
+                binding = bind_priced(dfg, schedule, costs, tech)
+                block = built[key] = (dfg, costs, schedule, binding)
+            blocks.append(block)
+        return blocks
 
     # ------------------------------------------------------------------
 
@@ -108,24 +151,11 @@ class Synthesizer:
             if ports != constraints.mem:
                 constraints = replace(constraints, mem=ports)
 
-        _, live_out = liveness(cfg)
         body_indices = sorted(loop.body)
-        dfgs = [
-            build_dfg(cfg.blocks[index], live_out[index]) for index in body_indices
-        ]
-        dfgs = [self._adapt_strength(dfg) for dfg in dfgs]
-
-        schedules = [
-            list_schedule(dfg, constraints, self.tech, localized)
-            for dfg in dfgs
-        ]
-        bindings = [
-            bind(dfg, schedule, self.tech, localized)
-            for dfg, schedule in zip(dfgs, schedules)
-        ]
-
-        all_ops = [op for dfg in dfgs for op in dfg.ops]
-        clock = self.tech.clock_mhz(all_ops, options.device, localized)
+        dfgs, costs, schedules, bindings = zip(
+            *self._blocks(cfg, body_indices, localized, constraints)
+        )
+        clock = self.tech.clock_mhz_of(chain(*costs), options.device)
 
         # area: blocks execute mutually exclusively, so functional units are
         # shared across blocks -- charge the max per class, not the sum
@@ -143,8 +173,8 @@ class Synthesizer:
         if pipelined:
             latch_index = next(i for i in body_indices if i != loop.header)
             latch_pos = body_indices.index(latch_index)
-            estimate = initiation_interval(
-                dfgs[latch_pos], constraints, self.tech, localized
+            estimate = initiation_interval_priced(
+                dfgs[latch_pos], costs[latch_pos], constraints
             )
             ii = estimate.ii
             length = schedules[latch_pos].length + 1  # +1: guard evaluation
@@ -187,6 +217,13 @@ class Synthesizer:
         """
         if not self.options.adaptive_strength:
             return dfg
+        mul_budget = self.options.constraints.mul
+        total_muls = 0
+        for op in dfg.ops:
+            if op.opcode in _MULTIPLIES:
+                total_muls += 1
+        if total_muls <= mul_budget:
+            return dfg
         from repro.compiler.passes.strength import decompose_multiplier
 
         mul_nodes = [
@@ -194,12 +231,6 @@ class Synthesizer:
             for index, op in enumerate(dfg.ops)
             if op.opcode is Opcode.MUL and isinstance(op.b, Imm)
         ]
-        mul_budget = self.options.constraints.mul
-        total_muls = sum(
-            1 for op in dfg.ops if op.opcode in (Opcode.MUL, Opcode.MULHI, Opcode.MULHIU)
-        )
-        if total_muls <= mul_budget:
-            return dfg
         # reduce constant multiplies with cheap expansions until muls fit
         for index in mul_nodes:
             if total_muls <= mul_budget:
@@ -228,6 +259,9 @@ class Synthesizer:
             _sanitize(name), dfgs[best], schedules[best],
             guard_comment=f"natural loop header block {loop.header}",
         )
+
+
+_MULTIPLIES = (Opcode.MUL, Opcode.MULHI, Opcode.MULHIU)
 
 
 def _shared_unit_area(bindings) -> float:

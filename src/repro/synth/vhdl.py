@@ -18,24 +18,20 @@ from repro.decompile.microop import Imm, Loc, MicroOp, Opcode
 from repro.synth.scheduling import Schedule
 
 _BINOP_FMT = {
-    Opcode.ADD: "resize({a} + {b}, 32)",
-    Opcode.SUB: "resize({a} - {b}, 32)",
-    Opcode.AND: "{a} and {b}",
-    Opcode.OR: "{a} or {b}",
-    Opcode.XOR: "{a} xor {b}",
-    Opcode.NOR: "not ({a} or {b})",
-    Opcode.MUL: "resize({a} * {b}, 32)",
-    Opcode.LT: 'b32(signed({a}) < signed({b}))',
-    Opcode.LTU: 'b32(unsigned({a}) < unsigned({b}))',
+    Opcode.ADD: "resize(%s + %s, 32)",
+    Opcode.SUB: "resize(%s - %s, 32)",
+    Opcode.AND: "%s and %s",
+    Opcode.OR: "%s or %s",
+    Opcode.XOR: "%s xor %s",
+    Opcode.NOR: "not (%s or %s)",
+    Opcode.MUL: "resize(%s * %s, 32)",
+    Opcode.LT: "b32(signed(%s) < signed(%s))",
+    Opcode.LTU: "b32(unsigned(%s) < unsigned(%s))",
 }
 
 
 def _sig(name: str) -> str:
     return f"r_{name.lower()}"
-
-
-def _node(index: int) -> str:
-    return f"n{index}"
 
 
 class VhdlEmitter:
@@ -51,7 +47,8 @@ class VhdlEmitter:
         if isinstance(operand, Loc):
             if operand.name == "R0":
                 return "to_signed(0, 32)"
-            return values.get(operand, _sig(operand.name))
+            value = values.get(operand)
+            return _sig(operand.name) if value is None else value
         return "to_signed(0, 32)"
 
     def emit(self) -> str:
@@ -102,7 +99,7 @@ class VhdlEmitter:
         out("  process(clk)")
         for index, op in enumerate(dfg.ops):
             if op.dst is not None:
-                out(f"    variable {_node(index)} : signed(31 downto 0) := (others => '0');")
+                out(f"    variable n{index} : signed(31 downto 0) := (others => '0');")
         out("  begin")
         out("    if rising_edge(clk) then")
         out("      if rst = '1' then")
@@ -121,19 +118,22 @@ class VhdlEmitter:
 
         values: dict[Loc, str] = {}
         by_cycle: dict[int, list[int]] = {}
+        start_cycle = schedule.start_cycle
         for index in range(len(dfg.ops)):
-            by_cycle.setdefault(self.schedule.start_cycle[index], []).append(index)
+            by_cycle.setdefault(start_cycle[index], []).append(index)
 
+        emit_op = self._emit_op
         for cycle, state in enumerate(states):
             out(f"          when {state} =>")
             out("            mem_we <= '0';")
-            for index in by_cycle.get(cycle, []):
-                self._emit_op(index, values, out)
+            for index in by_cycle.get(cycle, ()):
+                emit_op(index, values, out)
             next_state = states[cycle + 1] if cycle + 1 < len(states) else "S_DONE"
             out(f"            state <= {next_state};")
         out("          when S_DONE =>")
         for name in outputs:
-            out(f"            out_{name.lower()} <= {values.get(Loc(name), _sig(name))};")
+            value = values.get(Loc(name))
+            out(f"            out_{name.lower()} <= {_sig(name) if value is None else value};")
         out("            done <= '1';")
         out("            state <= S_IDLE;")
         out("        end case;")
@@ -146,14 +146,14 @@ class VhdlEmitter:
     def _emit_op(self, index: int, values: dict, out) -> None:
         op = self.dfg.ops[index]
         code = op.opcode
-        target = _node(index)
+        target = f"n{index}"
         if code is Opcode.CONST:
             out(f"            {target} := to_signed({_signed(op.a.value)}, 32);")
         elif code is Opcode.MOVE:
             out(f"            {target} := {self._operand(op.a, values)};")
         elif code in _BINOP_FMT:
-            expr = _BINOP_FMT[code].format(
-                a=self._operand(op.a, values), b=self._operand(op.b, values)
+            expr = _BINOP_FMT[code] % (
+                self._operand(op.a, values), self._operand(op.b, values)
             )
             out(f"            {target} := {expr};")
         elif code in (Opcode.SHL, Opcode.SHR, Opcode.SAR):

@@ -192,3 +192,22 @@ class TestAlias:
         unrelated_fp = next(iter(program.functions["unrelated"].loop_footprints.values()))
         assert fill_fp.overlaps(consume_fp)
         assert not fill_fp.overlaps(unrelated_fp)
+
+    def test_per_function_footprints_match_per_loop_ones(self):
+        # one dominator computation serves natural loops and every loop's
+        # footprint; the result is the same as computing them loop by loop
+        from repro.decompile.alias import loop_footprints
+
+        exe = compile_source(_NESTED, opt_level=1)
+        cfg = decompile(exe).functions["main"].cfg
+        dom = dominators(cfg)
+        loops = natural_loops(cfg, dom)
+        assert [(lp.header, lp.body, lp.depth) for lp in loops] == [
+            (lp.header, lp.body, lp.depth) for lp in natural_loops(cfg)
+        ]
+        assert immediate_dominators(cfg, dom) == immediate_dominators(cfg)
+        shared = loop_footprints(exe, cfg, loops, dom)
+        assert len(shared) == len(loops) == 2
+        for loop in loops:
+            header = cfg.blocks[loop.header].start
+            assert shared[header] == loop_footprints(exe, cfg, [loop])[header]

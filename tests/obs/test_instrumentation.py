@@ -159,7 +159,7 @@ class TestStageMemoMetrics:
         source = get_benchmark("brev").source
         for platform in (MIPS_40MHZ, MIPS_200MHZ):
             repro.flow.run_flow(source, "brev", platform=platform)
-        for stage in ("compile", "simulate", "decompile"):
+        for stage in ("compile", "simulate", "decompile", "profile"):
             assert _counter_value(f"flow.stage.{stage}.misses_total") == 1
             assert _counter_value(f"flow.stage.{stage}.hits_total") == 1
         misses = _counter_value("flow.stage.synth.misses_total")

@@ -1,11 +1,14 @@
 """Scheduling tests: directed cases plus hypothesis properties on random
 DFGs (dependences respected, resource limits honoured, list >= ASAP)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.decompile.cdfg import Dfg, DfgEdge
 from repro.decompile.microop import Imm, Loc, MicroOp, Opcode
-from repro.synth.fpga import TechnologyModel
+from repro.errors import ResourceConstraintError
+from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, TechnologyModel
+from repro.synth.pipeline import initiation_interval
 from repro.synth.scheduling import (
     ResourceConstraints,
     alap_schedule,
@@ -75,6 +78,71 @@ class TestListScheduling:
     def test_empty_dfg(self):
         schedule = list_schedule(Dfg(ops=[]), ResourceConstraints(), _TECH)
         assert schedule.length == 0
+
+
+class TestResourceConstraints:
+    @pytest.mark.parametrize("value", [-3, -1, 1.5, "2", None, True, False])
+    def test_bad_limits_are_rejected(self, value):
+        for name in ("alu", "mul", "mem", "div"):
+            with pytest.raises(ValueError, match=name):
+                ResourceConstraints(**{name: value})
+
+    def test_zero_units_is_a_valid_budget(self):
+        assert ResourceConstraints(alu=0).limit("alu") == 0
+
+    def test_ii_with_no_units_of_a_needed_class_is_a_typed_error(self):
+        # list scheduling and the II estimate agree: no ALU, no schedule
+        dfg = _parallel_dfg([Opcode.ADD, Opcode.ADD])
+        with pytest.raises(ResourceConstraintError, match="alu"):
+            list_schedule(dfg, ResourceConstraints(alu=0), _TECH)
+        with pytest.raises(ResourceConstraintError, match="alu"):
+            initiation_interval(dfg, ResourceConstraints(alu=0), _TECH)
+
+    def test_ii_ignores_classes_the_body_does_not_use(self):
+        dfg = _parallel_dfg([Opcode.ADD, Opcode.ADD])
+        estimate = initiation_interval(dfg, ResourceConstraints(mul=0, div=0), _TECH)
+        assert estimate.resource_bound == 1
+
+
+class TestChainBudgetDevice:
+    """Chaining packs ops into the clock period of the device the kernel
+    is synthesized for, not of the default device."""
+
+    SLOW = FpgaDevice("slow50", 100_000, 48 * 1024, 50.0)
+
+    def test_budget_follows_the_device_ceiling(self):
+        ops = _chain_dfg([Opcode.AND] * 2).ops
+        assert _TECH.chain_budget_ns(ops, self.SLOW) == pytest.approx(18.4)
+        assert _TECH.chain_budget_ns(ops, DEFAULT_DEVICE) == pytest.approx(
+            1000.0 / DEFAULT_DEVICE.max_clock_mhz - _TECH.CLOCK_OVERHEAD_NS
+        )
+
+    def test_a_slow_device_chains_more_per_cycle(self):
+        # six dependent adds (3.0 ns each): one per cycle under the default
+        # 210 MHz ceiling, six in one 20 ns cycle at 50 MHz
+        dfg = _chain_dfg([Opcode.ADD] * 6)
+        fast = list_schedule(dfg, ResourceConstraints(), _TECH)
+        slow = list_schedule(dfg, ResourceConstraints(), _TECH, device=self.SLOW)
+        assert fast.length == 6
+        assert slow.length == 1
+        assert set(slow.start_cycle.values()) == {0}
+
+    def test_synthesizer_schedules_for_its_device(self):
+        from repro.compiler import compile_source
+        from repro.decompile import decompile
+        from repro.programs import get_benchmark
+        from repro.synth import SynthesisOptions, Synthesizer
+
+        exe = compile_source(get_benchmark("brev").source, opt_level=1)
+        func = decompile(exe).functions["brev_block"]
+        loop = func.loops[0]
+        fast = Synthesizer().synthesize_loop(func, loop, exe)
+        slow = Synthesizer(SynthesisOptions(device=self.SLOW)).synthesize_loop(
+            func, loop, exe
+        )
+        assert slow.clock_mhz == 50.0
+        # the 20 ns cycle chains more of the body: fewer FSM states
+        assert sum(slow.block_schedules.values()) < sum(fast.block_schedules.values())
 
 
 # -- property-based: random DAGs -------------------------------------------
