@@ -4,17 +4,31 @@ The serialized form ("SXE" -- simple executable) exists so the decompiler can
 be demonstrated on a *file*, the same situation a platform vendor's binary
 partitioner faces: nothing but bytes, addresses and (optionally) a symbol
 table.  Serialization is exact: ``Executable.from_bytes(exe.to_bytes())``
-round-trips (property-tested).
+round-trips (property-tested), and ``from_bytes`` raises
+:class:`~repro.errors.LinkError` on any image that is not exactly one
+well-formed container -- truncated sections, trailing bytes, symbol names
+that are not UTF-8.
+
+An :class:`Executable` is immutable: its fields cannot be reassigned, the
+text is a tuple and the data ``bytes``.  The symbol table stays a dict,
+which must not be mutated either.  That lets an image carry its
+:attr:`~Executable.digest` -- a hash of its serialized form, computed on
+first use and cached -- which keys every per-binary memo
+(:mod:`repro.stages`) without serializing the binary again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import LinkError
 
 _MAGIC = b"SXE1"
+_HEADER = struct.Struct("<4sIIIIII")
+_SYMBOL = struct.Struct("<IBH")
 
 
 @dataclass(frozen=True)
@@ -30,25 +44,37 @@ class Symbol:
         return f"{self.address:08x} {kind} {self.name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Executable:
-    """A loaded/loadable program image.
+    """A loaded/loadable program image, immutable once built.
 
     Attributes:
         entry: address where execution starts.
         text_base: address of the first text word.
-        text_words: machine instructions as 32-bit ints.
+        text_words: machine instructions as 32-bit ints (a tuple; any
+            sequence passed in is copied into one).
         data_base: address of the initialized data section.
         data: initialized data bytes (little-endian words for .word entries).
-        symbols: name -> :class:`Symbol`.
+        symbols: name -> :class:`Symbol`.  Must not be mutated: the cached
+            :attr:`digest` covers it.
     """
 
     entry: int
     text_base: int
-    text_words: list[int]
+    text_words: tuple[int, ...]
     data_base: int
     data: bytes
     symbols: dict[str, Symbol] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "text_words", tuple(self.text_words))
+        object.__setattr__(self, "data", bytes(self.data))
+
+    @cached_property
+    def digest(self) -> str:
+        """Hex blake2b of :meth:`to_bytes`: equal images, equal digests.
+        Computed once per object."""
+        return hashlib.blake2b(self.to_bytes(), digest_size=16).hexdigest()
 
     # -- queries ---------------------------------------------------------
 
@@ -100,10 +126,9 @@ class Executable:
         sym_blob = bytearray()
         for sym in self.symbols.values():
             name_bytes = sym.name.encode()
-            sym_blob += struct.pack("<IBH", sym.address, int(sym.is_text), len(name_bytes))
+            sym_blob += _SYMBOL.pack(sym.address, int(sym.is_text), len(name_bytes))
             sym_blob += name_bytes
-        header = struct.pack(
-            "<4sIIIIII",
+        header = _HEADER.pack(
             _MAGIC,
             self.entry,
             self.text_base,
@@ -117,27 +142,55 @@ class Executable:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Executable":
-        """Deserialize an SXE container."""
-        header_size = struct.calcsize("<4sIIIIII")
-        if len(blob) < header_size:
+        """Deserialize an SXE container.
+
+        Raises :class:`LinkError` unless *blob* is exactly one well-formed
+        image: every section inside it, nothing after the last symbol, each
+        symbol name valid UTF-8 and unique, each kind flag 0 or 1.
+        """
+        blob = bytes(blob)
+        if len(blob) < _HEADER.size:
             raise LinkError("truncated SXE image")
-        magic, entry, text_base, n_words, data_base, n_data, n_syms = struct.unpack(
-            "<4sIIIIII", blob[:header_size]
-        )
+        magic, entry, text_base, n_words, data_base, n_data, n_syms = \
+            _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise LinkError(f"bad magic {magic!r}; not an SXE image")
-        offset = header_size
-        words = list(struct.unpack(f"<{n_words}I", blob[offset : offset + 4 * n_words]))
-        offset += 4 * n_words
-        data = blob[offset : offset + n_data]
-        offset += n_data
+        offset = _HEADER.size
+
+        def section(size: int, what: str) -> int:
+            """Claim *size* bytes at *offset*; returns where they start."""
+            nonlocal offset
+            start = offset
+            if start + size > len(blob):
+                raise LinkError(
+                    f"truncated SXE image: {what} needs {size} bytes at "
+                    f"offset {start}, {len(blob) - start} left"
+                )
+            offset += size
+            return start
+
+        words = struct.unpack_from(f"<{n_words}I", blob, section(4 * n_words, "text"))
+        start = section(n_data, "data")
+        data = blob[start:offset]
         symbols: dict[str, Symbol] = {}
-        for _ in range(n_syms):
-            address, is_text, name_len = struct.unpack("<IBH", blob[offset : offset + 7])
-            offset += 7
-            name = blob[offset : offset + name_len].decode()
-            offset += name_len
+        for number in range(n_syms):
+            address, is_text, name_len = _SYMBOL.unpack_from(
+                blob, section(_SYMBOL.size, f"symbol {number}")
+            )
+            start = section(name_len, f"symbol {number} name")
+            try:
+                name = blob[start:offset].decode()
+            except UnicodeDecodeError as error:
+                raise LinkError(f"symbol {number} name is not UTF-8: {error}") from None
+            if is_text > 1:
+                raise LinkError(f"symbol {name!r} has kind flag {is_text}, not 0 or 1")
+            if name in symbols:
+                raise LinkError(f"duplicate symbol {name!r}")
             symbols[name] = Symbol(name=name, address=address, is_text=bool(is_text))
+        if offset != len(blob):
+            raise LinkError(
+                f"{len(blob) - offset} trailing bytes after the SXE image"
+            )
         return cls(
             entry=entry,
             text_base=text_base,

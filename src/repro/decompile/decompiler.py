@@ -115,6 +115,9 @@ class DecompiledProgram:
     functions: dict[str, DecompiledFunction] = field(default_factory=dict)
     functions_by_entry: dict[int, DecompiledFunction] = field(default_factory=dict)
     failures: list[RecoveryFailure] = field(default_factory=list)
+    _total_stats: PassStats | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def recovered(self) -> bool:
@@ -122,11 +125,16 @@ class DecompiledProgram:
         return not self.failures
 
     def total_stats(self) -> PassStats:
-        total = PassStats()
-        for func in self.functions.values():
-            for attr in vars(total):
-                setattr(total, attr, getattr(total, attr) + getattr(func.stats, attr))
-        return total
+        """Every function's :class:`PassStats`, summed: a fresh copy of a
+        total computed on the first call, so the program must be complete
+        by then."""
+        if self._total_stats is None:
+            total = PassStats()
+            for func in self.functions.values():
+                for attr in vars(total):
+                    setattr(total, attr, getattr(total, attr) + getattr(func.stats, attr))
+            self._total_stats = total
+        return PassStats(**vars(self._total_stats))
 
 
 class Decompiler:

@@ -269,6 +269,17 @@ class DynamicTimeline:
         return sw / wall if wall > 0 else 1.0
 
 
+def _sources_by_destination(
+    edges: dict[int, tuple[int, int]],
+) -> dict[int, list[tuple[int, int]]]:
+    """``site -> (source, destination)`` regrouped as ``destination ->
+    [(site, source)]``, each list in *edges* order."""
+    into: dict[int, list[tuple[int, int]]] = {}
+    for index, (src, dst) in edges.items():
+        into.setdefault(dst, []).append((index, src))
+    return into
+
+
 @dataclass
 class LoopSite:
     """Static description of one liftable loop, built by on-chip CAD."""
@@ -399,6 +410,9 @@ class DynamicPartitionController:
             self._unrecoverable = True
             return self._sites
         text_base = self.exe.text_base
+        # each site table's (site, source) pairs by destination, in table order
+        branches_into = _sources_by_destination(self._branch_edges)
+        jumps_into = _sources_by_destination(self._jump_edges)
         for func in program.functions.values():
             ranges = block_ranges(func, self.exe)
             for loop in func.loops:
@@ -411,11 +425,10 @@ class DynamicPartitionController:
                     body_indices.extend(range((start - text_base) >> 2,
                                               (end - text_base) >> 2))
 
-                def _back_edges(edges) -> list[int]:
+                def _back_edges(edges_into) -> list[int]:
                     return [
-                        index for index, (src, dst) in edges.items()
-                        if dst == header_address
-                        and any(s <= src < e for s, e in body_ranges)
+                        index for index, src in edges_into.get(header_address, ())
+                        if any(s <= src < e for s, e in body_ranges)
                     ]
 
                 site = LoopSite(
@@ -425,8 +438,8 @@ class DynamicPartitionController:
                     header_index=(header_address - text_base) >> 2,
                     body_indices=body_indices,
                     block_start_indices=block_start_indices,
-                    back_branch_sites=_back_edges(self._branch_edges),
-                    back_jump_sites=_back_edges(self._jump_edges),
+                    back_branch_sites=_back_edges(branches_into),
+                    back_jump_sites=_back_edges(jumps_into),
                 )
                 # innermost definition wins on header collisions (rare)
                 existing = self._sites.get(header_address)

@@ -91,11 +91,13 @@ def decode_text(words) -> tuple[Instruction, ...]:
     the simulator, the lifter and the profile mapper of one binary share one
     decoding (:class:`Instruction` is frozen).  Only the last section is
     kept, one binary's worth of memory; a word that fails to decode raises
-    :class:`EncodingError` and replaces nothing.
+    :class:`EncodingError` and replaces nothing.  An ``Executable``'s text
+    is already a tuple, so repeated calls for one binary are an identity
+    test.
     """
     global _last_text
     key = tuple(words)
-    if key != _last_text[0]:
+    if key is not _last_text[0] and key != _last_text[0]:
         _last_text = (key, tuple(map(decode, key)))
     return _last_text[1]
 

@@ -71,6 +71,10 @@ def default_passes(algorithm: str | PlacementPass = "90-10") -> list[PartitionPa
     return [FilterPass(), make_placement(algorithm), LegalizePass(), ReportPass()]
 
 
+#: the pipeline of ``passes=None``; passes keep no state between runs
+_DEFAULT_PASSES = default_passes()
+
+
 def _placement_algorithm(passes: Sequence[PartitionPass]) -> str:
     for pipeline_pass in passes:
         if isinstance(pipeline_pass, PlacementPass):
@@ -114,7 +118,7 @@ def partition(
         )
 
     if passes is None:
-        pass_list = default_passes()
+        pass_list = _DEFAULT_PASSES
     elif isinstance(passes, (str, PlacementPass)):
         pass_list = default_passes(passes)
     else:

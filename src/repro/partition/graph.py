@@ -15,6 +15,7 @@ keeps inside every device's capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
 
 from repro.partition.costmodels import DeviceCost, device_cost
@@ -59,7 +60,15 @@ class PartitionNode:
 
 @dataclass
 class PartitionGraph:
-    """Everything one partitioning decision needs, in one place."""
+    """Everything one partitioning decision needs, in one place.
+
+    The device views (:attr:`cpu`, :attr:`hw_devices`, :attr:`hw_spots`)
+    and the overlap index (:attr:`overlapping`) are computed once per
+    graph, so neither ``devices`` nor the node list may change once it is
+    built.  :meth:`place` and :meth:`unplace` are the only ways to move a
+    node: they keep the set of hardware-placed nodes that
+    :meth:`conflicts` reads.
+    """
 
     platform: "Platform"
     devices: tuple[DeviceSpec, ...]
@@ -68,6 +77,39 @@ class PartitionGraph:
     #: node indices in the order placement chose them; this is the order of
     #: ``PartitionResult.selected`` and of its ``area_used`` float sum
     placement_order: list[int] = field(default_factory=list)
+    #: placement targets other than the CPU, in declaration order
+    hw_devices: tuple[DeviceSpec, ...] = field(init=False, repr=False, compare=False)
+    #: ``(name, capacity_gates)`` of each of :attr:`hw_devices`
+    hw_spots: tuple[tuple[str, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: per node, the indices of the nodes its candidate overlaps -- the
+    #: relation of :meth:`~repro.partition.estimator.Candidate.overlaps`:
+    #: same function and a block in common, so itself too unless it has
+    #: no blocks
+    overlapping: tuple[frozenset[int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: indices of the nodes placed on a non-CPU device, kept by
+    #: :meth:`place` and :meth:`unplace` (read-only elsewhere)
+    placed_indices: set[int] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.hw_devices = tuple(d for d in self.devices if not d.is_cpu)
+        self.hw_spots = tuple((d.name, d.capacity_gates) for d in self.hw_devices)
+        regions = [
+            (node.candidate.function.name, frozenset(node.candidate.profile.block_starts))
+            for node in self.nodes
+        ]
+        self.overlapping = tuple(
+            frozenset(
+                j for j, (other, other_blocks) in enumerate(regions)
+                if other == function and not blocks.isdisjoint(other_blocks)
+            )
+            for function, blocks in regions
+        )
 
     def place(self, index: int, device: DeviceSpec | str, step: int = 0) -> None:
         """Record one placement decision (appends to the placement order)."""
@@ -75,6 +117,10 @@ class PartitionGraph:
         node.device = device if isinstance(device, str) else device.name
         node.step = step
         self.placement_order.append(index)
+        if node.device == "cpu":
+            self.placed_indices.discard(index)
+        else:
+            self.placed_indices.add(index)
 
     def unplace(self, index: int) -> None:
         """Drop a node back to software (used by legalization repair)."""
@@ -83,18 +129,18 @@ class PartitionGraph:
         node.step = 0
         if index in self.placement_order:
             self.placement_order.remove(index)
+        self.placed_indices.discard(index)
 
-    @property
+    @cached_property
     def cpu(self) -> DeviceSpec:
         for device in self.devices:
             if device.is_cpu:
                 return device
         raise ValueError("device list has no CPU entry")
 
-    @property
-    def hw_devices(self) -> tuple[DeviceSpec, ...]:
-        """Placement targets other than the CPU, in declaration order."""
-        return tuple(d for d in self.devices if not d.is_cpu)
+    def conflicts(self, index: int) -> bool:
+        """True if node *index* overlaps a node placed in hardware."""
+        return not self.overlapping[index].isdisjoint(self.placed_indices)
 
     def assignment(self) -> dict[str, str]:
         """Total node -> device-name map; unplaced nodes are software."""
@@ -104,7 +150,8 @@ class PartitionGraph:
         }
 
     def placed(self, device: DeviceSpec | str | None = None) -> list[PartitionNode]:
-        """Nodes placed on *device* (default: on any non-CPU device)."""
+        """Nodes placed on *device* (default: on any non-CPU device), in
+        node order."""
         if device is None:
             return [
                 n for n in self.nodes

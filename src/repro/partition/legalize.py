@@ -21,12 +21,8 @@ def graph_feasible(graph: "PartitionGraph") -> bool:
         area = sum(node.area_on(device) for node in placed)
         if area > device.capacity_gates:
             return False
-    placed = graph.placed()
-    for i, a in enumerate(placed):
-        for b in placed[i + 1:]:
-            if a.candidate.overlaps(b.candidate):
-                return False
-    return True
+    placed = graph.placed_indices
+    return all(graph.overlapping[i] & placed <= {i} for i in placed)
 
 
 def repair_graph(graph: "PartitionGraph") -> int:
@@ -49,9 +45,8 @@ def repair_graph(graph: "PartitionGraph") -> int:
         node = graph.nodes[index]
         device = node.device
         area = node.area_on(device)
-        if used[device] + area <= capacity[device] and not any(
-            node.candidate.overlaps(graph.nodes[k].candidate) for k in kept
-        ):
+        if used[device] + area <= capacity[device] \
+                and graph.overlapping[index].isdisjoint(kept):
             kept.append(index)
             used[device] += area
         else:

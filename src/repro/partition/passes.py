@@ -48,10 +48,10 @@ class FilterPass(PartitionPass):
     def run(self, graph: PartitionGraph) -> None:
         pruned = 0
         for node in graph.nodes:
-            if not any(
-                node.area_on(device) <= device.capacity_gates
-                for device in graph.hw_devices
-            ):
+            for name, capacity in graph.hw_spots:
+                if node.costs[name].area_gates <= capacity:
+                    break
+            else:
                 node.pruned = True
                 pruned += 1
         if pruned:
@@ -119,6 +119,7 @@ class PassManager:
 
     def run(self, graph: PartitionGraph) -> PipelineReport:
         report = PipelineReport()
+        metrics = obs.metrics_enabled()
         histogram = obs.histogram("partition.pass_seconds")
         runs = obs.counter("partition.pass_runs_total")
         for pipeline_pass in self.passes:
@@ -131,7 +132,8 @@ class PassManager:
                 report.pass_seconds.get(name, 0.0) + elapsed
             )
             report.passes_run += 1
-            histogram.observe(elapsed)
-            runs.inc()
-            obs.counter(f"partition.pass.{name}.runs_total").inc()
+            if metrics:
+                histogram.observe(elapsed)
+                runs.inc()
+                obs.counter(f"partition.pass.{name}.runs_total").inc()
         return report

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.partition.graph import PartitionGraph, PartitionNode
 from repro.partition.passes import PartitionPass
-from repro.platform.devices import DeviceSpec
 
 
 @dataclass(frozen=True)
@@ -42,33 +41,38 @@ class PlacementPass(PartitionPass):
 
     @staticmethod
     def _fresh_usage(graph: PartitionGraph) -> dict[str, float]:
-        return {device.name: 0.0 for device in graph.hw_devices}
+        return {name: 0.0 for name, _ in graph.hw_spots}
 
     @staticmethod
     def _best_spot(
         graph: PartitionGraph, node: PartitionNode, used: dict[str, float]
-    ) -> tuple[DeviceSpec, float] | None:
-        """The hardware device saving the most time that still has room
-        (declaration order breaks ties); None when nothing fits."""
-        best: tuple[DeviceSpec, float] | None = None
-        for device in graph.hw_devices:
-            if used[device.name] + node.area_on(device) > device.capacity_gates:
+    ) -> tuple[str, float] | None:
+        """``(device name, seconds saved)`` of the hardware device saving the
+        most time that still has room (declaration order breaks ties);
+        None when nothing fits."""
+        best: tuple[str, float] | None = None
+        costs = node.costs
+        cpu_seconds = costs["cpu"].seconds
+        for name, capacity in graph.hw_spots:
+            cost = costs[name]
+            if used[name] + cost.area_gates > capacity:
                 continue
-            saved = node.saved_on(device)
+            saved = cpu_seconds - cost.seconds
             if best is None or saved > best[1]:
-                best = (device, saved)
+                best = (name, saved)
         return best
 
     @staticmethod
     def _best_saved(graph: PartitionGraph, node: PartitionNode) -> float:
         """Best time saving across hardware devices, room ignored."""
-        return max(node.saved_on(device) for device in graph.hw_devices)
+        return max(node.saved_on(name) for name, _ in graph.hw_spots)
 
     @staticmethod
     def _best_density(graph: PartitionGraph, node: PartitionNode) -> float:
         return max(
-            (node.saved_on(d) / node.area_on(d) if node.area_on(d) > 0 else 0.0)
-            for d in graph.hw_devices
+            (node.saved_on(name) / node.area_on(name)
+             if node.area_on(name) > 0 else 0.0)
+            for name, _ in graph.hw_spots
         )
 
     @staticmethod
@@ -76,17 +80,10 @@ class PlacementPass(PartitionPass):
         """Local speedup on the best device (sw seconds / hw seconds)."""
         cpu = node.costs["cpu"].seconds
         best = 0.0
-        for device in graph.hw_devices:
-            seconds = node.cost_on(device).seconds
+        for name, _ in graph.hw_spots:
+            seconds = node.costs[name].seconds
             best = max(best, cpu / seconds if seconds > 0 else 0.0)
         return best
-
-    @staticmethod
-    def _conflicts(graph: PartitionGraph, node: PartitionNode) -> bool:
-        return any(
-            node.candidate.overlaps(placed.candidate)
-            for placed in graph.placed()
-        )
 
     @staticmethod
     def _eligible(graph: PartitionGraph) -> list[int]:
@@ -95,11 +92,12 @@ class PlacementPass(PartitionPass):
         ]
 
     def _place(
-        self, graph: PartitionGraph, index: int, device: DeviceSpec,
+        self, graph: PartitionGraph, index: int, device: str,
         used: dict[str, float], step: int = 0,
     ) -> None:
+        """Place node *index* on the device named *device*."""
         graph.place(index, device, step=step)
-        used[device.name] += graph.nodes[index].area_on(device)
+        used[device] += graph.nodes[index].area_on(device)
 
 
 class GreedyPlacement(PlacementPass):
@@ -118,7 +116,7 @@ class GreedyPlacement(PlacementPass):
             spot = self._best_spot(graph, node, used)
             if spot is None or spot[1] <= 0:
                 continue
-            if self._conflicts(graph, node):
+            if graph.conflicts(index):
                 continue
             self._place(graph, index, spot[0], used)
 
@@ -179,7 +177,7 @@ class ExhaustivePlacement(PlacementPass):
         used = self._fresh_usage(graph)
         for slot, choice in enumerate(best_assign):
             if choice:
-                self._place(graph, pool[slot], devices[choice - 1], used)
+                self._place(graph, pool[slot], devices[choice - 1].name, used)
 
 
 class NinetyTenPlacement(PlacementPass):
@@ -198,73 +196,62 @@ class NinetyTenPlacement(PlacementPass):
             key=lambda i: -graph.nodes[i].candidate.profile.sw_cycles,
         )
 
-        def fits(index: int) -> bool:
-            return self._best_spot(graph, graph.nodes[index], used) is not None
-
-        def select(index: int, step: int) -> None:
-            node = graph.nodes[index]
-            spot = self._best_spot(graph, node, used)
-            assert spot is not None
-            self._place(graph, index, spot[0], used, step=step)
+        def spot_of(index: int) -> tuple[str, float] | None:
+            """Where node *index* would go now; None if it overlaps a
+            placed node or fits nowhere."""
+            if graph.conflicts(index):
+                return None
+            return self._best_spot(graph, graph.nodes[index], used)
 
         # --- step 1: the most frequent few loops (~90% of execution) -----
         # For each hot loop the best *granularity* within its nest (outer
         # vs inner) is the family member that saves the most time.
         covered = 0
         for index in ranked:
-            node = graph.nodes[index]
             if covered >= options.hot_fraction * graph.total_cycles:
                 break
             if len(graph.placement_order) >= options.max_hot_loops:
                 break
-            if self._conflicts(graph, node) or not fits(index):
+            if spot_of(index) is None:
                 continue
-            family = [
-                j for j in ranked
-                if j == index
-                or graph.nodes[j].candidate.overlaps(node.candidate)
-            ]
-            family = [
-                j for j in family
-                if not self._conflicts(graph, graph.nodes[j]) and fits(j)
-            ]
-            if not family:
-                continue
+            nest = graph.overlapping[index]
+            family: dict[int, tuple[str, float]] = {}
+            for j in ranked:
+                if j == index or j in nest:
+                    spot = spot_of(j)
+                    if spot is not None:
+                        family[j] = spot
             best = max(
                 family, key=lambda j: self._best_saved(graph, graph.nodes[j])
             )
             if self._best_speedup(graph, graph.nodes[best]) <= options.min_local_speedup:
                 continue
-            select(best, step=1)
+            self._place(graph, best, family[best][0], used, step=1)
             covered += graph.nodes[best].candidate.profile.sw_cycles
 
         # --- step 2: alias-coupled regions -------------------------------
+        def symbols_of(node: PartitionNode) -> set[str]:
+            footprint = node.candidate.function.loop_footprints.get(
+                node.candidate.profile.header_address
+            )
+            return footprint.symbols if footprint is not None else set()
+
         selected_symbols: set[str] = set()
         for node in graph.placed():
-            footprint = node.candidate.function.loop_footprints.get(
-                node.candidate.profile.header_address
-            )
-            if footprint is not None:
-                selected_symbols |= footprint.symbols
+            selected_symbols |= symbols_of(node)
         for index in ranked:
+            spot = spot_of(index)
+            if spot is None:
+                continue
             node = graph.nodes[index]
-            if self._conflicts(graph, node) or not fits(index):
-                continue
-            footprint = node.candidate.function.loop_footprints.get(
-                node.candidate.profile.header_address
-            )
-            if footprint is None or not footprint.symbols:
-                continue
-            if footprint.symbols & selected_symbols:
-                if self._best_speedup(graph, node) > options.min_local_speedup:
-                    select(index, step=2)
-                    selected_symbols |= footprint.symbols
+            symbols = symbols_of(node)
+            if symbols & selected_symbols \
+                    and self._best_speedup(graph, node) > options.min_local_speedup:
+                self._place(graph, index, spot[0], used, step=2)
+                selected_symbols |= symbols
 
         # --- step 3: greedy fill by profile x suitability ------------------
-        remaining = [
-            i for i in ranked
-            if not self._conflicts(graph, graph.nodes[i])
-        ]
+        remaining = [i for i in ranked if not graph.conflicts(i)]
         remaining.sort(
             key=lambda i: -(
                 graph.nodes[i].candidate.profile.sw_cycles
@@ -272,15 +259,12 @@ class NinetyTenPlacement(PlacementPass):
             )
         )
         for index in remaining:
-            node = graph.nodes[index]
-            if self._conflicts(graph, node):
-                continue
-            if not fits(index):
-                continue  # paper: "until the area constraint is violated"
-            spot = self._best_spot(graph, node, used)
+            spot = spot_of(index)
+            # nothing fits (paper: "until the area constraint is violated")
+            # or nothing saves time
             if spot is None or spot[1] <= 0:
                 continue
-            select(index, step=3)
+            self._place(graph, index, spot[0], used, step=3)
 
 
 class GclpPlacement(PlacementPass):
@@ -321,7 +305,7 @@ class GclpPlacement(PlacementPass):
             spot = self._best_spot(graph, node, used)
             if spot is None:
                 continue
-            if self._conflicts(graph, node):
+            if graph.conflicts(index):
                 continue
             self._place(graph, index, spot[0], used)
             current_time -= spot[1]
@@ -401,7 +385,7 @@ class AnnealingPlacement(PlacementPass):
         used = self._fresh_usage(graph)
         for slot, choice in enumerate(best_assign):
             if choice >= 0:
-                self._place(graph, pool[slot], devices[choice], used)
+                self._place(graph, pool[slot], devices[choice].name, used)
 
 
 #: placement algorithms by CLI/API name

@@ -16,6 +16,7 @@ Two core families are modeled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sim.cpu import CpiModel
 from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice
@@ -66,10 +67,11 @@ class Platform:
             return 0.0
         return self.capacity_gates / self.fabric_regions
 
-    @property
+    @cached_property
     def devices(self) -> tuple[DeviceSpec, ...]:
         """Placement-facing device list: the CPU plus one fabric carrying
-        the whole kernel budget (:attr:`capacity_gates`).
+        the whole kernel budget (:attr:`capacity_gates`); built once per
+        platform.
 
         Partial-reconfiguration regions are a run-time residency concept
         (:class:`repro.dynamic.fabric.FabricState`), not separate placement

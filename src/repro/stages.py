@@ -6,8 +6,10 @@ compile, profiled simulation, decompilation and per-loop synthesis are
 the same on every platform.  This memo computes each of them once:
 
 * compile is keyed by ``(source, CompilerOptions)``;
-* everything downstream is keyed by a digest of ``exe.to_bytes()`` and
-  lives in one per-binary entry: the profiled run per ``max_steps``, the
+* everything downstream is keyed by the binary's content digest
+  (:attr:`~repro.binary.image.Executable.digest`, a hash of
+  ``exe.to_bytes()`` cached on the immutable image) and lives in one
+  per-binary entry: the profiled run per ``max_steps``, the
   :class:`~repro.decompile.decompiler.DecompiledProgram` per
   ``DecompilationOptions``, the loop profile summaries
   (:func:`repro.partition.profiles.summarize_loops`) per (program, run)
@@ -32,6 +34,13 @@ and phase-adaptive chunks are multiples of the base interval, so they end
 on recorded boundaries too -- an adaptive consumer just skips samples.
 A run that raises records nothing.
 
+Equal binaries share one entry, however they were built.  Each
+``Executable`` object is serialized and hashed once, on its first lookup,
+so a memo hit costs dictionary lookups: a flow whose binary is already
+memoised serializes nothing, and what it still pays is the per-platform
+work -- re-costing the run, pricing the loop summaries, building the
+candidates and partitioning.
+
 Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each, and so
 is each binary's set of loop summaries.
 The memo is always on and per process; ``REPRO_CACHE`` governs only the
@@ -48,7 +57,6 @@ With telemetry on, each lookup counts on
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -244,8 +252,7 @@ def _touch(memo: OrderedDict, key, make: Callable):
 
 
 def _binary(exe: Executable) -> _Binary:
-    digest = hashlib.blake2b(exe.to_bytes(), digest_size=16).hexdigest()
-    return _touch(_BINARIES, digest, _Binary)
+    return _touch(_BINARIES, exe.digest, _Binary)
 
 
 def compiled(

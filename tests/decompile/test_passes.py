@@ -95,6 +95,21 @@ class TestConstantPropagation:
         assert "main" not in program.functions
 
 
+def test_total_stats_hands_out_fresh_copies():
+    _, program = _decompiled(
+        "int checksum;\nint main(void) { int i; for (i = 0; i < 9; i++) "
+        "checksum += i; return 0; }\n"
+    )
+    first = program.total_stats()
+    expected = first.final_ops
+    first.final_ops += 100
+    second = program.total_stats()
+    assert second is not first
+    assert second.final_ops == expected == sum(
+        func.stats.final_ops for func in program.functions.values()
+    )
+
+
 class TestOptions:
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_rounds_below_one_rejected(self, rounds):

@@ -160,3 +160,38 @@ def test_repair_prefers_higher_savings():
         # capacity is unbounded, so the only drop reason is overlap, and
         # repair visits placements in descending saved order
         assert max(r.saved_on("fabric0") for r in rivals) >= node.saved_on("fabric0")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_overlap_index_and_conflicts_follow_the_candidates(seed):
+    """The graph's overlap index is the candidates' pairwise overlap
+    relation, and ``conflicts`` tracks every place/unplace."""
+    candidates = _random_candidates(seed, n=8)
+    platform = _platform(seed)
+    devices = _device_list(seed, platform)
+    graph = build_graph(candidates, platform, devices=devices,
+                        total_cycles=1_000_000)
+    for i, a in enumerate(candidates):
+        assert graph.overlapping[i] == {
+            j for j, b in enumerate(candidates) if a.overlaps(b)
+        }
+    assert graph.hw_devices == tuple(d for d in devices if not d.is_cpu)
+    assert graph.hw_spots == tuple(
+        (d.name, d.capacity_gates) for d in graph.hw_devices
+    )
+
+    def rescan(index: int) -> bool:
+        return any(candidates[index].overlaps(n.candidate) for n in graph.placed())
+
+    rng = random.Random(seed)
+    for _ in range(24):
+        index = rng.randrange(len(candidates))
+        action = rng.choice(("hw", "cpu", "unplace"))
+        if action == "hw":
+            graph.place(index, devices[1])
+        elif action == "cpu":
+            graph.place(index, "cpu")
+        else:
+            graph.unplace(index)
+        for i in range(len(candidates)):
+            assert graph.conflicts(i) == rescan(i)

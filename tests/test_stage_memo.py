@@ -17,10 +17,11 @@ import pytest
 import repro.dynamic.controller
 import repro.flow
 from repro import stages
+from repro.binary.image import Executable
 from repro.compiler import CompilerOptions
 from repro.decompile.decompiler import DecompilationOptions, decompile
 from repro.dynamic.flow import run_dynamic_flow
-from repro.flow import run_flow
+from repro.flow import FlowJob, run_flow, run_flows
 from repro.platform.platform import NAMED_PLATFORMS
 from repro.programs import get_benchmark
 from repro.synth.synthesizer import SynthesisOptions
@@ -85,6 +86,35 @@ def test_warm_dynamic_flows_equal_cold_ones(name):
         for platform in DYNAMIC
     ]
     assert warm == cold
+
+
+def test_memo_hit_flows_serialize_nothing(monkeypatch):
+    """The memo keys on each binary's cached digest: the first flow of a
+    binary serializes it once, a memo-hit flow not at all."""
+    jobs = [
+        FlowJob(get_benchmark("brev").source, "brev", platform=NAMED_PLATFORMS[name])
+        for name in DYNAMIC
+    ]
+    cold = []
+    for job in jobs:
+        stages.clear()
+        cold.append(_static_record(run_flows([job], max_workers=1, cache=False)[0]))
+    stages.clear()
+
+    serialized: list[Executable] = []
+    original = Executable.to_bytes
+
+    def counting(self):
+        serialized.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Executable, "to_bytes", counting)
+    first = run_flows([jobs[0]], max_workers=1, cache=False)[0]
+    assert serialized == [first.exe]
+    second = run_flows([jobs[1]], max_workers=1, cache=False)[0]
+    assert serialized == [first.exe]
+    assert second.exe is first.exe
+    assert [_static_record(first), _static_record(second)] == cold
 
 
 def test_options_are_part_of_the_keys():
