@@ -38,6 +38,10 @@ the PR 3 single-scenario numbers stay reproducible):
 
 Everything is deterministic: the same binary, platform and config always
 produce the same timeline, so dynamic-vs-static tables are reproducible.
+
+A sample costs one C-level pass over the text (the interval's steps and
+cycles) plus, per loop site priced -- each resident, each re-partition
+candidate -- work in proportion to its body's index runs, at most once.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul, sub
 
 from repro import obs, stages
 from repro.binary.image import Executable
@@ -123,8 +128,8 @@ class DynamicConfig:
             ("max_interval_factor", 1, ""),
         ):
             value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}{why}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}{why}")
         if not 0.0 < self.max_fabric_share <= 1.0:
             raise ValueError(
                 f"max_fabric_share must be in (0, 1], got "
@@ -280,7 +285,7 @@ def _sources_by_destination(
     return into
 
 
-@dataclass
+@dataclass(eq=False)
 class LoopSite:
     """Static description of one liftable loop, built by on-chip CAD."""
 
@@ -292,9 +297,17 @@ class LoopSite:
     block_start_indices: dict[int, int]   # block start address -> site index
     back_branch_sites: list[int]
     back_jump_sites: list[int]
+    #: the body as maximal runs ``(a, b, costs[a:b])`` of consecutive indices
+    runs: tuple[tuple[int, int, list[int]], ...] = ()
+    #: this site plus every site overlapping it, in site-table order
+    family: list[LoopSite] = field(default_factory=list, repr=False)
     kernel: HwKernel | None = None
     synth_failed: bool = False
     cad_charged: bool = False
+    #: ``(sample, value)`` memos of :meth:`~DynamicPartitionController._site_state`
+    #: and :meth:`~DynamicPartitionController._site_seconds`
+    state: tuple | None = None
+    seconds: tuple | None = None
 
     @property
     def name(self) -> str:
@@ -366,10 +379,8 @@ class DynamicPartitionController:
         self._jump_edges = sites.jump_edges
         self._text_len = len(self._costs)
         self._taken_penalty = platform.cpi.taken_penalty
-        #: the base of cumulative windows (the whole run so far), and of
-        #: the first interval's
-        self._zeros = [0] * self._text_len
-        self._prev_counts = self._prev_taken = self._zeros
+        #: whole-text steps and cycles as of the previous sample
+        self._steps_total = self._cycles_total = 0
         self._samples = 0
         self._carry_overhead = 0          # cycles charged to the next interval
         self._resident: dict[int, LoopSite] = {}   # header address -> site
@@ -410,20 +421,26 @@ class DynamicPartitionController:
             self._unrecoverable = True
             return self._sites
         text_base = self.exe.text_base
+        costs = self._costs
         # each site table's (site, source) pairs by destination, in table order
         branches_into = _sources_by_destination(self._branch_edges)
         jumps_into = _sources_by_destination(self._jump_edges)
         for func in program.functions.values():
             ranges = block_ranges(func, self.exe)
+            table: dict[int, LoopSite] = {}   # this function's sites
             for loop in func.loops:
                 header_address = func.cfg.blocks[loop.header].start
-                body_ranges = [ranges[index] for index in sorted(loop.body)]
+                body_ranges = sorted(ranges[index] for index in loop.body)
                 body_indices: list[int] = []
                 block_start_indices: dict[int, int] = {}
-                for start, end in body_ranges:
-                    block_start_indices[start] = (start - text_base) >> 2
-                    body_indices.extend(range((start - text_base) >> 2,
-                                              (end - text_base) >> 2))
+                runs: list[tuple[int, int]] = []
+                for start, end in body_ranges:   # disjoint, in address order
+                    a, b = (start - text_base) >> 2, (end - text_base) >> 2
+                    block_start_indices[start] = a
+                    body_indices.extend(range(a, b))
+                    if runs and runs[-1][1] == a:
+                        a = runs.pop()[0]
+                    runs.append((a, b))
 
                 def _back_edges(edges_into) -> list[int]:
                     return [
@@ -432,19 +449,20 @@ class DynamicPartitionController:
                     ]
 
                 site = LoopSite(
-                    function=func,
-                    loop=loop,
-                    header_address=header_address,
-                    header_index=(header_address - text_base) >> 2,
-                    body_indices=body_indices,
-                    block_start_indices=block_start_indices,
+                    func, loop, header_address, (header_address - text_base) >> 2,
+                    body_indices, block_start_indices,
                     back_branch_sites=_back_edges(branches_into),
                     back_jump_sites=_back_edges(jumps_into),
+                    runs=tuple((a, b, costs[a:b]) for a, b in runs),
                 )
                 # innermost definition wins on header collisions (rare)
-                existing = self._sites.get(header_address)
+                existing = table.get(header_address)
                 if existing is None or loop.depth > existing.loop.depth:
-                    self._sites[header_address] = site
+                    table[header_address] = site
+            for site in table.values():   # only one function's loops overlap
+                site.family = [other for other in table.values()
+                               if other is site or other.overlaps(site)]
+            self._sites.update(table)
         return self._sites
 
     def _ensure_kernel(self, site: LoopSite) -> HwKernel | None:
@@ -457,50 +475,44 @@ class DynamicPartitionController:
 
     # -- online profile arithmetic ------------------------------------------
 
-    def _site_profile(
-        self, site: LoopSite, counts: list[int], taken: list[int],
-        base_counts: list[int], base_taken: list[int],
-    ) -> tuple[LoopProfile, int]:
-        """Loop profile over the counter window since *base*, plus its
-        software cycles: the previous sample's counters give the interval
-        delta, zeros the whole run so far."""
-        costs = self._costs
-        cycles = 0
-        for i in site.body_indices:
-            c = counts[i] - base_counts[i]
-            if c:
-                cycles += c * costs[i]
-            t = taken[i] - base_taken[i]
-            if t:
-                cycles += self._taken_penalty * t
-        iterations = sum(
-            taken[i] - base_taken[i] for i in site.back_branch_sites
+    def _site_state(
+        self, site: LoopSite, counts: list[int], taken: list[int]
+    ) -> tuple[int, ...]:
+        """*site*'s counters since the run started -- software cycles,
+        back-edge iterations, header count, then its block counts --
+        computed once per sample with C-level reductions over its runs."""
+        memo = site.state
+        if memo is not None and memo[0] == self._samples:
+            return memo[1]
+        cycles = taken_total = 0
+        for a, b, run_costs in site.runs:
+            cycles += sum(map(mul, counts[a:b], run_costs))
+            taken_total += sum(taken[a:b])
+        state = (
+            cycles + self._taken_penalty * taken_total,
+            sum(map(taken.__getitem__, site.back_branch_sites))
+            + sum(map(counts.__getitem__, site.back_jump_sites)),
+            counts[site.header_index],
+            *map(counts.__getitem__, site.block_start_indices.values()),
         )
-        iterations += sum(
-            counts[i] - base_counts[i] for i in site.back_jump_sites
-        )
-        header_count = counts[site.header_index] - base_counts[site.header_index]
-        block_counts = {
-            start: counts[i] - base_counts[i]
-            for start, i in site.block_start_indices.items()
-        }
-        profile = LoopProfile(
-            function=site.function.name,
-            header_address=site.header_address,
-            depth=getattr(site.loop, "depth", 1),
-            block_starts=sorted(site.block_start_indices),
-            sw_cycles=cycles,
-            iterations=iterations,
-            invocations=max(0, header_count - iterations),
-            block_counts=block_counts,
-        )
-        return profile, cycles
+        site.state = (self._samples, state)
+        return state
 
-    def _kernel_busy_seconds(self, site: LoopSite, profile: LoopProfile) -> float:
-        """FPGA-busy seconds for the window's iterations (no CPU overhead)."""
-        kernel = site.kernel
-        assert kernel is not None
-        return kernel_fpga_cycles(kernel, profile) / (kernel.clock_mhz * 1e6)
+    def _site_profile(
+        self, site: LoopSite, state: tuple, base: tuple | None = None
+    ) -> LoopProfile:
+        """Loop profile of the counter window from *base*, an earlier
+        :meth:`_site_state` (``None``: the run's start), to *state*."""
+        if base is not None:
+            state = map(sub, state, base)
+        cycles, iterations, header_count, *blocks = state
+        return LoopProfile(
+            site.function.name, site.header_address,
+            getattr(site.loop, "depth", 1), list(site.block_start_indices),
+            sw_cycles=cycles, iterations=iterations,
+            invocations=max(0, header_count - iterations),
+            block_counts=dict(zip(site.block_start_indices, blocks)),
+        )
 
     # -- interval energy ----------------------------------------------------
 
@@ -544,21 +556,15 @@ class DynamicPartitionController:
         """
         platform = self.platform
         cpu_hz = platform.cpu_clock_mhz * 1e6
-        text_len = self._text_len
-        costs = self._costs
-        prev_counts = self._prev_counts
-        prev_taken = self._prev_taken
+        text_len = self._text_len   # counters past the text stay out
+        self._samples += 1
 
-        steps = 0
-        cycles = 0
-        for i in range(text_len):
-            c = counts[i] - prev_counts[i]
-            if c:
-                steps += c
-                cycles += c * costs[i]
-            t = taken[i] - prev_taken[i]
-            if t:
-                cycles += self._taken_penalty * t
+        steps_total = sum(counts) - sum(counts[text_len:])
+        cycles_total = sum(map(mul, counts, self._costs)) + self._taken_penalty \
+            * (sum(taken) - sum(taken[text_len:]))
+        steps = steps_total - self._steps_total
+        cycles = cycles_total - self._cycles_total
+        self._steps_total, self._cycles_total = steps_total, cycles_total
 
         # age decayed state once per base-interval-worth of *executed*
         # instructions: under adaptive sampling the chunk is a multiple of
@@ -573,22 +579,22 @@ class DynamicPartitionController:
         fpga_dynamic_mj = 0.0
         invocation_cycles = 0.0
         for address, site in self._resident.items():
-            profile, loop_cycles = self._site_profile(
-                site, counts, taken, prev_counts, prev_taken
+            before = site.state[1]   # every resident has the previous sample's
+            profile = self._site_profile(
+                site, self._site_state(site, counts, taken), before
             )
-            self._recent_heat[address] = (
-                self._recent_heat.get(address, 0.0) * recent_decay
-                + profile.iterations
-            )
+            heat = self._recent_heat.get(address, 0.0) * recent_decay
+            self._recent_heat[address] = heat + profile.iterations
+            loop_cycles = profile.sw_cycles
             if loop_cycles <= 0:
                 continue
             moved_cycles += loop_cycles
-            busy = self._kernel_busy_seconds(site, profile)
-            fpga_seconds += busy
-            invocation_cycles += (
-                profile.invocations * platform.invocation_overhead_cycles
-            )
             kernel = site.kernel
+            # FPGA-busy seconds for the window's iterations (no CPU overhead)
+            busy = kernel_fpga_cycles(kernel, profile) / (kernel.clock_mhz * 1e6)
+            fpga_seconds += busy
+            invocation_cycles += (profile.invocations
+                                  * platform.invocation_overhead_cycles)
             dynamic_mw = platform.fpga_power.power_mw(
                 kernel.area_gates, kernel.clock_mhz
             ) - platform.fpga_power.static_mw
@@ -602,9 +608,7 @@ class DynamicPartitionController:
         sw_only_seconds = cycles / cpu_hz
 
         active_mw = platform.cpu_power.active_mw(platform.cpu_clock_mhz)
-        energy_mj = self._interval_energy_mj(
-            cpu_seconds, fpga_seconds, fpga_dynamic_mj
-        )
+        energy_mj = self._interval_energy_mj(cpu_seconds, fpga_seconds, fpga_dynamic_mj)
         sw_energy_mj = active_mw * sw_only_seconds
 
         self.timeline.intervals.append(IntervalStats(
@@ -622,17 +626,12 @@ class DynamicPartitionController:
         ))
 
         self.profiler.sample(counts, taken, decay_periods=periods)
-        self._prev_counts = counts[:text_len]
-        self._prev_taken = taken[:text_len]
-        self._samples += 1
 
         changed = False
         if self._pending is not None and self._samples >= self._pending[0]:
             changed = self._activate_pending()
-        if (
-            self._pending is None
-            and self._samples % self.config.repartition_samples == 0
-        ):
+        if (self._pending is None
+                and self._samples % self.config.repartition_samples == 0):
             started = time.monotonic()
             changed = self._repartition(counts, taken) or changed
             if obs.metrics_enabled():
@@ -640,6 +639,9 @@ class DynamicPartitionController:
                     max(time.monotonic() - started, 1e-9)
                 )
                 obs.counter("dynamic.repartitions_total").inc()
+        # kernels placed since the accounting open their next window here
+        for site in self._resident.values():
+            self._site_state(site, counts, taken)
         return self._adapt_interval(changed)
 
     def _adapt_interval(self, changed: bool) -> int | None:
@@ -691,12 +693,8 @@ class DynamicPartitionController:
         90-10 partitioner's family step -- e.g. an outer loop that absorbs
         its inner loop's invocation overheads usually beats the inner loop
         alone.  Returns (best site, saved seconds) or ``None``."""
-        family = [
-            candidate for candidate in self._sites.values()
-            if candidate is site or candidate.overlaps(site)
-        ]
         best: tuple[LoopSite, float] | None = None
-        for member in family:
+        for member in site.family:
             if self._ensure_kernel(member) is None:
                 continue
             sw_seconds, hw_seconds = self._site_seconds(member, counts, taken)
@@ -711,20 +709,22 @@ class DynamicPartitionController:
         self, site: LoopSite, counts: list[int], taken: list[int]
     ) -> tuple[float, float]:
         """(software, hardware) seconds for the work *site* has done so far
-        (cumulative counters); ``(0.0, 0.0)`` while it has no kernel or has
-        not iterated, so it saves nothing."""
+        (cumulative counters), once per sample; ``(0.0, 0.0)`` while it has
+        no kernel or has not iterated, so it saves nothing."""
         if site.kernel is None:
             return 0.0, 0.0
-        cumulative, loop_cycles = self._site_profile(
-            site, counts, taken, self._zeros, self._zeros
-        )
-        if cumulative.iterations <= 0 or loop_cycles <= 0:
-            return 0.0, 0.0
-        sw_seconds = loop_cycles / (self.platform.cpu_clock_mhz * 1e6)
-        hw_seconds = self._fabric_cost_model.kernel_seconds(
-            self.platform, site.kernel, cumulative
-        )
-        return sw_seconds, hw_seconds
+        memo = site.seconds
+        if memo is not None and memo[0] == self._samples:
+            return memo[1]
+        state = self._site_state(site, counts, taken)
+        seconds = 0.0, 0.0
+        if state[0] > 0 and state[1] > 0:   # cycles and iterations
+            seconds = (state[0] / (self.platform.cpu_clock_mhz * 1e6),
+                       self._fabric_cost_model.kernel_seconds(
+                           self.platform, site.kernel,
+                           self._site_profile(site, state)))
+        site.seconds = (self._samples, seconds)
+        return seconds
 
     def _evict(self, address: int, event: RepartitionEvent) -> None:
         """Remove one resident kernel everywhere it is tracked."""

@@ -37,9 +37,10 @@ class ProfilerConfig:
     hot_fraction: float = 0.01
 
     def __post_init__(self):
-        if self.table_size < 1:
+        size = self.table_size
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise ValueError(
-                f"table_size must be >= 1, got {self.table_size} (an empty "
+                f"table_size must be an int >= 1, got {size!r} (an empty "
                 "table forgets every target, so nothing is ever placed)"
             )
         if not 0.0 <= self.hot_fraction <= 1.0:

@@ -13,6 +13,10 @@ from repro.dynamic.profiler import ProfilerConfig
     ("hot_fraction", -0.1),     # marks everything hot
     ("hot_fraction", 1.5),      # marks nothing hot
     ("hot_fraction", float("nan")),
+    # a float size raised a stray TypeError from a slice once the table filled
+    ("table_size", 2.5),
+    ("table_size", 32.0),
+    ("table_size", True),       # a bool is not a count
 ])
 def test_profiler_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
@@ -35,6 +39,15 @@ def test_profiler_config_accepts_range_edges(field, value):
     ("max_fabric_share", 1.5),
     ("settle_samples", 0),
     ("max_interval_factor", 0),
+    # counts must be ints: a float or a bool used to be accepted
+    ("sample_interval", 4_000.0),
+    ("repartition_samples", 1.5),    # silently repartitioned every third sample
+    ("repartition_samples", True),
+    ("reconfig_cycles", 2.5),
+    ("cad_latency_samples", 1.5),
+    ("settle_samples", 2.5),
+    ("max_interval_factor", 1.5),    # failed mid-replay on a 6000.0 interval
+    ("max_interval_factor", "8"),
 ])
 def test_dynamic_config_rejects(field, value):
     with pytest.raises(ValueError, match=field):
