@@ -26,9 +26,9 @@ PLATFORMS: dict[float, Platform] = {
 class FlowCache:
     """Session-wide cache of flow reports keyed by (benchmark, level, MHz).
 
-    Reports are fetched through :func:`repro.flow.run_flows`, so they also
-    hit the on-disk cache (:mod:`repro.flow_cache`): a second benchmark
-    session on the same code skips the flow runs entirely.
+    Reports are fetched through :func:`repro.flow.run_flows`, whose stage
+    memo shares each binary's upstream artifacts across clock rates.
+    Nothing outlives the session: each benchmark session starts cold.
     """
 
     def __init__(self) -> None:

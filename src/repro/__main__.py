@@ -46,6 +46,7 @@ from repro.flow import (
     run_flows,
 )
 from repro.platform.platform import NAMED_PLATFORMS, Platform
+from repro.programs import ALL_BENCHMARKS, BENCHMARKS_BY_NAME, Benchmark, get_benchmark
 from repro.sim.cpu import run_executable
 from repro.synth.fpga import VIRTEX2_DEVICES
 from repro.synth.synthesizer import Synthesizer
@@ -274,6 +275,20 @@ def _fabric_share(text: str) -> float:
     return value
 
 
+def _benchmark(name: str) -> Benchmark:
+    """argparse type: a benchmark of the suite, by name.
+
+    A ``choices`` list would do for ``--apps``, but argparse checks an
+    empty ``nargs="*"`` positional against its choices and rejects it.
+    """
+    try:
+        return get_benchmark(name)
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"must be a benchmark of the suite "
+            f"({', '.join(sorted(BENCHMARKS_BY_NAME))}), got {name!r}") from None
+
+
 def _dynamic_config(args):
     from repro.dynamic.controller import DynamicConfig
 
@@ -319,7 +334,6 @@ def _print_dynamic_rows(rows):
 def cmd_dynamic(args) -> int:
     from repro.dynamic.flow import DynamicFlowJob, run_dynamic_flows
     from repro.dynamic.multi import AppSpec, MultiAppJob, run_multi_app_flows
-    from repro.programs import ALL_BENCHMARKS, get_benchmark
 
     config = _dynamic_config(args)
     platforms = _dynamic_platforms(args)
@@ -331,8 +345,8 @@ def cmd_dynamic(args) -> int:
     if args.apps:
         # multi-application mode: the named benchmarks time-share one fabric
         specs = tuple(
-            AppSpec(get_benchmark(name).source, name, opt_level=args.opt_level)
-            for name in args.apps
+            AppSpec(bench.source, bench.name, opt_level=args.opt_level)
+            for bench in args.apps
         )
         jobs = [MultiAppJob(apps=specs, platform=platform, config=config)
                 for platform in platforms]
@@ -348,10 +362,7 @@ def cmd_dynamic(args) -> int:
         _print_pool_notes()
         return 0
 
-    if args.benchmarks:
-        benches = [get_benchmark(name) for name in args.benchmarks]
-    else:
-        benches = list(ALL_BENCHMARKS)
+    benches = args.benchmarks or list(ALL_BENCHMARKS)
     jobs = [
         DynamicFlowJob(source=bench.source, name=bench.name,
                        opt_level=args.opt_level, platform=platform,
@@ -408,12 +419,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.programs import ALL_BENCHMARKS, get_benchmark
-
-    if args.benchmarks:
-        benches = [get_benchmark(name) for name in args.benchmarks]
-    else:
-        benches = list(ALL_BENCHMARKS)
+    benches = args.benchmarks or list(ALL_BENCHMARKS)
     device = VIRTEX2_DEVICES[args.device]
     platforms = [
         Platform(name=f"MIPS-{mhz:.0f}MHz + {args.device}",
@@ -426,11 +432,7 @@ def cmd_sweep(args) -> int:
         for platform in platforms
         for bench in benches
     ]
-    reports = run_flows(
-        jobs,
-        max_workers=1 if args.serial else args.jobs,
-        cache=False if args.no_cache else None,
-    )
+    reports = run_flows(jobs, max_workers=1 if args.serial else args.jobs)
     failed = 0
     for platform in platforms:
         print(f"===== {platform.name} (-O{args.opt_level}) =====")
@@ -457,7 +459,7 @@ def cmd_sweep(args) -> int:
 
 def _add_telemetry_flags(p) -> None:
     p.add_argument("--metrics", action="store_true",
-                   help="record telemetry metrics (engine/cache/pool/... "
+                   help="record telemetry metrics (engine/pool/flow/... "
                         "counters); the merged registry is saved for "
                         "`python -m repro stats`")
     p.add_argument("--trace-out", metavar="FILE",
@@ -525,7 +527,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run the benchmark suite across platforms "
                                      "using all cores")
-    p.add_argument("benchmarks", nargs="*",
+    p.add_argument("benchmarks", nargs="*", type=_benchmark,
                    help="benchmark names (default: the full 20-benchmark suite)")
     p.add_argument("--cpu-mhz", type=_positive_float, nargs="+",
                    default=[200.0])
@@ -535,15 +537,13 @@ def main(argv=None) -> int:
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="disable the process pool")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the on-disk flow-report cache")
     _add_telemetry_flags(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("dynamic",
                        help="online (warp-style) partitioning: static vs "
                             "dynamic across hard- and soft-core platforms")
-    p.add_argument("benchmarks", nargs="*",
+    p.add_argument("benchmarks", nargs="*", type=_benchmark,
                    help="benchmark names (default: the full 20-benchmark suite)")
     p.add_argument("--platform", nargs="+", default=["mips200", "softcore85"],
                    choices=sorted(NAMED_PLATFORMS),
@@ -570,7 +570,7 @@ def main(argv=None) -> int:
     p.add_argument("--max-share", type=_fabric_share, default=1.0,
                    help="cap on one application's share of the fabric "
                         "(multi-application arbitration, 0 < share <= 1)")
-    p.add_argument("--apps", nargs="+", metavar="BENCH",
+    p.add_argument("--apps", nargs="+", metavar="BENCH", type=_benchmark,
                    help="multi-application mode: these benchmarks time-share "
                         "one fabric per platform (positional benchmark "
                         "arguments are ignored)")

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, TYPE_CHECKING
 
 from repro import obs, stages
 
@@ -314,43 +314,24 @@ def run_jobs(
 def run_flows(
     jobs: Iterable[FlowJob],
     max_workers: int | None = None,
-    cache: bool | None = None,
+    cache: bool = False,
 ) -> list[FlowReport]:
     """Run many independent flows, in parallel when the host allows it.
 
     Reports come back in job order.  *max_workers* defaults to the CPU
     count; pass ``1`` to force serial in-process execution (useful under
     debuggers and in tests).  Flow runs are deterministic, so the parallel
-    and serial paths produce identical reports.
+    and serial paths produce identical reports.  Within one process the
+    stage memo (:mod:`repro.stages`) shares each binary's artifacts across
+    jobs; nothing persists between sessions.
 
-    Completed reports are memoised on disk keyed by (source hash, opt
-    level, platform) -- see :mod:`repro.flow_cache` -- so repeated sweeps
-    skip recomputation across sessions.  *cache* forces the disk cache on
-    or off; ``None`` defers to the environment (``REPRO_CACHE=off``
-    disables it, ``REPRO_CACHE_DIR`` relocates it).
+    *cache* exists only for ``perfbench/workloads.py``, which passes
+    ``cache=False``; any other value raises :class:`ValueError`.
     """
-    from repro import flow_cache
-
-    job_list: Sequence[FlowJob] = list(jobs)
-    use_cache = flow_cache.cache_enabled() if cache is None else cache
-
-    if not use_cache:
-        return _run_flows_uncached(job_list, max_workers)
-
-    reports: list[FlowReport | None] = [flow_cache.load_report(job) for job in job_list]
-    missing = [index for index, report in enumerate(reports) if report is None]
-    if missing:
-        fresh = _run_flows_uncached([job_list[i] for i in missing], max_workers)
-        for index, report in zip(missing, fresh):
-            reports[index] = report
-            flow_cache.store_report(job_list[index], report)
-    return reports
-
-
-def _run_flows_uncached(
-    job_list: Sequence[FlowJob], max_workers: int | None
-) -> list[FlowReport]:
-    return run_jobs(execute_flow_job, job_list, max_workers)
+    if cache is not False:
+        raise ValueError("the on-disk flow cache was removed; "
+                         "run_flows accepts only cache=False")
+    return run_jobs(execute_flow_job, list(jobs), max_workers)
 
 
 def run_flow_on_executable(

@@ -82,7 +82,7 @@ def _fmt_histogram(data: dict) -> str:
 
 def format_stats(payload: dict) -> str:
     """Human-readable rendering of a stats payload, grouped by the dotted
-    prefix (``engine.``, ``cache.``, ``pool.``, ...)."""
+    prefix (``engine.``, ``flow.``, ``pool.``, ...)."""
     metrics = payload.get("metrics", payload)
     meta = payload.get("meta")
     lines: list[str] = []

@@ -43,9 +43,9 @@ candidates and partitioning.
 
 Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each, and so
 is each binary's set of loop summaries.
-The memo is always on and per process; ``REPRO_CACHE`` governs only the
-on-disk report cache (:mod:`repro.flow_cache`).  Memoised artifacts are
-shared between flows, so nothing downstream may mutate them.
+The memo is always on and per process, and it is the only artifact cache:
+nothing persists between sessions.  Memoised artifacts are shared between
+flows, so nothing downstream may mutate them.
 
 A miss calls through the stage function its caller hands in -- the
 caller's module-level name, resolved at call time -- so rebinding that

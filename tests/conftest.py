@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import stages
@@ -34,22 +32,6 @@ def decompiled_checksum(source: str, opt_level: int = 1, symbol: str = "checksum
     interp.run_main()
     value = interp.memory.read_u32(exe.symbols[symbol].address)
     return value - 0x1_0000_0000 if value & 0x8000_0000 else value
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolate_flow_cache():
-    """Keep unit tests honest and hermetic: the on-disk flow-report cache
-    must neither serve stale results to tests that exercise the real
-    pipeline (a warm cache would bypass e.g. the parallel runner entirely)
-    nor write pickles into the developer's ``~/.cache``.  The cache's own
-    tests re-enable it against a tmp directory."""
-    previous = os.environ.get("REPRO_CACHE")
-    os.environ["REPRO_CACHE"] = "off"
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE", None)
-    else:
-        os.environ["REPRO_CACHE"] = previous
 
 
 @pytest.fixture(autouse=True)

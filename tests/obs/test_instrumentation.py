@@ -1,4 +1,4 @@
-"""Telemetry through the real layers: engine, cache, pool, dynamic, CLI.
+"""Telemetry through the real layers: engine, pool, dynamic, CLI.
 
 The zero-cost-off contract is asserted here too: a disabled run must
 leave the registry completely empty -- no instrument is even registered
@@ -92,7 +92,7 @@ class TestEngineMetrics:
 
 class TestPoolMetrics:
     def test_parallel_sweep_merges_worker_registries(self, telemetry):
-        run_flows(_jobs(), max_workers=2, cache=False)
+        run_flows(_jobs(), max_workers=2)
         # worker-side counts came back through the payload merge
         assert _counter_value("pool.jobs_total") == 2
         assert obs.registry().get("pool.job_seconds").count == 2
@@ -100,13 +100,13 @@ class TestPoolMetrics:
         assert _counter_value("engine.runs_total") >= 2
 
     def test_serial_sweep_records_pool_metrics_too(self, telemetry):
-        run_flows(_jobs(), max_workers=1, cache=False)
+        run_flows(_jobs(), max_workers=1)
         assert _counter_value("pool.jobs_total") == 2
         assert obs.registry().get("pool.job_seconds").count == 2
 
     def test_parallel_matches_serial_with_telemetry_on(self, telemetry):
-        serial = run_flows(_jobs(), max_workers=1, cache=False)
-        parallel = run_flows(_jobs(), max_workers=2, cache=False)
+        serial = run_flows(_jobs(), max_workers=1)
+        parallel = run_flows(_jobs(), max_workers=2)
         for s, p in zip(serial, parallel):
             assert s.summary_row() == p.summary_row()
             assert s.run.cycles == p.run.cycles
@@ -124,7 +124,7 @@ class TestPoolFallbackEvents:
             repro.flow, "ProcessPoolExecutor",
             _failing_pool(BrokenProcessPool("worker terminated abruptly")),
         )
-        reports = run_flows(_jobs(), max_workers=2, cache=False)
+        reports = run_flows(_jobs(), max_workers=2)
         assert [r.name for r in reports] == NAMES
         [fallback] = pool_fallbacks()
         assert fallback.cause == "BrokenProcessPool"
@@ -140,7 +140,7 @@ class TestPoolFallbackEvents:
             repro.flow, "ProcessPoolExecutor",
             _failing_pool(OSError("semaphores not allowed")),
         )
-        reports = run_flows(_jobs(), max_workers=2, cache=False)
+        reports = run_flows(_jobs(), max_workers=2)
         assert [r.name for r in reports] == NAMES
         [fallback] = pool_fallbacks()
         assert fallback.cause == "OSError"
@@ -148,7 +148,7 @@ class TestPoolFallbackEvents:
 
 class TestFlowSpans:
     def test_flow_stages_produce_spans(self, telemetry):
-        run_flows(_jobs(["brev"]), max_workers=1, cache=False)
+        run_flows(_jobs(["brev"]), max_workers=1)
         names = {e["name"] for e in obs.trace_events()}
         assert {"flow.compile", "flow.simulate",
                 "flow.decompile", "flow.partition"} <= names
@@ -206,8 +206,6 @@ class TestCli:
     def test_metrics_and_trace_roundtrip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
         monkeypatch.setenv(obs.ENABLE_ENV, "0")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
         obs.clear_metrics()
         obs.clear_trace()
         trace_file = tmp_path / "trace.json"
@@ -217,9 +215,6 @@ class TestCli:
             assert rc == 0
             out = capsys.readouterr().out
             assert "telemetry: metrics saved" in out
-            # cache was on: the single uncached flow is a miss + store
-            assert _counter_value("cache.misses_total") == 1
-            assert _counter_value("cache.stores_total") == 1
             payload = json.loads(trace_file.read_text())
             assert payload["traceEvents"]
 
@@ -227,7 +222,6 @@ class TestCli:
             report = capsys.readouterr().out
             assert "engine.runs_total" in report
             assert "pool.jobs_total" in report
-            assert "cache.stores_total" in report
         finally:
             obs.disable()
             obs.clear_metrics()

@@ -5,9 +5,10 @@ Two guarantees are pinned here.  First, the module-level names that
 actually calls through -- rebinding one has to be seen by the next run.
 Second, the retired APIs (the network service tier, the two-device
 partitioner shims, the two-device partition mode and their aliases, the
-simulator's trace tier and its persistent cache) stay gone, so
-``repro.partition()`` is the one way in and the block tier is the one
-compiled dispatch path.
+simulator's trace tier and its persistent cache, the on-disk flow-report
+cache) stay gone, so ``repro.partition()`` is the one way in, the block
+tier is the one compiled dispatch path and the in-process stage memo is
+the one artifact cache.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import repro
 import repro.dynamic.controller
 import repro.dynamic.flow
 import repro.flow
-import repro.flow_cache
-import repro.store
+from repro.__main__ import main
 from repro.programs import get_benchmark
 
 _BREV = get_benchmark("brev")
@@ -69,13 +69,6 @@ def test_rebinding_a_layer_entry_point_is_seen_by_the_flow(
     assert calls, f"{module.__name__}.{attr} was rebound but never called"
 
 
-def test_flow_cache_lives_in_the_sharded_store(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    flow_store = repro.flow_cache.store()
-    assert isinstance(flow_store, repro.store.ShardedStore)
-    assert flow_store.root == tmp_path / "flow"
-
-
 def test_package_exports_the_dynamic_flow_entry_point():
     assert repro.run_dynamic_flow is repro.dynamic.flow.run_dynamic_flow
 
@@ -92,6 +85,32 @@ def test_service_package_is_gone():
 def test_trace_tier_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+@pytest.mark.parametrize("module", ["repro.flow_cache", "repro.store"])
+def test_on_disk_flow_cache_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_sessions_are_cold(tmp_path, monkeypatch):
+    # a sweep persists nothing: no report cache under the home directory,
+    # whatever the retired REPRO_CACHE variable would have said
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    assert main(["sweep", "brev", "--serial"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_flows_refuses_the_on_disk_cache(monkeypatch):
+    # the keyword survives only so callers passing cache=False keep working
+    def no_flow(job):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(repro.flow, "execute_flow_job", no_flow)
+    job = repro.flow.FlowJob(source=_BREV.source, name=_BREV.name)
+    with pytest.raises(ValueError, match="on-disk flow cache was removed"):
+        repro.flow.run_flows([job], max_workers=1, cache=True)
 
 
 @pytest.mark.parametrize("entry, params", [
@@ -129,7 +148,7 @@ def test_two_device_shims_are_not_exported(name):
 @pytest.mark.parametrize("module, name", [
     ("repro.flow", "_execute_job"),
     ("repro.flow", "run_dynamic_flow"),
-    ("repro.flow_cache", "_sweep_stale_tmp"),
+    ("repro.flow", "_run_flows_uncached"),
     ("repro.partition.profiles", "_block_ranges"),
     ("repro.partition", "legacy_devices"),
     ("repro.partition.api", "legacy_devices"),

@@ -115,7 +115,7 @@ int main(void) { checksum = pick(3); return 0; }
 
 
 def test_sweep_prints_one_row_per_benchmark(capsys):
-    assert main(["sweep", "brev", "--serial", "--no-cache"]) == 0
+    assert main(["sweep", "brev", "--serial"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "===== MIPS-200MHz + xc2v250 (-O1) ====="
     row = lines[1].split()
@@ -128,7 +128,7 @@ def test_sweep_prints_one_row_per_benchmark(capsys):
 
 def test_sweep_prints_one_section_per_cpu_clock(capsys):
     assert main(["sweep", "brev", "--cpu-mhz", "40", "400",
-                 "--serial", "--no-cache"]) == 0
+                 "--serial"]) == 0
     headers = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("=====")]
     assert headers == [
@@ -198,13 +198,18 @@ def test_dynamic_rejects_non_positive_knobs(flag, capsys):
     (["dynamic", "brev", "--regions", "-1"], "--regions"),
     (["dynamic", "brev", "--jobs", "0"], "--jobs"),
     (["dynamic", "brev", "--jobs", "-3"], "--jobs"),
-    (["sweep", "brev", "--jobs", "0", "--no-cache"], "--jobs"),
-    (["sweep", "brev", "--jobs", "-3", "--no-cache"], "--jobs"),
+    (["sweep", "brev", "--jobs", "0"], "--jobs"),
+    (["sweep", "brev", "--jobs", "-3"], "--jobs"),
+    (["sweep", "nosuch"], "benchmarks"),
+    (["dynamic", "nosuch"], "benchmarks"),
+    (["dynamic", "--apps", "brev", "nosuch"], "--apps"),
 ], ids=["dynamic-regions-negative", "dynamic-jobs-zero", "dynamic-jobs-negative",
-        "sweep-jobs-zero", "sweep-jobs-negative"])
+        "sweep-jobs-zero", "sweep-jobs-negative", "sweep-unknown-benchmark",
+        "dynamic-unknown-benchmark", "dynamic-unknown-app"])
 def test_bad_counts_are_usage_errors(argv, flag, capsys):
-    # a negative region count must not reach Platform.with_regions, and a
-    # non-positive worker count must not quietly run serially
+    # a negative region count must not reach Platform.with_regions, a
+    # non-positive worker count must not quietly run serially, and an
+    # unknown benchmark name must not surface as a KeyError traceback
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -215,8 +220,8 @@ def test_bad_counts_are_usage_errors(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "brev", "--cpu-mhz", "0", "--serial", "--no-cache"],
-    ["sweep", "brev", "--cpu-mhz", "200", "-5", "--serial", "--no-cache"],
+    ["sweep", "brev", "--cpu-mhz", "0", "--serial"],
+    ["sweep", "brev", "--cpu-mhz", "200", "-5", "--serial"],
     ["partition", "kernel.sxe", "--cpu-mhz", "0"],
     ["partition", "kernel.sxe", "--cpu-mhz", "nan"],
 ])

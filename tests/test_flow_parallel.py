@@ -64,7 +64,7 @@ class TestRunFlows:
             )),
         )
         jobs = [job_for(name) for name in NAMES]
-        reports = run_flows(jobs, max_workers=2, cache=False)
+        reports = run_flows(jobs, max_workers=2)
         assert [r.name for r in reports] == NAMES
         assert all(r.recovered for r in reports)
 
@@ -76,7 +76,7 @@ class TestRunFlows:
             _failing_pool(OSError("semaphores not allowed"), on_enter=True),
         )
         jobs = [job_for(name) for name in NAMES]
-        reports = run_flows(jobs, max_workers=2, cache=False)
+        reports = run_flows(jobs, max_workers=2)
         assert [r.name for r in reports] == NAMES
         assert all(r.recovered for r in reports)
 
@@ -93,19 +93,19 @@ class TestRunFlows:
             _failing_pool(None, map_impl=first_then_break),
         )
         jobs = [job_for(name) for name in NAMES]
-        reports = run_flows(jobs, max_workers=2, cache=False)
+        reports = run_flows(jobs, max_workers=2)
         assert [r.name for r in reports] == NAMES
 
     def test_serial_fallback_matches_serial_run(self, monkeypatch):
         # the fallback is a drop-in: bit-identical reports vs max_workers=1
         serial = run_flows([job_for(name) for name in NAMES],
-                           max_workers=1, cache=False)
+                           max_workers=1)
         monkeypatch.setattr(
             repro.flow, "ProcessPoolExecutor",
             _failing_pool(BrokenProcessPool("boom")),
         )
         fallback = run_flows([job_for(name) for name in NAMES],
-                             max_workers=2, cache=False)
+                             max_workers=2)
         for expected, got in zip(serial, fallback):
             assert expected.summary_row() == got.summary_row()
             assert expected.run.cycles == got.run.cycles

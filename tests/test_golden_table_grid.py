@@ -45,7 +45,7 @@ def test_table_grid_matches_the_golden_record():
                 platform=NAMED_PLATFORMS[platform],
             ))
     assert sorted(keys) == sorted(golden)
-    reports = run_flows(jobs, max_workers=1, cache=False)
+    reports = run_flows(jobs, max_workers=1)
     differ = [key for key, report in zip(keys, reports)
               if _record(report) != golden[key]]
     assert not differ, f"flows differ from {GOLDEN.name}: {differ}"

@@ -98,7 +98,7 @@ def test_memo_hit_flows_serialize_nothing(monkeypatch):
     cold = []
     for job in jobs:
         stages.clear()
-        cold.append(_static_record(run_flows([job], max_workers=1, cache=False)[0]))
+        cold.append(_static_record(run_flows([job], max_workers=1)[0]))
     stages.clear()
 
     serialized: list[Executable] = []
@@ -109,9 +109,9 @@ def test_memo_hit_flows_serialize_nothing(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Executable, "to_bytes", counting)
-    first = run_flows([jobs[0]], max_workers=1, cache=False)[0]
+    first = run_flows([jobs[0]], max_workers=1)[0]
     assert serialized == [first.exe]
-    second = run_flows([jobs[1]], max_workers=1, cache=False)[0]
+    second = run_flows([jobs[1]], max_workers=1)[0]
     assert serialized == [first.exe]
     assert second.exe is first.exe
     assert [_static_record(first), _static_record(second)] == cold
