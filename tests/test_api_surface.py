@@ -93,16 +93,50 @@ def test_on_disk_flow_cache_modules_are_gone(module):
         importlib.import_module(module)
 
 
-def test_sessions_are_cold(tmp_path, monkeypatch):
-    # a sweep persists nothing: no report cache under the home directory,
+_KERNEL = """
+int data[64];
+int checksum;
+int main(void) {
+    int i;
+    for (i = 0; i < 64; i++) data[i] = (data[i] + i) & 1023;
+    checksum = data[7];
+    return 0;
+}
+"""
+
+#: one invocation of each subcommand that compiles, simulates, decompiles
+#: or partitions; ``{work}`` is a scratch directory outside the home one
+_SESSIONS = {
+    "compile": ["compile", "{work}/kernel.c", "-o", "{work}/out.sxe"],
+    "run": ["run", "{work}/kernel.sxe", "--profile"],
+    "decompile": ["decompile", "{work}/kernel.sxe"],
+    "partition": ["partition", "{work}/kernel.sxe"],
+    "vhdl": ["vhdl", "{work}/kernel.sxe", "-o", "{work}/kernel.vhd"],
+    "sweep": ["sweep", "brev", "--serial"],
+    "sweep-pool": ["sweep", "brev", "crc", "--jobs", "2"],
+    "dynamic": ["dynamic", "brev", "--serial"],
+    "dynamic-apps": ["dynamic", "--apps", "brev", "crc", "--serial"],
+    "dynamic-pool": ["dynamic", "brev", "crc", "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_SESSIONS.values()), ids=list(_SESSIONS))
+def test_sessions_are_cold(argv, tmp_path, monkeypatch, capsys):
+    # a session persists nothing: no report cache under the home directory,
     # whatever the retired REPRO_CACHE variable would have said
-    monkeypatch.setenv("HOME", str(tmp_path))
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    (work / "kernel.c").write_text(_KERNEL)
+    assert main(["compile", str(work / "kernel.c"), "-o", str(work / "kernel.sxe")]) == 0
+    monkeypatch.setenv("HOME", str(home))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    assert main(["sweep", "brev", "--serial"]) == 0
-    assert list(tmp_path.iterdir()) == []
+    assert main([arg.format(work=work) for arg in argv]) == 0
+    assert list(home.iterdir()) == []
 
 
-def test_run_flows_refuses_the_on_disk_cache(monkeypatch):
+@pytest.mark.parametrize("cache", [True, 1, "off", None])
+def test_run_flows_refuses_the_on_disk_cache(cache, monkeypatch):
     # the keyword survives only so callers passing cache=False keep working
     def no_flow(job):
         raise AssertionError("a flow ran")
@@ -110,7 +144,14 @@ def test_run_flows_refuses_the_on_disk_cache(monkeypatch):
     monkeypatch.setattr(repro.flow, "execute_flow_job", no_flow)
     job = repro.flow.FlowJob(source=_BREV.source, name=_BREV.name)
     with pytest.raises(ValueError, match="on-disk flow cache was removed"):
-        repro.flow.run_flows([job], max_workers=1, cache=True)
+        repro.flow.run_flows([job], max_workers=1, cache=cache)
+
+
+def test_run_flows_still_accepts_cache_false():
+    job = repro.flow.FlowJob(source=_BREV.source, name=_BREV.name)
+    [report] = repro.flow.run_flows([job], max_workers=1, cache=False)
+    [default] = repro.flow.run_flows([job], max_workers=1)
+    assert report.summary_row() == default.summary_row()
 
 
 @pytest.mark.parametrize("entry, params", [

@@ -2,9 +2,11 @@
 
 Platforms that share a binary share its compile, profiled run,
 decompilation and kernels.  That must change no report: a flow served
-from a warm memo equals the same flow run cold, the memoised artifacts
-are never mutated by the flows that share them, the dynamic flow
-decompiles each binary once, and the memo stays bounded.
+from a warm memo equals the same flow run cold, for every program of the
+suite, every option that keys the memo and any mix of memoised and new
+jobs in one batch; the memoised artifacts are never mutated by the flows
+that share them, the dynamic flow decompiles each binary once, and the
+memo stays bounded, evicting the least recently used entry first.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from repro.decompile.decompiler import DecompilationOptions, decompile
 from repro.dynamic.flow import run_dynamic_flow
 from repro.flow import FlowJob, run_flow, run_flows
 from repro.platform.platform import NAMED_PLATFORMS
-from repro.programs import get_benchmark
+from repro.programs import BENCHMARKS_BY_NAME, get_benchmark
 from repro.synth.synthesizer import SynthesisOptions
 
-#: two benchmarks that recover and one whose jump tables defeat recovery
-NAMES = ("brev", "crc", "tblook")
+#: the whole suite, the two whose jump tables defeat recovery included
+SUITE = sorted(BENCHMARKS_BY_NAME)
 GRID = ("mips40", "mips200", "mips400", "softcore85", "softcore50")
 DYNAMIC = ("mips200", "softcore85")
 
@@ -55,7 +57,7 @@ def _digest(obj) -> str:
     return hashlib.sha256(pickle.dumps(obj)).hexdigest()
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", SUITE)
 def test_warm_static_flows_equal_cold_ones(name):
     source = get_benchmark(name).source
     cold = []
@@ -71,7 +73,7 @@ def test_warm_static_flows_equal_cold_ones(name):
     assert warm == cold
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", SUITE)
 def test_warm_dynamic_flows_equal_cold_ones(name):
     source = get_benchmark(name).source
     cold = []
@@ -153,13 +155,19 @@ def test_dynamic_flows_decompile_each_binary_once(monkeypatch):
     assert len(set(calls)) == 2
 
 
-def test_memo_holds_at_most_the_shared_bound():
-    def program(value: int) -> str:
-        return f"int checksum;\nint main() {{ checksum = {value}; return 0; }}\n"
+def _program(value: int) -> str:
+    return f"int checksum;\nint main() {{ checksum = {value}; return 0; }}\n"
 
-    options = CompilerOptions.from_level(1)
+
+def _compiled(value: int) -> Executable:
+    return stages.compiled(
+        _program(value), CompilerOptions.from_level(1), repro.flow.compile_source
+    )
+
+
+def test_memo_holds_at_most_the_shared_bound():
     for value in range(stages.MEMORY_CAP + 8):
-        exe = stages.compiled(program(value), options, repro.flow.compile_source)
+        exe = _compiled(value)
         stages.decompiled(exe, None, decompile)
         assert stages.size() <= stages.MEMORY_CAP
     assert stages.size() == stages.MEMORY_CAP
@@ -176,3 +184,64 @@ def test_shared_artifacts_are_not_mutated_downstream():
         assert report.program is program
         assert report.run.pc_counts is run.pc_counts
     assert (exe.to_bytes(), _digest(program), _digest(run)) == before
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_opt_level_is_part_of_the_compile_key(level):
+    # the other levels' binaries in the memo must not serve this one
+    source = get_benchmark("fir").source
+    stages.clear()
+    cold = _static_record(run_flow(source, "fir", opt_level=level))
+    stages.clear()
+    for other in range(4):
+        if other != level:
+            run_flow(source, "fir", opt_level=other)
+    assert _static_record(run_flow(source, "fir", opt_level=level)) == cold
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_partly_memoised_batches_keep_job_order(max_workers):
+    jobs = [
+        FlowJob(get_benchmark(name).source, name, platform=NAMED_PLATFORMS[platform])
+        for name in ("brev", "crc", "fir")
+        for platform in DYNAMIC
+    ]
+    cold = []
+    for job in jobs:
+        stages.clear()
+        cold.append(_static_record(run_flows([job], max_workers=1)[0]))
+    stages.clear()
+    run_flows([jobs[2]], max_workers=1)     # memoise crc's binary only
+    reports = run_flows(jobs, max_workers=max_workers)
+    assert [_static_record(report) for report in reports] == cold
+
+
+def test_a_recently_compiled_source_survives_eviction():
+    exes = [_compiled(value) for value in range(stages.MEMORY_CAP)]
+    assert _compiled(0) is exes[0]          # a hit makes it the newest
+    _compiled(stages.MEMORY_CAP)            # evicts the oldest: source 1
+    assert _compiled(0) is exes[0]
+    assert _compiled(1) is not exes[1]
+
+
+def test_a_recently_used_binary_survives_eviction():
+    exes = [_compiled(value) for value in range(stages.MEMORY_CAP + 1)]
+    programs = [stages.decompiled(exe, None, decompile) for exe in exes[:-1]]
+    assert stages.decompiled(exes[0], None, decompile) is programs[0]
+    stages.decompiled(exes[-1], None, decompile)  # evicts binary 1
+    assert stages.size() == stages.MEMORY_CAP
+    assert stages.decompiled(exes[0], None, decompile) is programs[0]
+    assert stages.decompiled(exes[1], None, decompile) is not programs[1]
+
+
+def test_clear_forgets_every_memoised_artifact():
+    exe = _compiled(0)
+    program = stages.decompiled(exe, None, decompile)
+    run = stages.profiled_run(exe, NAMED_PLATFORMS["mips200"].cpi, 10_000)
+    stream = stages.sample_stream(exe, 10_000, 500)
+    stages.clear()
+    assert stages.size() == 0
+    assert _compiled(0) is not exe
+    assert stages.decompiled(exe, None, decompile) is not program
+    assert stages.profiled_run(exe, NAMED_PLATFORMS["mips200"].cpi, 10_000) is not run
+    assert stages.sample_stream(exe, 10_000, 500) is not stream
