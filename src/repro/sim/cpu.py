@@ -19,8 +19,8 @@ Design notes:
   (with unconditional ``j``/``jal`` chains fused into their targets),
   ``compile()``d in a few batches of bounded source size -- so the
   dispatch loop pays one call per block or chain instead of per
-  instruction.  Counters proven cold are spilled out of the fold scan
-  (``spill_after``) and reheat transparently.  The
+  instruction, and every observation point folds each unit's entry
+  counter into the per-instruction counters.  The
   threaded table stays fully built either way: the superblock loop falls
   back to it for the last few instructions of a *max_steps* budget, and
   the sampled loop single-steps chunk tails and mid-block entries
@@ -69,7 +69,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 from repro import obs
@@ -163,6 +163,16 @@ class CpiModel:
     div: int = 20
     hilo: int = 1
 
+    def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(
+                    f"{spec.name} must be an int >= 0, got {value!r} (a "
+                    f"negative or fractional cost would make RunResult.cycles "
+                    f"negative or non-integral)"
+                )
+
     def cycles_for(self, klass: str) -> int:
         return getattr(self, klass)
 
@@ -209,17 +219,10 @@ class Cpu:
         cpi: CpiModel | None = None,
         profile: bool = False,
         engine: str = "superblock",
-        spill_after: int = 8,
     ):
         if engine not in ("superblock", "threaded"):
             raise ValueError(
                 f"unknown engine {engine!r}; expected 'superblock' or 'threaded'"
-            )
-        if not isinstance(spill_after, int) or isinstance(spill_after, bool) \
-                or spill_after < 0:
-            raise ValueError(
-                f"spill_after must be a non-negative integer (0 disables the "
-                f"cold-counter spill), got {spill_after!r}"
             )
         if sys.byteorder != "little":
             raise SimulationError(
@@ -232,7 +235,6 @@ class Cpu:
         self._cpi = cpi if cpi is not None else CpiModel()
         self._profile = profile
         self._engine = engine
-        self._spill_after = spill_after
         load_into_memory(exe, self.memory)
         self._decoded = decode_text(exe.text_words)
         self.regs = [0] * 32
@@ -810,8 +812,6 @@ class Cpu:
             max(0, result.steps - in_blocks)
         )
         delta = sb.consume_stats()
-        obs.counter("engine.counter_spills_total").inc(delta["spills"])
-        obs.counter("engine.counter_reheats_total").inc(delta["reheats"])
         obs.counter("engine.codegen_units_total").inc(delta["codegen_units"])
         obs.counter("engine.codegen_lines_total").inc(delta["codegen_lines"])
         obs.counter("engine.unit_guard_misses_total").inc(delta["guard_misses"])
@@ -1000,10 +1000,8 @@ def run_executable(
     max_steps: int = 100_000_000,
     cpi: CpiModel | None = None,
     engine: str = "superblock",
-    spill_after: int = 8,
 ) -> tuple[Cpu, RunResult]:
     """Convenience: build a CPU for *exe*, run to halt, return (cpu, result)."""
-    cpu = Cpu(exe, cpi=cpi, profile=profile, engine=engine,
-              spill_after=spill_after)
+    cpu = Cpu(exe, cpi=cpi, profile=profile, engine=engine)
     result = cpu.run(max_steps=max_steps)
     return cpu, result

@@ -14,8 +14,8 @@ dispatch loop pays one call per unit:
   guard per base register;
 * :mod:`~repro.sim.superblock.dispatch` -- :class:`SuperblockTable`,
   units for the dispatch entries only, the size-bounded compile
-  batches, cold-counter spill, and the slot table the dispatch loops
-  index.
+  batches, the slot table the dispatch loops index, and the fold of
+  every unit's entry counter.
 
 Exact statistics are the invariant throughout: per-unit entry counters
 fold into the per-instruction ``counts`` array at every observation

@@ -19,7 +19,7 @@ of its own.  Correctness does not depend on the set: an index whose slot
 is ``None`` is materialized by the unsampled loop and single-stepped by
 the sampled one.  Eager generation pays off because the suite's programs
 execute almost all of their text (95.6% of ``static_suite``'s), and each
-extra module costs ~1 ms of fixed ``compile()`` time.  Three layers sit
+extra module costs ~1 ms of fixed ``compile()`` time.  Two layers sit
 on that substrate:
 
 * **j-chain fusion**: a unit whose block ends in an unconditional
@@ -30,21 +30,13 @@ on that substrate:
 * **entry guards**: a unit's window accesses are proved in range once,
   at entry (see :mod:`repro.sim.superblock.codegen`); when a guard fails,
   :meth:`_guard_miss_handler` runs the unit through the threaded handlers.
-* **cold-counter spill**: a unit whose counter shows no delta for
-  ``spill_after`` consecutive folds is dropped from the fold scan (its
-  counter increment is "spilled" out of the observation path) and its
-  slot is replaced by a reheat stub; if the block runs again the stub
-  re-installs the counting function *first* and tail-calls it, so
-  per-instruction counts stay exact even under sampling hooks.  The win
-  is fold cost: long-running sampled workloads (the :mod:`repro.dynamic`
-  drivers fold every few thousand instructions) scan only the live hot
-  set instead of every unit ever created.
 
 Exactness contract: a unit either runs to its end or raises at a
 terminator, every generated function bumps its ``BC`` counter once (the
 guard-miss path bumps it for the unit), and at every observation point
-the deltas fold into the per-instruction ``counts`` array the rest of the
-simulator derives statistics from.
+:meth:`SuperblockTable.fold_into` scans every unit and folds its delta
+into the per-instruction ``counts`` array the rest of the simulator
+derives statistics from.
 """
 
 from __future__ import annotations
@@ -105,7 +97,6 @@ class SuperblockTable:
         self._decoded = cpu._decoded
         self._text_base = cpu.exe.text_base
         self._text_len = len(cpu._decoded)
-        self._spill_after = cpu._spill_after
         self._handlers = cpu._handlers
         self.leaders = find_leaders(
             self._decoded, self._text_base, self._text_len, cpu.exe.data
@@ -126,14 +117,6 @@ class SuperblockTable:
         self.bcounts: list[int] = []
         self._folded: list[int] = []
         self.members: list[tuple[tuple[int, int], ...]] = []
-        #: bids the fold scan visits; cold units are removed (spilled)
-        self.live: list[int] = []
-        self._cold: list[int] = []
-        #: per unit: its dispatch slot and its counting function
-        self._home: list[int] = []
-        self._counting: list = []
-        self.spilled = 0
-        self.reheats = 0
         #: [units run through the threaded handlers because a guard failed]
         self._misses = [0]
 
@@ -198,43 +181,22 @@ class SuperblockTable:
     def reset(self) -> None:
         bcounts = self.bcounts
         folded = self._folded
-        cold = self._cold
         for i in range(len(bcounts)):
             bcounts[i] = 0
             folded[i] = 0
-            cold[i] = 0
 
     def fold_into(self, counts: list[int]) -> None:
-        """Fold per-unit entry deltas into the per-instruction counters.
-
-        Only :attr:`live` units are scanned.  A unit with no delta for
-        ``spill_after`` consecutive folds is spilled: removed from the
-        scan and stubbed so it re-registers itself if it ever reheats.
-        """
+        """Fold every unit's entry delta into the per-instruction counters."""
         bcounts = self.bcounts
         folded = self._folded
         members = self.members
-        cold = self._cold
-        spill_after = self._spill_after
-        spills = None
-        for bid in self.live:
-            delta = bcounts[bid] - folded[bid]
+        for bid, count in enumerate(bcounts):
+            delta = count - folded[bid]
             if delta:
-                folded[bid] = bcounts[bid]
+                folded[bid] = count
                 for start, length in members[bid]:
                     for i in range(start, start + length):
                         counts[i] += delta
-                cold[bid] = 0
-            elif spill_after:
-                streak = cold[bid] + 1
-                cold[bid] = streak
-                if streak >= spill_after:
-                    if spills is None:
-                        spills = []
-                    spills.append(bid)
-        if spills:
-            for bid in spills:
-                self._spill(bid)
 
     def materialize(self, index: int):
         """Generate the suffix unit for a dynamic jump to mid-block *index*.
@@ -249,7 +211,7 @@ class SuperblockTable:
         generated unit must execute exactly ``suffix_len`` steps.
         """
         segments = ((index, self.suffix_len[index]),)
-        bid = self._new_bid(segments, index)
+        bid = self._new_bid(segments)
         started = perf_counter()
         source = _FACTORY + "\n"
         source += "\n".join(self._cg.emit_unit("_b", segments, bid, "    ")) + "\n"
@@ -259,7 +221,6 @@ class SuperblockTable:
         fn = namespace["_factory"](**self._ns)
         self.codegen_seconds += perf_counter() - started
         self.fns[index] = fn
-        self._counting[bid] = fn
         return fn
 
     @property
@@ -314,14 +275,12 @@ class SuperblockTable:
     def consume_stats(self) -> dict:
         """Telemetry deltas since the previous call.
 
-        The underlying attributes (``spilled``, ``reheats``,
-        ``codegen_seconds``, ...) are cumulative over the table's
+        The underlying attributes (``codegen_seconds``, the code
+        generator's emit counters, ...) are cumulative over the table's
         lifetime and shared with introspection; the watermark here lets
         per-run metrics charge each run only its own share.
         """
         stats = {
-            "spills": self.spilled,
-            "reheats": self.reheats,
             "codegen_seconds": self.codegen_seconds,
             "codegen_units": self._cg.units_emitted,
             "codegen_lines": self._cg.lines_emitted,
@@ -369,15 +328,11 @@ class SuperblockTable:
         t_pc = ((pc + 4) & 0xF000_0000) | (self._decoded[index].target << 2)
         return (t_pc - self._text_base) >> 2
 
-    def _new_bid(self, segments, home: int) -> int:
+    def _new_bid(self, segments) -> int:
         bid = len(self.members)
         self.members.append(tuple(segments))
         self.bcounts.append(0)
         self._folded.append(0)
-        self._cold.append(0)
-        self._home.append(home)
-        self._counting.append(None)
-        self.live.append(bid)
         return bid
 
     def _dispatch_entries(self, roots) -> dict[int, list[tuple[int, int]]]:
@@ -417,51 +372,27 @@ class SuperblockTable:
         self.entries = sorted(chains)
         cg = self._cg
         lines: list[str] = []
-        units: list[tuple[int, int]] = []  # (start, bid) in this batch
+        starts: list[int] = []  # the units in this batch
         batch_start = cg.chars_emitted
         for start in self.entries:
             segments = chains[start]
-            bid = self._new_bid(segments, start)
+            bid = self._new_bid(segments)
             lines += cg.emit_unit(f"_b{start}", segments, bid, "    ")
-            units.append((start, bid))
+            starts.append(start)
             self.sizes[start] = sum(n for _, n in segments)
             if cg.chars_emitted - batch_start >= _BATCH_MAX_CHARS:
-                self._compile_batch(lines, units)
-                lines, units, batch_start = [], [], cg.chars_emitted
-        if units:
-            self._compile_batch(lines, units)
+                self._compile_batch(lines, starts)
+                lines, starts, batch_start = [], [], cg.chars_emitted
+        if starts:
+            self._compile_batch(lines, starts)
         self.codegen_seconds += perf_counter() - started
 
-    def _compile_batch(self, lines: list[str], units) -> None:
+    def _compile_batch(self, lines: list[str], starts: list[int]) -> None:
         """Compile one batch of units and install their functions."""
-        names = ", ".join(f"_b{start}" for start, _ in units)
+        names = ", ".join(f"_b{start}" for start in starts)
         source = "\n".join([_FACTORY, *lines, f"    return ({names},)\n"])
         namespace: dict = {}
         exec(compile(source, "<superblocks>", "exec"), namespace)
         fns = namespace["_factory"](**self._ns)
-        for (start, bid), fn in zip(units, fns):
+        for start, fn in zip(starts, fns):
             self.fns[start] = fn
-            self._counting[bid] = fn
-
-    # -- cold-counter spill --------------------------------------------------
-
-    def _spill(self, bid: int) -> None:
-        home = self._home[bid]
-        counting = self._counting[bid]
-        fns = self.fns
-        cold = self._cold
-        live = self.live
-        table = self
-
-        def reheat():
-            # re-install the counting fn *before* executing, so the unit
-            # is counted from this very call and rejoins the fold scan
-            fns[home] = counting
-            cold[bid] = 0
-            live.append(bid)
-            table.reheats += 1
-            return counting()
-
-        fns[home] = reheat
-        live.remove(bid)
-        self.spilled += 1

@@ -183,9 +183,15 @@ class TestExecutionControl:
         with pytest.raises(SimulationError, match="max_steps"):
             run_asm("spin:\n    j spin", max_steps=100)
 
-    def test_pc_escape_detected(self):
+    @pytest.mark.parametrize("engine", ["superblock", "threaded"])
+    @pytest.mark.parametrize("target", [
+        "    li $t0, 0x10000000",
+        # inside the text but not word-aligned
+        "    la $t0, _start\n    addiu $t0, $t0, 6",
+    ], ids=["outside", "misaligned"])
+    def test_pc_escape_detected(self, target, engine):
         with pytest.raises(SimulationError, match="pc outside"):
-            run_asm("    li $t0, 0x10000000\n    jr $t0")
+            run_asm(f"{target}\n    jr $t0", engine=engine)
 
     def test_cycles_exceed_steps(self):
         _, result = run_asm("    li $t0, 1\n    la $t1, result\n    sw $t0, 0($t1)")
@@ -196,6 +202,21 @@ class TestExecutionControl:
         _, cheap = run_asm(body, cpi=CpiModel(load=1, store=1))
         _, costly = run_asm(body, cpi=CpiModel(load=10, store=10))
         assert costly.cycles > cheap.cycles
+
+    @pytest.mark.parametrize("field, bad", [
+        ("load", -4), ("load", 1.5), ("alu", True), ("taken_penalty", -1),
+        ("div", None), ("hilo", "1"), ("store", 2.0),
+    ])
+    def test_cpi_model_rejects_bad_cycle_counts(self, field, bad):
+        # a negative or float cost used to flow into RunResult.cycles
+        with pytest.raises(ValueError, match=field):
+            CpiModel(**{field: bad})
+
+    def test_cpi_model_accepts_zero_cost(self):
+        body = "    la $t1, result\n    lw $t0, 0($t1)"
+        _, free = run_asm(body, cpi=CpiModel(load=0))
+        _, default = run_asm(body)
+        assert free.cycles == default.cycles - CpiModel().load
 
     @pytest.mark.parametrize("engine", ["superblock", "threaded"])
     @pytest.mark.parametrize("option, bad", [

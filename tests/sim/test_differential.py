@@ -33,16 +33,15 @@ from repro.programs import ALL_BENCHMARKS, get_benchmark
 from repro.sim import run_executable, run_reference
 from repro.sim.cpu import Cpu
 
-# (label, Cpu kwargs, sample interval; 0 runs unsampled).  "spill" is
-# the block tier with an aggressive spill threshold, run sampled: an
-# unsampled run that halts folds its counters only once, at the end, so
-# the spill would never engage.  Folding every 997 instructions keeps
-# the cold-counter machinery engaged, so every program exercises spill
-# and reheat.
+# (label, Cpu kwargs, sample interval; 0 runs unsampled).  "sampled" is
+# the block tier run in chunks of 997 instructions, the interval of the
+# dynamic flows' recordings: an unsampled run that halts folds its
+# counters only once, at the end, while the sampled one folds at every
+# boundary and single-steps each chunk's tail.
 ENGINES = (
     ("threaded", {"engine": "threaded"}, 0),
     ("superblock", {"engine": "superblock"}, 0),
-    ("spill", {"engine": "superblock", "spill_after": 2}, 997),
+    ("sampled", {"engine": "superblock"}, 997),
 )
 
 
@@ -297,9 +296,9 @@ class TestRandomPrograms:
 #
 # Deterministic sources aimed at the spots where the block tier could
 # drift from the reference: long fused j-chains, a loop whose hot branch
-# direction flips halfway through the run (the cold arm spills, then
-# reheats), and jump-table dispatch landing on lazily materialized
-# suffix blocks.
+# direction flips halfway through the run (one arm's units go quiet for
+# many folds while the other's start counting), and jump-table dispatch
+# landing on lazily materialized suffix blocks.
 
 
 def _j_chain_ladder(rungs: int) -> str:
@@ -326,8 +325,7 @@ def _j_chain_ladder(rungs: int) -> str:
 
 def _phase_flip(iters: int) -> str:
     """A loop whose hot arm flips halfway through the run: the arm that
-    was hot in the first phase goes cold (and, under an aggressive
-    ``spill_after``, spills) while the other one heats up."""
+    was hot in the first phase goes cold while the other one heats up."""
     half = iters // 2
     return (
         "int acc; int alt;\n"
@@ -388,15 +386,15 @@ class TestDispatchHazards:
             _, got = run_engine(exe, kwargs, interval)
             assert_identical(got, ref, f"{name} -O{opt_level} {label}")
 
-    def test_phase_flip_spill_reheat_matches_threaded_memory(self):
-        # the first phase's arm goes cold and spills; the second phase's
-        # arm, cold until the flip, reheats through its stub
+    def test_phase_flip_sampled_matches_threaded(self):
+        # folded every 997 instructions, the first phase's arm shows no
+        # delta for dozens of folds after the flip, and the second
+        # phase's arm none before it
         exe = compile_source(_phase_flip(40_000), opt_level=1)
-        block = Cpu(exe, profile=True, spill_after=1)
-        block.run(sample_interval=997, on_sample=lambda counts, taken: None)
-        assert block._sb.spilled >= 1
-        assert block._sb.reheats >= 1
-        plain, _ = run_executable(exe, engine="threaded")
+        block = Cpu(exe, profile=True)
+        got = block.run(sample_interval=997, on_sample=lambda counts, taken: None)
+        plain, want = run_executable(exe, profile=True, engine="threaded")
+        assert_identical(got, want)
         for symbol in ("acc", "alt"):
             assert block.read_word_global_signed(symbol) \
                 == plain.read_word_global_signed(symbol)

@@ -283,6 +283,9 @@ class TestCrossEngineSampling:
         threaded_trace, threaded_result = self._trace("threaded", interval)
         superblock_trace, superblock_result = self._trace("superblock", interval)
         assert threaded_result.steps == superblock_result.steps
+        assert threaded_result.cycles == superblock_result.cycles
+        assert threaded_result.taken == superblock_result.taken
+        assert threaded_result.pc_counts == superblock_result.pc_counts
         assert len(threaded_trace) == len(superblock_trace)
         for position, (expected, got) in enumerate(
             zip(threaded_trace, superblock_trace)
@@ -306,28 +309,41 @@ class TestCrossEngineSampling:
         assert deltas <= {0, 1}
 
 
-class TestSpillAndTraceSampling:
-    """Cold-counter spill must not move a single sample boundary or
-    counter value.
+#: a loop whose hot arm flips halfway through the run: after the flip
+#: the first arm's units show no delta at any fold, before it the second
+#: arm's none
+_PHASE_FLIP_SOURCE = """
+int acc; int alt;
+int main(void) {
+    int i;
+    acc = 0; alt = 0;
+    for (i = 0; i < 600; i++) {
+        if (i < 300)
+            acc = acc + (i ^ 3) + (acc >> 2);
+        else
+            alt = alt + (i | 5) - (alt >> 3);
+    }
+    return 0;
+}
+"""
 
-    The spill machinery rewrites live counter bookkeeping mid-run; sampled
-    runs must stay bit-identical to the threaded engine at every
-    observation point regardless.  Interval 1 forces a single-stepped
-    tail on every chunk, 7 and 97 land boundaries mid-block and
-    mid-chain.
+
+class TestQuietUnitSampling:
+    """Units that stay quiet for many folds, then count again, must fold
+    exactly at every sample.
+
+    The superblock engine folds its per-unit entry counters into the
+    per-instruction arrays at every boundary and skips the units whose
+    count did not move.  A unit quiet across dozens of folds must
+    neither lose nor repeat its delta when it starts counting again.
+    Interval 1 forces a single-stepped tail on every chunk, 7 and 97
+    land boundaries mid-block.
     """
 
-    #: superblock configurations: spill after a single cold fold, and
-    #: the spill switched off so every unit stays in the fold scan
-    CONFIGS = {
-        "spill": {"engine": "superblock", "spill_after": 1},
-        "no-spill": {"engine": "superblock", "spill_after": 0},
-    }
-
     @staticmethod
-    def _trace(interval, **kwargs):
-        exe = _exe()
-        cpu = Cpu(exe, profile=True, **kwargs)
+    def _trace(engine, interval):
+        exe = compile_source(_PHASE_FLIP_SOURCE, opt_level=1)
+        cpu = Cpu(exe, profile=True, engine=engine)
         samples = []
 
         def on_sample(counts, taken):
@@ -337,10 +353,9 @@ class TestSpillAndTraceSampling:
         return samples, result
 
     @pytest.mark.parametrize("interval", [1, 7, 97])
-    @pytest.mark.parametrize("config", sorted(CONFIGS))
-    def test_bit_identical_samples(self, config, interval):
-        expected_samples, expected = self._trace(interval, engine="threaded")
-        got_samples, got = self._trace(interval, **self.CONFIGS[config])
+    def test_bit_identical_samples(self, interval):
+        expected_samples, expected = self._trace("threaded", interval)
+        got_samples, got = self._trace("superblock", interval)
         assert expected.steps == got.steps
         assert expected.cycles == got.cycles
         assert expected.taken == got.taken
@@ -350,9 +365,8 @@ class TestSpillAndTraceSampling:
             zip(expected_samples, got_samples)
         ):
             assert want == have, (
-                f"{config} at interval {interval}: sample {position} diverged"
+                f"interval {interval}: sample {position} diverged"
             )
-
 
 
 def stream_digest(stream) -> str:

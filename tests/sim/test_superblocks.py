@@ -214,6 +214,12 @@ int main(void) {
 """
 
 
+@pytest.fixture(scope="module")
+def loop_reference():
+    exe = compile_source(_LOOP_SOURCE, opt_level=1)
+    return exe, run_reference(exe, profile=True)
+
+
 class TestExactness:
     @pytest.mark.parametrize("budget", [1, 97, 5000, 50_001])
     def test_max_steps_budget_is_exact(self, budget):
@@ -227,11 +233,15 @@ class TestExactness:
             Cpu(exe, profile=True).run(max_steps=budget)
         assert str(got_err.value) == str(ref_err.value)
 
-    def test_spill_after_one_is_exact(self):
-        exe = compile_source(_LOOP_SOURCE, opt_level=1)
-        ref = run_reference(exe, profile=True)
-        got = Cpu(exe, profile=True, spill_after=1).run()
-        assert_identical(got, ref)
+    @pytest.mark.parametrize("interval", [7, 97, 997])
+    def test_sampled_run_is_exact(self, interval, loop_reference):
+        # the prologue and outer-loop units go quiet after the first
+        # chunks while the inner loop's units count at every fold; every
+        # unit is folded at every boundary, so the result stays exact
+        exe, ref = loop_reference
+        got = Cpu(exe, profile=True).run(
+            sample_interval=interval, on_sample=lambda counts, taken: None)
+        assert_identical(got, ref, f"interval {interval}")
 
     @pytest.mark.parametrize("opt_level", [0, 1, 2, 3])
     def test_loop_exit_every_iteration_is_exact(self, opt_level):
@@ -312,31 +322,3 @@ int main(void) {
     return 0;
 }
 """
-
-
-class TestColdCounterSpill:
-    @pytest.mark.parametrize("bad", [-1, 0.5, "hot", [1], True])
-    def test_rejects_bad_spill_after(self, bad):
-        exe = compile_source(_LOOP_SOURCE, opt_level=1)
-        with pytest.raises(ValueError, match="spill_after"):
-            Cpu(exe, spill_after=bad)
-
-    @staticmethod
-    def _sampled(spill_after):
-        exe = compile_source(_LOOP_SOURCE, opt_level=1)
-        cpu = Cpu(exe, profile=True, spill_after=spill_after)
-        result = cpu.run(sample_interval=997, on_sample=lambda c, t: None)
-        return cpu, result
-
-    def test_zero_disables_spill(self):
-        cpu, result = self._sampled(0)
-        assert cpu._sb.spilled == 0
-        assert_identical(result, run_reference(cpu.exe, profile=True))
-
-    @pytest.mark.parametrize("spill_after", [1, 2, 8])
-    def test_cold_units_spill_under_sampling(self, spill_after):
-        # the loop's prologue and outer-loop units go cold after the
-        # first chunks, so the spill must drop them from the scan
-        cpu, result = self._sampled(spill_after)
-        assert cpu._sb.spilled > 0
-        assert_identical(result, run_reference(cpu.exe, profile=True))

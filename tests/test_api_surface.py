@@ -155,13 +155,12 @@ def test_run_flows_still_accepts_cache_false():
 
 
 @pytest.mark.parametrize("entry, params", [
-    ("Cpu", ["exe", "memory", "cpi", "profile", "engine", "spill_after"]),
-    ("run_executable",
-     ["exe", "profile", "max_steps", "cpi", "engine", "spill_after"]),
+    ("Cpu", ["exe", "memory", "cpi", "profile", "engine"]),
+    ("run_executable", ["exe", "profile", "max_steps", "cpi", "engine"]),
 ])
 def test_simulator_entry_points_take_only_block_tier_knobs(entry, params):
-    # the trace tier's four tuning parameters went with it; the block
-    # tier adds none of its own beyond spill_after
+    # the engine choice is the only simulator knob: no tier carries
+    # tuning parameters of its own
     from repro.sim import cpu
 
     signature = inspect.signature(getattr(cpu, entry))
