@@ -39,15 +39,14 @@ class MemoryAccess:
     stride: int | None = None  # bytes per loop iteration, if affine in i
 
 
-@dataclass
+@dataclass(frozen=True)
 class Footprint:
-    """Summary of a region's memory behaviour."""
+    """Summary of a region's memory behaviour: its accesses, and the data
+    symbols they resolve to (computed once, when the footprint is built;
+    readers share the set, so it is frozen)."""
 
-    accesses: list[MemoryAccess] = field(default_factory=list)
-
-    @property
-    def symbols(self) -> set[str]:
-        return {a.symbol for a in self.accesses if a.symbol is not None}
+    accesses: tuple[MemoryAccess, ...] = ()
+    symbols: frozenset[str] = frozenset()
 
     @property
     def has_dynamic(self) -> bool:
@@ -298,7 +297,7 @@ def _footprint(
     exe: Executable, cfg: ControlFlowGraph, loop: NaturalLoop, dominance: _Dominance
 ) -> Footprint:
     """Memory footprint of one natural loop."""
-    footprint = Footprint()
+    accesses: list[MemoryAccess] = []
     induction = _induction_names(cfg, loop)
     data_lo, data_hi = exe.data_base, exe.data_end
     seed_env = _entry_env(cfg, loop, dominance)
@@ -319,7 +318,7 @@ def _footprint(
             )
             is_store = op.opcode is Opcode.STORE
             if base == SP:
-                footprint.accesses.append(
+                accesses.append(
                     MemoryAccess("stack", None, op.offset, op.size, is_store, stride)
                 )
             elif data_lo - 4096 <= const < data_hi:
@@ -330,15 +329,18 @@ def _footprint(
                 if const < data_lo and symbol is not None:
                     sym_offset = const - exe.symbols[symbol].address
                 region = f"global:{symbol}" if symbol else "dynamic"
-                footprint.accesses.append(
+                accesses.append(
                     MemoryAccess(region, symbol, sym_offset, op.size, is_store, stride)
                 )
             else:
                 # no resolvable base object: conservative dynamic access
-                footprint.accesses.append(
+                accesses.append(
                     MemoryAccess("dynamic", None, 0, op.size, is_store, stride)
                 )
-    return footprint
+    return Footprint(
+        tuple(accesses),
+        frozenset(a.symbol for a in accesses if a.symbol is not None),
+    )
 
 
 def _induction_step(ops: list[MicroOp], induction: set[str]) -> int:

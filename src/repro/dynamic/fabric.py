@@ -50,6 +50,9 @@ class FabricState:
         #: high-water marks for reporting
         self.peak_area_gates = 0.0
         self.peak_regions = 0
+        #: (column, id(owner)) -> (owner, sum): :meth:`_sum` results, every
+        #: sample prices static power from them; cleared by every mutation
+        self._sums: dict[tuple[int, int], tuple[object, float]] = {}
 
     # -- unit arithmetic ----------------------------------------------------
 
@@ -92,12 +95,23 @@ class FabricState:
         return self._sum(True, owner)
 
     def _sum(self, regions: bool, owner=None) -> float:
-        """Regions (else gates) held by *owner*, everyone's when ``None``."""
+        """Regions (else gates) held by *owner*, everyone's when ``None``.
+
+        Memoized until the ledger next changes; a hit is checked against
+        the owner itself, so a reused ``id()`` cannot alias it.
+        """
         column = 1 if regions else 0
+        key = (column, id(owner))
+        hit = self._sums.get(key)
+        if hit is not None and hit[0] is owner:
+            return hit[1]
         if owner is None:
-            return sum(entry[column] for entry in self._placements.values())
-        return sum(entry[column] for (o, _), entry
-                   in self._placements.items() if o is owner)
+            total = sum(entry[column] for entry in self._placements.values())
+        else:
+            total = sum(entry[column] for (o, _), entry
+                        in self._placements.items() if o is owner)
+        self._sums[key] = (owner, total)
+        return total
 
     def static_share(self, owner) -> float:
         """*owner*'s share of the fabric's static power.
@@ -126,17 +140,20 @@ class FabricState:
         self._placements[(owner, header_address)] = (
             kernel.area_gates, regions
         )
+        self._sums.clear()
         self.peak_area_gates = max(self.peak_area_gates, self.area_used())
         self.peak_regions = max(self.peak_regions, self.regions_used())
         return regions
 
     def evict(self, owner, header_address: int) -> None:
         self._placements.pop((owner, header_address), None)
+        self._sums.clear()
 
     def release(self, owner) -> None:
         """Evict everything *owner* holds (e.g. its application exited)."""
         for key in [k for k in self._placements if k[0] is owner]:
             del self._placements[key]
+        self._sums.clear()
 
     def copy(self) -> "FabricState":
         """A private ledger holding the same placements: what a re-partition
@@ -144,4 +161,5 @@ class FabricState:
         applied."""
         twin = copy(self)
         twin._placements = dict(self._placements)
+        twin._sums = {}
         return twin

@@ -230,11 +230,11 @@ class NinetyTenPlacement(PlacementPass):
             covered += graph.nodes[best].candidate.profile.sw_cycles
 
         # --- step 2: alias-coupled regions -------------------------------
-        def symbols_of(node: PartitionNode) -> set[str]:
+        def symbols_of(node: PartitionNode) -> frozenset[str]:
             footprint = node.candidate.function.loop_footprints.get(
                 node.candidate.profile.header_address
             )
-            return footprint.symbols if footprint is not None else set()
+            return footprint.symbols if footprint is not None else frozenset()
 
         selected_symbols: set[str] = set()
         for node in graph.placed():

@@ -15,12 +15,15 @@ Design notes:
   Python and is worth ~5x over the old mnemonic-string dispatch chain.
 * On top of that table the default **superblock** engine
   (:mod:`repro.sim.superblock`) compiles the program into generated
-  Python -- one function per basic block the dispatch loop can be handed
-  (with unconditional ``j``/``jal`` chains fused into their targets),
-  ``compile()``d in a few batches of bounded source size -- so the
-  dispatch loop pays one call per block or chain instead of per
-  instruction, and every observation point folds each unit's entry
-  counter into the per-instruction counters.  The
+  Python -- one function per innermost loop (a *region*, which keeps
+  registers in locals across iterations), and one per other basic block
+  the dispatch loop can be handed (with unconditional ``j``/``jal``
+  chains fused into their targets), ``compile()``d in a few batches of
+  bounded source size -- so the dispatch loop pays one call per loop
+  entry, block or chain instead of per instruction, and every
+  observation point folds each counter into the per-instruction
+  counters.  Both dispatch loops hand regions an instruction allowance
+  they run whole iterations under.  The
   threaded table stays fully built either way: the superblock loop falls
   back to it for the last few instructions of a *max_steps* budget, and
   the sampled loop single-steps chunk tails and mid-block entries
@@ -808,6 +811,8 @@ class Cpu:
             return
         in_blocks = sb.instructions_in_blocks()
         obs.counter("engine.instructions_in_blocks").inc(in_blocks)
+        obs.counter("engine.instructions_in_regions").inc(
+            sb.instructions_in_regions())
         obs.counter("engine.instructions_stepped").inc(
             max(0, result.steps - in_blocks)
         )
@@ -837,7 +842,8 @@ class Cpu:
     def _run_superblock(
         self, index: int, counts: list[int], max_steps: int,
     ) -> tuple[int, bool]:
-        """One generated-function call per unit (block or fused j-chain).
+        """One generated-function call per unit (block or fused j-chain)
+        or per loop-region entry.
 
         Unchunked only (sampling runs go through :meth:`_run_chunked`,
         which single-steps chunk tails through the threaded handlers so
@@ -845,27 +851,34 @@ class Cpu:
         counters are folded into *counts* at every observation point,
         never mid-spree.
 
-        Budget-free dispatch sprees: a run of ``remaining // call_bound``
-        calls cannot overshoot *max_steps* (no call executes more than
-        ``call_bound`` instructions), so the hot loop carries no budget
-        arithmetic at all.  A halting program finishes inside the first
-        spree, so a run pays one fold.  A runaway one folds, re-derives
-        the executed count and sprees again until less than one call's
-        worth of budget is left, then finishes with an exact
-        single-stepped tail, so *max_steps* semantics stay bit-identical
-        with the threaded loop.
+        Budget-free dispatch sprees: a spree of *k* calls charges each
+        call ``call_bound`` instructions, the most a unit or one region
+        iteration executes, and hands the rest of the budget to the
+        regions as their allowance (``sb.allowance``), which each region
+        call spends on its further iterations.  So ``k * call_bound``
+        plus the allowance cannot overshoot *max_steps*, and the hot
+        loop carries no budget arithmetic at all.  Half the budget goes
+        to the calls, half to the allowance.  A halting program finishes
+        inside the first spree, so a run pays one fold.  A runaway one
+        folds, re-derives the executed count and sprees again until less
+        than two calls' worth of budget is left, then finishes with an
+        exact single-stepped tail, so *max_steps* semantics stay
+        bit-identical with the threaded loop.
         """
         sb = self._sb
         sb.reset()
         fns = sb.fns
         materialize = sb.materialize
         bound = sb.call_bound
+        allowance = sb.allowance
         handlers = self._handlers
         halted = False
         try:
             remaining = max_steps
-            while remaining >= bound:
-                for _ in repeat(None, remaining // bound):
+            while remaining >= 2 * bound:
+                calls = remaining // (2 * bound)
+                allowance[0] = remaining - calls * bound
+                for _ in repeat(None, calls):
                     fn = fns[index]
                     if fn is None:
                         fn = materialize(index)
@@ -893,9 +906,13 @@ class Cpu:
         remaining budget and single-steps the tail through the threaded
         handlers, so a boundary lands on the exact instruction; the unit
         entry counters are folded into *counts* before every sample.
+        A region gets the chunk's budget as its allowance and runs whole
+        iterations while one more cannot overshoot it; it hands back the
+        allowance minus what it ran, plus the ``sizes`` entry charged for
+        the call, so the budget stays exact.
         Resuming mid-block after a boundary also single-steps, until a
-        leader comes up, so a sampled run generates no code after
-        construction.
+        slot with a generated function comes up, so a sampled run
+        generates no code after construction.
         """
         handlers = self._handlers
         taken = self._taken
@@ -904,6 +921,7 @@ class Cpu:
             sb.reset()
             fns = sb.fns
             sizes = sb.sizes
+            allowance = sb.allowance
         halted = False
         remaining = max_steps
         try:
@@ -928,8 +946,9 @@ class Cpu:
                                 counts[index] += 1
                                 index = handlers[index]()
                             break
+                        allowance[0] = budget
                         index = fn()
-                        budget -= n
+                        budget = allowance[0] - n
                     sb.fold_into(counts)
                 on_sample(counts, taken)
         except _Halt as halt:

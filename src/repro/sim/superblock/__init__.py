@@ -2,20 +2,21 @@
 
 The threaded-code interpreter in :mod:`repro.sim.cpu` pays one closure
 call per *instruction*.  This package compiles the program into
-generated Python, one function per basic block or fused j-chain, so the
-dispatch loop pays one call per unit:
+generated Python, one function per innermost loop, basic block or fused
+j-chain, so the dispatch loop pays one call per loop entry or unit:
 
 * :mod:`~repro.sim.superblock.leaders` -- block formation (leader
-  discovery over decoded text + data-section jump tables) and the
-  dispatch roots;
+  discovery over decoded text + data-section jump tables), the
+  dispatch roots and the innermost loops of the unit graph;
 * :mod:`~repro.sim.superblock.codegen` -- the code generator:
   block-local register JIT, literal propagation, multi-segment units,
   inline loads and stores on the flat memory windows behind one entry
-  guard per base register;
+  guard per base register, and loop regions that keep registers and
+  counters in locals across iterations;
 * :mod:`~repro.sim.superblock.dispatch` -- :class:`SuperblockTable`,
-  units for the dispatch entries only, the size-bounded compile
-  batches, the slot table the dispatch loops index, and the fold of
-  every unit's entry counter.
+  regions and units for the dispatch entries only, the size-bounded
+  compile batches, the slot table the dispatch loops index, and the fold
+  of every entry counter.
 
 Exact statistics are the invariant throughout: per-unit entry counters
 fold into the per-instruction ``counts`` array at every observation

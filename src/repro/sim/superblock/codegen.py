@@ -1,4 +1,5 @@
-"""Code generation for superblock units: blocks and j-chains.
+"""Code generation for superblock units (blocks and j-chains) and loop
+regions.
 
 Every generated function mirrors the threaded executor closures exactly
 -- same masking, same "writes to $zero are dropped but their memory
@@ -73,13 +74,23 @@ Key pieces:
   the plain call when it lies outside the window.  The word views use
   native byte order, which ``Cpu`` checks is little-endian.
   ``lb``/``lh``/``lhu``/``sh`` keep their calls.
+* **Loop regions** (:meth:`Codegen.emit_region`).  One function runs a
+  whole innermost loop: its members as structured ``if``/``else`` inside
+  a ``while``, one pass per iteration, every register the loop touches (and HI/LO)
+  in a local across iterations, entry and branch-taken counts in locals,
+  all written back once, at exit.  Members use the same per-instruction
+  templates through a region-mode :class:`_BlockEnv`, whose flush stores
+  pending literals in the locals instead of ``R``.  A region runs whole
+  iterations under the instruction allowance ``N[0]``; guards on
+  registers the loop does not write are tested once, at entry.
 
 Generated code uses short names bound once per ``Cpu``: ``R`` registers,
 ``T`` per-site branch-taken counters, ``BC`` per-unit entry counters,
 ``HL`` hi/lo, ``DE`` dynamic-edge dict, ``r8``..``w32`` memory
 accessors, ``SW``/``SB`` and ``DW``/``DB`` the word and byte views of the
 stack and data windows, ``Halt``/``Err`` the exception types, ``G`` the
-guard-miss helper.
+guard-miss helper, ``N`` a region's instruction allowance and ``F`` the
+helper that writes a faulting region's registers back.
 """
 
 from __future__ import annotations
@@ -92,8 +103,12 @@ __all__ = ["FACTORY", "Codegen"]
 
 #: the shared factory header every generated module starts with; binds
 #: the per-Cpu namespace (``SuperblockTable._ns``) once per compile
-FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
-           "w8, w16, w32, SW, SB, DW, DB, Halt, Err, G):")
+FACTORY = ("def _factory(R, T, BC, HL, DE, N, r8, r16, r32, "
+           "w8, w16, w32, SW, SB, DW, DB, Halt, Err, G, F):")
+
+#: the most instructions one region function may emit, counting every
+#: copy of a member that the structured body repeats
+REGION_MAX_INSTRS = 512
 
 #: halfword accessors raise MemoryFault on a misaligned address, so the
 #: register file must be architecturally exact before each of these
@@ -102,11 +117,19 @@ FACTORY = ("def _factory(R, T, BC, HL, DE, r8, r16, r32, "
 #: literal inside a window, and guarded words never do
 _FLUSH_FIRST = frozenset(("lh", "lhu", "sh"))
 
+#: the instructions that read / write HI and LO
+_HILO_READS = frozenset(("mfhi", "mflo"))
+_HILO_WRITES = frozenset(("mult", "multu", "div", "divu", "mthi", "mtlo"))
+
 _MASK = 0xFFFF_FFFF
 _M = "4294967295"  # 0xFFFF_FFFF as a source literal
 
 #: the accesses served from the flat windows, by access width
 _WINDOWED = {"lw": 4, "sw": 4, "lbu": 1, "sb": 1}
+
+
+class _TooLarge(Exception):
+    """A region's body outgrew :data:`REGION_MAX_INSTRS` while emitted."""
 
 
 def _s32(value: int) -> int:
@@ -175,6 +198,33 @@ def _linear_form(instr, linear: dict):
     return None if form is None else (form[0], form[1] + imm)
 
 
+def _linear(terms: dict[str, int]) -> str:
+    """Source for the sum of ``k * name`` over *terms* (name -> k)."""
+    source = ""
+    for name, k in sorted(terms.items()):
+        if k:
+            term = name if abs(k) == 1 else f"{abs(k)} * {name}"
+            source += (f" - {term}" if k < 0 else f" + {term}") if source else \
+                (f"-{term}" if k < 0 else term)
+    return source or "0"
+
+
+def _signed(source: str, value: int | None) -> str:
+    """Source for the signed value of a register read: the literal when
+    known, else a conditional expression (reads are side-effect-free)."""
+    if value is not None:
+        return str(_s32(value))
+    return f"({source} - 0x100000000 if {source} & 0x80000000 else {source})"
+
+
+def _biased(source: str, value: int | None) -> str:
+    """Source for a register value with its sign bit flipped: unsigned
+    comparisons of biased values order the signed values."""
+    if value is not None:
+        return str(value ^ 0x8000_0000)
+    return f"({source} ^ 0x80000000)"
+
+
 def _plus(name: str, k: int) -> str:
     """Source for ``name + k``."""
     if k > 0:
@@ -192,18 +242,33 @@ class _BlockEnv:
     It also carries the unit's entry guards, fixed before emission.
     """
 
-    def __init__(self, cached: set[int], guarded: dict, guards: dict) -> None:
+    def __init__(self, cached: set[int], guarded: dict, guards: dict,
+                 region: bool = False) -> None:
         self.cached = cached
         #: instruction index -> (entry register, offset) of guarded accesses
         self.guarded = guarded
         #: entry register -> (lowest offset, highest access end, any word)
         self.guards = guards
+        #: a member of a loop region: every cached register is a local the
+        #: region loaded at entry and writes back at exit (on a fault too),
+        #: so nothing loads lazily, and a flush stores the pending literals
+        #: in their locals, not in ``R``
+        self.region = region
         #: unwritten guarded registers, read from the guard's ``_e`` local
-        self.entry_values = {reg: f"_e{reg}" for reg in guards}
+        self.entry_values = {} if region else {reg: f"_e{reg}" for reg in guards}
         self.known: dict[int, int] = {}  # reg -> literal value when known
-        self.loaded: set[int] = set()    # cached regs live as x{reg} locals
+        #: cached regs live as x{reg} locals
+        self.loaded: set[int] = set(cached) if region else set()
         self.dirty: set[int] = set()     # cached regs with R[] write-back pending
         self.pending: list[str] = []     # lazy loads owed before the next stmt
+        #: (register, condition, statement) of the last write when it was
+        #: a region member's ``slt``-style test (see :meth:`test`)
+        self.flag: tuple[int, str, str] | None = None
+        #: where HI and LO live: ``HL``, or a region's locals
+        self.hilo = ("_hi", "_lo") if region else ("HL[0]", "HL[1]")
+        #: registers the unit touches / writes (set by ``Codegen.cache_env``)
+        self.touched: set[int] = set()
+        self.written: set[int] = set()
 
     def read(self, reg: int) -> tuple[str, int | None]:
         """(source expression, literal value or None) for *reg*'s value."""
@@ -224,13 +289,17 @@ class _BlockEnv:
 
     def write(self, reg: int, expr: str | None, value: int | None = None) -> list[str]:
         """Statements realizing a write of *expr* (or literal *value*)."""
+        self.flag = None
         self.entry_values.pop(reg, None)
         if reg in self.cached:
             self.dirty.add(reg)
             if value is not None:
                 self.known[reg] = value
-                self.loaded.discard(reg)  # the literal supersedes the local
+                if not self.region:
+                    self.loaded.discard(reg)  # the literal supersedes the local
                 return []
+            if self.region:
+                self.dirty.discard(reg)  # only literals wait for a flush
             self.known.pop(reg, None)
             self.loaded.add(reg)
             return [f"x{reg} = {expr}"]
@@ -240,18 +309,30 @@ class _BlockEnv:
             return [f"R[{reg}] = {value}"]
         return [f"R[{reg}] = {expr}"]
 
+    def test(self, reg: int, cond: str) -> list[str]:
+        """Statements writing ``1 if cond else 0`` to *reg* (an ``slt``).
+
+        In a region member the write is remembered as :attr:`flag`, so a
+        branch on *reg* that comes next can test *cond* itself and set
+        *reg* in its arms."""
+        lines = self.write(reg, f"1 if {cond} else 0")
+        if self.region:
+            self.flag = (reg, cond, lines[-1])
+        return lines
+
     def take_pending(self) -> list[str]:
         lines = self.pending
         self.pending = []
         return lines
 
     def flush(self) -> list[str]:
-        """Deferred write-backs, making ``R`` architecturally exact."""
+        """Deferred write-backs, making ``R`` architecturally exact (in a
+        region member: making the locals exact)."""
         lines = []
         for reg in sorted(self.dirty):
             value = self.known.get(reg)
             source = str(value) if value is not None else f"x{reg}"
-            lines.append(f"R[{reg}] = {source}")
+            lines.append(f"x{reg} = {source}" if self.region else f"R[{reg}] = {source}")
         self.dirty.clear()
         return lines
 
@@ -340,8 +421,11 @@ class Codegen:
                 del guarded[index]
                 rs = decoded[index].rs
                 touches[rs] = touches.get(rs, 0) + 1
-        return _BlockEnv({reg for reg, n in touches.items() if n >= 2},
-                         guarded, guards)
+        env = _BlockEnv({reg for reg, n in touches.items() if n >= 2},
+                        guarded, guards)
+        env.touched = set(touches)
+        env.written = set(linear)
+        return env
 
     def emit_unit(self, name: str, segments, bid: int, indent: str) -> list[str]:
         """One generated function covering *segments* back to back.
@@ -354,33 +438,63 @@ class Codegen:
         member instruction.  The entry guards precede the bump: a failed
         guard hands the unit's slot to ``G``, which bumps it itself.
         """
-        decoded = self.decoded
         env = self.cache_env(segments)
-        stmts = []
-        for entry, (low, high, word) in sorted(env.guards.items()):
-            base, size = self.window(entry)[:2]
-            if word:
-                # for an aligned entry value, e - base == 4 * _z exactly
-                test = (f"not {-(low // 4)} <= (_z{entry} := ((_e{entry} := "
-                        f"R[{entry}]) - {base}) >> 2) <= {(size - high) // 4} "
-                        f"or _e{entry} & 3")
-            else:
-                test = (f"not {base - low} <= (_e{entry} := R[{entry}]) "
-                        f"<= {base + size - high}")
-            stmts.append(f"if {test}: return G({bid}, {segments[0][0]})")
+        stmts = [f"if {self.guard_test(entry, *span, f'R[{entry}]')}: "
+                 f"return G({bid}, {segments[0][0]})"
+                 for entry, span in sorted(env.guards.items())]
         stmts.append(f"BC[{bid}] += 1")
+        stmts += self.body(segments, env)
+        final = segments[-1][0] + segments[-1][1] - 1
+        instr = self.decoded[final]
+        if instr.mnemonic in CONTROL_TRANSFERS:
+            stmts += self.terminator(instr, final, env)
+        else:
+            stmts += env.flush()
+            stmts.append(f"return {final + 1}")
+        return self._emitted(self._lines(indent, f"def {name}():", stmts))
+
+    @staticmethod
+    def _lines(indent: str, head: str, stmts: list[str]) -> list[str]:
+        body = indent + "    "
+        return [indent + head, *[body + stmt for stmt in stmts]]
+
+    def _emitted(self, lines: list[str]) -> list[str]:
+        """Count *lines* as one emitted function."""
+        self.units_emitted += 1
+        self.lines_emitted += len(lines)
+        self.chars_emitted += sum(map(len, lines)) + len(lines)
+        return lines
+
+    def guard_test(self, entry: int, low: int, high: int, word: bool,
+                   source: str) -> str:
+        """The failing condition of *entry*'s guard on the value *source*:
+        its accesses span *low* to *high* past it, *word* if any is a
+        word access.  Binds ``_e{entry}`` (and ``_z{entry}``, the word
+        index) for the accesses."""
+        base, size = self.window(entry)[:2]
+        if word:
+            # for an aligned entry value, e - base == 4 * _z exactly
+            return (f"not {-(low // 4)} <= (_z{entry} := ((_e{entry} := "
+                    f"{source}) - {base}) >> 2) <= {(size - high) // 4} "
+                    f"or _e{entry} & 3")
+        return (f"not {base - low} <= (_e{entry} := {source}) "
+                f"<= {base + size - high}")
+
+    def body(self, segments, env: _BlockEnv) -> list[str]:
+        """Statements for every instruction of *segments* but the final
+        control transfer: fused jumps cost at most a link write."""
+        decoded = self.decoded
         guarded = env.guarded
+        stmts = []
         last_seg = len(segments) - 1
         for seg_no, (start, length) in enumerate(segments):
             for index in range(start, start + length):
                 instr = decoded[index]
                 m = instr.mnemonic
                 if m in CONTROL_TRANSFERS:
-                    if seg_no == last_seg:
-                        stmts += self.terminator(instr, index, env)
-                    elif m == "jal":
-                        # fused unconditional jump: no dispatch, no flush;
-                        # jal still owes its (deferrable) link write
+                    # a fused j/jal ends a non-final segment: no dispatch,
+                    # no flush; jal still owes its (deferrable) link write
+                    if seg_no != last_seg and m == "jal":
                         pc = self.text_base + (index << 2)
                         stmts += env.write(31, None, pc + 4)
                 elif index in guarded:
@@ -397,16 +511,306 @@ class Codegen:
                     stmts += env.take_pending()
                     stmts += flush
                     stmts += emitted
-        final_start, final_len = segments[-1]
-        if decoded[final_start + final_len - 1].mnemonic not in CONTROL_TRANSFERS:
-            stmts += env.flush()
-            stmts.append(f"return {final_start + final_len}")
-        body = indent + "    "
-        lines = [f"{indent}def {name}():", *[body + stmt for stmt in stmts]]
-        self.units_emitted += 1
-        self.lines_emitted += len(lines)
-        self.chars_emitted += sum(map(len, lines)) + len(lines)
-        return lines
+        return stmts
+
+    def static_target(self, index: int) -> int:
+        """The slot a branch or ``j``/``jal`` at *index* transfers to: its
+        target's index, or the escape slot of a target outside the text."""
+        instr = self.decoded[index]
+        pc = self.text_base + (index << 2)
+        if instr.mnemonic in BRANCHES:
+            t_pc = pc + 4 + (instr.imm << 2)
+        else:
+            t_pc = ((pc + 4) & 0xF000_0000) | (instr.target << 2)
+        t_idx = (t_pc - self.text_base) >> 2
+        if not 0 <= t_idx < self.text_len:
+            # same escape slot the threaded table uses: executing it
+            # raises, and if the step budget runs out first the caller
+            # sees the same "exceeded max_steps" the threaded loop does
+            t_idx = self.escape_slots[t_pc]
+        return t_idx
+
+    def emit_region(self, name: str, header: int, units: dict, first_bid: int,
+                    indent: str, max_chars: int):
+        """One generated function running the loop whose member *units*
+        (start -> segments) are entered through *header*, or ``None``
+        when the loop does not fit a region: it must be acyclic without
+        its back edges, emit at most :data:`REGION_MAX_INSTRS`
+        instructions and at most *max_chars* characters of source.
+
+        Returns ``(lines, bound, groups)``.  *bound* is the most
+        instructions one iteration can execute: the longest path from the
+        header to a back edge or an exit.  *groups* lists the segments of
+        each counter the region bumps, for the bids ``first_bid``,
+        ``first_bid + 1``, ...: the header's own first, then the members
+        that always run equally often, together.
+
+        The body is one pass of a ``while True`` per iteration, the
+        members laid out as structured ``if``/``else`` (a member reached
+        from two arms that do not join is repeated, within
+        :data:`REGION_MAX_INSTRS`); a back edge is ``continue`` while the
+        budget lasts, an exit ``_x = target; break``.  Every register the
+        loop touches lives in a local ``x{reg}`` across iterations.
+        Member entry counts and branch-taken counts are linear sums of
+        the header's count ``_c0`` and one counter per emitted branch,
+        bumped on its taken arm, or on its fall-through arm when only
+        that arm leaves the loop (once per call): a member after a joined
+        branch runs as often as the branch, the counted arm as often as
+        its counter, the other arm as the branch minus the counter.  A
+        member whose guard may fail keeps its own counter.  Registers and
+        counts are written back once, after the loop, so the fold sees
+        exactly what the units would have counted; on a fault, ``F``
+        writes back the registers.
+
+        Budget: the region reads its allowance from ``N[0]`` and runs
+        ``max(1, allowance // bound)`` iterations at most (``_k`` counts
+        down the ones left), then leaves at the header.  It sets ``N[0]``
+        to the allowance minus what it ran, plus *bound*, which the
+        dispatch loops charge per call as the header's ``sizes`` entry;
+        the first iteration is theirs to fit.
+
+        Guards: a member's guard on a register no member writes covers
+        the same value at every entry, so it is hoisted, merged per
+        register, to region entry; if any fails there, ``G`` runs the
+        header's member through the threaded handlers, as a unit's failed
+        guard does.  A guard on a register the loop writes is tested
+        each time its member is entered; when it fails, the region
+        leaves at that member's start with exact state.
+        """
+        decoded = self.decoded
+        order = [header] + sorted(start for start in units if start != header)
+        envs = {start: self.cache_env(units[start]) for start in order}
+        written = set().union(*(env.written for env in envs.values()))
+        size = {start: sum(length for _, length in units[start]) for start in order}
+        exits = {}
+        for start in order:
+            final = units[start][-1][0] + units[start][-1][1] - 1
+            m = decoded[final].mnemonic
+            if m in BRANCHES:
+                exits[start] = (final, [self.static_target(final), final + 1])
+            elif m == "j" or m == "jal":
+                exits[start] = (final, [self.static_target(final)])
+            elif m in CONTROL_TRANSFERS:
+                return None
+            else:
+                exits[start] = (final, [final + 1])
+
+        hoisted: dict[int, list] = {}
+        variant: dict[int, list] = {}
+        for start in order:
+            for entry, (low, high, word) in sorted(envs[start].guards.items()):
+                if entry in written:
+                    variant.setdefault(start, []).append((entry, low, high, word))
+                    continue
+                span = hoisted.setdefault(entry, [low, high, word])
+                span[0] = min(span[0], low)
+                span[1] = max(span[1], high)
+                span[2] = span[2] or word
+        for entry, (low, high, _) in hoisted.items():
+            if high - low > self.window(entry)[1]:
+                return None
+        mnemonics = {decoded[index].mnemonic for segments in units.values()
+                     for start, length in segments
+                     for index in range(start, start + length)}
+        hilo = not mnemonics.isdisjoint(_HILO_READS | _HILO_WRITES)
+        # every guard register the loop writes is touched, so loaded
+        regs = set().union(*(env.touched for env in envs.values()))
+
+        # the body without its back edges must be acyclic: order it
+        inner = {start: [t for t in exits[start][1] if t in units and t != header]
+                 for start in order}
+        post: list[int] = []
+        state: dict[int, bool] = {}
+
+        def visit(unit: int) -> bool:
+            state[unit] = False
+            for target in inner[unit]:
+                seen = state.get(target)
+                if seen is False or seen is None and not visit(target):
+                    return False
+            state[unit] = True
+            post.append(unit)
+            return True
+
+        if not visit(header) or len(post) != len(order):
+            return None
+        longest: dict[int, int] = {}
+        pdom: dict[int, frozenset] = {}
+        sink = frozenset((-1,))
+        for unit in post:
+            longest[unit] = size[unit] + max(
+                (longest[t] for t in inner[unit]), default=0)
+            common = None
+            for target in exits[unit][1]:
+                below = pdom[target] if inner.get(target) is not None \
+                    and target != header else sink
+                common = below if common is None else common & below
+            pdom[unit] = common | {unit}
+        # the nearest strict post-dominator inside the body, where the
+        # arms of a branch join (None: they end in back edges or exits)
+        join = {}
+        for unit in post:
+            below = [d for d in pdom[unit] if d != unit and d != -1]
+            join[unit] = max(below, key=lambda d: len(pdom[d])) if below else None
+        bound = longest[header]
+
+        left = [REGION_MAX_INSTRS]
+        counts: dict[int, dict[str, int]] = {start: {} for start in order}
+        taken: dict[int, dict[str, int]] = {}
+        names: list[str] = []
+
+        def edge(target: int, stop, count: dict) -> list[str]:
+            if target == header:
+                return ["if _k: _k -= 1; continue", f"_x = {header}; break"]
+            if target not in units:
+                return [f"_x = {target}; break"]
+            return [] if target == stop else walk(target, stop, count)
+
+        def walk(unit: int, stop, count: dict) -> list[str]:
+            out: list[str] = []
+            while True:
+                left[0] -= size[unit]
+                if left[0] < 0:
+                    raise _TooLarge
+                guards = variant.get(unit)
+                if guards:
+                    tests = " or ".join(self.guard_test(entry, low, high, word, f"x{entry}")
+                                        for entry, low, high, word in guards)
+                    out.append(f"if {tests}:")
+                    if unit == header:
+                        out.append("    _k += 1")
+                    out.append(f"    _x = {unit}; break")
+                    if unit != header:
+                        names.append(f"_c{len(names) + 1}")
+                        out.append(f"{names[-1]} += 1")
+                        count = {names[-1]: 1}
+                for var, k in count.items():
+                    counts[unit][var] = counts[unit].get(var, 0) + k
+                env = _BlockEnv(regs, envs[unit].guarded, envs[unit].guards, True)
+                lines = self.body(units[unit], env)
+                final, targets = exits[unit]
+                instr = decoded[final]
+                # an slt whose result the branch tests against $zero:
+                # branch on its condition and set the register in the arms
+                flag = env.flag if lines and env.flag and lines[-1] == env.flag[2] \
+                    and instr.mnemonic in ("beq", "bne") \
+                    and sorted((instr.rs, instr.rt)) == [0, env.flag[0]] else None
+                if flag:
+                    lines.pop()
+                out += lines
+                if instr.mnemonic == "jal":
+                    out += env.write(31, None, self.text_base + (final << 2) + 4)
+                out += env.flush()
+                if len(targets) == 2:
+                    if flag:
+                        reg, cond, _ = flag
+                        bne = instr.mnemonic == "bne"
+                        cond = cond if bne else f"not ({cond})"
+                        sets = [f"    x{reg} = {int(bne)}", f"    x{reg} = {int(not bne)}"]
+                    else:
+                        prelude, cond = self.branch_condition(instr, env)
+                        out += prelude
+                        sets = []
+                    after = join[unit]
+                    names.append(f"_t{len(names) + 1}")
+                    bump = names[-1]
+                    # count the arm that leaves the loop when only the
+                    # fall-through does: it runs once per call at most
+                    falls = [f"    {bump} += 1"] if targets[1] not in units \
+                        and targets[0] in units else []
+                    rest = dict(count)
+                    rest[bump] = rest.get(bump, 0) - 1
+                    arms = (rest, {bump: 1}) if falls else ({bump: 1}, rest)
+                    site = taken.setdefault(final, {})
+                    for var, k in arms[0].items():
+                        site[var] = site.get(var, 0) + k
+                    out.append(f"if {cond}:")
+                    out += sets[:1]
+                    if not falls:
+                        out.append(f"    {bump} += 1")
+                    out += ["    " + line for line in edge(targets[0], after, arms[0])]
+                    other = sets[1:] + falls \
+                        + ["    " + line for line in edge(targets[1], after, arms[1])]
+                    if other:
+                        out.append("else:")
+                        out += other
+                    if after is None or after == stop:
+                        return out
+                    unit = after
+                else:
+                    target = targets[0]
+                    if target == stop:
+                        return out
+                    if target == header or target not in units:
+                        return out + edge(target, stop, count)
+                    unit = target
+
+        try:
+            loop = walk(header, None, {"_c0": 1})
+        except _TooLarge:
+            return None
+
+        tests = [self.guard_test(entry, *span, f"R[{entry}]")
+                 for entry, span in sorted(hoisted.items())]
+        tests += [self.guard_test(entry, low, high, word, f"R[{entry}]")
+                  for entry, low, high, word in variant.get(header, ())]
+        # members that run equally often share a counter; the header
+        # keeps its own when G may bump it (an entry guard fails)
+        groups: list[list] = [list(units[header])]
+        group_counts = [counts[header]]
+        keyed: dict[tuple, int] = {} if tests else {(("_c0", 1),): 0}
+        for start in order[1:]:
+            key = tuple(sorted((var, k) for var, k in counts[start].items() if k))
+            if key not in keyed:
+                keyed[key] = len(groups)
+                groups.append([])
+                group_counts.append(counts[start])
+            groups[keyed[key]] += units[start]
+
+        stmts = []
+        if tests:
+            stmts += [f"if {' or '.join(tests)}:",
+                      f"    N[0] += {bound - size[header]}",
+                      f"    return G({first_bid}, {header})"]
+        # one statement per register: plain subscripts beat slices and
+        # tuple packing
+        moves = [f"x{reg} = R[{reg}]" for reg in sorted(regs)]
+        if hilo:
+            moves.append("_hi, _lo = HL")
+        stmts.append("; ".join(moves))
+        # at most max(1, allowance // bound) iterations: _k counts down
+        # the ones left after the current one
+        budget = ["_n = N[0]", f"_c0 = _n // {bound} or 1", "_k = _c0 - 1"]
+        if names:
+            budget.insert(0, " = ".join(names) + " = 0")
+        stmts.append("; ".join(budget))
+        loop = ["while True:", *["    " + line for line in loop]]
+        hilo_written = not mnemonics.isdisjoint(_HILO_WRITES)
+        if written or hilo_written:
+            stmts += ["try:", *["    " + line for line in loop],
+                      "except BaseException:",
+                      f"    F(locals(), {tuple(sorted(written))})",
+                      "    raise"]
+        else:
+            stmts += loop
+        moves = [f"R[{reg}] = x{reg}" for reg in sorted(written)]
+        if hilo_written:
+            moves.append("HL[0], HL[1] = _hi, _lo")
+        stmts += ["_c0 -= _k", "; ".join(moves)] if moves else ["_c0 -= _k"]
+        ran: dict[str, int] = {}
+        for start in order:
+            for var, k in counts[start].items():
+                ran[var] = ran.get(var, 0) + k * size[start]
+        tallies = [f"BC[{bid}] += {_linear(count)}"
+                   for bid, count in enumerate(group_counts, first_bid)]
+        tallies += [f"T[{site}] += {_linear(count)}"
+                    for site, count in sorted(taken.items()) if any(count.values())]
+        tallies.append(f"N[0] = _n + {bound} - ({_linear(ran)})")
+        stmts += ["; ".join(tallies), "return _x"]
+        lines = self._lines(indent, f"def {name}():", stmts)
+        if sum(map(len, lines)) + len(lines) > max_chars:
+            return None
+        return self._emitted(lines), bound, groups
 
     # -- pieces --------------------------------------------------------------
 
@@ -493,9 +897,10 @@ class Codegen:
     def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str]:
         """(prelude lines, taken condition) for a branch.
 
-        Constant operands fold to literal ``True``/``False`` conditions;
-        the ``blez``/``bgtz`` forms bind a ``_v`` prelude because their
-        condition reads the value twice.
+        Constant operands fold to literal ``True``/``False`` conditions,
+        and a comparison with zero tests the value itself.  ``blez`` and
+        ``bgtz`` compare the value with its sign bit flipped, which orders
+        the signed values as unsigned ones.  No branch needs a prelude.
         """
         m = instr.mnemonic
         a, av = env.read(instr.rs)
@@ -503,6 +908,9 @@ class Codegen:
             b, bv = env.read(instr.rt)
             if av is not None and bv is not None:
                 return [], str(av == bv if m == "beq" else av != bv)
+            if av == 0 or bv == 0:
+                value = b if av == 0 else a
+                return [], f"not {value}" if m == "beq" else value
             return [], f"{a} == {b}" if m == "beq" else f"{a} != {b}"
         if av is not None:
             signed = _s32(av)
@@ -511,9 +919,9 @@ class Codegen:
                 "bltz": signed < 0, "bgez": signed >= 0,
             }[m])
         if m == "blez":
-            return [f"_v = {a}"], "_v == 0 or _v & 0x80000000"
+            return [], f"{a} ^ 0x80000000 <= 0x80000000"
         if m == "bgtz":
-            return [f"_v = {a}"], "_v != 0 and not _v & 0x80000000"
+            return [], f"{a} ^ 0x80000000 > 0x80000000"
         if m == "bltz":
             return [], f"{a} & 0x80000000"
         # bgez
@@ -598,35 +1006,19 @@ class Codegen:
                     return env.write(rd, None, int(_s32(av) < _s32(bv)))
                 if bv == 0:
                     # signed(a) < 0  <=>  sign bit set
-                    return env.write(rd, f"1 if {a} & 0x80000000 else 0")
+                    return env.test(rd, f"{a} & 0x80000000")
                 if av == 0:
                     # 0 < signed(b)  <=>  b in (0, 2^31)
-                    return env.write(rd, f"1 if 0 < {b} < 0x80000000 else 0")
-                if bv is not None:
-                    # signed compare against a constant: one statement
-                    # (register reads are side-effect-free, so the
-                    # duplicated operand is safe)
-                    return env.write(rd, f"1 if ({a} - 0x100000000 if "
-                                         f"{a} & 0x80000000 else {a}) < {_s32(bv)} else 0")
-                if av is not None:
-                    return env.write(rd, f"1 if {_s32(av)} < ({b} - 0x100000000 if "
-                                         f"{b} & 0x80000000 else {b}) else 0")
-                return [
-                    f"_a = {a}",
-                    "if _a & 0x80000000:",
-                    "    _a -= 0x100000000",
-                    f"_b = {b}",
-                    "if _b & 0x80000000:",
-                    "    _b -= 0x100000000",
-                ] + env.write(rd, "1 if _a < _b else 0")
+                    return env.test(rd, f"0 < {b} < 0x80000000")
+                return env.test(rd, f"{_biased(a, av)} < {_biased(b, bv)}")
             # sltu
             if both:
                 return env.write(rd, None, int(av < bv))
             if bv == 0:
                 return env.write(rd, None, 0)
             if av == 0:
-                return env.write(rd, f"1 if {b} else 0")
-            return env.write(rd, f"1 if {a} < {b} else 0")
+                return env.test(rd, f"{b}")
+            return env.test(rd, f"{a} < {b}")
         if m in ("sll", "srl", "sra", "sllv", "srlv", "srav"):
             if not rd:
                 return []  # includes the canonical nop
@@ -645,11 +1037,7 @@ class Codegen:
                 # sra
                 if bv is not None:
                     return env.write(rd, None, (_s32(bv) >> shamt) & _MASK)
-                return [
-                    f"_v = {b}",
-                    "if _v & 0x80000000:",
-                    "    _v -= 0x100000000",
-                ] + env.write(rd, f"(_v >> {shamt}) & {_M}")
+                return env.write(rd, f"({_signed(b, bv)} >> {shamt}) & {_M}")
             a, av = env.read(rs)
             if m == "sllv":
                 if av is not None and bv is not None:
@@ -662,11 +1050,7 @@ class Codegen:
             # srav
             if av is not None and bv is not None:
                 return env.write(rd, None, (_s32(bv) >> (av & 31)) & _MASK)
-            return [
-                f"_v = {b}",
-                "if _v & 0x80000000:",
-                "    _v -= 0x100000000",
-            ] + env.write(rd, f"(_v >> ({a} & 31)) & {_M}")
+            return env.write(rd, f"({_signed(b, bv)} >> ({a} & 31)) & {_M}")
         if m in ("slti", "sltiu", "andi", "ori", "xori", "lui"):
             if not rt:
                 return []
@@ -676,12 +1060,11 @@ class Codegen:
             if m == "slti":
                 if av is not None:
                     return env.write(rt, None, int(_s32(av) < imm))
-                return env.write(rt, f"1 if ({a} - 0x100000000 if "
-                                     f"{a} & 0x80000000 else {a}) < {imm} else 0")
+                return env.test(rt, f"{_biased(a, av)} < {(imm & _MASK) ^ 0x8000_0000}")
             if m == "sltiu":
                 if av is not None:
                     return env.write(rt, None, int(av < (imm & _MASK)))
-                return env.write(rt, f"1 if {a} < {imm & _MASK} else 0")
+                return env.test(rt, f"{a} < {imm & _MASK}")
             if m == "andi":
                 if av is not None:
                     return env.write(rt, None, av & imm)
@@ -710,23 +1093,19 @@ class Codegen:
             return env.write(rt, f"r16({address})")  # lhu
         if m == "sh":
             return [f"w16({self.addr(env, rs, imm)}, {env.read(rt)[0]})"]
+        hi, lo = env.hilo
         if m == "mult":
             return [
-                f"_a = {env.read(rs)[0]}",
-                "if _a & 0x80000000:",
-                "    _a -= 0x100000000",
-                f"_b = {env.read(rt)[0]}",
-                "if _b & 0x80000000:",
-                "    _b -= 0x100000000",
-                "_p = (_a * _b) & 0xFFFFFFFFFFFFFFFF",
-                f"HL[0] = (_p >> 32) & {_M}",
-                f"HL[1] = _p & {_M}",
+                f"_p = ({_signed(*env.read(rs))} * {_signed(*env.read(rt))}) "
+                "& 0xFFFFFFFFFFFFFFFF",
+                f"{hi} = (_p >> 32) & {_M}",
+                f"{lo} = _p & {_M}",
             ]
         if m == "multu":
             return [
                 f"_p = {env.read(rs)[0]} * {env.read(rt)[0]}",
-                f"HL[0] = (_p >> 32) & {_M}",
-                f"HL[1] = _p & {_M}",
+                f"{hi} = (_p >> 32) & {_M}",
+                f"{lo} = _p & {_M}",
             ]
         if m == "div":
             return [
@@ -738,32 +1117,32 @@ class Codegen:
                 "    _b -= 0x100000000",
                 "if _b == 0:",
                 # MIPS leaves HI/LO undefined; match the other engines
-                f"    HL[0] = _a & {_M}",
-                f"    HL[1] = {_M}",
+                f"    {hi} = _a & {_M}",
+                f"    {lo} = {_M}",
                 "else:",
                 "    _q = int(_a / _b)",  # C-style truncation toward zero
-                f"    HL[0] = (_a - _q * _b) & {_M}",
-                f"    HL[1] = _q & {_M}",
+                f"    {hi} = (_a - _q * _b) & {_M}",
+                f"    {lo} = _q & {_M}",
             ]
         if m == "divu":
             return [
                 f"_a = {env.read(rs)[0]}",
                 f"_b = {env.read(rt)[0]}",
                 "if _b == 0:",
-                "    HL[0] = _a",
-                f"    HL[1] = {_M}",
+                f"    {hi} = _a",
+                f"    {lo} = {_M}",
                 "else:",
-                "    HL[0] = _a % _b",
-                "    HL[1] = _a // _b",
+                f"    {hi} = _a % _b",
+                f"    {lo} = _a // _b",
             ]
         if m == "mfhi":
-            return env.write(rd, "HL[0]") if rd else []
+            return env.write(rd, hi) if rd else []
         if m == "mflo":
-            return env.write(rd, "HL[1]") if rd else []
+            return env.write(rd, lo) if rd else []
         if m == "mthi":
-            return [f"HL[0] = {env.read(rs)[0]}"]
+            return [f"{hi} = {env.read(rs)[0]}"]
         if m == "mtlo":
-            return [f"HL[1] = {env.read(rs)[0]}"]
+            return [f"{lo} = {env.read(rs)[0]}"]
         raise SimulationError(f"unimplemented mnemonic {m}")  # pragma: no cover
 
     def terminator(self, instr, idx: int, env: _BlockEnv) -> list[str]:
@@ -780,13 +1159,7 @@ class Codegen:
         nxt = idx + 1
 
         if m in BRANCHES:
-            t_pc = pc + 4 + (instr.imm << 2)
-            t_idx = (t_pc - self.text_base) >> 2
-            if not 0 <= t_idx < self.text_len:
-                # same escape slot the threaded table uses: executing it
-                # raises, and if the step budget runs out first the caller
-                # sees the same "exceeded max_steps" the threaded loop does
-                t_idx = self.escape_slots[t_pc]
+            t_idx = self.static_target(idx)
             prelude, taken_cond = self.branch_condition(instr, env)
             return env.take_pending() + env.flush() + prelude + [
                 f"if {taken_cond}:",
@@ -796,10 +1169,7 @@ class Codegen:
             ]
 
         if m == "j" or m == "jal":
-            t_pc = ((pc + 4) & 0xF000_0000) | (instr.target << 2)
-            t_idx = (t_pc - self.text_base) >> 2
-            if not 0 <= t_idx < self.text_len:
-                t_idx = self.escape_slots[t_pc]
+            t_idx = self.static_target(idx)
             lines = []
             if m == "jal":
                 lines.extend(env.write(31, None, pc + 4))

@@ -1,5 +1,5 @@
-"""The superblock dispatch table: units for the dispatch entries, compiled
-in bounded batches.
+"""The superblock dispatch table: loop regions and units for the dispatch
+entries, compiled in bounded batches.
 
 Units are emitted as generated Python source and ``compile()``d in a few
 batches, each capped at ``_BATCH_MAX_CHARS`` characters of source: one
@@ -30,13 +30,22 @@ on that substrate:
 * **entry guards**: a unit's window accesses are proved in range once,
   at entry (see :mod:`repro.sim.superblock.codegen`); when a guard fails,
   :meth:`_guard_miss_handler` runs the unit through the threaded handlers.
+* **loop regions**: each innermost natural loop of the unit graph
+  (:func:`~repro.sim.superblock.leaders.find_loops`) that fits runs
+  inside one generated function in its header's slot.  The region runs
+  the loop's blocks (:meth:`SuperblockTable._region_nodes`), not its
+  units, and *replaces* the member units: their slots stay ``None``.
+  ``sizes[header]`` is the longest path through one iteration, and
+  :attr:`SuperblockTable.allowance` carries the instruction budget the
+  dispatch loops hand a region (see :meth:`Codegen.emit_region`).
 
 Exactness contract: a unit either runs to its end or raises at a
 terminator, every generated function bumps its ``BC`` counter once (the
-guard-miss path bumps it for the unit), and at every observation point
-:meth:`SuperblockTable.fold_into` scans every unit and folds its delta
-into the per-instruction ``counts`` array the rest of the simulator
-derives statistics from.
+guard-miss path bumps it for the unit), a region adds each of its
+counters' totals once, at exit, and at every observation point
+:meth:`SuperblockTable.fold_into` scans every counter and folds its
+delta into the per-instruction ``counts`` array the rest of the
+simulator derives statistics from.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ from repro.sim.superblock.leaders import (
     CONTROL_TRANSFERS,
     dispatch_roots,
     find_leaders,
+    find_loops,
 )
 
 __all__ = ["SuperblockTable"]
@@ -66,7 +76,10 @@ _CHAIN_MAX_INSTRS = 192
 #: units are compiled in batches of at most about this many
 #: source characters: ``compile()``'s transient memory grows with the
 #: module, and at this size it stays a few MB even for the largest
-#: program (one 200 k-character module peaks near 20 MB)
+#: program (one 200 k-character module peaks near 20 MB).  A batch
+#: closes at the first function that takes it past the bound, or before
+#: one that would take it to twice the bound, and a region function is
+#: shorter than that, so no ``compile()`` gets more than twice the bound
 _BATCH_MAX_CHARS = 16_000
 
 
@@ -81,16 +94,22 @@ class SuperblockTable:
       yet.
     * ``sizes[index]`` -- instructions one ``fns[index]`` call executes:
       the fused chain at a dispatch entry, the rest of the block
-      elsewhere, 1 at an escape slot.  Fixed at construction.
+      elsewhere, 1 at an escape slot; at a region's header, the most one
+      iteration executes (the dispatch loops charge it per call, the
+      region settles the difference through :attr:`allowance`).  Fixed
+      at construction.
     * :attr:`call_bound` -- ``max(sizes)``; budget-free dispatch sprees
       divide by it.
+    * :attr:`allowance` -- ``[instructions]`` a region may run beyond
+      the ``sizes`` entry charged for its call.
     * :meth:`materialize` -- build the suffix unit for a dynamic jump to
       a mid-block index (unsampled runs only).
     * :meth:`reset` / :meth:`fold_into` -- zero the per-unit counters at
       run start / fold their deltas into the per-instruction array.
     * :attr:`blocks` -- the leader partition, for introspection and the
-      formation property tests; :attr:`entries` -- the dispatch entries,
-      sorted, one generated unit each.
+      formation property tests; :attr:`entries` -- the slots with a
+      generated function, sorted; :attr:`region_bids` -- the counters
+      regions bump.
     """
 
     def __init__(self, cpu) -> None:
@@ -113,12 +132,19 @@ class SuperblockTable:
                 suffix[i] = suffix[i + 1] + 1
         self.suffix_len = suffix
 
-        #: per-unit entry counters / fold watermarks / member segments
+        #: per-unit entry counters / fold watermarks / member segments /
+        #: instructions per entry
         self.bcounts: list[int] = []
         self._folded: list[int] = []
         self.members: list[tuple[tuple[int, int], ...]] = []
+        self._unit_sizes: list[int] = []
+        #: the units that run inside region functions
+        self.region_bids: list[int] = []
         #: [units run through the threaded handlers because a guard failed]
         self._misses = [0]
+        #: [a region's instruction allowance]: the dispatch loops set it,
+        #: each region call spends from it (see ``Codegen.emit_region``)
+        self.allowance = [0]
 
         #: cumulative generated-code cost (unit build, materialize);
         #: always-on -- a couple of perf_counter calls around each rare
@@ -143,6 +169,7 @@ class SuperblockTable:
             "BC": self.bcounts,
             "HL": cpu._hilo,
             "DE": cpu._dyn_edges,
+            "N": self.allowance,
             "r8": memory.read_u8,
             "r16": memory.read_u16,
             "r32": memory.read_u32,
@@ -156,6 +183,7 @@ class SuperblockTable:
             "Halt": _Halt,
             "Err": SimulationError,
             "G": self._guard_miss_handler(),
+            "F": _fault_write_back(cpu.regs, cpu._hilo),
         }
         self._cg = Codegen(
             decoded, self._text_base, self._text_len, cpu.profile,
@@ -233,14 +261,14 @@ class SuperblockTable:
         through the threaded handlers after an entry guard failed.
 
         It bumps the unit's counter as the unit would have, so the fold
-        stays exact, and steps ``sizes[index]`` instructions: exactly the
-        unit.  A ``break`` re-raises ``_Halt`` with its index, as the
+        stays exact, and steps exactly the unit's instructions.  A
+        ``break`` re-raises ``_Halt`` with its index, as the
         generated ``break`` does.  A closure over the tables it needs, not
         a bound method: generated code must not reference the table, or
         every ``Cpu`` would wait for the cycle collector to be freed.
         """
         bcounts = self.bcounts
-        sizes = self.sizes
+        unit_sizes = self._unit_sizes
         handlers = self._handlers
         misses = self._misses
 
@@ -248,7 +276,7 @@ class SuperblockTable:
             bcounts[bid] += 1
             misses[0] += 1
             try:
-                for _ in repeat(None, sizes[index]):
+                for _ in repeat(None, unit_sizes[bid]):
                     index = handlers[index]()
             except _Halt:
                 raise _Halt(index) from None
@@ -266,11 +294,16 @@ class SuperblockTable:
         and survive folds (the fold uses watermarks), so this is exact
         per run.
         """
-        members = self.members
-        return sum(
-            count * sum(length for _, length in members[bid])
-            for bid, count in enumerate(self.bcounts) if count
-        )
+        unit_sizes = self._unit_sizes
+        return sum(count * unit_sizes[bid]
+                   for bid, count in enumerate(self.bcounts) if count)
+
+    def instructions_in_regions(self) -> int:
+        """Instructions this run executed inside region functions, from
+        the same counters (a guard miss at region entry counts too)."""
+        bcounts = self.bcounts
+        unit_sizes = self._unit_sizes
+        return sum(bcounts[bid] * unit_sizes[bid] for bid in self.region_bids)
 
     def consume_stats(self) -> dict:
         """Telemetry deltas since the previous call.
@@ -331,20 +364,26 @@ class SuperblockTable:
     def _new_bid(self, segments) -> int:
         bid = len(self.members)
         self.members.append(tuple(segments))
+        self._unit_sizes.append(sum(length for _, length in segments))
         self.bcounts.append(0)
         self._folded.append(0)
         return bid
 
-    def _dispatch_entries(self, roots) -> dict[int, list[tuple[int, int]]]:
-        """The dispatch entries reachable from *roots*, with their chains.
+    def _dispatch_entries(self, roots):
+        """The dispatch entries reachable from *roots*, with their chains
+        and their in-text static exits.
 
         Closes *roots* over each unit's static exits: the successors of
         its last instruction, within the text.  ``jr``/``jalr`` have none
-        (their targets are roots), ``break``/``syscall`` neither.
+        (their targets are roots), ``break``/``syscall`` neither.  Also
+        returns the units whose control stays static (a branch, a ``j``
+        or a fall-through ends them), the ones a loop region may hold.
         """
         decoded = self._decoded
         text_len = self._text_len
         chains: dict[int, list[tuple[int, int]]] = {}
+        exits: dict[int, list[int]] = {}
+        closed: set[int] = set()
         work = list(roots)
         while work:
             start = work.pop()
@@ -352,40 +391,111 @@ class SuperblockTable:
                 continue
             segments = chains[start] = self._chain_segments(start)
             last = segments[-1][0] + segments[-1][1] - 1
-            instr = decoded[last]
-            m = instr.mnemonic
-            exits = []
-            if m in BRANCHES:
-                exits = [last + 1 + instr.imm, last + 1]
-            elif m == "j" or m == "jal":
-                exits = [self._jump_target(last)]
-            elif m not in CONTROL_TRANSFERS:
-                exits = [last + 1]
-            work.extend(t for t in exits if 0 <= t < text_len and t not in chains)
-        return chains
+            m = decoded[last].mnemonic
+            if m in BRANCHES or m == "j" or m not in CONTROL_TRANSFERS:
+                closed.add(start)
+            exits[start] = [t for t in self._successors(last) if 0 <= t < text_len]
+            work.extend(t for t in exits[start] if t not in chains)
+        return chains, exits, closed
+
+    def _successors(self, last: int) -> list[int]:
+        """Static successors of a block ending at index *last*: a branch's
+        target and fall-through, a ``j``/``jal`` target, the next index
+        after a non-transfer; none after ``jr``/``jalr``/``break``/``syscall``."""
+        instr = self._decoded[last]
+        m = instr.mnemonic
+        if m in BRANCHES:
+            return [last + 1 + instr.imm, last + 1]
+        if m == "j" or m == "jal":
+            return [self._jump_target(last)]
+        return [] if m in CONTROL_TRANSFERS else [last + 1]
+
+    def _region_nodes(self, header: int, body: set[int], chains) -> dict:
+        """The blocks of a loop's member units as the region's nodes.
+
+        Members are chains, and two chains may hold the same block (a
+        ``j`` target fused into one arm of an ``if``), so the region runs
+        blocks instead, each once, and fuses a block into its
+        predecessor when that predecessor ends in an unconditional
+        transfer to it and is its only predecessor in the loop (the
+        header starts a node).  Returns node start -> segments.
+        """
+        blocks = {start for unit in body for start, _ in chains[unit]}
+        succs = {}
+        preds = dict.fromkeys(blocks, 0)
+        for start in blocks:
+            succs[start] = self._successors(start + self.suffix_len[start] - 1)
+            for target in succs[start]:
+                if target in preds:
+                    preds[target] += 1
+        fused = {targets[0] for targets in succs.values() if len(targets) == 1
+                 and targets[0] != header and preds.get(targets[0]) == 1}
+        nodes = {}
+        for start in blocks - fused:
+            segments = [(start, self.suffix_len[start])]
+            current = start
+            while len(succs[current]) == 1 and succs[current][0] in fused \
+                    and len(segments) <= len(blocks):
+                current = succs[current][0]
+                segments.append((current, self.suffix_len[current]))
+            nodes[start] = segments
+        return nodes
 
     def _build_units(self, roots) -> None:
-        """Generate a function per dispatch entry, compiled in batches."""
+        """Generate a function per dispatch slot, compiled in batches."""
         started = perf_counter()
-        chains = self._dispatch_entries(roots)
-        #: the dispatch entries, sorted: one generated unit each
-        self.entries = sorted(chains)
-        cg = self._cg
+        entries: list[int] = []
         lines: list[str] = []
-        starts: list[int] = []  # the units in this batch
-        batch_start = cg.chars_emitted
-        for start in self.entries:
-            segments = chains[start]
-            bid = self._new_bid(segments)
-            lines += cg.emit_unit(f"_b{start}", segments, bid, "    ")
-            starts.append(start)
-            self.sizes[start] = sum(n for _, n in segments)
-            if cg.chars_emitted - batch_start >= _BATCH_MAX_CHARS:
+        starts: list[int] = []  # the functions in this batch
+        chars = 0
+        for start, function in self._functions(roots):
+            entries.append(start)
+            size = sum(map(len, function)) + len(function)
+            if chars + size >= 2 * _BATCH_MAX_CHARS and starts:
                 self._compile_batch(lines, starts)
-                lines, starts, batch_start = [], [], cg.chars_emitted
+                lines, starts, chars = [], [], 0
+            lines += function
+            starts.append(start)
+            chars += size
+            if chars >= _BATCH_MAX_CHARS:
+                self._compile_batch(lines, starts)
+                lines, starts, chars = [], [], 0
         if starts:
             self._compile_batch(lines, starts)
+        #: the dispatch slots with a generated function, sorted: every
+        #: dispatch entry outside a region, and each region's header
+        self.entries = sorted(entries)
         self.codegen_seconds += perf_counter() - started
+
+    def _functions(self, roots):
+        """Yield ``(slot, source lines)`` for every generated function.
+
+        Each innermost loop that fits becomes one region function in its
+        header's slot, and its other members get no slot (see
+        :meth:`Codegen.emit_region`); every other dispatch entry gets its
+        unit.
+        """
+        chains, exits, closed = self._dispatch_entries(roots)
+        cg = self._cg
+        claimed: set[int] = set()
+        for header, body in sorted(find_loops(exits, roots, closed).items()):
+            nodes = self._region_nodes(header, body, chains)
+            emitted = cg.emit_region(f"_b{header}", header, nodes,
+                                     len(self.members), "    ",
+                                     2 * _BATCH_MAX_CHARS - 1)
+            if emitted is None:
+                continue
+            lines, self.sizes[header], groups = emitted
+            for segments in groups:
+                self.region_bids.append(self._new_bid(segments))
+            claimed |= body
+            yield header, lines
+        for start in sorted(chains):
+            if start not in claimed:
+                segments = chains[start]
+                bid = self._new_bid(segments)
+                self.sizes[start] = self._unit_sizes[bid]
+                yield start, cg.emit_unit(f"_b{start}", segments, bid, "    ")
 
     def _compile_batch(self, lines: list[str], starts: list[int]) -> None:
         """Compile one batch of units and install their functions."""
@@ -396,3 +506,18 @@ class SuperblockTable:
         fns = namespace["_factory"](**self._ns)
         for start, fn in zip(starts, fns):
             self.fns[start] = fn
+
+
+def _fault_write_back(regs: list[int], hilo: list[int]):
+    """The ``F`` of generated code: after a fault inside a region, store
+    the locals of the registers the region writes, and of HI and LO when
+    the region keeps them, so the machine state is exact at the faulting
+    instruction (a region loads every register it touches at entry)."""
+
+    def write_back(names: dict, written: tuple[int, ...]) -> None:
+        for reg in written:
+            regs[reg] = names[f"x{reg}"]
+        if "_hi" in names:
+            hilo[0], hilo[1] = names["_hi"], names["_lo"]
+
+    return write_back

@@ -1,4 +1,5 @@
-"""Superblock formation: leaders, the block partition and dispatch roots.
+"""Superblock formation: leaders, the block partition, dispatch roots and
+loop regions.
 
 Leaders are the entry index, every instruction after a control transfer,
 every static branch/jump target, and every data word that looks like a
@@ -14,13 +15,19 @@ depends on the discovery heuristics.
 from outside any unit's static exits: the entry point, return addresses
 and jump-table targets.  The dispatch table closes them over the units'
 static exits and generates code only for that set.
+
+:func:`find_loops` finds the innermost natural loops of that unit graph,
+the loops the warp profiler finds from backward branches: each becomes
+one generated region function (see :meth:`repro.sim.superblock.codegen.Codegen.emit_region`).
 """
 
 from __future__ import annotations
 
 from struct import unpack_from
 
-__all__ = ["BRANCHES", "CONTROL_TRANSFERS", "dispatch_roots", "find_leaders"]
+__all__ = [
+    "BRANCHES", "CONTROL_TRANSFERS", "dispatch_roots", "find_leaders", "find_loops",
+]
 
 #: a superblock never continues past one of these
 CONTROL_TRANSFERS = frozenset((
@@ -29,6 +36,9 @@ CONTROL_TRANSFERS = frozenset((
 ))
 
 BRANCHES = frozenset(("beq", "bne", "blez", "bgtz", "bltz", "bgez"))
+
+#: a loop region holds at most this many units
+REGION_MAX_UNITS = 64
 
 
 def _data_text_targets(data: bytes, text_base: int, text_len: int) -> set[int]:
@@ -84,3 +94,50 @@ def dispatch_roots(decoded, entry: int, text_base: int, text_len: int,
         if m == "jal" or m == "jalr":
             roots.add(index + 1)
     return roots
+
+
+def find_loops(succs: dict[int, list[int]], roots: set[int],
+               closed: set[int]) -> dict[int, set[int]]:
+    """Innermost natural loops of the unit graph, as header -> member units.
+
+    *succs* maps each unit to its in-text static exits, *closed* holds
+    the units whose control stays static (they end in a branch, a ``j``
+    or a fall-through), which alone may be members.  A candidate starts
+    at a backward edge ``latch -> header`` (the header at or before the
+    latch) and collects, walking predecessors from the latch, every unit
+    that reaches the latch without passing the header.  Each member other
+    than the header therefore has all its predecessors in the loop, and
+    none of them may be a dispatch root: the header is the only entry,
+    so it dominates the loop.  A walk that meets a unit that is not
+    closed, a root or more than :data:`REGION_MAX_UNITS` units drops the
+    latch: its edge enters the header from outside the loop (the header
+    does not dominate it), or its path holds a call or a ``jr``.  A loop
+    whose members include another loop's header is not innermost and is
+    dropped.
+    """
+    preds: dict[int, list[int]] = {}
+    for unit, targets in succs.items():
+        for target in targets:
+            preds.setdefault(target, []).append(unit)
+    loops: dict[int, set[int]] = {}
+    for latch in sorted(closed):
+        for header in succs[latch]:
+            if header > latch or header not in closed:
+                continue
+            body = loops.get(header, {header})
+            grown: set[int] | None = set()
+            work = [latch]
+            while work:
+                unit = work.pop()
+                if unit in body or unit in grown:
+                    continue
+                if unit not in closed or unit in roots \
+                        or len(body) + len(grown) >= REGION_MAX_UNITS:
+                    grown = None
+                    break
+                grown.add(unit)
+                work.extend(preds.get(unit, ()))
+            if grown is not None:
+                loops[header] = body | grown
+    return {header: body for header, body in loops.items()
+            if not any(other in body for other in loops if other != header)}

@@ -275,7 +275,7 @@ def _shared_unit_area(bindings) -> float:
     return sum(per_class.values())
 
 
-def _footprint_bytes(exe: Executable, symbols: set[str]) -> int:
+def _footprint_bytes(exe: Executable, symbols: frozenset[str]) -> int:
     data_symbols = sorted(
         (s for s in exe.symbols.values() if not s.is_text),
         key=lambda s: s.address,
