@@ -198,6 +198,51 @@ def _linear_form(instr, linear: dict):
     return None if form is None else (form[0], form[1] + imm)
 
 
+def _shape(header: int, exits: dict, size: dict):
+    """``(join, bound)`` of a loop body whose members map to their
+    ``(final index, targets)`` in *exits* and to their instruction count
+    in *size*, or ``None`` when the body without its back edges (edges
+    to *header*) has a cycle or a member the header does not reach.
+
+    ``join[m]`` is the nearest strict post-dominator of member *m* inside
+    the body, where the arms of its branch meet again (``None`` when
+    they end in back edges or exits); *bound* is the longest path, in
+    instructions, from the header to a back edge or an exit.
+    """
+    inner = {unit: [t for t in targets if t in exits and t != header]
+             for unit, (_, targets) in exits.items()}
+    post: list[int] = []
+    state: dict[int, bool] = {}
+
+    def visit(unit: int) -> bool:
+        state[unit] = False
+        for target in inner[unit]:
+            seen = state.get(target)
+            if seen is False or seen is None and not visit(target):
+                return False
+        state[unit] = True
+        post.append(unit)
+        return True
+
+    if not visit(header) or len(post) != len(exits):
+        return None
+    longest: dict[int, int] = {}
+    pdom: dict[int, frozenset] = {}
+    sink = frozenset((-1,))
+    for unit in post:
+        longest[unit] = size[unit] + max((longest[t] for t in inner[unit]), default=0)
+        common = None
+        for target in exits[unit][1]:
+            below = pdom[target] if target in exits and target != header else sink
+            common = below if common is None else common & below
+        pdom[unit] = common | {unit}
+    join = {}
+    for unit in post:
+        below = [d for d in pdom[unit] if d != unit and d != -1]
+        join[unit] = max(below, key=lambda d: len(pdom[d])) if below else None
+    return join, longest[header]
+
+
 def _linear(terms: dict[str, int]) -> str:
     """Source for the sum of ``k * name`` over *terms* (name -> k)."""
     source = ""
@@ -616,43 +661,10 @@ class Codegen:
         # every guard register the loop writes is touched, so loaded
         regs = set().union(*(env.touched for env in envs.values()))
 
-        # the body without its back edges must be acyclic: order it
-        inner = {start: [t for t in exits[start][1] if t in units and t != header]
-                 for start in order}
-        post: list[int] = []
-        state: dict[int, bool] = {}
-
-        def visit(unit: int) -> bool:
-            state[unit] = False
-            for target in inner[unit]:
-                seen = state.get(target)
-                if seen is False or seen is None and not visit(target):
-                    return False
-            state[unit] = True
-            post.append(unit)
-            return True
-
-        if not visit(header) or len(post) != len(order):
+        shape = _shape(header, exits, size)
+        if shape is None:
             return None
-        longest: dict[int, int] = {}
-        pdom: dict[int, frozenset] = {}
-        sink = frozenset((-1,))
-        for unit in post:
-            longest[unit] = size[unit] + max(
-                (longest[t] for t in inner[unit]), default=0)
-            common = None
-            for target in exits[unit][1]:
-                below = pdom[target] if inner.get(target) is not None \
-                    and target != header else sink
-                common = below if common is None else common & below
-            pdom[unit] = common | {unit}
-        # the nearest strict post-dominator inside the body, where the
-        # arms of a branch join (None: they end in back edges or exits)
-        join = {}
-        for unit in post:
-            below = [d for d in pdom[unit] if d != unit and d != -1]
-            join[unit] = max(below, key=lambda d: len(pdom[d])) if below else None
-        bound = longest[header]
+        join, bound = shape
 
         left = [REGION_MAX_INSTRS]
         counts: dict[int, dict[str, int]] = {start: {} for start in order}
@@ -788,9 +800,7 @@ class Codegen:
         hilo_written = not mnemonics.isdisjoint(_HILO_WRITES)
         if written or hilo_written:
             stmts += ["try:", *["    " + line for line in loop],
-                      "except BaseException:",
-                      f"    F(locals(), {tuple(sorted(written))})",
-                      "    raise"]
+                      f"except BaseException: F(locals(), {tuple(sorted(written))}); raise"]
         else:
             stmts += loop
         moves = [f"R[{reg}] = x{reg}" for reg in sorted(written)]
