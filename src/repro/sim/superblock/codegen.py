@@ -789,7 +789,8 @@ class Codegen:
         moves = [f"x{reg} = R[{reg}]" for reg in sorted(regs)]
         if hilo:
             moves.append("_hi, _lo = HL")
-        stmts.append("; ".join(moves))
+        if moves:
+            stmts.append("; ".join(moves))
         # at most max(1, allowance // bound) iterations: _k counts down
         # the ones left after the current one
         budget = ["_n = N[0]", f"_c0 = _n // {bound} or 1", "_k = _c0 - 1"]
