@@ -19,7 +19,7 @@ loop unrolling obscures and rerolling restores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.binary.image import Executable
 from repro.decompile.cfg import ControlFlowGraph

@@ -18,7 +18,8 @@ static exits and generates code only for that set.
 
 :func:`find_loops` finds the innermost natural loops of that unit graph,
 the loops the warp profiler finds from backward branches: each becomes
-one generated region function (see :meth:`repro.sim.superblock.codegen.Codegen.emit_region`).
+one generated region function (see
+:meth:`repro.sim.superblock.codegen.Codegen.emit_region`).
 """
 
 from __future__ import annotations
