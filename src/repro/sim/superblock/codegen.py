@@ -76,9 +76,9 @@ Key pieces:
   ``lb``/``lh``/``lhu``/``sh`` keep their calls.
 * **Loop regions** (:meth:`Codegen.emit_region`).  One function runs a
   whole innermost loop: its members as structured ``if``/``else`` inside
-  a ``while``, one pass per iteration, every register the loop touches (and HI/LO)
-  in a local across iterations, entry and branch-taken counts in locals,
-  all written back once, at exit.  Members use the same per-instruction
+  a ``while``, one pass per iteration, every register the loop touches
+  (and HI/LO) in a local across iterations, entry and branch-taken
+  counts in locals, all written back once, at exit.  Members use the same per-instruction
   templates through a region-mode :class:`_BlockEnv`, whose flush stores
   pending literals in the locals instead of ``R``.  A region runs whole
   iterations under the instruction allowance ``N[0]``; guards on
