@@ -78,11 +78,12 @@ Key pieces:
   whole innermost loop: its members as structured ``if``/``else`` inside
   a ``while``, one pass per iteration, every register the loop touches
   (and HI/LO) in a local across iterations, entry and branch-taken
-  counts in locals, all written back once, at exit.  Members use the same per-instruction
-  templates through a region-mode :class:`_BlockEnv`, whose flush stores
-  pending literals in the locals instead of ``R``.  A region runs whole
-  iterations under the instruction allowance ``N[0]``; guards on
-  registers the loop does not write are tested once, at entry.
+  counts in locals, all written back once, at exit.  Members use the
+  same per-instruction templates through a region-mode
+  :class:`_BlockEnv`, whose flush stores pending literals in the locals
+  instead of ``R``.  A region runs whole iterations under the
+  instruction allowance ``N[0]``; guards on registers the loop does not
+  write are tested once, at entry.
 
 Generated code uses short names bound once per ``Cpu``: ``R`` registers,
 ``T`` per-site branch-taken counters, ``BC`` per-unit entry counters,
@@ -243,6 +244,14 @@ def _shape(header: int, exits: dict, size: dict):
     return join, longest[header]
 
 
+def _signed(source: str, value: int | None) -> str:
+    """Source for the signed value of a register read: the literal when
+    known, else a conditional expression (reads are side-effect-free)."""
+    if value is not None:
+        return str(_s32(value))
+    return f"({source} - 0x100000000 if {source} & 0x80000000 else {source})"
+
+
 def _linear(terms: dict[str, int]) -> str:
     """Source for the sum of ``k * name`` over *terms* (name -> k)."""
     source = ""
@@ -252,22 +261,6 @@ def _linear(terms: dict[str, int]) -> str:
             source += (f" - {term}" if k < 0 else f" + {term}") if source else \
                 (f"-{term}" if k < 0 else term)
     return source or "0"
-
-
-def _signed(source: str, value: int | None) -> str:
-    """Source for the signed value of a register read: the literal when
-    known, else a conditional expression (reads are side-effect-free)."""
-    if value is not None:
-        return str(_s32(value))
-    return f"({source} - 0x100000000 if {source} & 0x80000000 else {source})"
-
-
-def _biased(source: str, value: int | None) -> str:
-    """Source for a register value with its sign bit flipped: unsigned
-    comparisons of biased values order the signed values."""
-    if value is not None:
-        return str(value ^ 0x8000_0000)
-    return f"({source} ^ 0x80000000)"
 
 
 def _plus(name: str, k: int) -> str:
@@ -306,9 +299,6 @@ class _BlockEnv:
         self.loaded: set[int] = set(cached) if region else set()
         self.dirty: set[int] = set()     # cached regs with R[] write-back pending
         self.pending: list[str] = []     # lazy loads owed before the next stmt
-        #: (register, condition, statement) of the last write when it was
-        #: a region member's ``slt``-style test (see :meth:`test`)
-        self.flag: tuple[int, str, str] | None = None
         #: where HI and LO live: ``HL``, or a region's locals
         self.hilo = ("_hi", "_lo") if region else ("HL[0]", "HL[1]")
         #: registers the unit touches / writes (set by ``Codegen.cache_env``)
@@ -334,7 +324,6 @@ class _BlockEnv:
 
     def write(self, reg: int, expr: str | None, value: int | None = None) -> list[str]:
         """Statements realizing a write of *expr* (or literal *value*)."""
-        self.flag = None
         self.entry_values.pop(reg, None)
         if reg in self.cached:
             self.dirty.add(reg)
@@ -353,17 +342,6 @@ class _BlockEnv:
             self.known[reg] = value
             return [f"R[{reg}] = {value}"]
         return [f"R[{reg}] = {expr}"]
-
-    def test(self, reg: int, cond: str) -> list[str]:
-        """Statements writing ``1 if cond else 0`` to *reg* (an ``slt``).
-
-        In a region member the write is remembered as :attr:`flag`, so a
-        branch on *reg* that comes next can test *cond* itself and set
-        *reg* in its arms."""
-        lines = self.write(reg, f"1 if {cond} else 0")
-        if self.region:
-            self.flag = (reg, cond, lines[-1])
-        return lines
 
     def take_pending(self) -> list[str]:
         lines = self.pending
@@ -576,12 +554,12 @@ class Codegen:
         return t_idx
 
     def emit_region(self, name: str, header: int, units: dict, first_bid: int,
-                    indent: str, max_chars: int):
+                    indent: str):
         """One generated function running the loop whose member *units*
         (start -> segments) are entered through *header*, or ``None``
         when the loop does not fit a region: it must be acyclic without
-        its back edges, emit at most :data:`REGION_MAX_INSTRS`
-        instructions and at most *max_chars* characters of source.
+        its back edges and emit at most :data:`REGION_MAX_INSTRS`
+        instructions.
 
         Returns ``(lines, bound, groups)``.  *bound* is the most
         instructions one iteration can execute: the longest path from the
@@ -602,10 +580,11 @@ class Codegen:
         that arm leaves the loop (once per call): a member after a joined
         branch runs as often as the branch, the counted arm as often as
         its counter, the other arm as the branch minus the counter.  A
-        member whose guard may fail keeps its own counter.  Registers and
-        counts are written back once, after the loop, so the fold sees
-        exactly what the units would have counted; on a fault, ``F``
-        writes back the registers.
+        member whose guard may fail keeps its own counter, and so does the
+        join after an arm holding one, since an iteration may leave on
+        that arm before the join.  Registers and counts are written back
+        once, after the loop, so the fold sees exactly what the units
+        would have counted; on a fault, ``F`` writes back the registers.
 
         Budget: the region reads its allowance from ``N[0]`` and runs
         ``max(1, allowance // bound)`` iterations at most (``_k`` counts
@@ -670,6 +649,8 @@ class Codegen:
         counts: dict[int, dict[str, int]] = {start: {} for start in order}
         taken: dict[int, dict[str, int]] = {}
         names: list[str] = []
+        #: the members that got an entry counter of their own
+        leaves: list[int] = []
 
         def edge(target: int, stop, count: dict) -> list[str]:
             if target == header:
@@ -680,6 +661,7 @@ class Codegen:
 
         def walk(unit: int, stop, count: dict) -> list[str]:
             out: list[str] = []
+            rejoined = False
             while True:
                 left[0] -= size[unit]
                 if left[0] < 0:
@@ -692,37 +674,26 @@ class Codegen:
                     if unit == header:
                         out.append("    _k += 1")
                     out.append(f"    _x = {unit}; break")
-                    if unit != header:
-                        names.append(f"_c{len(names) + 1}")
-                        out.append(f"{names[-1]} += 1")
-                        count = {names[-1]: 1}
+                if guards and unit != header or rejoined:
+                    # the iteration may have left before reaching this
+                    # member: count its entries on a counter of its own
+                    leaves.append(unit)
+                    rejoined = False
+                    names.append(f"_c{len(names) + 1}")
+                    out.append(f"{names[-1]} += 1")
+                    count = {names[-1]: 1}
                 for var, k in count.items():
                     counts[unit][var] = counts[unit].get(var, 0) + k
                 env = _BlockEnv(regs, envs[unit].guarded, envs[unit].guards, True)
-                lines = self.body(units[unit], env)
+                out += self.body(units[unit], env)
                 final, targets = exits[unit]
                 instr = decoded[final]
-                # an slt whose result the branch tests against $zero:
-                # branch on its condition and set the register in the arms
-                flag = env.flag if lines and env.flag and lines[-1] == env.flag[2] \
-                    and instr.mnemonic in ("beq", "bne") \
-                    and sorted((instr.rs, instr.rt)) == [0, env.flag[0]] else None
-                if flag:
-                    lines.pop()
-                out += lines
                 if instr.mnemonic == "jal":
                     out += env.write(31, None, self.text_base + (final << 2) + 4)
                 out += env.flush()
                 if len(targets) == 2:
-                    if flag:
-                        reg, cond, _ = flag
-                        bne = instr.mnemonic == "bne"
-                        cond = cond if bne else f"not ({cond})"
-                        sets = [f"    x{reg} = {int(bne)}", f"    x{reg} = {int(not bne)}"]
-                    else:
-                        prelude, cond = self.branch_condition(instr, env)
-                        out += prelude
-                        sets = []
+                    prelude, cond = self.branch_condition(instr, env)
+                    out += prelude
                     after = join[unit]
                     names.append(f"_t{len(names) + 1}")
                     bump = names[-1]
@@ -733,21 +704,22 @@ class Codegen:
                     rest = dict(count)
                     rest[bump] = rest.get(bump, 0) - 1
                     arms = (rest, {bump: 1}) if falls else ({bump: 1}, rest)
+                    early = len(leaves)
                     site = taken.setdefault(final, {})
                     for var, k in arms[0].items():
                         site[var] = site.get(var, 0) + k
                     out.append(f"if {cond}:")
-                    out += sets[:1]
                     if not falls:
                         out.append(f"    {bump} += 1")
                     out += ["    " + line for line in edge(targets[0], after, arms[0])]
-                    other = sets[1:] + falls \
-                        + ["    " + line for line in edge(targets[1], after, arms[1])]
+                    other = falls + ["    " + line for line in edge(targets[1], after, arms[1])]
                     if other:
                         out.append("else:")
                         out += other
                     if after is None or after == stop:
                         return out
+                    # a guard that failed on an arm left before the join
+                    rejoined = len(leaves) != early
                     unit = after
                 else:
                     target = targets[0]
@@ -818,10 +790,7 @@ class Codegen:
                     for site, count in sorted(taken.items()) if any(count.values())]
         tallies.append(f"N[0] = _n + {bound} - ({_linear(ran)})")
         stmts += ["; ".join(tallies), "return _x"]
-        lines = self._lines(indent, f"def {name}():", stmts)
-        if sum(map(len, lines)) + len(lines) > max_chars:
-            return None
-        return self._emitted(lines), bound, groups
+        return self._emitted(self._lines(indent, f"def {name}():", stmts)), bound, groups
 
     # -- pieces --------------------------------------------------------------
 
@@ -908,10 +877,9 @@ class Codegen:
     def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str]:
         """(prelude lines, taken condition) for a branch.
 
-        Constant operands fold to literal ``True``/``False`` conditions,
-        and a comparison with zero tests the value itself.  ``blez`` and
-        ``bgtz`` compare the value with its sign bit flipped, which orders
-        the signed values as unsigned ones.  No branch needs a prelude.
+        Constant operands fold to literal ``True``/``False`` conditions;
+        the ``blez``/``bgtz`` forms bind a ``_v`` prelude because their
+        condition reads the value twice.
         """
         m = instr.mnemonic
         a, av = env.read(instr.rs)
@@ -919,9 +887,6 @@ class Codegen:
             b, bv = env.read(instr.rt)
             if av is not None and bv is not None:
                 return [], str(av == bv if m == "beq" else av != bv)
-            if av == 0 or bv == 0:
-                value = b if av == 0 else a
-                return [], f"not {value}" if m == "beq" else value
             return [], f"{a} == {b}" if m == "beq" else f"{a} != {b}"
         if av is not None:
             signed = _s32(av)
@@ -930,9 +895,9 @@ class Codegen:
                 "bltz": signed < 0, "bgez": signed >= 0,
             }[m])
         if m == "blez":
-            return [], f"{a} ^ 0x80000000 <= 0x80000000"
+            return [f"_v = {a}"], "_v == 0 or _v & 0x80000000"
         if m == "bgtz":
-            return [], f"{a} ^ 0x80000000 > 0x80000000"
+            return [f"_v = {a}"], "_v != 0 and not _v & 0x80000000"
         if m == "bltz":
             return [], f"{a} & 0x80000000"
         # bgez
@@ -1017,19 +982,19 @@ class Codegen:
                     return env.write(rd, None, int(_s32(av) < _s32(bv)))
                 if bv == 0:
                     # signed(a) < 0  <=>  sign bit set
-                    return env.test(rd, f"{a} & 0x80000000")
+                    return env.write(rd, f"1 if {a} & 0x80000000 else 0")
                 if av == 0:
                     # 0 < signed(b)  <=>  b in (0, 2^31)
-                    return env.test(rd, f"0 < {b} < 0x80000000")
-                return env.test(rd, f"{_biased(a, av)} < {_biased(b, bv)}")
+                    return env.write(rd, f"1 if 0 < {b} < 0x80000000 else 0")
+                return env.write(rd, f"1 if {_signed(a, av)} < {_signed(b, bv)} else 0")
             # sltu
             if both:
                 return env.write(rd, None, int(av < bv))
             if bv == 0:
                 return env.write(rd, None, 0)
             if av == 0:
-                return env.test(rd, f"{b}")
-            return env.test(rd, f"{a} < {b}")
+                return env.write(rd, f"1 if {b} else 0")
+            return env.write(rd, f"1 if {a} < {b} else 0")
         if m in ("sll", "srl", "sra", "sllv", "srlv", "srav"):
             if not rd:
                 return []  # includes the canonical nop
@@ -1071,11 +1036,11 @@ class Codegen:
             if m == "slti":
                 if av is not None:
                     return env.write(rt, None, int(_s32(av) < imm))
-                return env.test(rt, f"{_biased(a, av)} < {(imm & _MASK) ^ 0x8000_0000}")
+                return env.write(rt, f"1 if {_signed(a, av)} < {imm} else 0")
             if m == "sltiu":
                 if av is not None:
                     return env.write(rt, None, int(av < (imm & _MASK)))
-                return env.test(rt, f"{a} < {imm & _MASK}")
+                return env.write(rt, f"1 if {a} < {imm & _MASK} else 0")
             if m == "andi":
                 if av is not None:
                     return env.write(rt, None, av & imm)

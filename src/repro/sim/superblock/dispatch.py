@@ -78,8 +78,10 @@ _CHAIN_MAX_INSTRS = 192
 #: module, and at this size it stays a few MB even for the largest
 #: program (one 200 k-character module peaks near 20 MB).  A batch
 #: closes at the first function that takes it past the bound, or before
-#: one that would take it to twice the bound, and a region function is
-#: shorter than that, so no ``compile()`` gets more than twice the bound
+#: one that would take it to twice the bound; a function longer than
+#: that would compile alone (only a region could be: it emits at most
+#: ``REGION_MAX_INSTRS`` instructions, and the longest in
+#: ``static_suite`` is 26 k characters)
 _BATCH_MAX_CHARS = 16_000
 
 
@@ -481,8 +483,7 @@ class SuperblockTable:
         for header, body in sorted(find_loops(exits, roots, closed).items()):
             nodes = self._region_nodes(header, body, chains)
             emitted = cg.emit_region(f"_b{header}", header, nodes,
-                                     len(self.members), "    ",
-                                     2 * _BATCH_MAX_CHARS - 1)
+                                     len(self.members), "    ")
             if emitted is None:
                 continue
             lines, self.sizes[header], groups = emitted

@@ -38,10 +38,6 @@ CONTROL_TRANSFERS = frozenset((
 
 BRANCHES = frozenset(("beq", "bne", "blez", "bgtz", "bltz", "bgez"))
 
-#: a loop region holds at most this many units
-REGION_MAX_UNITS = 64
-
-
 def _data_text_targets(data: bytes, text_base: int, text_len: int) -> set[int]:
     """Indices of the word-aligned text addresses found in *data*."""
     text_end = text_base + (text_len << 2)
@@ -110,9 +106,11 @@ def find_loops(succs: dict[int, list[int]], roots: set[int],
     than the header therefore has all its predecessors in the loop, and
     none of them may be a dispatch root: the header is the only entry,
     so it dominates the loop.  A walk that meets a unit that is not
-    closed, a root or more than :data:`REGION_MAX_UNITS` units drops the
-    latch: its edge enters the header from outside the loop (the header
-    does not dominate it), or its path holds a call or a ``jr``.  A loop
+    closed or a root drops the latch: its edge enters the header from
+    outside the loop (the header does not dominate it), or its path
+    holds a call or a ``jr``.  The size of a loop is bounded where its
+    region is emitted (see
+    :data:`repro.sim.superblock.codegen.REGION_MAX_INSTRS`).  A loop
     whose members include another loop's header is not innermost and is
     dropped.
     """
@@ -132,8 +130,7 @@ def find_loops(succs: dict[int, list[int]], roots: set[int],
                 unit = work.pop()
                 if unit in body or unit in grown:
                     continue
-                if unit not in closed or unit in roots \
-                        or len(body) + len(grown) >= REGION_MAX_UNITS:
+                if unit not in closed or unit in roots:
                     grown = None
                     break
                 grown.add(unit)
