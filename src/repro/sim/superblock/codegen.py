@@ -773,13 +773,13 @@ class Codegen:
         hilo_written = not mnemonics.isdisjoint(_HILO_WRITES)
         if written or hilo_written:
             stmts += ["try:", *["    " + line for line in loop],
-                      f"except BaseException: F(locals(), {tuple(sorted(written))}); raise"]
+                      "except BaseException: F(locals()); raise"]
         else:
             stmts += loop
         moves = [f"R[{reg}] = x{reg}" for reg in sorted(written)]
         if hilo_written:
             moves.append("HL[0], HL[1] = _hi, _lo")
-        stmts += ["_c0 -= _k", "; ".join(moves)] if moves else ["_c0 -= _k"]
+        stmts.append("; ".join(["_c0 -= _k", *moves]))
         ran: dict[str, int] = {}
         for start in order:
             for var, k in counts[start].items():

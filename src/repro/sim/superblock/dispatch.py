@@ -511,13 +511,15 @@ class SuperblockTable:
 
 def _fault_write_back(regs: list[int], hilo: list[int]):
     """The ``F`` of generated code: after a fault inside a region, store
-    the locals of the registers the region writes, and of HI and LO when
-    the region keeps them, so the machine state is exact at the faulting
-    instruction (a region loads every register it touches at entry)."""
+    its register locals (``x{reg}``: a region loads every register it
+    touches at entry, so the ones it only reads store their own value),
+    and HI and LO when the region keeps them, so the machine state is
+    exact at the faulting instruction."""
 
-    def write_back(names: dict, written: tuple[int, ...]) -> None:
-        for reg in written:
-            regs[reg] = names[f"x{reg}"]
+    def write_back(names: dict) -> None:
+        for name, value in names.items():
+            if name[0] == "x":
+                regs[int(name[1:])] = value
         if "_hi" in names:
             hilo[0], hilo[1] = names["_hi"], names["_lo"]
 

@@ -12,6 +12,8 @@ loop writes fails.  Every test here pins that against the other engines:
   step, pc, registers and memory on every engine;
 * a pointer that walks out of the data window partway through a loop
   fails its per-iteration guard, and the run stays exact;
+* a fault inside a region leaves the registers and HI/LO as the
+  threaded engine leaves them;
 * at least 80% of ``static_suite``'s instructions run inside regions,
   reported at run end as ``engine.instructions_in_regions``.
 """
@@ -22,7 +24,7 @@ import pytest
 
 from repro import obs
 from repro.compiler import compile_source
-from repro.errors import SimulationError
+from repro.errors import MemoryFault, SimulationError
 from repro.isa import assemble
 from repro.isa.assembler import DATA_BASE
 from repro.programs import ALL_BENCHMARKS, get_benchmark
@@ -244,6 +246,51 @@ class TestInductionGuardLeavesTheWindow:
             {k: bytes(p) for k, p in threaded.memory._pages.items()}
         # the first iterations ran in the region, the last ones did not
         assert 0 < cpu._sb.instructions_in_regions() < got.steps
+
+
+#: a loop that faults in its sixth iteration: ``lh`` at an odd address,
+#: after the iteration wrote registers and HI/LO
+_FAULTS = f"""
+.text
+_start:
+    li $t0, {DATA_BASE}
+    li $t2, 100
+    li $s0, 0
+    li $s2, 0
+loop:
+    addiu $s0, $s0, 7
+    mult $s0, $t2
+    mflo $s1
+    sltiu $t5, $s2, 5
+    xori $t5, $t5, 1
+    addu $t4, $t0, $t5
+    lh $t3, 0($t4)
+    addu $s1, $s1, $t3
+    addiu $s2, $s2, 1
+    bne $s2, $t2, loop
+    break
+.data
+half: .word 0x00050003
+"""
+
+
+class TestFaultInsideRegion:
+    @pytest.mark.parametrize("sampled", [False, True], ids=["unsampled", "sampled"])
+    def test_registers_are_exact_at_the_fault(self, sampled):
+        exe = assemble(_FAULTS)
+        kwargs = {"sample_interval": 13, "on_sample": lambda c, t: None} \
+            if sampled else {}
+        threaded = Cpu(exe, profile=True, engine="threaded")
+        expected = _outcome(threaded, **kwargs)
+        assert expected[0] is MemoryFault
+        # $s0, $s1 = LO and $s2 as the sixth pass left them
+        assert threaded.regs[16:19] == [42, 4200, 5]
+        assert threaded._hilo == [0, 4200]
+        cpu = Cpu(exe, profile=True)
+        assert _region_instructions(cpu), "the loop must run as a region"
+        assert _outcome(cpu, **kwargs) == expected
+        assert cpu.regs == threaded.regs
+        assert cpu._hilo == threaded._hilo
 
 
 @pytest.fixture
