@@ -10,9 +10,17 @@ results* (per-address and per-edge execution counts) that drive the paper's
 from repro.sim.memory import Memory
 from repro.sim.cpu import Cpu, CpiModel, RunResult, run_executable
 from repro.sim.reference import run_reference
-from repro.sim.superblock import SuperblockTable
 
 __all__ = [
     "Cpu", "CpiModel", "Memory", "RunResult", "SuperblockTable",
     "run_executable", "run_reference",
 ]
+
+
+def __getattr__(name: str):
+    # the code generator loads with the first Cpu, not with the package
+    if name == "SuperblockTable":
+        from repro.sim.superblock import SuperblockTable
+
+        return SuperblockTable
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

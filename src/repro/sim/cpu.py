@@ -2,17 +2,22 @@
 
 Design notes:
 
-* The text section is pre-decoded **once, at construction**, into a flat
-  table of per-instruction executors: each text word becomes a closure with
-  its operand registers, immediates and (for control transfers) target
-  *indices* already bound.  The threaded hot loop is then just
+* The text section is decoded **once, at construction**, into a flat
+  table of per-instruction *handlers*: zero-argument closures with their
+  operand registers, immediates and (for control transfers) target
+  *indices* bound, each returning the index of the next instruction.
+  The threaded hot loop is then just
 
       counts[index] += 1
       index = handlers[index]()
 
-  -- no string compares, no ``getattr``, no per-step attribute lookups.
-  This is the classic threaded-code trade-off for an ISS written in pure
-  Python and is worth ~5x over the old mnemonic-string dispatch chain.
+  The handlers are not written by hand: each comes from the handler
+  factory of its *shape* (mnemonic plus which operand fields are zero),
+  which the code generator (:mod:`repro.sim.superblock.codegen`) emits
+  from the same per-instruction templates its units use, compiles once
+  per process and binds per ``Cpu``.  So the simulator holds two copies
+  of the MIPS-I semantics: those templates and the independent
+  reference interpreter (:mod:`repro.sim.reference`).
 * On top of that table the default **superblock** engine
   (:mod:`repro.sim.superblock`) compiles the program into generated
   Python -- one function per innermost loop (a *region*, which keeps
@@ -23,11 +28,10 @@ Design notes:
   entry, block or chain instead of per instruction, and every
   observation point folds each counter into the per-instruction
   counters.  Both dispatch loops hand regions an instruction allowance
-  they run whole iterations under.  The
-  threaded table stays fully built either way: the superblock loop falls
-  back to it for the last few instructions of a *max_steps* budget, and
-  the sampled loop single-steps chunk tails and mid-block entries
-  through it.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
+  they run whole iterations under.  The superblock loop falls back to
+  the handlers for the last few instructions of a *max_steps* budget,
+  and the sampled loop single-steps chunk tails and mid-block entries
+  through them.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
 * **Flat memory windows.**  Construction installs two flat windows in
   :class:`~repro.sim.memory.Memory`: a 64 KiB stack window ending at
   ``0x8000_0000`` and a power-of-two data window starting at the
@@ -40,7 +44,7 @@ Design notes:
   write.  Word views use native byte order, so construction requires a
   little-endian host.
 * Statistics are *derived*, not collected: the loop maintains one
-  per-instruction execution counter; branch executors bump a per-site
+  per-instruction execution counter; branch handlers bump a per-site
   taken counter.  ``steps``, ``cycles``, ``pc_counts``, ``mix`` and the
   static part of ``edge_counts`` all fall out of those arrays in a single
   O(text) pass at exit.  Only register-indirect jumps (``jr``/``jalr``)
@@ -74,6 +78,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
+from types import FunctionType
 
 from repro import obs
 from repro.binary.image import Executable
@@ -134,14 +139,9 @@ def _install_windows(exe: Executable, memory: Memory):
 
 
 class _Halt(Exception):
-    """Raised by the ``break`` executor to leave the dispatch loop.
-
-    Superblock-generated ``break`` code raises it with the instruction
-    *index* of the ``break`` as its only argument, so the dispatch loop can
-    report the precise halt pc even though it only tracks block entries;
-    the per-instruction threaded executors raise it bare (the loop variable
-    already points at the ``break``).
-    """
+    """Raised by ``break`` to leave the dispatch loop, with the
+    instruction *index* of the ``break`` as its only argument, so a loop
+    that only tracks unit entries still reports the precise halt pc."""
 
 
 @dataclass(frozen=True)
@@ -241,25 +241,32 @@ class Cpu:
         load_into_memory(exe, self.memory)
         self._decoded = decode_text(exe.text_words)
         self.regs = [0] * 32
-        self.hi = 0
-        self.lo = 0
         self.pc = exe.entry
         self.regs[29] = STACK_TOP  # $sp
-        # mutable cells shared with the executor closures
+        # mutable cells shared with the handlers and the generated code
         self._hilo = [0, 0]
         self._taken = [0] * len(self._decoded)
         self._dyn_edges: dict[tuple[int, int], int] = {}
         self._build_table()
         if engine == "superblock":
-            # deferred import: the superblock package imports _Halt from
-            # this module
+            # deferred import, as in _build_table
             from repro.sim.superblock import SuperblockTable
 
             self._sb = SuperblockTable(self)
         else:
             self._sb = None
 
-    # The executor table bakes cycle costs and profile hooks in at build
+    @property
+    def hi(self) -> int:
+        """The HI register, as the last instruction executed left it."""
+        return self._hilo[0]
+
+    @property
+    def lo(self) -> int:
+        """The LO register, as the last instruction executed left it."""
+        return self._hilo[1]
+
+    # The handler table bakes cycle costs and profile hooks in at build
     # time, so these are constructor-only: assigning them later would
     # silently leave a stale table behind.
     @property
@@ -320,33 +327,37 @@ class Cpu:
         value = self.read_word_global(symbol, index)
         return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
-    # -- executor table ----------------------------------------------------
+    # -- handler table -----------------------------------------------------
 
     def _build_table(self) -> None:
-        """Translate the decoded text into the executor/cost/class tables.
+        """Build the handler/cost/class tables of the decoded text.
 
-        Each executor is a zero-argument closure that performs one
-        instruction and returns the *index* of the next one.  Straight-line
-        successors and static branch/jump targets are resolved to indices
-        here, so the dispatch loop never converts pc -> index; only the
+        Each handler is a zero-argument closure that performs one
+        instruction and returns the *index* of the next one, made by its
+        shape's factory (:func:`repro.sim.superblock.codegen.handler_factory`)
+        from the code generator's templates.  Straight-line successors and
+        static branch/jump targets are resolved to indices here, so the
+        dispatch loop never converts pc -> index; only the
         register-indirect jumps (``jr``/``jalr``) do, validating their
-        dynamic target as the old interpreter's loop guard did.
+        dynamic target.
         """
-        regs = self.regs
+        # deferred import: keeps the code generator off ``import repro``
+        from repro.sim.superblock.codegen import handler_factory
+
         memory = self.memory
-        read_u8 = memory.read_u8
-        read_u16 = memory.read_u16
-        read_u32 = memory.read_u32
-        write_u8 = memory.write_u8
-        write_u16 = memory.write_u16
-        write_u32 = memory.write_u32
-        hilo = self._hilo
-        taken = self._taken
-        dyn_edges = self._dyn_edges
-        profile = self.profile
         text_base = self.exe.text_base
         text_len = len(self._decoded)
-        M = 0xFFFF_FFFF
+        #: what handlers and generated units read, by their source names
+        self._ns = {
+            "R": self.regs, "T": self._taken, "HL": self._hilo, "DE": self._dyn_edges,
+            "r8": memory.read_u8, "r16": memory.read_u16, "r32": memory.read_u32,
+            "w8": memory.write_u8, "w16": memory.write_u16, "w32": memory.write_u32,
+            "Halt": _Halt, "Err": SimulationError,
+        }
+        bound = dict(self._ns, B=text_base, L=text_len)
+        profile = self.profile
+        #: shape -> this Cpu's handler maker
+        makers: dict[tuple, object] = {}
 
         def escape(bad_pc: int):
             def h():
@@ -356,369 +367,50 @@ class Cpu:
         # Escape slots appended after the text: slot text_len catches
         # fall-through past the end; further slots serve as the "taken"
         # continuation of any static branch/jump whose target lies outside
-        # the text section (the old loop guard faulted on the next fetch).
-        # Memoized per bad pc so the superblock code generator can resolve
-        # the very same slot for the very same out-of-text target.
+        # the text section (executing one faults, as the next fetch would;
+        # if the step budget runs out first, the run exceeds max_steps on
+        # every engine alike).  One slot per bad pc.
         extra_escapes: list = []
         escape_slots: dict[int, int] = {}
-
-        def escape_index(bad_pc: int) -> int:
-            slot = escape_slots.get(bad_pc)
-            if slot is None:
-                extra_escapes.append(escape(bad_pc))
-                slot = text_len + len(extra_escapes)
-                escape_slots[bad_pc] = slot
-            return slot
-
-        def branch_target(pc: int, imm: int):
-            """(taken index, taken pc | None if out of text) for a branch."""
-            t_pc = pc + 4 + (imm << 2)
-            t_idx = (t_pc - text_base) >> 2
-            if not 0 <= t_idx < text_len:
-                return escape_index(t_pc), None
-            return t_idx, t_pc
+        #: index -> the slot a branch or j/jal transfers to
+        targets: dict[int, int] = {}
 
         handlers = []
-        costs: list[int] = []
-        klasses: list[str] = []
+        klasses = [_MNEMONIC_CLASS[instr.mnemonic] for instr in self._decoded]
+        cycles = {klass: self.cpi.cycles_for(klass) for klass in set(klasses)}
+        costs = [cycles[klass] for klass in klasses]
         #: index -> static (src, dst) edge; count = taken[i] for branches,
         #: counts[i] for j/jal (which are always taken)
         branch_edges: dict[int, tuple[int, int]] = {}
         jump_edges: dict[int, tuple[int, int]] = {}
 
-        cpi = self.cpi
         for index, instr in enumerate(self._decoded):
             pc = text_base + (index << 2)
-            nxt = index + 1
             m = instr.mnemonic
-            rs, rt, rd = instr.rs, instr.rt, instr.rd
-            shamt, imm = instr.shamt, instr.imm
-            klass = _MNEMONIC_CLASS[m]
-            klasses.append(klass)
-            costs.append(cpi.cycles_for(klass))
+            klass = klasses[index]
 
-            if m == "addiu" or m == "addi":
-                if rt:
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = (regs[rs] + imm) & M
-                        return nxt
-                else:
-                    def h(nxt=nxt):
-                        return nxt
-            elif m == "lw":
-                if rt:
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = read_u32((regs[rs] + imm) & M)
-                        return nxt
-                else:
-                    def h(rs=rs, imm=imm, nxt=nxt):
-                        read_u32((regs[rs] + imm) & M)
-                        return nxt
-            elif m == "sw":
-                def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                    write_u32((regs[rs] + imm) & M, regs[rt])
-                    return nxt
-            elif m in ("addu", "add", "subu", "sub", "and", "or", "xor",
-                       "nor", "slt", "sltu"):
-                if not rd:
-                    def h(nxt=nxt):
-                        return nxt
-                elif m == "addu" or m == "add":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = (regs[rs] + regs[rt]) & M
-                        return nxt
-                elif m == "subu" or m == "sub":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = (regs[rs] - regs[rt]) & M
-                        return nxt
-                elif m == "and":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = regs[rs] & regs[rt]
-                        return nxt
-                elif m == "or":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = regs[rs] | regs[rt]
-                        return nxt
-                elif m == "xor":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = regs[rs] ^ regs[rt]
-                        return nxt
-                elif m == "nor":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = ~(regs[rs] | regs[rt]) & M
-                        return nxt
-                elif m == "slt":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        a, b = regs[rs], regs[rt]
-                        if a & 0x8000_0000:
-                            a -= 0x1_0000_0000
-                        if b & 0x8000_0000:
-                            b -= 0x1_0000_0000
-                        regs[rd] = 1 if a < b else 0
-                        return nxt
-                else:  # sltu
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = 1 if regs[rs] < regs[rt] else 0
-                        return nxt
-            elif m in ("sll", "srl", "sra", "sllv", "srlv", "srav"):
-                if not rd:
-                    def h(nxt=nxt):  # includes the canonical nop
-                        return nxt
-                elif m == "sll":
-                    def h(rt=rt, rd=rd, shamt=shamt, nxt=nxt):
-                        regs[rd] = (regs[rt] << shamt) & M
-                        return nxt
-                elif m == "srl":
-                    def h(rt=rt, rd=rd, shamt=shamt, nxt=nxt):
-                        regs[rd] = regs[rt] >> shamt
-                        return nxt
-                elif m == "sra":
-                    def h(rt=rt, rd=rd, shamt=shamt, nxt=nxt):
-                        value = regs[rt]
-                        if value & 0x8000_0000:
-                            value -= 0x1_0000_0000
-                        regs[rd] = (value >> shamt) & M
-                        return nxt
-                elif m == "sllv":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = (regs[rt] << (regs[rs] & 31)) & M
-                        return nxt
-                elif m == "srlv":
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        regs[rd] = regs[rt] >> (regs[rs] & 31)
-                        return nxt
-                else:  # srav
-                    def h(rs=rs, rt=rt, rd=rd, nxt=nxt):
-                        value = regs[rt]
-                        if value & 0x8000_0000:
-                            value -= 0x1_0000_0000
-                        regs[rd] = (value >> (regs[rs] & 31)) & M
-                        return nxt
-            elif m in ("slti", "sltiu", "andi", "ori", "xori", "lui"):
-                if not rt:
-                    def h(nxt=nxt):
-                        return nxt
-                elif m == "slti":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        a = regs[rs]
-                        if a & 0x8000_0000:
-                            a -= 0x1_0000_0000
-                        regs[rt] = 1 if a < imm else 0
-                        return nxt
-                elif m == "sltiu":
-                    def h(rs=rs, rt=rt, imm=imm & M, nxt=nxt):
-                        regs[rt] = 1 if regs[rs] < imm else 0
-                        return nxt
-                elif m == "andi":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = regs[rs] & imm
-                        return nxt
-                elif m == "ori":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = regs[rs] | imm
-                        return nxt
-                elif m == "xori":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = regs[rs] ^ imm
-                        return nxt
-                else:  # lui
-                    def h(rt=rt, value=(imm << 16) & M, nxt=nxt):
-                        regs[rt] = value
-                        return nxt
-            elif m in ("lb", "lbu", "lh", "lhu"):
-                if not rt:
-                    def h(rs=rs, imm=imm, nxt=nxt,
-                          read=read_u8 if m in ("lb", "lbu") else read_u16):
-                        read((regs[rs] + imm) & M)
-                        return nxt
-                elif m == "lb":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        value = read_u8((regs[rs] + imm) & M)
-                        regs[rt] = (value - 0x100 if value & 0x80 else value) & M
-                        return nxt
-                elif m == "lbu":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = read_u8((regs[rs] + imm) & M)
-                        return nxt
-                elif m == "lh":
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        value = read_u16((regs[rs] + imm) & M)
-                        regs[rt] = (value - 0x1_0000 if value & 0x8000 else value) & M
-                        return nxt
-                else:  # lhu
-                    def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                        regs[rt] = read_u16((regs[rs] + imm) & M)
-                        return nxt
-            elif m == "sb":
-                def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                    write_u8((regs[rs] + imm) & M, regs[rt])
-                    return nxt
-            elif m == "sh":
-                def h(rs=rs, rt=rt, imm=imm, nxt=nxt):
-                    write_u16((regs[rs] + imm) & M, regs[rt])
-                    return nxt
-            elif m in ("beq", "bne", "blez", "bgtz", "bltz", "bgez"):
-                t_idx, t_pc = branch_target(pc, imm)
-                if t_pc is not None:
-                    branch_edges[index] = (pc, t_pc)
-                if m == "beq":
-                    def h(rs=rs, rt=rt, t=t_idx, i=index, nxt=nxt):
-                        if regs[rs] == regs[rt]:
-                            taken[i] += 1
-                            return t
-                        return nxt
-                elif m == "bne":
-                    def h(rs=rs, rt=rt, t=t_idx, i=index, nxt=nxt):
-                        if regs[rs] != regs[rt]:
-                            taken[i] += 1
-                            return t
-                        return nxt
-                elif m == "blez":
-                    def h(rs=rs, t=t_idx, i=index, nxt=nxt):
-                        value = regs[rs]
-                        if value == 0 or value & 0x8000_0000:
-                            taken[i] += 1
-                            return t
-                        return nxt
-                elif m == "bgtz":
-                    def h(rs=rs, t=t_idx, i=index, nxt=nxt):
-                        value = regs[rs]
-                        if value != 0 and not value & 0x8000_0000:
-                            taken[i] += 1
-                            return t
-                        return nxt
-                elif m == "bltz":
-                    def h(rs=rs, t=t_idx, i=index, nxt=nxt):
-                        if regs[rs] & 0x8000_0000:
-                            taken[i] += 1
-                            return t
-                        return nxt
-                else:  # bgez
-                    def h(rs=rs, t=t_idx, i=index, nxt=nxt):
-                        if not regs[rs] & 0x8000_0000:
-                            taken[i] += 1
-                            return t
-                        return nxt
-            elif m == "j" or m == "jal":
-                t_pc = ((pc + 4) & 0xF000_0000) | (instr.target << 2)
+            t_idx = None
+            if klass == CLASS_BRANCH or m == "j" or m == "jal":
+                t_pc = (pc + 4 + (instr.imm << 2) if klass == CLASS_BRANCH
+                        else ((pc + 4) & 0xF000_0000) | (instr.target << 2))
                 t_idx = (t_pc - text_base) >> 2
                 if not 0 <= t_idx < text_len:
-                    t_idx = escape_index(t_pc)
+                    t_idx = escape_slots.get(t_pc)
+                    if t_idx is None:
+                        extra_escapes.append(escape(t_pc))
+                        t_idx = escape_slots[t_pc] = text_len + len(extra_escapes)
+                elif klass == CLASS_BRANCH:
+                    branch_edges[index] = (pc, t_pc)
                 else:
                     jump_edges[index] = (pc, t_pc)
-                if m == "j":
-                    def h(t=t_idx):
-                        return t
-                else:
-                    def h(t=t_idx, link=pc + 4):
-                        regs[31] = link
-                        return t
-            elif m == "jr" or m == "jalr":
-                link = pc + 4
-                if m == "jr":
-                    def pre(rs=rs):
-                        return regs[rs]
-                elif rd:
-                    def pre(rs=rs, rd=rd, link=link):
-                        regs[rd] = link
-                        return regs[rs]
-                else:
-                    def pre(rs=rs):
-                        return regs[rs]
-                if profile:
-                    def h(pre=pre, pc=pc):
-                        t = pre()
-                        i = (t - text_base) >> 2
-                        if t & 3 or not 0 <= i < text_len:
-                            raise SimulationError(
-                                f"pc outside text section: 0x{t:08x}")
-                        key = (pc, t)
-                        dyn_edges[key] = dyn_edges.get(key, 0) + 1
-                        return i
-                else:
-                    def h(pre=pre):
-                        t = pre()
-                        i = (t - text_base) >> 2
-                        if t & 3 or not 0 <= i < text_len:
-                            raise SimulationError(
-                                f"pc outside text section: 0x{t:08x}")
-                        return i
-            elif m == "mult" or m == "multu":
-                if m == "mult":
-                    def h(rs=rs, rt=rt, nxt=nxt):
-                        a, b = regs[rs], regs[rt]
-                        if a & 0x8000_0000:
-                            a -= 0x1_0000_0000
-                        if b & 0x8000_0000:
-                            b -= 0x1_0000_0000
-                        product = (a * b) & 0xFFFF_FFFF_FFFF_FFFF
-                        hilo[0] = (product >> 32) & M
-                        hilo[1] = product & M
-                        return nxt
-                else:
-                    def h(rs=rs, rt=rt, nxt=nxt):
-                        product = regs[rs] * regs[rt]
-                        hilo[0] = (product >> 32) & M
-                        hilo[1] = product & M
-                        return nxt
-            elif m == "div":
-                def h(rs=rs, rt=rt, nxt=nxt):
-                    a, b = regs[rs], regs[rt]
-                    if a & 0x8000_0000:
-                        a -= 0x1_0000_0000
-                    if b & 0x8000_0000:
-                        b -= 0x1_0000_0000
-                    if b == 0:
-                        # MIPS leaves HI/LO undefined; pick stable values
-                        hilo[0], hilo[1] = a & M, M
-                    else:
-                        quotient = int(a / b)  # C-style truncation toward zero
-                        hilo[0] = (a - quotient * b) & M
-                        hilo[1] = quotient & M
-                    return nxt
-            elif m == "divu":
-                def h(rs=rs, rt=rt, nxt=nxt):
-                    a, b = regs[rs], regs[rt]
-                    if b == 0:
-                        hilo[0], hilo[1] = a, M
-                    else:
-                        hilo[0], hilo[1] = a % b, a // b
-                    return nxt
-            elif m == "mfhi":
-                if rd:
-                    def h(rd=rd, nxt=nxt):
-                        regs[rd] = hilo[0]
-                        return nxt
-                else:
-                    def h(nxt=nxt):
-                        return nxt
-            elif m == "mflo":
-                if rd:
-                    def h(rd=rd, nxt=nxt):
-                        regs[rd] = hilo[1]
-                        return nxt
-                else:
-                    def h(nxt=nxt):
-                        return nxt
-            elif m == "mthi":
-                def h(rs=rs, nxt=nxt):
-                    hilo[0] = regs[rs]
-                    return nxt
-            elif m == "mtlo":
-                def h(rs=rs, nxt=nxt):
-                    hilo[1] = regs[rs]
-                    return nxt
-            elif m == "break":
-                def h():
-                    raise _Halt
-            elif m == "syscall":
-                def h(pc=pc):
-                    raise SimulationError(
-                        f"syscall executed at 0x{pc:08x}; benchmarks are I/O-free")
-            else:  # pragma: no cover - the decoder only produces known mnemonics
-                raise SimulationError(f"unimplemented mnemonic {m}")
+                targets[index] = t_idx
 
-            handlers.append(h)
+            shape = (m, not instr.rs, not instr.rt, not instr.rd,
+                     not instr.imm, not instr.shamt)
+            make = makers.get(shape)
+            if make is None:
+                make = makers[shape] = FunctionType(handler_factory(shape, profile), bound)
+            handlers.append(make(instr, index, pc, t_idx))
 
         # fall-through past the last instruction lands here
         handlers.append(escape(text_base + (text_len << 2)))
@@ -729,7 +421,7 @@ class Cpu:
         self._klasses = klasses
         self._branch_edges = branch_edges
         self._jump_edges = jump_edges
-        self._escape_slots = escape_slots
+        self._targets = targets
 
     # -- execution ---------------------------------------------------------
 
@@ -752,6 +444,12 @@ class Cpu:
         dispatch engines.  The callback's return value is ignored.
         A *sample_interval* of 0 means no callback.  A negative or
         non-integer *max_steps* or *sample_interval* raises ``ValueError``.
+
+        ``regs``, ``hi``, ``lo`` and memory always hold the state the
+        last instruction executed left.  ``pc`` is set when the run halts
+        or exceeds *max_steps*; after any other error (a memory fault, a
+        jump outside the text, ``syscall``) it still holds the pc this
+        run started from.
         """
         for name, value in (("max_steps", max_steps),
                             ("sample_interval", sample_interval)):
@@ -763,7 +461,6 @@ class Cpu:
         taken = self._taken
         taken[:] = [0] * text_len
         self._dyn_edges.clear()
-        self._hilo[0], self._hilo[1] = self.hi, self.lo
         counts = [0] * len(self._handlers)
 
         pc = self.pc
@@ -783,7 +480,6 @@ class Cpu:
 
         pc = text_base + (index << 2)
         self.pc = pc
-        self.hi, self.lo = self._hilo[0], self._hilo[1]
         if not halted:
             raise SimulationError(f"exceeded max_steps={max_steps} (pc=0x{pc:08x})")
 
@@ -890,8 +586,7 @@ class Cpu:
                 index = handlers[index]()
         except _Halt as halt:
             halted = True
-            if halt.args:
-                index = halt.args[0]
+            index = halt.args[0]
         sb.fold_into(counts)
         return index, halted
 
@@ -953,8 +648,7 @@ class Cpu:
                 on_sample(counts, taken)
         except _Halt as halt:
             halted = True
-            if halt.args:
-                index = halt.args[0]
+            index = halt.args[0]
             if sb is not None:
                 sb.fold_into(counts)
             on_sample(counts, taken)

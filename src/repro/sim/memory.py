@@ -1,6 +1,6 @@
 """Sparse byte-addressable memory with MIPS alignment rules.
 
-The scalar accessors serve the threaded executors, the reference
+The scalar accessors serve the threaded handlers, the reference
 interpreter and the generated code's slow path, so they are written for
 CPython speed: the page dictionary lookup is inlined (no ``_page`` helper
 call per access) and the last-touched page is cached in two slots, which

@@ -2,13 +2,16 @@
 
 This is the original mnemonic-string-dispatch execution loop the threaded
 interpreter in :mod:`repro.sim.cpu` replaced, kept as an executable
-specification: it is trivially auditable against the MIPS-I manual, and it
-is the oracle both fast engines (threaded closures and the superblock
-code generator in :mod:`repro.sim.superblock`) are differentially tested
-against -- ``tests/sim/test_threaded.py`` and the randomized harness in
-``tests/sim/test_differential.py`` assert bit-identical
-:class:`~repro.sim.cpu.RunResult` statistics on the whole benchmark suite
-and on generated programs.
+specification: it is trivially auditable against the MIPS-I manual.  It is
+one of the simulator's two copies of the MIPS-I semantics, and the
+independent one: the other, the code generator's templates in
+:mod:`repro.sim.superblock.codegen`, builds both fast engines (the
+threaded handlers and the superblock units).  ``tests/sim/test_threaded.py``
+and the randomized harness in ``tests/sim/test_differential.py`` assert
+bit-identical :class:`~repro.sim.cpu.RunResult` statistics on the whole
+benchmark suite and on generated programs, and
+``tests/sim/test_handler_shapes.py`` checks the final machine state of
+every handler shape against it.
 
 One deliberate difference from the seed implementation: ``jalr`` records its
 taken edge under profiling, like every other control transfer (the seed
@@ -36,11 +39,24 @@ def run_reference(
 ) -> RunResult:
     """Run *exe* to halt on the reference loop; return its statistics."""
     memory = Memory()
-    cpi = cpi if cpi is not None else CpiModel()
     load_into_memory(exe, memory)
-    decoded = [decode(word) for word in exe.text_words]
     regs = [0] * 32
     regs[29] = STACK_TOP
+    return _interpret(exe, memory, regs, [0, 0], profile, max_steps, cpi)
+
+
+def _interpret(exe: Executable, memory: Memory, regs: list[int], hilo: list[int],
+               profile: bool = False, max_steps: int = 100_000_000,
+               cpi: CpiModel | None = None) -> RunResult:
+    """The reference loop: run *exe*'s text from its entry point on
+    *memory* (loaded by the caller), the register file *regs* and
+    ``hilo == [hi, lo]``.
+
+    *regs*, *hilo* and *memory* hold the final machine state when this
+    returns, and the state at the failing instruction when it raises.
+    """
+    cpi = cpi if cpi is not None else CpiModel()
+    decoded = [decode(word) for word in exe.text_words]
     text_base = exe.text_base
     text_len = len(decoded)
     mix: Counter = Counter()
@@ -49,7 +65,6 @@ def run_reference(
     mnem_class = _MNEMONIC_CLASS
 
     pc = exe.entry
-    hi = lo = 0
     steps = 0
     cycles = 0
     taken = 0
@@ -182,7 +197,8 @@ def run_reference(
                 key = (pc, next_pc)
                 edge_counts[key] = edge_counts.get(key, 0) + 1
         elif mnem == "jalr":
-            regs[instr.rd] = pc + 4
+            if instr.rd:  # the link is written first, but never to $zero
+                regs[instr.rd] = pc + 4
             next_pc = regs[instr.rs]
             if profile:
                 key = (pc, next_pc)
@@ -194,10 +210,10 @@ def run_reference(
             if b & 0x8000_0000:
                 b -= 0x1_0000_0000
             product = (a * b) & 0xFFFF_FFFF_FFFF_FFFF
-            hi, lo = (product >> 32) & mask, product & mask
+            hilo[:] = (product >> 32) & mask, product & mask
         elif mnem == "multu":
             product = regs[instr.rs] * regs[instr.rt]
-            hi, lo = (product >> 32) & mask, product & mask
+            hilo[:] = (product >> 32) & mask, product & mask
         elif mnem == "div":
             a, b = regs[instr.rs], regs[instr.rt]
             if a & 0x8000_0000:
@@ -205,24 +221,24 @@ def run_reference(
             if b & 0x8000_0000:
                 b -= 0x1_0000_0000
             if b == 0:
-                hi, lo = a & mask, mask  # MIPS leaves HI/LO undefined
+                hilo[:] = a & mask, mask  # MIPS leaves HI/LO undefined
             else:
                 quotient = int(a / b)  # C-style truncation toward zero
-                hi, lo = (a - quotient * b) & mask, quotient & mask
+                hilo[:] = (a - quotient * b) & mask, quotient & mask
         elif mnem == "divu":
             a, b = regs[instr.rs], regs[instr.rt]
             if b == 0:
-                hi, lo = a, mask
+                hilo[:] = a, mask
             else:
-                hi, lo = a % b, a // b
+                hilo[:] = a % b, a // b
         elif mnem == "mfhi":
-            regs[instr.rd] = hi
+            regs[instr.rd] = hilo[0]
         elif mnem == "mflo":
-            regs[instr.rd] = lo
+            regs[instr.rd] = hilo[1]
         elif mnem == "mthi":
-            hi = regs[instr.rs]
+            hilo[0] = regs[instr.rs]
         elif mnem == "mtlo":
-            lo = regs[instr.rs]
+            hilo[1] = regs[instr.rs]
         elif mnem == "break":
             halted = True
             break

@@ -1,12 +1,22 @@
-"""Code generation for superblock units (blocks and j-chains) and loop
-regions.
+"""Code generation for superblock units (blocks and j-chains), loop
+regions and the threaded engine's per-instruction handlers.
 
-Every generated function mirrors the threaded executor closures exactly
--- same masking, same "writes to $zero are dropped but their memory
-reads still happen" rule, same link-before-read ``jalr`` semantics --
-because three copies of the ISA semantics coexist (reference
-interpreter, threaded closures, these templates) and the differential
-suite requires bit-identical statistics from all of them.
+The per-instruction templates (:meth:`Codegen.straightline`,
+:meth:`Codegen.terminator`) are the simulator's one hand-written copy of
+the MIPS-I semantics; the reference interpreter
+(:mod:`repro.sim.reference`) is the other, independent one, and the
+differential suite requires bit-identical statistics from both.  Masking,
+the "writes to $zero are dropped but their memory reads still happen"
+rule and link-before-read ``jalr`` live in the templates only.
+
+Templates read an instruction's operands as :class:`_Operands`: register
+fields are keys for the register environment, every other field a
+``(source, literal or None)`` pair, and a template folds only what is a
+known literal.  Generated units know every field.  A **handler factory**
+(:func:`handler_factory`) knows only which fields are zero: it emits one
+closure maker per *shape* (mnemonic plus zero pattern) whose handlers
+read ``R`` directly, with no caching, windows or guards, and bind their
+operands at closure cost.
 
 Key pieces:
 
@@ -58,8 +68,8 @@ Key pieces:
   a multiple of 4.  A guarded access cannot fault, so it is a plain index
   with no flush.  When a guard fails, ``G`` (see
   :meth:`SuperblockTable._guard_miss_handler`) runs the whole unit through
-  the threaded handlers, which are the reference semantics: faults,
-  registers, ``T`` and ``DE`` stay exact.
+  the threaded handlers, which need no window: faults, registers, ``T``
+  and ``DE`` stay exact.
 * **Unguarded accesses** (:meth:`Codegen.load`, :meth:`Codegen.store`)
   keep one masked test per access, which rejects negative, out-of-range
   and (for words) misaligned offsets at once::
@@ -96,11 +106,14 @@ helper that writes a faulting region's registers back.
 
 from __future__ import annotations
 
+import re
+from functools import cache
+
 from repro.errors import SimulationError
 from repro.isa.instructions import SPECS
 from repro.sim.superblock.leaders import BRANCHES, CONTROL_TRANSFERS
 
-__all__ = ["FACTORY", "Codegen"]
+__all__ = ["FACTORY", "HANDLER_NAMES", "Codegen", "handler_factory"]
 
 #: the shared factory header every generated module starts with; binds
 #: the per-Cpu namespace (``SuperblockTable._ns``) once per compile
@@ -139,37 +152,19 @@ def _s32(value: int) -> int:
 
 # -- register use analysis (for block-local caching) ------------------------
 
-_READS_RS = frozenset((
-    "addiu", "addi", "slti", "sltiu", "andi", "ori", "xori",
-    "lw", "lb", "lbu", "lh", "lhu", "sw", "sb", "sh",
-    "addu", "add", "subu", "sub", "and", "or", "xor", "nor", "slt", "sltu",
-    "sllv", "srlv", "srav", "mult", "multu", "div", "divu", "mthi", "mtlo",
-    "beq", "bne", "blez", "bgtz", "bltz", "bgez", "jr", "jalr",
-))
-_READS_RT = frozenset((
-    "sw", "sb", "sh",
-    "addu", "add", "subu", "sub", "and", "or", "xor", "nor", "slt", "sltu",
-    "sll", "srl", "sra", "sllv", "srlv", "srav",
-    "mult", "multu", "div", "divu", "beq", "bne",
-))
-_WRITES_RT = frozenset((
-    "addiu", "addi", "slti", "sltiu", "andi", "ori", "xori", "lui",
-    "lw", "lb", "lbu", "lh", "lhu",
-))
-_WRITES_RD = frozenset((
-    "addu", "add", "subu", "sub", "and", "or", "xor", "nor", "slt", "sltu",
-    "sll", "srl", "sra", "sllv", "srlv", "srav", "mfhi", "mflo", "jalr",
-))
+
+def _uses(spec) -> tuple[bool, bool, str | None]:
+    """(reads rs, reads rt, the field naming the register it writes:
+    ``"rt"``, ``"rd"``, ``"ra"`` for ``jal``'s ``$31``, or None), from
+    the assembly syntax (a load's or store's ``base`` is ``rs``)."""
+    fields = set(re.findall(r"\w+", spec.syntax.value))
+    writes = ("rt" if spec.writes_rt else "rd" if spec.writes_rd
+              else "ra" if spec.mnemonic == "jal" else None)
+    return (not fields.isdisjoint(("rs", "base")),
+            "rt" in fields and not spec.writes_rt, writes)
 
 
-#: mnemonic -> (reads rs, reads rt, the field naming the register it
-#: writes: ``"rt"``, ``"rd"``, ``"ra"`` for ``jal``'s ``$31``, or None)
-_USES = {
-    m: (m in _READS_RS, m in _READS_RT,
-        "rt" if m in _WRITES_RT else "rd" if m in _WRITES_RD
-        else "ra" if m == "jal" else None)
-    for m in SPECS
-}
+_USES = {m: _uses(spec) for m, spec in SPECS.items()}
 
 
 def _linear_form(instr, linear: dict):
@@ -270,6 +265,56 @@ def _plus(name: str, k: int) -> str:
     return f"{name} - {-k}" if k else name
 
 
+class _Operands:
+    """One instruction's operands as a unit's templates read them.
+
+    ``rs``/``rt``/``rd`` are register keys for the environment; ``imm``,
+    ``shamt`` and, on a control transfer, ``pc`` and ``link`` (``pc + 4``)
+    are ``(source, literal)`` pairs; ``index``, ``next`` and ``target``
+    (a branch's or ``j``'s slot) are sources.  In a unit all are literals,
+    and a literal's source is the int itself, which f-strings render.
+    """
+
+    __slots__ = ("mnemonic", "rs", "rt", "rd", "imm", "shamt", "index",
+                 "next", "target", "pc", "link")
+
+    def __init__(self, instr, index: int) -> None:
+        self.mnemonic, self.rs, self.rt, self.rd = \
+            instr.mnemonic, instr.rs, instr.rt, instr.rd
+        self.imm, self.shamt = (instr.imm, instr.imm), (instr.shamt, instr.shamt)
+        self.index = index
+
+
+class _ShapeOperands:
+    """The operands of every instruction of one handler shape: a field
+    the shape fixes at zero is the literal 0, every other one the name
+    its handler factory binds it to (``t`` is the target slot).  Values
+    computed from those once per handler get a name through :meth:`bind`.
+    """
+
+    def __init__(self, shape) -> None:
+        m, zero_rs, zero_rt, zero_rd, zero_imm, zero_shamt = shape
+        self.mnemonic = m
+        self.rs = 0 if zero_rs else "rs"
+        self.rt = 0 if zero_rt else "rt"
+        self.rd = 0 if zero_rd else "rd"
+        self.imm = (0, 0) if zero_imm else ("imm", None)
+        self.shamt = (0, 0) if zero_shamt else ("shamt", None)
+        self.index = "i"
+        self.target = "t"
+        self.pc = ("pc", None)
+        #: (name, source) of each bound value, in binding order
+        self.derived: list[tuple[str, str]] = []
+        self.next = self.bind("i + 1")
+        self.link = (self.bind("pc + 4"), None)
+
+    def bind(self, source: str) -> str:
+        """The name of *source*'s value, computed when a handler is made."""
+        name = f"_d{len(self.derived)}"
+        self.derived.append((name, source))
+        return name
+
+
 class _BlockEnv:
     """Register-file state during code generation of one unit.
 
@@ -361,18 +406,23 @@ class _BlockEnv:
 
 
 class Codegen:
-    """Stateless-per-unit emitter shared by blocks and chains."""
+    """Stateless-per-unit emitter shared by blocks, chains, regions and
+    handler factories."""
 
-    def __init__(self, decoded, text_base: int, text_len: int,
-                 profile: bool, escape_slots: dict[int, int],
-                 stack: tuple[int, int], data: tuple[int, int] | None) -> None:
+    def __init__(self, decoded, text_base: int | str, text_len: int | str,
+                 profile: bool, targets: dict[int, int],
+                 stack: tuple[int, int] | None,
+                 data: tuple[int, int] | None) -> None:
         self.decoded = decoded
+        #: the text bounds: ints, or a handler factory's source names
         self.text_base = text_base
         self.text_len = text_len
         self.profile = profile
-        self.escape_slots = escape_slots
+        #: index -> the slot a branch or ``j``/``jal`` transfers to (an
+        #: escape slot for a target outside the text)
+        self.targets = targets
         #: (base, size, word view name, byte view name) of each window
-        self.stack = (*stack, "SW", "SB")
+        self.stack = (*stack, "SW", "SB") if stack is not None else None
         self.data = (*data, "DW", "DB") if data is not None else None
         #: emission volume, read by the telemetry layer at run end
         self.units_emitted = 0
@@ -468,9 +518,8 @@ class Codegen:
         stmts.append(f"BC[{bid}] += 1")
         stmts += self.body(segments, env)
         final = segments[-1][0] + segments[-1][1] - 1
-        instr = self.decoded[final]
-        if instr.mnemonic in CONTROL_TRANSFERS:
-            stmts += self.terminator(instr, final, env)
+        if self.decoded[final].mnemonic in CONTROL_TRANSFERS:
+            stmts += self.terminator(self.operands(final), env)
         else:
             stmts += env.flush()
             stmts.append(f"return {final + 1}")
@@ -530,28 +579,21 @@ class Codegen:
                     # executed (this instruction's own write must not be
                     # flushed yet)
                     flush = env.flush() if m in _FLUSH_FIRST else []
-                    emitted = self.straightline(instr, env)
+                    emitted = self.straightline(_Operands(instr, index), env)
                     stmts += env.take_pending()
                     stmts += flush
                     stmts += emitted
         return stmts
 
-    def static_target(self, index: int) -> int:
-        """The slot a branch or ``j``/``jal`` at *index* transfers to: its
-        target's index, or the escape slot of a target outside the text."""
-        instr = self.decoded[index]
+    def operands(self, index: int) -> _Operands:
+        """The operands of the control transfer at *index*."""
+        op = _Operands(self.decoded[index], index)
         pc = self.text_base + (index << 2)
-        if instr.mnemonic in BRANCHES:
-            t_pc = pc + 4 + (instr.imm << 2)
-        else:
-            t_pc = ((pc + 4) & 0xF000_0000) | (instr.target << 2)
-        t_idx = (t_pc - self.text_base) >> 2
-        if not 0 <= t_idx < self.text_len:
-            # same escape slot the threaded table uses: executing it
-            # raises, and if the step budget runs out first the caller
-            # sees the same "exceeded max_steps" the threaded loop does
-            t_idx = self.escape_slots[t_pc]
-        return t_idx
+        op.next = index + 1
+        op.pc = (pc, pc)
+        op.link = (pc + 4, pc + 4)
+        op.target = self.targets.get(index)
+        return op
 
     def emit_region(self, name: str, header: int, units: dict, first_bid: int,
                     indent: str):
@@ -611,9 +653,9 @@ class Codegen:
             final = units[start][-1][0] + units[start][-1][1] - 1
             m = decoded[final].mnemonic
             if m in BRANCHES:
-                exits[start] = (final, [self.static_target(final), final + 1])
+                exits[start] = (final, [self.targets[final], final + 1])
             elif m == "j" or m == "jal":
-                exits[start] = (final, [self.static_target(final)])
+                exits[start] = (final, [self.targets[final]])
             elif m in CONTROL_TRANSFERS:
                 return None
             else:
@@ -692,7 +734,7 @@ class Codegen:
                     out += env.write(31, None, self.text_base + (final << 2) + 4)
                 out += env.flush()
                 if len(targets) == 2:
-                    prelude, cond = self.branch_condition(instr, env)
+                    prelude, cond = self.branch_condition(self.operands(final), env)
                     out += prelude
                     after = join[unit]
                     names.append(f"_t{len(names) + 1}")
@@ -794,14 +836,15 @@ class Codegen:
 
     # -- pieces --------------------------------------------------------------
 
-    def addr(self, env: _BlockEnv, rs: int, imm: int) -> str:
+    def addr(self, env: _BlockEnv, op) -> str:
         """Effective-address expression ``(R[rs] + imm) & M``, folded."""
-        base, value = env.read(rs)
-        if value is not None:
-            return str((value + imm) & _MASK)
-        if imm == 0:
+        base, value = env.read(op.rs)
+        k, kv = op.imm
+        if value is not None and kv is not None:
+            return str((value + kv) & _MASK)
+        if kv == 0:
             return base
-        return f"({base} + {imm}) & {_M}"
+        return f"({base} + {k}) & {_M}"
 
     def guarded(self, instr, env: _BlockEnv, entry: int, offset: int) -> list[str]:
         """Statements for a window access at *entry*'s entry value plus
@@ -820,22 +863,24 @@ class Codegen:
             source = str(value & 255) if value is not None else f"{source} & 255"
         return [f"{view} = {source}"]
 
-    def load(self, instr, env: _BlockEnv, word: bool) -> list[str]:
-        """Statements for an unguarded ``lw`` (*word*) or ``lbu``."""
-        rs, rt, imm = instr.rs, instr.rt, instr.imm
+    def load(self, op, env: _BlockEnv, word: bool) -> list[str]:
+        """Statements for an unguarded ``lw`` (*word*) or ``lbu``.
+
+        Only a unit has windows, and a unit's immediates are literals."""
+        rs, rt = op.rs, op.rt
         call = "r32" if word else "r8"
         window = self.window(rs)
         reg, value = env.read(rs)
         if window is None:
-            loaded = f"{call}({self.addr(env, rs, imm)})"
+            loaded = f"{call}({self.addr(env, op)})"
         elif value is None:
             base, size, words, bytes_ = window
             view = f"{words}[_o >> 2]" if word else f"{bytes_}[_o]"
-            loaded = (f"{view} if not (_o := {reg} + {imm - base}) & "
+            loaded = (f"{view} if not (_o := {reg} + {op.imm[1] - base}) & "
                       f"{-size | 3 if word else -size} else {call}(_o + {base})")
         else:
             base, size, words, bytes_ = window
-            address = (value + imm) & _MASK
+            address = (value + op.imm[1]) & _MASK
             offset = address - base
             if 0 <= offset < size and not (word and offset & 3):
                 # a literal address inside the window cannot fault: no flush
@@ -845,14 +890,17 @@ class Codegen:
         flush = env.flush() if word else []
         return flush + (env.write(rt, loaded) if rt else [loaded])
 
-    def store(self, instr, env: _BlockEnv, word: bool) -> list[str]:
-        """Statements for an unguarded ``sw`` (*word*) or ``sb``."""
-        rs, imm = instr.rs, instr.imm
+    def store(self, op, env: _BlockEnv, word: bool) -> list[str]:
+        """Statements for an unguarded ``sw`` (*word*) or ``sb``.
+
+        Only a unit has windows, and a unit's immediates are literals."""
+        rs = op.rs
         call = "w32" if word else "w8"
         window = self.window(rs)
         reg, address = env.read(rs)
-        source, value = env.read(instr.rt)
+        source, value = env.read(op.rt)
         if window is not None:
+            imm = op.imm[1]
             base, size, words, bytes_ = window
             if word:
                 stored = source
@@ -872,19 +920,19 @@ class Codegen:
                 view = f"{words}[{offset >> 2}]" if word else f"{bytes_}[{offset}]"
                 return [f"{view} = {stored}"]
         flush = env.flush() if word else []
-        return flush + [f"{call}({self.addr(env, rs, imm)}, {source})"]
+        return flush + [f"{call}({self.addr(env, op)}, {source})"]
 
-    def branch_condition(self, instr, env: _BlockEnv) -> tuple[list[str], str]:
+    def branch_condition(self, op, env: _BlockEnv) -> tuple[list[str], str]:
         """(prelude lines, taken condition) for a branch.
 
         Constant operands fold to literal ``True``/``False`` conditions;
         the ``blez``/``bgtz`` forms bind a ``_v`` prelude because their
         condition reads the value twice.
         """
-        m = instr.mnemonic
-        a, av = env.read(instr.rs)
+        m = op.mnemonic
+        a, av = env.read(op.rs)
         if m == "beq" or m == "bne":
-            b, bv = env.read(instr.rt)
+            b, bv = env.read(op.rt)
             if av is not None and bv is not None:
                 return [], str(av == bv if m == "beq" else av != bv)
             return [], f"{a} == {b}" if m == "beq" else f"{a} != {b}"
@@ -903,29 +951,30 @@ class Codegen:
         # bgez
         return [], f"not {a} & 0x80000000"
 
-    def straightline(self, instr, env: _BlockEnv) -> list[str]:
+    def straightline(self, op, env: _BlockEnv) -> list[str]:
         """Statements for one non-control-transfer instruction.
 
         Returns relative-indented source lines; lazy register loads
-        accumulate in ``env.pending``.
+        accumulate in ``env.pending``.  A value folds only when every
+        operand it depends on is a literal.
         """
-        m = instr.mnemonic
-        rs, rt, rd = instr.rs, instr.rt, instr.rd
-        shamt, imm = instr.shamt, instr.imm
+        m = op.mnemonic
+        rs, rt, rd = op.rs, op.rt, op.rd
+        k, kv = op.imm
 
         if m == "addiu" or m == "addi":
             if not rt:
                 return []
             a, av = env.read(rs)
-            if av is not None:
-                return env.write(rt, None, (av + imm) & _MASK)
-            if imm == 0:
+            if av is not None and kv is not None:
+                return env.write(rt, None, (av + kv) & _MASK)
+            if kv == 0:
                 return env.write(rt, a)
-            return env.write(rt, f"({a} + {imm}) & {_M}")
+            return env.write(rt, f"({a} + {k}) & {_M}")
         if m == "lw" or m == "lbu":
-            return self.load(instr, env, m == "lw")
+            return self.load(op, env, m == "lw")
         if m == "sw" or m == "sb":
-            return self.store(instr, env, m == "sw")
+            return self.store(op, env, m == "sw")
         if m in ("addu", "add", "subu", "sub", "and", "or", "xor", "nor",
                  "slt", "sltu"):
             if not rd:
@@ -1000,20 +1049,22 @@ class Codegen:
                 return []  # includes the canonical nop
             b, bv = env.read(rt)
             if m in ("sll", "srl", "sra"):
-                if shamt == 0:
+                s, sv = op.shamt
+                if sv == 0:
                     return env.write(rd, b, bv)
+                known = bv is not None and sv is not None
                 if m == "sll":
-                    if bv is not None:
-                        return env.write(rd, None, (bv << shamt) & _MASK)
-                    return env.write(rd, f"({b} << {shamt}) & {_M}")
+                    if known:
+                        return env.write(rd, None, (bv << sv) & _MASK)
+                    return env.write(rd, f"({b} << {s}) & {_M}")
                 if m == "srl":
-                    if bv is not None:
-                        return env.write(rd, None, bv >> shamt)
-                    return env.write(rd, f"{b} >> {shamt}")
+                    if known:
+                        return env.write(rd, None, bv >> sv)
+                    return env.write(rd, f"{b} >> {s}")
                 # sra
-                if bv is not None:
-                    return env.write(rd, None, (_s32(bv) >> shamt) & _MASK)
-                return env.write(rd, f"({_signed(b, bv)} >> {shamt}) & {_M}")
+                if known:
+                    return env.write(rd, None, (_s32(bv) >> sv) & _MASK)
+                return env.write(rd, f"({_signed(b, bv)} >> {s}) & {_M}")
             a, av = env.read(rs)
             if m == "sllv":
                 if av is not None and bv is not None:
@@ -1031,31 +1082,35 @@ class Codegen:
             if not rt:
                 return []
             if m == "lui":
-                return env.write(rt, None, (imm << 16) & _MASK)
+                if kv is not None:
+                    return env.write(rt, None, (kv << 16) & _MASK)
+                return env.write(rt, op.bind(f"({k} << 16) & {_M}"))
             a, av = env.read(rs)
+            known = av is not None and kv is not None
             if m == "slti":
-                if av is not None:
-                    return env.write(rt, None, int(_s32(av) < imm))
-                return env.write(rt, f"1 if {_signed(a, av)} < {imm} else 0")
+                if known:
+                    return env.write(rt, None, int(_s32(av) < kv))
+                return env.write(rt, f"1 if {_signed(a, av)} < {k} else 0")
             if m == "sltiu":
-                if av is not None:
-                    return env.write(rt, None, int(av < (imm & _MASK)))
-                return env.write(rt, f"1 if {a} < {imm & _MASK} else 0")
+                bound = kv & _MASK if kv is not None else op.bind(f"{k} & {_M}")
+                if known:
+                    return env.write(rt, None, int(av < bound))
+                return env.write(rt, f"1 if {a} < {bound} else 0")
             if m == "andi":
-                if av is not None:
-                    return env.write(rt, None, av & imm)
-                return env.write(rt, f"{a} & {imm}")
+                if known:
+                    return env.write(rt, None, av & kv)
+                return env.write(rt, f"{a} & {k}")
             if m == "ori":
-                if av is not None:
-                    return env.write(rt, None, av | imm)
-                return env.write(rt, f"{a} | {imm}")
+                if known:
+                    return env.write(rt, None, av | kv)
+                return env.write(rt, f"{a} | {k}")
             # xori
-            if av is not None:
-                return env.write(rt, None, av ^ imm)
-            return env.write(rt, f"{a} ^ {imm}")
+            if known:
+                return env.write(rt, None, av ^ kv)
+            return env.write(rt, f"{a} ^ {k}")
         if m in ("lb", "lh", "lhu"):
             reader = "r8" if m == "lb" else "r16"
-            address = self.addr(env, rs, imm)
+            address = self.addr(env, op)
             if not rt:
                 return [f"{reader}({address})"]
             if m == "lb":
@@ -1068,7 +1123,7 @@ class Codegen:
                 )
             return env.write(rt, f"r16({address})")  # lhu
         if m == "sh":
-            return [f"w16({self.addr(env, rs, imm)}, {env.read(rt)[0]})"]
+            return [f"w16({self.addr(env, op)}, {env.read(rt)[0]})"]
         hi, lo = env.hilo
         if m == "mult":
             return [
@@ -1092,7 +1147,7 @@ class Codegen:
                 "if _b & 0x80000000:",
                 "    _b -= 0x100000000",
                 "if _b == 0:",
-                # MIPS leaves HI/LO undefined; match the other engines
+                # MIPS leaves HI/LO undefined; match the reference
                 f"    {hi} = _a & {_M}",
                 f"    {lo} = {_M}",
                 "else:",
@@ -1121,44 +1176,38 @@ class Codegen:
             return [f"{lo} = {env.read(rs)[0]}"]
         raise SimulationError(f"unimplemented mnemonic {m}")  # pragma: no cover
 
-    def terminator(self, instr, idx: int, env: _BlockEnv) -> list[str]:
+    def terminator(self, op, env: _BlockEnv) -> list[str]:
         """Statements for a control transfer; every path ends in return/raise.
 
         Terminators flush the deferred register write-backs themselves:
         branches and jumps before their condition/return, ``jr``/``jalr``
         after the link write but before the target check (whose failure
-        aborts the run exactly like the threaded engine, registers fully
-        written), ``break``/``syscall`` before raising.
+        aborts the run with the registers fully written),
+        ``break``/``syscall`` before raising.
         """
-        m = instr.mnemonic
-        pc = self.text_base + (idx << 2)
-        nxt = idx + 1
+        m = op.mnemonic
 
         if m in BRANCHES:
-            t_idx = self.static_target(idx)
-            prelude, taken_cond = self.branch_condition(instr, env)
+            prelude, taken_cond = self.branch_condition(op, env)
             return env.take_pending() + env.flush() + prelude + [
                 f"if {taken_cond}:",
-                f"    T[{idx}] += 1",
-                f"    return {t_idx}",
-                f"return {nxt}",
+                f"    T[{op.index}] += 1",
+                f"    return {op.target}",
+                f"return {op.next}",
             ]
 
         if m == "j" or m == "jal":
-            t_idx = self.static_target(idx)
-            lines = []
-            if m == "jal":
-                lines.extend(env.write(31, None, pc + 4))
-            return lines + env.flush() + [f"return {t_idx}"]
+            lines = env.write(31, *op.link) if m == "jal" else []
+            return lines + env.flush() + [f"return {op.target}"]
 
         if m == "jr" or m == "jalr":
             lines = []
-            if m == "jalr" and instr.rd:
+            if m == "jalr" and op.rd:
                 # link is written before the target register is read, so
-                # `jalr $t0, $t0` jumps to the link address -- exactly what
-                # the threaded closure and the reference interpreter do
-                lines.extend(env.write(instr.rd, None, pc + 4))
-            target, _ = env.read(instr.rs)
+                # `jalr $t0, $t0` jumps to the link address, as the
+                # reference interpreter does
+                lines.extend(env.write(op.rd, *op.link))
+            target, _ = env.read(op.rs)
             lines = env.take_pending() + lines + [f"_t = {target}"] + env.flush() + [
                 f"_i = (_t - {self.text_base}) >> 2",
                 f"if _t & 3 or not 0 <= _i < {self.text_len}:",
@@ -1166,15 +1215,85 @@ class Codegen:
             ]
             if self.profile:
                 lines += [
-                    f"_k = ({pc}, _t)",
+                    f"_k = ({op.pc[0]}, _t)",
                     "DE[_k] = DE.get(_k, 0) + 1",
                 ]
             lines.append("return _i")
             return lines
 
         if m == "break":
-            return env.flush() + [f"raise Halt({idx})"]
+            return env.flush() + [f"raise Halt({op.index})"]
         if m == "syscall":
-            message = f"syscall executed at 0x{pc:08x}; benchmarks are I/O-free"
-            return env.flush() + [f"raise Err({message!r})"]
+            message = "syscall executed at 0x%08x; benchmarks are I/O-free"
+            pc, pcv = op.pc
+            if pcv is not None:
+                return env.flush() + [f"raise Err({message % pcv!r})"]
+            return env.flush() + [f"raise Err({message!r} % {pc})"]
         raise SimulationError(f"unimplemented mnemonic {m}")  # pragma: no cover
+
+
+# -- threaded handlers -------------------------------------------------------
+
+#: the names a ``Cpu`` binds a handler factory to: the registers,
+#: branch-taken counters, HI/LO, dynamic edges, memory accessors, the
+#: two exception types and the text's base address and length
+HANDLER_NAMES = ("R", "T", "HL", "DE", "r8", "r16", "r32", "w8", "w16",
+                 "w32", "Halt", "Err", "B", "L")
+
+#: the instruction fields a handler may read
+_FIELDS = ("rs", "rt", "rd", "imm", "shamt")
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_STRING = re.compile(r"'[^']*'|\"[^\"]*\"")
+
+
+def handler_factory(shape: tuple, profile: bool):
+    """The threaded-handler factory of *shape*.
+
+    *shape* is ``(mnemonic, rs == 0, rt == 0, rd == 0, imm == 0,
+    shamt == 0)``: every template decision for an instruction that
+    reads ``R`` directly depends on those alone, and, for ``jr`` and
+    ``jalr``, on *profile*.  The factory is the code of
+    ``make(instr, i, pc, t)``; a ``Cpu`` makes it a function whose
+    globals bind :data:`HANDLER_NAMES`, and that function makes the
+    handler of the instruction *instr* at index *i* and address *pc*
+    with static target slot *t* (``None`` for all but branches and
+    ``j``/``jal``).  A handler performs the instruction and returns the
+    index of the next one; everything it reads is a default argument,
+    so it runs on fast locals.
+    """
+    return _compile_factory(shape, profile and shape[0] in ("jr", "jalr"))
+
+
+@cache  # once per process
+def _compile_factory(shape: tuple, profile: bool):
+    op = _ShapeOperands(shape)
+    # no cached registers, windows or guards: every access goes to R
+    # and through the Memory accessors
+    env = _BlockEnv(set(), {}, {})
+    cg = Codegen((), "B", "L", profile, {}, None, None)
+    if op.mnemonic in CONTROL_TRANSFERS:
+        body = cg.terminator(op, env)
+    else:
+        body = cg.straightline(op, env) + [f"return {op.next}"]
+    used = set(_NAME.findall(_STRING.sub("", "\n".join(body))))
+    derived = [(name, source) for name, source in op.derived if name in used]
+    # the fields a bound value needs come first; the handler's arguments
+    # default to everything its body reads
+    needed = set().union(*(_NAME.findall(source) for _, source in derived))
+    prologue = [f"{name} = instr.{name}" for name in _FIELDS if name in needed]
+    defaults = [f"{name}={name}" for name in HANDLER_NAMES if name in used]
+    defaults += [f"{name}={name if name in needed else f'instr.{name}'}"
+                 for name in _FIELDS if name in used]
+    defaults += [f"{name}={name}" for name in ("i", "pc", "t") if name in used]
+    defaults += [f"{name}={source}" for name, source in derived]
+    source = "\n".join([
+        "def make(instr, i, pc, t):",
+        *["    " + line for line in prologue],
+        f"    def h({', '.join(defaults)}):",
+        *["        " + line for line in body],
+        "    return h",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<handler {shape[0]}>", "exec"), namespace)
+    return namespace["make"].__code__

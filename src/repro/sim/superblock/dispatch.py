@@ -53,8 +53,6 @@ from __future__ import annotations
 from itertools import repeat
 from time import perf_counter
 
-from repro.errors import SimulationError
-from repro.sim.cpu import _Halt
 from repro.sim.superblock.codegen import FACTORY as _FACTORY
 from repro.sim.superblock.codegen import Codegen
 from repro.sim.superblock.leaders import (
@@ -119,8 +117,9 @@ class SuperblockTable:
         self._text_base = cpu.exe.text_base
         self._text_len = len(cpu._decoded)
         self._handlers = cpu._handlers
+        self._targets = cpu._targets
         self.leaders = find_leaders(
-            self._decoded, self._text_base, self._text_len, cpu.exe.data
+            self._decoded, self._targets, self._text_base, self._text_len, cpu.exe.data
         )
 
         # suffix_len[i]: instructions from i to the end of i's block
@@ -128,9 +127,7 @@ class SuperblockTable:
         leaders = self.leaders
         suffix = [1] * self._text_len
         for i in range(self._text_len - 2, -1, -1):
-            if decoded[i].mnemonic in CONTROL_TRANSFERS or (i + 1) in leaders:
-                suffix[i] = 1
-            else:
+            if not (decoded[i].mnemonic in CONTROL_TRANSFERS or (i + 1) in leaders):
                 suffix[i] = suffix[i + 1] + 1
         self.suffix_len = suffix
 
@@ -155,47 +152,31 @@ class SuperblockTable:
         #: watermark for :meth:`consume_stats`
         self._obs_seen: dict[str, float] = {}
 
-        fns = list(cpu._handlers)
-        sizes = [1] * len(fns)
-        for i in range(self._text_len):
-            fns[i] = None
-            sizes[i] = suffix[i]
-        self.fns = fns
-        self.sizes = sizes
+        escapes = cpu._handlers[self._text_len:]
+        self.fns = [None] * self._text_len + escapes
+        self.sizes = suffix + [1] * len(escapes)
 
-        memory = cpu.memory
         stack, data = cpu._windows
         self._ns = {
-            "R": cpu.regs,
-            "T": cpu._taken,
+            **cpu._ns,
             "BC": self.bcounts,
-            "HL": cpu._hilo,
-            "DE": cpu._dyn_edges,
             "N": self.allowance,
-            "r8": memory.read_u8,
-            "r16": memory.read_u16,
-            "r32": memory.read_u32,
-            "w8": memory.write_u8,
-            "w16": memory.write_u16,
-            "w32": memory.write_u32,
             "SW": memoryview(stack[1]).cast("I"),
             "SB": stack[1],
             "DW": memoryview(data[1]).cast("I") if data else None,
             "DB": data[1] if data else None,
-            "Halt": _Halt,
-            "Err": SimulationError,
             "G": self._guard_miss_handler(),
             "F": _fault_write_back(cpu.regs, cpu._hilo),
         }
         self._cg = Codegen(
             decoded, self._text_base, self._text_len, cpu.profile,
-            cpu._escape_slots, (stack[0], len(stack[1])),
+            cpu._targets, (stack[0], len(stack[1])),
             (data[0], len(data[1])) if data else None,
         )
         self._build_units(dispatch_roots(
             decoded, cpu.exe.entry, self._text_base, self._text_len, cpu.exe.data
         ))
-        self.call_bound = max(sizes, default=1)
+        self.call_bound = max(self.sizes, default=1)
 
     # -- public surface ----------------------------------------------------
 
@@ -264,8 +245,7 @@ class SuperblockTable:
 
         It bumps the unit's counter as the unit would have, so the fold
         stays exact, and steps exactly the unit's instructions.  A
-        ``break`` re-raises ``_Halt`` with its index, as the
-        generated ``break`` does.  A closure over the tables it needs, not
+        closure over the tables it needs, not
         a bound method: generated code must not reference the table, or
         every ``Cpu`` would wait for the cycle collector to be freed.
         """
@@ -277,11 +257,8 @@ class SuperblockTable:
         def miss(bid: int, index: int) -> int:
             bcounts[bid] += 1
             misses[0] += 1
-            try:
-                for _ in repeat(None, unit_sizes[bid]):
-                    index = handlers[index]()
-            except _Halt:
-                raise _Halt(index) from None
+            for _ in repeat(None, unit_sizes[bid]):
+                index = handlers[index]()
             return index
 
         return miss
@@ -350,18 +327,11 @@ class SuperblockTable:
                     or len(segments) >= _CHAIN_MAX_BLOCKS
                     or total >= _CHAIN_MAX_INSTRS):
                 break
-            t_idx = self._jump_target(current + length - 1)
-            if not 0 <= t_idx < self._text_len or t_idx in seen:
+            t_idx = self._targets[current + length - 1]
+            if t_idx >= self._text_len or t_idx in seen:
                 break
             current = t_idx
         return segments
-
-    def _jump_target(self, index: int) -> int:
-        """Target index of the ``j``/``jal`` at *index* (may lie outside
-        the text)."""
-        pc = self._text_base + (index << 2)
-        t_pc = ((pc + 4) & 0xF000_0000) | (self._decoded[index].target << 2)
-        return (t_pc - self._text_base) >> 2
 
     def _new_bid(self, segments) -> int:
         bid = len(self.members)
@@ -402,14 +372,15 @@ class SuperblockTable:
 
     def _successors(self, last: int) -> list[int]:
         """Static successors of a block ending at index *last*: a branch's
-        target and fall-through, a ``j``/``jal`` target, the next index
-        after a non-transfer; none after ``jr``/``jalr``/``break``/``syscall``."""
-        instr = self._decoded[last]
-        m = instr.mnemonic
+        target slot and fall-through, a ``j``/``jal`` target slot, the
+        next index after a non-transfer; none after
+        ``jr``/``jalr``/``break``/``syscall``.  A target outside the text
+        is its escape slot, past the end."""
+        m = self._decoded[last].mnemonic
         if m in BRANCHES:
-            return [last + 1 + instr.imm, last + 1]
+            return [self._targets[last], last + 1]
         if m == "j" or m == "jal":
-            return [self._jump_target(last)]
+            return [self._targets[last]]
         return [] if m in CONTROL_TRANSFERS else [last + 1]
 
     def _region_nodes(self, header: int, body: set[int], chains) -> dict:

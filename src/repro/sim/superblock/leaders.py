@@ -26,17 +26,18 @@ from __future__ import annotations
 
 from struct import unpack_from
 
+from repro.isa.instructions import CLASS_BRANCH, CLASS_JUMP, SPECS
+
 __all__ = [
     "BRANCHES", "CONTROL_TRANSFERS", "dispatch_roots", "find_leaders", "find_loops",
 ]
 
-#: a superblock never continues past one of these
-CONTROL_TRANSFERS = frozenset((
-    "beq", "bne", "blez", "bgtz", "bltz", "bgez",
-    "j", "jal", "jr", "jalr", "break", "syscall",
-))
+#: a superblock never continues past one of these: the branches, the
+#: jumps, ``break`` and ``syscall``
+CONTROL_TRANSFERS = frozenset(
+    m for m, spec in SPECS.items() if spec.klass in (CLASS_BRANCH, CLASS_JUMP))
 
-BRANCHES = frozenset(("beq", "bne", "blez", "bgtz", "bltz", "bgez"))
+BRANCHES = frozenset(m for m, spec in SPECS.items() if spec.is_branch)
 
 def _data_text_targets(data: bytes, text_base: int, text_len: int) -> set[int]:
     """Indices of the word-aligned text addresses found in *data*."""
@@ -46,31 +47,21 @@ def _data_text_targets(data: bytes, text_base: int, text_len: int) -> set[int]:
             if not word & 3 and text_base <= word < text_end}
 
 
-def find_leaders(decoded, text_base: int, text_len: int, data: bytes) -> set[int]:
+def find_leaders(decoded, targets: dict[int, int], text_base: int,
+                 text_len: int, data: bytes) -> set[int]:
     """Indices that start a superblock.
 
     The union of: index 0, the successor of every control transfer, every
-    in-text static branch/jump target, and every word-aligned text address
-    found in the data section (jump-table case targets).
+    in-text static branch/jump target (*targets* maps each branch and
+    ``j``/``jal`` index to its target's index, or to a slot past the text),
+    and every word-aligned text address found in the data section
+    (jump-table case targets).
     """
-    leaders: set[int] = {0} if text_len else set()
-    for index in range(text_len):
-        instr = decoded[index]
-        m = instr.mnemonic
-        if m not in CONTROL_TRANSFERS:
-            continue
-        if index + 1 < text_len:
-            leaders.add(index + 1)
-        if m in BRANCHES:
-            target = index + 1 + instr.imm
-            if 0 <= target < text_len:
-                leaders.add(target)
-        elif m == "j" or m == "jal":
-            pc = text_base + (index << 2)
-            t_pc = ((pc + 4) & 0xF000_0000) | (instr.target << 2)
-            target = (t_pc - text_base) >> 2
-            if 0 <= target < text_len:
-                leaders.add(target)
+    leaders = {index + 1 for index in range(text_len - 1)
+               if decoded[index].mnemonic in CONTROL_TRANSFERS}
+    leaders.update(target for target in targets.values() if target < text_len)
+    if text_len:
+        leaders.add(0)
     return leaders | _data_text_targets(data, text_base, text_len)
 
 

@@ -4,7 +4,7 @@ results land in a data word read back after HALT."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import MemoryFault, SimulationError
 from repro.isa import assemble
 from repro.sim import Cpu, CpiModel, run_executable
 
@@ -239,6 +239,20 @@ class TestExecutionControl:
         cpu = Cpu(assemble(".text\n_start:\n    break\n"), engine=engine)
         with pytest.raises(SimulationError, match="exceeded max_steps=0"):
             cpu.run(max_steps=0)
+
+    @pytest.mark.parametrize("engine", ["superblock", "threaded"])
+    def test_hi_lo_hold_their_values_at_a_fault(self, engine):
+        # a loop whose mult/mflo pair runs six times before its lh faults;
+        # hi and lo used to keep the values from before the run
+        from tests.sim.test_regions import _FAULTS
+
+        threaded = Cpu(assemble(_FAULTS), engine="threaded")
+        cpu = Cpu(assemble(_FAULTS), engine=engine)
+        for each in (threaded, cpu):
+            with pytest.raises(MemoryFault):
+                each.run()
+        assert threaded._hilo == [0, 4200]
+        assert (cpu.hi, cpu.lo) == tuple(threaded._hilo)
 
 
 class TestProfiling:

@@ -1,9 +1,11 @@
 """Differential fuzz harness: three engines, one binary, identical stats.
 
-The simulator now carries three copies of the MIPS-I semantics: the
-reference interpreter (:mod:`repro.sim.reference`, the executable spec),
-the threaded executor closures, and the superblock code generator.  This
-suite is what keeps them honest:
+The simulator carries two copies of the MIPS-I semantics: the reference
+interpreter (:mod:`repro.sim.reference`, the executable spec) and the
+code generator's templates, from which both the threaded handlers and
+the superblock units are built.  This suite is what keeps the engines
+honest (``tests/sim/test_handler_shapes.py`` checks every handler shape
+against the reference on its own):
 
 * every benchmark of the suite runs on all three engines under both the
   hard-core and the soft-core CPI models, and every
