@@ -244,10 +244,10 @@ class SuperblockTable:
         through the threaded handlers after an entry guard failed.
 
         It bumps the unit's counter as the unit would have, so the fold
-        stays exact, and steps exactly the unit's instructions.  A
-        closure over the tables it needs, not
-        a bound method: generated code must not reference the table, or
-        every ``Cpu`` would wait for the cycle collector to be freed.
+        stays exact, and steps exactly the unit's instructions.  A closure
+        over the tables it needs, not a bound method: generated code must
+        not reference the table, or every ``Cpu`` would wait for the
+        cycle collector to be freed.
         """
         bcounts = self.bcounts
         unit_sizes = self._unit_sizes
