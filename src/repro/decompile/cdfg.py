@@ -1,7 +1,9 @@
-"""The CDFG: control-flow graph + per-block data-flow graphs.
+"""Per-block data-flow graphs: the DFG half of the CDFG.
 
-This is the representation handed to behavioral synthesis.  Each basic
-block's straight-line micro-ops become a DFG whose edges carry
+The CDFG handed to behavioral synthesis is the decompiled function's
+control-flow graph plus one DFG per basic block, built on demand by the
+synthesizer.  Each block's straight-line micro-ops become a DFG whose
+edges carry
 
 * register dataflow (def -> use),
 * memory ordering (store -> later load/store, load -> later store), relaxed
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.decompile.cfg import ControlFlowGraph, MicroBlock
-from repro.decompile.microop import ALU_OPS, Imm, Loc, MicroOp, Opcode
+from repro.decompile.cfg import MicroBlock
+from repro.decompile.microop import Imm, Loc, MicroOp, Opcode
 
 
 @dataclass
@@ -119,21 +121,3 @@ def build_dfg(block: MicroBlock, live_out: set[Loc] | None = None) -> Dfg:
         dfg.outputs = {loc for loc in last_def if loc in live_out}
     return dfg
 
-
-@dataclass
-class Cdfg:
-    """Control/data flow graph of one function."""
-
-    cfg: ControlFlowGraph
-    dfgs: dict[int, Dfg] = field(default_factory=dict)
-
-    @classmethod
-    def from_cfg(cls, cfg: ControlFlowGraph, live_out: list[set[Loc]] | None = None) -> "Cdfg":
-        cdfg = cls(cfg=cfg)
-        for block in cfg.blocks:
-            out = live_out[block.index] if live_out is not None else None
-            cdfg.dfgs[block.index] = build_dfg(block, out)
-        return cdfg
-
-    def op_count(self) -> int:
-        return sum(len(dfg.ops) for dfg in self.dfgs.values())

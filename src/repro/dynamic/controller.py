@@ -60,8 +60,11 @@ from repro.decompile.decompiler import (
 )
 from repro.dynamic.fabric import FabricState
 from repro.dynamic.profiler import DECAY, OnlineProfiler, ProfilerConfig
-from repro.partition.costmodels import cost_model_for
-from repro.partition.estimator import kernel_fpga_cycles
+from repro.partition.estimator import (
+    kernel_cycles,
+    kernel_hw_seconds,
+    migration_cycles,
+)
 from repro.partition.profiles import LoopProfile, block_ranges
 from repro.platform.platform import Platform
 from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
@@ -398,10 +401,6 @@ class DynamicPartitionController:
             exe, decompile_options, Synthesizer(self.synthesis_options)
         )
         self._unrecoverable = False
-        #: online hardware-time estimates go through the same per-device
-        #: cost-model registry as static placement, so the controller's
-        #: accounting can never drift from the partitioning pipeline's
-        self._fabric_cost_model = cost_model_for("fabric")
 
     # -- on-chip CAD --------------------------------------------------------
 
@@ -590,11 +589,12 @@ class DynamicPartitionController:
                 continue
             moved_cycles += loop_cycles
             kernel = site.kernel
-            # FPGA-busy seconds for the window's iterations (no CPU overhead)
-            busy = kernel_fpga_cycles(kernel, profile) / (kernel.clock_mhz * 1e6)
+            # FPGA-busy seconds for the window's iterations; migration was
+            # charged when the kernel was placed (see _apply_plan)
+            kernel_time = kernel_cycles(platform, kernel, profile)
+            busy = kernel_time.fpga / (kernel.clock_mhz * 1e6)
             fpga_seconds += busy
-            invocation_cycles += (profile.invocations
-                                  * platform.invocation_overhead_cycles)
+            invocation_cycles += kernel_time.invocation
             dynamic_mw = platform.fpga_power.power_mw(
                 kernel.area_gates, kernel.clock_mhz
             ) - platform.fpga_power.static_mw
@@ -720,9 +720,8 @@ class DynamicPartitionController:
         seconds = 0.0, 0.0
         if state[0] > 0 and state[1] > 0:   # cycles and iterations
             seconds = (state[0] / (self.platform.cpu_clock_mhz * 1e6),
-                       self._fabric_cost_model.kernel_seconds(
-                           self.platform, site.kernel,
-                           self._site_profile(site, state)))
+                       kernel_hw_seconds(self.platform, site.kernel,
+                                         self._site_profile(site, state)))
         site.seconds = (self._samples, seconds)
         return seconds
 
@@ -910,11 +909,7 @@ class DynamicPartitionController:
             # charge the overheads the static flow never pays
             event.cad_cycles += placement.cad_cycles
             event.reconfig_cycles += self.config.reconfig_cycles * regions
-            if kernel.localized and kernel.bram_bytes:
-                event.migration_cycles += int(
-                    2 * (kernel.bram_bytes / 4)
-                    * self.platform.migration_cycles_per_word
-                )
+            event.migration_cycles += int(migration_cycles(self.platform, kernel))
 
     def _activate_pending(self) -> bool:
         """A concurrent-CAD job finished: configure its kernels now.

@@ -3,11 +3,12 @@
 * :mod:`profiles` -- maps simulator profiling results onto recovered loops
   (execution cycles, iterations, invocations per loop),
 * :mod:`estimator` -- builds candidate hardware regions by synthesizing
-  every profiled loop,
+  every profiled loop, and holds the kernel time model (FPGA, invocation
+  and migration cycles),
 * :mod:`graph` -- the partitioning IR: candidates as nodes with per-device
-  costs from the cost-model registry,
-* :mod:`costmodels` -- the per-device cost-model registry (CPU, fabric,
-  CGRA; extensible by kind),
+  costs from :func:`device_cost`,
+* :mod:`costmodels` -- :func:`device_cost`, a candidate's time and area on
+  a CPU, fabric or CGRA device,
 * :mod:`passes` -- the pass-manager and the standard passes (filter,
   legalize, report), each timed and traced,
 * :mod:`placement` -- placement algorithms as interchangeable passes: the
@@ -22,13 +23,7 @@ from repro.partition.api import (
     default_passes,
     partition,
 )
-from repro.partition.costmodels import (
-    CostModel,
-    DeviceCost,
-    cost_model_for,
-    device_cost,
-    register_cost_model,
-)
+from repro.partition.costmodels import DeviceCost, device_cost
 from repro.partition.estimator import Candidate, build_candidates
 from repro.partition.graph import (
     PartitionGraph,
@@ -58,7 +53,6 @@ from repro.partition.result import PartitionResult, result_from_graph
 __all__ = [
     "AnnealingPlacement",
     "Candidate",
-    "CostModel",
     "DeviceCost",
     "ExhaustivePlacement",
     "FilterPass",
@@ -80,10 +74,8 @@ __all__ = [
     "build_candidates",
     "build_graph",
     "build_profile",
-    "cost_model_for",
     "default_passes",
     "device_cost",
     "partition",
-    "register_cost_model",
     "result_from_graph",
 ]

@@ -1,15 +1,19 @@
-"""Candidate hardware regions: every profiled loop, synthesized.
+"""Candidate hardware regions and the kernel time model.
 
 A candidate bundles the loop's software profile with its synthesized
-hardware implementation.  What it costs on each device (time, area) is
-the cost-model registry's answer (:mod:`repro.partition.costmodels`),
-filled into the partition graph when it is built; placement passes then
-just pick assignments.
+hardware implementation.  :func:`kernel_cycles` is the one place a
+kernel's hardware time is decided: the FPGA cycles of the profiled work
+plus the CPU-side cycles of invoking the kernel and migrating its
+localized data.  Device costing (:func:`repro.partition.costmodels.device_cost`),
+the application metrics (:func:`repro.platform.metrics.evaluate_partition`)
+and the dynamic controller's interval accounting all read it, so placement
+decisions and timeline arithmetic cannot drift apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro import stages
 from repro.binary.image import Executable
@@ -49,12 +53,7 @@ class Candidate:
 
 
 def kernel_fpga_cycles(kernel: HwKernel, profile: LoopProfile) -> float:
-    """FPGA cycles for *kernel* to perform the profiled work (no CPU side).
-
-    Shared by the fabric and CGRA cost models and the dynamic controller's
-    interval accounting, so placement decisions and timeline arithmetic can
-    never drift apart.
-    """
+    """FPGA cycles for *kernel* to perform the profiled work (no CPU side)."""
     if kernel.pipelined:
         iterations = profile.iterations * kernel.iterations_multiplier
         fill = max(0, kernel.schedule_length - kernel.ii)
@@ -66,19 +65,53 @@ def kernel_fpga_cycles(kernel: HwKernel, profile: LoopProfile) -> float:
     return fpga_cycles
 
 
+def migration_cycles(platform: Platform, kernel: HwKernel) -> float:
+    """CPU cycles to move *kernel*'s localized data region into block RAM
+    before its first use and back once at the end (0.0 when it localizes
+    nothing)."""
+    if kernel.localized and kernel.bram_bytes:
+        return 2 * (kernel.bram_bytes / 4) * platform.migration_cycles_per_word
+    return 0.0
+
+
+class KernelCycles(NamedTuple):
+    """A kernel's time for one profile, split by who spends it."""
+
+    fpga: float        # FPGA cycles at the device clock
+    invocation: int    # CPU cycles starting the kernel and collecting results
+    migration: float   # CPU cycles moving its localized data in and out
+
+    @property
+    def cpu(self) -> float:
+        """The CPU-side cycles: invocation plus migration."""
+        return self.invocation + self.migration
+
+    def seconds(self, fpga_mhz: float, cpu_mhz: float) -> float:
+        """Wall-clock seconds with the FPGA at *fpga_mhz*, the CPU at
+        *cpu_mhz*."""
+        return self.fpga / (fpga_mhz * 1e6) + self.cpu / (cpu_mhz * 1e6)
+
+
+def kernel_cycles(
+    platform: Platform, kernel: HwKernel, profile: LoopProfile
+) -> KernelCycles:
+    """The kernel time model: *kernel*'s FPGA, invocation-overhead and
+    migration cycles for the work *profile* records on *platform*."""
+    return KernelCycles(
+        kernel_fpga_cycles(kernel, profile),
+        profile.invocations * platform.invocation_overhead_cycles,
+        migration_cycles(platform, kernel),
+    )
+
+
 def kernel_hw_seconds(
     platform: Platform, kernel: HwKernel, profile: LoopProfile
 ) -> float:
-    """Wall-clock seconds for *kernel* to perform the profiled work."""
-    fpga_hz = kernel.clock_mhz * 1e6
-    fpga_cycles = kernel_fpga_cycles(kernel, profile)
-    overhead_cycles = profile.invocations * platform.invocation_overhead_cycles
-    migration_cycles = 0.0
-    if kernel.localized and kernel.bram_bytes:
-        # move the region in before the first use and back once at the end
-        migration_cycles = 2 * (kernel.bram_bytes / 4) * platform.migration_cycles_per_word
-    cpu_side = (overhead_cycles + migration_cycles) / (platform.cpu_clock_mhz * 1e6)
-    return fpga_cycles / fpga_hz + cpu_side
+    """Wall-clock seconds for *kernel* to perform the profiled work on
+    fine-grained fabric, at the kernel's own clock."""
+    return kernel_cycles(platform, kernel, profile).seconds(
+        kernel.clock_mhz, platform.cpu_clock_mhz
+    )
 
 
 def build_candidates(

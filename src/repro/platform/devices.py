@@ -6,18 +6,19 @@ or more fabric regions, CGRA datapaths or extra soft-core slots -- they
 are just more entries.  :class:`DeviceSpec` is the placement-facing view
 of one such unit; :attr:`repro.platform.platform.Platform.devices` is the
 paper's pair (the CPU plus one fabric carrying the whole kernel budget),
-and the per-device cost models in :mod:`repro.partition.costmodels` are
-looked up by :attr:`DeviceSpec.kind`.
+and :func:`repro.partition.costmodels.device_cost` prices a candidate by
+:attr:`DeviceSpec.kind`, one of :data:`KINDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: device kinds with built-in cost models (see repro.partition.costmodels)
+#: the device kinds :func:`repro.partition.costmodels.device_cost` prices
 CPU = "cpu"
 FABRIC = "fabric"
 CGRA = "cgra"
+KINDS = (CPU, FABRIC, CGRA)
 
 
 @dataclass(frozen=True)
@@ -30,11 +31,18 @@ class DeviceSpec:
     """
 
     name: str              # unique within one platform: "cpu", "fabric0", ...
-    kind: str              # cost-model key: "cpu" | "fabric" | "cgra" | ...
+    kind: str              # one of KINDS: "cpu" | "fabric" | "cgra"
     capacity_gates: float  # area budget for kernels (0.0 for the CPU)
     clock_mhz: float       # device clock ceiling (CPU clock for the CPU)
     bram_bytes: int = 0    # on-chip RAM reachable from this device
     index: int = 0         # ordinal among same-kind devices (fabric0, 1, ..)
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(
+                f"unknown device kind {self.kind!r} "
+                f"(known: {', '.join(KINDS)})"
+            )
 
     @property
     def is_cpu(self) -> bool:
@@ -69,7 +77,7 @@ def cgra_device(
     Galanis et al. style: word-level datapaths amortize the per-bit LUT
     overhead, so the same kernel packs into fewer equivalent gates and the
     grid clocks at a fixed word-level rate rather than the datapath-limited
-    LUT clock.  The cost model in :mod:`repro.partition.costmodels` applies
+    LUT clock.  :func:`repro.partition.costmodels.device_cost` applies
     those curves; the spec just carries the budget.
     """
     return DeviceSpec(

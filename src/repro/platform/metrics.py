@@ -78,7 +78,7 @@ def evaluate_partition(
     step_of: dict[str, int] | None = None,
 ) -> ApplicationMetrics:
     """Compute application metrics for a chosen partition."""
-    from repro.partition.estimator import kernel_hw_seconds
+    from repro.partition.estimator import kernel_cycles
 
     step_of = step_of or {}
     sw_seconds = platform.cpu_seconds(total_cycles)
@@ -91,7 +91,10 @@ def evaluate_partition(
     kernel_sw_cycles = 0.0
 
     for candidate in selected:
-        hw_seconds = kernel_hw_seconds(platform, candidate.kernel, candidate.profile)
+        cycles = kernel_cycles(platform, candidate.kernel, candidate.profile)
+        hw_seconds = cycles.seconds(
+            candidate.kernel.clock_mhz, platform.cpu_clock_mhz
+        )
         metrics = KernelMetrics(
             name=candidate.name,
             function=candidate.function.name,
@@ -110,13 +113,7 @@ def evaluate_partition(
         total_area += candidate.kernel.area_gates
 
         # split the kernel's wall time into FPGA-busy and CPU-overhead parts
-        overhead_cycles = (
-            candidate.profile.invocations * platform.invocation_overhead_cycles
-        )
-        if candidate.kernel.localized and candidate.kernel.bram_bytes:
-            overhead_cycles += (
-                2 * (candidate.kernel.bram_bytes / 4) * platform.migration_cycles_per_word
-            )
+        overhead_cycles = cycles.cpu
         cpu_overhead_cycles += overhead_cycles
         fpga_busy = hw_seconds - overhead_cycles / (platform.cpu_clock_mhz * 1e6)
         fpga_busy_seconds += max(0.0, fpga_busy)

@@ -28,10 +28,11 @@ Design notes:
   entry, block or chain instead of per instruction, and every
   observation point folds each counter into the per-instruction
   counters.  Both dispatch loops hand regions an instruction allowance
-  they run whole iterations under.  The superblock loop falls back to
-  the handlers for the last few instructions of a *max_steps* budget,
-  and the sampled loop single-steps chunk tails and mid-block entries
-  through them.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
+  they run whole iterations under.  Both single-step a slot with no
+  generated function (a dynamic jump into the middle of a block) through
+  the handlers; the superblock loop also falls back to them for the last
+  few instructions of a *max_steps* budget, and the sampled loop for
+  chunk tails.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
 * **Flat memory windows.**  Construction installs two flat windows in
   :class:`~repro.sim.memory.Memory`: a 64 KiB stack window ending at
   ``0x8000_0000`` and a power-of-two data window starting at the
@@ -545,7 +546,10 @@ class Cpu:
         which single-steps chunk tails through the threaded handlers so
         boundaries land on the exact instruction).  Per-unit entry
         counters are folded into *counts* at every observation point,
-        never mid-spree.
+        never mid-spree.  A slot with no generated function (a dynamic
+        jump into the middle of a block) is single-stepped through the
+        threaded handlers, one step per call, until a slot with one comes
+        up, as :meth:`_run_chunked` does, so a run generates no code.
 
         Budget-free dispatch sprees: a spree of *k* calls charges each
         call ``call_bound`` instructions, the most a unit or one region
@@ -564,7 +568,6 @@ class Cpu:
         sb = self._sb
         sb.reset()
         fns = sb.fns
-        materialize = sb.materialize
         bound = sb.call_bound
         allowance = sb.allowance
         handlers = self._handlers
@@ -577,8 +580,10 @@ class Cpu:
                 for _ in repeat(None, calls):
                     fn = fns[index]
                     if fn is None:
-                        fn = materialize(index)
-                    index = fn()
+                        counts[index] += 1
+                        index = handlers[index]()
+                    else:
+                        index = fn()
                 sb.fold_into(counts)
                 remaining = max_steps - sum(counts)
             for _ in repeat(None, remaining):

@@ -15,9 +15,10 @@ entry point, every return address (the successor of a ``jal``/``jalr``)
 and every text address in ``.data`` (jump-table cases).  A leader reached
 only through a fused ``j``/``jal`` -- every callee's first block, most
 ``j`` targets -- is never handed to the dispatch loop, so it gets no unit
-of its own.  Correctness does not depend on the set: an index whose slot
-is ``None`` is materialized by the unsampled loop and single-stepped by
-the sampled one.  Eager generation pays off because the suite's programs
+of its own.  Correctness does not depend on the set: both dispatch
+loops single-step an index whose slot is ``None`` through the threaded
+handlers until a slot with a generated function comes up, so no code is
+generated after construction.  Eager generation pays off because the suite's programs
 execute almost all of their text (95.6% of ``static_suite``'s), and each
 extra module costs ~1 ms of fixed ``compile()`` time.  Two layers sit
 on that substrate:
@@ -102,8 +103,6 @@ class SuperblockTable:
       divide by it.
     * :attr:`allowance` -- ``[instructions]`` a region may run beyond
       the ``sizes`` entry charged for its call.
-    * :meth:`materialize` -- build the suffix unit for a dynamic jump to
-      a mid-block index (unsampled runs only).
     * :meth:`reset` / :meth:`fold_into` -- zero the per-unit counters at
       run start / fold their deltas into the per-instruction array.
     * :attr:`blocks` -- the leader partition, for introspection and the
@@ -145,8 +144,8 @@ class SuperblockTable:
         #: each region call spends from it (see ``Codegen.emit_region``)
         self.allowance = [0]
 
-        #: cumulative generated-code cost (unit build, materialize);
-        #: always-on -- a couple of perf_counter calls around each rare
+        #: cumulative generated-code cost (the construction-time batches);
+        #: always-on -- a couple of perf_counter calls around each
         #: compile, nothing in dispatch
         self.codegen_seconds = 0.0
         #: watermark for :meth:`consume_stats`
@@ -208,31 +207,6 @@ class SuperblockTable:
                 for start, length in members[bid]:
                     for i in range(start, start + length):
                         counts[i] += delta
-
-    def materialize(self, index: int):
-        """Generate the suffix unit for a dynamic jump to mid-block *index*.
-
-        Only ever called by the unsampled loop, for indices whose slot
-        is still ``None`` -- dispatch entries are populated at build time,
-        and the sampled loop single-steps to the next entry instead.  A
-        dynamic jump to a leader that is no dispatch entry lands here too
-        and gets its block's unit.  Suffix
-        units are never chain-fused: a later sampled run on the same
-        ``Cpu`` budget-checks ``sizes[index]`` before calling one, so the
-        generated unit must execute exactly ``suffix_len`` steps.
-        """
-        segments = ((index, self.suffix_len[index]),)
-        bid = self._new_bid(segments)
-        started = perf_counter()
-        source = _FACTORY + "\n"
-        source += "\n".join(self._cg.emit_unit("_b", segments, bid, "    ")) + "\n"
-        source += "    return _b\n"
-        namespace: dict = {}
-        exec(compile(source, f"<superblock@{index}>", "exec"), namespace)
-        fn = namespace["_factory"](**self._ns)
-        self.codegen_seconds += perf_counter() - started
-        self.fns[index] = fn
-        return fn
 
     @property
     def guard_misses(self) -> int:

@@ -7,9 +7,10 @@ text address (the compiler's switch jump tables live in ``.data`` as
 little-endian word arrays of case-target addresses, so this scan
 guarantees jump-table targets start a block).  The leader set only
 affects *performance*: a register-indirect jump into the middle of a
-block -- possible in principle for hand-written assembly -- lazily
-materializes a suffix block starting at that index, so correctness never
-depends on the discovery heuristics.
+block -- possible in principle for hand-written assembly -- lands on a
+slot with no generated function, which the dispatch loops single-step
+through the threaded handlers, so correctness never depends on the
+discovery heuristics.
 
 :func:`dispatch_roots` names the indices a dispatch loop can be handed
 from outside any unit's static exits: the entry point, return addresses

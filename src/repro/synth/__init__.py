@@ -18,12 +18,7 @@ from repro.synth.fpga import FpgaDevice, TechnologyModel, VIRTEX2_DEVICES
 from repro.synth.scheduling import Schedule, asap_schedule, alap_schedule, list_schedule
 from repro.synth.binding import BindingResult, bind
 from repro.synth.pipeline import initiation_interval
-from repro.synth.synthesizer import (
-    HwKernel,
-    SynthesisOptions,
-    Synthesizer,
-    synthesize_loop,
-)
+from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
 from repro.synth.vhdl import emit_vhdl
 
 __all__ = [
@@ -41,5 +36,4 @@ __all__ = [
     "emit_vhdl",
     "initiation_interval",
     "list_schedule",
-    "synthesize_loop",
 ]

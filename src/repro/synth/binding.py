@@ -43,19 +43,10 @@ class BindingResult:
 
 
 def bind(
-    dfg: Dfg,
-    schedule: Schedule,
-    tech: TechnologyModel | None = None,
-    localized: bool = True,
-) -> BindingResult:
-    tech = tech or TechnologyModel()
-    return bind_priced(dfg, schedule, tech.op_costs(dfg.ops, localized), tech)
-
-
-def bind_priced(
     dfg: Dfg, schedule: Schedule, costs: list[OpCost], tech: TechnologyModel
 ) -> BindingResult:
-    """:func:`bind` of *dfg*, whose ops cost *costs*."""
+    """Bind *dfg*'s scheduled ops, which cost *costs*, to functional units
+    and count its registers, multiplexers and controller."""
     result = BindingResult()
     if not dfg.ops:
         result.controller_gates = tech.controller_gates(1)

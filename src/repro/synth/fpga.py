@@ -74,11 +74,8 @@ class TechnologyModel:
 
     def __init__(self) -> None:
         #: priced costs by (opcode, width, shift by immediate, localized):
-        #: all that :meth:`op_cost` reads of an op
+        #: all that pricing reads of an op
         self._costs: dict[tuple, OpCost] = {}
-
-    def op_cost(self, op: MicroOp, localized_memory: bool = True) -> OpCost:
-        return self.op_costs((op,), localized_memory)[0]
 
     def _price(
         self, code: Opcode, width: int, constant_shift: bool, localized_memory: bool
@@ -119,7 +116,8 @@ class TechnologyModel:
         return OpCost(0.0, 0.0, 1, "wire")
 
     def op_costs(self, ops: list[MicroOp], localized_memory: bool = True) -> list[OpCost]:
-        """:meth:`op_cost` of each op of *ops*, in order."""
+        """The area, delay, latency and unit class of each op of *ops*, in
+        order."""
         known = self._costs
         costs = []
         for op in ops:
@@ -132,33 +130,10 @@ class TechnologyModel:
             costs.append(cost)
         return costs
 
-    def clock_period_ns(self, ops: list[MicroOp], localized_memory: bool = True) -> float:
-        """Achievable clock period: slowest single-cycle stage + overhead."""
-        return self.period_of(self.op_costs(ops, localized_memory))
-
-    def clock_mhz(
-        self,
-        ops: list[MicroOp],
-        device: FpgaDevice = DEFAULT_DEVICE,
-        localized_memory: bool = True,
-    ) -> float:
-        return self.clock_mhz_of(self.op_costs(ops, localized_memory), device)
-
-    def chain_budget_ns(
-        self,
-        ops: list[MicroOp],
-        device: FpgaDevice = DEFAULT_DEVICE,
-        localized_memory: bool = True,
-    ) -> float:
-        """Combinational time available inside one cycle for operator
-        chaining: the achievable clock period minus register overhead.
-        When every op is fast the device clock ceiling sets the period, so
-        several LUT levels fit in a cycle."""
-        return self.chain_budget_of(self.op_costs(ops, localized_memory), device)
-
-    # the same three figures from already-priced ops (:meth:`op_costs`)
+    # clock figures of already-priced ops (:meth:`op_costs`)
 
     def period_of(self, costs: Iterable[OpCost]) -> float:
+        """Achievable clock period: slowest single-cycle stage + overhead."""
         worst = 1.0
         for cost in costs:
             if cost.delay_ns > worst:
@@ -173,6 +148,10 @@ class TechnologyModel:
     def chain_budget_of(
         self, costs: Iterable[OpCost], device: FpgaDevice = DEFAULT_DEVICE
     ) -> float:
+        """Combinational time available inside one cycle for operator
+        chaining: the achievable clock period minus register overhead.
+        When every op is fast the device clock ceiling sets the period, so
+        several LUT levels fit in a cycle."""
         period = 1000.0 / self.clock_mhz_of(costs, device)
         return max(period - self.CLOCK_OVERHEAD_NS, 0.1)
 

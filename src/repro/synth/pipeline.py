@@ -4,7 +4,7 @@ The hardware time model for a pipelined loop is
 
     cycles = iterations * II + (schedule_length - II)     (fill/drain)
 
-with II bounded below by resources (ops per class / units per class) and by
+per invocation (:func:`repro.partition.estimator.kernel_fpga_cycles`), with II bounded below by resources (ops per class / units per class) and by
 recurrences (loop-carried dependence cycles: an accumulator's add must
 finish before the next iteration's add may start).  The recurrence bound is
 computed exactly on the body DFG: for each location that is both consumed
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.decompile.cdfg import Dfg
 from repro.errors import ResourceConstraintError
-from repro.synth.fpga import OpCost, TechnologyModel
+from repro.synth.fpga import OpCost
 from repro.synth.scheduling import ResourceConstraints
 
 
@@ -51,27 +51,14 @@ def _longest_paths_to(
 
 
 def initiation_interval(
-    dfg: Dfg,
-    constraints: ResourceConstraints | None = None,
-    tech: TechnologyModel | None = None,
-    localized: bool = True,
+    dfg: Dfg, costs: list[OpCost], constraints: ResourceConstraints
 ) -> IiEstimate:
-    """The II bounds of *dfg* as a loop body.
+    """The II bounds of *dfg* as a loop body, whose ops cost *costs*.
 
     Raises :class:`~repro.errors.ResourceConstraintError` when an op needs a
     unit class that *constraints* gives no units, as
     :func:`~repro.synth.scheduling.list_schedule` does.
     """
-    tech = tech or TechnologyModel()
-    return initiation_interval_priced(
-        dfg, tech.op_costs(dfg.ops, localized), constraints or ResourceConstraints()
-    )
-
-
-def initiation_interval_priced(
-    dfg: Dfg, costs: list[OpCost], constraints: ResourceConstraints
-) -> IiEstimate:
-    """:func:`initiation_interval` of *dfg*, whose ops cost *costs*."""
     if not dfg.ops:
         return IiEstimate(1, 1, 1)
 

@@ -11,10 +11,15 @@ Latencies are multi-cycle (divider = width cycles, multiplier = 2, BRAM
 load = 2), so the schedule is in *cycles* and directly becomes the FSM's
 states in the VHDL backend.
 
-Each op is priced once per schedule (:meth:`TechnologyModel.op_costs`,
-memoised on the technology model by everything a price depends on), and
-the DFG's predecessor and successor lists are built once
-(:meth:`Dfg.adjacency`).  List scheduling then runs over per-op arrays --
+:func:`list_schedule` takes the ops already priced
+(:meth:`TechnologyModel.op_costs`, memoised on the technology model by
+everything a price depends on) and the chaining budget, so the
+synthesizer prices each block once for its schedule, binding
+(:func:`repro.synth.binding.bind`) and initiation interval
+(:func:`repro.synth.pipeline.initiation_interval`).  ASAP and ALAP price
+for themselves: they are the reference schedules list scheduling is
+checked against.  The DFG's predecessor and successor lists are built
+once (:meth:`Dfg.adjacency`).  List scheduling then runs over per-op arrays --
 latency, unit class, delay, whether the op needs a register boundary --
 with a running count of busy units per class, so a cycle costs the ops
 that become ready in it rather than a scan of the whole DFG.
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.decompile.cdfg import Dfg
 from repro.errors import ResourceConstraintError
-from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, OpCost, TechnologyModel
+from repro.synth.fpga import OpCost, TechnologyModel
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,18 @@ def alap_schedule(
 
 def list_schedule(
     dfg: Dfg,
-    constraints: ResourceConstraints | None = None,
-    tech: TechnologyModel | None = None,
-    localized: bool = True,
-    device: FpgaDevice = DEFAULT_DEVICE,
+    costs: list[OpCost],
+    constraints: ResourceConstraints,
+    chain_budget: float,
 ) -> Schedule:
-    """Mobility-prioritized, chaining-aware list scheduling.
+    """Mobility-prioritized, chaining-aware list scheduling of *dfg*,
+    whose ops cost *costs* (:meth:`TechnologyModel.op_costs`).
 
     Operator *chaining* packs dependent single-cycle operations into the
     same cycle as long as their accumulated combinational delay fits the
-    clock period on *device* (set by the slowest single-cycle stage or the
-    device's clock ceiling) minus register overhead.  This is what real
+    clock period minus register overhead, *chain_budget* nanoseconds
+    (:meth:`TechnologyModel.chain_budget_of`: the slowest single-cycle
+    stage or the device's clock ceiling sets the period).  This is what real
     behavioral synthesis does -- a shift feeding an AND feeding an OR is one
     cycle of wiring and LUTs, not three FSM states.  Multi-cycle units
     (multiplier, divider, BRAM) always start at a register boundary.
@@ -150,22 +156,6 @@ def list_schedule(
     units only fill up and its chain arrival is fixed -- so the next round
     looks only at the ops the round just enabled.
     """
-    tech = tech or TechnologyModel()
-    costs = tech.op_costs(dfg.ops, localized)
-    return list_schedule_priced(
-        dfg, costs, constraints or ResourceConstraints(),
-        tech.chain_budget_of(costs, device),
-    )
-
-
-def list_schedule_priced(
-    dfg: Dfg,
-    costs: list[OpCost],
-    constraints: ResourceConstraints,
-    chain_budget: float,
-) -> Schedule:
-    """:func:`list_schedule` of *dfg*, whose ops cost *costs*, chaining
-    under *chain_budget* nanoseconds per cycle."""
     count = len(dfg.ops)
     if count == 0:
         return Schedule()

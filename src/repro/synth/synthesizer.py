@@ -31,14 +31,10 @@ from repro.decompile.dataflow import NaturalLoop, liveness
 from repro.decompile.decompiler import DecompiledFunction
 from repro.decompile.microop import Imm, MicroOp, Opcode
 from repro.errors import SynthesisError
-from repro.synth.binding import BindingResult, bind_priced
+from repro.synth.binding import BindingResult, bind
 from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, OpCost, TechnologyModel
-from repro.synth.pipeline import initiation_interval_priced
-from repro.synth.scheduling import (
-    ResourceConstraints,
-    Schedule,
-    list_schedule_priced,
-)
+from repro.synth.pipeline import initiation_interval
+from repro.synth.scheduling import ResourceConstraints, Schedule, list_schedule
 from repro.synth.vhdl import emit_vhdl
 
 
@@ -55,7 +51,10 @@ class SynthesisOptions:
 
 @dataclass
 class HwKernel:
-    """One synthesized hardware region and its cost model."""
+    """One synthesized hardware region: its area, clock and schedule.
+
+    What it costs to run for a profile is the kernel time model's answer
+    (:func:`repro.partition.estimator.kernel_cycles`)."""
 
     name: str
     header_address: int
@@ -71,13 +70,6 @@ class HwKernel:
     #: per-body-block schedule length (block start address -> cycles), used
     #: by the evaluator to weight multi-block loops with profiled counts
     block_schedules: dict[int, int] = field(default_factory=dict)
-
-    def cycles_for(self, iterations: float) -> float:
-        """Hardware cycles to run the kernel for *iterations* iterations."""
-        iterations = iterations * self.iterations_multiplier
-        if self.pipelined:
-            return iterations * self.ii + max(0, self.schedule_length - self.ii)
-        return iterations * self.schedule_length
 
 
 class Synthesizer:
@@ -109,11 +101,11 @@ class Synthesizer:
             if block is None:
                 dfg = self._adapt_strength(build_dfg(cfg.blocks[index], live_out[index]))
                 costs = tech.op_costs(dfg.ops, localized)
-                schedule = list_schedule_priced(
+                schedule = list_schedule(
                     dfg, costs, constraints,
                     tech.chain_budget_of(costs, self.options.device),
                 )
-                binding = bind_priced(dfg, schedule, costs, tech)
+                binding = bind(dfg, schedule, costs, tech)
                 block = built[key] = (dfg, costs, schedule, binding)
             blocks.append(block)
         return blocks
@@ -173,7 +165,7 @@ class Synthesizer:
         if pipelined:
             latch_index = next(i for i in body_indices if i != loop.header)
             latch_pos = body_indices.index(latch_index)
-            estimate = initiation_interval_priced(
+            estimate = initiation_interval(
                 dfgs[latch_pos], costs[latch_pos], constraints
             )
             ii = estimate.ii
@@ -296,12 +288,3 @@ def _footprint_bytes(exe: Executable, symbols: frozenset[str]) -> int:
 def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name)
 
-
-def synthesize_loop(
-    func: DecompiledFunction,
-    loop: NaturalLoop,
-    exe: Executable | None = None,
-    options: SynthesisOptions | None = None,
-) -> HwKernel:
-    """Convenience wrapper around :class:`Synthesizer`."""
-    return Synthesizer(options).synthesize_loop(func, loop, exe)

@@ -8,12 +8,16 @@ from repro import obs
 from repro.compiler import compile_source
 from repro.decompile import decompile
 from repro.partition.api import PartitionOutcome, partition
-from repro.partition.costmodels import cost_model_for
 from repro.partition.estimator import build_candidates
 from repro.partition.graph import build_graph
 from repro.partition.passes import FilterPass, PartitionPass, PassManager
 from repro.partition.profiles import build_profile
-from repro.platform.devices import cgra_device, cpu_device, fabric_device
+from repro.platform.devices import (
+    DeviceSpec,
+    cgra_device,
+    cpu_device,
+    fabric_device,
+)
 from repro.platform.platform import MIPS_200MHZ, SOFTCORE_85MHZ
 from repro.programs import get_benchmark
 from repro.sim.cpu import run_executable
@@ -170,8 +174,10 @@ class TestCosts:
         assert costs == DEVICE_COST_PINS[name, label]
 
     def test_unknown_kind_raises_with_help(self):
-        with pytest.raises(KeyError, match="register_cost_model"):
-            cost_model_for("quantum")
+        # the error names the known kinds
+        with pytest.raises(ValueError, match="known: cpu, fabric, cgra"):
+            DeviceSpec(name="quantum0", kind="quantum", capacity_gates=1.0,
+                       clock_mhz=100.0)
 
 
 class TestPassManager:

@@ -11,8 +11,9 @@ The invariants the dispatch rewrite stands on:
   jump-table entry found in the data section is a leader, so indirect
   switch dispatch always lands on a block start;
 * a dynamic jump into the *middle* of a block (hand-written assembly can
-  do what the compiler never does) falls back to lazily-materialized
-  suffix blocks and still produces bit-identical statistics;
+  do what the compiler never does) is single-stepped through the threaded
+  handlers, generates no code, and still produces bit-identical
+  statistics;
 * a run that exhausts *max_steps* stops on the same step and pc as the
   reference, and the cold-counter spill keeps every counter exact.
 """
@@ -153,7 +154,7 @@ class TestJumpTables:
 
 class TestDynamicMidBlockEntry:
     #: jr lands on the *second* instruction of a straight-line run -- an
-    #: index no leader analysis can predict, exercising lazy suffix blocks
+    #: index no leader analysis can predict, so its slot stays empty
     _ASM = """    la $t0, spot
     addiu $t0, $t0, 4
     jr $t0
@@ -176,20 +177,19 @@ total: .word 0
         # the jr skipped the first addiu: 100 must be missing
         assert cpu.read_word_global_signed("total") == 11
 
-    def test_suffix_block_is_materialized_lazily(self):
+    def test_mid_block_target_is_single_stepped(self):
         exe = assemble(f".text\n_start:\n{self._ASM}")
         cpu = Cpu(exe, profile=True)
         leaders = {start for start, _ in cpu.superblocks}
         entry_index = (exe.symbols["spot"].address - exe.text_base) // 4 + 1
         assert entry_index not in leaders, "test requires a true mid-block target"
-        assert cpu._sb.fns[entry_index] is None
+        units = cpu._sb._cg.units_emitted
         cpu.run()
-        materialized = cpu._sb.fns[entry_index]
-        assert materialized is not None, "dynamic entry must materialize a suffix"
-        # the suffix overlays the tail of the original block: counters for
-        # the overlapping instructions came out exact (checked vs reference
-        # in the test above), and the suffix is reused on the next run
-        assert cpu._sb.fns[entry_index] is materialized
+        # the unsampled loop stepped through the slot: it is still empty
+        # and the run generated no unit
+        assert cpu._sb.fns[entry_index] is None
+        assert cpu._sb._cg.units_emitted == units
+        assert cpu.read_word_global_signed("total") == 11
 
 
 #: a hot counted loop with a biased branch and a trailing cold phase

@@ -7,6 +7,8 @@ from repro.decompile import decompile
 from repro.decompile.cdfg import Dfg, DfgEdge
 from repro.decompile.dataflow import liveness
 from repro.decompile.microop import Imm, Loc, MicroOp, Opcode
+from repro.partition.estimator import kernel_fpga_cycles
+from repro.partition.profiles import LoopProfile
 from repro.synth import (
     Synthesizer,
     SynthesisOptions,
@@ -21,6 +23,20 @@ from repro.synth.scheduling import ResourceConstraints
 _TECH = TechnologyModel()
 
 
+def _schedule(dfg, constraints):
+    """List-schedule *dfg*, its ops priced by the technology model."""
+    costs = _TECH.op_costs(dfg.ops)
+    return list_schedule(dfg, costs, constraints, _TECH.chain_budget_of(costs))
+
+
+def _bind(dfg, schedule):
+    return bind(dfg, schedule, _TECH.op_costs(dfg.ops), _TECH)
+
+
+def _ii(dfg, constraints):
+    return initiation_interval(dfg, _TECH.op_costs(dfg.ops), constraints)
+
+
 def _mk(opcode, index, a="R8", b="R9"):
     return MicroOp(opcode, dst=Loc(f"T{index}"), a=Loc(a), b=Loc(b))
 
@@ -30,8 +46,8 @@ class TestBinding:
         # two adds in sequence (dependent) share one adder
         ops = [_mk(Opcode.ADD, 0), MicroOp(Opcode.ADD, dst=Loc("T1"), a=Loc("T0"), b=Loc("R9"))]
         dfg = Dfg(ops=ops, edges=[DfgEdge(0, 1, "data")])
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
-        result = bind(dfg, schedule, _TECH)
+        schedule = _schedule(dfg, ResourceConstraints())
+        result = _bind(dfg, schedule)
         adders = [u for u in result.units if u.unit_class == "alu"]
         if schedule.start_cycle[0] != schedule.start_cycle[1]:
             assert len(adders) == 1
@@ -39,23 +55,23 @@ class TestBinding:
 
     def test_parallel_ops_need_separate_units(self):
         dfg = Dfg(ops=[_mk(Opcode.MUL, 0), _mk(Opcode.MUL, 1)])
-        schedule = list_schedule(dfg, ResourceConstraints(mul=2), _TECH)
-        result = bind(dfg, schedule, _TECH)
+        schedule = _schedule(dfg, ResourceConstraints(mul=2))
+        result = _bind(dfg, schedule)
         muls = [u for u in result.units if u.unit_class == "mul"]
         assert len(muls) == 2
 
     def test_logic_never_shared(self):
         ops = [_mk(Opcode.AND, 0), MicroOp(Opcode.AND, dst=Loc("T1"), a=Loc("T0"), b=Loc("R9"))]
         dfg = Dfg(ops=ops, edges=[DfgEdge(0, 1, "data")])
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
-        result = bind(dfg, schedule, _TECH)
+        schedule = _schedule(dfg, ResourceConstraints())
+        result = _bind(dfg, schedule)
         logic = [u for u in result.units if u.unit_class == "logic"]
         assert len(logic) == 2
 
     def test_area_positive_and_composed(self):
         dfg = Dfg(ops=[_mk(Opcode.ADD, 0), _mk(Opcode.MUL, 1)])
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
-        result = bind(dfg, schedule, _TECH)
+        schedule = _schedule(dfg, ResourceConstraints())
+        result = _bind(dfg, schedule)
         assert result.total_gates == (
             result.unit_gates + result.register_gates
             + result.mux_gates + result.controller_gates
@@ -69,13 +85,13 @@ class TestInitiationInterval:
         ops = [MicroOp(Opcode.ADD, dst=Loc("R9"), a=Loc("R9"), b=Loc("R8"))]
         dfg = Dfg(ops=ops)
         dfg.inputs = {Loc("R9"), Loc("R8")}
-        estimate = initiation_interval(dfg, ResourceConstraints(), _TECH)
+        estimate = _ii(dfg, ResourceConstraints())
         assert estimate.recurrence_bound == 1
 
     def test_divider_bounds_ii(self):
         ops = [MicroOp(Opcode.DIV, dst=Loc("T0"), a=Loc("R8"), b=Loc("R9"))]
         dfg = Dfg(ops=ops)
-        estimate = initiation_interval(dfg, ResourceConstraints(div=1), _TECH)
+        estimate = _ii(dfg, ResourceConstraints(div=1))
         assert estimate.resource_bound == 32  # serial divider occupies 32 cycles
 
     def test_memory_port_bound(self):
@@ -84,8 +100,8 @@ class TestInitiationInterval:
             for i in range(4)
         ]
         dfg = Dfg(ops=loads)
-        two_ports = initiation_interval(dfg, ResourceConstraints(mem=2), _TECH)
-        four_ports = initiation_interval(dfg, ResourceConstraints(mem=4), _TECH)
+        two_ports = _ii(dfg, ResourceConstraints(mem=2))
+        four_ports = _ii(dfg, ResourceConstraints(mem=4))
         assert two_ports.resource_bound == 2
         assert four_ports.resource_bound == 1
 
@@ -146,7 +162,7 @@ class TestVhdlEmission:
         dfg = Dfg(ops=ops)
         dfg.inputs = {Loc("R9")}
         dfg.outputs = {Loc("R9")}
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
+        schedule = _schedule(dfg, ResourceConstraints())
         vhdl = emit_vhdl("tiny", dfg, schedule)
         assert "entity tiny is" in vhdl
         assert "in_r9" in vhdl and "out_r9" in vhdl
@@ -182,7 +198,16 @@ class TestSynthesizerEstimates:
 
     def test_cycles_scale_with_iterations(self):
         kernel = self._kernel(self._SIMPLE)
-        assert kernel.cycles_for(200) > kernel.cycles_for(100)
+
+        def cycles(iterations):
+            profile = LoopProfile(
+                "main", kernel.header_address, 1, list(kernel.block_schedules),
+                iterations=iterations, invocations=1,
+                block_counts=dict.fromkeys(kernel.block_schedules, iterations),
+            )
+            return kernel_fpga_cycles(kernel, profile)
+
+        assert cycles(200) > cycles(100)
 
     def test_unlocalized_when_disabled(self):
         kernel = self._kernel(

@@ -19,6 +19,19 @@ from repro.synth.scheduling import (
 _TECH = TechnologyModel()
 
 
+def _list_schedule(dfg, constraints, device=DEFAULT_DEVICE):
+    """List-schedule *dfg*, its ops priced by the technology model,
+    chaining within *device*'s clock period."""
+    costs = _TECH.op_costs(dfg.ops)
+    return list_schedule(
+        dfg, costs, constraints, _TECH.chain_budget_of(costs, device)
+    )
+
+
+def _ii(dfg, constraints):
+    return initiation_interval(dfg, _TECH.op_costs(dfg.ops), constraints)
+
+
 def _op(opcode, index):
     return MicroOp(opcode, dst=Loc(f"T{index}"), a=Loc("R8"), b=Loc("R9"))
 
@@ -59,24 +72,24 @@ class TestAsapAlap:
 class TestListScheduling:
     def test_resource_limit_serializes(self):
         dfg = _parallel_dfg([Opcode.MUL] * 4)
-        tight = list_schedule(dfg, ResourceConstraints(mul=1), _TECH)
-        loose = list_schedule(dfg, ResourceConstraints(mul=4), _TECH)
+        tight = _list_schedule(dfg, ResourceConstraints(mul=1))
+        loose = _list_schedule(dfg, ResourceConstraints(mul=4))
         assert tight.length > loose.length
 
     def test_chaining_packs_logic_ops(self):
         # four dependent logic ops chain into far fewer cycles than four
         dfg = _chain_dfg([Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.AND])
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
+        schedule = _list_schedule(dfg, ResourceConstraints())
         assert schedule.length <= 2
 
     def test_multicycle_ops_do_not_chain(self):
         dfg = _chain_dfg([Opcode.AND, Opcode.MUL])
-        schedule = list_schedule(dfg, ResourceConstraints(), _TECH)
+        schedule = _list_schedule(dfg, ResourceConstraints())
         # the multiplier starts at a register boundary after the AND's cycle
         assert schedule.start_cycle[1] > schedule.start_cycle[0]
 
     def test_empty_dfg(self):
-        schedule = list_schedule(Dfg(ops=[]), ResourceConstraints(), _TECH)
+        schedule = _list_schedule(Dfg(ops=[]), ResourceConstraints())
         assert schedule.length == 0
 
 
@@ -94,13 +107,13 @@ class TestResourceConstraints:
         # list scheduling and the II estimate agree: no ALU, no schedule
         dfg = _parallel_dfg([Opcode.ADD, Opcode.ADD])
         with pytest.raises(ResourceConstraintError, match="alu"):
-            list_schedule(dfg, ResourceConstraints(alu=0), _TECH)
+            _list_schedule(dfg, ResourceConstraints(alu=0))
         with pytest.raises(ResourceConstraintError, match="alu"):
-            initiation_interval(dfg, ResourceConstraints(alu=0), _TECH)
+            _ii(dfg, ResourceConstraints(alu=0))
 
     def test_ii_ignores_classes_the_body_does_not_use(self):
         dfg = _parallel_dfg([Opcode.ADD, Opcode.ADD])
-        estimate = initiation_interval(dfg, ResourceConstraints(mul=0, div=0), _TECH)
+        estimate = _ii(dfg, ResourceConstraints(mul=0, div=0))
         assert estimate.resource_bound == 1
 
 
@@ -111,9 +124,9 @@ class TestChainBudgetDevice:
     SLOW = FpgaDevice("slow50", 100_000, 48 * 1024, 50.0)
 
     def test_budget_follows_the_device_ceiling(self):
-        ops = _chain_dfg([Opcode.AND] * 2).ops
-        assert _TECH.chain_budget_ns(ops, self.SLOW) == pytest.approx(18.4)
-        assert _TECH.chain_budget_ns(ops, DEFAULT_DEVICE) == pytest.approx(
+        costs = _TECH.op_costs(_chain_dfg([Opcode.AND] * 2).ops)
+        assert _TECH.chain_budget_of(costs, self.SLOW) == pytest.approx(18.4)
+        assert _TECH.chain_budget_of(costs, DEFAULT_DEVICE) == pytest.approx(
             1000.0 / DEFAULT_DEVICE.max_clock_mhz - _TECH.CLOCK_OVERHEAD_NS
         )
 
@@ -121,8 +134,8 @@ class TestChainBudgetDevice:
         # six dependent adds (3.0 ns each): one per cycle under the default
         # 210 MHz ceiling, six in one 20 ns cycle at 50 MHz
         dfg = _chain_dfg([Opcode.ADD] * 6)
-        fast = list_schedule(dfg, ResourceConstraints(), _TECH)
-        slow = list_schedule(dfg, ResourceConstraints(), _TECH, device=self.SLOW)
+        fast = _list_schedule(dfg, ResourceConstraints())
+        slow = _list_schedule(dfg, ResourceConstraints(), self.SLOW)
         assert fast.length == 6
         assert slow.length == 1
         assert set(slow.start_cycle.values()) == {0}
@@ -172,7 +185,7 @@ def random_dfgs(draw):
 @given(random_dfgs(), st.integers(1, 3), st.integers(1, 2))
 def test_list_schedule_respects_dependences_and_resources(dfg, alus, muls):
     constraints = ResourceConstraints(alu=alus, mul=muls)
-    schedule = list_schedule(dfg, constraints, _TECH)
+    schedule = _list_schedule(dfg, constraints)
 
     # every op scheduled exactly once
     assert set(schedule.start_cycle) == set(range(len(dfg.ops)))
@@ -189,12 +202,13 @@ def test_list_schedule_respects_dependences_and_resources(dfg, alus, muls):
             assert dst_start == src_start
 
     # resource limits per cycle (constrained classes only)
+    costs = _TECH.op_costs(dfg.ops)
     for cycle in range(schedule.length):
         usage = {}
         for node in schedule.start_cycle:
             start = schedule.start_cycle[node]
             if start <= cycle < start + schedule.latency[node]:
-                klass = _TECH.op_cost(dfg.ops[node]).unit_class
+                klass = costs[node].unit_class
                 usage[klass] = usage.get(klass, 0) + 1
         assert usage.get("alu", 0) <= alus
         assert usage.get("mul", 0) <= muls
@@ -204,6 +218,6 @@ def test_list_schedule_respects_dependences_and_resources(dfg, alus, muls):
 @given(random_dfgs())
 def test_list_schedule_never_beats_asap(dfg):
     asap = asap_schedule(dfg, _TECH)
-    listed = list_schedule(dfg, ResourceConstraints(alu=64, mul=64, mem=64, div=64), _TECH)
+    listed = _list_schedule(dfg, ResourceConstraints(alu=64, mul=64, mem=64, div=64))
     # with effectively unlimited resources, chaining can only help
     assert listed.length <= asap.length

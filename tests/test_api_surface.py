@@ -6,9 +6,11 @@ actually calls through -- rebinding one has to be seen by the next run.
 Second, the retired APIs (the network service tier, the two-device
 partitioner shims, the two-device partition mode and their aliases, the
 simulator's trace tier and its persistent cache, the on-disk flow-report
-cache) stay gone, so ``repro.partition()`` is the one way in, the block
-tier is the one compiled dispatch path and the in-process stage memo is
-the one artifact cache.
+cache, the cost-model registry, the unpriced synthesis wrappers) stay
+gone, so ``repro.partition()`` is the one way in, the block tier is the
+one compiled dispatch path, the in-process stage memo is the one artifact
+cache, :func:`repro.partition.costmodels.device_cost` is the one device
+pricing and each synthesis step has one entry point.
 """
 
 from __future__ import annotations
@@ -194,9 +196,48 @@ def test_two_device_shims_are_not_exported(name):
     ("repro.partition.api", "legacy_devices"),
     ("repro.partition", "AnnotatePass"),
     ("repro.partition.passes", "AnnotatePass"),
+    ("repro.partition", "CostModel"),
+    ("repro.partition", "cost_model_for"),
+    ("repro.partition", "register_cost_model"),
+    ("repro.partition.costmodels", "CostModel"),
+    ("repro.partition.costmodels", "CpuCostModel"),
+    ("repro.partition.costmodels", "FabricCostModel"),
+    ("repro.partition.costmodels", "CgraCostModel"),
+    ("repro.partition.costmodels", "_REGISTRY"),
+    ("repro.partition.costmodels", "cost_model_for"),
+    ("repro.partition.costmodels", "register_cost_model"),
+    ("repro.synth", "synthesize_loop"),
+    ("repro.synth.synthesizer", "synthesize_loop"),
+    ("repro.synth.synthesizer", "HwKernel.cycles_for"),
+    ("repro.synth.scheduling", "list_schedule_priced"),
+    ("repro.synth.binding", "bind_priced"),
+    ("repro.synth.pipeline", "initiation_interval_priced"),
+    ("repro.synth.fpga", "TechnologyModel.clock_period_ns"),
+    ("repro.synth.fpga", "TechnologyModel.clock_mhz"),
+    ("repro.synth.fpga", "TechnologyModel.chain_budget_ns"),
+    ("repro.synth.fpga", "TechnologyModel.op_cost"),
+    ("repro.decompile.cdfg", "Cdfg"),
+    ("repro.sim.superblock.dispatch", "SuperblockTable.materialize"),
 ])
 def test_retired_aliases_are_gone(module, name):
-    assert not hasattr(importlib.import_module(module), name)
+    owner = importlib.import_module(module)
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, attr)
+
+
+@pytest.mark.parametrize("module, entry, params", [
+    ("repro.synth.scheduling", "list_schedule",
+     ["dfg", "costs", "constraints", "chain_budget"]),
+    ("repro.synth.binding", "bind", ["dfg", "schedule", "costs", "tech"]),
+    ("repro.synth.pipeline", "initiation_interval",
+     ["dfg", "costs", "constraints"]),
+])
+def test_synthesis_steps_take_priced_ops(module, entry, params):
+    # one entry point per step: the ops come priced, never re-priced inside
+    signature = inspect.signature(getattr(importlib.import_module(module), entry))
+    assert list(signature.parameters) == params
 
 
 def test_candidate_costs_come_only_from_the_cost_models():
