@@ -61,7 +61,8 @@ from repro.decompile.decompiler import (
 from repro.dynamic.fabric import FabricState
 from repro.dynamic.profiler import DECAY, OnlineProfiler, ProfilerConfig
 from repro.partition.estimator import (
-    kernel_cycles,
+    invocation_cycles,
+    kernel_fpga_cycles,
     kernel_hw_seconds,
     migration_cycles,
 )
@@ -576,7 +577,7 @@ class DynamicPartitionController:
         moved_cycles = 0
         fpga_seconds = 0.0
         fpga_dynamic_mj = 0.0
-        invocation_cycles = 0.0
+        invoke_cycles = 0.0
         for address, site in self._resident.items():
             before = site.state[1]   # every resident has the previous sample's
             profile = self._site_profile(
@@ -591,10 +592,9 @@ class DynamicPartitionController:
             kernel = site.kernel
             # FPGA-busy seconds for the window's iterations; migration was
             # charged when the kernel was placed (see _apply_plan)
-            kernel_time = kernel_cycles(platform, kernel, profile)
-            busy = kernel_time.fpga / (kernel.clock_mhz * 1e6)
+            busy = kernel_fpga_cycles(kernel, profile) / (kernel.clock_mhz * 1e6)
             fpga_seconds += busy
-            invocation_cycles += kernel_time.invocation
+            invoke_cycles += invocation_cycles(platform, profile)
             dynamic_mw = platform.fpga_power.power_mw(
                 kernel.area_gates, kernel.clock_mhz
             ) - platform.fpga_power.static_mw
@@ -602,7 +602,7 @@ class DynamicPartitionController:
 
         overhead_cycles = self._carry_overhead
         self._carry_overhead = 0
-        cpu_cycles = cycles - moved_cycles + invocation_cycles + overhead_cycles
+        cpu_cycles = cycles - moved_cycles + invoke_cycles + overhead_cycles
         cpu_seconds = cpu_cycles / cpu_hz
         wall_seconds = cpu_seconds + fpga_seconds
         sw_only_seconds = cycles / cpu_hz

@@ -65,6 +65,12 @@ def kernel_fpga_cycles(kernel: HwKernel, profile: LoopProfile) -> float:
     return fpga_cycles
 
 
+def invocation_cycles(platform: Platform, profile: LoopProfile) -> int:
+    """CPU cycles to start the kernel and collect its results, for every
+    invocation *profile* records."""
+    return profile.invocations * platform.invocation_overhead_cycles
+
+
 def migration_cycles(platform: Platform, kernel: HwKernel) -> float:
     """CPU cycles to move *kernel*'s localized data region into block RAM
     before its first use and back once at the end (0.0 when it localizes
@@ -96,10 +102,13 @@ def kernel_cycles(
     platform: Platform, kernel: HwKernel, profile: LoopProfile
 ) -> KernelCycles:
     """The kernel time model: *kernel*'s FPGA, invocation-overhead and
-    migration cycles for the work *profile* records on *platform*."""
+    migration cycles for the work *profile* records on *platform*.
+
+    A caller that needs only some of the three (the dynamic controller's
+    per-sample accounting) calls their functions directly."""
     return KernelCycles(
         kernel_fpga_cycles(kernel, profile),
-        profile.invocations * platform.invocation_overhead_cycles,
+        invocation_cycles(platform, profile),
         migration_cycles(platform, kernel),
     )
 

@@ -32,7 +32,8 @@ class PartitionNode:
 
     candidate: "Candidate"
     #: device name -> implementation cost, one entry per graph device
-    #: (filled from the cost-model registry by :func:`build_graph`)
+    #: (filled from :func:`~repro.partition.costmodels.device_cost` by
+    #: :func:`build_graph`)
     costs: dict[str, DeviceCost] = field(default_factory=dict)
     #: where placement put this node (None until a placement pass ran;
     #: "cpu" means stay in software)
@@ -174,8 +175,9 @@ def build_graph(
     """Lower a candidate list onto the partition graph.
 
     Nodes keep the candidates' hotness order (the estimator sorts by
-    software cycles) and carry every device's cost from the cost-model
-    registry -- the one place a candidate's time and area are computed.
+    software cycles) and carry every device's cost from
+    :func:`~repro.partition.costmodels.device_cost`, so no pass prices a
+    candidate itself.
     """
     devices = tuple(devices) if devices is not None else platform.devices
     return PartitionGraph(

@@ -38,7 +38,7 @@ class PartitionPass:
 class FilterPass(PartitionPass):
     """Prune candidates no hardware device could ever hold.
 
-    A node survives if its cost-model area fits at least one non-CPU
+    A node survives if its area on at least one non-CPU device fits that
     device: a kernel too big for any fabric may still pack onto a CGRA
     slot.
     """

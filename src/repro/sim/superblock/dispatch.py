@@ -18,9 +18,10 @@ only through a fused ``j``/``jal`` -- every callee's first block, most
 of its own.  Correctness does not depend on the set: both dispatch
 loops single-step an index whose slot is ``None`` through the threaded
 handlers until a slot with a generated function comes up, so no code is
-generated after construction.  Eager generation pays off because the suite's programs
-execute almost all of their text (95.6% of ``static_suite``'s), and each
-extra module costs ~1 ms of fixed ``compile()`` time.  Two layers sit
+generated after construction.  Eager generation pays off because the
+suite's programs execute almost all of their text (95.6% of
+``static_suite``'s), and each extra module costs ~1 ms of fixed
+``compile()`` time.  Two layers sit
 on that substrate:
 
 * **j-chain fusion**: a unit whose block ends in an unconditional

@@ -4,8 +4,9 @@ The hardware time model for a pipelined loop is
 
     cycles = iterations * II + (schedule_length - II)     (fill/drain)
 
-per invocation (:func:`repro.partition.estimator.kernel_fpga_cycles`), with II bounded below by resources (ops per class / units per class) and by
-recurrences (loop-carried dependence cycles: an accumulator's add must
+per invocation (:func:`repro.partition.estimator.kernel_fpga_cycles`),
+with II bounded below by resources (ops per class / units per class) and
+by recurrences (loop-carried dependence cycles: an accumulator's add must
 finish before the next iteration's add may start).  The recurrence bound is
 computed exactly on the body DFG: for each location that is both consumed
 from the previous iteration and redefined (loop-carried), take the longest

@@ -19,10 +19,11 @@ synthesizer prices each block once for its schedule, binding
 (:func:`repro.synth.pipeline.initiation_interval`).  ASAP and ALAP price
 for themselves: they are the reference schedules list scheduling is
 checked against.  The DFG's predecessor and successor lists are built
-once (:meth:`Dfg.adjacency`).  List scheduling then runs over per-op arrays --
-latency, unit class, delay, whether the op needs a register boundary --
-with a running count of busy units per class, so a cycle costs the ops
-that become ready in it rather than a scan of the whole DFG.
+once (:meth:`Dfg.adjacency`).  List scheduling then runs over per-op
+arrays -- latency, unit class, delay, whether the op needs a register
+boundary -- with a running count of busy units per class, so a cycle
+costs the ops that become ready in it rather than a scan of the whole
+DFG.
 """
 
 from __future__ import annotations
