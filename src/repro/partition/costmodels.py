@@ -1,11 +1,12 @@
 """What a candidate costs on each kind of device.
 
 :func:`device_cost` answers "what does this candidate cost on that
-device?" for the three device kinds (:data:`repro.platform.devices.KINDS`);
-building the partition graph asks it once per candidate and device, so
-placement algorithms never price anything themselves.  Hardware time
-comes from the kernel time model (:func:`repro.partition.estimator.kernel_cycles`),
-the one the application metrics and the dynamic controller read too.
+device?" for the three device kinds
+(:data:`repro.platform.devices.KINDS`); building the partition graph
+asks it once per candidate and device, so placement algorithms never
+price anything themselves.  Hardware time comes from the kernel time
+model (:func:`repro.partition.estimator.kernel_cycles`), the one the
+application metrics and the dynamic controller read too.
 Every cost is deterministic and derives from the numbers the flow already
 computed (profiles + synthesized kernels).
 """

@@ -4,10 +4,11 @@ A candidate bundles the loop's software profile with its synthesized
 hardware implementation.  :func:`kernel_cycles` is the one place a
 kernel's hardware time is decided: the FPGA cycles of the profiled work
 plus the CPU-side cycles of invoking the kernel and migrating its
-localized data.  Device costing (:func:`repro.partition.costmodels.device_cost`),
-the application metrics (:func:`repro.platform.metrics.evaluate_partition`)
-and the dynamic controller's interval accounting all read it, so placement
-decisions and timeline arithmetic cannot drift apart.
+localized data.  Device costing
+(:func:`repro.partition.costmodels.device_cost`), the application
+metrics (:func:`repro.platform.metrics.evaluate_partition`) and the
+dynamic controller's accounting all read it, so placement decisions and
+timeline arithmetic cannot drift apart.
 """
 
 from __future__ import annotations
