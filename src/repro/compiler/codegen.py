@@ -1,7 +1,11 @@
-"""MIPS assembly generation from allocated IR.
+"""MIPS code generation from allocated IR.
 
-Emits the textual assembly dialect accepted by :mod:`repro.isa.assembler`.
-Conventions (matching the paper's instruction-set-overhead discussion):
+Emits instruction records (see :mod:`repro.isa.assembler`): register
+numbers, integer immediates and label references, never text.
+:func:`repro.compiler.compile_source` hands them straight to the
+assembler's back end; :func:`repro.compiler.compile_to_asm` renders the
+same records as assembly text.  Conventions (matching the paper's
+instruction-set-overhead discussion):
 
 * register moves are emitted as ``addiu rd, rs, 0`` -- the arithmetic
   instruction with a zero immediate that the decompiler's constant
@@ -13,19 +17,22 @@ Conventions (matching the paper's instruction-set-overhead discussion):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compiler import ir
 from repro.compiler.regalloc import Allocation, allocate
 from repro.errors import CompileError
-from repro.isa.registers import REG_NAMES, Reg
+from repro.isa.assembler import Ref
+from repro.isa.registers import Reg
 
-_SCRATCH_A = REG_NAMES[int(Reg.T8)]  # "$t8"
-_SCRATCH_B = REG_NAMES[int(Reg.T9)]  # "$t9"
-_AT = REG_NAMES[int(Reg.AT)]
-_ZERO = "$zero"
-_SP = "$sp"
-_ARG_REGS = ["$a0", "$a1", "$a2", "$a3"]
+_SCRATCH_A = int(Reg.T8)
+_SCRATCH_B = int(Reg.T9)
+_AT = int(Reg.AT)
+_ZERO = int(Reg.ZERO)
+_SP = int(Reg.SP)
+_V0 = int(Reg.V0)
+_RA = int(Reg.RA)
+_ARG_REGS = (int(Reg.A0), int(Reg.A1), int(Reg.A2), int(Reg.A3))
 
 #: reg-reg instruction for each IR binary op (simple cases)
 _SIMPLE_RR = {
@@ -52,6 +59,32 @@ _SIMPLE_RI = {
     "ltu": "sltiu",
 }
 
+#: each ordering op as a set-on-less-than: (mnemonic, operands swapped,
+#: result negated)
+_COMPARE = {
+    "lt": ("slt", False, False),
+    "ltu": ("sltu", False, False),
+    "gt": ("slt", True, False),
+    "gtu": ("sltu", True, False),
+    "le": ("slt", True, True),
+    "leu": ("sltu", True, True),
+    "ge": ("slt", False, True),
+    "geu": ("sltu", False, True),
+}
+
+#: a branch on an operand compared with zero: (mnemonic, takes ``$zero``
+#: as its second operand); ``ltu`` never branches, ``geu`` always does
+_BRANCH_ZERO = {
+    "eq": ("beq", True),
+    "ne": ("bne", True),
+    "gtu": ("bne", True),
+    "leu": ("beq", True),
+    "lt": ("bltz", False),
+    "ge": ("bgez", False),
+    "gt": ("bgtz", False),
+    "le": ("blez", False),
+}
+
 
 @dataclass
 class _FrameLayout:
@@ -63,16 +96,11 @@ class _FrameLayout:
 
 
 class FunctionCodegen:
-    def __init__(
-        self,
-        func: ir.Function,
-        allocation: Allocation,
-        jump_tables: list[tuple[str, list[str]]],
-    ):
+    def __init__(self, func: ir.Function, allocation: Allocation):
         self.func = func
         self.allocation = allocation
-        self.jump_tables = jump_tables
-        self.lines: list[str] = []
+        self.records: list = []
+        self.emit = self.records.append
         self.has_calls = any(isinstance(i, ir.Call) for i in func.instrs)
         self.frame = self._layout_frame()
         self.epilogue_label = f".L{func.name}_epilogue"
@@ -108,85 +136,82 @@ class FunctionCodegen:
     # operand helpers
     # ------------------------------------------------------------------
 
-    def emit(self, text: str) -> None:
-        self.lines.append("    " + text)
-
-    def emit_label(self, name: str) -> None:
-        self.lines.append(f"{name}:")
-
-    def _src(self, vreg: ir.VReg, scratch: str) -> str:
+    def _src(self, vreg: ir.VReg, scratch: int) -> int:
         """Return a register holding *vreg*, loading from the frame if spilled."""
         reg = self.allocation.reg_of.get(vreg)
         if reg is not None:
-            return REG_NAMES[reg]
-        self.emit(f"lw {scratch}, {self._spill_offset(vreg)}({_SP})")
+            return reg
+        self.emit(("lw", scratch, self._spill_offset(vreg), _SP))
         return scratch
 
-    def _dst(self, vreg: ir.VReg) -> tuple[str, int | None]:
+    def _dst(self, vreg: ir.VReg) -> tuple[int, int | None]:
         """Return (register to compute into, spill offset to store to or None)."""
         reg = self.allocation.reg_of.get(vreg)
         if reg is not None:
-            return REG_NAMES[reg], None
+            return reg, None
         return _SCRATCH_A, self._spill_offset(vreg)
 
-    def _finish_dst(self, reg: str, store_offset: int | None) -> None:
+    def _finish_dst(self, reg: int, store_offset: int | None) -> None:
         if store_offset is not None:
-            self.emit(f"sw {reg}, {store_offset}({_SP})")
+            self.emit(("sw", reg, store_offset, _SP))
 
     # ------------------------------------------------------------------
     # function body
     # ------------------------------------------------------------------
 
-    def generate(self) -> list[str]:
-        self.emit_label(self.func.name)
+    def generate(self) -> list:
+        self.emit(self.func.name)
         self._prologue()
         for instr in self.func.instrs:
             self._gen_instr(instr)
         self._epilogue()
-        return self.lines
+        return self.records
 
     def _prologue(self) -> None:
         frame = self.frame
+        emit = self.emit
         if frame.size:
-            self.emit(f"addiu {_SP}, {_SP}, -{frame.size}")
+            emit(("addiu", _SP, _SP, -frame.size))
         if frame.ra_offset is not None:
-            self.emit(f"sw $ra, {frame.ra_offset}({_SP})")
+            emit(("sw", _RA, frame.ra_offset, _SP))
         for reg, offset in frame.saved_regs:
-            self.emit(f"sw {REG_NAMES[reg]}, {offset}({_SP})")
+            emit(("sw", reg, offset, _SP))
         for index, param in enumerate(self.func.params):
             reg = self.allocation.reg_of.get(param)
             if reg is not None:
-                self.emit(f"addiu {REG_NAMES[reg]}, {_ARG_REGS[index]}, 0")
+                emit(("addiu", reg, _ARG_REGS[index], 0))
             elif param in self.allocation.spill_of:
-                self.emit(f"sw {_ARG_REGS[index]}, {self._spill_offset(param)}({_SP})")
+                emit(("sw", _ARG_REGS[index], self._spill_offset(param), _SP))
             # else: parameter never used; no move needed
 
     def _epilogue(self) -> None:
         frame = self.frame
-        self.emit_label(self.epilogue_label)
+        emit = self.emit
+        emit(self.epilogue_label)
         if frame.ra_offset is not None:
-            self.emit(f"lw $ra, {frame.ra_offset}({_SP})")
+            emit(("lw", _RA, frame.ra_offset, _SP))
         for reg, offset in frame.saved_regs:
-            self.emit(f"lw {REG_NAMES[reg]}, {offset}({_SP})")
+            emit(("lw", reg, offset, _SP))
         if frame.size:
-            self.emit(f"addiu {_SP}, {_SP}, {frame.size}")
-        self.emit("jr $ra")
+            emit(("addiu", _SP, _SP, frame.size))
+        emit(("jr", _RA))
 
     # ------------------------------------------------------------------
     # per-instruction emission
     # ------------------------------------------------------------------
 
     def _gen_instr(self, instr: ir.Instr) -> None:
+        emit = self.emit
         if isinstance(instr, ir.Label):
-            self.emit_label(instr.name)
+            emit(instr.name)
         elif isinstance(instr, ir.Const):
             reg, store = self._dst(instr.dst)
-            self.emit(f"li {reg}, {instr.value & 0xFFFF_FFFF}")
+            emit(("li", reg, instr.value & 0xFFFF_FFFF))
             self._finish_dst(reg, store)
         elif isinstance(instr, ir.Copy):
             src = self._src(instr.src, _SCRATCH_B)
             reg, store = self._dst(instr.dst)
-            self.emit(f"addiu {reg}, {src}, 0")
+            emit(("addiu", reg, src, 0))
             self._finish_dst(reg, store)
         elif isinstance(instr, ir.UnOp):
             self._gen_unop(instr)
@@ -198,22 +223,21 @@ class FunctionCodegen:
             self._gen_store(instr)
         elif isinstance(instr, ir.LoadAddr):
             reg, store = self._dst(instr.dst)
-            suffix = f"+{instr.offset}" if instr.offset else ""
-            self.emit(f"la {reg}, {instr.symbol}{suffix}")
+            emit(("la", reg, Ref(instr.symbol, instr.offset)))
             self._finish_dst(reg, store)
         elif isinstance(instr, ir.SlotAddr):
             reg, store = self._dst(instr.dst)
-            self.emit(f"addiu {reg}, {_SP}, {self.frame.local_offsets[instr.slot.index]}")
+            emit(("addiu", reg, _SP, self.frame.local_offsets[instr.slot.index]))
             self._finish_dst(reg, store)
         elif isinstance(instr, ir.LoadSlot):
             reg, store = self._dst(instr.dst)
-            self.emit(f"lw {reg}, {self.frame.local_offsets[instr.slot.index]}({_SP})")
+            emit(("lw", reg, self.frame.local_offsets[instr.slot.index], _SP))
             self._finish_dst(reg, store)
         elif isinstance(instr, ir.StoreSlot):
             src = self._src(instr.src, _SCRATCH_A)
-            self.emit(f"sw {src}, {self.frame.local_offsets[instr.slot.index]}({_SP})")
+            emit(("sw", src, self.frame.local_offsets[instr.slot.index], _SP))
         elif isinstance(instr, ir.Jump):
-            self.emit(f"j {instr.target}")
+            emit(("j", Ref(instr.target)))
         elif isinstance(instr, ir.Branch):
             self._gen_branch(instr)
         elif isinstance(instr, ir.SwitchJump):
@@ -224,10 +248,10 @@ class FunctionCodegen:
             if instr.src is not None:
                 reg = self.allocation.reg_of.get(instr.src)
                 if reg is not None:
-                    self.emit(f"addiu $v0, {REG_NAMES[reg]}, 0")
+                    emit(("addiu", _V0, reg, 0))
                 else:
-                    self.emit(f"lw $v0, {self._spill_offset(instr.src)}({_SP})")
-            self.emit(f"j {self.epilogue_label}")
+                    emit(("lw", _V0, self._spill_offset(instr.src), _SP))
+            emit(("j", Ref(self.epilogue_label)))
         else:  # pragma: no cover
             raise CompileError(f"codegen cannot handle {type(instr).__name__}")
 
@@ -235,136 +259,75 @@ class FunctionCodegen:
         src = self._src(instr.src, _SCRATCH_B)
         reg, store = self._dst(instr.dst)
         if instr.op == "neg":
-            self.emit(f"subu {reg}, {_ZERO}, {src}")
+            self.emit(("subu", reg, _ZERO, src))
         elif instr.op == "not":
-            self.emit(f"nor {reg}, {src}, {_ZERO}")
+            self.emit(("nor", reg, src, _ZERO))
         else:  # pragma: no cover
             raise CompileError(f"unknown unary op {instr.op}")
         self._finish_dst(reg, store)
 
     def _gen_binop(self, instr: ir.BinOp) -> None:
-        op = instr.op
         a = self._src(instr.a, _SCRATCH_A)
         if isinstance(instr.b, ir.Imm):
             self._gen_binop_imm(instr, a, instr.b.value)
             return
         b = self._src(instr.b, _SCRATCH_B)
         reg, store = self._dst(instr.dst)
-        if op in _SIMPLE_RR:
-            if op in ("shl", "shr", "sar"):
-                self.emit(f"{_SIMPLE_RR[op]} {reg}, {a}, {b}")
-            else:
-                self.emit(f"{_SIMPLE_RR[op]} {reg}, {a}, {b}")
-        elif op == "mul":
-            self.emit(f"mult {a}, {b}")
-            self.emit(f"mflo {reg}")
-        elif op in ("div", "divu"):
-            self.emit(f"{'div' if op == 'div' else 'divu'} {a}, {b}")
-            self.emit(f"mflo {reg}")
-        elif op in ("rem", "remu"):
-            self.emit(f"{'div' if op == 'rem' else 'divu'} {a}, {b}")
-            self.emit(f"mfhi {reg}")
-        elif op == "eq":
-            self.emit(f"subu {_AT}, {a}, {b}")
-            self.emit(f"sltiu {reg}, {_AT}, 1")
-        elif op == "ne":
-            self.emit(f"subu {_AT}, {a}, {b}")
-            self.emit(f"sltu {reg}, {_ZERO}, {_AT}")
-        elif op == "lt":
-            self.emit(f"slt {reg}, {a}, {b}")
-        elif op == "ltu":
-            self.emit(f"sltu {reg}, {a}, {b}")
-        elif op == "gt":
-            self.emit(f"slt {reg}, {b}, {a}")
-        elif op == "gtu":
-            self.emit(f"sltu {reg}, {b}, {a}")
-        elif op == "le":
-            self.emit(f"slt {reg}, {b}, {a}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "leu":
-            self.emit(f"sltu {reg}, {b}, {a}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "ge":
-            self.emit(f"slt {reg}, {a}, {b}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "geu":
-            self.emit(f"sltu {reg}, {a}, {b}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        else:  # pragma: no cover
-            raise CompileError(f"unknown binary op {op}")
+        self._emit_rr(instr.op, reg, a, b)
         self._finish_dst(reg, store)
 
-    def _gen_binop_imm(self, instr: ir.BinOp, a: str, value: int) -> None:
+    def _gen_binop_imm(self, instr: ir.BinOp, a: int, value: int) -> None:
         op = instr.op
+        emit = self.emit
         reg, store = self._dst(instr.dst)
         if op == "sub":
-            self.emit(f"addiu {reg}, {a}, {-value}")
+            emit(("addiu", reg, a, -value))
         elif op in _SIMPLE_RI:
-            self.emit(f"{_SIMPLE_RI[op]} {reg}, {a}, {value}")
-        elif op == "eq":
+            emit((_SIMPLE_RI[op], reg, a, value))
+        elif op == "eq" or op == "ne":
             if value == 0:
-                self.emit(f"sltiu {reg}, {a}, 1")
+                diff = a
             elif 0 < value <= 0xFFFF:
-                self.emit(f"xori {_AT}, {a}, {value}")
-                self.emit(f"sltiu {reg}, {_AT}, 1")
+                emit(("xori", _AT, a, value))
+                diff = _AT
             else:
-                self.emit(f"li {_AT}, {value & 0xFFFF_FFFF}")
-                self.emit(f"subu {_AT}, {a}, {_AT}")
-                self.emit(f"sltiu {reg}, {_AT}, 1")
-        elif op == "ne":
-            if value == 0:
-                self.emit(f"sltu {reg}, {_ZERO}, {a}")
-            elif 0 < value <= 0xFFFF:
-                self.emit(f"xori {_AT}, {a}, {value}")
-                self.emit(f"sltu {reg}, {_ZERO}, {_AT}")
+                emit(("li", _AT, value & 0xFFFF_FFFF))
+                emit(("subu", _AT, a, _AT))
+                diff = _AT
+            if op == "eq":
+                emit(("sltiu", reg, diff, 1))
             else:
-                self.emit(f"li {_AT}, {value & 0xFFFF_FFFF}")
-                self.emit(f"subu {_AT}, {a}, {_AT}")
-                self.emit(f"sltu {reg}, {_ZERO}, {_AT}")
+                emit(("sltu", reg, _ZERO, diff))
         else:  # materialize and fall back to the register path
-            self.emit(f"li {_AT}, {value & 0xFFFF_FFFF}")
-            saved_b = instr.b
-            instr.b = instr.a  # placeholder to reuse register path
-            try:
-                self._gen_binop_rr_with(instr, a, _AT, reg)
-            finally:
-                instr.b = saved_b
+            emit(("li", _AT, value & 0xFFFF_FFFF))
+            self._emit_rr(op, reg, a, _AT)
         self._finish_dst(reg, store)
 
-    def _gen_binop_rr_with(self, instr: ir.BinOp, a: str, b: str, reg: str) -> None:
-        """Register-register emission into *reg* (helper for the imm fallback)."""
-        op = instr.op
+    def _emit_rr(self, op: str, reg: int, a: int, b: int) -> None:
+        """Register-register emission of IR op *op* into *reg*."""
+        emit = self.emit
         if op in _SIMPLE_RR:
-            self.emit(f"{_SIMPLE_RR[op]} {reg}, {a}, {b}")
+            emit((_SIMPLE_RR[op], reg, a, b))
+        elif op in _COMPARE:
+            mnemonic, swapped, negated = _COMPARE[op]
+            emit((mnemonic, reg, b, a) if swapped else (mnemonic, reg, a, b))
+            if negated:
+                emit(("xori", reg, reg, 1))
         elif op == "mul":
-            self.emit(f"mult {a}, {b}")
-            self.emit(f"mflo {reg}")
+            emit(("mult", a, b))
+            emit(("mflo", reg))
         elif op in ("div", "divu"):
-            self.emit(f"{'div' if op == 'div' else 'divu'} {a}, {b}")
-            self.emit(f"mflo {reg}")
+            emit((op, a, b))
+            emit(("mflo", reg))
         elif op in ("rem", "remu"):
-            self.emit(f"{'div' if op == 'rem' else 'divu'} {a}, {b}")
-            self.emit(f"mfhi {reg}")
-        elif op == "lt":
-            self.emit(f"slt {reg}, {a}, {b}")
-        elif op == "ltu":
-            self.emit(f"sltu {reg}, {a}, {b}")
-        elif op == "gt":
-            self.emit(f"slt {reg}, {b}, {a}")
-        elif op == "gtu":
-            self.emit(f"sltu {reg}, {b}, {a}")
-        elif op == "le":
-            self.emit(f"slt {reg}, {b}, {a}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "leu":
-            self.emit(f"sltu {reg}, {b}, {a}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "ge":
-            self.emit(f"slt {reg}, {a}, {b}")
-            self.emit(f"xori {reg}, {reg}, 1")
-        elif op == "geu":
-            self.emit(f"sltu {reg}, {a}, {b}")
-            self.emit(f"xori {reg}, {reg}, 1")
+            emit(("div" if op == "rem" else "divu", a, b))
+            emit(("mfhi", reg))
+        elif op == "eq":
+            emit(("subu", _AT, a, b))
+            emit(("sltiu", reg, _AT, 1))
+        elif op == "ne":
+            emit(("subu", _AT, a, b))
+            emit(("sltu", reg, _ZERO, _AT))
         else:  # pragma: no cover
             raise CompileError(f"unknown binary op {op}")
 
@@ -382,120 +345,93 @@ class FunctionCodegen:
         base = self._src(instr.base, _SCRATCH_A)
         reg, store = self._dst(instr.dst)
         mnemonic = self._LOAD_MNEMONIC[(instr.size, instr.signed)]
-        self.emit(f"{mnemonic} {reg}, {instr.offset}({base})")
+        self.emit((mnemonic, reg, instr.offset, base))
         self._finish_dst(reg, store)
 
     def _gen_store(self, instr: ir.Store) -> None:
         src = self._src(instr.src, _SCRATCH_A)
         base = self._src(instr.base, _SCRATCH_B)
-        self.emit(f"{self._STORE_MNEMONIC[instr.size]} {src}, {instr.offset}({base})")
+        self.emit((self._STORE_MNEMONIC[instr.size], src, instr.offset, base))
 
     def _gen_branch(self, instr: ir.Branch) -> None:
         op = instr.op
+        emit = self.emit
         a = self._src(instr.a, _SCRATCH_A)
-        target = instr.target
+        target = Ref(instr.target)
         if isinstance(instr.b, ir.Imm):
             value = instr.b.value
             if value == 0:
-                zero_forms = {
-                    "eq": f"beq {a}, {_ZERO}, {target}",
-                    "ne": f"bne {a}, {_ZERO}, {target}",
-                    "lt": f"bltz {a}, {target}",
-                    "ge": f"bgez {a}, {target}",
-                    "gt": f"bgtz {a}, {target}",
-                    "le": f"blez {a}, {target}",
-                    # unsigned comparisons against zero
-                    "ltu": None,  # never true
-                    "geu": f"j {target}",  # always true
-                    "gtu": f"bne {a}, {_ZERO}, {target}",
-                    "leu": f"beq {a}, {_ZERO}, {target}",
-                }
-                form = zero_forms[op]
-                if form is not None:
-                    self.emit(form)
+                if op == "geu":  # always true
+                    emit(("j", target))
+                elif op != "ltu":  # ltu: never true
+                    mnemonic, with_zero = _BRANCH_ZERO[op]
+                    emit((mnemonic, a, _ZERO, target) if with_zero else (mnemonic, a, target))
                 return
-            self.emit(f"li {_AT}, {value & 0xFFFF_FFFF}")
+            emit(("li", _AT, value & 0xFFFF_FFFF))
             b = _AT
         else:
             b = self._src(instr.b, _SCRATCH_B)
         if op == "eq":
-            self.emit(f"beq {a}, {b}, {target}")
+            emit(("beq", a, b, target))
         elif op == "ne":
-            self.emit(f"bne {a}, {b}, {target}")
-        elif op in ("lt", "ltu"):
-            cmp_instr = "slt" if op == "lt" else "sltu"
-            self.emit(f"{cmp_instr} {_AT}, {a}, {b}")
-            self.emit(f"bne {_AT}, {_ZERO}, {target}")
-        elif op in ("ge", "geu"):
-            cmp_instr = "slt" if op == "ge" else "sltu"
-            self.emit(f"{cmp_instr} {_AT}, {a}, {b}")
-            self.emit(f"beq {_AT}, {_ZERO}, {target}")
-        elif op in ("gt", "gtu"):
-            cmp_instr = "slt" if op == "gt" else "sltu"
-            self.emit(f"{cmp_instr} {_AT}, {b}, {a}")
-            self.emit(f"bne {_AT}, {_ZERO}, {target}")
-        elif op in ("le", "leu"):
-            cmp_instr = "slt" if op == "le" else "sltu"
-            self.emit(f"{cmp_instr} {_AT}, {b}, {a}")
-            self.emit(f"beq {_AT}, {_ZERO}, {target}")
+            emit(("bne", a, b, target))
+        elif op in _COMPARE:
+            mnemonic, swapped, negated = _COMPARE[op]
+            emit((mnemonic, _AT, b, a) if swapped else (mnemonic, _AT, a, b))
+            emit(("beq" if negated else "bne", _AT, _ZERO, target))
         else:  # pragma: no cover
             raise CompileError(f"unknown branch op {op}")
 
     def _gen_switch(self, instr: ir.SwitchJump) -> None:
         index = self._src(instr.index, _SCRATCH_A)
-        self.emit(f"sll {_AT}, {index}, 2")
-        self.emit(f"la {_SCRATCH_B}, {instr.table_name}")
-        self.emit(f"addu {_SCRATCH_B}, {_SCRATCH_B}, {_AT}")
-        self.emit(f"lw {_SCRATCH_B}, 0({_SCRATCH_B})")
-        self.emit(f"jr {_SCRATCH_B}")
+        emit = self.emit
+        emit(("sll", _AT, index, 2))
+        emit(("la", _SCRATCH_B, Ref(instr.table_name)))
+        emit(("addu", _SCRATCH_B, _SCRATCH_B, _AT))
+        emit(("lw", _SCRATCH_B, 0, _SCRATCH_B))
+        emit(("jr", _SCRATCH_B))
 
     def _gen_call(self, instr: ir.Call) -> None:
+        emit = self.emit
         for index, arg in enumerate(instr.args):
             reg = self.allocation.reg_of.get(arg)
             if reg is not None:
-                self.emit(f"addiu {_ARG_REGS[index]}, {REG_NAMES[reg]}, 0")
+                emit(("addiu", _ARG_REGS[index], reg, 0))
             else:
-                self.emit(f"lw {_ARG_REGS[index]}, {self._spill_offset(arg)}({_SP})")
-        self.emit(f"jal {instr.name}")
+                emit(("lw", _ARG_REGS[index], self._spill_offset(arg), _SP))
+        emit(("jal", Ref(instr.name)))
         if instr.dst is not None:
             reg = self.allocation.reg_of.get(instr.dst)
             if reg is not None:
-                self.emit(f"addiu {REG_NAMES[reg]}, $v0, 0")
+                emit(("addiu", reg, _V0, 0))
             elif instr.dst in self.allocation.spill_of:
-                self.emit(f"sw $v0, {self._spill_offset(instr.dst)}({_SP})")
+                emit(("sw", _V0, self._spill_offset(instr.dst), _SP))
             # else: result unused and register never allocated
 
 
-def generate_assembly(
+def generate_records(
     module: ir.Module,
     jump_tables: dict[str, list[tuple[str, list[str]]]],
-) -> str:
-    """Generate a complete assembly file (text + data + jump tables)."""
-    lines: list[str] = [".text"]
-    lines.append("_start:")
-    lines.append("    jal main")
-    lines.append("    break")
-
+) -> list:
+    """Generate a complete program's records (text + data + jump tables)."""
+    records: list = [(".text",), "_start", ("jal", Ref("main")), ("break",)]
     for func in module.functions.values():
-        allocation = allocate(func)
-        codegen = FunctionCodegen(func, allocation, jump_tables.get(func.name, []))
-        lines.extend(codegen.generate())
+        records += FunctionCodegen(func, allocate(func)).generate()
 
-    data_lines: list[str] = [".data"]
+    records.append((".data",))
     for var in module.globals.values():
         if var.element_size == 4:
-            data_lines.append(".align 2")
+            records.append((".align", 2))
             directive = ".word"
         elif var.element_size == 2:
-            data_lines.append(".align 1")
+            records.append((".align", 1))
             directive = ".half"
         else:
             directive = ".byte"
-        values = ", ".join(str(v & ((1 << (8 * var.element_size)) - 1)) for v in var.init_values)
-        data_lines.append(f"{var.name}: {directive} {values}")
-    for func_name, tables in jump_tables.items():
+        mask = (1 << (8 * var.element_size)) - 1
+        records.append(var.name)
+        records.append((directive, *(v & mask for v in var.init_values)))
+    for tables in jump_tables.values():
         for table_name, labels in tables:
-            data_lines.append(".align 2")
-            data_lines.append(f"{table_name}: .word {', '.join(labels)}")
-    lines.extend(data_lines)
-    return "\n".join(lines) + "\n"
+            records += [(".align", 2), table_name, (".word", *map(Ref, labels))]
+    return records

@@ -1,4 +1,9 @@
-"""Compiler driver: source -> (optimized IR) -> assembly -> executable.
+"""Compiler driver: source -> (optimized IR) -> instruction records ->
+executable.
+
+:func:`compile_source` hands the code generator's instruction records
+straight to the assembler's back end: a compile never prints assembly text
+nor lexes it.  :func:`compile_to_asm` renders the same records as text.
 
 Optimization levels mirror the gcc levels the paper sweeps (section 4):
 
@@ -35,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.binary.image import Executable
 from repro.compiler import ir
-from repro.compiler.codegen import generate_assembly
+from repro.compiler.codegen import generate_records
 from repro.compiler.irgen import generate_ir
 from repro.compiler.parser import parse
 from repro.compiler.passes import (
@@ -50,7 +55,7 @@ from repro.compiler.passes import (
     simplify_control_flow,
     unroll_loops,
 )
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble_records, render
 
 _MAX_FIXPOINT_ROUNDS = 12
 
@@ -143,15 +148,20 @@ def optimize_module(module: ir.Module, options: CompilerOptions) -> None:
                 eliminate_dead_code(func)
 
 
-def compile_to_asm(source: str, options: CompilerOptions | None = None) -> str:
-    """Compile mini-C *source* to MIPS assembly text."""
-    options = options or CompilerOptions()
+def _generate(source: str, options: CompilerOptions) -> list:
+    """Parse, lower and optimize *source*; its instruction records."""
     unit = parse(source)
     if options.unroll:
         unroll_loops(unit, options.unroll_factor)
     module, jump_tables = generate_ir(unit)
     optimize_module(module, options)
-    return generate_assembly(module, jump_tables)
+    return generate_records(module, jump_tables)
+
+
+def compile_to_asm(source: str, options: CompilerOptions | None = None) -> str:
+    """Compile mini-C *source* to MIPS assembly text: the records
+    :func:`compile_source` assembles, rendered."""
+    return render(_generate(source, options or CompilerOptions()))
 
 
 def compile_source(
@@ -166,5 +176,4 @@ def compile_source(
     """
     if options is None:
         options = CompilerOptions.from_level(opt_level if opt_level is not None else 1)
-    asm = compile_to_asm(source, options)
-    return assemble(asm)
+    return assemble_records(_generate(source, options))

@@ -26,7 +26,8 @@ class CompileError(ReproError):
 
 
 class AssemblerError(ReproError):
-    """Raised when assembly text cannot be encoded into machine words."""
+    """Raised when assembly text or instruction records cannot be encoded
+    into machine words."""
 
 
 class EncodingError(ReproError):

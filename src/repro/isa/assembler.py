@@ -1,16 +1,37 @@
-"""Two-pass MIPS assembler.
+"""MIPS assembler: two front ends, one back end.
 
-Accepts the assembly dialect emitted by the mini-C code generator:
+A program reaches the back end as a list of **records**, one per label,
+directive or instruction:
 
-* sections ``.text`` / ``.data``, directives ``.word``, ``.half``, ``.byte``,
-  ``.space``, ``.align``, ``.asciiz``, ``.globl`` (ignored except recorded),
-* labels (``name:``), label arithmetic in ``.word`` (jump tables!),
-* all mnemonics from :mod:`repro.isa.instructions`,
-* pseudo-instructions ``li``, ``la``, ``move``, ``b``, ``nop``, ``not``,
-  ``neg``, ``blt``, ``bgt``, ``ble``, ``bge`` expanded as a real MIPS
-  assembler would.  In particular ``move`` expands to ``addiu rd, rs, 0`` --
-  the exact arithmetic-with-zero-immediate register-move idiom the paper's
-  decompiler removes with constant propagation.
+* a label definition is its name, a ``str``;
+* anything else is a tuple: a mnemonic from :mod:`repro.isa.instructions`,
+  a pseudo-op or a directive, then its operands in assembly order.  An
+  operand is a register number, an integer, a label reference (a
+  :class:`Ref`, or an ``int`` absolute address) or a memory operand,
+  which takes two items: the offset, then the base register.  ``("lw",
+  8, 4, 29)`` is ``lw $t0, 4($sp)``; ``("beq", 8, 0, Ref("L1"))`` is
+  ``beq $t0, $zero, L1``.
+
+The pseudo-ops are ``li``, ``la``, ``move``, ``b``, ``nop``, ``not``,
+``neg``, ``blt``, ``bgt``, ``ble`` and ``bge``; the directives ``.text``,
+``.data``, ``.word`` (integers or label references: jump tables),
+``.half``, ``.byte``, ``.space``, ``.align`` and ``.asciiz`` (its bytes).
+
+The two front ends:
+
+* :func:`parse_text` reads assembly text (hand-written assembly, and
+  :func:`assemble`): comments, ``name:`` labels, ``.globl`` (dropped),
+  register names, character literals and ``symbol+offset`` references.
+* The mini-C code generator (:mod:`repro.compiler.codegen`) builds the
+  records itself, so a compile never prints or lexes assembly text.
+
+The back end, :meth:`Assembler.assemble_records`, lays both sections out,
+expands the pseudo-ops as a real MIPS assembler would, resolves labels and
+encodes every word through :func:`repro.isa.encoding.encode_fields`.  In
+particular ``move`` expands to ``addiu rd, rs, 0`` -- the exact
+arithmetic-with-zero-immediate register-move idiom the paper's decompiler
+removes with constant propagation.  :func:`render` prints records as the
+text :func:`parse_text` reads back into the same records.
 
 The output is an :class:`~repro.binary.image.Executable` image.
 """
@@ -18,40 +39,88 @@ The output is an :class:`~repro.binary.image.Executable` image.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from struct import pack
+from typing import NamedTuple
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, EncodingError
 from repro.binary.image import Executable, Symbol
-from repro.isa.encoding import encode
-from repro.isa.instructions import SPECS, Instruction, Syntax
-from repro.isa.registers import Reg, reg_num
-
-#: a stripped code line: an optional ``label:``, then the mnemonic or
-#: directive, then its operands
-_LINE_RE = re.compile(r"(?:([A-Za-z_.$][\w.$]*)\s*:)?\s*(\S*)\s*(.*)", re.S)
+from repro.isa.encoding import encode_fields
+from repro.isa.instructions import SPECS, Syntax
+from repro.isa.registers import REG_NAMES, Reg, reg_num
 
 TEXT_BASE = 0x0040_0000
 DATA_BASE = 0x1001_0000
 
 
-@dataclass
-class _Line:
-    """One source line after lexical splitting."""
+class Ref(NamedTuple):
+    """A label reference in a record: the label's address plus *addend*."""
 
-    number: int
-    label: str | None
-    op: str | None
-    args: list[str]
-
-
-@dataclass
-class _PendingWord:
-    """A ``.word`` whose value references a label (resolved in pass 2)."""
-
-    offset: int  # byte offset within the data section
     symbol: str
-    addend: int
-    line: int
+    addend: int = 0
+
+    def __str__(self) -> str:
+        return f"{self.symbol}{self.addend:+d}" if self.addend else self.symbol
+
+
+# ----------------------------------------------------------------------
+# operand shapes
+# ----------------------------------------------------------------------
+
+#: the operands each syntax takes, one letter each: ``r`` a register,
+#: ``i`` an integer, ``l`` a label reference, ``m`` a memory operand
+#: (two record items); a leading ``*`` repeats the next letter
+_SYNTAX_SHAPE = {
+    Syntax.RD_RS_RT: "rrr",
+    Syntax.RD_RT_SHAMT: "rri",
+    Syntax.RD_RT_RS: "rrr",
+    Syntax.RS: "r",
+    Syntax.RD_RS: "rr",
+    Syntax.RD: "r",
+    Syntax.RS_RT: "rr",
+    Syntax.RT_RS_IMM: "rri",
+    Syntax.RT_IMM: "ri",
+    Syntax.RT_OFF_BASE: "rm",
+    Syntax.RS_RT_LABEL: "rrl",
+    Syntax.RS_LABEL: "rl",
+    Syntax.TARGET: "l",
+    Syntax.NONE: "",
+}
+_PSEUDO_SHAPE = {
+    "li": "ri", "la": "rl", "move": "rr", "not": "rr", "neg": "rr",
+    "b": "l", "nop": "",
+    "blt": "rrl", "bgt": "rrl", "ble": "rrl", "bge": "rrl",
+}
+_DIRECTIVE_SHAPE = {
+    ".text": "", ".data": "", ".space": "i", ".align": "i",
+    ".word": "*w", ".half": "*i", ".byte": "*i", ".asciiz": "s",
+}
+#: every record head's shape (``w`` is an integer or a label reference,
+#: ``s`` the bytes of a string)
+_SHAPES = {
+    **{op: _SYNTAX_SHAPE[spec.syntax] for op, spec in SPECS.items()},
+    **_PSEUDO_SHAPE,
+    **_DIRECTIVE_SHAPE,
+}
+
+
+# ----------------------------------------------------------------------
+# text front end
+# ----------------------------------------------------------------------
+
+#: a stripped code line: an optional ``label:``, then the mnemonic or
+#: directive, then its operands
+_LINE_RE = re.compile(r"(?:([A-Za-z_.$][\w.$]*)\s*:)?\s*(\S*)\s*(.*)", re.S)
+#: a quoted literal ('c' or "text", backslash escapes allowed)
+_QUOTED = r"'(?:[^'\\]|\\.)*'" + "|" + r'"(?:[^"\\]|\\.)*"'
+#: the code part of a line: everything up to the first ``#`` outside a
+#: quoted literal (an unterminated quote runs to the end of the line)
+_CODE_RE = re.compile(r"(?:[^\"'#]|" + _QUOTED + r"|[\"'].*)*")
+#: an operand separator: a comma outside quotes and parentheses (the
+#: protected spans are matched, and so skipped, first; an unclosed
+#: parenthesis runs to the end)
+_SEPARATOR_RE = re.compile(_QUOTED + r"|\([^)]*\)?|(,)")
+_SYMBOL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$")
+_MEMORY_RE = re.compile(r"^(-?\w*)\s*\(\s*(\$\w+)\s*\)$")
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -68,17 +137,45 @@ def _parse_int(text: str, line: int) -> int:
         raise AssemblerError(f"line {line}: bad integer literal {text!r}") from None
 
 
-#: a quoted literal ('c' or "text", backslash escapes allowed)
-_QUOTED = r"'(?:[^'\\]|\\.)*'" + "|" + r'"(?:[^"\\]|\\.)*"'
-#: the code part of a line: everything up to the first ``#`` outside a
-#: quoted literal (an unterminated quote runs to the end of the line)
-_CODE_RE = re.compile(r"(?:[^\"'#]|" + _QUOTED + r"|[\"'].*)*")
-#: an operand separator: a comma outside quotes and parentheses (the
-#: protected spans are matched, and so skipped, first; an unclosed
-#: parenthesis runs to the end)
-_SEPARATOR_RE = re.compile(_QUOTED + r"|\([^)]*\)?|(,)")
-_SYMBOL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*([+-]\s*\d+)?$")
-_MEMORY_RE = re.compile(r"^(-?\w*)\s*\(\s*(\$\w+)\s*\)$")
+def _parse_register(text: str, line: int) -> int:
+    try:
+        return reg_num(text)
+    except ValueError as exc:
+        raise AssemblerError(f"line {line}: {exc}") from None
+
+
+def _parse_label(text: str, line: int) -> Ref | int:
+    """A label operand: ``symbol``, ``symbol+offset`` or an absolute address."""
+    match = _SYMBOL_RE.match(text)
+    if match:
+        addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
+        return Ref(match.group(1), addend)
+    try:
+        return _parse_int(text, line)
+    except AssemblerError:
+        raise AssemblerError(f"line {line}: undefined symbol {text!r}") from None
+
+
+def _parse_word(text: str, line: int) -> Ref | int:
+    try:  # the common case: a plain integer
+        return int(text, 0)
+    except ValueError:
+        pass
+    try:
+        return _parse_int(text, line)
+    except AssemblerError:
+        match = _SYMBOL_RE.match(text)
+        if not match:
+            raise AssemblerError(f"line {line}: bad .word operand {text!r}") from None
+        addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
+        return Ref(match.group(1), addend)
+
+
+def _parse_string(text: str, line: int) -> bytes:
+    text = text.strip()
+    if not (text.startswith('"') and text.endswith('"')):
+        raise AssemblerError(f"line {line}: .asciiz needs a quoted string")
+    return text[1:-1].encode().decode("unicode_escape").encode("latin-1")
 
 
 def _split_args(rest: str) -> list[str]:
@@ -94,22 +191,204 @@ def _split_args(rest: str) -> list[str]:
     return args
 
 
+def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
+    return line[: _CODE_RE.match(line).end()]
+
+
+def _parse_record(op: str, rest: str, line: int) -> tuple:
+    """The record for one mnemonic, pseudo-op or directive and its operands."""
+    shape = _SHAPES.get(op)
+    if shape is None:  # unknown: the back end reports it, knowing the section
+        return (op,)
+    if shape == "s":
+        return (op, _parse_string(rest, line))
+    args = _split_args(rest)
+    if shape.startswith("*"):
+        parse = _parse_word if shape == "*w" else _parse_int
+        return (op, *(parse(arg, line) for arg in args))
+    if op == "jalr" and len(args) == 1:  # jalr $rs: rd defaults to $ra
+        args.insert(0, "$ra")
+    if len(args) != len(shape) and shape:  # an operand-less head ignores any
+        raise AssemblerError(
+            f"line {line}: {op} expects {len(shape)} operands, got {len(args)}"
+        )
+    record = [op]
+    for kind, arg in zip(shape, args):
+        if kind == "r":
+            record.append(_parse_register(arg, line))
+        elif kind == "i":
+            record.append(_parse_int(arg, line))
+        elif kind == "l":
+            record.append(_parse_label(arg, line))
+        else:  # m
+            match = _MEMORY_RE.match(arg)
+            if not match:
+                raise AssemblerError(f"line {line}: bad memory operand {arg!r}")
+            offset = _parse_int(match.group(1), line) if match.group(1) else 0
+            record += (offset, _parse_register(match.group(2), line))
+    return tuple(record)
+
+
+def parse_text(source: str) -> tuple[list, list[int]]:
+    """The text front end: *source*'s records, and each one's line number."""
+    records: list = []
+    lines: list[int] = []
+    for number, raw in enumerate(source.splitlines(), start=1):
+        code = _strip_comment(raw).strip()
+        if not code:
+            continue
+        label, op, rest = _LINE_RE.match(code).groups()
+        if label is not None:
+            records.append(label)
+            lines.append(number)
+        op = op.lower()
+        if op and op != ".globl":
+            records.append(_parse_record(op, rest, number))
+            lines.append(number)
+    return records, lines
+
+
+# ----------------------------------------------------------------------
+# rendering
+# ----------------------------------------------------------------------
+
+
+def _render_operands(shape: str, items) -> str:
+    if shape.startswith("*"):
+        return ", ".join(map(str, items))
+    if shape == "s":
+        text = items[0].decode("latin-1").encode("unicode_escape").decode("ascii")
+        return '"' + text.replace('"', '\\"') + '"'
+    parts = []
+    it = iter(items)
+    for kind in shape:
+        item = next(it)
+        if kind == "r":
+            parts.append(REG_NAMES[item])
+        elif kind == "m":
+            parts.append(f"{item}({REG_NAMES[next(it)]})")
+        else:
+            parts.append(str(item))
+    return ", ".join(parts)
+
+
+def render(records) -> str:
+    """Assembly text for *records*: one instruction per indented line; a
+    label shares the line of a directive that follows it, and otherwise
+    takes a line of its own."""
+    out: list[str] = []
+    label = None
+    for record in records:
+        if label is not None and (record.__class__ is str or record[0][0] != "."):
+            out.append(f"{label}:")
+            label = None
+        if record.__class__ is str:
+            label = record
+            continue
+        op = record[0]
+        if op[0] == ".":
+            line = op if label is None else f"{label}: {op}"
+            label = None
+        else:
+            line = "    " + op
+        shape = _SHAPES[op]
+        if shape:
+            line += " " + _render_operands(shape, record[1:])
+        out.append(line)
+    if label is not None:
+        out.append(f"{label}:")
+    return "\n".join(out) + "\n"
+
+
+# ----------------------------------------------------------------------
+# back end
+# ----------------------------------------------------------------------
+
+# the back end's per-head dispatch: real instructions by syntax, each
+# pseudo-op by name
+(_RT_RS_IMM, _RT_OFF_BASE, _RD_RS_RT, _RS_RT_LABEL, _TARGET, _RD_RT_SHAMT,
+ _RD_RT_RS, _RS, _RD_RS, _RD, _RS_RT, _RT_IMM, _RS_LABEL, _NONE,
+ _LI, _LA, _MOVE, _NOT, _NEG, _B, _NOP, _BLT, _BGT, _BLE, _BGE) = range(25)
+_SYNTAX_KIND = {
+    Syntax.RT_RS_IMM: _RT_RS_IMM, Syntax.RT_OFF_BASE: _RT_OFF_BASE,
+    Syntax.RD_RS_RT: _RD_RS_RT, Syntax.RS_RT_LABEL: _RS_RT_LABEL,
+    Syntax.TARGET: _TARGET, Syntax.RD_RT_SHAMT: _RD_RT_SHAMT,
+    Syntax.RD_RT_RS: _RD_RT_RS, Syntax.RS: _RS, Syntax.RD_RS: _RD_RS,
+    Syntax.RD: _RD, Syntax.RS_RT: _RS_RT, Syntax.RT_IMM: _RT_IMM,
+    Syntax.RS_LABEL: _RS_LABEL, Syntax.NONE: _NONE,
+}
+#: text record head -> (dispatch kind, spec or None for a pseudo-op, words
+#: it expands to; 0 for ``li``, whose value decides between one and two)
+_HEADS = {op: (_SYNTAX_KIND[spec.syntax], spec, 1) for op, spec in SPECS.items()}
+_HEADS.update({
+    "li": (_LI, None, 0), "la": (_LA, None, 2), "move": (_MOVE, None, 1),
+    "not": (_NOT, None, 1), "neg": (_NEG, None, 1), "b": (_B, None, 1),
+    "nop": (_NOP, None, 1), "blt": (_BLT, None, 2), "bgt": (_BGT, None, 2),
+    "ble": (_BLE, None, 2), "bge": (_BGE, None, 2),
+})
+_ADDIU, _ORI, _LUI = SPECS["addiu"], SPECS["ori"], SPECS["lui"]
+_SLL, _NOR, _SUBU, _SLT = SPECS["sll"], SPECS["nor"], SPECS["subu"], SPECS["slt"]
+_BEQ, _BNE = SPECS["beq"], SPECS["bne"]
+_AT = int(Reg.AT)
+#: errors a malformed record raises from Python itself (a wrong operand
+#: count, an operand of the wrong type)
+_MALFORMED = (TypeError, ValueError, IndexError, KeyError, AttributeError)
+
+
+def _address(ref, symbols: dict[str, int]) -> int:
+    """The address a label operand names."""
+    if ref.__class__ is int:
+        return ref
+    if ref.__class__ is not Ref:
+        raise TypeError(ref)
+    address = symbols.get(ref.symbol)
+    if address is None:
+        raise AssemblerError(f"undefined symbol {str(ref)!r}")
+    return address + ref.addend
+
+
+def _branch_offset(ref, symbols: dict[str, int], addr: int) -> int:
+    """The offset field of a branch at *addr* to *ref*."""
+    delta = _address(ref, symbols) - (addr + 4)
+    if delta % 4:
+        raise AssemblerError("branch target not word aligned")
+    offset = delta >> 2
+    if not -0x8000 <= offset <= 0x7FFF:
+        raise AssemblerError("branch target out of range")
+    return offset
+
+
 class Assembler:
-    """Two-pass assembler producing an executable image."""
+    """The back end: records (from either front end) to an executable."""
 
     def __init__(self, text_base: int = TEXT_BASE, data_base: int = DATA_BASE):
         self.text_base = text_base
         self.data_base = data_base
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-
     def assemble(self, source: str) -> Executable:
-        lines = self._lex(source)
-        symbols, text_items, data = self._pass1(lines)
-        words = self._pass2(text_items, symbols)
-        self._patch_data_words(data, symbols)
+        """Assemble *source* text (the text front end, then the back end)."""
+        records, lines = parse_text(source)
+        return self.assemble_records(records, lines)
+
+    def assemble_records(self, records, lines: list[int] | None = None) -> Executable:
+        """Lay out, expand, resolve and encode *records*.
+
+        *lines* gives each record's source line for error messages; without
+        it an error names the record's index.  Every error is an
+        :class:`AssemblerError`.
+        """
+        symbols, data, data_refs = self._layout(records, lines)
+        words = self._encode(records, lines, symbols)
+        for index, offset, ref in data_refs:
+            try:
+                value = _address(ref, symbols) & 0xFFFF_FFFF
+            except AssemblerError as exc:
+                raise _located(index, lines, f"{exc} in .word") from None
+            except _MALFORMED:
+                raise _malformed(index, lines, records) from None
+            data[offset : offset + 4] = value.to_bytes(4, "little")
         entry = symbols.get("_start", symbols.get("main", self.text_base))
         sym_objects = {
             name: Symbol(name=name, address=addr, is_text=addr < self.data_base)
@@ -125,350 +404,203 @@ class Assembler:
         )
 
     # ------------------------------------------------------------------
-    # pass 0: lexical analysis
+    # pass 1: layout -- label addresses, text sizes, the data section
     # ------------------------------------------------------------------
 
-    def _lex(self, source: str) -> list[_Line]:
-        lines: list[_Line] = []
-        for number, raw in enumerate(source.splitlines(), start=1):
-            code = self._strip_comment(raw).strip()
-            if not code:
-                continue
-            label, op, rest = _LINE_RE.match(code).groups()
-            if not op:
-                lines.append(_Line(number, label, None, []))
-                continue
-            op = op.lower()
-            args = [rest] if op == ".asciiz" else _split_args(rest)
-            lines.append(_Line(number, label, op, args))
-        return lines
+    def _layout(self, records, lines):
+        symbols: dict[str, int] = {}
+        data = bytearray()
+        data_refs: list[tuple[int, int, Ref]] = []  # (record, data offset, ref)
+        in_text = True
+        text_addr = self.text_base
+        index = 0
+        try:
+            for index, record in enumerate(records):
+                if record.__class__ is str:
+                    if record in symbols:
+                        raise AssemblerError(f"duplicate label {record!r}")
+                    symbols[record] = text_addr if in_text else self.data_base + len(data)
+                    continue
+                op = record[0]
+                head = _HEADS.get(op)
+                if head is not None:
+                    if not in_text:
+                        raise AssemblerError(f"instruction {op!r} outside .text")
+                    size = head[2]
+                    if not size:  # li
+                        size = 1 if -0x8000 <= record[2] <= 0xFFFF else 2
+                    text_addr += 4 * size
+                elif op == ".text" or op == ".data":
+                    in_text = op == ".text"
+                elif op.startswith("."):
+                    if in_text:
+                        raise AssemblerError(f"directive {op} only allowed in .data")
+                    self._emit_data(index, record, data, data_refs)
+                else:
+                    raise AssemblerError(f"unknown mnemonic {op!r}")
+        except AssemblerError as exc:
+            raise _located(index, lines, exc) from None
+        except _MALFORMED:
+            raise _malformed(index, lines, records) from None
+        return symbols, data, data_refs
 
     @staticmethod
-    def _strip_comment(line: str) -> str:
-        if "#" not in line:
-            return line
-        return line[: _CODE_RE.match(line).end()]
-
-    # ------------------------------------------------------------------
-    # pass 1: layout -- assign addresses, expand pseudo sizes, gather data
-    # ------------------------------------------------------------------
-
-    def _pass1(
-        self, lines: list[_Line]
-    ) -> tuple[dict[str, int], list[tuple[_Line, int]], bytearray]:
-        symbols: dict[str, int] = {}
-        text_items: list[tuple[_Line, int]] = []  # (line, address)
-        data = bytearray()
-        self._pending_words: list[_PendingWord] = []
-        section = "text"
-        text_addr = self.text_base
-
-        for line in lines:
-            if line.label is not None:
-                addr = text_addr if section == "text" else self.data_base + len(data)
-                if line.label in symbols:
-                    raise AssemblerError(f"line {line.number}: duplicate label {line.label!r}")
-                symbols[line.label] = addr
-            if line.op is None:
-                continue
-            if line.op == ".text":
-                section = "text"
-            elif line.op == ".data":
-                section = "data"
-            elif line.op == ".globl":
-                continue
-            elif line.op.startswith("."):
-                if section != "data":
-                    raise AssemblerError(
-                        f"line {line.number}: directive {line.op} only allowed in .data"
-                    )
-                self._emit_data(line, data)
-            else:
-                if section != "text":
-                    raise AssemblerError(
-                        f"line {line.number}: instruction {line.op!r} outside .text"
-                    )
-                size = self._pseudo_size(line)
-                text_items.append((line, text_addr))
-                text_addr += 4 * size
-        return symbols, text_items, data
-
-    def _emit_data(self, line: _Line, data: bytearray) -> None:
-        op = line.op
+    def _emit_data(index: int, record, data: bytearray, data_refs: list) -> None:
+        op = record[0]
+        values = record[1:]
         if op == ".word":
-            for arg in line.args:
-                try:  # the common case: a plain integer
-                    value = int(arg, 0)
-                except ValueError:
-                    self._emit_word_arg(arg, data, line.number)
-                else:
-                    data += (value & 0xFFFF_FFFF).to_bytes(4, "little")
+            if not all(value.__class__ is int for value in values):
+                values = list(values)
+                for position, value in enumerate(values):
+                    if value.__class__ is not int:
+                        if value.__class__ is not Ref:
+                            raise TypeError(value)
+                        data_refs.append((index, len(data) + 4 * position, value))
+                        values[position] = 0
+            data += pack(f"<{len(values)}I", *[value & 0xFFFF_FFFF for value in values])
         elif op == ".half":
-            for arg in line.args:
-                value = _parse_int(arg, line.number)
-                data.extend((value & 0xFFFF).to_bytes(2, "little"))
+            data += pack(f"<{len(values)}H", *[value & 0xFFFF for value in values])
         elif op == ".byte":
-            for arg in line.args:
-                value = _parse_int(arg, line.number)
-                data.append(value & 0xFF)
+            data += bytes([value & 0xFF for value in values])
         elif op == ".space":
-            count = _parse_int(line.args[0], line.number)
-            data.extend(b"\x00" * count)
+            _, count = record
+            data += bytes(count)
         elif op == ".align":
-            power = _parse_int(line.args[0], line.number)
-            boundary = 1 << power
-            while len(data) % boundary:
-                data.append(0)
+            _, power = record
+            data += bytes(-len(data) % (1 << power))
         elif op == ".asciiz":
-            text = line.args[0].strip()
-            if not (text.startswith('"') and text.endswith('"')):
-                raise AssemblerError(f"line {line.number}: .asciiz needs a quoted string")
-            decoded = text[1:-1].encode().decode("unicode_escape").encode("latin-1")
-            data.extend(decoded + b"\x00")
+            _, text = record
+            data += text + b"\x00"
         else:
-            raise AssemblerError(f"line {line.number}: unknown directive {op}")
-
-    def _emit_word_arg(self, arg: str, data: bytearray, line_no: int) -> None:
-        arg = arg.strip()
-        try:
-            value = _parse_int(arg, line_no)
-        except AssemblerError:
-            # symbol or symbol+offset / symbol-offset
-            match = _SYMBOL_RE.match(arg)
-            if not match:
-                raise AssemblerError(f"line {line_no}: bad .word operand {arg!r}") from None
-            addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
-            self._pending_words.append(
-                _PendingWord(offset=len(data), symbol=match.group(1), addend=addend, line=line_no)
-            )
-            value = 0
-        data.extend((value & 0xFFFF_FFFF).to_bytes(4, "little"))
-
-    def _patch_data_words(self, data: bytearray, symbols: dict[str, int]) -> None:
-        for pending in self._pending_words:
-            if pending.symbol not in symbols:
-                raise AssemblerError(
-                    f"line {pending.line}: undefined symbol {pending.symbol!r} in .word"
-                )
-            value = (symbols[pending.symbol] + pending.addend) & 0xFFFF_FFFF
-            data[pending.offset : pending.offset + 4] = value.to_bytes(4, "little")
+            raise AssemblerError(f"unknown directive {op}")
 
     # ------------------------------------------------------------------
-    # pseudo-instruction handling
+    # pass 2: pseudo expansion, label resolution and encoding
     # ------------------------------------------------------------------
 
-    _PSEUDOS = {"li", "la", "move", "b", "nop", "not", "neg", "blt", "bgt", "ble", "bge"}
-
-    def _pseudo_size(self, line: _Line) -> int:
-        """Number of machine instructions this source line expands to."""
-        op = line.op
-        if op not in self._PSEUDOS:
-            if op not in SPECS:
-                raise AssemblerError(f"line {line.number}: unknown mnemonic {op!r}")
-            return 1
-        if op == "li":
-            value = _parse_int(line.args[1], line.number)
-            return 1 if -0x8000 <= value <= 0xFFFF else 2
-        if op == "la":
-            return 2
-        if op in ("blt", "bgt", "ble", "bge"):
-            return 2
-        return 1
-
-    def _expand_pseudo(
-        self, line: _Line, symbols: dict[str, int], addr: int
-    ) -> list[Instruction]:
-        op = line.op
-        args = line.args
-        n = line.number
-        if op == "nop":
-            return [Instruction("sll", rd=0, rt=0, shamt=0)]
-        if op == "move":
-            rd, rs = reg_num(args[0]), reg_num(args[1])
-            return [Instruction("addiu", rt=rd, rs=rs, imm=0)]
-        if op == "not":
-            rd, rs = reg_num(args[0]), reg_num(args[1])
-            return [Instruction("nor", rd=rd, rs=rs, rt=0)]
-        if op == "neg":
-            rd, rs = reg_num(args[0]), reg_num(args[1])
-            return [Instruction("subu", rd=rd, rs=0, rt=rs)]
-        if op == "li":
-            rd = reg_num(args[0])
-            value = _parse_int(args[1], n)
-            if -0x8000 <= value <= 0x7FFF:
-                return [Instruction("addiu", rt=rd, rs=0, imm=value)]
-            if 0 <= value <= 0xFFFF:
-                return [Instruction("ori", rt=rd, rs=0, imm=value)]
-            value &= 0xFFFF_FFFF
-            hi, lo = value >> 16, value & 0xFFFF
-            return [
-                Instruction("lui", rt=rd, imm=hi),
-                Instruction("ori", rt=rd, rs=rd, imm=lo),
-            ]
-        if op == "la":
-            rd = reg_num(args[0])
-            target = self._resolve_label(args[1], symbols, n)
-            hi, lo = target >> 16, target & 0xFFFF
-            return [
-                Instruction("lui", rt=rd, imm=hi),
-                Instruction("ori", rt=rd, rs=rd, imm=lo),
-            ]
-        if op == "b":
-            offset = self._branch_offset(args[0], symbols, addr, n)
-            return [Instruction("beq", rs=0, rt=0, imm=offset)]
-        if op in ("blt", "bgt", "ble", "bge"):
-            rs, rt = reg_num(args[0]), reg_num(args[1])
-            offset = self._branch_offset(args[2], symbols, addr + 4, n)
-            at = int(Reg.AT)
-            if op == "blt":
-                cmp_instr = Instruction("slt", rd=at, rs=rs, rt=rt)
-                br = Instruction("bne", rs=at, rt=0, imm=offset)
-            elif op == "bge":
-                cmp_instr = Instruction("slt", rd=at, rs=rs, rt=rt)
-                br = Instruction("beq", rs=at, rt=0, imm=offset)
-            elif op == "bgt":
-                cmp_instr = Instruction("slt", rd=at, rs=rt, rt=rs)
-                br = Instruction("bne", rs=at, rt=0, imm=offset)
-            else:  # ble
-                cmp_instr = Instruction("slt", rd=at, rs=rt, rt=rs)
-                br = Instruction("beq", rs=at, rt=0, imm=offset)
-            return [cmp_instr, br]
-        raise AssemblerError(f"line {n}: unhandled pseudo {op!r}")
-
-    # ------------------------------------------------------------------
-    # pass 2: encoding
-    # ------------------------------------------------------------------
-
-    def _pass2(
-        self, text_items: list[tuple[_Line, int]], symbols: dict[str, int]
-    ) -> list[int]:
+    def _encode(self, records, lines, symbols: dict[str, int]) -> list[int]:
         words: list[int] = []
-        for line, addr in text_items:
-            if line.op in self._PSEUDOS:
-                instrs = self._expand_pseudo(line, symbols, addr)
-            else:
-                instrs = [self._parse_instruction(line, symbols, addr)]
-            for instr in instrs:
-                try:
-                    words.append(encode(instr))
-                except Exception as exc:
-                    raise AssemblerError(f"line {line.number}: {exc}") from exc
+        emit = words.append
+        enc = encode_fields
+        base = self.text_base
+        index = 0
+        try:
+            for index, record in enumerate(records):
+                if record.__class__ is str:
+                    continue
+                head = _HEADS.get(record[0])
+                if head is None:  # a directive
+                    continue
+                kind, spec, _ = head
+                # most frequent forms first
+                if kind == _RT_RS_IMM:
+                    _, rt, rs, imm = record
+                    emit(enc(spec, 0, rs, rt, 0, imm, 0))
+                elif kind == _RT_OFF_BASE:
+                    _, rt, offset, rs = record
+                    emit(enc(spec, 0, rs, rt, 0, offset, 0))
+                elif kind == _RD_RS_RT:
+                    _, rd, rs, rt = record
+                    emit(enc(spec, rd, rs, rt, 0, 0, 0))
+                elif kind == _LI:
+                    _, rt, value = record
+                    if -0x8000 <= value <= 0x7FFF:
+                        emit(enc(_ADDIU, 0, 0, rt, 0, value, 0))
+                    elif 0 <= value <= 0xFFFF:
+                        emit(enc(_ORI, 0, 0, rt, 0, value, 0))
+                    else:
+                        value &= 0xFFFF_FFFF
+                        emit(enc(_LUI, 0, 0, rt, 0, value >> 16, 0))
+                        emit(enc(_ORI, 0, rt, rt, 0, value & 0xFFFF, 0))
+                elif kind == _RS_RT_LABEL:
+                    _, rs, rt, ref = record
+                    offset = _branch_offset(ref, symbols, base + 4 * len(words))
+                    emit(enc(spec, 0, rs, rt, 0, offset, 0))
+                elif kind == _TARGET:
+                    _, ref = record
+                    target = _address(ref, symbols)
+                    if target % 4:
+                        raise AssemblerError("jump target not word aligned")
+                    emit(enc(spec, 0, 0, 0, 0, 0, (target >> 2) & 0x03FF_FFFF))
+                elif kind == _RD_RT_SHAMT:
+                    _, rd, rt, shamt = record
+                    emit(enc(spec, rd, 0, rt, shamt, 0, 0))
+                elif kind == _RS_LABEL:
+                    _, rs, ref = record
+                    offset = _branch_offset(ref, symbols, base + 4 * len(words))
+                    emit(enc(spec, 0, rs, 0, 0, offset, 0))
+                elif kind == _RD:
+                    _, rd = record
+                    emit(enc(spec, rd, 0, 0, 0, 0, 0))
+                elif kind == _RS:
+                    _, rs = record
+                    emit(enc(spec, 0, rs, 0, 0, 0, 0))
+                elif kind == _RS_RT:
+                    _, rs, rt = record
+                    emit(enc(spec, 0, rs, rt, 0, 0, 0))
+                elif kind == _LA:
+                    _, rt, ref = record
+                    target = _address(ref, symbols)
+                    emit(enc(_LUI, 0, 0, rt, 0, target >> 16, 0))
+                    emit(enc(_ORI, 0, rt, rt, 0, target & 0xFFFF, 0))
+                elif kind == _RD_RT_RS:
+                    _, rd, rt, rs = record
+                    emit(enc(spec, rd, rs, rt, 0, 0, 0))
+                elif kind == _RD_RS:
+                    _, rd, rs = record
+                    emit(enc(spec, rd, rs, 0, 0, 0, 0))
+                elif kind == _RT_IMM:
+                    _, rt, imm = record
+                    emit(enc(spec, 0, 0, rt, 0, imm, 0))
+                elif kind == _NONE:
+                    emit(enc(spec, 0, 0, 0, 0, 0, 0))
+                elif kind == _MOVE:
+                    _, rd, rs = record
+                    emit(enc(_ADDIU, 0, rs, rd, 0, 0, 0))
+                elif kind == _NOP:
+                    emit(enc(_SLL, 0, 0, 0, 0, 0, 0))
+                elif kind == _NOT:
+                    _, rd, rs = record
+                    emit(enc(_NOR, rd, rs, 0, 0, 0, 0))
+                elif kind == _NEG:
+                    _, rd, rs = record
+                    emit(enc(_SUBU, rd, 0, rs, 0, 0, 0))
+                elif kind == _B:
+                    _, ref = record
+                    offset = _branch_offset(ref, symbols, base + 4 * len(words))
+                    emit(enc(_BEQ, 0, 0, 0, 0, offset, 0))
+                else:  # blt, bgt, ble, bge: slt into $at, then branch on it
+                    _, rs, rt, ref = record
+                    offset = _branch_offset(ref, symbols, base + 4 * len(words) + 4)
+                    if kind == _BGT or kind == _BLE:
+                        rs, rt = rt, rs
+                    emit(enc(_SLT, _AT, rs, rt, 0, 0, 0))
+                    branch = _BNE if kind == _BLT or kind == _BGT else _BEQ
+                    emit(enc(branch, 0, _AT, 0, 0, offset, 0))
+        except (AssemblerError, EncodingError) as exc:
+            raise _located(index, lines, exc) from None
+        except _MALFORMED:
+            raise _malformed(index, lines, records) from None
         return words
 
-    def _resolve_label(self, text: str, symbols: dict[str, int], line_no: int) -> int:
-        text = text.strip()
-        match = _SYMBOL_RE.match(text)
-        if match and match.group(1) in symbols:
-            addend = int(match.group(2).replace(" ", "")) if match.group(2) else 0
-            return symbols[match.group(1)] + addend
-        try:
-            return _parse_int(text, line_no)
-        except AssemblerError:
-            raise AssemblerError(f"line {line_no}: undefined symbol {text!r}") from None
 
-    def _branch_offset(
-        self, text: str, symbols: dict[str, int], addr: int, line_no: int
-    ) -> int:
-        target = self._resolve_label(text, symbols, line_no)
-        delta = target - (addr + 4)
-        if delta % 4:
-            raise AssemblerError(f"line {line_no}: branch target not word aligned")
-        offset = delta >> 2
-        if not -0x8000 <= offset <= 0x7FFF:
-            raise AssemblerError(f"line {line_no}: branch target out of range")
-        return offset
-
-    def _parse_instruction(
-        self, line: _Line, symbols: dict[str, int], addr: int
-    ) -> Instruction:
-        op = line.op
-        spec = SPECS.get(op)
-        if spec is None:
-            raise AssemblerError(f"line {line.number}: unknown mnemonic {op!r}")
-        args = line.args
-        n = line.number
-        syn = spec.syntax
-        count = _OPERAND_COUNT[op]
-        if count is not None and len(args) != count and not (
-            syn is Syntax.RD_RS and len(args) == 1  # jalr $rs  (rd defaults to $ra)
-        ):
-            raise AssemblerError(
-                f"line {n}: {op} expects {count} operands, got {len(args)}"
-            )
-
-        # most frequent forms first
-        if syn is Syntax.RT_RS_IMM:
-            return Instruction(
-                op, rt=reg_num(args[0]), rs=reg_num(args[1]), imm=_parse_int(args[2], n)
-            )
-        if syn is Syntax.RT_OFF_BASE:
-            match = _MEMORY_RE.match(args[1])
-            if not match:
-                raise AssemblerError(f"line {n}: bad memory operand {args[1]!r}")
-            offset = _parse_int(match.group(1), n) if match.group(1) else 0
-            return Instruction(op, rt=reg_num(args[0]), rs=reg_num(match.group(2)), imm=offset)
-        if syn is Syntax.RD_RS_RT:
-            return Instruction(op, rd=reg_num(args[0]), rs=reg_num(args[1]), rt=reg_num(args[2]))
-        if syn is Syntax.RS_RT_LABEL:
-            return Instruction(
-                op,
-                rs=reg_num(args[0]),
-                rt=reg_num(args[1]),
-                imm=self._branch_offset(args[2], symbols, addr, n),
-            )
-        if syn is Syntax.TARGET:
-            target = self._resolve_label(args[0], symbols, n)
-            if target % 4:
-                raise AssemblerError(f"line {n}: jump target not word aligned")
-            return Instruction(op, target=(target >> 2) & 0x03FF_FFFF)
-        if syn is Syntax.RD_RT_SHAMT:
-            return Instruction(
-                op, rd=reg_num(args[0]), rt=reg_num(args[1]), shamt=_parse_int(args[2], n)
-            )
-        if syn is Syntax.RD_RT_RS:
-            return Instruction(op, rd=reg_num(args[0]), rt=reg_num(args[1]), rs=reg_num(args[2]))
-        if syn is Syntax.RS:
-            return Instruction(op, rs=reg_num(args[0]))
-        if syn is Syntax.RD_RS:
-            if len(args) == 1:
-                return Instruction(op, rd=int(Reg.RA), rs=reg_num(args[0]))
-            return Instruction(op, rd=reg_num(args[0]), rs=reg_num(args[1]))
-        if syn is Syntax.RD:
-            return Instruction(op, rd=reg_num(args[0]))
-        if syn is Syntax.RS_RT:
-            return Instruction(op, rs=reg_num(args[0]), rt=reg_num(args[1]))
-        if syn is Syntax.RT_IMM:
-            return Instruction(op, rt=reg_num(args[0]), imm=_parse_int(args[1], n))
-        if syn is Syntax.RS_LABEL:
-            return Instruction(
-                op, rs=reg_num(args[0]), imm=self._branch_offset(args[1], symbols, addr, n)
-            )
-        if syn is Syntax.NONE:
-            return Instruction(op)
-        raise AssemblerError(f"line {n}: unhandled syntax for {op}")
+def _located(index: int, lines, message) -> AssemblerError:
+    """*message* prefixed with where record *index* came from."""
+    where = f"line {lines[index]}" if lines is not None else f"record {index}"
+    return AssemblerError(f"{where}: {message}")
 
 
-#: operands each syntax takes (None: not checked)
-_SYNTAX_OPERANDS = {
-    Syntax.RD_RS_RT: 3,
-    Syntax.RD_RT_SHAMT: 3,
-    Syntax.RD_RT_RS: 3,
-    Syntax.RS: 1,
-    Syntax.RD_RS: 2,
-    Syntax.RD: 1,
-    Syntax.RS_RT: 2,
-    Syntax.RT_RS_IMM: 3,
-    Syntax.RT_IMM: 2,
-    Syntax.RT_OFF_BASE: 2,
-    Syntax.RS_RT_LABEL: 3,
-    Syntax.RS_LABEL: 2,
-    Syntax.TARGET: 1,
-    Syntax.NONE: None,
-}
-#: the same per mnemonic (enum members hash in Python; strings do not)
-_OPERAND_COUNT = {op: _SYNTAX_OPERANDS[spec.syntax] for op, spec in SPECS.items()}
+def _malformed(index: int, lines, records) -> AssemblerError:
+    return _located(index, lines, f"malformed record {records[index]!r}")
 
 
 def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Executable:
-    """Assemble *source* into an executable image (convenience wrapper)."""
+    """Assemble *source* text into an executable image (convenience wrapper)."""
     return Assembler(text_base=text_base, data_base=data_base).assemble(source)
+
+
+def assemble_records(
+    records, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
+) -> Executable:
+    """Assemble *records* into an executable image (convenience wrapper)."""
+    return Assembler(text_base=text_base, data_base=data_base).assemble_records(records)

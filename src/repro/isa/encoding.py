@@ -4,7 +4,9 @@
 set (property-tested in tests/isa/test_encoding.py).  Decoding an unsupported
 word raises :class:`~repro.errors.EncodingError` -- the decompiler treats that
 as an unparseable binary, which never happens for binaries produced by this
-repository's compiler.
+repository's compiler.  ``encode`` wraps :func:`encode_fields`, which
+encodes from field values: the assembler calls it directly, so assembling
+builds no :class:`Instruction`.
 
 :func:`decode_text` decodes a whole text section and keeps the last one:
 the simulator, the decompiler's lifter and the profile mapper each need
@@ -14,10 +16,12 @@ the same binary's text in turn, so each binary is decoded once.
 from __future__ import annotations
 
 from repro.errors import EncodingError
-from repro.isa.instructions import SPECS, Format, Instruction
+from repro.isa.instructions import SPECS, Format, Instruction, InstrSpec
 
 _OPCODE_SPECIAL = 0
 _OPCODE_REGIMM = 1
+#: the formats as module constants (an enum member lookup is far slower)
+_FORMAT_I, _FORMAT_R = Format.I, Format.R
 
 # Lookup tables built once from SPECS.
 _BY_FUNCT = {spec.funct: spec for spec in SPECS.values() if spec.fmt is Format.R}
@@ -45,43 +49,51 @@ def encode(instr: Instruction) -> int:
         spec = SPECS[instr.mnemonic]
     except KeyError:
         raise EncodingError(f"unknown mnemonic: {instr.mnemonic!r}") from None
+    return encode_fields(
+        spec, instr.rd, instr.rs, instr.rt, instr.shamt, instr.imm, instr.target
+    )
 
-    if spec.fmt is Format.R:
-        _check_reg(instr.rd, "rd")
-        _check_reg(instr.rs, "rs")
-        _check_reg(instr.rt, "rt")
-        if not 0 <= instr.shamt < 32:
-            raise EncodingError(f"shamt out of range: {instr.shamt}")
-        return (
-            (instr.rs << 21)
-            | (instr.rt << 16)
-            | (instr.rd << 11)
-            | (instr.shamt << 6)
-            | spec.funct
-        )
 
-    if spec.fmt is Format.J:
-        if not 0 <= instr.target < (1 << 26):
-            raise EncodingError(f"jump target out of range: {instr.target}")
-        return (spec.opcode << 26) | instr.target
+def encode_fields(
+    spec: InstrSpec, rd: int, rs: int, rt: int, shamt: int, imm: int, target: int
+) -> int:
+    """Encode one *spec* instruction from its field values (the fields of
+    :class:`Instruction`; those its format does not use are ignored).
 
-    # I-format.
-    _check_reg(instr.rs, "rs")
-    rt = spec.regimm_rt if spec.regimm_rt is not None else instr.rt
-    _check_reg(rt, "rt")
-    if spec.zero_extend_imm:
-        if not 0 <= instr.imm <= 0xFFFF:
+    The one encoder: :func:`encode` wraps it, and the assembler's back end
+    calls it for every word it emits.
+    """
+    fmt = spec.fmt
+    if fmt is _FORMAT_I:
+        if spec.regimm_rt is not None:
+            rt = spec.regimm_rt
+        if (rs | rt) >> 5:  # either outside 0..31 (a negative one too)
+            _check_reg(rs, "rs")
+            _check_reg(rt, "rt")
+        if spec.zero_extend_imm:
+            if not 0 <= imm <= 0xFFFF:
+                raise EncodingError(
+                    f"{spec.mnemonic} immediate out of unsigned 16-bit range: {imm}"
+                )
+        elif -0x8000 <= imm <= 0x7FFF:
+            imm &= 0xFFFF
+        else:
             raise EncodingError(
-                f"{instr.mnemonic} immediate out of unsigned 16-bit range: {instr.imm}"
+                f"{spec.mnemonic} immediate out of signed 16-bit range: {imm}"
             )
-        imm16 = instr.imm
-    else:
-        if not -0x8000 <= instr.imm <= 0x7FFF:
-            raise EncodingError(
-                f"{instr.mnemonic} immediate out of signed 16-bit range: {instr.imm}"
-            )
-        imm16 = instr.imm & 0xFFFF
-    return (spec.opcode << 26) | (instr.rs << 21) | (rt << 16) | imm16
+        return (spec.opcode << 26) | (rs << 21) | (rt << 16) | imm
+
+    if fmt is _FORMAT_R:
+        if (rd | rs | rt | shamt) >> 5:
+            _check_reg(rd, "rd")
+            _check_reg(rs, "rs")
+            _check_reg(rt, "rt")
+            raise EncodingError(f"shamt out of range: {shamt}")
+        return (rs << 21) | (rt << 16) | (rd << 11) | (shamt << 6) | spec.funct
+
+    if not 0 <= target < (1 << 26):
+        raise EncodingError(f"jump target out of range: {target}")
+    return (spec.opcode << 26) | target
 
 
 def decode_text(words) -> tuple[Instruction, ...]:

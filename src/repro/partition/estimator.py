@@ -118,10 +118,14 @@ def kernel_hw_seconds(
     platform: Platform, kernel: HwKernel, profile: LoopProfile
 ) -> float:
     """Wall-clock seconds for *kernel* to perform the profiled work on
-    fine-grained fabric, at the kernel's own clock."""
-    return kernel_cycles(platform, kernel, profile).seconds(
-        kernel.clock_mhz, platform.cpu_clock_mhz
-    )
+    fine-grained fabric, at the kernel's own clock.
+
+    :meth:`KernelCycles.seconds` over :func:`kernel_cycles`, term for term,
+    without building the tuple (the dynamic controller prices every site
+    at every sample)."""
+    fpga = kernel_fpga_cycles(kernel, profile)
+    cpu = invocation_cycles(platform, profile) + migration_cycles(platform, kernel)
+    return fpga / (kernel.clock_mhz * 1e6) + cpu / (platform.cpu_clock_mhz * 1e6)
 
 
 def build_candidates(

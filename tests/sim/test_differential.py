@@ -300,7 +300,9 @@ class TestRandomPrograms:
 # drift from the reference: long fused j-chains, a loop whose hot branch
 # direction flips halfway through the run (one arm's units go quiet for
 # many folds while the other's start counting), and jump-table dispatch
-# landing on lazily materialized suffix blocks.
+# landing on case bodies whose units exist only as dispatch roots read
+# from the table's ``.data`` words (a slot with no unit would be
+# single-stepped through the threaded handlers by both dispatch loops).
 
 
 def _j_chain_ladder(rungs: int) -> str:
@@ -349,8 +351,9 @@ def _phase_flip(iters: int) -> str:
 def _jr_into_hot_loop(iters: int) -> str:
     """A dense switch inside a hot loop: the jump table dispatches by
     ``jr`` into case bodies that sit on the loop's hot fall-through
-    path, so dynamic entries land mid-block and hit lazily materialized
-    suffix units."""
+    path, so dynamic entries land inside the hot path, on the case units
+    generated for the table's ``.data`` words; both dispatch loops
+    single-step any entry whose slot holds no unit."""
     cases = "\n".join(
         f"        case {k}: acc += (acc >> {k + 1}) ^ {k * 7 + 1}; break;"
         for k in range(8)
