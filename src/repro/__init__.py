@@ -26,57 +26,53 @@ See README.md for the architecture overview and examples/ for runnable
 walkthroughs.
 """
 
-from repro.binary.image import Executable
-from repro.compiler.driver import CompilerOptions, compile_source, compile_to_asm
-from repro.decompile.decompiler import (
-    DecompilationOptions,
-    DecompiledProgram,
-    decompile,
-)
-from repro.dynamic.flow import run_dynamic_flow
-from repro.flow import (
-    DynamicFlowReport,
-    FlowReport,
-    run_flow,
-    run_flow_on_executable,
-)
-from repro.partition.api import PartitionOutcome
-from repro.platform.devices import DeviceSpec
-from repro.platform.platform import (
-    MIPS_200MHZ,
-    MIPS_400MHZ,
-    MIPS_40MHZ,
-    SOFTCORE_50MHZ,
-    SOFTCORE_85MHZ,
-    Platform,
-)
-from repro.sim.cpu import run_executable
-from repro.synth.synthesizer import SynthesisOptions, Synthesizer
+import sys
+from types import ModuleType
+
+from repro.surface import lazy_surface
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "CompilerOptions",
-    "DecompilationOptions",
-    "DecompiledProgram",
-    "DynamicFlowReport",
-    "Executable",
-    "FlowReport",
-    "MIPS_200MHZ",
-    "MIPS_400MHZ",
-    "MIPS_40MHZ",
-    "DeviceSpec",
-    "PartitionOutcome",
-    "Platform",
-    "SOFTCORE_50MHZ",
-    "SOFTCORE_85MHZ",
-    "SynthesisOptions",
-    "Synthesizer",
-    "compile_source",
-    "compile_to_asm",
-    "decompile",
-    "run_dynamic_flow",
-    "run_executable",
-    "run_flow",
-    "run_flow_on_executable",
-]
+#: where each public name lives; a name's module loads on first access
+#: (PEP 562), so ``import repro`` loads no stage the session does not use
+_EXPORTS = {
+    "CompilerOptions": "repro.compiler.driver",
+    "DecompilationOptions": "repro.decompile.decompiler",
+    "DecompiledProgram": "repro.decompile.decompiler",
+    "DynamicFlowReport": "repro.flow",
+    "Executable": "repro.binary.image",
+    "FlowReport": "repro.flow",
+    "MIPS_200MHZ": "repro.platform.platform",
+    "MIPS_400MHZ": "repro.platform.platform",
+    "MIPS_40MHZ": "repro.platform.platform",
+    "DeviceSpec": "repro.platform.devices",
+    "PartitionOutcome": "repro.partition.api",
+    "Platform": "repro.platform.platform",
+    "SOFTCORE_50MHZ": "repro.platform.platform",
+    "SOFTCORE_85MHZ": "repro.platform.platform",
+    "SynthesisOptions": "repro.synth.synthesizer",
+    "Synthesizer": "repro.synth.synthesizer",
+    "compile_source": "repro.compiler.driver",
+    "compile_to_asm": "repro.compiler.driver",
+    "decompile": "repro.decompile.decompiler",
+    "run_dynamic_flow": "repro.dynamic.flow",
+    "run_executable": "repro.sim.cpu",
+    "run_flow": "repro.flow",
+    "run_flow_on_executable": "repro.flow",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # the import system binds a subpackage on its parent when the
+        # subpackage first loads; ``repro.decompile`` stays the function
+        if name == "decompile" and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

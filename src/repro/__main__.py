@@ -31,25 +31,15 @@ import argparse
 import math
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from repro import obs
 from repro.binary.image import Executable
-from repro.compiler.driver import CompilerOptions, compile_source
-from repro.decompile.decompiler import DecompilationOptions, decompile
-from repro.decompile.structure import render_pseudocode
 from repro.errors import ReproError
-from repro.flow import (
-    FlowJob,
-    pool_fallbacks,
-    run_flow_on_executable,
-    run_flows,
-)
-from repro.platform.platform import NAMED_PLATFORMS, Platform
-from repro.programs import ALL_BENCHMARKS, BENCHMARKS_BY_NAME, Benchmark, get_benchmark
-from repro.sim.cpu import run_executable
-from repro.synth.fpga import VIRTEX2_DEVICES
-from repro.synth.synthesizer import Synthesizer
+
+# Each command imports the stages it runs inside its handler, so that
+# ``python -m repro compile`` loads the compiler and no other stage.
 
 
 def _load(path: str) -> Executable:
@@ -57,6 +47,8 @@ def _load(path: str) -> Executable:
 
 
 def cmd_compile(args) -> int:
+    from repro.compiler.driver import CompilerOptions, compile_source
+
     source = Path(args.source).read_text()
     options = CompilerOptions.from_level(args.opt_level)
     exe = compile_source(source, options)
@@ -68,6 +60,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.sim.cpu import run_executable
+
     exe = _load(args.binary)
     cpu, result = run_executable(exe, profile=args.profile, engine=args.engine)
     print(f"halted: {result.halted}  instructions: {result.steps:,}  "
@@ -79,6 +73,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_decompile(args) -> int:
+    from repro.decompile.decompiler import DecompilationOptions, decompile
+    from repro.decompile.structure import render_pseudocode
+
     exe = _load(args.binary)
     options = DecompilationOptions(recover_jump_tables=args.jump_tables)
     program = decompile(exe, options)
@@ -169,6 +166,11 @@ def _parse_passes(spec, algorithm):
 
 
 def cmd_partition(args) -> int:
+    from repro.decompile.decompiler import DecompilationOptions
+    from repro.flow import run_flow_on_executable
+    from repro.platform.platform import Platform
+    from repro.synth.fpga import VIRTEX2_DEVICES
+
     exe = _load(args.binary)
     platform = Platform(
         name=f"MIPS-{args.cpu_mhz:.0f}MHz + {args.device}",
@@ -216,6 +218,9 @@ def cmd_partition(args) -> int:
 
 
 def cmd_vhdl(args) -> int:
+    from repro.decompile.decompiler import DecompilationOptions, decompile
+    from repro.synth.synthesizer import Synthesizer
+
     exe = _load(args.binary)
     options = DecompilationOptions(recover_jump_tables=args.jump_tables)
     program = decompile(exe, options)
@@ -275,18 +280,42 @@ def _fabric_share(text: str) -> float:
     return value
 
 
-def _benchmark(name: str) -> Benchmark:
+def _benchmark(name: str):
     """argparse type: a benchmark of the suite, by name.
 
     A ``choices`` list would do for ``--apps``, but argparse checks an
     empty ``nargs="*"`` positional against its choices and rejects it.
     """
+    from repro.programs import BENCHMARKS_BY_NAME, get_benchmark
+
     try:
         return get_benchmark(name)
     except KeyError:
         raise argparse.ArgumentTypeError(
             f"must be a benchmark of the suite "
             f"({', '.join(sorted(BENCHMARKS_BY_NAME))}), got {name!r}") from None
+
+
+def _key_of(module: str, table: str, what: str):
+    """argparse type: a key of the dict *table* of *module*.
+
+    A ``choices`` list would have to import the table when the parser is
+    built, for every command; this imports it only when the option is
+    parsed.
+    """
+    def check(name: str) -> str:
+        keys = getattr(import_module(module), table)
+        if name not in keys:
+            raise argparse.ArgumentTypeError(
+                f"must be {what} ({', '.join(sorted(keys))}), got {name!r}")
+        return name
+
+    return check
+
+
+_device = _key_of("repro.synth.fpga", "VIRTEX2_DEVICES", "a Virtex-II part")
+_platform = _key_of("repro.platform.platform", "NAMED_PLATFORMS",
+                    "a named platform")
 
 
 def _dynamic_config(args):
@@ -303,6 +332,8 @@ def _dynamic_config(args):
 
 
 def _dynamic_platforms(args):
+    from repro.platform.platform import NAMED_PLATFORMS
+
     platforms = [NAMED_PLATFORMS[name] for name in args.platform]
     if args.regions:
         platforms = [platform.with_regions(args.regions) for platform in platforms]
@@ -334,6 +365,7 @@ def _print_dynamic_rows(rows):
 def cmd_dynamic(args) -> int:
     from repro.dynamic.flow import DynamicFlowJob, run_dynamic_flows
     from repro.dynamic.multi import AppSpec, MultiAppJob, run_multi_app_flows
+    from repro.programs import ALL_BENCHMARKS
 
     config = _dynamic_config(args)
     platforms = _dynamic_platforms(args)
@@ -402,6 +434,8 @@ def _extend_modeled_trace(args, config, reports) -> None:
 def _print_pool_notes() -> None:
     """Surface serial fallbacks: a sweep that quietly ran on one core is a
     perf mystery the user should not have to debug from timings."""
+    from repro.flow import pool_fallbacks
+
     for fallback in pool_fallbacks():
         print(f"  NOTE: process pool unavailable ({fallback.cause}: "
               f"{fallback.message}); {fallback.jobs} jobs ran serially")
@@ -419,6 +453,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from repro.flow import FlowJob, run_flows
+    from repro.platform.platform import Platform
+    from repro.programs import ALL_BENCHMARKS
+    from repro.synth.fpga import VIRTEX2_DEVICES
+
     benches = args.benchmarks or list(ALL_BENCHMARKS)
     device = VIRTEX2_DEVICES[args.device]
     platforms = [
@@ -503,7 +542,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("partition", help="partition a binary onto the platform")
     p.add_argument("binary")
     p.add_argument("--cpu-mhz", type=_positive_float, default=200.0)
-    p.add_argument("--device", default="xc2v250", choices=sorted(VIRTEX2_DEVICES))
+    p.add_argument("--device", default="xc2v250", type=_device,
+                   help="Virtex-II part (default: xc2v250)")
     p.add_argument("--jump-tables", action="store_true")
     p.add_argument("--algorithm", default="90-10",
                    choices=["90-10", "greedy", "gclp", "annealing",
@@ -532,7 +572,8 @@ def main(argv=None) -> int:
     p.add_argument("--cpu-mhz", type=_positive_float, nargs="+",
                    default=[200.0])
     p.add_argument("-O", dest="opt_level", type=int, default=1, choices=[0, 1, 2, 3])
-    p.add_argument("--device", default="xc2v250", choices=sorted(VIRTEX2_DEVICES))
+    p.add_argument("--device", default="xc2v250", type=_device,
+                   help="Virtex-II part (default: xc2v250)")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
@@ -546,7 +587,7 @@ def main(argv=None) -> int:
     p.add_argument("benchmarks", nargs="*", type=_benchmark,
                    help="benchmark names (default: the full 20-benchmark suite)")
     p.add_argument("--platform", nargs="+", default=["mips200", "softcore85"],
-                   choices=sorted(NAMED_PLATFORMS),
+                   type=_platform, metavar="NAME",
                    help="platforms to evaluate (default: mips200 softcore85)")
     p.add_argument("-O", dest="opt_level", type=int, default=1, choices=[0, 1, 2, 3])
     p.add_argument("--interval", type=_positive_int, default=4_000,

@@ -19,8 +19,8 @@ worker processes.
 from __future__ import annotations
 
 import os
+import sys
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, TYPE_CHECKING
@@ -42,7 +42,13 @@ from repro.partition.result import PartitionResult
 from repro.platform.metrics import ApplicationMetrics, evaluate_partition
 from repro.platform.platform import MIPS_200MHZ, Platform
 from repro.sim.cpu import RunResult
+from repro.surface import lazy_surface
 from repro.synth.synthesizer import SynthesisOptions
+
+#: the process pool, and with it multiprocessing, loads with the first pool
+#: run_jobs starts (PEP 562): a serial sweep never pays for it
+__getattr__, __dir__ = lazy_surface(
+    __name__, {"ProcessPoolExecutor": "concurrent.futures"})
 
 if TYPE_CHECKING:  # only for annotations; repro.dynamic imports this module
     from repro.dynamic.controller import DynamicConfig, DynamicTimeline
@@ -281,9 +287,13 @@ def run_jobs(
         # spawn-start workers re-import repro; the env flag makes them come
         # up with telemetry on (forked workers inherit it either way)
         os.environ.setdefault(obs.ENABLE_ENV, "1")
+    from concurrent.futures import BrokenExecutor
+
+    # read through the module: a stand-in a test puts there is seen here
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
     pool_t0 = time.monotonic()
     try:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with pool_class(max_workers=max_workers) as pool:
             # consume inside the `with` block: results stream back as
             # workers finish, and a pool that breaks mid-iteration is
             # caught here rather than surfacing from __exit__

@@ -11,42 +11,31 @@ omitted -- none of the embedded kernels in the paper's suites require it.
 Branch delay slots are not modeled; see DESIGN.md section 5.
 """
 
-from repro.isa.registers import (
-    REG_COUNT,
-    REG_NAMES,
-    REG_NUMBERS,
-    Reg,
-    reg_name,
-    reg_num,
-)
-from repro.isa.instructions import (
-    Format,
-    Instruction,
-    InstrSpec,
-    SPECS,
-    nop,
-)
-from repro.isa.encoding import decode, decode_text, encode
-from repro.isa.assembler import Assembler, assemble
-from repro.isa.disassembler import disassemble, disassemble_one
+from repro.surface import lazy_surface
 
-__all__ = [
-    "Assembler",
-    "Format",
-    "Instruction",
-    "InstrSpec",
-    "REG_COUNT",
-    "REG_NAMES",
-    "REG_NUMBERS",
-    "Reg",
-    "SPECS",
-    "assemble",
-    "decode",
-    "decode_text",
-    "disassemble",
-    "disassemble_one",
-    "encode",
-    "nop",
-    "reg_name",
-    "reg_num",
-]
+#: where each public name lives; a name's module loads on first access
+#: (PEP 562), so the disassembler loads only in sessions that use it
+_EXPORTS = {
+    "Assembler": "repro.isa.assembler",
+    "Format": "repro.isa.instructions",
+    "Instruction": "repro.isa.instructions",
+    "InstrSpec": "repro.isa.instructions",
+    "REG_COUNT": "repro.isa.registers",
+    "REG_NAMES": "repro.isa.registers",
+    "REG_NUMBERS": "repro.isa.registers",
+    "Reg": "repro.isa.registers",
+    "SPECS": "repro.isa.instructions",
+    "assemble": "repro.isa.assembler",
+    "decode": "repro.isa.encoding",
+    "decode_text": "repro.isa.encoding",
+    "disassemble": "repro.isa.disassembler",
+    "disassemble_one": "repro.isa.disassembler",
+    "encode": "repro.isa.encoding",
+    "nop": "repro.isa.instructions",
+    "reg_name": "repro.isa.registers",
+    "reg_num": "repro.isa.registers",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

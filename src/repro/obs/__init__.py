@@ -28,14 +28,8 @@ import os
 from contextlib import nullcontext
 
 from repro.obs.registry import NULL, MetricsRegistry
-from repro.obs.report import (
-    format_stats,
-    load_stats,
-    obs_dir,
-    save_stats,
-    stats_path,
-)
 from repro.obs.trace import TraceBuffer, timeline_trace_events
+from repro.surface import lazy_surface
 
 __all__ = [
     "metrics_enabled", "tracing_enabled", "enable", "disable",
@@ -49,6 +43,14 @@ __all__ = [
 ]
 
 ENABLE_ENV = "REPRO_OBS"
+
+#: the stats file renderer loads on first use (PEP 562): a session that
+#: saves no telemetry never needs it
+__getattr__, __dir__ = lazy_surface(__name__, {
+    name: "repro.obs.report"
+    for name in ("format_stats", "load_stats", "save_stats", "stats_path",
+                 "obs_dir")
+})
 
 _registry = MetricsRegistry()
 _buffer = TraceBuffer()

@@ -7,20 +7,21 @@ results* (per-address and per-edge execution counts) that drive the paper's
 90-10 partitioning heuristic.
 """
 
-from repro.sim.memory import Memory
-from repro.sim.cpu import Cpu, CpiModel, RunResult, run_executable
-from repro.sim.reference import run_reference
+from repro.surface import lazy_surface
 
-__all__ = [
-    "Cpu", "CpiModel", "Memory", "RunResult", "SuperblockTable",
-    "run_executable", "run_reference",
-]
+#: where each public name lives; a name's module loads on first access
+#: (PEP 562), so the reference interpreter and the code generator load only
+#: in sessions that use them
+_EXPORTS = {
+    "Cpu": "repro.sim.cpu",
+    "CpiModel": "repro.sim.cpu",
+    "Memory": "repro.sim.memory",
+    "RunResult": "repro.sim.cpu",
+    "SuperblockTable": "repro.sim.superblock",
+    "run_executable": "repro.sim.cpu",
+    "run_reference": "repro.sim.reference",
+}
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name: str):
-    # the code generator loads with the first Cpu, not with the package
-    if name == "SuperblockTable":
-        from repro.sim.superblock import SuperblockTable
-
-        return SuperblockTable
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

@@ -239,12 +239,16 @@ def _shape(header: int, exits: dict, size: dict):
     return join, longest[header]
 
 
-def _signed(source: str, value: int | None) -> str:
+def _signed(source: str, value: int | None, temp: str) -> str:
     """Source for the signed value of a register read: the literal when
-    known, else a conditional expression (reads are side-effect-free)."""
+    known, else a conditional expression that reads the register once.
+    A local name is read as it is; a subscript is bound to *temp* in the
+    condition, which a conditional expression evaluates first."""
     if value is not None:
         return str(_s32(value))
-    return f"({source} - 0x100000000 if {source} & 0x80000000 else {source})"
+    if source.isidentifier():
+        return f"({source} - 0x100000000 if {source} & 0x80000000 else {source})"
+    return f"({temp} - 0x100000000 if ({temp} := {source}) & 0x80000000 else {temp})"
 
 
 def _linear(terms: dict[str, int]) -> str:
@@ -1035,7 +1039,7 @@ class Codegen:
                 if av == 0:
                     # 0 < signed(b)  <=>  b in (0, 2^31)
                     return env.write(rd, f"1 if 0 < {b} < 0x80000000 else 0")
-                return env.write(rd, f"1 if {_signed(a, av)} < {_signed(b, bv)} else 0")
+                return env.write(rd, f"1 if {_signed(a, av, '_a')} < {_signed(b, bv, '_b')} else 0")
             # sltu
             if both:
                 return env.write(rd, None, int(av < bv))
@@ -1064,7 +1068,7 @@ class Codegen:
                 # sra
                 if known:
                     return env.write(rd, None, (_s32(bv) >> sv) & _MASK)
-                return env.write(rd, f"({_signed(b, bv)} >> {s}) & {_M}")
+                return env.write(rd, f"({_signed(b, bv, '_b')} >> {s}) & {_M}")
             a, av = env.read(rs)
             if m == "sllv":
                 if av is not None and bv is not None:
@@ -1077,7 +1081,7 @@ class Codegen:
             # srav
             if av is not None and bv is not None:
                 return env.write(rd, None, (_s32(bv) >> (av & 31)) & _MASK)
-            return env.write(rd, f"({_signed(b, bv)} >> ({a} & 31)) & {_M}")
+            return env.write(rd, f"({_signed(b, bv, '_b')} >> ({a} & 31)) & {_M}")
         if m in ("slti", "sltiu", "andi", "ori", "xori", "lui"):
             if not rt:
                 return []
@@ -1090,7 +1094,7 @@ class Codegen:
             if m == "slti":
                 if known:
                     return env.write(rt, None, int(_s32(av) < kv))
-                return env.write(rt, f"1 if {_signed(a, av)} < {k} else 0")
+                return env.write(rt, f"1 if {_signed(a, av, '_a')} < {k} else 0")
             if m == "sltiu":
                 bound = kv & _MASK if kv is not None else op.bind(f"{k} & {_M}")
                 if known:
@@ -1127,7 +1131,7 @@ class Codegen:
         hi, lo = env.hilo
         if m == "mult":
             return [
-                f"_p = ({_signed(*env.read(rs))} * {_signed(*env.read(rt))}) "
+                f"_p = ({_signed(*env.read(rs), '_a')} * {_signed(*env.read(rt), '_b')}) "
                 "& 0xFFFFFFFFFFFFFFFF",
                 f"{hi} = (_p >> 32) & {_M}",
                 f"{lo} = _p & {_M}",

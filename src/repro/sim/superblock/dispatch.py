@@ -18,11 +18,18 @@ only through a fused ``j``/``jal`` -- every callee's first block, most
 of its own.  Correctness does not depend on the set: both dispatch
 loops single-step an index whose slot is ``None`` through the threaded
 handlers until a slot with a generated function comes up, so no code is
-generated after construction.  Eager generation pays off because the
-suite's programs execute almost all of their text (95.6% of
-``static_suite``'s), and each extra module costs ~1 ms of fixed
-``compile()`` time.  Two layers sit
-on that substrate:
+generated after construction.
+
+Eager generation is not free: 29% of ``static_suite``'s 26,574 text
+words run fewer than 4 times and 58% fewer than 64 times (0.68% of the
+executed instructions); compiling one function alone costs ~50-65 us
+more than inside a batch, and compiling a factory wrapper alone costs
+~75-95 us.  It stays because the alternative gains too little: an entry-count tier-up
+(generate a slot at its T-th single-stepped entry) is modelled at
+0.13-0.19 s net on ``static_suite`` (~3%) and at most 0.009 s on the O1
+binaries ``table_grid`` and ``dynamic_suite`` run, and a compile-only
+prototype of it stayed inside the host's run-to-run noise.  Two layers
+sit on that substrate:
 
 * **j-chain fusion**: a unit whose block ends in an unconditional
   ``j``/``jal`` with a static in-text target *inlines* the target block

@@ -203,9 +203,14 @@ def test_dynamic_rejects_non_positive_knobs(flag, capsys):
     (["sweep", "nosuch"], "benchmarks"),
     (["dynamic", "nosuch"], "benchmarks"),
     (["dynamic", "--apps", "brev", "nosuch"], "--apps"),
+    (["sweep", "brev", "--device", "xc9"], "--device"),
+    (["partition", "kernel.sxe", "--device", "xc9"], "--device"),
+    (["dynamic", "brev", "--platform", "mips200", "nosuch"], "--platform"),
 ], ids=["dynamic-regions-negative", "dynamic-jobs-zero", "dynamic-jobs-negative",
         "sweep-jobs-zero", "sweep-jobs-negative", "sweep-unknown-benchmark",
-        "dynamic-unknown-benchmark", "dynamic-unknown-app"])
+        "dynamic-unknown-benchmark", "dynamic-unknown-app",
+        "sweep-unknown-device", "partition-unknown-device",
+        "dynamic-unknown-platform"])
 def test_bad_counts_are_usage_errors(argv, flag, capsys):
     # a negative region count must not reach Platform.with_regions, a
     # non-positive worker count must not quietly run serially, and an
