@@ -8,6 +8,7 @@ into unconditional jumps) and keeps the emitted binary free of dead blocks
 from __future__ import annotations
 
 from repro.compiler import ir
+from repro.utils import graph
 
 
 def simplify_control_flow(func: ir.Function) -> bool:
@@ -28,14 +29,7 @@ def _remove_unreachable(func: ir.Function) -> bool:
     blocks = ir.build_cfg(func)
     if not blocks:
         return False
-    reachable: set[int] = set()
-    stack = [0]
-    while stack:
-        index = stack.pop()
-        if index in reachable:
-            continue
-        reachable.add(index)
-        stack.extend(blocks[index].succs)
+    reachable = set(graph.reverse_postorder([block.succs for block in blocks], 0))
     if len(reachable) == len(blocks):
         return False
     kept = [block for index, block in enumerate(blocks) if index in reachable]

@@ -1,66 +1,33 @@
 """Loop-invariant code motion (enabled at -O2).
 
-Finds natural loops (back edges to a dominator), then hoists pure,
-single-definition computations whose operands are defined outside the loop
-to just before the loop header label.  Because the IR generator produces
-single-entry loops entered by fall-through, placing hoisted instructions
-immediately before the header label executes them exactly once on entry
-and never on the back edge.
+Finds natural loops (back edges to a dominator; block 0 is the entry, and
+dominators and loop bodies come from :mod:`repro.utils.graph`), then
+hoists pure, single-definition computations whose operands are defined
+outside the loop to just before the loop header label.  A single-block
+loop (a ``do ... while`` whose header is its own latch) is that one block.
+Because the IR generator produces single-entry loops entered by
+fall-through, placing hoisted instructions immediately before the header
+label executes them exactly once on entry and never on the back edge.
 """
 
 from __future__ import annotations
 
 from repro.compiler import ir
+from repro.utils import graph
 
 _HOISTABLE = (ir.Const, ir.LoadAddr, ir.SlotAddr, ir.BinOp, ir.UnOp, ir.Copy)
 
 
-def _dominators(blocks: list[ir.Block]) -> list[set[int]]:
-    """Classic iterative dominator computation; index 0 is the entry."""
-    count = len(blocks)
-    all_blocks = set(range(count))
-    dom: list[set[int]] = [all_blocks.copy() for _ in range(count)]
-    dom[0] = {0}
-    changed = True
-    while changed:
-        changed = False
-        for index in range(1, count):
-            preds = blocks[index].preds
-            if not preds:
-                new = {index}
-            else:
-                new = set.intersection(*(dom[p] for p in preds)) | {index}
-            if new != dom[index]:
-                dom[index] = new
-                changed = True
-    return dom
-
-
-def _natural_loop(blocks: list[ir.Block], header: int, latch: int) -> set[int]:
-    """Blocks of the natural loop for back edge latch->header."""
-    loop = {header, latch}
-    stack = [latch]
-    while stack:
-        index = stack.pop()
-        for pred in blocks[index].preds:
-            if pred not in loop:
-                loop.add(pred)
-                stack.append(pred)
-    return loop
-
-
 def find_loops(blocks: list[ir.Block]) -> list[tuple[int, set[int]]]:
     """Return (header_index, loop_blocks) for each natural loop, innermost last."""
-    dom = _dominators(blocks)
+    succs = [block.succs for block in blocks]
+    preds = [block.preds for block in blocks]
+    dom = graph.dominator_sets(*graph.dominator_tree(succs, preds, 0))
     loops: dict[int, set[int]] = {}
     for index, block in enumerate(blocks):
         for succ in block.succs:
             if succ in dom[index]:  # back edge index -> succ
-                body = _natural_loop(blocks, succ, index)
-                if succ in loops:
-                    loops[succ] |= body
-                else:
-                    loops[succ] = body
+                loops.setdefault(succ, set()).update(graph.natural_loop(preds, succ, index))
     return sorted(loops.items(), key=lambda item: len(item[1]), reverse=True)
 
 

@@ -89,7 +89,6 @@ class _Dominance:
 
     def __init__(self, cfg: ControlFlowGraph, dom: list[set[int]] | None = None):
         self.idom = immediate_dominators(cfg, dom)
-        self.entry = cfg.block_by_start[cfg.entry]
         self.block_defs: list[set[str]] = []
         self.defining_blocks: dict[str, int] = {}
         for block in cfg.blocks:
@@ -114,15 +113,10 @@ def _entry_env(
     """
     idom = dominance.idom
     chain: list[int] = []
-    node: int | None = loop.header
-    guard = 0
-    while node is not None and guard < len(cfg.blocks) + 2:
-        guard += 1
-        if node != loop.header:
-            chain.append(node)
-        if node == dominance.entry:
-            break
-        node = idom.get(node)
+    node = idom[loop.header]
+    while node is not None:
+        chain.append(node)
+        node = idom[node]
     chain.reverse()
 
     # a location is defined outside the chain when more blocks define it
@@ -284,8 +278,8 @@ def loop_footprints(
     dom: list[set[int]] | None = None,
 ) -> dict[int, Footprint]:
     """Memory footprint of each of one function's natural *loops*, by
-    header address.  *dom* is ``dominators(cfg)`` when the caller has it;
-    dominance is worked out once for all the loops."""
+    header address.  The dominator tree is worked out once for all the
+    loops; *dom* (``dominators(cfg)``) is not needed for it."""
     dominance = _Dominance(cfg, dom)
     return {
         cfg.blocks[loop.header].start: _footprint(exe, cfg, loop, dominance)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DecompilationError, IndirectJumpError
 from repro.decompile.microop import MicroOp, Opcode
+from repro.utils import graph
 
 
 @dataclass
@@ -178,23 +179,10 @@ def _lookup(start_to_index: dict[int, int], target: int, pc: int, name: str) -> 
     return index
 
 
-def reachable_blocks(cfg: ControlFlowGraph) -> set[int]:
-    """Indices of blocks reachable from the entry block."""
-    entry_index = cfg.block_by_start[cfg.entry]
-    seen: set[int] = set()
-    stack = [entry_index]
-    while stack:
-        index = stack.pop()
-        if index in seen:
-            continue
-        seen.add(index)
-        stack.extend(cfg.blocks[index].succs)
-    return seen
-
-
 def prune_unreachable(cfg: ControlFlowGraph) -> bool:
     """Drop unreachable blocks (e.g. dead epilogue paths); renumber the rest."""
-    keep = reachable_blocks(cfg)
+    succs = [block.succs for block in cfg.blocks]
+    keep = set(graph.reverse_postorder(succs, cfg.block_by_start[cfg.entry]))
     if len(keep) == len(cfg.blocks):
         return False
     remap: dict[int, int] = {}

@@ -1,9 +1,12 @@
 """Data-flow analyses over micro-op CFGs.
 
 Provides the machinery every later stage leans on: block-level liveness,
-dominator sets and natural-loop detection.  These are
-the standard algorithms from the decompilation literature the paper builds
-on (Cifuentes et al.), implemented over the ISA-independent micro-ops.
+dominators and natural-loop detection, the standard algorithms from the
+decompilation literature the paper builds on (Cifuentes et al.), over the
+ISA-independent micro-ops.  Dominator trees and loop bodies come from the
+shared graph toolkit, :mod:`repro.utils.graph`, which also fixes the
+convention for unreachable blocks; the functions here apply it to a CFG's
+block indices.  A back edge is an edge whose target dominates its source.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
-from repro.decompile.microop import Loc, MicroOp
+from repro.decompile.microop import Loc
+from repro.utils import graph
 
 
 # ---------------------------------------------------------------------------
@@ -76,51 +80,28 @@ def liveness(
 # ---------------------------------------------------------------------------
 
 
+def _dominator_tree(cfg: ControlFlowGraph) -> graph.Tree:
+    blocks = cfg.blocks
+    return graph.dominator_tree(
+        [block.succs for block in blocks],
+        [block.preds for block in blocks],
+        cfg.block_by_start[cfg.entry],
+    )
+
+
 def dominators(cfg: ControlFlowGraph) -> list[set[int]]:
-    """dom[i] = set of blocks dominating block i (including itself)."""
-    count = len(cfg.blocks)
-    entry = cfg.block_by_start[cfg.entry]
-    everything = set(range(count))
-    dom: list[set[int]] = [everything.copy() for _ in range(count)]
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for index in range(count):
-            if index == entry:
-                continue
-            preds = cfg.blocks[index].preds
-            if preds:
-                new = set.intersection(*(dom[p] for p in preds)) | {index}
-            else:
-                new = {index}
-            if new != dom[index]:
-                dom[index] = new
-                changed = True
-    return dom
+    """dom[i] = set of blocks dominating block i (including itself); an
+    unreachable block is dominated only by itself."""
+    return graph.dominator_sets(*_dominator_tree(cfg))
 
 
 def immediate_dominators(
     cfg: ControlFlowGraph, dom: list[set[int]] | None = None
 ) -> dict[int, int | None]:
-    """idom[i] = the unique closest strict dominator of block i.
-
-    *dom* is ``dominators(cfg)``, for a caller that already has it.
-    """
-    if dom is None:
-        dom = dominators(cfg)
-    idom: dict[int, int | None] = {}
-    for index, dom_set in enumerate(dom):
-        strict = dom_set - {index}
-        best: int | None = None
-        for candidate in strict:
-            # the immediate dominator is the strict dominator that every
-            # other strict dominator dominates
-            if all(other == candidate or other in dom[candidate] for other in strict):
-                best = candidate
-                break
-        idom[index] = best
-    return idom
+    """idom[i] = the closest strict dominator of block i (``None`` for the
+    entry and for unreachable blocks).  *dom* (``dominators(cfg)``) is not
+    needed: the tree is read from the graph."""
+    return dict(enumerate(_dominator_tree(cfg)[0]))
 
 
 @dataclass
@@ -147,35 +128,21 @@ def natural_loops(
     """
     if dom is None:
         dom = dominators(cfg)
+    preds = [block.preds for block in cfg.blocks]
     by_header: dict[int, NaturalLoop] = {}
     for block in cfg.blocks:
         for succ in block.succs:
             if succ in dom[block.index]:  # back edge block -> succ
                 loop = by_header.setdefault(succ, NaturalLoop(header=succ, latches=[]))
                 loop.latches.append(block.index)
-                loop.body |= _loop_body(cfg, succ, block.index)
+                loop.body |= graph.natural_loop(preds, succ, block.index)
     loops = list(by_header.values())
     _assign_nesting(loops)
     return sorted(loops, key=lambda lp: (lp.depth, lp.header))
 
 
-def _loop_body(cfg: ControlFlowGraph, header: int, latch: int) -> set[int]:
-    body = {header, latch}
-    stack = [latch]
-    while stack:
-        index = stack.pop()
-        if index == header:
-            continue
-        for pred in cfg.blocks[index].preds:
-            if pred not in body:
-                body.add(pred)
-                stack.append(pred)
-    return body
-
-
 def _assign_nesting(loops: list[NaturalLoop]) -> None:
     for loop in loops:
-        loop.depth = 1
         loop.children = []
     for inner in loops:
         parents = [
@@ -183,15 +150,9 @@ def _assign_nesting(loops: list[NaturalLoop]) -> None:
             for outer in loops
             if outer is not inner and inner.header in outer.body and inner.body <= outer.body
         ]
+        # natural loops with distinct headers nest or are disjoint, so the
+        # loops holding this one form a chain
+        inner.depth = 1 + len(parents)
         if parents:
             direct = min(parents, key=lambda lp: len(lp.body))
             direct.children.append(inner)
-    # depth by repeated propagation (loop forests are tiny)
-    changed = True
-    while changed:
-        changed = False
-        for outer in loops:
-            for child in outer.children:
-                if child.depth <= outer.depth:
-                    child.depth = outer.depth + 1
-                    changed = True

@@ -18,7 +18,7 @@ from repro.binary.image import Executable
 from repro.errors import DecompilationError, IndirectJumpError
 from repro.decompile.alias import Footprint, loop_footprints
 from repro.decompile.cfg import ControlFlowGraph, build_cfg, prune_unreachable
-from repro.decompile.dataflow import NaturalLoop, dominators, natural_loops
+from repro.decompile.dataflow import NaturalLoop, natural_loops
 from repro.decompile.lift import lift_function
 from repro.decompile.passes import (
     eliminate_dead_code,
@@ -232,10 +232,9 @@ class Decompiler:
             stats.bits_saved += sz.bits_saved
 
         stats.final_ops = cfg.op_count()
-        dom = dominators(cfg)
-        loops = natural_loops(cfg, dom)
+        loops = natural_loops(cfg)
         structure = recover_structure(cfg, loops)
-        footprints = loop_footprints(self.exe, cfg, loops, dom)
+        footprints = loop_footprints(self.exe, cfg, loops)
         return DecompiledFunction(
             name=name,
             entry=start,

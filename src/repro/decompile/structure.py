@@ -7,7 +7,9 @@ Loops come from natural-loop detection (back edges to dominators) and are
 classified as pre-test (while), post-test (do-while) or general.  Two-way
 branches outside loop control are classified as if-then / if-then-else by
 checking that both arms converge at the branch block's immediate
-postdominator.  The per-function :class:`StructureReport` feeds experiment
+postdominator, its parent in the postdominator tree.  A branch without
+one (its arms meet only at the virtual exit, or it reaches no exit) is
+unstructured.  The per-function :class:`StructureReport` feeds experiment
 T4 (construct recovery statistics), and :func:`render_pseudocode` produces
 readable pseudo-C for the inspection example.
 """
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.decompile.cfg import ControlFlowGraph, MicroBlock
+from repro.decompile.cfg import ControlFlowGraph
 from repro.decompile.dataflow import NaturalLoop, natural_loops
-from repro.decompile.microop import MicroOp, Opcode
+from repro.decompile.microop import Opcode
+from repro.utils import graph
 
 
 # ---------------------------------------------------------------------------
@@ -26,36 +29,19 @@ from repro.decompile.microop import MicroOp, Opcode
 # ---------------------------------------------------------------------------
 
 
+def _postdominator_tree(cfg: ControlFlowGraph) -> graph.Tree:
+    blocks = cfg.blocks
+    return graph.postdominator_tree(
+        [block.succs for block in blocks], [block.preds for block in blocks]
+    )
+
+
 def postdominators(cfg: ControlFlowGraph) -> list[set[int]]:
-    count = len(cfg.blocks)
-    exit_nodes = [b.index for b in cfg.blocks if not b.succs]
-    everything = set(range(count))
-    pdom: list[set[int]] = [everything.copy() for _ in range(count)]
-    for index in exit_nodes:
-        pdom[index] = {index}
-    changed = True
-    while changed:
-        changed = False
-        for index in range(count - 1, -1, -1):
-            if index in exit_nodes:
-                continue
-            succs = cfg.blocks[index].succs
-            if succs:
-                new = set.intersection(*(pdom[s] for s in succs)) | {index}
-            else:
-                new = {index}
-            if new != pdom[index]:
-                pdom[index] = new
-                changed = True
-    return pdom
-
-
-def immediate_postdominator(cfg: ControlFlowGraph, pdom: list[set[int]], index: int) -> int | None:
-    strict = pdom[index] - {index}
-    for candidate in strict:
-        if all(other == candidate or other in pdom[candidate] for other in strict):
-            return candidate
-    return None
+    """pdom[i] = set of blocks postdominating block i (including itself):
+    its dominators in the reversed CFG, where a virtual exit flows to every
+    block without successors.  A block that reaches no exit is
+    postdominated only by itself."""
+    return graph.dominator_sets(*_postdominator_tree(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +96,6 @@ def recover_structure(
     report = StructureReport()
     if loops is None:
         loops = natural_loops(cfg)
-    loop_headers = {loop.header for loop in loops}
     loop_control_blocks: set[int] = set()
     for loop in loops:
         loop_control_blocks.add(loop.header)
@@ -143,7 +128,8 @@ def recover_structure(
             )
         )
 
-    pdom = postdominators(cfg)
+    ipdom, order = _postdominator_tree(cfg)
+    pdom = graph.dominator_sets(ipdom, order)
     for block in cfg.blocks:
         term = block.terminator
         if term is None or term.opcode is not Opcode.BRANCH:
@@ -151,7 +137,7 @@ def recover_structure(
         if block.index in loop_control_blocks:
             report.branches.append(BranchInfo(block.index, term.pc, "loop-control"))
             continue
-        join = immediate_postdominator(cfg, pdom, block.index)
+        join = ipdom[block.index]
         if join is None:
             report.branches.append(BranchInfo(block.index, term.pc, "unstructured"))
             continue

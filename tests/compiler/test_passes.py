@@ -5,7 +5,8 @@ from dataclasses import astuple
 
 import pytest
 
-from repro.compiler import CompilerOptions, compile_source, compile_to_asm
+from repro.binary.loader import load_into_memory
+from repro.compiler import CompilerOptions, compile_source, compile_to_asm, ir
 from repro.compiler.irgen import generate_ir
 from repro.compiler.parser import parse
 from repro.compiler.passes import (
@@ -20,9 +21,13 @@ from repro.compiler.passes import (
     simplify_control_flow,
 )
 from repro.compiler.passes.ast_unroll import unroll_loops
+from repro.compiler.passes.licm import find_loops
 from repro.compiler.passes.strength import decompose_multiplier
 from repro.programs import ALL_BENCHMARKS
 from repro.sim import run_executable
+from repro.sim.cpu import STACK_TOP
+from repro.sim.memory import Memory
+from repro.sim.reference import _interpret
 
 
 _LOOP_PROGRAM = """
@@ -197,6 +202,68 @@ class TestAstUnroll:
         exe = compile_source(source, opt_level=3)
         cpu, _ = run_executable(exe)
         assert cpu.read_word_global_signed("checksum") == 45
+
+
+class TestLicmSingleBlockLoop:
+    """A ``do ... while`` whose body is one block: the header is its own
+    latch, so the loop is that block alone and its invariants move to the
+    fall-through predecessor."""
+
+    SOURCE = """
+    int a[16];
+    int g = 6;
+    int checksum;
+    int main(void) {
+        int i = 0;
+        int k = 0;
+        int m = g;
+        if (m > 3) k = 5;
+        do { a[i] = m * 7 + k; i++; } while (i < 16);
+        checksum = a[3] + a[15];
+        return 0;
+    }
+    """
+
+    @staticmethod
+    def _main_before_licm(level: int) -> ir.Function:
+        options = CompilerOptions.from_level(level)
+        unit = parse(TestLicmSingleBlockLoop.SOURCE)
+        if options.unroll:
+            unroll_loops(unit, options.unroll_factor)
+        module, _ = generate_ir(unit)
+        func = module.functions["main"]
+        promote_slots(func)
+        while any([fold_constants(func), propagate_copies(func),
+                   eliminate_dead_code(func), simplify_control_flow(func)]):
+            pass
+        return func
+
+    @staticmethod
+    def _checksum(level: int) -> int:
+        exe = compile_source(TestLicmSingleBlockLoop.SOURCE, opt_level=level)
+        memory = Memory()
+        load_into_memory(exe, memory)
+        regs = [0] * 32
+        regs[29] = STACK_TOP
+        assert _interpret(exe, memory, regs, [0, 0]).halted
+        return memory.read_u32(exe.symbols["checksum"].address)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_body_is_the_header_and_the_invariant_is_hoisted(self, level):
+        func = self._main_before_licm(level)
+        blocks = ir.build_cfg(func)
+        (header, body), = find_loops(blocks)
+        assert body == {header}
+        label = blocks[header].label
+        assert hoist_loop_invariants(func)
+        at_header = func.instrs.index(ir.Label(label))
+        muls = [position for position, instr in enumerate(func.instrs)
+                if isinstance(instr, ir.BinOp) and instr.op == "mul"]
+        assert muls and all(position < at_header for position in muls)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_checksum_matches_O0(self, level):
+        assert self._checksum(level) == self._checksum(0) == 2 * (6 * 7 + 5)
 
 
 class TestChangedFlagIsTruthful:
