@@ -204,30 +204,31 @@ class TestAstUnroll:
         assert cpu.read_word_global_signed("checksum") == 45
 
 
+_SINGLE_BLOCK_LOOP = """
+int a[16];
+int g = 6;
+int checksum;
+int main(void) {
+    int i = 0;
+    int k = 0;
+    int m = g;
+    if (m > 3) k = 5;
+    do { a[i] = m * 7 + k; i++; } while (i < 16);
+    checksum = a[3] + a[15];
+    return 0;
+}
+"""
+
+
 class TestLicmSingleBlockLoop:
     """A ``do ... while`` whose body is one block: the header is its own
     latch, so the loop is that block alone and its invariants move to the
     fall-through predecessor."""
 
-    SOURCE = """
-    int a[16];
-    int g = 6;
-    int checksum;
-    int main(void) {
-        int i = 0;
-        int k = 0;
-        int m = g;
-        if (m > 3) k = 5;
-        do { a[i] = m * 7 + k; i++; } while (i < 16);
-        checksum = a[3] + a[15];
-        return 0;
-    }
-    """
-
     @staticmethod
     def _main_before_licm(level: int) -> ir.Function:
         options = CompilerOptions.from_level(level)
-        unit = parse(TestLicmSingleBlockLoop.SOURCE)
+        unit = parse(_SINGLE_BLOCK_LOOP)
         if options.unroll:
             unroll_loops(unit, options.unroll_factor)
         module, _ = generate_ir(unit)
@@ -240,7 +241,7 @@ class TestLicmSingleBlockLoop:
 
     @staticmethod
     def _checksum(level: int) -> int:
-        exe = compile_source(TestLicmSingleBlockLoop.SOURCE, opt_level=level)
+        exe = compile_source(_SINGLE_BLOCK_LOOP, opt_level=level)
         memory = Memory()
         load_into_memory(exe, memory)
         regs = [0] * 32
