@@ -121,6 +121,9 @@ class DeclStmt(Stmt):
 @dataclass
 class BlockStmt(Stmt):
     body: list[Stmt] = field(default_factory=list)
+    #: False for the declarators of one declaration (``int i = 1, k;``),
+    #: which belong to the enclosing scope
+    scoped: bool = True
 
 
 @dataclass

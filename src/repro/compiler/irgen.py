@@ -235,10 +235,12 @@ class IRGenerator:
 
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.BlockStmt):
-            self.scopes.append({})
+            if stmt.scoped:
+                self.scopes.append({})
             for child in stmt.body:
                 self._lower_stmt(child)
-            self.scopes.pop()
+            if stmt.scoped:
+                self.scopes.pop()
         elif isinstance(stmt, ast.DeclStmt):
             self._lower_decl_stmt(stmt)
         elif isinstance(stmt, ast.ExprStmt):

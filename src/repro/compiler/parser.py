@@ -297,7 +297,7 @@ class Parser:
         self.expect(";")
         if len(decls) == 1:
             return decls[0]
-        return ast.BlockStmt(line=line, body=decls)
+        return ast.BlockStmt(line=line, body=decls, scoped=False)
 
     def parse_if(self) -> ast.IfStmt:
         token = self.expect("if")

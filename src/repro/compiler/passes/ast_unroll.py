@@ -155,7 +155,7 @@ def _try_unroll(
         main_body.append(make_step())
     main_loop = ast.ForStmt(
         line=line,
-        init=loop.init,
+        init=None,
         cond=main_cond,
         step=None,
         body=ast.BlockStmt(line=line, body=main_body),
@@ -177,7 +177,10 @@ def _try_unroll(
         ),
         body=ast.BlockStmt(line=line, body=_clone(body_stmts)),
     )
-    return ast.BlockStmt(line=line, body=[main_loop, remainder])
+    # the init runs once, ahead of both loops, so a name it declares is in
+    # scope in the remainder loop too
+    init = [loop.init] if loop.init is not None else []
+    return ast.BlockStmt(line=line, body=init + [main_loop, remainder])
 
 
 _NODE_TYPES = (ast.Expr, ast.Stmt, ast.SwitchCase)

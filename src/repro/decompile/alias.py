@@ -87,8 +87,8 @@ class _Dominance:
     """What :func:`_entry_env` needs of one function for every loop: the
     immediate dominators, and how many blocks define each location."""
 
-    def __init__(self, cfg: ControlFlowGraph, dom: list[set[int]] | None = None):
-        self.idom = immediate_dominators(cfg, dom)
+    def __init__(self, cfg: ControlFlowGraph):
+        self.idom = immediate_dominators(cfg)
         self.block_defs: list[set[str]] = []
         self.defining_blocks: dict[str, int] = {}
         for block in cfg.blocks:
@@ -275,12 +275,11 @@ def loop_footprints(
     exe: Executable,
     cfg: ControlFlowGraph,
     loops: list[NaturalLoop],
-    dom: list[set[int]] | None = None,
 ) -> dict[int, Footprint]:
     """Memory footprint of each of one function's natural *loops*, by
     header address.  The dominator tree is worked out once for all the
-    loops; *dom* (``dominators(cfg)``) is not needed for it."""
-    dominance = _Dominance(cfg, dom)
+    loops."""
+    dominance = _Dominance(cfg)
     return {
         cfg.blocks[loop.header].start: _footprint(exe, cfg, loop, dominance)
         for loop in loops

@@ -64,6 +64,28 @@ class ControlFlowGraph:
             yield from block.ops
 
 
+class OpListMemo:
+    """``compute(ops)`` for a block's op list, worked out once per list object.
+
+    Sound only while no op list, and no op in one, changes in place: the
+    cleanup passes (constant and copy propagation, dead-code elimination)
+    give a changed block a new list and a changed op a new op.  An entry
+    holds its list, so the id it is keyed by is not reused while it lasts.
+    """
+
+    __slots__ = ("_compute", "_entries")
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._entries: dict[int, tuple[list[MicroOp], object]] = {}
+
+    def __call__(self, ops: list[MicroOp]):
+        entry = self._entries.get(id(ops))
+        if entry is None:
+            entry = self._entries[id(ops)] = (ops, self._compute(ops))
+        return entry[1]
+
+
 def build_cfg(
     ops: list[MicroOp],
     entry: int,

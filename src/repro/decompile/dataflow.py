@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.decompile.cfg import ControlFlowGraph, MicroBlock
-from repro.decompile.microop import Loc
+from repro.decompile.cfg import ControlFlowGraph
+from repro.decompile.microop import Loc, MicroOp
 from repro.utils import graph
 
 
@@ -23,15 +23,15 @@ from repro.utils import graph
 # ---------------------------------------------------------------------------
 
 
-def block_use_def(block: MicroBlock) -> tuple[set[Loc], set[Loc]]:
-    """(upward-exposed uses, definitions) for one block."""
+def ops_use_def(ops: list[MicroOp]) -> tuple[set[Loc], set[Loc]]:
+    """(upward-exposed uses, definitions) of a block's op list."""
     uses: set[Loc] = set()
     defs: set[Loc] = set()
-    for op in block.ops:
-        for loc in op.uses():
-            if loc not in defs:
-                uses.add(loc)
-        defs.update(op.defs())
+    for op in reversed(ops):
+        op_defs = op.defs()
+        uses.difference_update(op_defs)
+        uses.update(op.uses())
+        defs.update(op_defs)
     return uses, defs
 
 
@@ -41,14 +41,14 @@ def liveness(
 ) -> tuple[list[set[Loc]], list[set[Loc]]]:
     """Backward liveness; returns (live_in, live_out) per block.
 
-    *use_def* is each block's :func:`block_use_def`, for a caller that
+    *use_def* is each block's :func:`ops_use_def`, for a caller that
     keeps it current itself.  The result is the least fixpoint, which is
     unique, so the worklist order does not matter.
     """
     blocks = cfg.blocks
     count = len(blocks)
     if use_def is None:
-        use_def = [block_use_def(block) for block in blocks]
+        use_def = [ops_use_def(block.ops) for block in blocks]
     preds: list[list[int]] = [[] for _ in range(count)]
     for block in blocks:
         for succ in block.succs:
@@ -95,12 +95,9 @@ def dominators(cfg: ControlFlowGraph) -> list[set[int]]:
     return graph.dominator_sets(*_dominator_tree(cfg))
 
 
-def immediate_dominators(
-    cfg: ControlFlowGraph, dom: list[set[int]] | None = None
-) -> dict[int, int | None]:
+def immediate_dominators(cfg: ControlFlowGraph) -> dict[int, int | None]:
     """idom[i] = the closest strict dominator of block i (``None`` for the
-    entry and for unreachable blocks).  *dom* (``dominators(cfg)``) is not
-    needed: the tree is read from the graph."""
+    entry and for unreachable blocks)."""
     return dict(enumerate(_dominator_tree(cfg)[0]))
 
 

@@ -17,8 +17,13 @@ from dataclasses import dataclass, field
 from repro.binary.image import Executable
 from repro.errors import DecompilationError, IndirectJumpError
 from repro.decompile.alias import Footprint, loop_footprints
-from repro.decompile.cfg import ControlFlowGraph, build_cfg, prune_unreachable
-from repro.decompile.dataflow import NaturalLoop, natural_loops
+from repro.decompile.cfg import (
+    ControlFlowGraph,
+    OpListMemo,
+    build_cfg,
+    prune_unreachable,
+)
+from repro.decompile.dataflow import NaturalLoop, natural_loops, ops_use_def
 from repro.decompile.lift import lift_function
 from repro.decompile.passes import (
     eliminate_dead_code,
@@ -29,6 +34,7 @@ from repro.decompile.passes import (
     remove_stack_operations,
     reroll_loops,
 )
+from repro.decompile.passes.constprop import transfer_steps
 from repro.decompile.structure import StructureReport, recover_structure
 from repro.isa.encoding import decode_text
 
@@ -187,21 +193,39 @@ class Decompiler:
 
         def cleanup_round() -> bool:
             """Propagate and clean up; True if the last iteration changed
-            nothing, i.e. the CFG is a fixpoint of the cleanup passes."""
-            for _ in range(options.rounds):
-                changed = 0
+            nothing, i.e. the CFG is a fixpoint of the cleanup passes.
+
+            These passes replace a changed block's op list (and a changed
+            op) instead of editing it, so a block whose list object is the
+            one the last iteration left holds the same ops, and its
+            transfer steps and use/def sets are reused.  After the first
+            iteration, DCE runs only if propagation changed some block:
+            otherwise the CFG is the one DCE and ``prune_unreachable`` left
+            last time, DCE's own fixpoint (pruning drops only blocks no
+            path reaches, which feed no live set).  Only a folded branch
+            moves an edge, so only then can a later iteration find a block
+            to prune.
+            """
+            steps_of = OpListMemo(transfer_steps)
+            use_def_of = OpListMemo(ops_use_def)
+            for iteration in range(options.rounds):
+                before = [block.ops for block in cfg.blocks]
+                changed = folded = 0
                 if options.constant_propagation:
-                    cp = propagate_constants(cfg)
+                    cp = propagate_constants(cfg, steps_of)
                     stats.moves_recovered += cp.moves_recovered
                     stats.constants_folded += cp.ops_folded
                     changed += cp.total
+                    folded = cp.branches_folded
                 if options.copy_propagation:
                     changed += propagate_copies(cfg)
-                if options.dead_code_elimination:
-                    removed = eliminate_dead_code(cfg)
+                if options.dead_code_elimination and (iteration == 0 or any(
+                        block.ops is not ops for block, ops in zip(cfg.blocks, before))):
+                    removed = eliminate_dead_code(cfg, use_def_of)
                     stats.dead_ops_removed += removed
                     changed += removed
-                prune_unreachable(cfg)
+                if iteration == 0 or folded:
+                    prune_unreachable(cfg)
                 if not changed:
                     return True
             return False

@@ -16,7 +16,7 @@ nothing downstream of :mod:`lift` knows it was MIPS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -241,7 +241,21 @@ class MicroOp:
         return self.opcode in _TERMINATORS
 
     def clone(self, **changes) -> "MicroOp":
-        return replace(self, **changes)
+        """A copy of this op with *changes* (field name -> value) applied.
+
+        Built through ``__init__`` so the copy has the compact attribute
+        layout of any other op (a copied ``__dict__`` would not).
+        """
+        if not changes.keys() <= _FIELD_NAMES:
+            raise TypeError(f"unknown MicroOp fields: {sorted(changes.keys() - _FIELD_NAMES)}")
+        new = self.__class__(
+            self.opcode, self.dst, self.a, self.b, self.offset, self.size,
+            self.signed, self.cond, self.target, self.pc, self.width,
+            self.table_targets,
+        )
+        for name, value in changes.items():
+            setattr(new, name, value)
+        return new
 
     # -- printing ------------------------------------------------------------
 
@@ -269,3 +283,6 @@ class MicroOp:
         if op is Opcode.RETURN:
             return "return"
         return op.value
+
+
+_FIELD_NAMES = frozenset(field.name for field in fields(MicroOp))

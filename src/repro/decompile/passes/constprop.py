@@ -5,34 +5,37 @@ register moves as "arithmetic instructions with an immediate value of zero";
 synthesizing that arithmetic operator would waste area, so constant
 propagation recognizes and removes the overhead.  Concretely this pass:
 
-* tracks register constancy through the CFG (classic kill/gen lattice:
-  UNDEF above, NAC below, constants in between; R0 is the constant 0),
+* tracks register constancy through the CFG (R0 is the constant 0),
 * replaces constant register operands with immediates (this is what turns
   ``or rd, rs, r0`` and lui/ori address pairs into constants),
 * folds fully-constant ALU ops into CONST,
 * simplifies identities (``add x, #0`` -> MOVE and friends),
 * folds always/never-taken branches, updating CFG edges.
 
-Visit-order contract.  The solver's meet reads a location missing from
-the incoming state as NAC (an unknown entry value), not as UNDEF, so it is
-not a pure lattice meet and the fixpoint it reaches depends on the order in
-which blocks are visited.  That order is part of the pass's output: a FIFO
-worklist seeded with every block index in ascending order, where a
-successor whose entry state changed is appended (in ``succs`` order) unless
-it is already queued.  A sparse or SSA formulation would reach a different
-fixpoint and move the recovered CDFGs.  A solve that needs more than
-``_VISIT_CAP`` visits per block raises :class:`DecompilationError` rather
-than rewriting from non-fixpoint states; the function then fails recovery.
+The lattice.  A block's entry state maps each location known to hold one
+constant there to that constant; a location missing from a state is not
+constant (it may hold different values on different paths, or an unknown
+entry value).  A block no path from the function entry has reached yet
+has no state at all: it is the top element, which adds nothing to a meet.
+The entry block starts from ``{R0: 0}``, since every other entry value is
+unknown.  The meet of two states keeps the locations they agree on, so a
+state only ever loses keys, and the transfer through a block is monotone
+(fewer constants in, fewer constants out, never a different constant).
+The solver therefore reaches the maximal fixpoint of the dataflow
+equations, which is unique: any visit order that runs until no state
+changes ends there.  The worklist takes blocks in reverse postorder from
+the entry only because that needs few visits.  A block is queued again
+only when a meet deleted a key of its state, so the solve ends without a
+visit cap.  The rewrite reads the same entry states.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from repro.compiler.passes.constfold import fold_ir_binop
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
-from repro.errors import DecompilationError
 from repro.decompile.microop import (
     ALU_OPS,
     Imm,
@@ -41,11 +44,7 @@ from repro.decompile.microop import (
     Opcode,
     ZERO,
 )
-from repro.utils import to_signed32
-
-# lattice: UNDEF (top) / int constant / NAC (bottom)
-_UNDEF = object()
-_NAC = object()
+from repro.utils import graph, to_signed32
 
 #: micro-op opcode -> compiler-IR op name (reuses the shared folder so the
 #: decompiler always agrees with the simulator and the compiler)
@@ -82,8 +81,8 @@ class ConstPropStats:
 
 # one transfer step per op: (kind, dst, a, b, fold).  Operands are
 # pre-read: an int is a known constant (an immediate, or R0), anything else
-# a location looked up in the state, where a missing entry reads as NAC --
-# entry values are unknown (states never hold UNDEF).
+# a location looked up in the state, where a missing entry is not constant.
+# A clobber's dst is the tuple of locations the op defines.
 _COPY, _ALU, _CLOBBER = range(3)
 
 
@@ -95,173 +94,224 @@ def _operand(operand) -> object:
     return operand
 
 
-def _steps(ops: list[MicroOp]) -> list[tuple]:
-    """The transfer steps of *ops*."""
+def transfer_steps(ops: list[MicroOp]) -> list[tuple]:
+    """The transfer steps of *ops*, one per op."""
     steps = []
+    append = steps.append
     for op in ops:
         code = op.opcode
         if code is Opcode.CONST:
-            steps.append((_COPY, op.dst, to_signed32(op.a.value), None, None))
+            append((_COPY, op.dst, to_signed32(op.a.value), None, None))
         elif code is Opcode.MOVE:
-            steps.append((_COPY, op.dst, _operand(op.a), None, None))
+            append((_COPY, op.dst, _operand(op.a), None, None))
         elif code in ALU_OPS:
-            steps.append((_ALU, op.dst, _operand(op.a), _operand(op.b),
-                          _FOLD_NAME.get(code, code)))
+            append((_ALU, op.dst, _operand(op.a), _operand(op.b),
+                    _FOLD_NAME.get(code, code)))
         else:
-            steps.append((_CLOBBER, op.defs(), None, None, None))
+            append((_CLOBBER, op.defs(), None, None, None))
     return steps
 
 
-def _transfer(steps, state: dict[Loc, object]) -> None:
+def _transfer(steps, state: dict[Loc, int]) -> None:
     """Advance *state* over *steps*."""
-    get = state.get
+    get, pop = state.get, state.pop
     for kind, dst, a, b, fold in steps:
         if kind == _CLOBBER:
             for loc in dst:
-                state[loc] = _NAC
+                pop(loc, None)
             continue
         if a.__class__ is not int:
-            a = get(a, _NAC)
+            a = get(a)
+            if a is None:
+                pop(dst, None)
+                continue
         if kind == _COPY:
             state[dst] = a
             continue
         if b.__class__ is not int:
-            b = get(b, _NAC)
-        if a is _NAC or b is _NAC:
-            state[dst] = _NAC
-        elif fold.__class__ is str:
+            b = get(b)
+            if b is None:
+                pop(dst, None)
+                continue
+        if fold.__class__ is str:
             folded = fold_ir_binop(fold, a, b)
-            state[dst] = folded if folded is not None else _NAC
+            if folded is None:
+                pop(dst, None)
+            else:
+                state[dst] = folded
         elif fold is Opcode.NOR:
             state[dst] = to_signed32(~(a | b))
         else:
-            state[dst] = _NAC
+            pop(dst, None)
 
 
-#: a solve may visit each block at most this many times on average; the
-#: benchmark suite at -O0..-O3 and the fuzz programs need at most 3.7
-_VISIT_CAP = 50
-
-
-def _solve(cfg: ControlFlowGraph) -> tuple[list[dict[Loc, object]], list[list[tuple]]]:
-    """Fixpoint constant states at block entry, and each block's steps.
-
-    Visits blocks in the order the module docstring fixes.
-    """
+def _solve(
+    cfg: ControlFlowGraph, steps: list[list[tuple]] | None = None
+) -> list[dict[Loc, int] | None]:
+    """Each block's entry state at the maximal fixpoint (``None`` for a
+    block the entry does not reach); *steps* are the blocks'
+    :func:`transfer_steps`."""
     blocks = cfg.blocks
-    steps = [_steps(block.ops) for block in blocks]
-    in_states: list[dict[Loc, object]] = [{} for _ in blocks]
-    # entry: everything unknown (NAC) except the hardwired zero register
-    in_states[cfg.block_by_start[cfg.entry]] = {ZERO: 0}
-    work = deque(range(len(blocks)))
-    queued = set(work)
-    visits = 0
-    limit = _VISIT_CAP * max(1, len(blocks))
+    if steps is None:
+        steps = [transfer_steps(block.ops) for block in blocks]
+    entry = cfg.block_by_start[cfg.entry]
+    order = graph.reverse_postorder([block.succs for block in blocks], entry)
+    rank = [0] * len(blocks)
+    for position, index in enumerate(order):
+        rank[index] = position
+    states: list[dict[Loc, int] | None] = [None] * len(blocks)
+    states[entry] = {ZERO: 0}
+    queued = [False] * len(blocks)
+    queued[entry] = True
+    work = [0]  # ranks of the queued blocks
     while work:
-        if visits >= limit:
-            raise DecompilationError(
-                f"constant propagation in {cfg.name!r} did not converge "
-                f"within {limit} block visits"
-            )
-        visits += 1
-        index = work.popleft()
-        queued.discard(index)
-        out = dict(in_states[index])
+        index = order[heappop(work)]
+        queued[index] = False
+        out = states[index].copy()
         _transfer(steps[index], out)
         out_items = out.items()
         for succ in blocks[index].succs:
-            # meet only where the states differ: a key new to the
-            # successor takes the incoming value, any other difference
-            # (including a key the incoming state lacks) lowers to NAC
-            state = in_states[succ]
-            changes = {}
-            for key, value in out_items - state.items():
-                old = state.get(key, _UNDEF)
-                if old is _UNDEF:
-                    changes[key] = value
-                elif old is not _NAC:
-                    changes[key] = _NAC
-            for key in state.keys() - out.keys():
-                if state[key] is not _NAC:
-                    changes[key] = _NAC
-            if changes:
-                state.update(changes)
-                if succ not in queued:
-                    queued.add(succ)
-                    work.append(succ)
-    return in_states, steps
+            state = states[succ]
+            if state is None:
+                states[succ] = out.copy()
+            else:
+                stale = state.items() - out_items
+                if not stale:
+                    continue
+                for key, _ in stale:
+                    del state[key]
+            if not queued[succ]:
+                queued[succ] = True
+                heappush(work, rank[succ])
+    return states
 
 
-def _const_of(operand, state: dict[Loc, object]) -> int | None:
+def _const_of(operand, state: dict[Loc, int]) -> int | None:
     operand = _operand(operand)
     if operand.__class__ is int:
         return operand
-    value = state.get(operand, _NAC)
-    return None if value is _NAC else value
+    return state.get(operand)
 
 
-def propagate_constants(cfg: ControlFlowGraph) -> ConstPropStats:
-    """Run constant propagation and rewrite *cfg* in place."""
+def propagate_constants(cfg: ControlFlowGraph, steps_of=None) -> ConstPropStats:
+    """Run constant propagation and rewrite *cfg* in place.
+
+    A block whose ops all stay as they are keeps its op list object; a
+    rewritten op is a new op.  *steps_of* maps an op list to its
+    :func:`transfer_steps`, for a caller that keeps them across calls
+    (:class:`~repro.decompile.cfg.OpListMemo`).
+    """
     stats = ConstPropStats()
-    in_states, steps = _solve(cfg)
-
+    steps = [(steps_of or transfer_steps)(block.ops) for block in cfg.blocks]
+    in_states = _solve(cfg, steps)
     for block in cfg.blocks:
-        state = in_states[block.index]
+        # the state advances in place; a block the entry does not reach is
+        # rewritten knowing nothing
+        state = in_states[block.index] or {}
+        get, pop = state.get, state.pop
         new_ops: list[MicroOp] = []
-        for op, step in zip(block.ops, steps[block.index]):
-            code = op.opcode
+        changed = False
+        for op, (kind, dst, a, b, fold) in zip(block.ops, steps[block.index]):
+            # rewrite *op* from the state before it, then advance the state
+            # over the original op (the rewrite has the same effect there)
             rewritten = op
-            if code in ALU_OPS or code is Opcode.MOVE:
-                # substitute constant register operands with immediates
-                changed = False
-                a, b = op.a, op.b
-                if a.__class__ is Loc and a is not ZERO:
-                    value = _const_of(a, state)
+            if kind == _CLOBBER:
+                code = op.opcode
+                if code is Opcode.LOAD:
+                    value = _const_loc(op.a, state)
                     if value is not None:
-                        a = Imm(value & 0xFFFF_FFFF)
-                        changed = True
-                if b.__class__ is Loc and b is not ZERO:
-                    value = _const_of(b, state)
+                        # absolute-address load: base is immediate 0 + offset
+                        rewritten = op.clone(a=Imm(0), offset=op.offset + value)
+                        stats.operands_immediated += 1
+                elif code is Opcode.STORE:
+                    value = _const_loc(op.b, state)
                     if value is not None:
-                        b = Imm(value & 0xFFFF_FFFF)
-                        changed = True
-                if changed:
-                    rewritten = op.clone(a=a, b=b)
+                        rewritten = op.clone(b=Imm(0), offset=op.offset + value)
+                        stats.operands_immediated += 1
+                    value = _const_loc(op.a, state)
+                    if value is not None:
+                        rewritten = rewritten.clone(a=Imm(value & 0xFFFF_FFFF))
+                        stats.operands_immediated += 1
+                elif code is Opcode.BRANCH:
+                    rewritten = _fold_branch(cfg, block, op, state, stats)
+                for loc in dst:
+                    pop(loc, None)
+            elif kind == _COPY:
+                va = a if a.__class__ is int else get(a)
+                if op.opcode is Opcode.MOVE and va is not None:
+                    if a.__class__ is not int:
+                        rewritten = op.clone(a=Imm(va & 0xFFFF_FFFF))
+                        stats.operands_immediated += 1
+                    rewritten = self_simplify(rewritten, stats)
+                if va is None:
+                    pop(dst, None)
+                else:
+                    state[dst] = va
+            else:
+                va = a if a.__class__ is int else get(a)
+                vb = b if b.__class__ is int else get(b)
+                if (va is not None and a.__class__ is not int) or (
+                        vb is not None and b.__class__ is not int):
+                    rewritten = op.clone(
+                        a=op.a if a.__class__ is int or va is None else Imm(va & 0xFFFF_FFFF),
+                        b=op.b if b.__class__ is int or vb is None else Imm(vb & 0xFFFF_FFFF),
+                    )
                     stats.operands_immediated += 1
-                rewritten = self_simplify(rewritten, stats)
-            elif code is Opcode.LOAD and op.a.__class__ is Loc:
-                base_const = _const_of(op.a, state)
-                if base_const is not None and op.a is not ZERO:
-                    # absolute-address load: keep base as immediate 0 + offset
-                    rewritten = op.clone(a=Imm(0), offset=op.offset + base_const)
-                    stats.operands_immediated += 1
-            elif code is Opcode.STORE:
-                base_const = _const_of(op.b, state)
-                if base_const is not None and op.b.__class__ is Loc and op.b is not ZERO:
-                    rewritten = op.clone(b=Imm(0), offset=op.offset + base_const)
-                    stats.operands_immediated += 1
-                value_const = _const_of(rewritten.a, state)
-                if (value_const is not None and rewritten.a.__class__ is Loc
-                        and rewritten.a is not ZERO):
-                    rewritten = rewritten.clone(a=Imm(value_const & 0xFFFF_FFFF))
-                    stats.operands_immediated += 1
-            elif code is Opcode.BRANCH:
-                a, b = _const_of(op.a, state), _const_of(op.b, state)
-                if a is not None and b is not None:
-                    taken = fold_ir_binop(_COND_FOLD[op.cond], a, b)
-                    stats.branches_folded += 1
-                    if taken:
-                        rewritten = MicroOp(Opcode.JUMP, target=op.target, pc=op.pc)
-                        _retarget(cfg, block, [_succ_of_target(cfg, op.target)])
+                    rewritten = self_simplify(rewritten, stats)
+                elif (a.__class__ is int and b.__class__ is int) or a in _IDENTITY \
+                        or b in _IDENTITY:
+                    # an immediate (or R0) operand: maybe a foldable identity
+                    rewritten = self_simplify(op, stats)
+                if va is None or vb is None:
+                    pop(dst, None)
+                elif fold.__class__ is str:
+                    folded = fold_ir_binop(fold, va, vb)
+                    if folded is None:
+                        pop(dst, None)
                     else:
-                        rewritten = None
-                        fall = [s for s in block.succs if cfg.blocks[s].start != op.target]
-                        _retarget(cfg, block, fall[:1] or block.succs[:1])
-            _transfer((step,), state)  # advance on the ORIGINAL op (same effect)
-            if rewritten is not None:
-                new_ops.append(rewritten)
-        block.ops = new_ops
+                        state[dst] = folded
+                elif fold is Opcode.NOR:
+                    state[dst] = to_signed32(~(va | vb))
+                else:
+                    pop(dst, None)
+            if rewritten is not op:
+                changed = True
+                if rewritten is None:
+                    continue
+            new_ops.append(rewritten)
+        if changed:
+            block.ops = new_ops
     return stats
+
+
+#: the literal operands :func:`self_simplify` may act on when no operand is
+#: replaced (both literal, or one of these); any other op comes back as it is
+_IDENTITY = frozenset({0, 1})
+
+
+def _const_loc(operand, state: dict[Loc, int]) -> int | None:
+    """The constant a location operand other than R0 holds, if any."""
+    if operand.__class__ is Loc and operand is not ZERO:
+        return state.get(operand)
+    return None
+
+
+def _fold_branch(
+    cfg: ControlFlowGraph, block: MicroBlock, op: MicroOp,
+    state: dict[Loc, int], stats: ConstPropStats,
+) -> MicroOp | None:
+    """*op* itself, or a JUMP (always taken) or None (never taken) with the
+    block's edges updated to match."""
+    a, b = _const_of(op.a, state), _const_of(op.b, state)
+    if a is None or b is None:
+        return op
+    stats.branches_folded += 1
+    if fold_ir_binop(_COND_FOLD[op.cond], a, b):
+        _retarget(cfg, block, [_succ_of_target(cfg, op.target)])
+        return MicroOp(Opcode.JUMP, target=op.target, pc=op.pc)
+    fall = [s for s in block.succs if cfg.blocks[s].start != op.target]
+    _retarget(cfg, block, fall[:1] or block.succs[:1])
+    return None
 
 
 def self_simplify(op: MicroOp, stats: ConstPropStats) -> MicroOp:

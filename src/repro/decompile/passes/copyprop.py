@@ -8,23 +8,29 @@ Block-local operation keeps it trivially sound.
 from __future__ import annotations
 
 from repro.decompile.cfg import ControlFlowGraph
-from repro.decompile.microop import Loc, Opcode, ZERO
+from repro.decompile.microop import Loc, MicroOp, Opcode, ZERO
 
 
 def propagate_copies(cfg: ControlFlowGraph) -> int:
-    """Returns the number of operand substitutions performed."""
+    """Returns the number of operand substitutions performed.
+
+    A changed op is replaced by a new op in a new list for its block; an
+    unchanged block keeps its list.
+    """
     substitutions = 0
     for block in cfg.blocks:
         available: dict[Loc, Loc] = {}
-        for op in block.ops:
+        new_ops: list[MicroOp] | None = None
+        for position, op in enumerate(block.ops):
             if available:
                 # substitute uses
-                if op.a.__class__ is Loc and op.a in available:
-                    op.a = available[op.a]
-                    substitutions += 1
-                if op.b.__class__ is Loc and op.b in available:
-                    op.b = available[op.b]
-                    substitutions += 1
+                a = available.get(op.a, op.a) if op.a.__class__ is Loc else op.a
+                b = available.get(op.b, op.b) if op.b.__class__ is Loc else op.b
+                if a is not op.a or b is not op.b:
+                    substitutions += (a is not op.a) + (b is not op.b)
+                    op = op.clone(a=a, b=b)
+                    if new_ops is None:
+                        new_ops = block.ops[:position]
                 # kill mappings invalidated by this op's defs
                 for loc in op.defs():
                     available.pop(loc, None)
@@ -32,6 +38,8 @@ def propagate_copies(cfg: ControlFlowGraph) -> int:
                         stale = [dst for dst, src in available.items() if src is loc]
                         for dst in stale:
                             del available[dst]
+            if new_ops is not None:
+                new_ops.append(op)
 
             if (
                 op.opcode is Opcode.MOVE
@@ -40,4 +48,6 @@ def propagate_copies(cfg: ControlFlowGraph) -> int:
                 and op.a is not ZERO
             ):
                 available[op.dst] = op.a
+        if new_ops is not None:
+            block.ops = new_ops
     return substitutions

@@ -4,8 +4,12 @@ at any level shows up as a level-specific failure."""
 
 import pytest
 
+from repro.binary.loader import load_into_memory
 from repro.errors import CompileError
 from repro.compiler import compile_source
+from repro.sim.cpu import STACK_TOP
+from repro.sim.memory import Memory
+from repro.sim.reference import _interpret
 from tests.conftest import checksum_of
 
 
@@ -274,6 +278,60 @@ class TestFunctions:
         int main(void) { checksum = total(data, 4); return 0; }
         """
         check_all_levels(source, 26)
+
+
+class TestMultipleDeclarators:
+    """``int i = 1, k = 2;`` declares both names in the enclosing scope."""
+
+    @staticmethod
+    def _reference_checksum(source: str, level: int) -> int:
+        exe = compile_source(source, opt_level=level)
+        memory = Memory()
+        load_into_memory(exe, memory)
+        regs = [0] * 32
+        regs[29] = STACK_TOP
+        assert _interpret(exe, memory, regs, [0, 0]).halted
+        value = memory.read_u32(exe.symbols["checksum"].address)
+        return value - 0x1_0000_0000 if value & 0x8000_0000 else value
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("source, expected", [
+        ("int checksum; int main(void) { int i = 1, k = 2; checksum = i + k; return 0; }", 3),
+        ("""
+        int checksum;
+        int main(void) {
+            int *p, q[3], r = 4;
+            q[0] = r; q[1] = r * 2; q[2] = r * 3;
+            p = q;
+            checksum = p[0] + p[1] + p[2];
+            return 0;
+        }
+        """, 24),
+        ("""
+        int checksum;
+        int main(void) {
+            for (int i = 0, k = 10; i < 5; i++) { checksum += i * k; k--; }
+            return 0;
+        }
+        """, 0 * 10 + 1 * 9 + 2 * 8 + 3 * 7 + 4 * 6),
+        # an unrolled loop's remainder loop still sees the init's name
+        ("int checksum; int main(void) {"
+         " for (int i = 0; i < 5; i++) checksum += i; return 0; }", 10),
+    ])
+    def test_names_reach_later_statements(self, source, expected, level):
+        assert self._reference_checksum(source, level) == expected
+
+    def test_for_init_names_stay_in_the_loop(self):
+        with pytest.raises(CompileError, match="undeclared identifier 'k'"):
+            compile_source(
+                "int checksum; int main(void) {"
+                " for (int i = 0, k = 1; i < 2; i++) checksum += k;"
+                " return k; }"
+            )
+
+    def test_repeated_name_is_a_redeclaration(self):
+        with pytest.raises(CompileError, match="redeclaration"):
+            compile_source("int main(void) { int x = 1, x = 2; return x; }")
 
 
 class TestCompileErrors:

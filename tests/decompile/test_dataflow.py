@@ -205,8 +205,12 @@ class TestAlias:
         assert [(lp.header, lp.body, lp.depth) for lp in loops] == [
             (lp.header, lp.body, lp.depth) for lp in natural_loops(cfg)
         ]
-        assert immediate_dominators(cfg, dom) == immediate_dominators(cfg)
-        shared = loop_footprints(exe, cfg, loops, dom)
+        idom = immediate_dominators(cfg)
+        assert all(
+            idom[i] is None or (idom[i] in dom[i] and dom[i] - {i} <= dom[idom[i]])
+            for i in range(len(cfg.blocks))
+        )
+        shared = loop_footprints(exe, cfg, loops)
         assert len(shared) == len(loops) == 2
         for loop in loops:
             header = cfg.blocks[loop.header].start

@@ -1,11 +1,13 @@
 """Lifting tests: MIPS instructions -> ISA-independent micro-ops."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import DecompilationError
 from repro.isa import Instruction
 from repro.decompile.lift import lift_instruction
-from repro.decompile.microop import HI, Imm, LO, Loc, Opcode, REGS
+from repro.decompile.microop import HI, Imm, LO, Loc, MicroOp, Opcode, REGS
 
 
 class TestLocations:
@@ -27,6 +29,23 @@ class TestLocations:
         with pytest.raises(AttributeError):
             REGS[8].name = "R9"
         assert repr(REGS[8]) == "Loc(name='R8')"
+
+
+class TestClone:
+    def test_clone_copies_every_field(self):
+        # MicroOp.clone passes every field to __init__ by position, so the
+        # field list is pinned here: a new field must be added there too
+        assert [f.name for f in fields(MicroOp)] == [
+            "opcode", "dst", "a", "b", "offset", "size", "signed", "cond",
+            "target", "pc", "width", "table_targets",
+        ]
+        op = MicroOp(Opcode.LOAD, dst=REGS[2], a=REGS[4], b=Imm(3), offset=8,
+                     size=2, signed=False, cond="ne", target=0x40, pc=0x44,
+                     width=16, table_targets=(1, 2))
+        assert op.clone() == op and op.clone() is not op
+        assert op.clone(offset=12, a=Imm(0)) == replace(op, offset=12, a=Imm(0))
+        with pytest.raises(TypeError, match="bogus"):
+            op.clone(bogus=1)
 
 
 class TestAluLift:

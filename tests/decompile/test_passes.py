@@ -13,9 +13,10 @@ from repro.compiler import compile_source, CompilerOptions
 from repro.decompile import decompile
 from repro.decompile.decompiler import DecompilationOptions
 from repro.decompile.interp import CdfgInterpreter
-from repro.decompile.microop import Imm, Opcode
+from repro.decompile.microop import ZERO, Imm, Opcode
 from repro.decompile.passes import constprop
 from repro.errors import DecompilationError
+from repro.isa.assembler import assemble
 from repro.sim import run_executable
 
 
@@ -77,22 +78,126 @@ class TestConstantPropagation:
         exe, program = _decompiled(source, opt_level=0)  # keep the branch in the binary
         _equivalent(exe, program)
 
-    def test_visit_cap_hit_is_a_recovery_failure(self, monkeypatch):
-        # a solve stopped at its visit cap holds non-fixpoint states;
-        # rewriting from them would be unsound, so the function fails
-        # recovery instead
-        source = """
-        int checksum;
-        int main(void) { int i; for (i = 0; i < 9; i++) checksum += i; return 0; }
-        """
-        exe = compile_source(source, opt_level=1)
-        monkeypatch.setattr(constprop, "_VISIT_CAP", 0)
+    def test_meet_drops_a_constant_one_path_lacks(self):
+        # `pick` reaches its join with $a0 = 5 on one path and with the
+        # caller's $a0 on the other, so $v0 is not a constant there
+        exe = assemble(_PICK)
+        cpu, _ = run_executable(exe)
+        assert cpu.read_word_global_signed("checksum") == 8
         program = decompile(exe)
-        assert not program.recovered
-        failure = next(f for f in program.failures if f.function == "main")
-        assert "did not converge" in failure.reason
-        assert failure.address == exe.symbols["main"].address
-        assert "main" not in program.functions
+        assert program.recovered, program.failures
+        _equivalent(exe, program)
+        pick = program.functions["pick"].cfg
+        join = pick.blocks[pick.block_by_start[exe.symbols["pick"].address + 8]]
+        assert "R2 = add R4, #1" in [str(op) for op in join.ops]
+
+    def test_solver_reaches_the_order_free_maximal_fixpoint(self):
+        # the worklist solver's states are the lattice's unique maximal
+        # fixpoint: a naive round-robin solve gives the same states, and so
+        # does the worklist itself when every edge list is visited reversed
+        checked = 0
+        for cfg in _oracle_cfgs():
+            states = constprop._solve(cfg)
+            assert states == _round_robin_states(cfg), cfg.name
+            for block in cfg.blocks:
+                block.succs.reverse()
+            assert constprop._solve(cfg) == states, cfg.name
+            for block in cfg.blocks:
+                block.succs.reverse()
+            checked += 1
+        assert checked > 500
+
+
+_PICK = """
+.text
+_start:
+    jal main
+    break
+main:
+    addiu $sp, $sp, -8
+    sw $ra, 4($sp)
+    li $a0, 7
+    li $a1, 0
+    jal pick
+    la $t0, checksum
+    sw $v0, 0($t0)
+    lw $ra, 4($sp)
+    addiu $sp, $sp, 8
+    jr $ra
+pick:
+    beq $a1, $zero, .Lskip
+    li $a0, 5
+.Lskip:
+    addiu $v0, $a0, 1
+    jr $ra
+.data
+checksum: .word 0
+"""
+
+
+def _round_robin_states(cfg):
+    """Entry states of the constant lattice's maximal fixpoint, solved
+    naively: every block in index order until no state changes."""
+    blocks = cfg.blocks
+    steps = [constprop.transfer_steps(block.ops) for block in blocks]
+    entry = cfg.block_by_start[cfg.entry]
+    preds = [[] for _ in blocks]
+    for block in blocks:
+        for succ in block.succs:
+            preds[succ].append(block.index)
+    ins = [None] * len(blocks)
+    outs = [None] * len(blocks)
+    changed = True
+    while changed:
+        changed = False
+        for index in range(len(blocks)):
+            incoming = [outs[pred] for pred in preds[index] if outs[pred] is not None]
+            if index == entry:
+                incoming.append({ZERO: 0})
+            if not incoming:
+                continue
+            state = {key: value for key, value in incoming[0].items()
+                     if all(other.get(key) == value for other in incoming[1:])}
+            out = dict(state)
+            constprop._transfer(steps[index], out)
+            if state != ins[index] or out != outs[index]:
+                ins[index], outs[index] = state, out
+                changed = True
+    return ins
+
+
+def _oracle_cfgs():
+    """The lifted CFG of every function of the 80 ``static_suite`` binaries
+    and of the decompiler fuzz programs, before any pass and after all."""
+    from repro.decompile.cfg import build_cfg, prune_unreachable
+    from repro.decompile.lift import lift_function
+    from repro.isa.encoding import decode_text
+    from repro.programs import ALL_BENCHMARKS
+    from tests.decompile.test_differential import SEEDS
+    from tests.sim.test_differential import random_program
+
+    binaries = [compile_source(bench.source, opt_level=level)
+                for bench in ALL_BENCHMARKS for level in range(4)]
+    binaries += [compile_source(random_program(seed), opt_level=seed % 4)
+                 for seed in SEEDS]
+    for exe in binaries:
+        instrs = decode_text(exe.text_words)
+        for symbol in exe.function_symbols():
+            if symbol.name == "_start":
+                continue
+            start, end = exe.function_bounds(symbol.name)
+            ops = lift_function(instrs[(start - exe.text_base) // 4:
+                                       (end - exe.text_base) // 4], start)
+            try:
+                cfg = build_cfg(ops, start, symbol.name, exe=exe,
+                                recover_jump_tables=True)
+            except DecompilationError:
+                continue
+            prune_unreachable(cfg)
+            yield cfg
+        program = decompile(exe, DecompilationOptions(recover_jump_tables=True))
+        for func in program.functions.values():
+            yield func.cfg
 
 
 def test_total_stats_hands_out_fresh_copies():
