@@ -87,8 +87,8 @@ class _Dominance:
     """What :func:`_entry_env` needs of one function for every loop: the
     immediate dominators, and how many blocks define each location."""
 
-    def __init__(self, cfg: ControlFlowGraph):
-        self.idom = immediate_dominators(cfg)
+    def __init__(self, cfg: ControlFlowGraph, idom: dict[int, int | None]):
+        self.idom = idom
         self.block_defs: list[set[str]] = []
         self.defining_blocks: dict[str, int] = {}
         for block in cfg.blocks:
@@ -275,11 +275,13 @@ def loop_footprints(
     exe: Executable,
     cfg: ControlFlowGraph,
     loops: list[NaturalLoop],
+    idom: dict[int, int | None] | None = None,
 ) -> dict[int, Footprint]:
     """Memory footprint of each of one function's natural *loops*, by
     header address.  The dominator tree is worked out once for all the
-    loops."""
-    dominance = _Dominance(cfg)
+    loops; *idom* is ``immediate_dominators(cfg)``, for a caller that
+    already has it."""
+    dominance = _Dominance(cfg, immediate_dominators(cfg) if idom is None else idom)
     return {
         cfg.blocks[loop.header].start: _footprint(exe, cfg, loop, dominance)
         for loop in loops

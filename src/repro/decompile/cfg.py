@@ -51,7 +51,17 @@ class ControlFlowGraph:
 
     @property
     def block_by_start(self) -> dict[int, int]:
+        """Block start address -> block index, built anew on each read."""
         return {block.start: block.index for block in self.blocks}
+
+    @property
+    def entry_index(self) -> int:
+        """The index of the entry block (found without building
+        :attr:`block_by_start`: the entry is normally the first block)."""
+        for block in self.blocks:
+            if block.start == self.entry:
+                return block.index
+        raise KeyError(self.entry)
 
     def op_count(self) -> int:
         return sum(len(block.ops) for block in self.blocks)
@@ -204,7 +214,7 @@ def _lookup(start_to_index: dict[int, int], target: int, pc: int, name: str) -> 
 def prune_unreachable(cfg: ControlFlowGraph) -> bool:
     """Drop unreachable blocks (e.g. dead epilogue paths); renumber the rest."""
     succs = [block.succs for block in cfg.blocks]
-    keep = set(graph.reverse_postorder(succs, cfg.block_by_start[cfg.entry]))
+    keep = set(graph.reverse_postorder(succs, cfg.entry_index))
     if len(keep) == len(cfg.blocks):
         return False
     remap: dict[int, int] = {}

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.decompile.cfg import ControlFlowGraph
-from repro.decompile.microop import Loc, MicroOp
+from repro.decompile.microop import (
+    CALL_CLOBBERED,
+    IMPLICIT_USES,
+    Loc,
+    MicroOp,
+    Opcode,
+)
 from repro.utils import graph
 
 
@@ -24,14 +30,30 @@ from repro.utils import graph
 
 
 def ops_use_def(ops: list[MicroOp]) -> tuple[set[Loc], set[Loc]]:
-    """(upward-exposed uses, definitions) of a block's op list."""
+    """(upward-exposed uses, definitions) of a block's op list.
+
+    A fold of :meth:`MicroOp.defs` then :meth:`MicroOp.uses` over the ops
+    in reverse, inlined: it reads ``dst``, ``a``, ``b`` and the tables of
+    :mod:`~repro.decompile.microop` instead of building two tuples per op.
+    """
     uses: set[Loc] = set()
     defs: set[Loc] = set()
+    implicit_uses = IMPLICIT_USES.get
     for op in reversed(ops):
-        op_defs = op.defs()
-        uses.difference_update(op_defs)
-        uses.update(op.uses())
-        defs.update(op_defs)
+        dst = op.dst
+        if dst is not None:
+            uses.discard(dst)
+            defs.add(dst)
+        elif op.opcode is Opcode.CALL:
+            uses.difference_update(CALL_CLOBBERED)
+            defs.update(CALL_CLOBBERED)
+        if op.a.__class__ is Loc:
+            uses.add(op.a)
+        if op.b.__class__ is Loc:
+            uses.add(op.b)
+        implicit = implicit_uses(op.opcode)
+        if implicit:
+            uses.update(implicit)
     return uses, defs
 
 
@@ -80,25 +102,33 @@ def liveness(
 # ---------------------------------------------------------------------------
 
 
-def _dominator_tree(cfg: ControlFlowGraph) -> graph.Tree:
+def dominator_tree(cfg: ControlFlowGraph) -> graph.Tree:
+    """The CFG's dominator tree over block indices, from which
+    :func:`dominators` and :func:`immediate_dominators` both read."""
     blocks = cfg.blocks
     return graph.dominator_tree(
         [block.succs for block in blocks],
         [block.preds for block in blocks],
-        cfg.block_by_start[cfg.entry],
+        cfg.entry_index,
     )
 
 
-def dominators(cfg: ControlFlowGraph) -> list[set[int]]:
+def dominators(
+    cfg: ControlFlowGraph, tree: graph.Tree | None = None
+) -> list[set[int]]:
     """dom[i] = set of blocks dominating block i (including itself); an
-    unreachable block is dominated only by itself."""
-    return graph.dominator_sets(*_dominator_tree(cfg))
+    unreachable block is dominated only by itself.  *tree* is
+    ``dominator_tree(cfg)``, for a caller that already has it."""
+    return graph.dominator_sets(*(tree or dominator_tree(cfg)))
 
 
-def immediate_dominators(cfg: ControlFlowGraph) -> dict[int, int | None]:
+def immediate_dominators(
+    cfg: ControlFlowGraph, tree: graph.Tree | None = None
+) -> dict[int, int | None]:
     """idom[i] = the closest strict dominator of block i (``None`` for the
-    entry and for unreachable blocks)."""
-    return dict(enumerate(_dominator_tree(cfg)[0]))
+    entry and for unreachable blocks).  *tree* is ``dominator_tree(cfg)``,
+    for a caller that already has it."""
+    return dict(enumerate((tree or dominator_tree(cfg))[0]))
 
 
 @dataclass

@@ -23,7 +23,14 @@ from repro.decompile.cfg import (
     build_cfg,
     prune_unreachable,
 )
-from repro.decompile.dataflow import NaturalLoop, natural_loops, ops_use_def
+from repro.decompile.dataflow import (
+    NaturalLoop,
+    dominator_tree,
+    dominators,
+    immediate_dominators,
+    natural_loops,
+    ops_use_def,
+)
 from repro.decompile.lift import lift_function
 from repro.decompile.passes import (
     eliminate_dead_code,
@@ -191,34 +198,54 @@ class Decompiler:
         prune_unreachable(cfg)
         options = self.options
 
-        def cleanup_round() -> bool:
+        def cleanup_round(propagate: bool = True) -> bool:
             """Propagate and clean up; True if the last iteration changed
             nothing, i.e. the CFG is a fixpoint of the cleanup passes.
 
-            These passes replace a changed block's op list (and a changed
-            op) instead of editing it, so a block whose list object is the
-            one the last iteration left holds the same ops, and its
-            transfer steps and use/def sets are reused.  After the first
-            iteration, DCE runs only if propagation changed some block:
-            otherwise the CFG is the one DCE and ``prune_unreachable`` left
-            last time, DCE's own fixpoint (pruning drops only blocks no
-            path reaches, which feed no live set).  Only a folded branch
-            moves an edge, so only then can a later iteration find a block
-            to prune.
+            Each iteration runs a pass only where an earlier pass may have
+            given it work; a skipped pass would have changed nothing.
+
+            * Constant propagation runs in the first iteration (unless
+              *propagate* is false) and after that only when the last
+              propagation folded a branch or an ``x & 0``/``x * 0``.  Short
+              of those it is idempotent (see
+              :mod:`~repro.decompile.passes.constprop`), and neither copy
+              propagation nor DCE creates a constant operand or a
+              ``MOVE #imm``: a copy is forwarded only within its block,
+              where source and copy hold the same state, and DCE deletes
+              only ops whose result no use reads.
+            * Copy propagation is block-local and idempotent on a block, so
+              it runs only over blocks whose op list it has not seen.
+            * After the first iteration, DCE runs only if propagation
+              changed some block: otherwise the CFG is the one DCE and
+              ``prune_unreachable`` left last time, DCE's own fixpoint
+              (pruning drops only blocks no path reaches, which feed no
+              live set).  Only a folded branch moves an edge, so only then
+              can a later iteration find a block to prune.
+
+            That needs every one of these passes to replace a changed
+            block's op list (and a changed op) instead of editing it, so a
+            block whose list object is one a pass left holds the same ops;
+            the same rule lets the round reuse transfer steps and use/def
+            sets.  Strength promotion and rerolling do edit in place, so
+            these memos live for one round only.
             """
             steps_of = OpListMemo(transfer_steps)
             use_def_of = OpListMemo(ops_use_def)
+            copied: dict[int, list] = {}
+            propagate = propagate and options.constant_propagation
             for iteration in range(options.rounds):
                 before = [block.ops for block in cfg.blocks]
                 changed = folded = 0
-                if options.constant_propagation:
+                if propagate:
                     cp = propagate_constants(cfg, steps_of)
                     stats.moves_recovered += cp.moves_recovered
                     stats.constants_folded += cp.ops_folded
                     changed += cp.total
                     folded = cp.branches_folded
+                    propagate = folded > 0 or cp.zero_products > 0
                 if options.copy_propagation:
-                    changed += propagate_copies(cfg)
+                    changed += propagate_copies(cfg, copied)
                 if options.dead_code_elimination and (iteration == 0 or any(
                         block.ops is not ops for block, ops in zip(cfg.blocks, before))):
                     removed = eliminate_dead_code(cfg, use_def_of)
@@ -233,6 +260,23 @@ class Decompiler:
         # A cleanup round started at a fixpoint changes nothing (constant
         # propagation's uncounted MOVE #imm -> CONST rewrites are already
         # done by then), so after a pass that changed nothing it is skipped.
+        # After strength promotion or rerolling from a fixpoint, the round
+        # skips constant propagation too: neither pass gives it anything to
+        # rewrite.
+        # * Promotion's MUL reads a location holding an opaque term (a
+        #   block input, a load or a non-affine result) and an immediate
+        #   other than 0 or 1.  At the fixpoint that location is not
+        #   constant, or the ops reading the term would have been rewritten.
+        # * Rerolling creates no CONST, MOVE or immediate operand.  A rename
+        #   moves a latch-local value to another location over its whole
+        #   live range, so each kept use reads the same definition; a
+        #   dropped ``MOVE D, X`` hands D's uses to the op defining X, which
+        #   is no CONST, or X would have been constant at the MOVE.  Keeping
+        #   one of U segments with the same transfer f on every location
+        #   live across the back edge applies f once per trip instead of U
+        #   times, and a header state that f keeps, f^U keeps too: the
+        #   fixpoint before rerolling already had every constant of the one
+        #   after it.
         at_fixpoint = cleanup_round()
         if options.stack_removal:
             sr = remove_stack_operations(cfg)
@@ -243,22 +287,25 @@ class Decompiler:
             promo = promote_strength(cfg)
             stats.muls_promoted += promo.muls_recovered
             if promo.muls_recovered or not at_fixpoint:
-                at_fixpoint = cleanup_round()
+                at_fixpoint = cleanup_round(propagate=not at_fixpoint)
         if options.loop_rerolling:
             rr = reroll_loops(cfg)
             stats.loops_rerolled += rr.loops_rerolled
             stats.reroll_ops_removed += rr.ops_removed
             if rr.loops_rerolled or rr.rewrites or not at_fixpoint:
-                cleanup_round()
+                cleanup_round(propagate=not at_fixpoint)
         if options.size_reduction:
             sz = reduce_operator_sizes(cfg)
             stats.ops_narrowed += sz.ops_narrowed
             stats.bits_saved += sz.bits_saved
 
         stats.final_ops = cfg.op_count()
-        loops = natural_loops(cfg)
+        tree = dominator_tree(cfg)
+        loops = natural_loops(cfg, dominators(cfg, tree))
         structure = recover_structure(cfg, loops)
-        footprints = loop_footprints(self.exe, cfg, loops)
+        footprints = loop_footprints(
+            self.exe, cfg, loops, immediate_dominators(cfg, tree)
+        )
         return DecompiledFunction(
             name=name,
             entry=start,

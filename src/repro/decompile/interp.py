@@ -118,7 +118,8 @@ class CdfgInterpreter:
             raise DecompilationError(f"interpreter recursion too deep in {func.name}")
         cfg = func.cfg
         frame: dict[Loc, int] = {}
-        block = cfg.blocks[cfg.block_by_start[cfg.entry]]
+        block_by_start = cfg.block_by_start  # a fresh dict on each read
+        block = cfg.blocks[block_by_start[cfg.entry]]
         while True:
             next_index: int | None = None
             for op in block.ops:
@@ -151,7 +152,7 @@ class CdfgInterpreter:
                         self._read(op.a, frame), self._read(op.b, frame)
                     )
                     if taken:
-                        next_index = cfg.block_by_start[op.target]
+                        next_index = block_by_start[op.target]
                     else:
                         fall = [
                             s for s in block.succs
@@ -167,15 +168,15 @@ class CdfgInterpreter:
                                 f"branch at {op.pc:#x} has no fall-through"
                             )
                 elif code is Opcode.JUMP:
-                    next_index = cfg.block_by_start[op.target]
+                    next_index = block_by_start[op.target]
                 elif code is Opcode.IJUMP:
                     address = self._read(op.a, frame)
-                    if address not in cfg.block_by_start:
+                    if address not in block_by_start:
                         raise DecompilationError(
                             f"indirect jump at {op.pc:#x} reached "
                             f"unrecovered target {address:#x}"
                         )
-                    next_index = cfg.block_by_start[address]
+                    next_index = block_by_start[address]
                 elif code is Opcode.RETURN:
                     return
                 elif code is Opcode.HALT:

@@ -142,8 +142,11 @@ class Opcode(Enum):
 Opcode.__hash__ = object.__hash__
 
 #: locations a call reads (arguments + stack pointer) and a return reads
-#: (results, stack and return address, everything the caller relies on)
-_IMPLICIT_USES: dict[Opcode, tuple[Loc, ...]] = {
+#: (results, stack and return address, everything the caller relies on);
+#: with ``CALL_CLOBBERED`` the whole of an op's effect beyond its operands
+#: and ``dst``, which :meth:`MicroOp.uses`/:meth:`MicroOp.defs` and the
+#: dataflow kernels that inline them all read
+IMPLICIT_USES: dict[Opcode, tuple[Loc, ...]] = {
     Opcode.CALL: ARG_LOCS + (SP,),
     Opcode.RETURN: (V0, V1, SP, RA) + CALL_PRESERVED,
 }
@@ -234,7 +237,7 @@ class MicroOp:
             out = (a, b) if b.__class__ is Loc else (a,)
         else:
             out = (b,) if b.__class__ is Loc else ()
-        implicit = _IMPLICIT_USES.get(self.opcode)
+        implicit = IMPLICIT_USES.get(self.opcode)
         return out + implicit if implicit else out
 
     def is_terminator(self) -> bool:

@@ -27,6 +27,22 @@ changes ends there.  The worklist takes blocks in reverse postorder from
 the entry only because that needs few visits.  A block is queued again
 only when a meet deleted a key of its state, so the solve ends without a
 visit cap.  The rewrite reads the same entry states.
+
+Idempotence.  Run again on its own output, the pass rewrites nothing
+unless it folded a branch or an ``x & 0``/``x * 0`` with ``x`` not
+constant, so the cleanup rounds skip that second run
+(:class:`~repro.decompile.decompiler.Decompiler`).  A location operand is
+rewritten to the constant the fixpoint gives it, and a reached block's
+state only ever loses keys, so every solver visit that reads that operand
+already saw the same constant there; every other rewrite (an identity, a
+fold, ``MOVE #imm`` -> CONST) keeps the op's transfer on every state.  A
+second solve therefore passes through the same states to the same
+fixpoint, where no rewritable operand is left and every rewritten op is a
+fixpoint of :func:`self_simplify`.  The two exceptions give the next run
+work: a folded branch deletes an edge, and the meet at its old target may
+then keep more constants; and ``x & 0``/``x * 0`` becomes ``CONST 0``,
+whose transfer knows a constant the original op's did not
+(:attr:`ConstPropStats.zero_products`).
 """
 
 from __future__ import annotations
@@ -68,6 +84,10 @@ class ConstPropStats:
     operands_immediated: int = 0  # register operand replaced by constant
     ops_folded: int = 0           # ALU op replaced by CONST
     branches_folded: int = 0
+    #: of ``ops_folded``, ``x & 0`` and ``x * 0`` with ``x`` not constant:
+    #: the one rewrite whose op knows a constant the solve did not, so like
+    #: a folded branch it may give the next run work
+    zero_products: int = 0
 
     @property
     def total(self) -> int:
@@ -154,7 +174,7 @@ def _solve(
     blocks = cfg.blocks
     if steps is None:
         steps = [transfer_steps(block.ops) for block in blocks]
-    entry = cfg.block_by_start[cfg.entry]
+    entry = cfg.entry_index
     order = graph.reverse_postorder([block.succs for block in blocks], entry)
     rank = [0] * len(blocks)
     for position, index in enumerate(order):
@@ -355,9 +375,10 @@ def self_simplify(op: MicroOp, stats: ConstPropStats) -> MicroOp:
     if a_imm == 0 and op.opcode in (Opcode.ADD, Opcode.OR, Opcode.XOR) and isinstance(op.b, Loc):
         stats.moves_recovered += 1
         return MicroOp(Opcode.MOVE, dst=op.dst, a=op.b, pc=op.pc)
-    # x & 0 / x * 0 -> 0
+    # x & 0 / x * 0 -> 0, where x is not constant (else folded above)
     if (a_imm == 0 or b_imm == 0) and op.opcode in (Opcode.AND, Opcode.MUL):
         stats.ops_folded += 1
+        stats.zero_products += 1
         return MicroOp(Opcode.CONST, dst=op.dst, a=Imm(0), pc=op.pc)
     # x * 1 -> move
     if op.opcode is Opcode.MUL and (b_imm == 1 or a_imm == 1):

@@ -11,14 +11,23 @@ from repro.decompile.cfg import ControlFlowGraph
 from repro.decompile.microop import Loc, MicroOp, Opcode, ZERO
 
 
-def propagate_copies(cfg: ControlFlowGraph) -> int:
+def propagate_copies(
+    cfg: ControlFlowGraph, seen: dict[int, list[MicroOp]] | None = None
+) -> int:
     """Returns the number of operand substitutions performed.
 
     A changed op is replaced by a new op in a new list for its block; an
-    unchanged block keeps its list.
+    unchanged block keeps its list.  *seen* holds, by id, the op lists this
+    pass has left, for a caller that runs it again while every other pass
+    also replaces a list it changes: a block whose list it holds is
+    skipped, since a second pass over a block substitutes nothing (a
+    MOVE's source is substituted before the MOVE is recorded, so no
+    recorded source is itself a recorded destination).
     """
     substitutions = 0
     for block in cfg.blocks:
+        if seen is not None and id(block.ops) in seen:
+            continue
         available: dict[Loc, Loc] = {}
         new_ops: list[MicroOp] | None = None
         for position, op in enumerate(block.ops):
@@ -50,4 +59,6 @@ def propagate_copies(cfg: ControlFlowGraph) -> int:
                 available[op.dst] = op.a
         if new_ops is not None:
             block.ops = new_ops
+        if seen is not None:
+            seen[id(block.ops)] = block.ops
     return substitutions

@@ -1,6 +1,8 @@
 """Decompilation pass tests: each pass removes what the paper says it
 removes, and the CDFG interpreter confirms semantics after every pass."""
 
+import copy
+import functools
 import os
 import subprocess
 import sys
@@ -11,10 +13,12 @@ import pytest
 import repro
 from repro.compiler import compile_source, CompilerOptions
 from repro.decompile import decompile
+from repro.decompile.cfg import ControlFlowGraph
+from repro.decompile.dataflow import liveness, ops_use_def
 from repro.decompile.decompiler import DecompilationOptions
 from repro.decompile.interp import CdfgInterpreter
-from repro.decompile.microop import ZERO, Imm, Opcode
-from repro.decompile.passes import constprop
+from repro.decompile.microop import CALL_CLOBBERED, ZERO, Imm, Opcode
+from repro.decompile.passes import constprop, dce
 from repro.errors import DecompilationError
 from repro.isa.assembler import assemble
 from repro.sim import run_executable
@@ -91,6 +95,27 @@ class TestConstantPropagation:
         join = pick.blocks[pick.block_by_start[exe.symbols["pick"].address + 8]]
         assert "R2 = add R4, #1" in [str(op) for op in join.ops]
 
+    def test_a_folded_branch_gives_the_next_iteration_work(self):
+        # the branch over `li $a0, 2` is always taken, but only once it is
+        # folded and its fall-through block pruned does $a0 reach the join
+        # as the constant 1, so $v0 folds in the iteration after the fold
+        exe = assemble(_FOLD_THEN_JOIN)
+        program = decompile(exe)
+        assert program.recovered, program.failures
+        _equivalent(exe, program)
+        ops = [str(op) for op in program.functions["main"].cfg.all_ops()]
+        assert "R2 = #0x2" in ops and "R4 = #0x2" not in ops
+
+    def test_a_zero_product_gives_the_next_iteration_work(self):
+        # `and $t0, $t1, $zero` folds to CONST 0 although $t1 is loaded, so
+        # only the next iteration sees $t0 as a constant and folds $v0
+        exe = assemble(_ZERO_PRODUCT)
+        program = decompile(exe)
+        assert program.recovered, program.failures
+        _equivalent(exe, program)
+        ops = [str(op) for op in program.functions["main"].cfg.all_ops()]
+        assert "R2 = #0x1" in ops
+
     def test_solver_reaches_the_order_free_maximal_fixpoint(self):
         # the worklist solver's states are the lattice's unique maximal
         # fixpoint: a naive round-robin solve gives the same states, and so
@@ -135,6 +160,45 @@ checksum: .word 0
 """
 
 
+_FOLD_THEN_JOIN = """
+.text
+_start:
+    jal main
+    break
+main:
+    li $t0, 3
+    li $t1, 5
+    li $a0, 1
+    slt $t2, $t1, $t0
+    beq $t2, $zero, .Ljoin
+    li $a0, 2
+.Ljoin:
+    addiu $v0, $a0, 1
+    la $t0, checksum
+    sw $v0, 0($t0)
+    jr $ra
+.data
+checksum: .word 0
+"""
+
+
+_ZERO_PRODUCT = """
+.text
+_start:
+    jal main
+    break
+main:
+    la $t2, checksum
+    lw $t1, 0($t2)
+    and $t0, $t1, $zero
+    addiu $v0, $t0, 1
+    sw $v0, 0($t2)
+    jr $ra
+.data
+checksum: .word 9
+"""
+
+
 def _round_robin_states(cfg):
     """Entry states of the constant lattice's maximal fixpoint, solved
     naively: every block in index order until no state changes."""
@@ -166,12 +230,9 @@ def _round_robin_states(cfg):
     return ins
 
 
-def _oracle_cfgs():
-    """The lifted CFG of every function of the 80 ``static_suite`` binaries
-    and of the decompiler fuzz programs, before any pass and after all."""
-    from repro.decompile.cfg import build_cfg, prune_unreachable
-    from repro.decompile.lift import lift_function
-    from repro.isa.encoding import decode_text
+@functools.lru_cache(maxsize=1)
+def _oracle_binaries():
+    """The 80 ``static_suite`` binaries and the decompiler fuzz programs."""
     from repro.programs import ALL_BENCHMARKS
     from tests.decompile.test_differential import SEEDS
     from tests.sim.test_differential import random_program
@@ -180,7 +241,17 @@ def _oracle_cfgs():
                 for bench in ALL_BENCHMARKS for level in range(4)]
     binaries += [compile_source(random_program(seed), opt_level=seed % 4)
                  for seed in SEEDS]
-    for exe in binaries:
+    return tuple(binaries)
+
+
+def _oracle_cfgs():
+    """The lifted CFG of every function of :func:`_oracle_binaries`,
+    before any pass and after all."""
+    from repro.decompile.cfg import build_cfg, prune_unreachable
+    from repro.decompile.lift import lift_function
+    from repro.isa.encoding import decode_text
+
+    for exe in _oracle_binaries():
         instrs = decode_text(exe.text_words)
         for symbol in exe.function_symbols():
             if symbol.name == "_start":
@@ -198,6 +269,119 @@ def _oracle_cfgs():
         program = decompile(exe, DecompilationOptions(recover_jump_tables=True))
         for func in program.functions.values():
             yield func.cfg
+
+
+class TestCleanupSchedule:
+    """The cleanup rounds skip a pass only where it would change nothing."""
+
+    def test_skipped_passes_would_rewrite_nothing(self, monkeypatch):
+        # every time the schedule skips constant propagation (copy
+        # propagation is called with no constant propagation since its
+        # last call), or skips copy propagation on a block, the skipped
+        # pass, run on a deep copy, leaves every op list as it is;
+        # comparing the lists also catches the uncounted MOVE #imm -> CONST
+        # rewrite
+        from repro.decompile import decompiler
+
+        real_constants = decompiler.propagate_constants
+        real_copies = decompiler.propagate_copies
+        propagated = [False]
+        skips = {"constants": 0, "copy blocks": 0}
+
+        def constants(cfg, steps_of=None):
+            propagated[0] = True
+            return real_constants(cfg, steps_of)
+
+        def copies(cfg, seen):
+            if not propagated[0]:
+                skips["constants"] += 1
+                probe = copy.deepcopy(cfg)
+                assert real_constants(probe).total == 0, cfg.name
+                assert _op_lists(probe) == _op_lists(cfg), cfg.name
+            propagated[0] = False
+            skipped = [block for block in cfg.blocks if id(block.ops) in seen]
+            if skipped:
+                skips["copy blocks"] += len(skipped)
+                probe = ControlFlowGraph(cfg.name, cfg.entry, copy.deepcopy(skipped))
+                assert real_copies(probe) == 0, cfg.name
+                assert _op_lists(probe) == [block.ops for block in skipped], cfg.name
+            return real_copies(cfg, seen)
+
+        monkeypatch.setattr(decompiler, "propagate_constants", constants)
+        monkeypatch.setattr(decompiler, "propagate_copies", copies)
+        options = DecompilationOptions(recover_jump_tables=True)
+        # the hand-assembled programs add the cases the corpus lacks: a
+        # folded branch and an x & 0 whose next iteration has something to
+        # rewrite
+        extra = (assemble(_PICK), assemble(_FOLD_THEN_JOIN), assemble(_ZERO_PRODUCT))
+        for exe in _oracle_binaries() + extra:
+            decompile(exe, options)
+        assert skips["constants"] > 600 and skips["copy blocks"] > 2000, skips
+
+
+def _op_lists(cfg):
+    return [block.ops for block in cfg.blocks]
+
+
+class TestUseDefKernels:
+    def test_kernels_agree_with_the_op_effects(self):
+        # ops_use_def, the DCE sweep and liveness inline MicroOp.uses() and
+        # MicroOp.defs() (CALL clobbers, the implicit uses of CALL and
+        # RETURN): on every block they agree with a fold over those calls
+        checked = 0
+        for cfg in _oracle_cfgs():
+            use_def = [_reference_use_def(block.ops) for block in cfg.blocks]
+            assert [ops_use_def(block.ops) for block in cfg.blocks] == use_def, cfg.name
+            live_in, live_out = _reference_liveness(cfg, use_def)
+            assert liveness(cfg) == (live_in, live_out), cfg.name
+            for block in cfg.blocks:
+                # the third live-out set makes every call clobber matter
+                for live in (live_out[block.index], set(),
+                             live_out[block.index] | set(CALL_CLOBBERED)):
+                    kept = dce.sweep(block.ops, live)
+                    assert kept == _reference_sweep(block.ops, live), cfg.name
+                    assert (kept is block.ops) == (len(kept) == len(block.ops))
+            checked += 1
+        assert checked > 500
+
+
+def _reference_use_def(ops):
+    uses, defs = set(), set()
+    for op in reversed(ops):
+        uses.difference_update(op.defs())
+        uses.update(op.uses())
+        defs.update(op.defs())
+    return uses, defs
+
+
+def _reference_liveness(cfg, use_def):
+    """Each block's live-in and live-out sets, solved naively: every block
+    in reverse index order until no set changes."""
+    live_in = [set() for _ in cfg.blocks]
+    live_out = [set() for _ in cfg.blocks]
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(cfg.blocks):
+            out = set().union(*(live_in[succ] for succ in block.succs))
+            uses, defs = use_def[block.index]
+            new_in = uses | (out - defs)
+            if out != live_out[block.index] or new_in != live_in[block.index]:
+                live_out[block.index], live_in[block.index] = out, new_in
+                changed = True
+    return live_in, live_out
+
+
+def _reference_sweep(ops, live_out):
+    live = set(live_out)
+    kept = []
+    for op in reversed(ops):
+        if op.opcode in dce._PURE and op.dst is not None and op.dst not in live:
+            continue
+        live.difference_update(op.defs())
+        live.update(op.uses())
+        kept.append(op)
+    return kept[::-1]
 
 
 def test_total_stats_hands_out_fresh_copies():
