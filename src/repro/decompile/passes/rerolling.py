@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro.decompile.cfg import ControlFlowGraph, MicroBlock
 from repro.decompile.dataflow import liveness, natural_loops
@@ -181,64 +182,100 @@ def _symbolic_exec(ops: list[MicroOp]) -> _Transfer:
 def _canonicalize_rotations(
     ops: list[MicroOp], live_out: set[Loc]
 ) -> tuple[list[MicroOp], int]:
-    """The rewritten op list and the number of renames applied."""
+    """The rewritten op list and the number of renames applied.
+
+    Each step applies the copy collapse at the last position where it
+    applies, or else the operand threading at the last position where it
+    applies.  Whether a rule applies at a position depends only on the
+    locations that position's op names, so a position found not to apply
+    is checked again only after a rename touches one of its locations
+    (a max-heap per rule holds the positions still to check), instead of
+    rescanning every position after every rename.
+    """
     index = _Positions(list(ops))
     ops = index.ops
     rewrites = 0
     budget = 4 * len(ops) + 16
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        budget -= 1
-        # rule 1: copy collapse (scan from the end)
-        for p in range(len(ops) - 1, -1, -1):
-            op = ops[p]
-            if op is None or op.opcode is not Opcode.MOVE or op.a.__class__ is not Loc:
-                continue
-            dst, src = op.dst, op.a
-            if dst is src or src is ZERO:
-                continue
-            if not index.dead_after(src, p, live_out):
-                continue
-            q = index.last_def_before(src, p)
-            if q is None or ops[q].dst is not src:
-                continue  # no def, or an implicit one (a CALL clobber)
-            if index.accessed_between(dst, q + 1, p):
-                continue
-            index.rename(src, dst, q, p)
-            index.delete(p)
-            rewrites += 1
-            changed = True
+    rules = (_collapse_copy, _thread_operand)
+    # the positions each rule can apply at (a rename never changes an
+    # opcode), as negated max-heaps: sorted ascending is a heap
+    pending = [
+        [-p for p in range(len(ops) - 1, -1, -1) if ops[p].opcode is Opcode.MOVE],
+        [-p for p in range(len(ops) - 1, -1, -1) if ops[p].opcode in ALU_OPS],
+    ]
+    failed: list[set[int]] = [set() for _ in rules]
+    while rewrites < budget:
+        for rule, heap, misses in zip(rules, pending, failed):
+            renamed = None
+            while heap:
+                p = -heappop(heap)
+                renamed = rule(index, p, live_out)
+                if renamed is not None:
+                    break
+                misses.add(p)
+            if renamed is not None:
+                break
+        else:
             break
-        if changed:
-            continue
-        # rule 2: operand threading
-        for q in range(len(ops) - 1, -1, -1):
-            op = ops[q]
-            if op is None or op.opcode not in ALU_OPS or op.dst is None:
-                continue
-            dst = op.dst
-            if dst is op.a or dst is op.b:
-                # the op reads its own destination: renaming any other
-                # operand to dst would clobber that read
-                continue
-            for operand in (op.a, op.b):
-                if operand.__class__ is not Loc or operand is dst or operand is ZERO:
-                    continue
-                if not index.dead_after(operand, q, live_out):
-                    continue
-                qd = index.last_def_before(operand, q)
-                if qd is None or ops[qd].dst is not operand:
-                    continue  # no def, or an implicit one (a CALL clobber)
-                if index.accessed_between(dst, qd + 1, q):
-                    continue
-                index.rename(operand, dst, qd, q + 1)
-                rewrites += 1
-                changed = True
-                break
-            if changed:
-                break
+        rewrites += 1
+        if ops[p] is not None:  # threading keeps its op, which may apply again
+            heappush(heap, -p)
+        touched: set[int] = set()
+        for loc in renamed:
+            touched.update(index.defs.get(loc, ()))
+            touched.update(index.uses.get(loc, ()))
+        for heap, misses in zip(pending, failed):
+            for q in misses & touched:
+                heappush(heap, -q)
+            misses -= touched
     return [op for op in ops if op is not None], rewrites
+
+
+def _collapse_copy(index: "_Positions", p: int, live_out: set[Loc]):
+    """Copy collapse at *p*: the renamed pair, or ``None`` where it does
+    not apply."""
+    op = index.ops[p]
+    if op is None or op.opcode is not Opcode.MOVE or op.a.__class__ is not Loc:
+        return None
+    dst, src = op.dst, op.a
+    if dst is src or src is ZERO:
+        return None
+    if not index.dead_after(src, p, live_out):
+        return None
+    q = index.last_def_before(src, p)
+    if q is None or index.ops[q].dst is not src:
+        return None  # no def, or an implicit one (a CALL clobber)
+    if index.accessed_between(dst, q + 1, p):
+        return None
+    index.rename(src, dst, q, p)
+    index.delete(p)
+    return src, dst
+
+
+def _thread_operand(index: "_Positions", q: int, live_out: set[Loc]):
+    """Operand threading at *q*: the renamed pair, or ``None`` where it
+    does not apply."""
+    op = index.ops[q]
+    if op is None or op.opcode not in ALU_OPS or op.dst is None:
+        return None
+    dst = op.dst
+    if dst is op.a or dst is op.b:
+        # the op reads its own destination: renaming any other
+        # operand to dst would clobber that read
+        return None
+    for operand in (op.a, op.b):
+        if operand.__class__ is not Loc or operand is dst or operand is ZERO:
+            continue
+        if not index.dead_after(operand, q, live_out):
+            continue
+        qd = index.last_def_before(operand, q)
+        if qd is None or index.ops[qd].dst is not operand:
+            continue  # no def, or an implicit one (a CALL clobber)
+        if index.accessed_between(dst, qd + 1, q):
+            continue
+        index.rename(operand, dst, qd, q + 1)
+        return operand, dst
+    return None
 
 
 class _Positions:

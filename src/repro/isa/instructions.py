@@ -152,7 +152,7 @@ _SPEC_LIST: list[InstrSpec] = [
 SPECS: dict[str, InstrSpec] = {spec.mnemonic: spec for spec in _SPEC_LIST}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     """One decoded (or to-be-encoded) machine instruction.
 

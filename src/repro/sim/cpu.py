@@ -29,10 +29,10 @@ Design notes:
   observation point folds each counter into the per-instruction
   counters.  Both dispatch loops hand regions an instruction allowance
   they run whole iterations under.  Both single-step a slot with no
-  generated function (a dynamic jump into the middle of a block) through
-  the handlers; the superblock loop also falls back to them for the last
-  few instructions of a *max_steps* budget, and the sampled loop for
-  chunk tails.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
+  generated function (a block that runs at most once, or a dynamic jump
+  into the middle of a block) through the handlers; the superblock loop
+  also falls back to them for the last few instructions of a *max_steps*
+  budget, and the sampled loop for chunk tails.  Select with ``Cpu(exe, engine="threaded"|"superblock")``.
 * **Flat memory windows.**  Construction installs two flat windows in
   :class:`~repro.sim.memory.Memory`: a 64 KiB stack window ending at
   ``0x8000_0000`` and a power-of-two data window starting at the
@@ -240,7 +240,10 @@ class Cpu:
         self._profile = profile
         self._engine = engine
         load_into_memory(exe, self.memory)
+        started = time.perf_counter()
         self._decoded = decode_text(exe.text_words)
+        #: seconds this construction spent decoding, until a run reports them
+        self._decode_seconds: float | None = time.perf_counter() - started
         self.regs = [0] * 32
         self.pc = exe.entry
         self.regs[29] = STACK_TOP  # $sp
@@ -496,6 +499,9 @@ class Cpu:
         figure is derived from counter state the dispatch loops maintain
         anyway (``bcounts`` reset per run, cumulative table stats read
         through a watermark), so the hot paths carry zero extra work.
+        The first run also reports what construction spent decoding,
+        building unit source and compiling it
+        (``engine.construct.*_seconds``).
         """
         obs.counter("engine.runs_total").inc()
         obs.counter(f"engine.runs.{self._engine}").inc()
@@ -503,6 +509,10 @@ class Cpu:
         obs.counter("engine.cycles_total").inc(result.cycles)
         if wall_seconds > 0:
             obs.histogram("engine.run_seconds").observe(wall_seconds)
+        if self._decode_seconds is not None:
+            obs.histogram("engine.construct.decode_seconds").observe(
+                self._decode_seconds)
+            self._decode_seconds = None
         sb = self._sb
         if sb is None:
             return
@@ -517,9 +527,10 @@ class Cpu:
         obs.counter("engine.codegen_units_total").inc(delta["codegen_units"])
         obs.counter("engine.codegen_lines_total").inc(delta["codegen_lines"])
         obs.counter("engine.unit_guard_misses_total").inc(delta["guard_misses"])
-        seconds = delta["codegen_seconds"]
-        if seconds > 0:
-            obs.histogram("engine.codegen_seconds").observe(seconds)
+        for part in ("source", "compile"):
+            seconds = delta[f"{part}_seconds"]
+            if seconds > 0:
+                obs.histogram(f"engine.construct.{part}_seconds").observe(seconds)
 
     def _run_threaded(
         self, index: int, counts: list[int], max_steps: int,

@@ -8,28 +8,35 @@ dispatch loop's ``fns[index]()`` calls land on functions that share a
 module and its constant pool, while the compiler's transient memory stays
 bounded by the batch, not the program.
 
-Generation is eager but limited to the **dispatch entries**: the closure,
-over each unit's static exits (branch target and fall-through, an unfused
-``j``/``jal`` target, the fall-through at the end of a unit), of the
-entry point, every return address (the successor of a ``jal``/``jalr``)
-and every text address in ``.data`` (jump-table cases).  A leader reached
-only through a fused ``j``/``jal`` -- every callee's first block, most
-``j`` targets -- is never handed to the dispatch loop, so it gets no unit
-of its own.  Correctness does not depend on the set: both dispatch
-loops single-step an index whose slot is ``None`` through the threaded
+Generation happens at construction only, and only for the **dispatch
+entries** that can run more than once.  The entries are the closure,
+over each unit's static exits (branch target and fall-through, an
+unfused ``j``/``jal`` target, the fall-through at the end of a unit), of
+the entry point, every return address (the successor of a
+``jal``/``jalr``) and every text address in ``.data`` (jump-table
+cases).  A leader reached only through a fused ``j``/``jal`` -- every
+callee's first block, most ``j`` targets -- is never handed to the
+dispatch loop, so it gets no unit of its own.  Of those entries, a block
+that statically runs at most once
+(:func:`~repro.sim.superblock.leaders.run_once_leaders`: on no cycle of
+the call-aware block graph, in a function called from exactly one such
+block) gets no unit either; that drops 522 of the 1,886 units of
+``static_suite``'s 80 binaries, and each of them would have run once.
+Correctness does not depend on either set: both dispatch loops
+single-step an index whose slot is ``None`` through the threaded
 handlers until a slot with a generated function comes up, so no code is
 generated after construction.
 
-Eager generation is not free: 29% of ``static_suite``'s 26,574 text
-words run fewer than 4 times and 58% fewer than 64 times (0.68% of the
-executed instructions); compiling one function alone costs ~50-65 us
-more than inside a batch, and compiling a factory wrapper alone costs
-~75-95 us.  It stays because the alternative gains too little: an entry-count tier-up
-(generate a slot at its T-th single-stepped entry) is modelled at
-0.13-0.19 s net on ``static_suite`` (~3%) and at most 0.009 s on the O1
-binaries ``table_grid`` and ``dynamic_suite`` run, and a compile-only
-prototype of it stayed inside the host's run-to-run noise.  Two layers
-sit on that substrate:
+What construction still compiles is what can repeat.  Compiling is
+``compile()``'s bytecode generation per statement, so fewer units pay,
+fewer characters do not; ``source_seconds`` and ``compile_seconds``
+split the cost.  Counting entries and generating a slot at its T-th
+single-stepped entry was modelled at 0.13-0.19 s net on
+``static_suite`` (~3%), and a compile-only prototype of it stayed
+inside the host's run-to-run noise: a function compiled alone costs
+~50-65 us more than inside a batch.  The static run-once test needs no
+counters and compiles nothing at run time.  Several layers sit on that
+substrate:
 
 * **j-chain fusion**: a unit whose block ends in an unconditional
   ``j``/``jal`` with a static in-text target *inlines* the target block
@@ -70,6 +77,7 @@ from repro.sim.superblock.leaders import (
     dispatch_roots,
     find_leaders,
     find_loops,
+    run_once_leaders,
 )
 
 __all__ = ["SuperblockTable"]
@@ -99,8 +107,8 @@ class SuperblockTable:
 
     * ``fns[index]`` -- the generated function for every handler slot
       (escape slots reuse the threaded escape handlers); ``None`` marks an
-      index that is not a dispatch entry and that nobody has jumped to
-      yet.
+      index that is not a dispatch entry or whose block runs at most
+      once; the dispatch loops single-step it.
     * ``sizes[index]`` -- instructions one ``fns[index]`` call executes:
       the fused chain at a dispatch entry, the rest of the block
       elsewhere, 1 at an escape slot; at a region's header, the most one
@@ -152,10 +160,13 @@ class SuperblockTable:
         #: each region call spends from it (see ``Codegen.emit_region``)
         self.allowance = [0]
 
-        #: cumulative generated-code cost (the construction-time batches);
-        #: always-on -- a couple of perf_counter calls around each
-        #: compile, nothing in dispatch
-        self.codegen_seconds = 0.0
+        #: cumulative generated-code cost, split into building the source
+        #: (block analysis and emission) and compiling it (``compile()``,
+        #: running the module and binding its functions); always-on -- a
+        #: couple of perf_counter calls around each batch, nothing in
+        #: dispatch
+        self.source_seconds = 0.0
+        self.compile_seconds = 0.0
         #: watermark for :meth:`consume_stats`
         self._obs_seen: dict[str, float] = {}
 
@@ -180,9 +191,7 @@ class SuperblockTable:
             cpu._targets, (stack[0], len(stack[1])),
             (data[0], len(data[1])) if data else None,
         )
-        self._build_units(dispatch_roots(
-            decoded, cpu.exe.entry, self._text_base, self._text_len, cpu.exe.data
-        ))
+        self._build_units(cpu.exe)
         self.call_bound = max(self.sizes, default=1)
 
     # -- public surface ----------------------------------------------------
@@ -269,13 +278,14 @@ class SuperblockTable:
     def consume_stats(self) -> dict:
         """Telemetry deltas since the previous call.
 
-        The underlying attributes (``codegen_seconds``, the code
+        The underlying attributes (``source_seconds``, the code
         generator's emit counters, ...) are cumulative over the table's
         lifetime and shared with introspection; the watermark here lets
         per-run metrics charge each run only its own share.
         """
         stats = {
-            "codegen_seconds": self.codegen_seconds,
+            "source_seconds": self.source_seconds,
+            "compile_seconds": self.compile_seconds,
             "codegen_units": self._cg.units_emitted,
             "codegen_lines": self._cg.lines_emitted,
             "codegen_chars": self._cg.chars_emitted,
@@ -396,14 +406,15 @@ class SuperblockTable:
             nodes[start] = segments
         return nodes
 
-    def _build_units(self, roots) -> None:
+    def _build_units(self, exe) -> None:
         """Generate a function per dispatch slot, compiled in batches."""
         started = perf_counter()
+        compiled = self.compile_seconds
         entries: list[int] = []
         lines: list[str] = []
         starts: list[int] = []  # the functions in this batch
         chars = 0
-        for start, function in self._functions(roots):
+        for start, function in self._functions(exe):
             entries.append(start)
             size = sum(map(len, function)) + len(function)
             if chars + size >= 2 * _BATCH_MAX_CHARS and starts:
@@ -420,17 +431,24 @@ class SuperblockTable:
         #: the dispatch slots with a generated function, sorted: every
         #: dispatch entry outside a region, and each region's header
         self.entries = sorted(entries)
-        self.codegen_seconds += perf_counter() - started
+        self.source_seconds += (perf_counter() - started
+                                - (self.compile_seconds - compiled))
 
-    def _functions(self, roots):
+    def _functions(self, exe):
         """Yield ``(slot, source lines)`` for every generated function.
 
         Each innermost loop that fits becomes one region function in its
         header's slot, and its other members get no slot (see
         :meth:`Codegen.emit_region`); every other dispatch entry gets its
-        unit.
+        unit, unless its block runs at most once
+        (:func:`~repro.sim.superblock.leaders.run_once_leaders`): that
+        slot stays ``None`` and the dispatch loops single-step it.
         """
+        decoded, text_base, text_len = self._decoded, self._text_base, self._text_len
+        roots = dispatch_roots(decoded, exe.entry, text_base, text_len, exe.data)
         chains, exits, closed = self._dispatch_entries(roots)
+        once = run_once_leaders(decoded, self._targets, self.leaders,
+                                self.suffix_len, exe.entry, text_base, exe.data)
         cg = self._cg
         claimed: set[int] = set()
         for header, body in sorted(find_loops(exits, roots, closed).items()):
@@ -445,7 +463,7 @@ class SuperblockTable:
             claimed |= body
             yield header, lines
         for start in sorted(chains):
-            if start not in claimed:
+            if start not in claimed and start not in once:
                 segments = chains[start]
                 bid = self._new_bid(segments)
                 self.sizes[start] = self._unit_sizes[bid]
@@ -455,11 +473,13 @@ class SuperblockTable:
         """Compile one batch of units and install their functions."""
         names = ", ".join(f"_b{start}" for start in starts)
         source = "\n".join([_FACTORY, *lines, f"    return ({names},)\n"])
+        started = perf_counter()
         namespace: dict = {}
         exec(compile(source, "<superblocks>", "exec"), namespace)
         fns = namespace["_factory"](**self._ns)
         for start, fn in zip(starts, fns):
             self.fns[start] = fn
+        self.compile_seconds += perf_counter() - started
 
 
 def _fault_write_back(regs: list[int], hilo: list[int]):

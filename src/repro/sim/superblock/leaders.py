@@ -21,6 +21,11 @@ static exits and generates code only for that set.
 the loops the warp profiler finds from backward branches: each becomes
 one generated region function (see
 :meth:`repro.sim.superblock.codegen.Codegen.emit_region`).
+
+:func:`run_once_leaders` names the blocks that statically run at most
+once per run: the dispatch table generates no code for them, so a
+program's straight-line set-up and tear-down is single-stepped instead
+of compiled.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from __future__ import annotations
 from struct import unpack_from
 
 from repro.isa.instructions import CLASS_BRANCH, CLASS_JUMP, SPECS
+from repro.utils.graph import cyclic_nodes
 
 __all__ = [
     "BRANCHES", "CONTROL_TRANSFERS", "dispatch_roots", "find_leaders", "find_loops",
+    "run_once_leaders",
 ]
 
 #: a superblock never continues past one of these: the branches, the
@@ -131,3 +138,103 @@ def find_loops(succs: dict[int, list[int]], roots: set[int],
                 loops[header] = body | grown
     return {header: body for header, body in loops.items()
             if not any(other in body for other in loops if other != header)}
+
+
+def run_once_leaders(decoded, targets: dict[int, int], leaders: set[int],
+                     suffix_len: list[int], entry: int, text_base: int,
+                     data: bytes) -> set[int]:
+    """Leaders of the blocks that run at most once in any run.
+
+    The static graph has a node per block and an edge per branch target
+    and fall-through, ``j`` target and fall-through into the next block;
+    a ``jal`` has two, to its callee and to its return site (a call
+    returns there).  A *function* is everything a function entry (the
+    entry point or a ``jal`` target) reaches over those edges without
+    entering another callee.  A block qualifies when it is on no cycle
+    of the graph, exactly one function reaches it, and that function
+    runs at most once: the entry point's function when no ``jal`` calls
+    it, any other when exactly one ``jal`` calls it, from a qualifying
+    block.  A function that holds a register-indirect jump other than
+    ``jr $ra`` (a jump-table switch) or a text address from the data
+    section never qualifies, nor does a block reachable from such an
+    address; a ``jalr`` anywhere, a call through a pointer, leaves
+    nothing to qualify.  A program without calls keeps all of its code:
+    such a program is hand-written straight-line code around its loops,
+    and it would otherwise never reach the generated-code paths (inline
+    window accesses, entry guards) outside a loop region.
+    """
+    text_len = len(decoded)
+    if any(instr.mnemonic == "jalr" for instr in decoded):
+        return set()
+    order = sorted(leaders)
+    node = {leader: position for position, leader in enumerate(order)}
+    succs: list[list[int]] = []  # calls included
+    local: list[list[int]] = []  # a call reaches only its return site
+    calls: dict[int, list[int]] = {}  # callee node -> calling nodes
+    indirect: set[int] = set()  # nodes ending in a jr other than jr $ra
+    for position, start in enumerate(order):
+        last = start + suffix_len[start] - 1
+        instr = decoded[last]
+        m = instr.mnemonic
+        callee = None
+        if m in BRANCHES:
+            out = [targets[last], last + 1]
+        elif m == "j":
+            out = [targets[last]]
+        elif m == "jal":
+            out = [last + 1]
+            if targets[last] < text_len:
+                callee = node[targets[last]]
+                calls.setdefault(callee, []).append(position)
+        else:
+            out = [] if m in CONTROL_TRANSFERS else [last + 1]
+            if m == "jr" and instr.rs != 31:
+                indirect.add(position)
+        out = [node[target] for target in out if target < text_len]
+        local.append(out)
+        succs.append(out if callee is None else [callee, *out])
+    cyclic = cyclic_nodes(succs)
+
+    def reach(starts) -> set[int]:
+        seen = set(starts)
+        work = list(seen)
+        while work:
+            for succ in local[work.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append(succ)
+        return seen
+
+    jumped = reach(node[t] for t in _data_text_targets(data, text_base, text_len))
+    barred = jumped | indirect  # a function holding one never qualifies
+    owners: dict[int, list[int]] = {}  # node -> the functions reaching it
+    bodies: dict[int, set[int]] = {}
+    heads = set(calls)
+    index = (entry - text_base) >> 2
+    if not entry & 3 and index in node:
+        heads.add(node[index])
+    for head in heads:
+        body = bodies[head] = reach([head])
+        for member in body:
+            owners.setdefault(member, []).append(head)
+
+    once: dict[int, bool] = {}
+
+    def runs_once(head: int) -> bool:
+        if head not in once:
+            once[head] = False  # a cycle of calls never qualifies
+            sites = calls.get(head, [])
+            once[head] = bodies[head].isdisjoint(barred) and (
+                len(sites) == 1 and qualifies(sites[0])
+                if order[head] != index else not sites)
+        return once[head]
+
+    def qualifies(position: int) -> bool:
+        heads = owners.get(position, ())
+        return (not cyclic[position] and position not in jumped
+                and len(heads) == 1 and runs_once(heads[0]))
+
+    if not calls:
+        return set()
+    return {order[position] for position in range(len(order))
+            if qualifies(position)}

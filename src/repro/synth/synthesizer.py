@@ -8,16 +8,18 @@ Ties the pieces together for one hardware region:
    flexibility strength promotion exists to enable,
 3. schedule (list scheduling), bind, estimate area and clock,
 4. estimate pipelined execution time via the initiation interval,
-5. emit VHDL.
+5. emit VHDL, on the first read of :attr:`HwKernel.vhdl`.
 
 Memory localization (the paper's partitioning step 2) is decided by the
 caller from the alias footprints: localized regions use dual-ported BRAM at
 2-cycle latency, everything else pays the shared-bus penalty.
 
-A :class:`Synthesizer` works out a function's liveness once for all its
-loops, and each body block's DFG, op costs, schedule and binding once per
-memory and resource setting, so nested loops share their inner blocks.
-The function's CFG must not change while its loops are synthesized.
+A :class:`Synthesizer` builds each body block's DFG, op costs, schedule
+and binding once per memory and resource setting, so nested loops share
+their inner blocks.  Only the VHDL reads which of a block's values live
+out of it, so a function's liveness is worked out when the first of its
+kernels' VHDL is read, once for all of them.  The function's CFG must
+not change after its loops are synthesized.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.binary.image import Executable
 from repro.decompile.cdfg import Dfg, build_dfg
 from repro.decompile.dataflow import NaturalLoop, liveness
 from repro.decompile.decompiler import DecompiledFunction
-from repro.decompile.microop import Imm, MicroOp, Opcode
+from repro.decompile.microop import Imm, Loc, MicroOp, Opcode
 from repro.errors import SynthesisError
 from repro.synth.binding import BindingResult, bind
 from repro.synth.fpga import DEFAULT_DEVICE, FpgaDevice, OpCost, TechnologyModel
@@ -66,20 +68,67 @@ class HwKernel:
     bram_bytes: int
     iterations_multiplier: int  # reroll factor recovered by the decompiler
     pipelined: bool
-    vhdl: str = ""
+    #: the VHDL, or what emits it on the first read of :attr:`vhdl`
+    _vhdl: str | _KernelVhdl = field(default="", repr=False, compare=False)
     #: per-body-block schedule length (block start address -> cycles), used
     #: by the evaluator to weight multi-block loops with profiled counts
     block_schedules: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def vhdl(self) -> str:
+        """The kernel's RT-level VHDL, emitted on first read."""
+        if not isinstance(self._vhdl, str):
+            self._vhdl = self._vhdl()
+        return self._vhdl
+
+
+class _Liveness:
+    """A function's per-block live-out sets, worked out on first use."""
+
+    def __init__(self, cfg) -> None:
+        self.cfg = cfg
+        self._live_out: list | None = None
+
+    def live_out(self, index: int) -> set[Loc]:
+        if self._live_out is None:
+            self._live_out = liveness(self.cfg)[1]
+        return self._live_out[index]
+
+
+@dataclass(frozen=True)
+class _KernelVhdl:
+    """What a kernel's VHDL is emitted from: the parts of the datapath
+    block's DFG and schedule the emitter reads (not the edges), with
+    every value the block defines as a candidate output until the
+    function's liveness keeps the ones live out of the block."""
+
+    entity: str
+    ops: list[MicroOp]
+    inputs: set[Loc]
+    defined: set[Loc]
+    start_cycle: dict[int, int]
+    length: int
+    index: int
+    function: _Liveness
+    guard_comment: str
+
+    def __call__(self) -> str:
+        outputs = self.defined & self.function.live_out(self.index)
+        return emit_vhdl(
+            self.entity, Dfg(ops=self.ops, inputs=self.inputs, outputs=outputs),
+            Schedule(start_cycle=self.start_cycle, length=self.length),
+            guard_comment=self.guard_comment,
+        )
 
 
 class Synthesizer:
     def __init__(self, options: SynthesisOptions | None = None):
         self.options = options or SynthesisOptions()
         self.tech = TechnologyModel()
-        #: (cfg, live_out, blocks) of the function last synthesized from.
+        #: (cfg, liveness, blocks) of the function last synthesized from.
         #: A function's loops are synthesized one after another; they share
         #: its liveness, and nested loops share their inner blocks
-        self._function: tuple = (None, [], {})
+        self._function: tuple = (None, None, {})
 
     def _blocks(
         self, cfg, indices: list[int], localized: bool, constraints: ResourceConstraints
@@ -90,8 +139,8 @@ class Synthesizer:
         with at most ``mem`` changed).  They are shared between the
         function's kernels, which only read them."""
         if self._function[0] is not cfg:
-            self._function = (cfg, liveness(cfg)[1], {})
-        _, live_out, built = self._function
+            self._function = (cfg, _Liveness(cfg), {})
+        built = self._function[2]
         tech = self.tech
         blocks = []
         for index in indices:
@@ -99,7 +148,7 @@ class Synthesizer:
             key = (index, localized, constraints.mem)
             block = built.get(key)
             if block is None:
-                dfg = self._adapt_strength(build_dfg(cfg.blocks[index], live_out[index]))
+                dfg = self._adapt_strength(build_dfg(cfg.blocks[index]))
                 costs = tech.op_costs(dfg.ops, localized)
                 schedule = list_schedule(
                     dfg, costs, constraints,
@@ -176,7 +225,14 @@ class Synthesizer:
 
         reroll = cfg.reroll_factors.get(header_address, 1)
         kernel_name = name or f"{func.name}_loop_{header_address:x}"
-        vhdl = self._emit_vhdl(kernel_name, dfgs, schedules, body_indices, loop)
+        # the latch (or largest) block carries the datapath the VHDL shows
+        best = max(range(len(dfgs)), key=lambda i: len(dfgs[i].ops))
+        dfg, schedule = dfgs[best], schedules[best]
+        vhdl = _KernelVhdl(
+            _sanitize(kernel_name), dfg.ops, dfg.inputs, dfg.outputs,
+            schedule.start_cycle, schedule.length, body_indices[best],
+            self._function[1], f"natural loop header block {loop.header}",
+        )
         block_schedules = {
             cfg.blocks[index].start: max(1, schedule.length)
             for index, schedule in zip(body_indices, schedules)
@@ -193,7 +249,7 @@ class Synthesizer:
             bram_bytes=bram_bytes,
             iterations_multiplier=reroll,
             pipelined=pipelined,
-            vhdl=vhdl,
+            _vhdl=vhdl,
             block_schedules=block_schedules,
         )
 
@@ -236,21 +292,6 @@ class Synthesizer:
                 dfg.ops[index] = op.clone(opcode=Opcode.ADD)
                 total_muls -= 1
         return dfg
-
-    def _emit_vhdl(
-        self,
-        name: str,
-        dfgs: list[Dfg],
-        schedules: list[Schedule],
-        body_indices: list[int],
-        loop: NaturalLoop,
-    ) -> str:
-        # the latch (or largest) block carries the datapath; emit it
-        best = max(range(len(dfgs)), key=lambda i: len(dfgs[i].ops))
-        return emit_vhdl(
-            _sanitize(name), dfgs[best], schedules[best],
-            guard_comment=f"natural loop header block {loop.header}",
-        )
 
 
 _MULTIPLIES = (Opcode.MUL, Opcode.MULHI, Opcode.MULHIU)

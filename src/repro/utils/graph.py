@@ -13,6 +13,11 @@ Unreachable nodes: a node the root does not reach has no immediate
 dominator and is dominated only by itself, and a node that reaches no exit
 has no immediate postdominator and is postdominated only by itself.  The
 root, and for postdominance every exit node, has no parent either.
+
+:func:`cyclic_nodes` answers the one question the simulator asks of a
+whole-program graph: which nodes lie on a cycle (Tarjan's strongly
+connected components, each node on a cycle iff its component has two
+nodes or it has a self-loop).
 """
 
 from __future__ import annotations
@@ -102,3 +107,52 @@ def natural_loop(preds: Graph, header: int, latch: int) -> set[int]:
                 body.add(pred)
                 stack.append(pred)
     return body
+
+
+def cyclic_nodes(succs: Graph) -> list[bool]:
+    """Whether each node lies on a cycle: a self-loop, or a strongly
+    connected component of two or more nodes (Tarjan, iterative)."""
+    count = len(succs)
+    index = [-1] * count  # discovery order, -1 until visited
+    low = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    cyclic = [False] * count
+    counter = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succs[root]))]
+        while work:
+            node, pending = work[-1]
+            for succ in pending:
+                if succ == node:
+                    cyclic[node] = True
+                elif index[succ] < 0:
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = True
+                    work.append((succ, iter(succs[succ])))
+                    break
+                elif on_stack[succ] and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:  # the root of a component
+                    member = stack.pop()
+                    on_stack[member] = False
+                    if member != node:
+                        while True:
+                            cyclic[member] = True
+                            if member == node:
+                                break
+                            member = stack.pop()
+                            on_stack[member] = False
+    return cyclic

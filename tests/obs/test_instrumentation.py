@@ -49,6 +49,14 @@ class TestEngineMetrics:
         assert _counter_value("engine.instructions_in_blocks") > 0
         assert _counter_value("engine.codegen_units_total") > 0
 
+    def test_first_run_reports_construction_parts(self, telemetry):
+        cpu = Cpu(compile_source(get_benchmark("brev").source))
+        cpu.run()
+        cpu.run()
+        for part in ("decode", "source", "compile"):
+            histogram = obs.registry().get(f"engine.construct.{part}_seconds")
+            assert histogram is not None and histogram.count == 1, part
+
     def test_threaded_run_counts_under_its_engine(self, telemetry):
         exe = compile_source(get_benchmark("crc").source)
         Cpu(exe, engine="threaded").run()

@@ -5,7 +5,8 @@ and nodes that reach no exit.  Every result is checked by brute force:
 d dominates n iff n is unreachable from the root once d is removed, p
 postdominates n iff n reaches no exit once p is removed, and a natural
 loop is its header plus every node that reaches the latch without passing
-through the header.
+through the header; a node is on a cycle iff it reaches itself over at
+least one edge.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from repro.utils.graph import (
+    cyclic_nodes,
     dominator_sets,
     dominator_tree,
     natural_loop,
@@ -129,3 +131,20 @@ def test_single_block_loop_is_its_header():
     # 0 -> 1 -> 1 (self-loop) -> 2: the walk must not leave the header
     preds = [[], [0, 1], [1]]
     assert natural_loop(preds, 1, 1) == {1}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cyclic_nodes_are_the_nodes_that_reach_themselves(seed):
+    rng = random.Random(seed)
+    for _ in range(GRAPHS // 3):
+        succs, _ = _random_graph(rng)
+        expected = [node in _reached(succs, succs[node]) for node in range(len(succs))]
+        assert cyclic_nodes(succs) == expected, succs
+
+
+def test_cyclic_nodes_survive_a_long_chain():
+    # iterative: a chain far deeper than the recursion limit, closed into
+    # one cycle at its end
+    succs = [[node + 1] for node in range(5000)] + [[0]]
+    assert all(cyclic_nodes(succs))
+    assert not any(cyclic_nodes(succs[:-1] + [[]]))
