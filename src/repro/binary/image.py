@@ -14,7 +14,8 @@ text is a tuple and the data ``bytes``.  The symbol table stays a dict,
 which must not be mutated either.  That lets an image carry its
 :attr:`~Executable.digest` -- a hash of its serialized form, computed on
 first use and cached -- which keys every per-binary memo
-(:mod:`repro.stages`) without serializing the binary again.
+(:mod:`repro.stages`) without serializing the binary again, and its
+decoded text (:attr:`~Executable.instructions`).
 """
 
 from __future__ import annotations
@@ -75,6 +76,20 @@ class Executable:
         """Hex blake2b of :meth:`to_bytes`: equal images, equal digests.
         Computed once per object."""
         return hashlib.blake2b(self.to_bytes(), digest_size=16).hexdigest()
+
+    @cached_property
+    def instructions(self) -> tuple:
+        """The text decoded, one ``Instruction`` per word, computed once per
+        object: the simulator, the decompiler and the profile mapper share it."""
+        from repro.isa.encoding import decode_text
+
+        return decode_text(self.text_words)
+
+    def __getstate__(self) -> dict:
+        # a pickled image carries no decoding: the receiver rebuilds it
+        state = dict(self.__dict__)
+        state.pop("instructions", None)
+        return state
 
     # -- queries ---------------------------------------------------------
 

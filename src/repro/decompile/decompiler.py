@@ -43,7 +43,6 @@ from repro.decompile.passes import (
 )
 from repro.decompile.passes.constprop import transfer_steps
 from repro.decompile.structure import StructureReport, recover_structure
-from repro.isa.encoding import decode_text
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ class Decompiler:
         start, end = self.exe.function_bounds(name)
         word_lo = (start - self.exe.text_base) // 4
         word_hi = (end - self.exe.text_base) // 4
-        instrs = decode_text(self.exe.text_words)[word_lo:word_hi]
+        instrs = self.exe.instructions[word_lo:word_hi]
         ops = lift_function(instrs, start)
         stats = PassStats(lifted_ops=len(ops))
 

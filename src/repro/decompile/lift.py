@@ -149,7 +149,7 @@ def lift_instruction(instr: Instruction, pc: int) -> list[MicroOp]:
 
 def lift_function(instrs: Sequence[Instruction], base: int) -> list[MicroOp]:
     """Lift a contiguous range of decoded instructions starting at address
-    *base* (see :func:`repro.isa.encoding.decode_text`)."""
+    *base* (a slice of :attr:`~repro.binary.image.Executable.instructions`)."""
     out: list[MicroOp] = []
     for index, instr in enumerate(instrs):
         pc = base + 4 * index

@@ -48,16 +48,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mul, sub
 
 from repro import obs, stages
 from repro.binary.image import Executable
-from repro.decompile.decompiler import (
-    DecompilationOptions,
-    DecompiledFunction,
-    decompile,
-)
+from repro.decompile.decompiler import DecompilationOptions, decompile
 from repro.dynamic.fabric import FabricState
 from repro.dynamic.profiler import DECAY, OnlineProfiler, ProfilerConfig
 from repro.partition.estimator import (
@@ -66,7 +61,7 @@ from repro.partition.estimator import (
     kernel_hw_seconds,
     migration_cycles,
 )
-from repro.partition.profiles import LoopProfile, block_ranges
+from repro.partition.profiles import LoopEntry, LoopProfile, loop_index
 from repro.platform.platform import Platform
 from repro.synth.synthesizer import HwKernel, SynthesisOptions, Synthesizer
 
@@ -278,31 +273,17 @@ class DynamicTimeline:
         return sw / wall if wall > 0 else 1.0
 
 
-def _sources_by_destination(
-    edges: dict[int, tuple[int, int]],
-) -> dict[int, list[tuple[int, int]]]:
-    """``site -> (source, destination)`` regrouped as ``destination ->
-    [(site, source)]``, each list in *edges* order."""
-    into: dict[int, list[tuple[int, int]]] = {}
-    for index, (src, dst) in edges.items():
-        into.setdefault(dst, []).append((index, src))
-    return into
-
-
 @dataclass(eq=False)
 class LoopSite:
-    """Static description of one liftable loop, built by on-chip CAD."""
+    """One liftable loop of the running binary: its loop-index entry
+    (:class:`~repro.partition.profiles.LoopEntry`, shared by every
+    controller and the static profile) plus this controller's state."""
 
-    function: DecompiledFunction
-    loop: object
-    header_address: int
-    header_index: int
-    body_indices: list[int]
-    block_start_indices: dict[int, int]   # block start address -> site index
+    entry: LoopEntry
+    #: the body's index runs ``(a, b, costs[a:b])`` under this CPI model
+    runs: tuple[tuple[int, int, list[int]], ...]
     back_branch_sites: list[int]
     back_jump_sites: list[int]
-    #: the body as maximal runs ``(a, b, costs[a:b])`` of consecutive indices
-    runs: tuple[tuple[int, int, list[int]], ...] = ()
     #: this site plus every site overlapping it, in site-table order
     family: list[LoopSite] = field(default_factory=list, repr=False)
     kernel: HwKernel | None = None
@@ -314,19 +295,18 @@ class LoopSite:
     seconds: tuple | None = None
 
     @property
+    def header_address(self) -> int:
+        return self.entry.header_address
+
+    @property
+    def body_indices(self) -> frozenset[int]:
+        return self.entry.body
+
+    @property
     def name(self) -> str:
         if self.kernel is not None:
             return self.kernel.name
-        return f"{self.function.name}@{self.header_address:#x}"
-
-    @cached_property
-    def body_index_set(self) -> set[int]:
-        return set(self.body_indices)
-
-    def overlaps(self, other: "LoopSite") -> bool:
-        if self.function.name != other.function.name:
-            return False
-        return bool(self.body_index_set & other.body_index_set)
+        return f"{self.entry.function.name}@{self.header_address:#x}"
 
 
 @dataclass
@@ -407,69 +387,45 @@ class DynamicPartitionController:
 
     def _ensure_sites(self) -> dict[int, LoopSite]:
         """Decompile the running binary once (the on-chip CAD's first job)
-        and index every natural loop by its header address.  The program
-        comes from the stage memo, so the static half of the dynamic flow
-        reuses it instead of decompiling again."""
+        and give each loop of its loop index a site, by header address.
+        The program and its index come from the stage memo, so the static
+        half of the dynamic flow reuses them instead of decompiling again."""
         if self._sites is not None:
             return self._sites
-        self._sites = {}
+        sites = self._sites = {}
         with obs.span("cad.decompile", app=self.name):
             program = stages.decompiled(self.exe, self.decompile_options, decompile)
         if program.failures:
             # same policy as the static flow: indirect jumps defeat CDFG
             # recovery, the application stays all-software
             self._unrecoverable = True
-            return self._sites
+            return sites
         text_base = self.exe.text_base
         costs = self._costs
-        # each site table's (site, source) pairs by destination, in table order
-        branches_into = _sources_by_destination(self._branch_edges)
-        jumps_into = _sources_by_destination(self._jump_edges)
-        for func in program.functions.values():
-            ranges = block_ranges(func, self.exe)
-            table: dict[int, LoopSite] = {}   # this function's sites
-            for loop in func.loops:
-                header_address = func.cfg.blocks[loop.header].start
-                body_ranges = sorted(ranges[index] for index in loop.body)
-                body_indices: list[int] = []
-                block_start_indices: dict[int, int] = {}
-                runs: list[tuple[int, int]] = []
-                for start, end in body_ranges:   # disjoint, in address order
-                    a, b = (start - text_base) >> 2, (end - text_base) >> 2
-                    block_start_indices[start] = a
-                    body_indices.extend(range(a, b))
-                    if runs and runs[-1][1] == a:
-                        a = runs.pop()[0]
-                    runs.append((a, b))
 
-                def _back_edges(edges_into) -> list[int]:
-                    return [
-                        index for index, src in edges_into.get(header_address, ())
-                        if any(s <= src < e for s, e in body_ranges)
-                    ]
+        def back_edges(edges: dict[int, tuple[int, int]], entry: LoopEntry) -> list[int]:
+            """The sites of *edges* that enter the header from the body."""
+            return [
+                index for index, (src, dst) in edges.items()
+                if dst == entry.header_address and (src - text_base) >> 2 in entry.body
+            ]
 
-                site = LoopSite(
-                    func, loop, header_address, (header_address - text_base) >> 2,
-                    body_indices, block_start_indices,
-                    back_branch_sites=_back_edges(branches_into),
-                    back_jump_sites=_back_edges(jumps_into),
-                    runs=tuple((a, b, costs[a:b]) for a, b in runs),
-                )
-                # innermost definition wins on header collisions (rare)
-                existing = table.get(header_address)
-                if existing is None or loop.depth > existing.loop.depth:
-                    table[header_address] = site
-            for site in table.values():   # only one function's loops overlap
-                site.family = [other for other in table.values()
-                               if other is site or other.overlaps(site)]
-            self._sites.update(table)
-        return self._sites
+        for entry in stages.loop_index(self.exe, program, loop_index):
+            sites[entry.header_address] = LoopSite(
+                entry,
+                runs=tuple((a, b, costs[a:b]) for a, b in entry.runs),
+                back_branch_sites=back_edges(self._branch_edges, entry),
+                back_jump_sites=back_edges(self._jump_edges, entry),
+            )
+        for site in sites.values():
+            site.family = [sites[address] for address in site.entry.family]
+        return sites
 
     def _ensure_kernel(self, site: LoopSite) -> HwKernel | None:
         if site.kernel is not None or site.synth_failed:
             return site.kernel
         with obs.span("cad.synthesize", app=self.name, site=site.name):
-            site.kernel = self._synthesize(site.function, site.loop)
+            site.kernel = self._synthesize(site.entry.function, site.entry.loop)
         site.synth_failed = site.kernel is None
         return site.kernel
 
@@ -492,8 +448,8 @@ class DynamicPartitionController:
             cycles + self._taken_penalty * taken_total,
             sum(map(taken.__getitem__, site.back_branch_sites))
             + sum(map(counts.__getitem__, site.back_jump_sites)),
-            counts[site.header_index],
-            *map(counts.__getitem__, site.block_start_indices.values()),
+            counts[site.entry.header_index],
+            *map(counts.__getitem__, site.entry.block_starts.values()),
         )
         site.state = (self._samples, state)
         return state
@@ -506,12 +462,8 @@ class DynamicPartitionController:
         if base is not None:
             state = map(sub, state, base)
         cycles, iterations, header_count, *blocks = state
-        return LoopProfile(
-            site.function.name, site.header_address,
-            getattr(site.loop, "depth", 1), list(site.block_start_indices),
-            sw_cycles=cycles, iterations=iterations,
-            invocations=max(0, header_count - iterations),
-            block_counts=dict(zip(site.block_start_indices, blocks)),
+        return site.entry.profile(
+            cycles, iterations, max(0, header_count - iterations), blocks
         )
 
     # -- interval energy ----------------------------------------------------
@@ -667,7 +619,7 @@ class DynamicPartitionController:
         """Nest-aware hotness: every hot back-edge target inside the site's
         body counts toward it (an outer loop is as hot as its inner loops)."""
         text_base = self.exe.text_base
-        body = site.body_index_set
+        body = site.entry.body
         return sum(
             score
             for address, score in self.profiler.hotness.items()
@@ -833,7 +785,7 @@ class DynamicPartitionController:
             to_evict = [
                 resident_address
                 for resident_address, resident in planned.items()
-                if site.overlaps(resident)
+                if resident.header_address in site.entry.family
             ]
             if to_evict:
                 # granularity upgrade: only replace the nest's resident

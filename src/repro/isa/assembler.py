@@ -45,8 +45,8 @@ from typing import NamedTuple
 from repro.errors import AssemblerError, EncodingError
 from repro.binary.image import Executable, Symbol
 from repro.isa.encoding import encode_fields
-from repro.isa.instructions import SPECS, Syntax
-from repro.isa.registers import REG_NAMES, Reg, reg_num
+from repro.isa.instructions import SPECS, SYNTAX_SHAPE, Syntax, render_operands
+from repro.isa.registers import Reg, reg_num
 
 TEXT_BASE = 0x0040_0000
 DATA_BASE = 0x1001_0000
@@ -66,25 +66,6 @@ class Ref(NamedTuple):
 # operand shapes
 # ----------------------------------------------------------------------
 
-#: the operands each syntax takes, one letter each: ``r`` a register,
-#: ``i`` an integer, ``l`` a label reference, ``m`` a memory operand
-#: (two record items); a leading ``*`` repeats the next letter
-_SYNTAX_SHAPE = {
-    Syntax.RD_RS_RT: "rrr",
-    Syntax.RD_RT_SHAMT: "rri",
-    Syntax.RD_RT_RS: "rrr",
-    Syntax.RS: "r",
-    Syntax.RD_RS: "rr",
-    Syntax.RD: "r",
-    Syntax.RS_RT: "rr",
-    Syntax.RT_RS_IMM: "rri",
-    Syntax.RT_IMM: "ri",
-    Syntax.RT_OFF_BASE: "rm",
-    Syntax.RS_RT_LABEL: "rrl",
-    Syntax.RS_LABEL: "rl",
-    Syntax.TARGET: "l",
-    Syntax.NONE: "",
-}
 _PSEUDO_SHAPE = {
     "li": "ri", "la": "rl", "move": "rr", "not": "rr", "neg": "rr",
     "b": "l", "nop": "",
@@ -97,7 +78,7 @@ _DIRECTIVE_SHAPE = {
 #: every record head's shape (``w`` is an integer or a label reference,
 #: ``s`` the bytes of a string)
 _SHAPES = {
-    **{op: _SYNTAX_SHAPE[spec.syntax] for op, spec in SPECS.items()},
+    **{op: SYNTAX_SHAPE[spec.syntax] for op, spec in SPECS.items()},
     **_PSEUDO_SHAPE,
     **_DIRECTIVE_SHAPE,
 }
@@ -255,25 +236,6 @@ def parse_text(source: str) -> tuple[list, list[int]]:
 # ----------------------------------------------------------------------
 
 
-def _render_operands(shape: str, items) -> str:
-    if shape.startswith("*"):
-        return ", ".join(map(str, items))
-    if shape == "s":
-        text = items[0].decode("latin-1").encode("unicode_escape").decode("ascii")
-        return '"' + text.replace('"', '\\"') + '"'
-    parts = []
-    it = iter(items)
-    for kind in shape:
-        item = next(it)
-        if kind == "r":
-            parts.append(REG_NAMES[item])
-        elif kind == "m":
-            parts.append(f"{item}({REG_NAMES[next(it)]})")
-        else:
-            parts.append(str(item))
-    return ", ".join(parts)
-
-
 def render(records) -> str:
     """Assembly text for *records*: one instruction per indented line; a
     label shares the line of a directive that follows it, and otherwise
@@ -295,7 +257,7 @@ def render(records) -> str:
             line = "    " + op
         shape = _SHAPES[op]
         if shape:
-            line += " " + _render_operands(shape, record[1:])
+            line += " " + render_operands(shape, record[1:])
         out.append(line)
     if label is not None:
         out.append(f"{label}:")

@@ -8,7 +8,7 @@ formatting).
 from __future__ import annotations
 
 from repro.isa.encoding import decode
-from repro.isa.instructions import Instruction, render
+from repro.isa.instructions import render
 
 
 def disassemble_one(word: int, pc: int | None = None) -> str:
@@ -34,8 +34,3 @@ def disassemble(
             lines.append(f"{symbols[pc]}:")
         lines.append(f"  0x{pc:08x}:  {disassemble_one(word, pc=pc)}")
     return lines
-
-
-def decode_all(words: list[int]) -> list[Instruction]:
-    """Decode every word of a text section."""
-    return [decode(word) for word in words]

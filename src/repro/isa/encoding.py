@@ -8,12 +8,12 @@ repository's compiler.  ``encode`` wraps :func:`encode_fields`, which
 encodes from field values: the assembler calls it directly, so assembling
 builds no :class:`Instruction`.
 
-:func:`decode_text` decodes a whole text section and keeps the last one:
-the simulator, the decompiler's lifter and the profile mapper each need
-the same binary's text in turn, so each binary is decoded once.  Under
-it, a bounded word -> :class:`Instruction` memo decodes each distinct
-word once across binaries: the 80 ``static_suite`` binaries hold 26,574
-text words but only 6,125 distinct ones.
+:func:`decode_text` decodes a whole text section; each image keeps its
+decoding (:attr:`~repro.binary.image.Executable.instructions`), so the
+simulator, the lifter and the profile mapper share one.  Under it, a
+bounded word -> :class:`Instruction` memo decodes each distinct word
+once across binaries: the 80 ``static_suite`` binaries hold 26,574 text
+words but only 6,125 distinct ones.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ _BY_OPCODE = {
 _BY_REGIMM_RT = {
     spec.regimm_rt: spec for spec in SPECS.values() if spec.regimm_rt is not None
 }
-
-#: (words, instructions) of the text section :func:`decode_text` decoded last
-_last_text: tuple[tuple[int, ...], tuple[Instruction, ...]] = ((), ())
 
 #: the most words :data:`_decoded_words` holds; it is cleared whole when a
 #: section would take it past the bound
@@ -109,35 +106,26 @@ def encode_fields(
 def decode_text(words) -> tuple[Instruction, ...]:
     """Every word of a text section, decoded, in order.
 
-    Returns the previous call's tuple when *words* holds the same words, so
-    the simulator, the lifter and the profile mapper of one binary share one
-    decoding (:class:`Instruction` is frozen).  Only the last section is
-    kept as a tuple; an ``Executable``'s text is already a tuple, so
-    repeated calls for one binary are an identity test.  Another section
-    is built from the word memo, which decodes only the words no earlier
-    section held: a re-decode is dict lookups.  A word that fails to
-    decode raises :class:`EncodingError` and changes neither memo.  The
-    word memo holds at most :data:`DECODE_MEMO_MAX` words, about 3 MB,
-    and is cleared whole when a section would take it past that.
+    The section is built from the word memo, which decodes only the words
+    no earlier section held (:class:`Instruction` is frozen, so sections
+    share them).  A word that fails to decode raises
+    :class:`EncodingError` and leaves the memo unchanged.  The memo holds
+    at most :data:`DECODE_MEMO_MAX` words, about 3 MB, and is cleared
+    whole when a section would take it past that.
     """
-    global _last_text
-    key = tuple(words)
-    if key is _last_text[0] or key == _last_text[0]:
-        return _last_text[1]
+    words = tuple(words)
     memo = _decoded_words
     fresh: dict[int, Instruction] = {}
-    for word in key:
+    for word in words:
         if word not in memo and word not in fresh:
-            fresh[word] = decode(word)  # raises before either memo changes
+            fresh[word] = decode(word)  # raises before the memo changes
     if not fresh:
-        decoded = tuple(map(memo.__getitem__, key))
-    else:
-        decoded = tuple([memo[word] if word in memo else fresh[word] for word in key])
-        if len(memo) + len(fresh) > DECODE_MEMO_MAX:
-            memo.clear()
-        if len(fresh) <= DECODE_MEMO_MAX:
-            memo.update(fresh)
-    _last_text = (key, decoded)
+        return tuple(map(memo.__getitem__, words))
+    decoded = tuple([memo[word] if word in memo else fresh[word] for word in words])
+    if len(memo) + len(fresh) > DECODE_MEMO_MAX:
+        memo.clear()
+    if len(fresh) <= DECODE_MEMO_MAX:
+        memo.update(fresh)
     return decoded
 
 

@@ -32,7 +32,10 @@ CLASS_HILO = "hilo"
 
 
 class Syntax(Enum):
-    """Assembly operand syntax shapes, used by the (dis)assembler."""
+    """Assembly operand syntax shapes, used by the (dis)assembler.  Each
+    value names the operands in order: an :class:`Instruction` field, or
+    ``off(base)`` (``imm`` and ``rs``), ``label`` (a branch's ``imm``) or
+    ``target`` (a jump's ``target``)."""
 
     RD_RS_RT = "rd, rs, rt"          # add $rd, $rs, $rt
     RD_RT_SHAMT = "rd, rt, shamt"    # sll $rd, $rt, shamt
@@ -48,6 +51,41 @@ class Syntax(Enum):
     RS_LABEL = "rs, label"           # blez $rs, label / bltz / bgez
     TARGET = "target"                # j label
     NONE = ""                        # break / nop
+
+
+#: the kind of each operand name: ``r`` a register, ``i`` an integer,
+#: ``l`` a label reference, ``m`` a memory operand (two items: offset and
+#: base register)
+_OPERAND_KIND = {"rd": "r", "rs": "r", "rt": "r", "shamt": "i", "imm": "i",
+                 "off(base)": "m", "label": "l", "target": "l"}
+#: the operand kinds of each syntax, one letter each (an assembler
+#: directive's shape may start with ``*``, which repeats the next letter)
+SYNTAX_SHAPE = {
+    syntax: "".join(_OPERAND_KIND[name] for name in syntax.value.split(", ") if name)
+    for syntax in Syntax
+}
+
+
+def render_operands(shape: str, items) -> str:
+    """The operand text of *items* laid out as *shape* (a
+    :data:`SYNTAX_SHAPE` value, or an assembler directive's shape: ``s``
+    the bytes of a string)."""
+    if shape.startswith("*"):
+        return ", ".join(map(str, items))
+    if shape == "s":
+        text = items[0].decode("latin-1").encode("unicode_escape").decode("ascii")
+        return '"' + text.replace('"', '\\"') + '"'
+    parts = []
+    it = iter(items)
+    for kind in shape:
+        item = next(it)
+        if kind == "r":
+            parts.append(reg_name(item))
+        elif kind == "m":
+            parts.append(f"{item}({reg_name(next(it))})")
+        else:
+            parts.append(str(item))
+    return ", ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -213,38 +251,15 @@ def render(instr: Instruction, pc: int | None = None) -> str:
     When *pc* is given, branch/jump targets are rendered as absolute hex
     addresses; otherwise raw offsets/targets are shown.
     """
-    spec = instr.spec
-    syn = spec.syntax
-    name = reg_name
-    if syn is Syntax.RD_RS_RT:
-        ops = f"{name(instr.rd)}, {name(instr.rs)}, {name(instr.rt)}"
-    elif syn is Syntax.RD_RT_SHAMT:
-        ops = f"{name(instr.rd)}, {name(instr.rt)}, {instr.shamt}"
-    elif syn is Syntax.RD_RT_RS:
-        ops = f"{name(instr.rd)}, {name(instr.rt)}, {name(instr.rs)}"
-    elif syn is Syntax.RS:
-        ops = name(instr.rs)
-    elif syn is Syntax.RD_RS:
-        ops = f"{name(instr.rd)}, {name(instr.rs)}"
-    elif syn is Syntax.RD:
-        ops = name(instr.rd)
-    elif syn is Syntax.RS_RT:
-        ops = f"{name(instr.rs)}, {name(instr.rt)}"
-    elif syn is Syntax.RT_RS_IMM:
-        ops = f"{name(instr.rt)}, {name(instr.rs)}, {instr.imm}"
-    elif syn is Syntax.RT_IMM:
-        ops = f"{name(instr.rt)}, {instr.imm}"
-    elif syn is Syntax.RT_OFF_BASE:
-        ops = f"{name(instr.rt)}, {instr.imm}({name(instr.rs)})"
-    elif syn is Syntax.RS_RT_LABEL:
-        where = f"0x{instr.branch_target(pc):x}" if pc is not None else str(instr.imm)
-        ops = f"{name(instr.rs)}, {name(instr.rt)}, {where}"
-    elif syn is Syntax.RS_LABEL:
-        where = f"0x{instr.branch_target(pc):x}" if pc is not None else str(instr.imm)
-        ops = f"{name(instr.rs)}, {where}"
-    elif syn is Syntax.TARGET:
-        where = f"0x{instr.jump_target(pc):x}" if pc is not None else str(instr.target)
-        ops = where
-    else:
-        ops = ""
-    return f"{instr.mnemonic} {ops}".strip()
+    syntax = instr.spec.syntax
+    items = []
+    for name in syntax.value.split(", "):
+        if name == "off(base)":
+            items += (instr.imm, instr.rs)
+        elif name == "label":
+            items.append(instr.imm if pc is None else f"0x{instr.branch_target(pc):x}")
+        elif name == "target":
+            items.append(instr.target if pc is None else f"0x{instr.jump_target(pc):x}")
+        elif name:
+            items.append(getattr(instr, name))
+    return f"{instr.mnemonic} {render_operands(SYNTAX_SHAPE[syntax], items)}".strip()

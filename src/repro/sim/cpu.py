@@ -85,7 +85,6 @@ from repro import obs
 from repro.binary.image import Executable
 from repro.binary.loader import load_into_memory
 from repro.errors import SimulationError
-from repro.isa.encoding import decode_text
 from repro.isa.instructions import (
     CLASS_ALU,
     CLASS_BRANCH,
@@ -241,7 +240,7 @@ class Cpu:
         self._engine = engine
         load_into_memory(exe, self.memory)
         started = time.perf_counter()
-        self._decoded = decode_text(exe.text_words)
+        self._decoded = exe.instructions
         #: seconds this construction spent decoding, until a run reports them
         self._decode_seconds: float | None = time.perf_counter() - started
         self.regs = [0] * 32

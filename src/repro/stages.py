@@ -11,7 +11,9 @@ the same on every platform.  This memo computes each of them once:
   ``exe.to_bytes()`` cached on the immutable image) and lives in one
   per-binary entry: the profiled run per ``max_steps``, the
   :class:`~repro.decompile.decompiler.DecompiledProgram` per
-  ``DecompilationOptions``, the loop profile summaries
+  ``DecompilationOptions``, each program's loop index
+  (:func:`repro.partition.profiles.loop_index`, shared by the static
+  profile and the dynamic controller), the loop profile summaries
   (:func:`repro.partition.profiles.summarize_loops`) per (program, run)
   pair, and each loop's kernel -- or ``None`` where synthesis failed --
   per (decompile options, ``SynthesisOptions``, loop).
@@ -42,7 +44,7 @@ work -- re-costing the run, pricing the loop summaries, building the
 candidates and partitioning.
 
 Both memos are LRUs bounded by :data:`MEMORY_CAP` entries each, and so
-is each binary's set of loop summaries.
+are each binary's sets of loop indexes and loop summaries.
 The memo is always on and per process, and it is the only artifact cache:
 nothing persists between sessions.  Memoised artifacts are shared between
 flows, so nothing downstream may mutate them.
@@ -74,7 +76,8 @@ from repro.synth.synthesizer import HwKernel, Synthesizer
 
 __all__ = [
     "MEMORY_CAP", "SampleStream", "SiteView", "clear", "compiled", "decompiled",
-    "kernels", "loop_summaries", "profiled_run", "sample_stream", "size",
+    "kernels", "loop_index", "loop_summaries", "profiled_run",
+    "sample_stream", "size",
 ]
 
 
@@ -211,6 +214,8 @@ class _Binary:
     programs: dict = field(default_factory=dict)  # options -> DecompiledProgram
     kernels: dict = field(default_factory=dict)   # (..., loop) -> HwKernel | None
     streams: dict = field(default_factory=dict)   # (max_steps, interval) -> SampleStream
+    #: program id -> (program, loop index)
+    indexes: OrderedDict = field(default_factory=OrderedDict)
     #: (program, run counts) ids -> (program, pc_counts, edge_counts, summaries)
     summaries: OrderedDict = field(default_factory=OrderedDict)
 
@@ -308,6 +313,18 @@ def decompiled(
     if program is None:
         program = programs[key] = decompile(exe, options)
     return program
+
+
+def loop_index(
+    exe: Executable,
+    program: DecompiledProgram,
+    build: Callable[[Executable, DecompiledProgram], tuple],
+) -> tuple:
+    """``build(exe, program)``, the loop index of *program*, once per
+    program object; the entry holds the program, so (as in
+    :func:`loop_summaries`) no other program can take over its id."""
+    return _touch(_binary(exe).indexes, id(program),
+                  lambda: (program, build(exe, program)))[1]
 
 
 def loop_summaries(

@@ -3,9 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.binary.image import Executable
+from repro.compiler import compile_source
+from repro.decompile import decompile
 from repro.errors import EncodingError
-from repro.isa import Instruction, decode, decode_text, encode
+from repro.isa import Instruction, decode, decode_text, encode, encoding
 from repro.isa.instructions import SPECS, Format, Syntax
+from repro.partition.profiles import build_profile
+from repro.programs import get_benchmark
+from repro.sim.cpu import Cpu
 
 
 class TestDirectedEncodings:
@@ -144,23 +150,43 @@ def test_jump_target_arithmetic():
 
 
 class TestDecodeText:
-    """``decode_text`` decodes a section once for all its consumers."""
+    """``decode_text`` decodes a section; an image's text is decoded once
+    for all its consumers."""
 
     WORDS = [encode(Instruction("addiu", rt=8, rs=29, imm=-4)),
              encode(Instruction("jr", rs=31)), 0]
 
-    def test_matches_decode_and_is_shared(self):
+    def test_matches_decode(self):
         decoded = decode_text(self.WORDS)
         assert decoded == tuple(decode(word) for word in self.WORDS)
-        # another list with the same words (a second consumer of the same
-        # binary) gets the same tuple; different words get their own
-        assert decode_text(list(self.WORDS)) is decoded
         assert decode_text(self.WORDS[:2]) == decoded[:2]
-        assert decode_text(self.WORDS) is not decoded
 
     def test_errors_are_not_kept(self):
         decoded = decode_text(self.WORDS)
         for _ in range(2):
             with pytest.raises(EncodingError):
                 decode_text([*self.WORDS, 0xFC00_0000])
-        assert decode_text(self.WORDS) is decoded
+        assert decode_text(self.WORDS) == decoded
+        exe = Executable(entry=0x400000, text_base=0x400000,
+                         text_words=(*self.WORDS, 0xFC00_0000),
+                         data_base=0x10010000, data=b"")
+        for _ in range(2):
+            with pytest.raises(EncodingError):
+                exe.instructions
+
+    def test_an_image_is_decoded_once(self, monkeypatch):
+        exe = compile_source(get_benchmark("fir").source, opt_level=1)
+        # a memo that keeps no word: every decoding of the text shows up
+        # as one decode call per distinct word
+        monkeypatch.setattr(encoding, "DECODE_MEMO_MAX", 0)
+        monkeypatch.setattr(encoding, "_decoded_words", {})
+        calls = []
+        real = encoding.decode
+        monkeypatch.setattr(encoding, "decode",
+                            lambda word: calls.append(word) or real(word))
+        result = Cpu(exe, profile=True).run()
+        program = decompile(exe)
+        build_profile(exe, program, result)
+        assert program.functions and result.pc_counts
+        assert sorted(calls) == sorted(set(exe.text_words))
+        assert exe.instructions == tuple(map(real, exe.text_words))
