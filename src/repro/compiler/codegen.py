@@ -202,49 +202,50 @@ class FunctionCodegen:
 
     def _gen_instr(self, instr: ir.Instr) -> None:
         emit = self.emit
-        if isinstance(instr, ir.Label):
+        cls = type(instr)  # (no IR class is subclassed)
+        if cls is ir.Label:
             emit(instr.name)
-        elif isinstance(instr, ir.Const):
+        elif cls is ir.Const:
             reg, store = self._dst(instr.dst)
             emit(("li", reg, instr.value & 0xFFFF_FFFF))
             self._finish_dst(reg, store)
-        elif isinstance(instr, ir.Copy):
+        elif cls is ir.Copy:
             src = self._src(instr.src, _SCRATCH_B)
             reg, store = self._dst(instr.dst)
             emit(("addiu", reg, src, 0))
             self._finish_dst(reg, store)
-        elif isinstance(instr, ir.UnOp):
+        elif cls is ir.UnOp:
             self._gen_unop(instr)
-        elif isinstance(instr, ir.BinOp):
+        elif cls is ir.BinOp:
             self._gen_binop(instr)
-        elif isinstance(instr, ir.Load):
+        elif cls is ir.Load:
             self._gen_load(instr)
-        elif isinstance(instr, ir.Store):
+        elif cls is ir.Store:
             self._gen_store(instr)
-        elif isinstance(instr, ir.LoadAddr):
+        elif cls is ir.LoadAddr:
             reg, store = self._dst(instr.dst)
             emit(("la", reg, Ref(instr.symbol, instr.offset)))
             self._finish_dst(reg, store)
-        elif isinstance(instr, ir.SlotAddr):
+        elif cls is ir.SlotAddr:
             reg, store = self._dst(instr.dst)
             emit(("addiu", reg, _SP, self.frame.local_offsets[instr.slot.index]))
             self._finish_dst(reg, store)
-        elif isinstance(instr, ir.LoadSlot):
+        elif cls is ir.LoadSlot:
             reg, store = self._dst(instr.dst)
             emit(("lw", reg, self.frame.local_offsets[instr.slot.index], _SP))
             self._finish_dst(reg, store)
-        elif isinstance(instr, ir.StoreSlot):
+        elif cls is ir.StoreSlot:
             src = self._src(instr.src, _SCRATCH_A)
             emit(("sw", src, self.frame.local_offsets[instr.slot.index], _SP))
-        elif isinstance(instr, ir.Jump):
+        elif cls is ir.Jump:
             emit(("j", Ref(instr.target)))
-        elif isinstance(instr, ir.Branch):
+        elif cls is ir.Branch:
             self._gen_branch(instr)
-        elif isinstance(instr, ir.SwitchJump):
+        elif cls is ir.SwitchJump:
             self._gen_switch(instr)
-        elif isinstance(instr, ir.Call):
+        elif cls is ir.Call:
             self._gen_call(instr)
-        elif isinstance(instr, ir.Return):
+        elif cls is ir.Return:
             if instr.src is not None:
                 reg = self.allocation.reg_of.get(instr.src)
                 if reg is not None:

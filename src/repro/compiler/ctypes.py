@@ -113,9 +113,6 @@ _BASE_TYPES = {
     ("void",): VOID,
 }
 
-TYPE_KEYWORDS = {"int", "unsigned", "signed", "short", "char", "void", "long"}
-
-
 def base_type_from_keywords(words: tuple[str, ...], line: int) -> CType:
     """Resolve a sequence of type keywords ("unsigned short") to a CType.
 

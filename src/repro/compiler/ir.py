@@ -19,23 +19,48 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class VReg:
+class VReg(int):
     """A virtual register.  ``hint`` is a debug name (variable it came from).
 
     :meth:`Function.new_vreg` makes exactly one object per id, so equality
-    is identity and the hash is the id: cheap, and set order does not
-    depend on the hash seed or on object addresses.
+    is identity and the hash is the id: set order does not depend on the
+    hash seed or on object addresses.  The id is the ``int`` value, so the
+    hash is ``int``'s own, computed in C -- the passes hash registers
+    about a million times per benchmark sweep.  Only the hash and the
+    value come from ``int``: equality is identity (``VReg(3) != 3`` and
+    two registers with one id differ), every register is true, and no
+    arithmetic may be done on one.
     """
 
-    id: int
-    hint: str = ""
+    def __new__(cls, id: int, hint: str = "") -> "VReg":
+        reg = int.__new__(cls, id)
+        if hint:
+            reg.hint = hint
+        return reg
 
-    def __hash__(self) -> int:
-        return self.id
+    #: the empty hint, unless ``__new__`` stored one on the instance
+    hint = ""
+
+    __hash__ = int.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    def __bool__(self) -> bool:
+        return True
+
+    @property
+    def id(self) -> int:
+        return int(self)
+
+    def __repr__(self) -> str:
+        return f"VReg(id={int(self)}, hint={self.hint!r})"
 
     def __str__(self) -> str:
-        return f"%{self.id}" + (f"({self.hint})" if self.hint else "")
+        return f"%{int(self)}" + (f"({self.hint})" if self.hint else "")
 
 
 @dataclass(frozen=True)
@@ -71,31 +96,7 @@ class StackSlot:
 # instructions
 # ---------------------------------------------------------------------------
 
-#: binary operator names (shared vocabulary with the decompiler's CDFG)
-BINARY_OPS = (
-    "add", "sub", "mul", "div", "divu", "rem", "remu",
-    "and", "or", "xor", "shl", "shr", "sar",
-    "eq", "ne", "lt", "le", "gt", "ge", "ltu", "leu", "gtu", "geu",
-)
-
-#: comparison subset usable as a Branch condition
-BRANCH_OPS = ("eq", "ne", "lt", "le", "gt", "ge", "ltu", "leu", "gtu", "geu")
-
 COMMUTATIVE_OPS = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
-
-#: maps each comparison to its negation (used when inverting branches)
-NEGATED_CMP = {
-    "eq": "ne", "ne": "eq",
-    "lt": "ge", "ge": "lt", "le": "gt", "gt": "le",
-    "ltu": "geu", "geu": "ltu", "leu": "gtu", "gtu": "leu",
-}
-
-#: maps each comparison to its operand-swapped equivalent
-SWAPPED_CMP = {
-    "eq": "eq", "ne": "ne",
-    "lt": "gt", "gt": "lt", "le": "ge", "ge": "le",
-    "ltu": "gtu", "gtu": "ltu", "leu": "geu", "geu": "leu",
-}
 
 
 @dataclass
@@ -187,10 +188,7 @@ class BinOp(Instr):
         return [self.dst]
 
     def uses(self):
-        regs = [self.a]
-        if isinstance(self.b, VReg):
-            regs.append(self.b)
-        return regs
+        return [self.a, self.b] if type(self.b) is VReg else [self.a]
 
     def replace_uses(self, mapping):
         self.a = _sub_reg(self.a, mapping)
@@ -330,10 +328,7 @@ class Branch(Instr):
     target: str
 
     def uses(self):
-        regs = [self.a]
-        if isinstance(self.b, VReg):
-            regs.append(self.b)
-        return regs
+        return [self.a, self.b] if type(self.b) is VReg else [self.a]
 
     def replace_uses(self, mapping):
         self.a = _sub_reg(self.a, mapping)
@@ -479,7 +474,7 @@ class Module:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """A basic block view over a slice of Function.instrs."""
 

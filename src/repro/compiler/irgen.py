@@ -481,30 +481,31 @@ class IRGenerator:
     # ------------------------------------------------------------------
 
     def _lower_expr(self, expr: ast.Expr) -> tuple[ir.VReg, CType]:
-        if isinstance(expr, ast.NumberExpr):
+        cls = type(expr)  # (no expression class is subclassed)
+        if cls is ast.NumberExpr:
             dst = self.func.new_vreg()
             self.emit(ir.Const(dst, expr.value & 0xFFFF_FFFF))
             ctype = INT if expr.value <= 0x7FFF_FFFF else UINT
             return dst, ctype
-        if isinstance(expr, ast.NameExpr):
+        if cls is ast.NameExpr:
             return self._lower_name(expr)
-        if isinstance(expr, ast.UnaryExpr):
+        if cls is ast.UnaryExpr:
             return self._lower_unary(expr)
-        if isinstance(expr, ast.BinaryExpr):
+        if cls is ast.BinaryExpr:
             return self._lower_binary(expr)
-        if isinstance(expr, ast.AssignExpr):
+        if cls is ast.AssignExpr:
             return self._lower_assign(expr)
-        if isinstance(expr, ast.ConditionalExpr):
+        if cls is ast.ConditionalExpr:
             return self._lower_ternary(expr)
-        if isinstance(expr, ast.IndexExpr):
+        if cls is ast.IndexExpr:
             lvalue = self._lower_lvalue(expr)
             return self._load_lvalue(lvalue)
-        if isinstance(expr, ast.CallExpr):
+        if cls is ast.CallExpr:
             return self._lower_call(expr)
-        if isinstance(expr, ast.CastExpr):
+        if cls is ast.CastExpr:
             value, vtype = self._lower_expr(expr.operand)
             return self._cast(value, vtype, expr.ctype, expr.line)
-        if isinstance(expr, ast.IncDecExpr):
+        if cls is ast.IncDecExpr:
             return self._lower_incdec(expr)
         raise CompileError(f"unhandled expression {type(expr).__name__}", expr.line)
 

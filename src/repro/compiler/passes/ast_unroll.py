@@ -19,6 +19,8 @@ rerolling** pass must detect and roll back.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.compiler import ast_nodes as ast
 
 DEFAULT_FACTOR = 4
@@ -27,69 +29,104 @@ MAX_BODY_STMTS = 12
 
 def unroll_loops(unit: ast.TranslationUnit, factor: int = DEFAULT_FACTOR) -> int:
     """Unroll eligible for-loops in place; returns the number unrolled."""
-    count = 0
-    global_names = {decl.name for decl in unit.globals}
-    for func in unit.functions:
-        if func.body is not None:
-            count += _walk_stmt_list(func.body.body, factor, global_names)
+    result, count = unrolled(unit, factor)
+    unit.functions = result.functions
     return count
 
 
-def _walk_stmt_list(stmts: list[ast.Stmt], factor: int, global_names: set[str]) -> int:
+def unrolled(
+    unit: ast.TranslationUnit, factor: int = DEFAULT_FACTOR
+) -> tuple[ast.TranslationUnit, int]:
+    """*unit* with its eligible for-loops unrolled, and how many were.
+
+    *unit* itself is left as it was: the result shares every subtree
+    that no unrolling touches and copies the path from the root to each
+    unrolled loop, so a tree that other compiles share may be unrolled.
+    """
+    count = 0
+    changed = False
+    global_names = {decl.name for decl in unit.globals}
+    functions = []
+    for func in unit.functions:
+        if func.body is not None:
+            body, inner = _transform(func.body, factor, global_names)
+            if body is not None:
+                func = replace(func, body=body)
+                changed = True
+                count += inner
+        functions.append(func)
+    return (replace(unit, functions=functions) if changed else unit), count
+
+
+def _walk_stmt_list(
+    stmts: list[ast.Stmt], factor: int, global_names: set[str]
+) -> tuple[list[ast.Stmt] | None, int]:
+    """The rewritten list (None if nothing in it changed) and the loops
+    unrolled in it."""
+    new_stmts = None
     count = 0
     for index, stmt in enumerate(stmts):
         replacement, inner = _transform(stmt, factor, global_names)
         if replacement is not None:
-            stmts[index] = replacement
-            count += 1
-        count += inner
-    return count
+            if new_stmts is None:
+                new_stmts = list(stmts)
+            new_stmts[index] = replacement
+            count += inner
+    return new_stmts, count
 
 
 def _transform(
     stmt: ast.Stmt, factor: int, global_names: set[str]
 ) -> tuple[ast.Stmt | None, int]:
-    """Returns (replacement or None, count of loops unrolled in children)."""
-    inner = 0
+    """The rewritten statement (None if unchanged) and the loops unrolled
+    in it, itself included."""
     if isinstance(stmt, ast.BlockStmt):
-        inner += _walk_stmt_list(stmt.body, factor, global_names)
-        return None, inner
+        body, count = _walk_stmt_list(stmt.body, factor, global_names)
+        return (replace(stmt, body=body) if body is not None else None), count
     if isinstance(stmt, ast.IfStmt):
+        changes = {}
+        count = 0
         for attr in ("then_body", "else_body"):
             child = getattr(stmt, attr)
             if child is not None:
-                replacement, n = _transform(child, factor, global_names)
+                replacement, inner = _transform(child, factor, global_names)
                 if replacement is not None:
-                    setattr(stmt, attr, replacement)
-                    inner += 1
-                inner += n
-        return None, inner
+                    changes[attr] = replacement
+                    count += inner
+        return (replace(stmt, **changes) if changes else None), count
     if isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt)):
-        replacement, n = _transform(stmt.body, factor, global_names)
-        if replacement is not None:
-            stmt.body = replacement
-            inner += 1
-        return None, inner
+        body, count = _transform(stmt.body, factor, global_names)
+        if body is None:
+            return None, 0
+        # a while loop counts a for loop that is its whole body, not loops
+        # nested deeper, so an enclosing for loop may still be unrolled
+        if not (isinstance(stmt.body, ast.ForStmt) and type(body) is ast.BlockStmt):
+            count = 0
+        return replace(stmt, body=body), count
     if isinstance(stmt, ast.SwitchStmt):
-        for case in stmt.cases:
-            inner += _walk_stmt_list(case.body, factor, global_names)
-        return None, inner
+        cases = list(stmt.cases)
+        count = 0
+        changed = False
+        for index, case in enumerate(cases):
+            body, inner = _walk_stmt_list(case.body, factor, global_names)
+            if body is not None:
+                cases[index] = replace(case, body=body)
+                changed = True
+                count += inner
+        return (replace(stmt, cases=cases) if changed else None), count
     if isinstance(stmt, ast.ForStmt):
         # children first (unroll innermost loops only -- unrolling a loop
         # that contains an already-unrolled loop would explode code size)
-        replacement, n = (
+        body, count = (
             _transform(stmt.body, factor, global_names) if stmt.body else (None, 0)
         )
-        if replacement is not None:
-            stmt.body = replacement
-            inner += 1
-        inner += n
-        if inner == 0:
-            unrolled = _try_unroll(stmt, factor, global_names)
-            if unrolled is not None:
-                return unrolled, inner
-        return None, inner
-    return None, inner
+        loop = stmt if body is None else replace(stmt, body=body)
+        if count == 0:
+            unrolled_loop = _try_unroll(loop, factor, global_names)
+            if unrolled_loop is not None:
+                return unrolled_loop, 1
+        return (None if body is None else loop), count
+    return None, 0
 
 
 def _try_unroll(
@@ -184,6 +221,7 @@ def _try_unroll(
 
 
 _NODE_TYPES = (ast.Expr, ast.Stmt, ast.SwitchCase)
+_COPIED_TYPES = (list,) + _NODE_TYPES
 
 
 def _clone(node):
@@ -194,11 +232,14 @@ def _clone(node):
     copy has the shape ``copy.deepcopy`` would give it at a fraction of
     the cost.
     """
-    if isinstance(node, list):
+    if type(node) is list:
         return [_clone(item) for item in node]
     if isinstance(node, _NODE_TYPES):
         new = object.__new__(type(node))
-        new.__dict__ = {name: _clone(value) for name, value in node.__dict__.items()}
+        new.__dict__ = {
+            name: _clone(value) if isinstance(value, _COPIED_TYPES) else value
+            for name, value in node.__dict__.items()
+        }
         return new
     return node
 

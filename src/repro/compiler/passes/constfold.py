@@ -44,68 +44,70 @@ def fold_ir_binop(op: str, left: int, right: int) -> int | None:
 
 def _single_def_consts(func: ir.Function) -> dict[ir.VReg, int]:
     """vregs defined exactly once, by a Const instruction."""
-    dsts: list[ir.VReg] = []
-    const_defs: dict[ir.VReg, int] = {}
-    for instr in func.instrs:
-        cls = type(instr)
-        if cls in ir.PURE_DEF_TYPES:
-            dsts.append(instr.dst)
-            if cls is ir.Const:
-                const_defs[instr.dst] = instr.value
-        elif cls is ir.Call and instr.dst is not None:
-            dsts.append(instr.dst)
+    instrs = func.instrs
+    const_defs = {
+        instr.dst: instr.value for instr in instrs if type(instr) is ir.Const
+    }
     if const_defs:
+        # (a Call without a result adds None, which no Const defines)
+        dsts = [instr.dst for instr in instrs if type(instr) in _DEF_TYPES]
         redefined = {reg for reg, count in Counter(dsts).items() if count > 1}
         for reg in const_defs.keys() & redefined:
             del const_defs[reg]
     return const_defs
 
 
-def _value_of(operand: ir.Operand, consts: dict[ir.VReg, int]) -> int | None:
-    if type(operand) is ir.Imm:
-        return to_signed32(operand.value)
-    const = consts.get(operand)
-    return to_signed32(const) if const is not None else None
+_DEF_TYPES = ir.PURE_DEF_TYPES | {ir.Call}
 
 
 def fold_constants(func: ir.Function) -> bool:
     """One round of folding; returns True if anything changed."""
     consts = _single_def_consts(func)
-    changed = False
-    new_instrs: list[ir.Instr] = []
-
-    for instr in func.instrs:
+    # (position, replacement or _NOP) of each folded instruction
+    folds: list[tuple[int, object]] = []
+    for position, instr in enumerate(func.instrs):
         cls = type(instr)
-        replacement: ir.Instr | None = None
-        if cls is ir.BinOp:
-            a_val = _value_of(instr.a, consts)
-            b_val = _value_of(instr.b, consts)
+        if cls is ir.BinOp or cls is ir.Branch:
+            # (only ``b`` can be an Imm; most operations have no constant)
+            a_val = consts.get(instr.a)
+            b = instr.b
+            b_val = b.value if type(b) is ir.Imm else consts.get(b)
+            if a_val is None and b_val is None:
+                continue
+            if a_val is not None:
+                a_val = to_signed32(a_val)
+            if b_val is not None:
+                b_val = to_signed32(b_val)
+            if cls is ir.Branch:
+                if a_val is not None and b_val is not None:
+                    taken = fold_ir_binop(instr.op, a_val, b_val)
+                    folds.append((position, ir.Jump(instr.target) if taken else _NOP))
+                continue
+            replacement = None
             if a_val is not None and b_val is not None:
                 folded = fold_ir_binop(instr.op, a_val, b_val)
                 if folded is not None:
                     replacement = ir.Const(instr.dst, folded & 0xFFFF_FFFF)
-            if replacement is None and (a_val is not None or b_val is not None):
+            if replacement is None:
                 replacement = _algebraic(instr, a_val, b_val)
+            if replacement is not None:
+                folds.append((position, replacement))
         elif cls is ir.UnOp:
-            src_val = _value_of(instr.src, consts)
+            src_val = consts.get(instr.src)
             if src_val is not None:
+                src_val = to_signed32(src_val)
                 value = -src_val if instr.op == "neg" else ~src_val
-                replacement = ir.Const(instr.dst, value & 0xFFFF_FFFF)
-        elif cls is ir.Branch:
-            a_val = _value_of(instr.a, consts)
-            b_val = _value_of(instr.b, consts)
-            if a_val is not None and b_val is not None:
-                taken = fold_ir_binop(instr.op, a_val, b_val)
-                replacement = ir.Jump(instr.target) if taken else _NOP
-        if replacement is None:
-            new_instrs.append(instr)
-            continue
-        changed = True
-        if replacement is not _NOP:
-            new_instrs.append(replacement)
-    if changed:
-        func.instrs = new_instrs
-    return changed
+                folds.append((position, ir.Const(instr.dst, value & 0xFFFF_FFFF)))
+    if not folds:
+        return False
+    new_instrs = list(func.instrs)
+    for position, replacement in reversed(folds):
+        if replacement is _NOP:
+            del new_instrs[position]
+        else:
+            new_instrs[position] = replacement
+    func.instrs = new_instrs
+    return True
 
 
 _NOP = object()  # sentinel meaning "delete this instruction"
@@ -133,6 +135,10 @@ def _algebraic(
     return None
 
 
+#: the classes whose one use is ``src`` (a ``Return``'s may be None)
+_SRC_TYPES = frozenset({ir.Copy, ir.UnOp, ir.StoreSlot, ir.Return})
+
+
 def propagate_copies(func: ir.Function) -> bool:
     """Forward copy propagation within basic blocks.
 
@@ -144,6 +150,7 @@ def propagate_copies(func: ir.Function) -> bool:
     """
     changed = False
     available: dict[ir.VReg, ir.VReg] = {}
+    copy_of = available.get
     #: src -> the dsts currently available as copies of it
     copies_of: dict[ir.VReg, list[ir.VReg]] = {}
     for instr in func.instrs:
@@ -153,13 +160,45 @@ def propagate_copies(func: ir.Function) -> bool:
             copies_of.clear()
             continue
         if available:
-            mapping = {
-                reg: src for reg in instr.uses()
-                if (src := available.get(reg)) is not None
-            }
-            if mapping:
-                instr.replace_uses(mapping)
-                changed = True
+            # rename what ``uses()`` lists, read from the operand fields
+            # (``replace_uses`` for the rare classes)
+            if cls is ir.BinOp or cls is ir.Branch:
+                src = copy_of(instr.a)
+                if src is not None:
+                    instr.a = src
+                    changed = True
+                if type(instr.b) is ir.VReg:
+                    src = copy_of(instr.b)
+                    if src is not None:
+                        instr.b = src
+                        changed = True
+            elif cls in _SRC_TYPES:
+                src = copy_of(instr.src)
+                if src is not None:
+                    instr.src = src
+                    changed = True
+            elif cls is ir.Load:
+                src = copy_of(instr.base)
+                if src is not None:
+                    instr.base = src
+                    changed = True
+            elif cls is ir.Store:
+                src = copy_of(instr.src)
+                if src is not None:
+                    instr.src = src
+                    changed = True
+                src = copy_of(instr.base)
+                if src is not None:
+                    instr.base = src
+                    changed = True
+            elif cls is ir.Call or cls is ir.SwitchJump:
+                mapping = {
+                    reg: src for reg in instr.uses()
+                    if (src := copy_of(reg)) is not None
+                }
+                if mapping:
+                    instr.replace_uses(mapping)
+                    changed = True
         if cls in ir.TERMINATOR_TYPES:
             available.clear()
             copies_of.clear()

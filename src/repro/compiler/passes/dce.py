@@ -23,25 +23,45 @@ def eliminate_dead_code(func: ir.Function) -> bool:
         slot.index for slot in func.slots if slot.address_taken or slot.is_array
     }
     uses: list[ir.VReg] = []
-    pure_defs: dict[ir.VReg, list[int]] = {}
+    use = uses.append
+    # pure definitions: the first one of each register, and every one of a
+    # register that has several (most have one, so no list per register)
+    first_def: dict[ir.VReg, int] = {}
+    more_defs: dict[ir.VReg, list[int]] = {}
     loads: dict[int, int] = {}
     stores: dict[int, list[int]] = {}
     for position, instr in enumerate(instrs):
-        uses += instr.uses()
         cls = type(instr)
         if cls in ir.PURE_DEF_TYPES:  # Load too: no volatile semantics in mini-C
-            pure_defs.setdefault(instr.dst, []).append(position)
-            if cls is ir.LoadSlot:
+            # the operands of ``uses()``, read from the fields
+            if cls is ir.BinOp:
+                use(instr.a)
+                if type(instr.b) is ir.VReg:
+                    use(instr.b)
+            elif cls is ir.Copy or cls is ir.UnOp:
+                use(instr.src)
+            elif cls is ir.Load:
+                use(instr.base)
+            elif cls is ir.LoadSlot:
                 index = instr.slot.index
                 loads[index] = loads.get(index, 0) + 1
-        elif cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
-            stores.setdefault(instr.slot.index, []).append(position)
+            reg = instr.dst
+            first = first_def.setdefault(reg, position)
+            if first != position:
+                more_defs.setdefault(reg, [first]).append(position)
+        elif cls is not ir.Label and cls is not ir.Jump:
+            uses += instr.uses()
+            if cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
+                stores.setdefault(instr.slot.index, []).append(position)
     use_count = Counter(uses)
+
+    def defs_of(reg: ir.VReg) -> list[int]:
+        return more_defs.get(reg) or [first_def[reg]]
 
     # (key-view set algebra reuses the stored hashes)
     worklist: list[int] = []
-    for reg in pure_defs.keys() - use_count.keys():
-        worklist += pure_defs[reg]
+    for reg in first_def.keys() - use_count.keys():
+        worklist += defs_of(reg)
     for index in stores.keys() - loads.keys():
         worklist += stores[index]
     dead = set(worklist)
@@ -50,8 +70,8 @@ def eliminate_dead_code(func: ir.Function) -> bool:
         instr = instrs[worklist.pop()]
         for reg in instr.uses():
             use_count[reg] -= 1
-            if not use_count[reg]:
-                for position in pure_defs.get(reg, ()):
+            if not use_count[reg] and reg in first_def:
+                for position in defs_of(reg):
                     if position not in dead:
                         dead.add(position)
                         worklist.append(position)

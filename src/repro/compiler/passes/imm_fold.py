@@ -35,7 +35,8 @@ def fold_immediates(func: ir.Function) -> bool:
     consts = _single_def_consts(func)
     changed = False
     for instr in func.instrs:
-        if isinstance(instr, ir.BinOp):
+        cls = type(instr)
+        if cls is ir.BinOp:
             if isinstance(instr.b, ir.VReg) and instr.b in consts:
                 value = to_signed32(consts[instr.b])
                 if _immediate_legal(instr.op, value):
@@ -52,7 +53,7 @@ def fold_immediates(func: ir.Function) -> bool:
                 if _immediate_legal(instr.op, value):
                     instr.a, instr.b = instr.b, ir.Imm(value)
                     changed = True
-        elif isinstance(instr, ir.Branch):
+        elif cls is ir.Branch:
             if isinstance(instr.b, ir.VReg) and instr.b in consts:
                 value = to_signed32(consts[instr.b])
                 # branches against zero map to beq/bne/blez/... with $zero;

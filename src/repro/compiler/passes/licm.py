@@ -12,10 +12,13 @@ label executes them exactly once on entry and never on the back edge.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.compiler import ir
 from repro.utils import graph
 
-_HOISTABLE = (ir.Const, ir.LoadAddr, ir.SlotAddr, ir.BinOp, ir.UnOp, ir.Copy)
+_HOISTABLE = frozenset({ir.Const, ir.LoadAddr, ir.SlotAddr, ir.BinOp, ir.UnOp, ir.Copy})
+_DEF_TYPES = ir.PURE_DEF_TYPES | {ir.Call}
 
 
 def find_loops(blocks: list[ir.Block]) -> list[tuple[int, set[int]]]:
@@ -37,11 +40,11 @@ def hoist_loop_invariants(func: ir.Function) -> bool:
     if not loops:
         return False
 
-    # definition counts across the whole function (single-def check)
-    def_counts: dict[ir.VReg, int] = {}
-    for instr in func.instrs:
-        for reg in instr.defs():
-            def_counts[reg] = def_counts.get(reg, 0) + 1
+    # definition counts across the whole function (single-def check; a
+    # Call without a result counts None, which nothing looks up)
+    def_counts = Counter([
+        instr.dst for instr in func.instrs if type(instr) in _DEF_TYPES
+    ])
 
     changed = False
     for header, loop_blocks in loops:
@@ -100,10 +103,9 @@ def _is_invariant(
     def_counts: dict[ir.VReg, int],
     has_call: bool,
 ) -> bool:
-    if not isinstance(instr, _HOISTABLE):
+    if type(instr) not in _HOISTABLE:
         return False
-    defs = instr.defs()
-    if len(defs) != 1 or def_counts.get(defs[0], 0) != 1:
+    if def_counts[instr.dst] != 1:  # (each hoistable type defines ``dst``)
         return False
     for reg in instr.uses():
         if reg in defined_in_loop and reg not in hoisted_regs:

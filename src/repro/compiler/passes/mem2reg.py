@@ -30,10 +30,11 @@ def promote_slots(func: ir.Function) -> bool:
     changed = False
     new_instrs: list[ir.Instr] = []
     for instr in func.instrs:
-        if isinstance(instr, ir.LoadSlot) and instr.slot.index in slot_regs:
+        cls = type(instr)
+        if cls is ir.LoadSlot and instr.slot.index in slot_regs:
             new_instrs.append(ir.Copy(instr.dst, slot_regs[instr.slot.index]))
             changed = True
-        elif isinstance(instr, ir.StoreSlot) and instr.slot.index in slot_regs:
+        elif cls is ir.StoreSlot and instr.slot.index in slot_regs:
             new_instrs.append(ir.Copy(slot_regs[instr.slot.index], instr.src))
             changed = True
         else:

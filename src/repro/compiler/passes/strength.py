@@ -47,13 +47,17 @@ def decompose_multiplier(value: int) -> list[tuple[str, int]] | None:
     return terms
 
 
+#: the operations strength reduction rewrites (by a suitable constant)
+_REDUCED_OPS = frozenset({"mul", "div", "divu", "rem", "remu"})
+
+
 def reduce_strength(func: ir.Function) -> bool:
     consts = _single_def_consts(func)
     changed = False
     new_instrs: list[ir.Instr] = []
     for instr in func.instrs:
         replacement = None
-        if isinstance(instr, ir.BinOp):
+        if type(instr) is ir.BinOp and instr.op in _REDUCED_OPS:
             const_val = None
             reg_operand = None
             if isinstance(instr.b, ir.Imm):

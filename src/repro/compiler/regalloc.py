@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.compiler import ir
 from repro.isa.registers import Reg
@@ -20,6 +21,7 @@ from repro.isa.registers import Reg
 T_REGS = [int(r) for r in (Reg.T0, Reg.T1, Reg.T2, Reg.T3, Reg.T4, Reg.T5, Reg.T6, Reg.T7)]
 #: allocatable callee-saved registers
 S_REGS = [int(r) for r in (Reg.S0, Reg.S1, Reg.S2, Reg.S3, Reg.S4, Reg.S5, Reg.S6, Reg.S7)]
+_S_REG_SET = frozenset(S_REGS)
 
 
 @dataclass
@@ -56,10 +58,27 @@ def compute_block_liveness(
         use_set: set[ir.VReg] = set()
         def_set: set[ir.VReg] = set()
         for instr in block.instrs:
-            for reg in instr.uses():
-                if reg not in def_set:
-                    use_set.add(reg)
-            def_set.update(instr.defs())
+            cls = type(instr)
+            # the common classes' ``uses()`` and ``defs()``, read from the
+            # fields in the same order
+            if cls is ir.BinOp:
+                if instr.a not in def_set:
+                    use_set.add(instr.a)
+                b = instr.b
+                if type(b) is ir.VReg and b not in def_set:
+                    use_set.add(b)
+                def_set.add(instr.dst)
+            elif cls is ir.Const or cls is ir.LoadAddr:
+                def_set.add(instr.dst)
+            elif cls is ir.Copy:
+                if instr.src not in def_set:
+                    use_set.add(instr.src)
+                def_set.add(instr.dst)
+            elif cls is not ir.Label and cls is not ir.Jump:
+                for reg in instr.uses():
+                    if reg not in def_set:
+                        use_set.add(reg)
+                def_set.update(instr.defs())
         gen.append(use_set)
         kill.append(def_set)
 
@@ -105,15 +124,22 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
             if reg not in starts:
                 starts[reg] = index
         for instr in block.instrs:
-            if type(instr) is ir.Call:
-                call_sites.append(index)
-            for reg in instr.uses():
-                if reg not in starts:
-                    starts[reg] = index
-                ends[reg] = index
-            for reg in instr.defs():
-                if reg not in starts:
-                    starts[reg] = index
+            cls = type(instr)
+            if cls is ir.BinOp:
+                touched = (instr.a, instr.b, instr.dst) \
+                    if type(instr.b) is ir.VReg else (instr.a, instr.dst)
+            elif cls is ir.Const or cls is ir.LoadAddr:
+                touched = (instr.dst,)
+            elif cls is ir.Copy:
+                touched = (instr.src, instr.dst)
+            elif cls is ir.Label or cls is ir.Jump:
+                touched = ()
+            else:
+                if cls is ir.Call:
+                    call_sites.append(index)
+                touched = instr.uses() + instr.defs()
+            for reg in touched:
+                starts.setdefault(reg, index)
                 ends[reg] = index
             index += 1
         # (fromkeys over a set reuses the stored hashes)
@@ -126,7 +152,7 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
         first_after = bisect_right(call_sites, start)
         crosses = first_after < len(call_sites) and call_sites[first_after] < end
         intervals.append(Interval(reg, start, end, crosses))
-    intervals.sort(key=lambda iv: (iv.start, iv.end))
+    intervals.sort(key=attrgetter("start", "end"))
     return intervals, call_sites
 
 
@@ -141,22 +167,18 @@ def allocate(func: ir.Function) -> Allocation:
     used_s: set[int] = set()
     next_spill = 0
 
-    def expire(current_start: int) -> None:
-        nonlocal active
-        still_active = []
-        for interval in active:
-            if interval.end < current_start:
-                reg = allocation.reg_of[interval.vreg]
-                if reg in S_REGS:
-                    free_s.append(reg)
-                else:
-                    free_t.append(reg)
-            else:
-                still_active.append(interval)
-        active = still_active
-
     for interval in intervals:
-        expire(interval.start)
+        # expire the active intervals that ended before this one starts
+        start = interval.start
+        if active:
+            still_active = []
+            for other in active:
+                if other.end < start:
+                    reg = allocation.reg_of[other.vreg]
+                    (free_s if reg in _S_REG_SET else free_t).append(reg)
+                else:
+                    still_active.append(other)
+            active = still_active
         reg: int | None = None
         if interval.crosses_call:
             if free_s:

@@ -166,14 +166,6 @@ ALU_OPS = frozenset(
     }
 )
 
-COMMUTATIVE = frozenset(
-    {Opcode.ADD, Opcode.MUL, Opcode.MULHI, Opcode.MULHIU,
-     Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.NOR}
-)
-
-#: branch condition names (operate on two operands)
-BRANCH_CONDS = ("eq", "ne", "lt", "le", "gt", "ge", "ltu", "leu", "gtu", "geu")
-
 NEGATED_COND = {
     "eq": "ne", "ne": "eq",
     "lt": "ge", "ge": "lt", "le": "gt", "gt": "le",

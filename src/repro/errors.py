@@ -69,10 +69,6 @@ class IndirectJumpError(DecompilationError):
         super().__init__(f"indirect jump at 0x{address:08x}{where} defeats CDFG recovery")
 
 
-class StructureRecoveryError(DecompilationError):
-    """Control-structure recovery could not reduce the CFG to high-level constructs."""
-
-
 class SynthesisError(ReproError):
     """Raised by the behavioral synthesis tool (scheduling/binding/VHDL)."""
 
@@ -85,5 +81,8 @@ class PartitionError(ReproError):
     """Raised by hardware/software partitioning algorithms."""
 
 
-class AreaConstraintError(PartitionError):
-    """No feasible partition exists under the platform's FPGA area budget."""
+class ConfigError(ReproError, ValueError):
+    """An option value no run can use (e.g. an unroll factor below 1).
+
+    Also a :class:`ValueError`, so a caller that checks option values
+    that way still catches it."""
