@@ -22,10 +22,12 @@ Level  Passes
 Individual passes can be toggled through :class:`CompilerOptions` for the
 ablation experiments.
 
-Each source is parsed once per process: the syntax tree comes from the
-stage memo (:func:`repro.stages.parsed`), shared by every level, and -O3
-unrolls a copy-on-write view of it (:func:`~repro.compiler.passes.
-ast_unroll.unrolled`).
+Each source is parsed once per process: :func:`compile_source` looks its
+syntax tree up in a memo keyed by the source text (an LRU bounded like
+the stage memo, :data:`repro.utils.lru.MEMORY_CAP`; :func:`clear_parses`
+and :func:`repro.stages.clear` empty it).  Every level shares the tree,
+so no pass may mutate it: -O3 unrolls a copy-on-write view of it
+(:func:`~repro.compiler.passes.ast_unroll.unrolled`).
 
 The cleanup passes (folding, copy propagation, DCE, control-flow cleanup)
 iterate to a fixed point after each transforming pass.  The fixpoint is
@@ -80,10 +82,11 @@ is the same as running every pass in every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 
-from repro import stages
 from repro.binary.image import Executable
+from repro.compiler import ast_nodes as ast
 from repro.compiler import ir
 from repro.compiler.codegen import generate_records
 from repro.compiler.irgen import generate_ir
@@ -102,6 +105,7 @@ from repro.compiler.passes import (
 )
 from repro.errors import ConfigError
 from repro.isa.assembler import assemble_records, render
+from repro.utils.lru import touch
 
 _MAX_FIXPOINT_ROUNDS = 12
 
@@ -212,9 +216,18 @@ def optimize_module(module: ir.Module, options: CompilerOptions) -> None:
                 eliminate_dead_code(func)
 
 
+#: source text -> its syntax tree, shared by every compile of the source
+_PARSED: "OrderedDict[str, ast.TranslationUnit]" = OrderedDict()
+
+
+def clear_parses() -> None:
+    """Forget every memoised syntax tree."""
+    _PARSED.clear()
+
+
 def _generate(source: str, options: CompilerOptions) -> list:
     """Parse, lower and optimize *source*; its instruction records."""
-    unit = stages.parsed(source, parse)
+    unit = touch(_PARSED, source, lambda: parse(source))
     if options.unroll:
         unit, _ = unrolled(unit, options.unroll_factor)
     module, jump_tables = generate_ir(unit)

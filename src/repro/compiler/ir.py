@@ -101,13 +101,14 @@ COMMUTATIVE_OPS = frozenset({"add", "mul", "and", "or", "xor", "eq", "ne"})
 
 @dataclass
 class Instr:
-    """Base class.  Subclasses define ``defs()`` and ``uses()``."""
+    """Base class.  Subclasses that define a register define ``defs()``;
+    what every class reads is :func:`reads`."""
 
     def defs(self) -> list[VReg]:
         return []
 
     def uses(self) -> list[VReg]:
-        return []
+        return list(reads(self))
 
     def replace_uses(self, mapping: dict[VReg, Operand]) -> None:
         """Substitute used vregs per *mapping* (Imm only where legal)."""
@@ -146,9 +147,6 @@ class Copy(Instr):
     def defs(self):
         return [self.dst]
 
-    def uses(self):
-        return [self.src]
-
     def replace_uses(self, mapping):
         self.src = _sub_reg(self.src, mapping)
 
@@ -167,9 +165,6 @@ class UnOp(Instr):
     def defs(self):
         return [self.dst]
 
-    def uses(self):
-        return [self.src]
-
     def replace_uses(self, mapping):
         self.src = _sub_reg(self.src, mapping)
 
@@ -186,9 +181,6 @@ class BinOp(Instr):
 
     def defs(self):
         return [self.dst]
-
-    def uses(self):
-        return [self.a, self.b] if type(self.b) is VReg else [self.a]
 
     def replace_uses(self, mapping):
         self.a = _sub_reg(self.a, mapping)
@@ -211,9 +203,6 @@ class Load(Instr):
     def defs(self):
         return [self.dst]
 
-    def uses(self):
-        return [self.base]
-
     def replace_uses(self, mapping):
         self.base = _sub_reg(self.base, mapping)
 
@@ -230,9 +219,6 @@ class Store(Instr):
     base: VReg
     offset: int
     size: int = 4
-
-    def uses(self):
-        return [self.src, self.base]
 
     def replace_uses(self, mapping):
         self.src = _sub_reg(self.src, mapping)
@@ -292,9 +278,6 @@ class StoreSlot(Instr):
     src: VReg
     slot: StackSlot
 
-    def uses(self):
-        return [self.src]
-
     def replace_uses(self, mapping):
         self.src = _sub_reg(self.src, mapping)
 
@@ -327,9 +310,6 @@ class Branch(Instr):
     b: Operand
     target: str
 
-    def uses(self):
-        return [self.a, self.b] if type(self.b) is VReg else [self.a]
-
     def replace_uses(self, mapping):
         self.a = _sub_reg(self.a, mapping)
         self.b = _sub(self.b, mapping)
@@ -351,9 +331,6 @@ class SwitchJump(Instr):
     labels: list[str]
     table_name: str
 
-    def uses(self):
-        return [self.index]
-
     def replace_uses(self, mapping):
         self.index = _sub_reg(self.index, mapping)
 
@@ -370,9 +347,6 @@ class Call(Instr):
     def defs(self):
         return [self.dst] if self.dst is not None else []
 
-    def uses(self):
-        return list(self.args)
-
     def replace_uses(self, mapping):
         self.args = [_sub_reg(arg, mapping) for arg in self.args]
 
@@ -384,9 +358,6 @@ class Call(Instr):
 @dataclass
 class Return(Instr):
     src: VReg | None = None
-
-    def uses(self):
-        return [self.src] if self.src is not None else []
 
     def replace_uses(self, mapping):
         if self.src is not None:
@@ -405,6 +376,42 @@ TERMINATOR_TYPES = frozenset(TERMINATORS)
 #: instruction types whose one definition is ``dst`` and which have no
 #: other effect (a ``Call`` also has a ``dst``, but it may be None)
 PURE_DEF_TYPES = frozenset({Const, Copy, UnOp, BinOp, Load, LoadAddr, SlotAddr, LoadSlot})
+
+#: every type that defines a register: its one definition is ``dst``
+DEF_TYPES = PURE_DEF_TYPES | {Call}
+
+_READS_NOTHING = frozenset({Const, LoadAddr, SlotAddr, LoadSlot, Label, Jump})
+_READS_SRC = frozenset({Copy, UnOp, StoreSlot})
+
+
+def reads(instr: Instr) -> tuple[VReg, ...]:
+    """The registers *instr* reads, in operand order (``uses()``).
+
+    The one place that knows which fields of each class are read
+    registers: ``uses()`` and the hot loops of the passes (DCE, copy
+    propagation, liveness, live intervals) all go through it.  What a
+    class *defines* is its ``dst`` field if it is one of
+    :data:`DEF_TYPES` (a ``Call``'s may be None), and nothing otherwise.
+    """
+    cls = type(instr)
+    if cls is BinOp or cls is Branch:
+        b = instr.b
+        return (instr.a, b) if type(b) is VReg else (instr.a,)
+    if cls in _READS_NOTHING:
+        return ()
+    if cls in _READS_SRC:
+        return (instr.src,)
+    if cls is Load:
+        return (instr.base,)
+    if cls is Store:
+        return (instr.src, instr.base)
+    if cls is Return:
+        return () if instr.src is None else (instr.src,)
+    if cls is SwitchJump:
+        return (instr.index,)
+    if cls is Call:
+        return tuple(instr.args)
+    raise TypeError(f"no operand layout for {cls.__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.compiler.passes.imm_fold import fold_immediates
 from repro.compiler.passes.cse import local_cse
 from repro.compiler.passes.licm import hoist_loop_invariants
 from repro.compiler.passes.strength import reduce_strength
-from repro.compiler.passes.ast_unroll import unroll_loops, unrolled
+from repro.compiler.passes.ast_unroll import unrolled
 
 __all__ = [
     "eliminate_dead_code",
@@ -26,6 +26,5 @@ __all__ = [
     "propagate_copies",
     "reduce_strength",
     "simplify_control_flow",
-    "unroll_loops",
     "unrolled",
 ]

@@ -27,13 +27,6 @@ DEFAULT_FACTOR = 4
 MAX_BODY_STMTS = 12
 
 
-def unroll_loops(unit: ast.TranslationUnit, factor: int = DEFAULT_FACTOR) -> int:
-    """Unroll eligible for-loops in place; returns the number unrolled."""
-    result, count = unrolled(unit, factor)
-    unit.functions = result.functions
-    return count
-
-
 def unrolled(
     unit: ast.TranslationUnit, factor: int = DEFAULT_FACTOR
 ) -> tuple[ast.TranslationUnit, int]:

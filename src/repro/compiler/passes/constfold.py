@@ -50,14 +50,11 @@ def _single_def_consts(func: ir.Function) -> dict[ir.VReg, int]:
     }
     if const_defs:
         # (a Call without a result adds None, which no Const defines)
-        dsts = [instr.dst for instr in instrs if type(instr) in _DEF_TYPES]
+        dsts = [instr.dst for instr in instrs if type(instr) in ir.DEF_TYPES]
         redefined = {reg for reg, count in Counter(dsts).items() if count > 1}
         for reg in const_defs.keys() & redefined:
             del const_defs[reg]
     return const_defs
-
-
-_DEF_TYPES = ir.PURE_DEF_TYPES | {ir.Call}
 
 
 def fold_constants(func: ir.Function) -> bool:
@@ -135,10 +132,6 @@ def _algebraic(
     return None
 
 
-#: the classes whose one use is ``src`` (a ``Return``'s may be None)
-_SRC_TYPES = frozenset({ir.Copy, ir.UnOp, ir.StoreSlot, ir.Return})
-
-
 def propagate_copies(func: ir.Function) -> bool:
     """Forward copy propagation within basic blocks.
 
@@ -149,8 +142,8 @@ def propagate_copies(func: ir.Function) -> bool:
     after every terminator.
     """
     changed = False
+    reads = ir.reads
     available: dict[ir.VReg, ir.VReg] = {}
-    copy_of = available.get
     #: src -> the dsts currently available as copies of it
     copies_of: dict[ir.VReg, list[ir.VReg]] = {}
     for instr in func.instrs:
@@ -160,50 +153,16 @@ def propagate_copies(func: ir.Function) -> bool:
             copies_of.clear()
             continue
         if available:
-            # rename what ``uses()`` lists, read from the operand fields
-            # (``replace_uses`` for the rare classes)
-            if cls is ir.BinOp or cls is ir.Branch:
-                src = copy_of(instr.a)
-                if src is not None:
-                    instr.a = src
+            for reg in reads(instr):
+                if reg in available:
+                    instr.replace_uses(available)
                     changed = True
-                if type(instr.b) is ir.VReg:
-                    src = copy_of(instr.b)
-                    if src is not None:
-                        instr.b = src
-                        changed = True
-            elif cls in _SRC_TYPES:
-                src = copy_of(instr.src)
-                if src is not None:
-                    instr.src = src
-                    changed = True
-            elif cls is ir.Load:
-                src = copy_of(instr.base)
-                if src is not None:
-                    instr.base = src
-                    changed = True
-            elif cls is ir.Store:
-                src = copy_of(instr.src)
-                if src is not None:
-                    instr.src = src
-                    changed = True
-                src = copy_of(instr.base)
-                if src is not None:
-                    instr.base = src
-                    changed = True
-            elif cls is ir.Call or cls is ir.SwitchJump:
-                mapping = {
-                    reg: src for reg in instr.uses()
-                    if (src := copy_of(reg)) is not None
-                }
-                if mapping:
-                    instr.replace_uses(mapping)
-                    changed = True
+                    break
         if cls in ir.TERMINATOR_TYPES:
             available.clear()
             copies_of.clear()
             continue
-        if cls in ir.PURE_DEF_TYPES or cls is ir.Call:
+        if cls in ir.DEF_TYPES:
             reg = instr.dst
             if reg is not None and available:
                 src = available.pop(reg, None)

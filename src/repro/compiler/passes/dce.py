@@ -23,7 +23,7 @@ def eliminate_dead_code(func: ir.Function) -> bool:
         slot.index for slot in func.slots if slot.address_taken or slot.is_array
     }
     uses: list[ir.VReg] = []
-    use = uses.append
+    reads = ir.reads
     # pure definitions: the first one of each register, and every one of a
     # register that has several (most have one, so no list per register)
     first_def: dict[ir.VReg, int] = {}
@@ -31,28 +31,18 @@ def eliminate_dead_code(func: ir.Function) -> bool:
     loads: dict[int, int] = {}
     stores: dict[int, list[int]] = {}
     for position, instr in enumerate(instrs):
+        uses += reads(instr)
         cls = type(instr)
         if cls in ir.PURE_DEF_TYPES:  # Load too: no volatile semantics in mini-C
-            # the operands of ``uses()``, read from the fields
-            if cls is ir.BinOp:
-                use(instr.a)
-                if type(instr.b) is ir.VReg:
-                    use(instr.b)
-            elif cls is ir.Copy or cls is ir.UnOp:
-                use(instr.src)
-            elif cls is ir.Load:
-                use(instr.base)
-            elif cls is ir.LoadSlot:
+            if cls is ir.LoadSlot:
                 index = instr.slot.index
                 loads[index] = loads.get(index, 0) + 1
             reg = instr.dst
             first = first_def.setdefault(reg, position)
             if first != position:
                 more_defs.setdefault(reg, [first]).append(position)
-        elif cls is not ir.Label and cls is not ir.Jump:
-            uses += instr.uses()
-            if cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
-                stores.setdefault(instr.slot.index, []).append(position)
+        elif cls is ir.StoreSlot and instr.slot.index not in pinned_slots:
+            stores.setdefault(instr.slot.index, []).append(position)
     use_count = Counter(uses)
 
     def defs_of(reg: ir.VReg) -> list[int]:
@@ -68,7 +58,7 @@ def eliminate_dead_code(func: ir.Function) -> bool:
 
     while worklist:
         instr = instrs[worklist.pop()]
-        for reg in instr.uses():
+        for reg in reads(instr):
             use_count[reg] -= 1
             if not use_count[reg] and reg in first_def:
                 for position in defs_of(reg):

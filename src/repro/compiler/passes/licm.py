@@ -107,7 +107,7 @@ def _is_invariant(
         return False
     if def_counts[instr.dst] != 1:  # (each hoistable type defines ``dst``)
         return False
-    for reg in instr.uses():
+    for reg in ir.reads(instr):
         if reg in defined_in_loop and reg not in hoisted_regs:
             return False
         if def_counts.get(reg, 0) != 1:

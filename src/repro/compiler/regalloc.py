@@ -52,33 +52,18 @@ def compute_block_liveness(
 ) -> tuple[list[set[ir.VReg]], list[set[ir.VReg]]]:
     """Iterative live-in/live-out per block."""
     count = len(blocks)
+    reads, def_types = ir.reads, ir.DEF_TYPES
     gen: list[set[ir.VReg]] = []
     kill: list[set[ir.VReg]] = []
     for block in blocks:
         use_set: set[ir.VReg] = set()
         def_set: set[ir.VReg] = set()
         for instr in block.instrs:
-            cls = type(instr)
-            # the common classes' ``uses()`` and ``defs()``, read from the
-            # fields in the same order
-            if cls is ir.BinOp:
-                if instr.a not in def_set:
-                    use_set.add(instr.a)
-                b = instr.b
-                if type(b) is ir.VReg and b not in def_set:
-                    use_set.add(b)
+            for reg in reads(instr):
+                if reg not in def_set:
+                    use_set.add(reg)
+            if type(instr) in def_types and instr.dst is not None:
                 def_set.add(instr.dst)
-            elif cls is ir.Const or cls is ir.LoadAddr:
-                def_set.add(instr.dst)
-            elif cls is ir.Copy:
-                if instr.src not in def_set:
-                    use_set.add(instr.src)
-                def_set.add(instr.dst)
-            elif cls is not ir.Label and cls is not ir.Jump:
-                for reg in instr.uses():
-                    if reg not in def_set:
-                        use_set.add(reg)
-                def_set.update(instr.defs())
         gen.append(use_set)
         kill.append(def_set)
 
@@ -109,6 +94,7 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
     starts: dict[ir.VReg, int] = {}
     ends: dict[ir.VReg, int] = {}
     call_sites: list[int] = []
+    reads, def_types = ir.reads, ir.DEF_TYPES
 
     # parameters are defined by the prologue: pin their interval to entry
     for param in func.params:
@@ -124,23 +110,17 @@ def build_intervals(func: ir.Function) -> tuple[list[Interval], list[int]]:
             if reg not in starts:
                 starts[reg] = index
         for instr in block.instrs:
-            cls = type(instr)
-            if cls is ir.BinOp:
-                touched = (instr.a, instr.b, instr.dst) \
-                    if type(instr.b) is ir.VReg else (instr.a, instr.dst)
-            elif cls is ir.Const or cls is ir.LoadAddr:
-                touched = (instr.dst,)
-            elif cls is ir.Copy:
-                touched = (instr.src, instr.dst)
-            elif cls is ir.Label or cls is ir.Jump:
-                touched = ()
-            else:
-                if cls is ir.Call:
-                    call_sites.append(index)
-                touched = instr.uses() + instr.defs()
-            for reg in touched:
+            for reg in reads(instr):
                 starts.setdefault(reg, index)
                 ends[reg] = index
+            cls = type(instr)
+            if cls in def_types:
+                reg = instr.dst
+                if reg is not None:
+                    starts.setdefault(reg, index)
+                    ends[reg] = index
+                if cls is ir.Call:
+                    call_sites.append(index)
             index += 1
         # (fromkeys over a set reuses the stored hashes)
         ends.update(dict.fromkeys(live_out[block_index], index - 1))

@@ -5,14 +5,17 @@ core grid of Table 5) change only how one binary is *costed*, so its
 compile, profiled simulation, decompilation and per-loop synthesis are
 the same on every platform.  This memo computes each of them once:
 
-* the syntax tree is keyed by the source text, so the -O0 to -O3 builds
-  of one source parse it once.  The lookup happens inside
-  :func:`~repro.compiler.driver.compile_source` (:func:`parsed`), so a
-  parse is timed as part of the compile that needed it.  Every build
-  shares the tree: the IR generator only reads it, and -O3's unroller
-  (:func:`~repro.compiler.passes.ast_unroll.unrolled`) copies the path
-  to each loop it rewrites instead of editing it;
-* compile is keyed by ``(source, CompilerOptions)``;
+* compile is keyed by ``(source, CompilerOptions)``.  Under it, the
+  compiler keeps its own memo of syntax trees keyed by the source text
+  (:func:`repro.compiler.driver.clear_parses`, cleared with this one), so
+  the -O0 to -O3 builds of one source parse it once.  It lives in the
+  driver, inside the timed compile, because the compiler must load none
+  of the stages downstream of it.  Every build shares the tree: the IR
+  generator only reads it, and -O3's unroller
+  (:func:`~repro.compiler.passes.ast_unroll.unrolled`) copies the path to
+  each loop it rewrites instead of editing it.  Only a process that
+  builds one source with several option sets reads a memoised tree;
+  elsewhere the memo just holds up to :data:`MEMORY_CAP` of them;
 * everything downstream is keyed by the binary's content digest
   (:attr:`~repro.binary.image.Executable.digest`, a hash of
   ``exe.to_bytes()`` cached on the immutable image) and lives in one
@@ -51,8 +54,8 @@ work -- re-costing the run, pricing the loop summaries, building the
 candidates and partitioning.
 
 The parse, compile and per-binary memos are LRUs bounded by
-:data:`MEMORY_CAP` entries each, and so are each binary's sets of loop
-indexes and loop summaries.
+:data:`MEMORY_CAP` entries each (:mod:`repro.utils.lru`), and so are each
+binary's sets of loop indexes and loop summaries.
 The memo is always on and per process, and it is the only artifact cache:
 nothing persists between sessions.  Memoised artifacts are shared between
 flows, so nothing downstream may mutate them.
@@ -61,48 +64,31 @@ A miss calls through the stage function its caller hands in -- the
 caller's module-level name, resolved at call time -- so rebinding that
 name (as the per-layer tracer does) still sees every real computation.
 With telemetry on, each lookup counts on
-``flow.stage.<parse|compile|simulate|sample|decompile|profile|synth>.hits_total``
-or ``.misses_total``.
-
-The module imports the stages it calls only when it first calls them,
-so that the compiler, which looks up its parses here, loads none of the
-simulator, the decompiler or synthesis.
+``flow.stage.<compile|simulate|sample|decompile|profile|synth>.hits_total`` or
+``.misses_total``.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import ne
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import Callable, Generator
 
 from repro import obs
+from repro.binary.image import Executable
+from repro.compiler.driver import CompilerOptions, clear_parses
+from repro.decompile.decompiler import DecompilationOptions, DecompiledProgram
 from repro.errors import SimulationError, SynthesisError
-from repro.surface import lazy_surface
-
-if TYPE_CHECKING:  # the compiler imports this module: keep it light to load
-    from repro.binary.image import Executable
-    from repro.compiler.ast_nodes import TranslationUnit
-    from repro.compiler.driver import CompilerOptions
-    from repro.decompile.decompiler import DecompilationOptions, DecompiledProgram
-    from repro.sim.cpu import CpiModel, RunResult
-    from repro.synth.synthesizer import HwKernel, Synthesizer
-
-#: the stages this module calls, loaded on first use (PEP 562); call
-#: sites reach them through the module, so a rebinding is seen too
-__getattr__, __dir__ = lazy_surface(__name__, {
-    "Cpu": "repro.sim.cpu",
-    "run_executable": "repro.sim.cpu",
-    "DecompilationOptions": "repro.decompile.decompiler",
-})
-_stages = sys.modules[__name__]
+from repro.sim.cpu import CpiModel, Cpu, RunResult, run_executable
+from repro.synth.synthesizer import HwKernel, Synthesizer
+from repro.utils.lru import MEMORY_CAP, touch as _touch
 
 __all__ = [
     "MEMORY_CAP", "SampleStream", "SiteView", "clear", "compiled", "decompiled",
-    "kernels", "loop_index", "loop_summaries", "parsed", "profiled_run",
+    "kernels", "loop_index", "loop_summaries", "profiled_run",
     "sample_stream", "size",
 ]
 
@@ -219,7 +205,7 @@ def _record(exe: Executable, max_steps: int, interval: int) -> SampleStream:
         samples.append(_changes(counts, base[0]) + _changes(taken, base[1]))
         before = counts[:], taken[:]
 
-    cpu = _stages.Cpu(exe, profile=True)
+    cpu = Cpu(exe, profile=True)
     run = cpu.run(max_steps=max_steps, sample_interval=interval, on_sample=record)
     return SampleStream(
         branch_edges=cpu.branch_edges,
@@ -246,17 +232,13 @@ class _Binary:
     summaries: OrderedDict = field(default_factory=OrderedDict)
 
 
-#: entries each memo keeps.  Bounded: fuzzers create hundreds of distinct
-#: programs per process, and each binary's entry pins its artifacts
-MEMORY_CAP = 32
-_PARSED: "OrderedDict[str, TranslationUnit]" = OrderedDict()
 _COMPILED: "OrderedDict[tuple, Executable]" = OrderedDict()
 _BINARIES: "OrderedDict[str, _Binary]" = OrderedDict()
 
 
 def clear() -> None:
-    """Forget every memoised artifact."""
-    _PARSED.clear()
+    """Forget every memoised artifact, the compiler's parses included."""
+    clear_parses()
     _COMPILED.clear()
     _BINARIES.clear()
 
@@ -272,27 +254,8 @@ def _count(stage: str, hit: bool) -> None:
         obs.counter(f"flow.stage.{stage}.misses_total").inc(int(not hit))
 
 
-def _touch(memo: OrderedDict, key, make: Callable):
-    """``memo[key]`` as most recently used, inserting ``make()`` on a miss."""
-    value = memo.get(key)
-    if value is not None:
-        memo.move_to_end(key)
-        return value
-    value = memo[key] = make()
-    while len(memo) > MEMORY_CAP:
-        memo.popitem(last=False)
-    return value
-
-
 def _binary(exe: Executable) -> _Binary:
     return _touch(_BINARIES, exe.digest, _Binary)
-
-
-def parsed(source: str, parse: Callable[[str], TranslationUnit]) -> TranslationUnit:
-    """The syntax tree of *source*.  Every compile of the source shares
-    it, so nothing may mutate it."""
-    _count("parse", source in _PARSED)
-    return _touch(_PARSED, source, lambda: parse(source))
 
 
 def compiled(
@@ -313,7 +276,7 @@ def profiled_run(exe: Executable, cpi: CpiModel, max_steps: int) -> RunResult:
     _count("simulate", run is not None)
     if run is not None:
         return run.recost(cpi)
-    _, run = _stages.run_executable(exe, profile=True, max_steps=max_steps, cpi=cpi)
+    _, run = run_executable(exe, profile=True, max_steps=max_steps, cpi=cpi)
     runs[max_steps] = run
     return run
 
@@ -342,7 +305,7 @@ def decompiled(
 ) -> DecompiledProgram:
     """*exe* decompiled with *options* (``None``: the full pass set)."""
     programs = _binary(exe).programs
-    key = options or _stages.DecompilationOptions()
+    key = options or DecompilationOptions()
     program = programs.get(key)
     _count("decompile", program is not None)
     if program is None:
@@ -394,7 +357,7 @@ def kernels(
     of ``decompiled(exe, decompile_options, ...)``; ``None`` marks a loop
     whose synthesis raised :class:`~repro.errors.SynthesisError`."""
     memo = _binary(exe).kernels
-    prefix = (decompile_options or _stages.DecompilationOptions(), synthesizer.options)
+    prefix = (decompile_options or DecompilationOptions(), synthesizer.options)
 
     def synthesize(func, loop) -> HwKernel | None:
         key = prefix + (func.name, func.cfg.blocks[loop.header].start)

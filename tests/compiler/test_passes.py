@@ -20,7 +20,7 @@ from repro.compiler.passes import (
     reduce_strength,
     simplify_control_flow,
 )
-from repro.compiler.passes.ast_unroll import unroll_loops
+from repro.compiler.passes.ast_unroll import unrolled
 from repro.compiler.passes.licm import find_loops
 from repro.compiler.passes.strength import decompose_multiplier
 from repro.programs import ALL_BENCHMARKS
@@ -156,21 +156,21 @@ class TestAstUnroll:
             "int a[64]; int main(void) { int i;"
             " for (i = 0; i < 64; i++) a[i] = i; return 0; }"
         )
-        assert unroll_loops(unit) == 1
+        assert unrolled(unit)[1] == 1
 
     def test_skips_loop_with_break(self):
         unit = parse(
             "int a[64]; int main(void) { int i;"
             " for (i = 0; i < 64; i++) { if (i == 5) break; a[i] = i; } return 0; }"
         )
-        assert unroll_loops(unit) == 0
+        assert unrolled(unit)[1] == 0
 
     def test_skips_induction_write_in_body(self):
         unit = parse(
             "int a[64]; int main(void) { int i;"
             " for (i = 0; i < 64; i++) { a[i] = i; i = i + 1; } return 0; }"
         )
-        assert unroll_loops(unit) == 0
+        assert unrolled(unit)[1] == 0
 
     def test_skips_call_with_global_bound(self):
         unit = parse(
@@ -178,14 +178,14 @@ class TestAstUnroll:
             " int a[64]; int main(void) { int i;"
             " for (i = 0; i < n; i++) a[i] = f(); return 0; }"
         )
-        assert unroll_loops(unit) == 0
+        assert unrolled(unit)[1] == 0
 
     def test_unrolls_innermost_only(self):
         unit = parse(
             "int a[64]; int main(void) { int i; int j;"
             " for (i = 0; i < 8; i++) for (j = 0; j < 8; j++) a[i*8+j] = j; return 0; }"
         )
-        assert unroll_loops(unit) == 1
+        assert unrolled(unit)[1] == 1
 
     def test_remainder_loop_correct(self):
         # 10 iterations with factor 4: 8 in the main loop + 2 remainder
@@ -230,7 +230,7 @@ class TestLicmSingleBlockLoop:
         options = CompilerOptions.from_level(level)
         unit = parse(_SINGLE_BLOCK_LOOP)
         if options.unroll:
-            unroll_loops(unit, options.unroll_factor)
+            unit, _ = unrolled(unit, options.unroll_factor)
         module, _ = generate_ir(unit)
         func = module.functions["main"]
         promote_slots(func)
@@ -308,7 +308,7 @@ class TestChangedFlagIsTruthful:
             options = CompilerOptions.from_level(level)
             unit = parse(source)
             if options.unroll:
-                unroll_loops(unit, options.unroll_factor)
+                unit, _ = unrolled(unit, options.unroll_factor)
             module, _ = generate_ir(unit)
             for func in module.functions.values():
                 if options.mem2reg:
